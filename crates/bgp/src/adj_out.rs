@@ -33,8 +33,27 @@ impl AdjRibOut {
     /// Seed from a static originate feed (the configured announcements a
     /// provider router offers on every establishment).
     pub fn from_updates(updates: &[UpdateMsg]) -> AdjRibOut {
-        let mut out = AdjRibOut::new();
-        for upd in updates {
+        // The announce-only head of the feed (all of it, for an originate
+        // feed) is sorted once and bulk-built instead of inserted prefix
+        // by prefix. Latest announcement first, then a stable sort and a
+        // keep-first dedup: a re-announced prefix ends up with its last
+        // attributes, as it would by insertion in feed order.
+        let head = updates
+            .iter()
+            .take_while(|upd| upd.withdrawn.is_empty())
+            .count();
+        let mut routes: Vec<(Ipv4Prefix, Arc<RouteAttrs>)> = updates[..head]
+            .iter()
+            .rev()
+            .filter_map(|upd| Some((upd.attrs.as_ref()?, &upd.nlri)))
+            .flat_map(|(attrs, nlri)| nlri.iter().map(move |p| (*p, attrs.clone())))
+            .collect();
+        routes.sort_by_key(|(prefix, _)| *prefix);
+        routes.dedup_by_key(|(prefix, _)| *prefix);
+        let mut out = AdjRibOut {
+            routes: routes.into_iter().collect(),
+        };
+        for upd in &updates[head..] {
             out.apply(upd);
         }
         out
@@ -184,5 +203,31 @@ mod tests {
         assert_eq!(rib.len(), 2);
         // Export packs both prefixes (same attrs Arc) into one message.
         assert_eq!(rib.export().len(), 1);
+    }
+
+    #[test]
+    fn from_updates_equals_applying_in_order() {
+        let (a, b, c) = (attrs(65002), attrs(65003), attrs(65004));
+        let feed = [
+            UpdateMsg::announce(a, vec![p("3.0.0.0/24"), p("1.0.0.0/24")]),
+            // Re-announced in the bulk-built head: the later attrs win.
+            UpdateMsg::announce(b, vec![p("1.0.0.0/24"), p("2.0.0.0/24")]),
+            UpdateMsg::withdraw(vec![p("3.0.0.0/24")]),
+            UpdateMsg::announce(c, vec![p("2.0.0.0/24"), p("4.0.0.0/24")]),
+        ];
+        for len in 0..=feed.len() {
+            let mut applied = AdjRibOut::new();
+            for upd in &feed[..len] {
+                applied.apply(upd);
+            }
+            let built = AdjRibOut::from_updates(&feed[..len]);
+            assert_eq!(built.export(), applied.export(), "first {len} updates");
+            for (x, y) in built.export().iter().zip(applied.export().iter()) {
+                assert!(Arc::ptr_eq(
+                    x.attrs.as_ref().unwrap(),
+                    y.attrs.as_ref().unwrap()
+                ));
+            }
+        }
     }
 }

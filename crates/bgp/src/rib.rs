@@ -75,21 +75,66 @@ fn route_eq(a: &Option<Route>, b: &Option<Route>) -> bool {
     }
 }
 
-/// Per-prefix ranked candidate lists over all peers.
+/// What the RIB holds for one prefix.
 #[derive(Default)]
-pub struct LocRib {
-    entries: PrefixTrie<Vec<Route>>,
+struct Entry<X> {
+    /// Candidates, best first.
+    ranked: Vec<Route>,
+    ext: X,
+}
+
+impl<X> Entry<X> {
+    fn position(&self, peer: PeerId) -> Option<usize> {
+        self.ranked.iter().position(|r| r.from.peer == peer)
+    }
+
+    /// Insert or replace the candidate from `route.from.peer`, keeping
+    /// the list ranked by the decision process. Returns how many
+    /// candidates that added (0 for a replacement).
+    fn place(&mut self, route: Route) -> usize {
+        let replaced = self.position(route.from.peer);
+        if let Some(pos) = replaced {
+            self.ranked.remove(pos);
+        }
+        let pos = self
+            .ranked
+            .binary_search_by(|probe| compare_routes(probe, &route))
+            .unwrap_or_else(|e| e);
+        self.ranked.insert(pos, route);
+        replaced.is_none() as usize
+    }
+}
+
+/// Per-prefix ranked candidate lists over all peers.
+///
+/// `X` is per-prefix state the owner keeps *in the same trie node* as
+/// the candidates (the supercharger engine stores what it last announced
+/// there), so reacting to a change costs no second lookup: the `_with`
+/// mutators hand the touched prefix's remaining candidates and `&mut X`
+/// to a callback instead of building a [`Change`]. The state lives
+/// exactly as long as the prefix has a candidate.
+pub struct LocRib<X = ()> {
+    entries: PrefixTrie<Entry<X>>,
     routes: usize,
 }
 
-impl LocRib {
-    pub fn new() -> LocRib {
+impl<X> Default for LocRib<X> {
+    fn default() -> Self {
         LocRib {
             entries: PrefixTrie::new(),
             routes: 0,
         }
     }
+}
 
+impl LocRib {
+    /// An empty RIB with no per-prefix owner state.
+    pub fn new() -> LocRib {
+        LocRib::default()
+    }
+}
+
+impl<X: Default> LocRib<X> {
     /// Number of prefixes with at least one candidate.
     pub fn prefix_count(&self) -> usize {
         self.entries.len()
@@ -104,19 +149,22 @@ impl LocRib {
     /// `route.prefix`, keeping the list ranked by the decision process.
     pub fn update(&mut self, route: Route) -> Change {
         let prefix = route.prefix;
-        let list = self.entries.get_mut_or_insert_with(prefix, Vec::new);
-        let old = TopTwo::of(list);
-        if let Some(pos) = list.iter().position(|r| r.from.peer == route.from.peer) {
-            list.remove(pos);
-            self.routes -= 1;
-        }
-        let pos = list
-            .binary_search_by(|probe| compare_routes(probe, &route))
-            .unwrap_or_else(|e| e);
-        list.insert(pos, route);
-        self.routes += 1;
-        let new = TopTwo::of(list);
+        let entry = self.entries.get_mut_or_insert_with(prefix, Entry::default);
+        let old = TopTwo::of(&entry.ranked);
+        self.routes += entry.place(route);
+        let new = TopTwo::of(&entry.ranked);
         Change { prefix, old, new }
+    }
+
+    /// [`LocRib::update`] for an owner that reacts per prefix: one trie
+    /// descent, then `react` sees the re-ranked candidates and the
+    /// prefix's owner state.
+    pub fn update_with<R>(&mut self, route: Route, react: impl FnOnce(&[Route], &mut X) -> R) -> R {
+        let entry = self
+            .entries
+            .get_mut_or_insert_with(route.prefix, Entry::default);
+        self.routes += entry.place(route);
+        react(&entry.ranked, &mut entry.ext)
     }
 
     /// Bulk insert one UPDATE's NLRI: every prefix gets the shared
@@ -149,44 +197,102 @@ impl LocRib {
 
     /// Remove the candidate learned from `peer` for `prefix`, if any.
     pub fn withdraw(&mut self, prefix: Ipv4Prefix, peer: PeerId) -> Option<Change> {
-        let list = self.entries.get_mut(prefix)?;
-        let pos = list.iter().position(|r| r.from.peer == peer)?;
-        let old = TopTwo::of(list);
-        list.remove(pos);
+        self.remove_one(prefix, peer, |entry, pos| {
+            let old = TopTwo::of(&entry.ranked);
+            entry.ranked.remove(pos);
+            let new = TopTwo::of(&entry.ranked);
+            Change { prefix, old, new }
+        })
+    }
+
+    /// [`LocRib::withdraw`] for an owner that reacts per prefix: `react`
+    /// sees the remaining candidates and the prefix's owner state (for
+    /// the last time, if no candidate remains).
+    pub fn withdraw_with<R>(
+        &mut self,
+        prefix: Ipv4Prefix,
+        peer: PeerId,
+        react: impl FnOnce(&[Route], &mut X) -> R,
+    ) -> Option<R> {
+        self.remove_one(prefix, peer, |entry, pos| {
+            entry.ranked.remove(pos);
+            react(&entry.ranked, &mut entry.ext)
+        })
+    }
+
+    /// Find `peer`'s candidate for `prefix` and have `remove` take it
+    /// out of the entry; drops the entry if that was its last candidate.
+    fn remove_one<R>(
+        &mut self,
+        prefix: Ipv4Prefix,
+        peer: PeerId,
+        remove: impl FnOnce(&mut Entry<X>, usize) -> R,
+    ) -> Option<R> {
+        let entry = self.entries.get_mut(prefix)?;
+        let pos = entry.position(peer)?;
+        let out = remove(entry, pos);
         self.routes -= 1;
-        let new = TopTwo::of(list);
-        if list.is_empty() {
+        if entry.ranked.is_empty() {
             self.entries.remove(prefix);
         }
-        Some(Change { prefix, old, new })
+        Some(out)
     }
 
     /// Purge every candidate learned from `peer` (session down). Returns
     /// the changes for every affected prefix, in FIB walk order.
     pub fn withdraw_peer(&mut self, peer: PeerId) -> Vec<Change> {
         let mut changes = Vec::new();
+        self.remove_all(peer, |prefix, entry, pos| {
+            let old = TopTwo::of(&entry.ranked);
+            entry.ranked.remove(pos);
+            let new = TopTwo::of(&entry.ranked);
+            changes.push(Change { prefix, old, new });
+        });
+        changes
+    }
+
+    /// [`LocRib::withdraw_peer`] for an owner that reacts per prefix:
+    /// `react` sees each affected prefix, in FIB walk order, with its
+    /// remaining candidates and owner state.
+    pub fn withdraw_peer_with(
+        &mut self,
+        peer: PeerId,
+        mut react: impl FnMut(Ipv4Prefix, &[Route], &mut X),
+    ) {
+        self.remove_all(peer, |prefix, entry, pos| {
+            entry.ranked.remove(pos);
+            react(prefix, &entry.ranked, &mut entry.ext);
+        });
+    }
+
+    /// [`LocRib::remove_one`] over every prefix with a candidate from
+    /// `peer`, in FIB walk order.
+    fn remove_all(
+        &mut self,
+        peer: PeerId,
+        mut remove: impl FnMut(Ipv4Prefix, &mut Entry<X>, usize),
+    ) {
         let mut emptied = Vec::new();
-        self.entries.for_each_mut(|prefix, list| {
-            if let Some(pos) = list.iter().position(|r| r.from.peer == peer) {
-                let old = TopTwo::of(list);
-                list.remove(pos);
-                let new = TopTwo::of(list);
-                changes.push(Change { prefix, old, new });
-                if list.is_empty() {
+        self.entries.for_each_mut(|prefix, entry| {
+            if let Some(pos) = entry.position(peer) {
+                remove(prefix, entry, pos);
+                self.routes -= 1;
+                if entry.ranked.is_empty() {
                     emptied.push(prefix);
                 }
             }
         });
-        self.routes -= changes.len();
         for p in emptied {
             self.entries.remove(p);
         }
-        changes
     }
 
     /// The ranked candidates for `prefix` (best first).
     pub fn candidates(&self, prefix: Ipv4Prefix) -> &[Route] {
-        self.entries.get(prefix).map(Vec::as_slice).unwrap_or(&[])
+        self.entries
+            .get(prefix)
+            .map(|e| e.ranked.as_slice())
+            .unwrap_or(&[])
     }
 
     /// The best route for `prefix`.
@@ -201,7 +307,12 @@ impl LocRib {
 
     /// Iterate `(prefix, ranked candidates)` in FIB walk order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Route])> {
-        self.entries.iter().map(|(p, v)| (p, v.as_slice()))
+        self.entries.iter().map(|(p, e)| (p, e.ranked.as_slice()))
+    }
+
+    /// Iterate `(prefix, owner state)` in FIB walk order.
+    pub fn iter_ext(&self) -> impl Iterator<Item = (Ipv4Prefix, &X)> {
+        self.entries.iter().map(|(p, e)| (p, &e.ext))
     }
 }
 

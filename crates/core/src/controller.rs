@@ -25,7 +25,7 @@ use sc_bgp::PeerId;
 use sc_net::channel::{ChannelConfig, ChannelEvent};
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
+    peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
 };
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
@@ -602,7 +602,7 @@ impl Controller {
         let next = bfd.next_wakeup();
         let link = self.peers[idx].link;
         for pkt in packets {
-            let frame = udp_frame(
+            let frame = udp_frame_with(
                 UdpEndpoints {
                     src_mac: self.cfg.mac,
                     dst_mac: link.spec.mac,
@@ -612,7 +612,7 @@ impl Controller {
                     dst_port: udp_port::BFD_CONTROL,
                 },
                 255,
-                &pkt.to_bytes(),
+                |buf| buf.extend_from_slice(&pkt.to_bytes()),
             );
             ctx.send_frame(self.switch_port(), frame);
         }
@@ -922,7 +922,7 @@ impl Node for Controller {
                 return;
             }
         }
-        let Ok(Some(d)) = open_udp_frame(&frame) else {
+        let Ok(Some(d)) = peek_udp_frame(&frame) else {
             return;
         };
         if d.ip.dst != self.cfg.ip {
@@ -931,18 +931,17 @@ impl Node for Controller {
         let now = ctx.now();
         // 1. Switch control channel.
         if self.switch_chan.matches(&d) {
-            let events = self.switch_chan.on_datagram(&d, now);
-            self.switch_chan.flush(ctx);
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => {}
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok((_xid, msg)) = OfMessage::decode(&bytes) {
-                            self.handle_of_message(ctx, msg);
-                        }
-                    }
-                    ChannelEvent::PeerClosed => {}
+            // Handling a message needs all of `self`, so decode inside
+            // the channel's borrow and act after it.
+            let mut msgs = Vec::new();
+            self.switch_chan.on_datagram(&d, now, |ev| {
+                if let ChannelEvent::Delivered(bytes) = ev {
+                    msgs.extend(OfMessage::decode(bytes).map(|(_xid, msg)| msg));
                 }
+            });
+            self.switch_chan.flush(ctx);
+            for msg in msgs {
+                self.handle_of_message(ctx, msg);
             }
             return;
         }
@@ -953,7 +952,7 @@ impl Node for Controller {
                 .iter()
                 .position(|p| p.link.spec.id == d.ip.src && p.bfd.is_some())
             {
-                if let Ok(pkt) = sc_bfd::BfdPacket::parse(&d.payload) {
+                if let Ok(pkt) = sc_bfd::BfdPacket::parse(d.payload) {
                     let events = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
                     for ev in events {
                         self.on_bfd_event(idx, ev, ctx);
@@ -965,46 +964,23 @@ impl Node for Controller {
         }
         // 3. Router-facing BGP session.
         if self.router_chan.matches(&d) {
-            let events = self.router_chan.on_datagram(&d, now);
             let mut session_events = Vec::new();
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => self.router_session.start(now),
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok(msg) = BgpMessage::decode(&bytes) {
-                            session_events.extend(self.router_session.on_message(msg, now));
-                        }
-                    }
-                    ChannelEvent::PeerClosed => {
-                        if let Some(ev) = self.router_session.stop(DownReason::AdminDown) {
-                            session_events.push(ev);
-                        }
-                    }
-                }
-            }
+            let session = &mut self.router_session;
+            self.router_chan.on_datagram(&d, now, |ev| {
+                pump_session(session, ev, now, &mut session_events)
+            });
             self.handle_router_session_events(session_events, ctx);
             self.pump_router(ctx);
             return;
         }
         // 4. Peer BGP sessions.
         if let Some(idx) = self.peers.iter().position(|p| p.chan.matches(&d)) {
-            let events = self.peers[idx].chan.on_datagram(&d, now);
             let mut session_events = Vec::new();
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => self.peers[idx].session.start(now),
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok(msg) = BgpMessage::decode(&bytes) {
-                            session_events.extend(self.peers[idx].session.on_message(msg, now));
-                        }
-                    }
-                    ChannelEvent::PeerClosed => {
-                        if let Some(ev) = self.peers[idx].session.stop(DownReason::AdminDown) {
-                            session_events.push(ev);
-                        }
-                    }
-                }
-            }
+            let peer = &mut self.peers[idx];
+            let session = &mut peer.session;
+            peer.chan.on_datagram(&d, now, |ev| {
+                pump_session(session, ev, now, &mut session_events)
+            });
             self.handle_peer_session_events(idx, session_events, ctx);
             self.pump_peer(idx, ctx);
         }
@@ -1068,6 +1044,24 @@ impl Node for Controller {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+/// Drive a BGP session with one event of the channel that carries it.
+fn pump_session(
+    session: &mut Session,
+    ev: ChannelEvent<'_>,
+    now: SimTime,
+    out: &mut Vec<SessionEvent>,
+) {
+    match ev {
+        ChannelEvent::Connected => session.start(now),
+        ChannelEvent::Delivered(bytes) => {
+            if let Ok(msg) = BgpMessage::decode(bytes) {
+                out.extend(session.on_message(msg, now));
+            }
+        }
+        ChannelEvent::PeerClosed => out.extend(session.stop(DownReason::AdminDown)),
     }
 }
 

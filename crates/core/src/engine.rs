@@ -22,7 +22,7 @@ use sc_bgp::attrs::RouteAttrs;
 use sc_bgp::msg::UpdateMsg;
 use sc_bgp::rib::LocRib;
 use sc_bgp::{PeerId, PeerInfo, Route};
-use sc_net::{Ipv4Prefix, MacAddr, PrefixTrie};
+use sc_net::{Ipv4Prefix, MacAddr};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -135,9 +135,11 @@ pub struct EngineStats {
     pub groups_rearmed: u64,
 }
 
-/// What we last told the router about a prefix.
+/// What the engine last told the router about a prefix. It rides in the
+/// prefix's RIB entry, so bringing it in line after a RIB change needs no
+/// lookup of its own.
 #[derive(Clone, Debug)]
-struct Announced {
+pub struct Announced {
     next_hop: Ipv4Addr,
     /// Identity of the attribute set we forwarded (Arc pointer — the
     /// sets are immutable, so pointer equality implies content
@@ -151,9 +153,8 @@ pub struct Engine {
     cfg: EngineConfig,
     peer_specs: BTreeMap<PeerId, PeerSpec>,
     alive: BTreeMap<PeerId, bool>,
-    rib: LocRib,
+    rib: LocRib<Option<Announced>>,
     groups: GroupTable,
-    announced: PrefixTrie<Announced>,
     pub stats: EngineStats,
 }
 
@@ -165,9 +166,8 @@ impl Engine {
         Engine {
             peer_specs,
             alive,
-            rib: LocRib::new(),
+            rib: LocRib::default(),
             groups,
-            announced: PrefixTrie::new(),
             stats: EngineStats::default(),
             cfg,
         }
@@ -175,7 +175,7 @@ impl Engine {
 
     // ----------------------------------------------------- inspection
 
-    pub fn rib(&self) -> &LocRib {
+    pub fn rib(&self) -> &LocRib<Option<Announced>> {
         &self.rib
     }
 
@@ -206,7 +206,7 @@ impl Engine {
                 h = h.wrapping_mul(0x100000001b3);
             }
         };
-        for (prefix, a) in self.announced.iter() {
+        for (prefix, a) in self.announced() {
             eat(&prefix.raw_bits().to_be_bytes());
             eat(&[prefix.len()]);
             eat(&u32::from(a.next_hop).to_be_bytes());
@@ -241,15 +241,16 @@ impl Engine {
         upd: &UpdateMsg,
         actions: &mut Vec<EngineAction>,
     ) {
-        self.stats.updates_processed += 1;
-        for prefix in &upd.withdrawn {
-            self.stats.withdrawals_processed += 1;
-            if self.rib.withdraw(*prefix, peer).is_some() {
-                self.reconcile(*prefix, actions);
-            }
+        let (rib, mut steering) = self.split(actions);
+        steering.stats.updates_processed += 1;
+        for &prefix in &upd.withdrawn {
+            steering.stats.withdrawals_processed += 1;
+            rib.withdraw_with(prefix, peer, |candidates, announced| {
+                steering.reconcile(prefix, candidates, announced)
+            });
         }
         if let Some(attrs) = &upd.attrs {
-            let spec = self.peer_specs.get(&peer).copied();
+            let spec = steering.peer_specs.get(&peer).copied();
             let from = PeerInfo {
                 peer,
                 router_id: spec.map(|s| s.router_id).unwrap_or(peer),
@@ -259,125 +260,43 @@ impl Engine {
             let local_pref = attrs
                 .local_pref
                 .unwrap_or_else(|| spec.map(|s| s.local_pref).unwrap_or(100));
-            for prefix in &upd.nlri {
-                self.stats.routes_learned += 1;
+            for &prefix in &upd.nlri {
+                steering.stats.routes_learned += 1;
                 let route = Route {
-                    prefix: *prefix,
+                    prefix,
                     attrs: attrs.clone(),
                     from,
                     local_pref,
                 };
-                self.rib.update(route);
-                self.reconcile(*prefix, actions);
+                rib.update_with(route, |candidates, announced| {
+                    steering.reconcile(prefix, candidates, announced)
+                });
             }
         }
     }
 
-    /// Bring the announced state for `prefix` in line with the RIB.
-    fn reconcile(&mut self, prefix: Ipv4Prefix, actions: &mut Vec<EngineAction>) {
-        let candidates = self.rib.candidates(prefix);
-        let desired: Option<(Arc<RouteAttrs>, Ipv4Addr, Option<GroupId>)> = match candidates {
-            [] => None,
-            [only] => Some((only.attrs.clone(), only.next_hop(), None)),
-            multiple => {
-                let depth = self.cfg.protect_depth.min(multiple.len());
-                let key: Vec<PeerId> = multiple[..depth].iter().map(|r| r.from.peer).collect();
-                let best = &multiple[0];
-                // A group is only useful if we can actually steer to its
-                // members (all peers known to the switch config).
-                if key.iter().all(|p| self.peer_specs.contains_key(p)) {
-                    let attrs = best.attrs.clone();
-                    let (group, created) = self.groups.get_or_create(&key);
-                    let (gid, vnh, vmac, target) =
-                        (group.id, group.vnh, group.vmac, group.active_target);
-                    // Steer to the first *alive* member. A resurrected
-                    // group may still target the backup it failed over
-                    // to before its primary returned; re-arm it so a
-                    // restored peer's re-announcements de-supercharge
-                    // the temporary failover steering. With no member
-                    // alive there is nothing useful to steer to — leave
-                    // the rule alone (mirrors [`Engine::peer_up`]).
-                    let desired = key
-                        .iter()
-                        .find(|p| *self.alive.get(p).unwrap_or(&false))
-                        .copied();
-                    if created {
-                        self.stats.groups_created += 1;
-                        let spec = self.peer_specs[&desired.unwrap_or(key[0])];
-                        actions.push(EngineAction::FlowAdd {
-                            vmac,
-                            dst_mac: spec.mac,
-                            port: spec.switch_port,
-                        });
-                        self.groups.get_mut(gid).unwrap().active_target = spec.id;
-                    } else if let Some(desired) = desired.filter(|d| *d != target) {
-                        self.stats.groups_rearmed += 1;
-                        let spec = self.peer_specs[&desired];
-                        actions.push(EngineAction::FlowModify {
-                            vmac,
-                            dst_mac: spec.mac,
-                            port: spec.switch_port,
-                        });
-                        self.groups.get_mut(gid).unwrap().active_target = desired;
-                    }
-                    Some((attrs, vnh, Some(gid)))
-                } else {
-                    Some((best.attrs.clone(), best.next_hop(), None))
-                }
-            }
+    /// The RIB, and everything [`Steering::reconcile`] needs while a RIB
+    /// entry is borrowed.
+    fn split<'a>(
+        &'a mut self,
+        actions: &'a mut Vec<EngineAction>,
+    ) -> (&'a mut LocRib<Option<Announced>>, Steering<'a>) {
+        let steering = Steering {
+            protect_depth: self.cfg.protect_depth,
+            peer_specs: &self.peer_specs,
+            alive: &self.alive,
+            groups: &mut self.groups,
+            stats: &mut self.stats,
+            actions,
         };
+        (&mut self.rib, steering)
+    }
 
-        let previous = self.announced.get(prefix);
-        match (&previous, &desired) {
-            (None, None) => {}
-            (Some(prev), Some((attrs, nh, group)))
-                if prev.next_hop == *nh
-                    && Arc::ptr_eq(&prev.attrs, attrs)
-                    && prev.group == *group => {}
-            _ => {
-                // Reference counting for group transitions.
-                let old_group = previous.and_then(|p| p.group);
-                let new_group = desired.as_ref().and_then(|(_, _, g)| *g);
-                if old_group != new_group {
-                    if let Some(g) = new_group {
-                        self.groups.add_ref(g);
-                    }
-                    if let Some(g) = old_group {
-                        if let Some(retired) = self.groups.drop_ref(g) {
-                            self.stats.groups_retired += 1;
-                            let vmac = self.groups.get(retired).unwrap().vmac;
-                            actions.push(EngineAction::FlowRetire {
-                                group: retired,
-                                vmac,
-                            });
-                        }
-                    }
-                }
-                match desired {
-                    Some((attrs, next_hop, group)) => {
-                        self.stats.announcements += 1;
-                        actions.push(EngineAction::Announce {
-                            prefix,
-                            attrs: attrs.clone(),
-                            next_hop,
-                        });
-                        self.announced.insert(
-                            prefix,
-                            Announced {
-                                next_hop,
-                                attrs,
-                                group,
-                            },
-                        );
-                    }
-                    None => {
-                        self.stats.withdrawals_sent += 1;
-                        actions.push(EngineAction::Withdraw { prefix });
-                        self.announced.remove(prefix);
-                    }
-                }
-            }
-        }
+    /// What the router currently holds, in FIB walk order.
+    fn announced(&self) -> impl Iterator<Item = (Ipv4Prefix, &Announced)> {
+        self.rib
+            .iter_ext()
+            .filter_map(|(prefix, a)| Some((prefix, a.as_ref()?)))
     }
 
     // ----------------------------------------------------- failure path
@@ -422,11 +341,11 @@ impl Engine {
     /// router digests this at its own slow pace — the data plane is
     /// already healed).
     pub fn peer_down_repair(&mut self, dead_peer: PeerId) -> Vec<EngineAction> {
-        let changes = self.rib.withdraw_peer(dead_peer);
         let mut actions = Vec::new();
-        for change in changes {
-            self.reconcile(change.prefix, &mut actions);
-        }
+        let (rib, mut steering) = self.split(&mut actions);
+        rib.withdraw_peer_with(dead_peer, |prefix, candidates, announced| {
+            steering.reconcile(prefix, candidates, announced)
+        });
         actions
     }
 
@@ -473,8 +392,7 @@ impl Engine {
     /// the controller side). The router purged our routes when the
     /// session dropped, so a full replay is exactly the delta.
     pub fn export_announcements(&self) -> Vec<EngineAction> {
-        self.announced
-            .iter()
+        self.announced()
             .map(|(prefix, a)| EngineAction::Announce {
                 prefix,
                 attrs: a.attrs.clone(),
@@ -536,6 +454,127 @@ impl Engine {
             }
         }
         out
+    }
+}
+
+/// The engine minus its RIB: what [`Steering::reconcile`] reads and
+/// writes while the RIB lends out one prefix's entry.
+struct Steering<'a> {
+    protect_depth: usize,
+    peer_specs: &'a BTreeMap<PeerId, PeerSpec>,
+    alive: &'a BTreeMap<PeerId, bool>,
+    groups: &'a mut GroupTable,
+    stats: &'a mut EngineStats,
+    actions: &'a mut Vec<EngineAction>,
+}
+
+impl Steering<'_> {
+    /// Bring `announced`, what the router was last told about `prefix`,
+    /// in line with the prefix's ranked `candidates`.
+    fn reconcile(
+        &mut self,
+        prefix: Ipv4Prefix,
+        candidates: &[Route],
+        announced: &mut Option<Announced>,
+    ) {
+        let desired: Option<(Arc<RouteAttrs>, Ipv4Addr, Option<GroupId>)> = match candidates {
+            [] => None,
+            [only] => Some((only.attrs.clone(), only.next_hop(), None)),
+            multiple => {
+                let depth = self.protect_depth.min(multiple.len());
+                let key: Vec<PeerId> = multiple[..depth].iter().map(|r| r.from.peer).collect();
+                let best = &multiple[0];
+                // A group is only useful if we can actually steer to its
+                // members (all peers known to the switch config).
+                if key.iter().all(|p| self.peer_specs.contains_key(p)) {
+                    let attrs = best.attrs.clone();
+                    let (group, created) = self.groups.get_or_create(&key);
+                    let (gid, vnh, vmac, target) =
+                        (group.id, group.vnh, group.vmac, group.active_target);
+                    // Steer to the first *alive* member. A resurrected
+                    // group may still target the backup it failed over
+                    // to before its primary returned; re-arm it so a
+                    // restored peer's re-announcements de-supercharge
+                    // the temporary failover steering. With no member
+                    // alive there is nothing useful to steer to — leave
+                    // the rule alone (mirrors [`Engine::peer_up`]).
+                    let desired = key
+                        .iter()
+                        .find(|p| *self.alive.get(p).unwrap_or(&false))
+                        .copied();
+                    if created {
+                        self.stats.groups_created += 1;
+                        let spec = self.peer_specs[&desired.unwrap_or(key[0])];
+                        self.actions.push(EngineAction::FlowAdd {
+                            vmac,
+                            dst_mac: spec.mac,
+                            port: spec.switch_port,
+                        });
+                        self.groups.get_mut(gid).unwrap().active_target = spec.id;
+                    } else if let Some(desired) = desired.filter(|d| *d != target) {
+                        self.stats.groups_rearmed += 1;
+                        let spec = self.peer_specs[&desired];
+                        self.actions.push(EngineAction::FlowModify {
+                            vmac,
+                            dst_mac: spec.mac,
+                            port: spec.switch_port,
+                        });
+                        self.groups.get_mut(gid).unwrap().active_target = desired;
+                    }
+                    Some((attrs, vnh, Some(gid)))
+                } else {
+                    Some((best.attrs.clone(), best.next_hop(), None))
+                }
+            }
+        };
+
+        match (&*announced, &desired) {
+            (None, None) => {}
+            (Some(prev), Some((attrs, nh, group)))
+                if prev.next_hop == *nh
+                    && Arc::ptr_eq(&prev.attrs, attrs)
+                    && prev.group == *group => {}
+            _ => {
+                // Reference counting for group transitions.
+                let old_group = announced.as_ref().and_then(|p| p.group);
+                let new_group = desired.as_ref().and_then(|(_, _, g)| *g);
+                if old_group != new_group {
+                    if let Some(g) = new_group {
+                        self.groups.add_ref(g);
+                    }
+                    if let Some(g) = old_group {
+                        if let Some(retired) = self.groups.drop_ref(g) {
+                            self.stats.groups_retired += 1;
+                            let vmac = self.groups.get(retired).unwrap().vmac;
+                            self.actions.push(EngineAction::FlowRetire {
+                                group: retired,
+                                vmac,
+                            });
+                        }
+                    }
+                }
+                *announced = match desired {
+                    Some((attrs, next_hop, group)) => {
+                        self.stats.announcements += 1;
+                        self.actions.push(EngineAction::Announce {
+                            prefix,
+                            attrs: attrs.clone(),
+                            next_hop,
+                        });
+                        Some(Announced {
+                            next_hop,
+                            attrs,
+                            group,
+                        })
+                    }
+                    None => {
+                        self.stats.withdrawals_sent += 1;
+                        self.actions.push(EngineAction::Withdraw { prefix });
+                        None
+                    }
+                };
+            }
+        }
     }
 }
 

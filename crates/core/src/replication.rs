@@ -187,8 +187,13 @@ mod tests {
             set.process_update(peer, &upd(peer, 20, step))
                 .expect("no divergence");
         }
+        // Both digests were recorded before `Announced` moved out of its
+        // own trie into the RIB entries: the externally visible state,
+        // and the order the digest walks it in, did not change.
+        assert_eq!(set.primary().state_digest(), 0x7244_d5d5_3f5f_0992);
         set.failover(R2).expect("no divergence");
         set.repair(R2).expect("no divergence");
+        assert_eq!(set.primary().state_digest(), 0xf3c1_5f1c_7bcd_c27e);
         assert_eq!(set.len(), 3);
     }
 

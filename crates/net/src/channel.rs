@@ -63,12 +63,14 @@ pub enum ChannelState {
 }
 
 /// Events surfaced to the application by [`Endpoint::on_segment`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ChannelEvent {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ChannelEvent<'a> {
     /// The handshake completed (reported once per endpoint).
     Connected,
-    /// An application message arrived, in order.
-    Delivered(Vec<u8>),
+    /// An application message arrived, in order. The bytes are borrowed
+    /// from the segment being processed (or from the re-sequencing
+    /// buffer) and are gone when the callback returns.
+    Delivered(&'a [u8]),
     /// The peer closed the channel.
     PeerClosed,
 }
@@ -83,13 +85,56 @@ pub struct ChannelStats {
     pub messages_delivered: u64,
 }
 
+/// One segment as it appears on the wire; the payload is borrowed from
+/// whoever holds it (the endpoint's send queue, or a received datagram).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Segment<'a> {
+    flags: u8,
+    seq: u64,
+    ack: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> Segment<'a> {
+    /// Append the encoded segment to `buf`: the only copy the payload
+    /// takes between the send queue and the wire.
+    pub fn write_to(&self, buf: &mut Vec<u8>) {
+        buf.reserve(SEGMENT_HEADER_LEN + self.payload.len());
+        buf.push(self.flags);
+        buf.extend_from_slice(&self.seq.to_be_bytes());
+        buf.extend_from_slice(&self.ack.to_be_bytes());
+        buf.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        buf.extend_from_slice(self.payload);
+    }
+
+    fn parse(seg: &'a [u8]) -> Result<Segment<'a>, WireError> {
+        need(seg, SEGMENT_HEADER_LEN)?;
+        let len = u16::from_be_bytes([seg[17], seg[18]]) as usize;
+        if seg.len() < SEGMENT_HEADER_LEN + len {
+            return Err(WireError::BadLength);
+        }
+        Ok(Segment {
+            flags: seg[0],
+            seq: u64::from_be_bytes(seg[1..9].try_into().unwrap()),
+            ack: u64::from_be_bytes(seg[9..17].try_into().unwrap()),
+            payload: &seg[SEGMENT_HEADER_LEN..SEGMENT_HEADER_LEN + len],
+        })
+    }
+}
+
+/// A queued outgoing message (or FIN).
 #[derive(Debug)]
-struct InFlight {
+struct Message {
     seq: u64,
     payload: Vec<u8>,
-    /// None = never transmitted yet.
-    last_sent: Option<SimTime>,
     fin: bool,
+}
+
+/// A transmitted, not yet acknowledged message.
+#[derive(Debug)]
+struct InFlight {
+    msg: Message,
+    last_sent: SimTime,
 }
 
 /// One endpoint of a reliable message channel.
@@ -99,8 +144,13 @@ pub struct Endpoint {
     state: ChannelState,
     /// Next sequence number to assign to an outgoing message.
     next_seq: u64,
-    /// Outgoing messages: unsent and unacknowledged, in seq order.
-    queue: VecDeque<InFlight>,
+    /// Transmitted and unacknowledged messages, in seq order; never more
+    /// than `cfg.window`. Timers, retransmission and ACK processing look
+    /// only here, so their cost does not depend on the backlog.
+    in_flight: VecDeque<InFlight>,
+    /// Messages not transmitted yet, in seq order (all after
+    /// `in_flight`).
+    unsent: VecDeque<Message>,
     /// Next expected incoming sequence number.
     recv_next: u64,
     /// Out-of-order buffer: seq -> (payload, fin).
@@ -119,7 +169,7 @@ pub struct Endpoint {
     connected_reported: bool,
     stats: ChannelStats,
     /// Recycled message buffers: acknowledged payloads return here and
-    /// [`Endpoint::send_from`] reuses them, so a steady-state sender
+    /// [`Endpoint::take_buffer`] reuses them, so a steady-state sender
     /// allocates no fresh `Vec<u8>` per message.
     free: Vec<Vec<u8>>,
 }
@@ -135,7 +185,8 @@ impl Endpoint {
             cfg,
             state: ChannelState::Listen,
             next_seq: 0,
-            queue: VecDeque::new(),
+            in_flight: VecDeque::new(),
+            unsent: VecDeque::new(),
             recv_next: 0,
             reorder: BTreeMap::new(),
             ack_pending: false,
@@ -167,21 +218,14 @@ impl Endpoint {
 
     /// Number of queued-or-in-flight outgoing messages.
     pub fn backlog(&self) -> usize {
-        self.queue.len()
+        self.in_flight.len() + self.unsent.len()
     }
 
     /// Queue an application message for reliable delivery.
     ///
     /// Messages may be queued in any state; they flow once established.
     pub fn send(&mut self, msg: Vec<u8>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push_back(InFlight {
-            seq,
-            payload: msg,
-            last_sent: None,
-            fin: false,
-        });
+        self.enqueue(msg, false);
     }
 
     /// A cleared buffer from the recycle pool (or a fresh one). Encode
@@ -198,34 +242,30 @@ impl Endpoint {
     /// Queue a FIN: the peer will observe [`ChannelEvent::PeerClosed`]
     /// after all preceding messages are delivered.
     pub fn close(&mut self) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push_back(InFlight {
-            seq,
-            payload: Vec::new(),
-            last_sent: None,
-            fin: true,
-        });
+        self.enqueue(Vec::new(), true);
     }
 
-    /// Process an incoming segment; returns application events in order.
+    fn enqueue(&mut self, payload: Vec<u8>, fin: bool) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.unsent.push_back(Message { seq, payload, fin });
+    }
+
+    /// Process an incoming segment, handing application events to
+    /// `on_event` in order.
     pub fn on_segment(
         &mut self,
         seg: &[u8],
         _now: SimTime,
-    ) -> Result<Vec<ChannelEvent>, WireError> {
-        need(seg, SEGMENT_HEADER_LEN)?;
-        let flags = seg[0];
-        let seq = u64::from_be_bytes(seg[1..9].try_into().unwrap());
-        let ack = u64::from_be_bytes(seg[9..17].try_into().unwrap());
-        let len = u16::from_be_bytes([seg[17], seg[18]]) as usize;
-        if seg.len() < SEGMENT_HEADER_LEN + len {
-            return Err(WireError::BadLength);
-        }
-        let payload = &seg[SEGMENT_HEADER_LEN..SEGMENT_HEADER_LEN + len];
+        mut on_event: impl FnMut(ChannelEvent<'_>),
+    ) -> Result<(), WireError> {
+        let Segment {
+            flags,
+            seq,
+            ack,
+            payload,
+        } = Segment::parse(seg)?;
         self.stats.segments_received += 1;
-
-        let mut events = Vec::new();
 
         // A listener only reacts to SYNs. Anything else is a stray
         // segment from a *previous* connection on the same 5-tuple (the
@@ -235,7 +275,7 @@ impl Endpoint {
         // let the peer's own reset/retransmission sort it out.
         if self.state == ChannelState::Listen && flags & FLAG_SYN == 0 {
             self.stats.duplicates_dropped += 1;
-            return Ok(events);
+            return Ok(());
         }
         // Any segment without SYN proves the peer is past its handshake
         // (an opener in SynSent only emits pure SYNs) — we can stop
@@ -264,7 +304,7 @@ impl Endpoint {
                     self.ack_pending = true;
                     if !self.connected_reported {
                         self.connected_reported = true;
-                        events.push(ChannelEvent::Connected);
+                        on_event(ChannelEvent::Connected);
                     }
                 }
                 ChannelState::SynSent if flags & FLAG_ACK != 0 => {
@@ -273,7 +313,7 @@ impl Endpoint {
                     self.peer_handshake_done = true;
                     if !self.connected_reported {
                         self.connected_reported = true;
-                        events.push(ChannelEvent::Connected);
+                        on_event(ChannelEvent::Connected);
                     }
                 }
                 ChannelState::Established => {
@@ -288,8 +328,8 @@ impl Endpoint {
                         // too, and the peer's SYN retransmission then
                         // lands on a fresh endpoint.
                         self.state = ChannelState::Closed;
-                        events.push(ChannelEvent::PeerClosed);
-                        return Ok(events);
+                        on_event(ChannelEvent::PeerClosed);
+                        return Ok(());
                     }
                     // A pure duplicate SYN of the current handshake
                     // (our SYN|ACK was lost): re-ACK it. SYN-marked
@@ -315,14 +355,10 @@ impl Endpoint {
         // duplicates on the peer. (In SynSent nothing has been
         // transmitted, so the cumulative-ACK pop below is a no-op.)
         if flags & FLAG_ACK != 0 {
-            while let Some(front) = self.queue.front() {
-                if front.last_sent.is_some() && front.seq < ack {
-                    let acked = self.queue.pop_front().expect("front exists");
-                    if self.free.len() < FREE_POOL_CAP {
-                        self.free.push(acked.payload);
-                    }
-                } else {
-                    break;
+            while self.in_flight.front().is_some_and(|f| f.msg.seq < ack) {
+                let acked = self.in_flight.pop_front().expect("front exists");
+                if self.free.len() < FREE_POOL_CAP {
+                    self.free.push(acked.msg.payload);
                 }
             }
         }
@@ -330,44 +366,53 @@ impl Endpoint {
         // --- data / fin ---
         if flags & (FLAG_DATA | FLAG_FIN) != 0 && data_acceptable {
             let is_fin = flags & FLAG_FIN != 0;
+            self.ack_pending = true;
             if seq < self.recv_next {
                 // Duplicate: our ACK was lost; re-ACK.
                 self.stats.duplicates_dropped += 1;
-                self.ack_pending = true;
-            } else {
+            } else if seq > self.recv_next {
                 self.reorder.insert(seq, (payload.to_vec(), is_fin));
-                self.ack_pending = true;
-                // Deliver any now-contiguous run.
+            } else {
+                // In order: deliver straight from the segment, then any
+                // buffered run it made contiguous.
+                self.deliver(payload, is_fin, &mut on_event);
                 while let Some((p, fin)) = self.reorder.remove(&self.recv_next) {
-                    self.recv_next += 1;
-                    if fin {
-                        self.state = ChannelState::Closed;
-                        events.push(ChannelEvent::PeerClosed);
-                    } else {
-                        self.stats.messages_delivered += 1;
-                        events.push(ChannelEvent::Delivered(p));
-                    }
+                    self.deliver(&p, fin, &mut on_event);
                 }
             }
         }
 
-        Ok(events)
+        Ok(())
+    }
+
+    fn deliver(&mut self, payload: &[u8], fin: bool, on_event: &mut impl FnMut(ChannelEvent<'_>)) {
+        self.recv_next += 1;
+        if fin {
+            self.state = ChannelState::Closed;
+            on_event(ChannelEvent::PeerClosed);
+        } else {
+            self.stats.messages_delivered += 1;
+            on_event(ChannelEvent::Delivered(payload));
+        }
     }
 
     /// Ask the endpoint for the next segment to put on the wire, if any.
     /// Call repeatedly until it returns `None`. Deterministic in `now`.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Segment<'_>> {
         // 1. Handshake segments.
         match self.state {
             ChannelState::SynSent => {
-                if self.due(self.syn_last_sent, now) {
-                    if self.syn_last_sent.is_some() {
-                        self.stats.retransmits += 1;
-                    }
-                    self.syn_last_sent = Some(now);
-                    return Some(self.encode(FLAG_SYN, 0, &[]));
+                if self
+                    .syn_last_sent
+                    .is_some_and(|t| now.saturating_duration_since(t) < self.cfg.rto)
+                {
+                    return None; // no data before establishment
                 }
-                return None; // no data before establishment
+                if self.syn_last_sent.is_some() {
+                    self.stats.retransmits += 1;
+                }
+                self.syn_last_sent = Some(now);
+                return Some(self.control(FLAG_SYN));
             }
             ChannelState::Listen => return None,
             _ => {}
@@ -386,49 +431,41 @@ impl Endpoint {
 
         // 2. Data: retransmissions first (oldest outstanding), then fresh
         //    segments while the window allows.
-        let mut in_flight = 0;
-        for item in self.queue.iter_mut() {
-            match item.last_sent {
-                Some(t) => {
-                    in_flight += 1;
-                    if now.saturating_duration_since(t) >= self.cfg.rto {
-                        item.last_sent = Some(now);
-                        self.stats.retransmits += 1;
-                        self.stats.segments_sent += 1;
-                        let flags = if item.fin {
-                            FLAG_FIN | FLAG_ACK
-                        } else {
-                            FLAG_DATA | FLAG_ACK
-                        } | syn_mark;
-                        let seg = encode_segment(flags, item.seq, self.recv_next, &item.payload);
-                        self.ack_pending = false;
-                        return Some(seg);
-                    }
-                }
-                None => {
-                    if in_flight >= self.cfg.window {
-                        break;
-                    }
-                    item.last_sent = Some(now);
-                    self.stats.segments_sent += 1;
-                    let flags = if item.fin {
-                        FLAG_FIN | FLAG_ACK
-                    } else {
-                        FLAG_DATA | FLAG_ACK
-                    } | syn_mark;
-                    let seg = encode_segment(flags, item.seq, self.recv_next, &item.payload);
-                    self.ack_pending = false;
-                    return Some(seg);
-                }
+        let rto = self.cfg.rto;
+        let mut idx = self
+            .in_flight
+            .iter()
+            .position(|f| now.saturating_duration_since(f.last_sent) >= rto);
+        if idx.is_some() {
+            self.stats.retransmits += 1;
+        } else if self.in_flight.len() < self.cfg.window {
+            if let Some(msg) = self.unsent.pop_front() {
+                idx = Some(self.in_flight.len());
+                self.in_flight.push_back(InFlight {
+                    msg,
+                    last_sent: now,
+                });
             }
+        }
+        if let Some(idx) = idx {
+            self.stats.segments_sent += 1;
+            self.ack_pending = false;
+            let item = &mut self.in_flight[idx];
+            item.last_sent = now;
+            let kind = if item.msg.fin { FLAG_FIN } else { FLAG_DATA };
+            return Some(Segment {
+                flags: kind | FLAG_ACK | syn_mark,
+                seq: item.msg.seq,
+                ack: self.recv_next,
+                payload: &item.msg.payload,
+            });
         }
 
         // 3. Pure ACK (doubles as the listener's SYN|ACK reply while the
         //    opener has not completed).
         if self.ack_pending {
             self.ack_pending = false;
-            self.stats.segments_sent += 1;
-            return Some(self.encode(FLAG_ACK | syn_mark, 0, &[]));
+            return Some(self.control(FLAG_ACK | syn_mark));
         }
 
         None
@@ -437,46 +474,28 @@ impl Endpoint {
     /// Earliest instant at which [`Endpoint::poll_transmit`] could have
     /// new work due to a timeout (retransmission), if any.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                let deadline = t + self.cfg.rto;
-                earliest = Some(match earliest {
-                    Some(e) if e <= deadline => e,
-                    _ => deadline,
-                });
-            }
+        let syn = match self.state {
+            ChannelState::SynSent => self.syn_last_sent,
+            _ => None,
         };
-        if self.state == ChannelState::SynSent {
-            consider(self.syn_last_sent);
-        }
-        for item in &self.queue {
-            consider(item.last_sent);
-        }
-        earliest
+        self.in_flight
+            .iter()
+            .map(|f| f.last_sent)
+            .chain(syn)
+            .min()
+            .map(|t| t + self.cfg.rto)
     }
 
-    fn due(&self, last: Option<SimTime>, now: SimTime) -> bool {
-        match last {
-            None => true,
-            Some(t) => now.saturating_duration_since(t) >= self.cfg.rto,
-        }
-    }
-
-    fn encode(&mut self, flags: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+    /// A payload-free segment (SYN, SYN|ACK, pure ACK).
+    fn control(&mut self, flags: u8) -> Segment<'static> {
         self.stats.segments_sent += 1;
-        encode_segment(flags, seq, self.recv_next, payload)
+        Segment {
+            flags,
+            seq: 0,
+            ack: self.recv_next,
+            payload: &[],
+        }
     }
-}
-
-fn encode_segment(flags: u8, seq: u64, ack: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN + payload.len());
-    buf.push(flags);
-    buf.extend_from_slice(&seq.to_be_bytes());
-    buf.extend_from_slice(&ack.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-    buf.extend_from_slice(payload);
-    buf
 }
 
 #[cfg(test)]
@@ -487,6 +506,48 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// An owned [`ChannelEvent`], so tests can collect them.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    enum Ev {
+        Connected,
+        Delivered(Vec<u8>),
+        PeerClosed,
+    }
+
+    /// Feed `seg` to `ep`, returning the events it surfaced.
+    fn rx(ep: &mut Endpoint, seg: &[u8], now: SimTime) -> Result<Vec<Ev>, WireError> {
+        let mut events = Vec::new();
+        ep.on_segment(seg, now, |ev| {
+            events.push(match ev {
+                ChannelEvent::Connected => Ev::Connected,
+                ChannelEvent::Delivered(m) => Ev::Delivered(m.to_vec()),
+                ChannelEvent::PeerClosed => Ev::PeerClosed,
+            })
+        })?;
+        Ok(events)
+    }
+
+    /// A hand-built segment with sequence number 0.
+    fn segment(flags: u8, ack: u64, payload: &[u8]) -> Vec<u8> {
+        encoded(Segment {
+            flags,
+            seq: 0,
+            ack,
+            payload,
+        })
+    }
+
+    fn encoded(seg: Segment<'_>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        seg.write_to(&mut buf);
+        buf
+    }
+
+    /// The next segment `ep` wants on the wire, encoded.
+    fn tx(ep: &mut Endpoint, now: SimTime) -> Option<Vec<u8>> {
+        ep.poll_transmit(now).map(encoded)
+    }
+
     /// Drive both endpoints until neither has anything to transmit,
     /// delivering every segment with optional loss decided by `lose`.
     fn pump(
@@ -494,23 +555,23 @@ mod tests {
         b: &mut Endpoint,
         now: SimTime,
         mut lose: impl FnMut(usize) -> bool,
-    ) -> (Vec<ChannelEvent>, Vec<ChannelEvent>) {
+    ) -> (Vec<Ev>, Vec<Ev>) {
         let mut ev_a = Vec::new();
         let mut ev_b = Vec::new();
         let mut n = 0;
         loop {
             let mut progressed = false;
-            while let Some(seg) = a.poll_transmit(now) {
+            while let Some(seg) = tx(a, now) {
                 progressed = true;
                 if !lose(n) {
-                    ev_b.extend(b.on_segment(&seg, now).unwrap());
+                    ev_b.extend(rx(b, &seg, now).unwrap());
                 }
                 n += 1;
             }
-            while let Some(seg) = b.poll_transmit(now) {
+            while let Some(seg) = tx(b, now) {
                 progressed = true;
                 if !lose(n) {
-                    ev_a.extend(a.on_segment(&seg, now).unwrap());
+                    ev_a.extend(rx(a, &seg, now).unwrap());
                 }
                 n += 1;
             }
@@ -528,12 +589,12 @@ mod tests {
         a.send(b"two".to_vec());
         a.send(b"three".to_vec());
         let (ev_a, ev_b) = pump(&mut a, &mut b, t(0), |_| false);
-        assert!(ev_a.contains(&ChannelEvent::Connected));
-        assert!(ev_b.contains(&ChannelEvent::Connected));
+        assert!(ev_a.contains(&Ev::Connected));
+        assert!(ev_b.contains(&Ev::Connected));
         let msgs: Vec<&[u8]> = ev_b
             .iter()
             .filter_map(|e| match e {
-                ChannelEvent::Delivered(m) => Some(m.as_slice()),
+                Ev::Delivered(m) => Some(m.as_slice()),
                 _ => None,
             })
             .collect();
@@ -563,14 +624,14 @@ mod tests {
         let mut delivered: Vec<u8> = ev_b0
             .iter()
             .filter_map(|e| match e {
-                ChannelEvent::Delivered(m) => Some(m[0]),
+                Ev::Delivered(m) => Some(m[0]),
                 _ => None,
             })
             .collect();
         for round in 1..20 {
             let (_, ev_b) = pump(&mut a, &mut b, t(round * 150), |_| false);
             delivered.extend(ev_b.iter().filter_map(|e| match e {
-                ChannelEvent::Delivered(m) => Some(m[0]),
+                Ev::Delivered(m) => Some(m[0]),
                 _ => None,
             }));
             if delivered.len() == 10 {
@@ -592,20 +653,18 @@ mod tests {
         let mut b = Endpoint::listen(ChannelConfig::default());
         a.send(b"msg".to_vec());
         // Capture the data segment and deliver it twice.
-        let syn = a.poll_transmit(t(0)).unwrap();
-        b.on_segment(&syn, t(0)).unwrap();
-        let synack = b.poll_transmit(t(0)).unwrap();
-        a.on_segment(&synack, t(0)).unwrap();
-        let data = a.poll_transmit(t(0)).unwrap();
-        let ev1 = b.on_segment(&data, t(0)).unwrap();
-        let ev2 = b.on_segment(&data, t(0)).unwrap();
+        let syn = tx(&mut a, t(0)).unwrap();
+        rx(&mut b, &syn, t(0)).unwrap();
+        let synack = tx(&mut b, t(0)).unwrap();
+        rx(&mut a, &synack, t(0)).unwrap();
+        let data = tx(&mut a, t(0)).unwrap();
+        let ev1 = rx(&mut b, &data, t(0)).unwrap();
+        let ev2 = rx(&mut b, &data, t(0)).unwrap();
         assert_eq!(
-            ev1.iter()
-                .filter(|e| matches!(e, ChannelEvent::Delivered(_)))
-                .count(),
+            ev1.iter().filter(|e| matches!(e, Ev::Delivered(_))).count(),
             1
         );
-        assert!(ev2.iter().all(|e| !matches!(e, ChannelEvent::Delivered(_))));
+        assert!(ev2.iter().all(|e| !matches!(e, Ev::Delivered(_))));
         assert_eq!(b.stats().duplicates_dropped, 1);
     }
 
@@ -621,18 +680,16 @@ mod tests {
         pump(&mut a, &mut b, t(0), |_| false);
         a.send(b"A".to_vec());
         a.send(b"B".to_vec());
-        let s1 = a.poll_transmit(t(1)).unwrap();
-        let s2 = a.poll_transmit(t(1)).unwrap();
+        let s1 = tx(&mut a, t(1)).unwrap();
+        let s2 = tx(&mut a, t(1)).unwrap();
         // Deliver in reverse order.
-        let ev_first = b.on_segment(&s2, t(2)).unwrap();
-        assert!(ev_first
-            .iter()
-            .all(|e| !matches!(e, ChannelEvent::Delivered(_))));
-        let ev_second = b.on_segment(&s1, t(2)).unwrap();
+        let ev_first = rx(&mut b, &s2, t(2)).unwrap();
+        assert!(ev_first.iter().all(|e| !matches!(e, Ev::Delivered(_))));
+        let ev_second = rx(&mut b, &s1, t(2)).unwrap();
         let msgs: Vec<&[u8]> = ev_second
             .iter()
             .filter_map(|e| match e {
-                ChannelEvent::Delivered(m) => Some(m.as_slice()),
+                Ev::Delivered(m) => Some(m.as_slice()),
                 _ => None,
             })
             .collect();
@@ -653,7 +710,7 @@ mod tests {
         }
         // Without ACKs coming back, only `window` data segments emerge.
         let mut sent = 0;
-        while let Some(_seg) = a.poll_transmit(t(1)) {
+        while let Some(_seg) = tx(&mut a, t(1)) {
             sent += 1;
             assert!(sent <= 2, "window must cap in-flight segments");
         }
@@ -670,9 +727,9 @@ mod tests {
         let kinds: Vec<u8> = ev_b
             .iter()
             .map(|e| match e {
-                ChannelEvent::Connected => 0,
-                ChannelEvent::Delivered(_) => 1,
-                ChannelEvent::PeerClosed => 2,
+                Ev::Connected => 0,
+                Ev::Delivered(_) => 1,
+                Ev::PeerClosed => 2,
             })
             .collect();
         assert_eq!(kinds, vec![0, 1, 2]);
@@ -687,18 +744,18 @@ mod tests {
         };
         let mut a = Endpoint::connect(cfg);
         assert_eq!(a.next_wakeup(), None, "nothing sent yet");
-        let _syn = a.poll_transmit(t(5)).unwrap();
+        let _syn = tx(&mut a, t(5)).unwrap();
         assert_eq!(a.next_wakeup(), Some(t(105)));
     }
 
     #[test]
     fn malformed_segments_rejected() {
         let mut a = Endpoint::listen(ChannelConfig::default());
-        assert!(a.on_segment(&[0u8; 5], t(0)).is_err());
+        assert!(rx(&mut a, &[0u8; 5], t(0)).is_err());
         // Length field larger than buffer.
-        let mut seg = encode_segment(FLAG_DATA, 0, 0, b"xy");
+        let mut seg = segment(FLAG_DATA, 0, b"xy");
         seg[18] = 200;
-        assert!(a.on_segment(&seg, t(0)).is_err());
+        assert!(rx(&mut a, &seg, t(0)).is_err());
     }
 
     #[test]
@@ -716,20 +773,20 @@ mod tests {
         // opener's handshake (the old failure mode: Connected fired,
         // then every new-epoch message died as a "duplicate").
         let mut a2 = Endpoint::connect(ChannelConfig::default());
-        let _syn = a2.poll_transmit(t(1000)).unwrap();
-        let stale_ack = encode_segment(FLAG_ACK, 0, 42, &[]);
-        let ev = a2.on_segment(&stale_ack, t(1001)).unwrap();
+        let _syn = tx(&mut a2, t(1000)).unwrap();
+        let stale_ack = segment(FLAG_ACK, 42, &[]);
+        let ev = rx(&mut a2, &stale_ack, t(1001)).unwrap();
         assert!(
-            !ev.contains(&ChannelEvent::Connected),
+            !ev.contains(&Ev::Connected),
             "pure ACK must not complete the open"
         );
         assert_eq!(a2.state(), ChannelState::SynSent);
 
         // The new SYN reaching the stale established server kills the
         // old connection (PeerClosed) instead of being "re-ACKed".
-        let syn = a2.poll_transmit(t(1200)).unwrap();
-        let ev = b.on_segment(&syn, t(1201)).unwrap();
-        assert_eq!(ev, vec![ChannelEvent::PeerClosed]);
+        let syn = tx(&mut a2, t(1200)).unwrap();
+        let ev = rx(&mut b, &syn, t(1201)).unwrap();
+        assert_eq!(ev, vec![Ev::PeerClosed]);
         assert_eq!(b.state(), ChannelState::Closed);
 
         // The server's owner resets to a fresh listener; the opener's
@@ -738,9 +795,9 @@ mod tests {
         let mut b2 = Endpoint::listen(ChannelConfig::default());
         a2.send(b"new-epoch".to_vec());
         let (ev_a2, ev_b2) = pump(&mut a2, &mut b2, t(1500), |_| false);
-        assert!(ev_a2.contains(&ChannelEvent::Connected));
-        assert!(ev_b2.contains(&ChannelEvent::Connected));
-        assert!(ev_b2.contains(&ChannelEvent::Delivered(b"new-epoch".to_vec())));
+        assert!(ev_a2.contains(&Ev::Connected));
+        assert!(ev_b2.contains(&Ev::Connected));
+        assert!(ev_b2.contains(&Ev::Delivered(b"new-epoch".to_vec())));
     }
 
     #[test]
@@ -759,7 +816,7 @@ mod tests {
             let got: Vec<u8> = ev_b
                 .iter()
                 .filter_map(|e| match e {
-                    ChannelEvent::Delivered(m) => Some(m[0]),
+                    Ev::Delivered(m) => Some(m[0]),
                     _ => None,
                 })
                 .collect();
@@ -790,7 +847,7 @@ mod tests {
                 (rng_state >> 33) % 10 < 4
             });
             delivered.extend(ev_b.iter().filter_map(|e| match e {
-                ChannelEvent::Delivered(m) => Some(m[0]),
+                Ev::Delivered(m) => Some(m[0]),
                 _ => None,
             }));
             if delivered.len() == 50 {

@@ -16,7 +16,9 @@
 //!   so steady-state forwarding (probe template shared → router
 //!   copy-on-write → sink read → drop) performs **zero allocations**
 //!   per packet: the copy-on-write pops the `Arc` the previous packet
-//!   returned.
+//!   returned;
+//! * [`Frame::build`] encodes a new frame straight into such a recycled
+//!   buffer, so control-plane senders share the pool with the data plane.
 //!
 //! `Deref<Target = [u8]>` keeps every parser call site (`parse(&frame)`)
 //! untouched.
@@ -85,6 +87,18 @@ impl Frame {
         Frame(Some(PooledBuf::new(bytes)))
     }
 
+    /// Encode a frame straight into a recycled buffer: `fill` receives
+    /// it empty and appends the bytes. A sender that builds its frames
+    /// this way and whose receiver drops them after reading allocates
+    /// nothing per frame in steady state.
+    pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
+        let mut arc = pooled();
+        let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
+        buf.bytes.clear();
+        fill(&mut buf.bytes);
+        Frame(Some(arc))
+    }
+
     #[inline]
     fn arc(&self) -> &Arc<PooledBuf> {
         self.0.as_ref().expect("frame already retired")
@@ -100,9 +114,7 @@ impl Frame {
         if Arc::strong_count(self.arc()) > 1 {
             // Copy-on-write backed by the recycle pool: pooled arcs are
             // sole-holder by construction, so `get_mut` succeeds.
-            let mut arc = POOL
-                .with(|p| p.borrow_mut().pop())
-                .unwrap_or_else(|| PooledBuf::new(Vec::new()));
+            let mut arc = pooled();
             let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
             buf.bytes.clear();
             buf.bytes.extend_from_slice(&self.arc().bytes);
@@ -123,6 +135,13 @@ impl Frame {
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(self.arc())
     }
+}
+
+/// A retired buffer from this thread's pool (contents stale), or a
+/// fresh empty one.
+fn pooled() -> Arc<PooledBuf> {
+    POOL.with(|p| p.borrow_mut().pop())
+        .unwrap_or_else(|| PooledBuf::new(Vec::new()))
 }
 
 /// Buffers parked in *this thread's* recycle pool (diagnostics/tests).
@@ -248,6 +267,20 @@ mod tests {
         a.make_mut()[0] = 9;
         assert_eq!(a.as_ptr(), recycled_ptr, "CoW popped the pooled buffer");
         assert_eq!(&*a, &[9, 2, 3]);
+    }
+
+    #[test]
+    fn build_fills_a_recycled_buffer() {
+        let recycled_ptr = {
+            let f = Frame::new(vec![7u8; 64]);
+            f.as_ptr()
+        }; // dropped -> pooled
+        let f = Frame::build(|buf| {
+            assert!(buf.is_empty(), "stale bytes cleared");
+            buf.extend_from_slice(&[1, 2, 3]);
+        });
+        assert_eq!(f.as_ptr(), recycled_ptr, "no allocation");
+        assert_eq!(&*f, &[1, 2, 3]);
     }
 
     #[test]

@@ -86,22 +86,27 @@ impl<T> PrefixTrie<T> {
     /// Insert `value` under `prefix`, returning the previous value if the
     /// prefix was already present.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
-        self.insert_at(prefix, value).1
+        let idx = self.node_for(prefix);
+        let old = self.nodes[idx as usize].value.replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
     }
 
-    /// [`PrefixTrie::insert`] that also reports the arena index of the
-    /// node now holding `prefix` — the single-traversal building block
-    /// behind [`PrefixTrie::get_mut_or_insert_with`].
-    fn insert_at(&mut self, prefix: Ipv4Prefix, value: T) -> (u32, Option<T>) {
+    /// One descent to the node keyed exactly `prefix`, creating it
+    /// (valueless) if the trie has none. Every caller fills the slot
+    /// before returning, so a valueless leaf never outlives the call.
+    fn node_for(&mut self, prefix: Ipv4Prefix) -> u32 {
+        let leaf = |prefix| Node {
+            prefix,
+            value: None,
+            left: NO_NODE,
+            right: NO_NODE,
+        };
         if self.root == NO_NODE {
-            self.root = self.alloc(Node {
-                prefix,
-                value: Some(value),
-                left: NO_NODE,
-                right: NO_NODE,
-            });
-            self.len += 1;
-            return (self.root, None);
+            self.root = self.alloc(leaf(prefix));
+            return self.root;
         }
 
         let mut cur = self.root;
@@ -114,59 +119,35 @@ impl<T> PrefixTrie<T> {
                 let split_prefix = Ipv4Prefix::new(Ipv4Addr::from(prefix.raw_bits()), common);
                 // Which side does the existing node go to?
                 let cur_bit = cur_prefix.bit(common);
-                let old_node = cur;
-                let split = self.alloc(Node {
-                    prefix: split_prefix,
-                    value: None,
-                    left: NO_NODE,
-                    right: NO_NODE,
-                });
-                // Move the old node's slot content under the split node.
-                // `split` replaces `old_node` in the parent, so swap their
-                // arena positions to avoid tracking parents.
-                self.nodes.swap(old_node as usize, split as usize);
-                // After the swap: `old_node` slot holds the split node,
-                // `split` slot holds the original node.
+                let moved = self.alloc(leaf(split_prefix));
+                // The split node replaces `cur` in its parent, so swap
+                // their arena positions to avoid tracking parents: the
+                // `cur` slot now holds the split node, `moved` the
+                // original node.
+                self.nodes.swap(cur as usize, moved as usize);
                 if cur_bit {
-                    self.nodes[old_node as usize].right = split;
+                    self.nodes[cur as usize].right = moved;
                 } else {
-                    self.nodes[old_node as usize].left = split;
+                    self.nodes[cur as usize].left = moved;
                 }
-                let split_node_idx = old_node;
-
                 if common == prefix.len() {
                     // The new prefix *is* the split point.
-                    self.nodes[split_node_idx as usize].value = Some(value);
-                    self.len += 1;
-                    return (split_node_idx, None);
+                    return cur;
                 }
                 // Attach a fresh leaf for the new prefix on the other side.
-                let leaf = self.alloc(Node {
-                    prefix,
-                    value: Some(value),
-                    left: NO_NODE,
-                    right: NO_NODE,
-                });
-                if prefix.bit(common) {
-                    debug_assert!(!cur_bit);
-                    self.nodes[split_node_idx as usize].right = leaf;
+                let new_leaf = self.alloc(leaf(prefix));
+                debug_assert_ne!(prefix.bit(common), cur_bit);
+                if cur_bit {
+                    self.nodes[cur as usize].left = new_leaf;
                 } else {
-                    debug_assert!(cur_bit);
-                    self.nodes[split_node_idx as usize].left = leaf;
+                    self.nodes[cur as usize].right = new_leaf;
                 }
-                self.len += 1;
-                return (leaf, None);
+                return new_leaf;
             }
 
             // cur_prefix is fully a prefix of the new key.
             if prefix.len() == cur_prefix.len() {
-                // Exact node.
-                let slot = &mut self.nodes[cur as usize].value;
-                let old = slot.replace(value);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                return (cur, old);
+                return cur;
             }
 
             // Descend.
@@ -177,19 +158,13 @@ impl<T> PrefixTrie<T> {
                 self.nodes[cur as usize].left
             };
             if child == NO_NODE {
-                let leaf = self.alloc(Node {
-                    prefix,
-                    value: Some(value),
-                    left: NO_NODE,
-                    right: NO_NODE,
-                });
+                let new_leaf = self.alloc(leaf(prefix));
                 if bit {
-                    self.nodes[cur as usize].right = leaf;
+                    self.nodes[cur as usize].right = new_leaf;
                 } else {
-                    self.nodes[cur as usize].left = leaf;
+                    self.nodes[cur as usize].left = new_leaf;
                 }
-                self.len += 1;
-                return (leaf, None);
+                return new_leaf;
             }
             cur = child;
         }
@@ -207,32 +182,20 @@ impl<T> PrefixTrie<T> {
         self.nodes[idx as usize].value.as_mut()
     }
 
-    /// Mutable access to the entry for `prefix`, inserting
-    /// `default()` first if absent — one traversal on a hit, one
-    /// insert traversal on a miss (the `get_mut` miss + `insert`
-    /// pattern bulk RIB loads used to pay is folded into
-    /// [`PrefixTrie::insert_at`], which reports the landing node).
+    /// Mutable access to the entry for `prefix`, inserting `default()`
+    /// first if absent (or if only a valueless split node sits there) —
+    /// one descent either way.
     pub fn get_mut_or_insert_with(
         &mut self,
         prefix: Ipv4Prefix,
         default: impl FnOnce() -> T,
     ) -> &mut T {
-        let idx = match self.find_exact(prefix) {
-            Some(idx) => {
-                let slot = &mut self.nodes[idx as usize].value;
-                if slot.is_none() {
-                    // Interior split node: claim it.
-                    *slot = Some(default());
-                    self.len += 1;
-                }
-                idx
-            }
-            None => self.insert_at(prefix, default()).0,
-        };
-        self.nodes[idx as usize]
-            .value
-            .as_mut()
-            .expect("just filled")
+        let idx = self.node_for(prefix);
+        let slot = &mut self.nodes[idx as usize].value;
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(default)
     }
 
     /// True if the exact prefix is stored.
@@ -557,6 +520,30 @@ mod tests {
     }
 
     #[test]
+    fn get_or_insert_claims_split_node_and_counts_once() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.2.0.0/16"), 1);
+        t.insert(p("10.3.0.0/16"), 2);
+        // The valueless /15 split node is claimed in place.
+        let nodes = t.nodes.len();
+        *t.get_mut_or_insert_with(p("10.2.0.0/15"), || 7) += 1;
+        assert_eq!(t.nodes.len(), nodes, "no new node for the split point");
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(p("10.2.0.0/15")), Some(&8));
+        // A hit leaves the value and the count alone.
+        *t.get_mut_or_insert_with(p("10.2.0.0/15"), || unreachable!()) += 1;
+        assert_eq!((t.len(), t.get(p("10.2.0.0/15"))), (3, Some(&9)));
+        // A miss below a leaf and a miss that splits an edge.
+        assert_eq!(*t.get_mut_or_insert_with(p("10.2.1.0/24"), || 4), 4);
+        assert_eq!(*t.get_mut_or_insert_with(p("10.8.0.0/16"), || 5), 5);
+        assert_eq!(t.len(), 5);
+        let keys: Vec<Ipv4Prefix> = t.keys().collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+    }
+
+    #[test]
     fn remove_and_prune() {
         let mut t = PrefixTrie::new();
         t.insert(p("10.2.0.0/16"), 1);
@@ -672,7 +659,7 @@ mod tests {
 
     /// Differential test against a naive model on a deterministic
     /// pseudo-random workload (the proptest version lives in
-    /// `tests/trie_model.rs` of this crate).
+    /// `tests/proptests.rs` of this crate).
     #[test]
     fn differential_against_btreemap_model() {
         let mut model: BTreeMap<Ipv4Prefix, u64> = BTreeMap::new();

@@ -76,15 +76,18 @@ impl EthernetRepr {
         ))
     }
 
+    /// Write the header into the first [`HEADER_LEN`] bytes of `frame`.
+    pub fn emit(&self, frame: &mut [u8]) {
+        frame[0..6].copy_from_slice(&self.dst.octets());
+        frame[6..12].copy_from_slice(&self.src.octets());
+        put16(frame, 12, self.ethertype.to_u16());
+    }
+
     /// Serialize header + payload into a fresh frame buffer.
     pub fn to_frame(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        buf.extend_from_slice(&self.dst.octets());
-        buf.extend_from_slice(&self.src.octets());
-        let mut ty = [0u8; 2];
-        put16(&mut ty, 0, self.ethertype.to_u16());
-        buf.extend_from_slice(&ty);
-        buf.extend_from_slice(payload);
+        let mut buf = vec![0u8; HEADER_LEN + payload.len()];
+        self.emit(&mut buf);
+        buf[HEADER_LEN..].copy_from_slice(payload);
         buf
     }
 

@@ -67,23 +67,31 @@ impl Ipv4Repr {
         Ok((repr, &buf[HEADER_LEN..total_len]))
     }
 
-    /// Serialize header + payload into a packet, computing the checksum.
-    pub fn to_packet(&self, payload: &[u8]) -> Vec<u8> {
-        let total = HEADER_LEN + payload.len();
+    /// Write the header, checksum included, into the first
+    /// [`HEADER_LEN`] bytes of `packet`; `payload_len` bytes follow it.
+    pub fn emit(&self, packet: &mut [u8], payload_len: usize) {
+        let total = HEADER_LEN + payload_len;
         assert!(total <= u16::MAX as usize, "ipv4 packet too large");
-        let mut buf = vec![0u8; total];
+        let buf = &mut packet[..HEADER_LEN];
+        buf.fill(0);
         buf[0] = 0x45; // version 4, IHL 5
         buf[1] = self.tos;
-        put16(&mut buf, 2, total as u16);
-        put16(&mut buf, 4, self.ident);
+        put16(buf, 2, total as u16);
+        put16(buf, 4, self.ident);
         // flags/fragment offset: DF set, never fragmented in this model.
-        put16(&mut buf, 6, 0x4000);
+        put16(buf, 6, 0x4000);
         buf[8] = self.ttl;
         buf[9] = self.protocol;
         buf[12..16].copy_from_slice(&self.src.octets());
         buf[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&buf[..HEADER_LEN]);
-        put16(&mut buf, 10, c);
+        let c = checksum::checksum(buf);
+        put16(buf, 10, c);
+    }
+
+    /// Serialize header + payload into a packet, computing the checksum.
+    pub fn to_packet(&self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0u8; HEADER_LEN + payload.len()];
+        self.emit(&mut buf, payload.len());
         buf[HEADER_LEN..].copy_from_slice(payload);
         buf
     }

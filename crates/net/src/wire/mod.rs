@@ -5,7 +5,9 @@
 //!
 //! * a `Repr` struct — the parsed, validated, high-level representation;
 //! * `Repr::parse(&[u8]) -> Result<(Repr, payload), WireError>`;
-//! * `Repr::emit(&mut Vec<u8>)` / `Repr::to_bytes(payload)` to serialize.
+//! * `Repr::emit(&mut [u8])` to write the header in place, and a
+//!   `Repr::to_frame`/`to_packet`/`to_segment(payload)` that serializes
+//!   header + payload into a fresh buffer.
 //!
 //! All multi-byte fields are network byte order. Parsers never panic on
 //! malformed input — every length and field is checked and reported via
@@ -20,7 +22,7 @@ pub mod udp;
 pub use arp::{ArpOp, ArpRepr};
 pub use ethernet::{EtherType, EthernetRepr};
 pub use ipv4::Ipv4Repr;
-pub use stack::{open_udp_frame, peek_udp_frame, udp_frame, UdpDatagram, UdpEndpoints};
+pub use stack::{peek_udp_frame, udp_frame, udp_frame_with, UdpDatagram, UdpEndpoints};
 pub use udp::UdpRepr;
 
 use std::fmt;

@@ -4,10 +4,11 @@
 //! datagrams; these helpers build and open the full frame in one call so
 //! the per-node code stays focused on its protocol logic.
 
-use super::ethernet::{EtherType, EthernetRepr};
-use super::ipv4::{protocol, Ipv4Repr};
-use super::udp::UdpRepr;
+use super::ethernet::{self, EtherType, EthernetRepr};
+use super::ipv4::{self, protocol, Ipv4Repr};
+use super::udp::{self, UdpRepr};
 use super::WireError;
+use crate::frame::Frame;
 use crate::mac::MacAddr;
 use std::net::Ipv4Addr;
 
@@ -36,49 +37,68 @@ impl UdpEndpoints {
     }
 }
 
-/// A fully decapsulated UDP datagram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// A decapsulated UDP datagram: the three parsed header layers plus
+/// the payload, borrowed from the frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UdpDatagram<'a> {
     pub eth: EthernetRepr,
     pub ip: Ipv4Repr,
     pub udp: UdpRepr,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-/// Build an Ethernet/IPv4/UDP frame around `payload`.
-pub fn udp_frame(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let udp = UdpRepr {
-        src_port: ep.src_port,
-        dst_port: ep.dst_port,
-    };
-    let segment = udp.to_segment(ep.src_ip, ep.dst_ip, payload);
-    let ip = Ipv4Repr {
+/// Bytes of Ethernet + IPv4 + UDP header in front of the payload.
+const HEADERS_LEN: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
+
+/// Encode an Ethernet/IPv4/UDP frame into the empty `buf`: `payload`
+/// appends the UDP payload behind reserved header space and the three
+/// headers are then written in front of it, so the payload is copied
+/// (or encoded) exactly once.
+fn encap(buf: &mut Vec<u8>, ep: UdpEndpoints, ttl: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    buf.resize(HEADERS_LEN, 0);
+    payload(buf);
+    EthernetRepr {
+        dst: ep.dst_mac,
+        src: ep.src_mac,
+        ethertype: EtherType::Ipv4,
+    }
+    .emit(buf);
+    let packet = &mut buf[ethernet::HEADER_LEN..];
+    let segment_len = packet.len() - ipv4::HEADER_LEN;
+    Ipv4Repr {
         src: ep.src_ip,
         dst: ep.dst_ip,
         protocol: protocol::UDP,
         ttl,
         tos: 0,
         ident: 0,
-    };
-    let packet = ip.to_packet(&segment);
-    EthernetRepr {
-        dst: ep.dst_mac,
-        src: ep.src_mac,
-        ethertype: EtherType::Ipv4,
     }
-    .to_frame(&packet)
+    .emit(packet, segment_len);
+    UdpRepr {
+        src_port: ep.src_port,
+        dst_port: ep.dst_port,
+    }
+    .emit(ep.src_ip, ep.dst_ip, &mut packet[ipv4::HEADER_LEN..]);
 }
 
-/// The borrowed view [`peek_udp_frame`] returns: the three parsed
-/// header layers plus the payload slice, no copies.
-pub type UdpView<'a> = (EthernetRepr, Ipv4Repr, UdpRepr, &'a [u8]);
+/// Build an Ethernet/IPv4/UDP frame around `payload`.
+pub fn udp_frame(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADERS_LEN + payload.len());
+    encap(&mut buf, ep, ttl, |b| b.extend_from_slice(payload));
+    buf
+}
 
-/// Parse the Ethernet/IPv4/UDP layers of a frame *without copying the
-/// payload* — identical validation to [`open_udp_frame`], returned by
-/// borrow. Hot-path receivers that only need addressing (the traffic
-/// sink's CAM match) use this; control-plane code that hands the
-/// payload onward keeps the owned [`open_udp_frame`].
-pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpView<'_>>, WireError> {
+/// [`udp_frame`] into a recycled [`Frame`] buffer, the payload written
+/// in place by `payload` (which appends to the buffer it is handed).
+pub fn udp_frame_with(ep: UdpEndpoints, ttl: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Frame {
+    Frame::build(|buf| encap(buf, ep, ttl, payload))
+}
+
+/// Parse the Ethernet/IPv4/UDP layers of a frame, validating all of
+/// them, without copying the payload. Returns `Ok(None)` if the frame is
+/// well-formed but *not* UDP-over-IPv4 (e.g. ARP), so callers can fall
+/// through to other handlers.
+pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpDatagram<'_>>, WireError> {
     let (eth, eth_payload) = EthernetRepr::parse(frame)?;
     if eth.ethertype != EtherType::Ipv4 {
         return Ok(None);
@@ -88,21 +108,12 @@ pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpView<'_>>, WireError> {
         return Ok(None);
     }
     let (udp, payload) = UdpRepr::parse(ip.src, ip.dst, ip_payload)?;
-    Ok(Some((eth, ip, udp, payload)))
-}
-
-/// Open a frame expected to be Ethernet/IPv4/UDP; validates all layers.
-/// Returns `Ok(None)` if the frame is well-formed but *not* UDP-over-IPv4
-/// (e.g. ARP), so callers can fall through to other handlers.
-pub fn open_udp_frame(frame: &[u8]) -> Result<Option<UdpDatagram>, WireError> {
-    Ok(
-        peek_udp_frame(frame)?.map(|(eth, ip, udp, payload)| UdpDatagram {
-            eth,
-            ip,
-            udp,
-            payload: payload.to_vec(),
-        }),
-    )
+    Ok(Some(UdpDatagram {
+        eth,
+        ip,
+        udp,
+        payload,
+    }))
 }
 
 #[cfg(test)]
@@ -124,12 +135,42 @@ mod tests {
     fn roundtrip() {
         let ep = endpoints();
         let frame = udp_frame(ep, 64, b"bgp-update-bytes");
-        let d = open_udp_frame(&frame).unwrap().unwrap();
+        let d = peek_udp_frame(&frame).unwrap().unwrap();
         assert_eq!(d.payload, b"bgp-update-bytes");
         assert_eq!(d.udp.src_port, 179);
         assert_eq!(d.udp.dst_port, 40000);
         assert_eq!(d.ip.src, ep.src_ip);
         assert_eq!(d.eth.dst, ep.dst_mac);
+    }
+
+    #[test]
+    fn one_copy_encap_matches_the_layered_encoders() {
+        let ep = endpoints();
+        for payload in [&b""[..], b"x", b"bgp-update-bytes"] {
+            let segment = UdpRepr {
+                src_port: ep.src_port,
+                dst_port: ep.dst_port,
+            }
+            .to_segment(ep.src_ip, ep.dst_ip, payload);
+            let packet = Ipv4Repr {
+                src: ep.src_ip,
+                dst: ep.dst_ip,
+                protocol: protocol::UDP,
+                ttl: 64,
+                tos: 0,
+                ident: 0,
+            }
+            .to_packet(&segment);
+            let layered = EthernetRepr {
+                dst: ep.dst_mac,
+                src: ep.src_mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .to_frame(&packet);
+            assert_eq!(udp_frame(ep, 64, payload), layered);
+            let pooled = udp_frame_with(ep, 64, |b| b.extend_from_slice(payload));
+            assert_eq!(&*pooled, layered.as_slice());
+        }
     }
 
     #[test]
@@ -156,7 +197,7 @@ mod tests {
             ethertype: EtherType::Arp,
         }
         .to_frame(&arp.to_bytes());
-        assert_eq!(open_udp_frame(&frame).unwrap(), None);
+        assert_eq!(peek_udp_frame(&frame).unwrap(), None);
     }
 
     #[test]
@@ -164,6 +205,6 @@ mod tests {
         let mut frame = udp_frame(endpoints(), 64, b"data");
         let n = frame.len();
         frame[n - 1] ^= 0xff; // flip payload byte -> UDP checksum fails
-        assert!(open_udp_frame(&frame).is_err());
+        assert!(peek_udp_frame(&frame).is_err());
     }
 }

@@ -54,18 +54,26 @@ impl UdpRepr {
         ))
     }
 
+    /// Write the header into the first [`HEADER_LEN`] bytes of
+    /// `segment`, whose remaining bytes already hold the payload, with
+    /// the checksum computed over the IPv4 pseudo-header.
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr, segment: &mut [u8]) {
+        let len = segment.len();
+        assert!(len <= u16::MAX as usize, "udp segment too large");
+        put16(segment, 0, self.src_port);
+        put16(segment, 2, self.dst_port);
+        put16(segment, 4, len as u16);
+        put16(segment, 6, 0);
+        let c = checksum::udp_checksum(src, dst, segment);
+        put16(segment, 6, c);
+    }
+
     /// Serialize header + payload with checksum computed over the IPv4
     /// pseudo-header.
     pub fn to_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let len = HEADER_LEN + payload.len();
-        assert!(len <= u16::MAX as usize, "udp segment too large");
-        let mut buf = vec![0u8; len];
-        put16(&mut buf, 0, self.src_port);
-        put16(&mut buf, 2, self.dst_port);
-        put16(&mut buf, 4, len as u16);
+        let mut buf = vec![0u8; HEADER_LEN + payload.len()];
         buf[HEADER_LEN..].copy_from_slice(payload);
-        let c = checksum::udp_checksum(src, dst, &buf);
-        put16(&mut buf, 6, c);
+        self.emit(src, dst, &mut buf);
         buf
     }
 }

@@ -6,15 +6,44 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpEndpoints,
-    UdpRepr,
+    peek_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpEndpoints,
+    UdpRepr, WireError,
 };
 use sc_net::{Ipv4Prefix, MacAddr, PrefixTrie, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+/// The next segment `ep` wants on the wire, encoded.
+fn tx(ep: &mut Endpoint, now: SimTime) -> Option<Vec<u8>> {
+    ep.poll_transmit(now).map(|seg| {
+        let mut buf = Vec::new();
+        seg.write_to(&mut buf);
+        buf
+    })
+}
+
+/// Feed `seg` to `ep`, appending the messages it delivers to `out`.
+fn rx(
+    ep: &mut Endpoint,
+    seg: &[u8],
+    now: SimTime,
+    out: &mut Vec<Vec<u8>>,
+) -> Result<(), WireError> {
+    ep.on_segment(seg, now, |ev| {
+        if let ChannelEvent::Delivered(m) = ev {
+            out.push(m.to_vec());
+        }
+    })
+}
+
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(Ipv4Addr::from(addr), len))
+}
+
+/// Short prefixes over a 5-bit address space: they nest and collide,
+/// so valueless split nodes get created, claimed and pruned.
+fn arb_nested_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    (0u32..32, 0u8..=5).prop_map(|(bits, len)| Ipv4Prefix::new(Ipv4Addr::from(bits << 27), len))
 }
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
@@ -26,20 +55,28 @@ fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
 }
 
 proptest! {
-    /// Trie ≡ BTreeMap model under arbitrary insert/remove interleaving,
+    /// Trie ≡ BTreeMap model under arbitrary insert/remove/get-or-insert
+    /// interleaving,
     /// for exact match, LPM, and ordered iteration.
     #[test]
     fn trie_matches_model(
-        ops in vec((arb_prefix(), any::<bool>(), any::<u16>()), 1..200),
+        ops in vec((prop_oneof![arb_prefix(), arb_nested_prefix()], 0u8..3, any::<u16>()), 1..200),
         lookups in vec(arb_ip(), 1..50),
     ) {
         let mut trie = PrefixTrie::new();
         let mut model: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
-        for (pfx, insert, val) in ops {
-            if insert {
-                prop_assert_eq!(trie.insert(pfx, val), model.insert(pfx, val));
-            } else {
-                prop_assert_eq!(trie.remove(pfx), model.remove(&pfx));
+        for (pfx, op, val) in ops {
+            match op {
+                0 => prop_assert_eq!(trie.insert(pfx, val), model.insert(pfx, val)),
+                1 => prop_assert_eq!(trie.remove(pfx), model.remove(&pfx)),
+                _ => {
+                    // Get-or-insert, then write through the handle.
+                    let slot = trie.get_mut_or_insert_with(pfx, || val);
+                    let entry = model.entry(pfx).or_insert(val);
+                    prop_assert_eq!(*slot, *entry);
+                    *slot = slot.wrapping_add(1);
+                    *entry = entry.wrapping_add(1);
+                }
             }
             prop_assert_eq!(trie.len(), model.len());
         }
@@ -130,7 +167,7 @@ proptest! {
             src_port: sp, dst_port: dp,
         };
         let frame = udp_frame(ep, 64, &payload);
-        let d = open_udp_frame(&frame).unwrap().unwrap();
+        let d = peek_udp_frame(&frame).unwrap().unwrap();
         prop_assert_eq!(d.payload, payload);
         prop_assert_eq!(d.ip.src, sip);
         prop_assert_eq!(d.udp.dst_port, dp);
@@ -157,25 +194,21 @@ proptest! {
             let now = SimTime::from_millis(round * 60);
             loop {
                 let mut progressed = false;
-                while let Some(seg) = a.poll_transmit(now) {
+                while let Some(seg) = tx(&mut a, now) {
                     progressed = true;
                     let lose = loss_pattern[drop_idx % loss_pattern.len()];
                     drop_idx += 1;
                     // Never lose everything: deliver every 3rd regardless.
                     if !lose || drop_idx.is_multiple_of(3) {
-                        for ev in b.on_segment(&seg, now).unwrap() {
-                            if let ChannelEvent::Delivered(m) = ev {
-                                delivered.push(m);
-                            }
-                        }
+                        rx(&mut b, &seg, now, &mut delivered).unwrap();
                     }
                 }
-                while let Some(seg) = b.poll_transmit(now) {
+                while let Some(seg) = tx(&mut b, now) {
                     progressed = true;
                     let lose = loss_pattern[drop_idx % loss_pattern.len()];
                     drop_idx += 1;
                     if !lose || drop_idx.is_multiple_of(3) {
-                        let _ = a.on_segment(&seg, now).unwrap();
+                        rx(&mut a, &seg, now, &mut Vec::new()).unwrap();
                     }
                 }
                 if !progressed {
@@ -218,7 +251,7 @@ proptest! {
         let mut first = true;
         for round in 0..20u64 {
             let now = SimTime::from_millis(round * 60);
-            while let Some(seg) = a.poll_transmit(now) {
+            while let Some(seg) = tx(&mut a, now) {
                 let mut frame = udp_frame(ep, 64, &seg);
                 if first {
                     // Corrupt exactly one bit of the first frame on the
@@ -230,26 +263,23 @@ proptest! {
                 // The receive pipeline a node runs: parse (checksums
                 // validate here), then check addressing, then hand the
                 // segment to the channel (which drops malformed ones).
-                match open_udp_frame(&frame) {
+                match peek_udp_frame(&frame) {
                     Ok(Some(d))
                         if d.udp.dst_port == ep.dst_port
                             && d.udp.src_port == ep.src_port
                             && d.ip.src == ep.src_ip
                             && d.ip.dst == ep.dst_ip =>
                     {
-                        for ev in b.on_segment(&d.payload, now).unwrap_or_default() {
-                            if let ChannelEvent::Delivered(m) = ev {
-                                delivered.push(m);
-                            }
-                        }
+                        // A malformed segment is dropped by the channel.
+                        let _ = rx(&mut b, d.payload, now, &mut delivered);
                     }
                     // Checksum failure, foreign ethertype, or misrouted
                     // datagram: dropped on the floor, like real hardware.
                     _ => {}
                 }
             }
-            while let Some(seg) = b.poll_transmit(now) {
-                let _ = a.on_segment(&seg, now).unwrap_or_default();
+            while let Some(seg) = tx(&mut b, now) {
+                let _ = rx(&mut a, &seg, now, &mut Vec::new());
             }
             if !delivered.is_empty() {
                 break;
@@ -298,11 +328,11 @@ fn payload_corruption_is_detected_dropped_and_repaired_by_retransmit() {
     // (eth 14 + ip 20 + udp 8 = offset 42 onward) — the checksum must
     // catch it and the parse must fail.
     let t0 = SimTime::from_millis(0);
-    let seg = a.poll_transmit(t0).expect("segment due");
+    let seg = tx(&mut a, t0).expect("segment due");
     let mut frame = udp_frame(ep, 64, &seg);
     frame[42] ^= 0x10;
     assert!(
-        open_udp_frame(&frame).is_err(),
+        peek_udp_frame(&frame).is_err(),
         "corrupted payload must fail the UDP checksum"
     );
     // Nothing reached the receiver; drain the rest of the first flight
@@ -315,18 +345,13 @@ fn payload_corruption_is_detected_dropped_and_repaired_by_retransmit() {
     let t1 = t0 + SimDuration::from_millis(120);
     let mut delivered = Vec::new();
     for _ in 0..4 {
-        while let Some(seg) = a.poll_transmit(t1) {
-            let d = open_udp_frame(&udp_frame(ep, 64, &seg))
-                .unwrap()
-                .expect("clean frame parses");
-            for ev in b.on_segment(&d.payload, t1).unwrap() {
-                if let ChannelEvent::Delivered(m) = ev {
-                    delivered.push(m);
-                }
-            }
+        while let Some(seg) = tx(&mut a, t1) {
+            let frame = udp_frame(ep, 64, &seg);
+            let d = peek_udp_frame(&frame).unwrap().expect("clean frame parses");
+            rx(&mut b, d.payload, t1, &mut delivered).unwrap();
         }
-        while let Some(seg) = b.poll_transmit(t1) {
-            let _ = a.on_segment(&seg, t1).unwrap();
+        while let Some(seg) = tx(&mut b, t1) {
+            rx(&mut a, &seg, t1, &mut Vec::new()).unwrap();
         }
     }
     assert_eq!(delivered, vec![b"flow-mod batch 7".to_vec()]);

@@ -19,7 +19,7 @@ use crate::msg::{FlowModCommand, FlowStatsRow, OfMessage};
 use crate::table::{FlowEntry, FlowStats, FlowTable};
 use crate::types::{Action, FlowKey, FlowMatch};
 use sc_net::channel::ChannelEvent;
-use sc_net::wire::{open_udp_frame, EthernetRepr};
+use sc_net::wire::{peek_udp_frame, EthernetRepr};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
 use std::any::Any;
@@ -578,7 +578,7 @@ impl Node for OfSwitch {
         // the controller channels' 5-tuples; everything else is data
         // plane.
         if !self.controllers.is_empty() {
-            if let Ok(Some(d)) = open_udp_frame(&frame) {
+            if let Ok(Some(d)) = peek_udp_frame(&frame) {
                 if let Some(idx) = self.controllers.iter().position(|c| c.matches(&d)) {
                     // Any datagram from the controller — data, ack or
                     // keepalive — proves its process is alive.
@@ -586,18 +586,19 @@ impl Node for OfSwitch {
                     self.last_heard[idx] = ctx.now();
                     self.arm_deadline(ctx, idx);
                     let chan = &mut self.controllers[idx];
-                    let events = chan.on_datagram(&d, ctx.now());
-                    chan.flush(ctx);
+                    // Handling a message needs all of `self`, so decode
+                    // inside the channel's borrow and act after it; a
+                    // malformed control message is dropped.
+                    let mut msgs = Vec::new();
                     let mut peer_closed = false;
-                    for ev in events {
-                        match ev {
-                            ChannelEvent::Delivered(bytes) => match OfMessage::decode(&bytes) {
-                                Ok((xid, msg)) => self.on_control(ctx, idx, xid, msg),
-                                Err(_) => { /* malformed control message */ }
-                            },
-                            ChannelEvent::PeerClosed => peer_closed = true,
-                            _ => {}
-                        }
+                    chan.on_datagram(&d, ctx.now(), |ev| match ev {
+                        ChannelEvent::Delivered(bytes) => msgs.extend(OfMessage::decode(bytes)),
+                        ChannelEvent::PeerClosed => peer_closed = true,
+                        ChannelEvent::Connected => {}
+                    });
+                    chan.flush(ctx);
+                    for (xid, msg) in msgs {
+                        self.on_control(ctx, idx, xid, msg);
                     }
                     if peer_closed {
                         // A fresh SYN hit our established endpoint: the

@@ -3,7 +3,7 @@
 //! flow modification — all over the real simulated network.
 
 use sc_net::channel::{ChannelConfig, ChannelEvent};
-use sc_net::wire::{open_udp_frame, udp_frame, UdpEndpoints};
+use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch, OfSwitch, SwitchConfig, TableMiss};
@@ -89,7 +89,7 @@ impl Node for StubController {
         }
     }
     fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: sc_net::Frame) {
-        let Ok(Some(d)) = open_udp_frame(&frame) else {
+        let Ok(Some(d)) = peek_udp_frame(&frame) else {
             return;
         };
         let chan = self.chan.as_mut().unwrap();
@@ -97,12 +97,12 @@ impl Node for StubController {
             return;
         }
         let now = ctx.now();
-        for ev in chan.on_datagram(&d, now) {
+        chan.on_datagram(&d, now, |ev| {
             if let ChannelEvent::Delivered(bytes) = ev {
-                let (xid, msg) = OfMessage::decode(&bytes).expect("switch sent valid message");
+                let (xid, msg) = OfMessage::decode(bytes).expect("switch sent valid message");
                 self.received.push((now, xid, msg));
             }
-        }
+        });
         chan.flush(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
@@ -314,7 +314,7 @@ fn flow_install_latency_gates_rule_application() {
     assert!(*t >= SimTime::from_millis(30));
     assert_eq!(frame[frame.len() - 1], 2);
     // The VMAC was rewritten to B's real MAC.
-    let d = open_udp_frame(frame).unwrap().unwrap();
+    let d = peek_udp_frame(frame).unwrap().unwrap();
     assert_eq!(d.eth.dst, MAC_B);
     assert_eq!(lab.world.node::<OfSwitch>(lab.sw).stats.dropped, 1);
 }

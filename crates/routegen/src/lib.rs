@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::UpdateMsg;
-use sc_net::Ipv4Prefix;
+use sc_net::{FxHashSet, Ipv4Prefix};
 use std::net::Ipv4Addr;
 
 /// Feed generation parameters.
@@ -69,7 +69,10 @@ impl FeedConfig {
 /// there).
 pub fn prefix_universe(count: u32, seed: u64) -> Vec<Ipv4Prefix> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5eed);
-    let mut set = std::collections::BTreeSet::new();
+    // Hashed membership while drawing, one sort at the end: the draws,
+    // and so the universe, are what an ordered set would give.
+    let mut set = FxHashSet::default();
+    set.reserve(count as usize);
     while set.len() < count as usize {
         // Public-ish first octet: 1..=223, excluding 10 and 127;
         // 172.16/12 and 192.168/16 excluded below.
@@ -96,7 +99,9 @@ pub fn prefix_universe(count: u32, seed: u64) -> Vec<Ipv4Prefix> {
         }
         set.insert(Ipv4Prefix::new(Ipv4Addr::from(addr), len));
     }
-    set.into_iter().collect()
+    let mut universe: Vec<Ipv4Prefix> = set.into_iter().collect();
+    universe.sort_unstable();
+    universe
 }
 
 /// Generate the UPDATE stream for one provider: every prefix of the

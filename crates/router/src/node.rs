@@ -25,7 +25,7 @@ use sc_bgp::{AdjRibOut, LocRib, PeerInfo};
 use sc_net::channel::{ChannelConfig, ChannelEvent};
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram,
+    peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram,
     UdpEndpoints,
 };
 use sc_net::{Frame, Ipv4Prefix, MacAddr, SimDuration, SimTime};
@@ -727,7 +727,7 @@ impl LegacyRouter {
         };
         let iface = self.interfaces[iface_idx];
         for pkt in packets {
-            let frame = udp_frame(
+            let frame = udp_frame_with(
                 UdpEndpoints {
                     src_mac: iface.mac,
                     dst_mac: peer_mac,
@@ -737,7 +737,7 @@ impl LegacyRouter {
                     dst_port: udp_port::BFD_CONTROL,
                 },
                 255,
-                &pkt.to_bytes(),
+                |buf| buf.extend_from_slice(&pkt.to_bytes()),
             );
             ctx.send_frame(iface.port, frame);
         }
@@ -1237,7 +1237,7 @@ impl LegacyRouter {
                 .iter()
                 .position(|p| p.cfg.peer_ip == d.ip.src && p.bfd.is_some())
             {
-                if let Ok(pkt) = sc_bfd::BfdPacket::parse(&d.payload) {
+                if let Ok(pkt) = sc_bfd::BfdPacket::parse(d.payload) {
                     let events = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
                     for ev in events {
                         self.on_bfd_event(idx, ev, ctx);
@@ -1258,28 +1258,19 @@ impl LegacyRouter {
                 // session is proof of life: lift the fallback override.
                 self.shadow_exit(ctx);
             }
-            let events = self.peers[idx].chan.on_datagram(d, now);
             let mut session_events = Vec::new();
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => {
-                        self.peers[idx].session.start(now);
-                    }
-                    ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
-                        Ok(msg) => {
-                            session_events.extend(self.peers[idx].session.on_message(msg, now));
-                        }
-                        Err(_) => {
-                            self.stats.dropped_malformed += 1;
-                        }
-                    },
-                    ChannelEvent::PeerClosed => {
-                        if let Some(ev) = self.peers[idx].session.stop(DownReason::AdminDown) {
-                            session_events.push(ev);
-                        }
-                    }
+            let PeerState { chan, session, .. } = &mut self.peers[idx];
+            let stats = &mut self.stats;
+            chan.on_datagram(d, now, |ev| match ev {
+                ChannelEvent::Connected => session.start(now),
+                ChannelEvent::Delivered(bytes) => match BgpMessage::decode(bytes) {
+                    Ok(msg) => session_events.extend(session.on_message(msg, now)),
+                    Err(_) => stats.dropped_malformed += 1,
+                },
+                ChannelEvent::PeerClosed => {
+                    session_events.extend(session.stop(DownReason::AdminDown));
                 }
-            }
+            });
             self.handle_session_events(idx, session_events, ctx);
             self.pump_peer(idx, ctx);
         }
@@ -1347,7 +1338,7 @@ impl Node for LegacyRouter {
                     return;
                 };
                 if self.is_local_ip(ip.dst) {
-                    match open_udp_frame(&frame) {
+                    match peek_udp_frame(&frame) {
                         Ok(Some(d)) => self.deliver_local(ctx, &d),
                         _ => self.stats.dropped_malformed += 1,
                     }

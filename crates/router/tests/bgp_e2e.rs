@@ -7,7 +7,7 @@
 use sc_bfd::BfdConfig;
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::UpdateMsg;
-use sc_net::wire::{open_udp_frame, udp_frame, UdpEndpoints};
+use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_openflow::{OfSwitch, SwitchConfig};
 use sc_router::{Calibration, Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};
@@ -295,7 +295,7 @@ fn data_plane_forwards_through_preferred_provider() {
     lab.world.run_until(SimTime::from_secs(11));
     let sink2 = lab.world.node::<Host>(lab.sink2);
     assert_eq!(sink2.received.len(), 1, "routed probe reached R2's sink");
-    let d = open_udp_frame(&sink2.received[0].1).unwrap().unwrap();
+    let d = peek_udp_frame(&sink2.received[0].1).unwrap().unwrap();
     assert_eq!(d.ip.dst, Ipv4Addr::new(1, 0, 5, 1));
     assert_eq!(d.eth.dst, MAC_SINK);
     assert_eq!(d.ip.ttl, 62, "two router hops decrement TTL twice");

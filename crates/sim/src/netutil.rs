@@ -9,7 +9,7 @@
 
 use crate::node::{Ctx, PortId, TimerToken};
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
-use sc_net::wire::{udp_frame, UdpDatagram, UdpEndpoints};
+use sc_net::wire::{udp_frame_with, UdpDatagram, UdpEndpoints};
 use sc_net::SimTime;
 
 /// A reliable message channel bound to a UDP endpoint pair on one port.
@@ -26,7 +26,10 @@ pub struct ChannelPort {
     pub port: PortId,
     /// Timer token the owner dedicates to this channel's retransmissions.
     pub timer: TimerToken,
-    /// Deadline currently armed (avoid re-arming storms).
+    /// When the channel's one pending timer fires. It stays set until
+    /// that fire, so a deadline that merely moved later (every ACK moves
+    /// it) arms nothing: the pending timer fires early, finds nothing
+    /// due and re-arms itself at the deadline of that moment.
     armed_at: Option<SimTime>,
 }
 
@@ -105,21 +108,28 @@ impl ChannelPort {
         self.ep.take_buffer()
     }
 
-    /// Feed a matching datagram; returns delivered events in order.
-    pub fn on_datagram(&mut self, d: &UdpDatagram, now: SimTime) -> Vec<ChannelEvent> {
+    /// Feed a matching datagram; `on_event` receives the delivered
+    /// events in order.
+    pub fn on_datagram(
+        &mut self,
+        d: &UdpDatagram,
+        now: SimTime,
+        on_event: impl FnMut(ChannelEvent<'_>),
+    ) {
         // A corrupted segment that survived the UDP checksum (or a
         // malformed peer) is dropped; retransmission repairs it.
-        self.ep.on_segment(&d.payload, now).unwrap_or_default()
+        let _ = self.ep.on_segment(d.payload, now, on_event);
     }
 
-    /// Transmit everything due and (re-)arm the retransmission timer.
+    /// Transmit everything due and make sure a retransmission timer is
+    /// pending at or before the earliest deadline.
     pub fn flush(&mut self, ctx: &mut Ctx) {
         while let Some(seg) = self.ep.poll_transmit(ctx.now()) {
-            let frame = udp_frame(self.addr, 64, &seg);
+            let frame = udp_frame_with(self.addr, 64, |buf| seg.write_to(buf));
             ctx.send_frame(self.port, frame);
         }
         if let Some(at) = self.ep.next_wakeup() {
-            if self.armed_at != Some(at) {
+            if self.armed_at.is_none_or(|armed| at < armed) {
                 self.armed_at = Some(at);
                 ctx.set_timer_at(at, self.timer);
             }
@@ -129,7 +139,12 @@ impl ChannelPort {
     /// Handle the channel's retransmission timer (call from `on_timer`
     /// when the token matches).
     pub fn on_timer(&mut self, ctx: &mut Ctx) {
-        self.armed_at = None;
+        // Only the armed fire clears the marker: a timer superseded by
+        // [`ChannelPort::reset`] or by an earlier deadline is still
+        // queued, and letting it clear the marker would arm a duplicate.
+        if self.armed_at == Some(ctx.now()) {
+            self.armed_at = None;
+        }
         self.flush(ctx);
     }
 
@@ -145,7 +160,7 @@ mod tests {
     use crate::link::LinkParams;
     use crate::node::{Node, NodeId};
     use crate::world::World;
-    use sc_net::wire::open_udp_frame;
+    use sc_net::wire::peek_udp_frame;
     use sc_net::MacAddr;
     use std::any::Any;
     use std::net::Ipv4Addr;
@@ -158,6 +173,9 @@ mod tests {
         to_send: Vec<Vec<u8>>,
         received: Vec<Vec<u8>>,
         connected: bool,
+        /// Every timer this node arms is its channel's, and each fires
+        /// once: fires counted here are `set_timer_at` calls.
+        timer_fires: u64,
     }
 
     impl Talker {
@@ -168,6 +186,7 @@ mod tests {
                 to_send: Vec::new(),
                 received: Vec::new(),
                 connected: false,
+                timer_fires: 0,
             }
         }
     }
@@ -185,23 +204,22 @@ mod tests {
             }
         }
         fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: sc_net::Frame) {
-            let Ok(Some(d)) = open_udp_frame(&frame) else {
+            let Ok(Some(d)) = peek_udp_frame(&frame) else {
                 return;
             };
             let chan = self.chan.as_mut().unwrap();
             if !chan.matches(&d) {
                 return;
             }
-            for ev in chan.on_datagram(&d, ctx.now()) {
-                match ev {
-                    ChannelEvent::Delivered(m) => self.received.push(m),
-                    ChannelEvent::Connected => self.connected = true,
-                    ChannelEvent::PeerClosed => {}
-                }
-            }
+            chan.on_datagram(&d, ctx.now(), |ev| match ev {
+                ChannelEvent::Delivered(m) => self.received.push(m.to_vec()),
+                ChannelEvent::Connected => self.connected = true,
+                ChannelEvent::PeerClosed => {}
+            });
             chan.flush(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+            self.timer_fires += 1;
             let chan = self.chan.as_mut().unwrap();
             if token == chan.timer {
                 chan.on_timer(ctx);
@@ -259,6 +277,25 @@ mod tests {
         assert_eq!(got, (0..20).collect::<Vec<u8>>());
         assert!(w.node::<Talker>(a).connected);
         assert!(w.node::<Talker>(b).connected);
+    }
+
+    #[test]
+    fn lossless_channel_keeps_one_timer_per_rto() {
+        // 2,000 messages behind a 32-segment window: ~60 ACK rounds,
+        // each moving the earliest deadline later. One timer per RTO
+        // period may be armed, not one per ACK.
+        let (mut w, a, b) = wire_up(0.0);
+        w.node_mut::<Talker>(a).to_send = (0..2000u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        w.run_until_idle(1_000_000);
+        assert_eq!(w.node::<Talker>(b).received.len(), 2000);
+        let rto_periods = w.now().as_nanos() / ChannelConfig::default().rto.as_nanos() + 1;
+        for node in [a, b] {
+            let fires = w.node::<Talker>(node).timer_fires;
+            assert!(
+                fires <= rto_periods,
+                "{fires} channel timers in {rto_periods} RTO periods"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! equivalent of starting the measurement window).
 
 use sc_net::wire::udp::port as udp_port;
-use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
+use sc_net::wire::{peek_udp_frame, udp_frame, UdpDatagram, UdpEndpoints};
 use sc_net::{Frame, FxHashMap, Ipv4Addr, MacAddr, SimDuration, SimTime};
 use sc_sim::{Ctx, Node, PortId, TimerToken};
 use std::any::Any;
@@ -352,9 +352,7 @@ impl Node for TrafficSink {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: Frame) {
-        // Borrowed header parse: same validation as `open_udp_frame`,
-        // no payload copy (the sink only matches on addressing).
-        let Ok(Some((_eth, ip, udp, _payload))) = peek_udp_frame(&frame) else {
+        let Ok(Some(UdpDatagram { ip, udp, .. })) = peek_udp_frame(&frame) else {
             return;
         };
         if udp.dst_port != udp_port::PROBE {
