@@ -23,8 +23,11 @@
 //! * `<mode>.metrics.json` — the counters/histograms registry.
 //!
 //! Every artifact is byte-reproducible across reruns and schedulers
-//! (`kernel.*` self-metrics excepted — those describe the execution
-//! engine and exist only on the kernel that has them).
+//! (the sharded kernel's window self-metrics, `kernel.windows` and
+//! friends, excepted — those describe the execution engine and exist
+//! only on the kernel that has them; `kernel.events.*` and
+//! `kernel.node.<name>.timers_fired` count simulated work and are
+//! invariant like the rest).
 //!
 //! The `--diff` form compares the `counters` section of two metrics
 //! dumps and prints one line per differing counter — the quickest way

@@ -97,6 +97,13 @@ pub fn crate_info(name: &str) -> Option<&'static CrateInfo> {
 /// "Sans-io core + real-I/O shell").
 pub const SANS_IO_CRATES: &[&str] = &["sc-bgp", "sc-bfd", "supercharger"];
 
+/// The protocol-bearing node crates: their timers guard deadlines that
+/// received packets move, so an absolute timer armed by hand there
+/// (`Ctx::set_timer_at`) bypasses the `sc_sim::Wakeup` discipline and
+/// `raw-absolute-timer` denies it. Elsewhere (the kernel itself, traffic
+/// sources ticking a fixed schedule) the rule is off.
+pub const WAKEUP_CRATES: &[&str] = &["supercharger", "sc-router", "sc-openflow"];
+
 /// The single file allowed to touch `Instant`/`SystemTime`: the bench
 /// shell's timing module, which every other harness goes through.
 pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/bench/src/timing.rs"];
@@ -140,6 +147,8 @@ pub fn severity(rule: Rule, crate_name: &str) -> Severity {
         (Rule::NoAmbientPrint, CrateKind::Sim) => Severity::Deny,
         (Rule::NoAmbientPrint, CrateKind::Shell) => Severity::Allow,
         (Rule::Layering, _) => Severity::Deny,
+        (Rule::RawAbsoluteTimer, _) if WAKEUP_CRATES.contains(&crate_name) => Severity::Deny,
+        (Rule::RawAbsoluteTimer, _) => Severity::Allow,
         (Rule::UnsafeNeedsSafetyComment, _) => Severity::Deny,
         (Rule::AllowNeedsJustification, _) => Severity::Deny,
         // A malformed waiver is always an error: a waiver that silently

@@ -28,6 +28,7 @@ pub enum Rule {
     NoAmbientThreading,
     NoAmbientPrint,
     Layering,
+    RawAbsoluteTimer,
     UnsafeNeedsSafetyComment,
     AllowNeedsJustification,
     /// Meta-rule: a `sc-check:` comment that does not parse, names an
@@ -43,6 +44,7 @@ impl Rule {
         Rule::NoAmbientThreading,
         Rule::NoAmbientPrint,
         Rule::Layering,
+        Rule::RawAbsoluteTimer,
         Rule::UnsafeNeedsSafetyComment,
         Rule::AllowNeedsJustification,
         Rule::WaiverSyntax,
@@ -56,6 +58,7 @@ impl Rule {
             Rule::NoAmbientThreading => "no-ambient-threading",
             Rule::NoAmbientPrint => "no-ambient-print",
             Rule::Layering => "layering",
+            Rule::RawAbsoluteTimer => "raw-absolute-timer",
             Rule::UnsafeNeedsSafetyComment => "unsafe-needs-safety-comment",
             Rule::AllowNeedsJustification => "allow-needs-justification",
             Rule::WaiverSyntax => "waiver-syntax",
@@ -258,6 +261,20 @@ fn scan_idents(
                     t.line,
                     "`rand::random` draws ambient entropy; seed a `SmallRng` \
                      from the scenario seed instead"
+                        .to_string(),
+                ));
+            }
+            // Call shape only; relative one-shots (`set_timer_after`) are
+            // a different identifier and stay legal.
+            "set_timer_at" if pb(code, i + 1, src) == b'(' => {
+                findings.push((
+                    Rule::RawAbsoluteTimer,
+                    t.line,
+                    "`set_timer_at` arms an absolute deadline by hand; a \
+                     deadline that can move goes through `sc_sim::Wakeup` (one \
+                     live timer per state machine, re-armed only when it moves \
+                     earlier) — hand-rolled re-arm markers have twice bred \
+                     self-seeding duplicate timers"
                         .to_string(),
                 ));
             }

@@ -195,6 +195,34 @@ fn layering_fires_only_in_sans_io_crates() {
 }
 
 #[test]
+fn raw_absolute_timer_fires_only_in_node_crates() {
+    let src = include_str!("corpus/timer_bad.rs");
+    for (krate, path) in [
+        ("supercharger", "crates/core/src/corpus.rs"),
+        ("sc-router", "crates/router/src/corpus.rs"),
+        ("sc-openflow", "crates/openflow/src/corpus.rs"),
+    ] {
+        let bad = analyze(krate, path, src);
+        assert_eq!(rules_of(&bad), vec![Rule::RawAbsoluteTimer], "{krate}");
+        assert_eq!(bad.diagnostics[0].line, 5);
+        assert_eq!(bad.diagnostics[0].severity, Severity::Deny);
+    }
+    // The kernel defines the call and `Wakeup` makes it; a traffic
+    // source ticks a fixed schedule.
+    for (krate, path) in [
+        ("sc-sim", "crates/sim/src/wakeup.rs"),
+        ("sc-traffic", "crates/traffic/src/lib.rs"),
+    ] {
+        let fa = analyze(krate, path, src);
+        assert!(fa.diagnostics.is_empty(), "{krate}: {:?}", fa.diagnostics);
+    }
+
+    // `Wakeup::arm`, `set_timer_after` and test code stay legal.
+    let good = analyze(SIM_CRATE, SIM_PATH, include_str!("corpus/timer_good.rs"));
+    assert!(good.diagnostics.is_empty(), "{:?}", good.diagnostics);
+}
+
+#[test]
 fn unsafe_needs_safety_comment() {
     let bad = analyze(SIM_CRATE, SIM_PATH, include_str!("corpus/unsafe_bad.rs"));
     assert_eq!(rules_of(&bad), vec![Rule::UnsafeNeedsSafetyComment]);

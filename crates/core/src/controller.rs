@@ -30,7 +30,7 @@ use sc_net::wire::{
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -44,6 +44,13 @@ const TIMER_FLOWMOD_ACK: TimerToken = TimerToken(15);
 const TIMER_ECHO: TimerToken = TimerToken(16);
 const PEER_TIMER_BASE: u64 = 100;
 const PEER_TIMER_STRIDE: u64 = 10;
+const PEER_TIMER_CHANNEL: u64 = 0;
+const PEER_TIMER_SESSION: u64 = 1;
+const PEER_TIMER_BFD: u64 = 2;
+
+fn peer_timer(idx: usize, kind: u64) -> TimerToken {
+    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + kind)
+}
 
 /// Priority of per-group VMAC rules.
 const VMAC_RULE_PRIORITY: u16 = 100;
@@ -160,8 +167,8 @@ struct PeerSessionState {
     chan: ChannelPort,
     session: Session,
     bfd: Option<BfdSession>,
-    session_armed: Option<SimTime>,
-    bfd_armed: Option<SimTime>,
+    session_wakeup: Wakeup,
+    bfd_wakeup: Wakeup,
     failed_over: bool,
 }
 
@@ -173,7 +180,7 @@ pub struct Controller {
     switch_ready: bool,
     router_chan: ChannelPort,
     router_session: Session,
-    router_session_armed: Option<SimTime>,
+    router_session_wakeup: Wakeup,
     peers: Vec<PeerSessionState>,
     xid: u32,
     /// FLOW_MODs waiting out the reaction delay.
@@ -181,13 +188,13 @@ pub struct Controller {
     reaction_armed: bool,
     /// Retired groups awaiting the rule-grace purge: (eligible_at, group).
     retire_queue: VecDeque<(SimTime, sc_net::Ipv4Prefix, crate::groups::GroupId)>,
-    retire_armed: Option<SimTime>,
+    retire_wakeup: Wakeup,
     /// Flow-mod batches fenced by a barrier whose reply is still out.
     /// Tokens are assigned in send order, so the deque stays sorted and
     /// a reply acks every batch with a token ≤ its own (cumulative).
     unacked: VecDeque<UnackedBatch>,
     barrier_token: u64,
-    ack_timer_armed: Option<SimTime>,
+    ack_wakeup: Wakeup,
     degraded: bool,
     pub stats: ControllerStats,
     pub events: Vec<(SimTime, ControllerEvent)>,
@@ -246,7 +253,7 @@ impl Controller {
                         dst_port: link.remote_port,
                     },
                     port,
-                    TimerToken(PEER_TIMER_BASE + i as u64 * PEER_TIMER_STRIDE),
+                    peer_timer(i, PEER_TIMER_CHANNEL),
                 ),
                 session: Session::new(SessionConfig {
                     local_as: cfg.asn,
@@ -254,8 +261,8 @@ impl Controller {
                     hold_time: link.hold_time,
                 }),
                 bfd: link.bfd.map(BfdSession::new),
-                session_armed: None,
-                bfd_armed: None,
+                session_wakeup: Wakeup::new(peer_timer(i, PEER_TIMER_SESSION)),
+                bfd_wakeup: Wakeup::new(peer_timer(i, PEER_TIMER_BFD)),
                 failed_over: false,
             })
             .collect();
@@ -265,16 +272,16 @@ impl Controller {
             switch_ready: false,
             router_chan,
             router_session,
-            router_session_armed: None,
+            router_session_wakeup: Wakeup::new(TIMER_ROUTER_SESSION),
             peers,
             xid: 1,
             pending_flowmods: VecDeque::new(),
             reaction_armed: false,
             retire_queue: VecDeque::new(),
-            retire_armed: None,
+            retire_wakeup: Wakeup::new(TIMER_RETIRE),
             unacked: VecDeque::new(),
             barrier_token: 0,
-            ack_timer_armed: None,
+            ack_wakeup: Wakeup::new(TIMER_FLOWMOD_ACK),
             degraded: false,
             stats: ControllerStats::default(),
             events: Vec::new(),
@@ -382,12 +389,8 @@ impl Controller {
     }
 
     fn arm_ack_timer(&mut self, ctx: &mut Ctx) {
-        if let Some(at) = self.unacked.iter().map(|b| b.deadline).min() {
-            if self.ack_timer_armed != Some(at) {
-                self.ack_timer_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_FLOWMOD_ACK);
-            }
-        }
+        let next = self.unacked.iter().map(|b| b.deadline).min();
+        self.ack_wakeup.arm(ctx, next);
     }
 
     fn on_barrier_reply(&mut self, ctx: &mut Ctx, token: u64) {
@@ -411,8 +414,8 @@ impl Controller {
     }
 
     fn retry_unacked(&mut self, ctx: &mut Ctx) {
-        self.ack_timer_armed = None;
         let now = ctx.now();
+        self.ack_wakeup.fired(now);
         let mut resend: Vec<(u64, Vec<OfMessage>)> = Vec::new();
         let mut kept = VecDeque::with_capacity(self.unacked.len());
         while let Some(mut b) = self.unacked.pop_front() {
@@ -533,17 +536,13 @@ impl Controller {
     }
 
     fn arm_retire_timer(&mut self, ctx: &mut Ctx) {
-        if let Some((at, _, _)) = self.retire_queue.front() {
-            let at = *at;
-            if self.retire_armed != Some(at) {
-                self.retire_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_RETIRE);
-            }
-        }
+        let next = self.retire_queue.front().map(|&(at, _, _)| at);
+        self.retire_wakeup.arm(ctx, next);
     }
 
     fn drain_retired(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
+        self.retire_wakeup.fired(now);
         let mut batch = Vec::new();
         while let Some((at, _, group)) = self.retire_queue.front().copied() {
             if at > now {
@@ -555,7 +554,6 @@ impl Controller {
             }
         }
         self.send_flow_batch(ctx, batch);
-        self.retire_armed = None;
         self.arm_retire_timer(ctx);
     }
 
@@ -566,12 +564,8 @@ impl Controller {
             self.router_chan.send(buf);
         }
         self.router_chan.flush(ctx);
-        if let Some(at) = self.router_session.next_wakeup() {
-            if self.router_session_armed != Some(at) {
-                self.router_session_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_ROUTER_SESSION);
-            }
-        }
+        self.router_session_wakeup
+            .arm(ctx, self.router_session.next_wakeup());
     }
 
     fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
@@ -582,15 +576,7 @@ impl Controller {
             peer.chan.send(buf);
         }
         peer.chan.flush(ctx);
-        if let Some(at) = peer.session.next_wakeup() {
-            if peer.session_armed != Some(at) {
-                peer.session_armed = Some(at);
-                ctx.set_timer_at(
-                    at,
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + 1),
-                );
-            }
-        }
+        peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
     }
 
     fn pump_bfd(&mut self, idx: usize, ctx: &mut Ctx) {
@@ -616,15 +602,7 @@ impl Controller {
             );
             ctx.send_frame(self.switch_port(), frame);
         }
-        if let Some(at) = next {
-            if self.peers[idx].bfd_armed != Some(at) {
-                self.peers[idx].bfd_armed = Some(at);
-                ctx.set_timer_at(
-                    at,
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + 2),
-                );
-            }
-        }
+        self.peers[idx].bfd_wakeup.arm(ctx, next);
         for ev in events {
             self.on_bfd_event(idx, ev, ctx);
         }
@@ -991,7 +969,7 @@ impl Node for Controller {
             TIMER_SWITCH_CHAN => self.switch_chan.on_timer(ctx),
             TIMER_ROUTER_CHAN => self.router_chan.on_timer(ctx),
             TIMER_ROUTER_SESSION => {
-                self.router_session_armed = None;
+                self.router_session_wakeup.fired(ctx.now());
                 let events = self.router_session.poll(ctx.now());
                 self.handle_router_session_events(events, ctx);
                 self.pump_router(ctx);
@@ -1020,15 +998,15 @@ impl Node for Controller {
                     return;
                 }
                 match (t - PEER_TIMER_BASE) % PEER_TIMER_STRIDE {
-                    0 => self.peers[idx].chan.on_timer(ctx),
-                    1 => {
-                        self.peers[idx].session_armed = None;
+                    PEER_TIMER_CHANNEL => self.peers[idx].chan.on_timer(ctx),
+                    PEER_TIMER_SESSION => {
+                        self.peers[idx].session_wakeup.fired(ctx.now());
                         let events = self.peers[idx].session.poll(ctx.now());
                         self.handle_peer_session_events(idx, events, ctx);
                         self.pump_peer(idx, ctx);
                     }
-                    2 => {
-                        self.peers[idx].bfd_armed = None;
+                    PEER_TIMER_BFD => {
+                        self.peers[idx].bfd_wakeup.fired(ctx.now());
                         self.pump_bfd(idx, ctx);
                     }
                     _ => {}

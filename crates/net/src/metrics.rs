@@ -2,8 +2,9 @@
 //! of the sc-trace observability subsystem.
 //!
 //! Everything here is a pure function of what was recorded: names are
-//! `&'static str`, storage is `BTreeMap` (iteration order is name
-//! order, never hasher order), and merging two registries is plain
+//! `&'static str` (plus owned counter names for per-instance totals
+//! folded in after a run), storage is `BTreeMap` (iteration order is
+//! name order, never hasher order), and merging two registries is plain
 //! addition — so per-shard and per-worker registries fold into one
 //! total that is independent of thread scheduling. A disabled registry
 //! reduces every operation to one branch, keeping instrumented hot
@@ -14,6 +15,7 @@
 //! two. Relative quantile error is bounded by `1/SUB_BUCKETS` across
 //! the whole `u64` range, with a fixed 976-slot footprint.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -147,7 +149,7 @@ impl Histogram {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     enabled: bool,
-    counters: BTreeMap<&'static str, u64>,
+    counters: BTreeMap<Cow<'static, str>, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -179,7 +181,15 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(name).or_insert(0) += delta;
+        *self.counters.entry(Cow::Borrowed(name)).or_insert(0) += delta;
+    }
+
+    /// [`Registry::add`] under a name built at run time (per-node
+    /// totals). Allocates, so for end-of-run folds, not hot paths.
+    pub fn add_named(&mut self, name: String, delta: u64) {
+        if self.enabled {
+            *self.counters.entry(Cow::Owned(name)).or_insert(0) += delta;
+        }
     }
 
     #[inline]
@@ -199,8 +209,8 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.counters.iter().map(|(k, &v)| (k.as_ref(), v))
     }
 
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
@@ -211,8 +221,8 @@ impl Registry {
     /// total is the same whatever order partial registries fold in —
     /// the determinism contract for suite workers and kernel shards.
     pub fn merge(&mut self, other: &Registry) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (k, &v) in &other.counters {
+            *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (&k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);

@@ -21,7 +21,7 @@ use crate::types::{Action, FlowKey, FlowMatch};
 use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, EthernetRepr};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -137,14 +137,16 @@ pub struct OfSwitch {
     /// keepalive all prove the peer's process is alive).
     ctrl_live: Vec<bool>,
     last_heard: Vec<SimTime>,
-    deadline_armed: Vec<bool>,
+    /// One liveness watchdog per controller: re-armed from its own
+    /// expiry while traffic keeps pushing the deadline out.
+    deadline_wakeup: Vec<Wakeup>,
     /// Scripted chaos: discard this many incoming FLOW_MODs (and any
     /// barriers that arrive while the budget is open, so the loss is
     /// not silently acked).
     drop_flowmods: u32,
     pending: VecDeque<PendingOp>,
     install_busy_until: SimTime,
-    install_timer_armed: Option<SimTime>,
+    install_wakeup: Wakeup,
     xid_counter: u32,
     pub stats: SwitchStats,
 }
@@ -159,11 +161,11 @@ impl OfSwitch {
             controllers: Vec::new(),
             ctrl_live: Vec::new(),
             last_heard: Vec::new(),
-            deadline_armed: Vec::new(),
+            deadline_wakeup: Vec::new(),
             drop_flowmods: 0,
             pending: VecDeque::new(),
             install_busy_until: SimTime::ZERO,
-            install_timer_armed: None,
+            install_wakeup: Wakeup::new(TIMER_INSTALL),
             xid_counter: 1,
             stats: SwitchStats::default(),
         }
@@ -181,11 +183,13 @@ impl OfSwitch {
     /// controller initiates). May be called multiple times for
     /// redundant controllers.
     pub fn attach_controller(&mut self, mut chan: ChannelPort) {
-        chan.timer = TimerToken(TIMER_CHANNEL_BASE + self.controllers.len() as u64);
+        let idx = self.controllers.len() as u64;
+        chan.set_timer(TimerToken(TIMER_CHANNEL_BASE + idx));
         self.controllers.push(chan);
         self.ctrl_live.push(false);
         self.last_heard.push(SimTime::ZERO);
-        self.deadline_armed.push(false);
+        self.deadline_wakeup
+            .push(Wakeup::new(TimerToken(TIMER_DEADLINE_BASE + idx)));
     }
 
     /// Scripted chaos: silently discard the next `count` FLOW_MODs.
@@ -347,19 +351,10 @@ impl OfSwitch {
         }
     }
 
-    /// Arm the liveness watchdog for controller `idx` (one outstanding
-    /// timer per channel; re-armed from its own expiry while traffic
-    /// keeps arriving).
+    /// Arm the liveness watchdog for controller `idx`.
     fn arm_deadline(&mut self, ctx: &mut Ctx, idx: usize) {
-        let Some(deadline) = self.cfg.controller_deadline else {
-            return;
-        };
-        if !self.deadline_armed[idx] {
-            self.deadline_armed[idx] = true;
-            ctx.set_timer_at(
-                self.last_heard[idx] + deadline,
-                TimerToken(TIMER_DEADLINE_BASE + idx as u64),
-            );
+        if let Some(deadline) = self.cfg.controller_deadline {
+            self.deadline_wakeup[idx].arm(ctx, Some(self.last_heard[idx] + deadline));
         }
     }
 
@@ -370,7 +365,7 @@ impl OfSwitch {
         if idx >= self.controllers.len() {
             return;
         }
-        self.deadline_armed[idx] = false;
+        self.deadline_wakeup[idx].fired(ctx.now());
         if !self.ctrl_live[idx] {
             return;
         }
@@ -381,8 +376,7 @@ impl OfSwitch {
             // blink) but stop believing in FlowModify service.
             self.mark_controller_dead(idx);
         } else {
-            self.deadline_armed[idx] = true;
-            ctx.set_timer_at(due, TimerToken(TIMER_DEADLINE_BASE + idx as u64));
+            self.deadline_wakeup[idx].arm(ctx, Some(due));
         }
     }
 
@@ -398,17 +392,13 @@ impl OfSwitch {
     }
 
     fn arm_install_timer(&mut self, ctx: &mut Ctx) {
-        if let Some(front) = self.pending.front() {
-            let at = front.done_at();
-            if self.install_timer_armed != Some(at) {
-                self.install_timer_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_INSTALL);
-            }
-        }
+        let next = self.pending.front().map(PendingOp::done_at);
+        self.install_wakeup.arm(ctx, next);
     }
 
     fn drain_installs(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
+        self.install_wakeup.fired(now);
         while let Some(front) = self.pending.front() {
             if front.done_at() > now {
                 break;
@@ -464,7 +454,6 @@ impl OfSwitch {
                 }
             }
         }
-        self.install_timer_armed = None;
         self.arm_install_timer(ctx);
     }
 

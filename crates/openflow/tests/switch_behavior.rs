@@ -107,7 +107,7 @@ impl Node for StubController {
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         let chan = self.chan.as_mut().unwrap();
-        if token == chan.timer {
+        if token == chan.timer() {
             chan.on_timer(ctx);
             return;
         }
@@ -405,6 +405,38 @@ fn barrier_completes_after_pending_installs() {
         .expect("barrier reply received");
     // Barrier must not complete before the 15ms install finishes.
     assert!(barrier.0 >= t0 + SimDuration::from_millis(15));
+}
+
+#[test]
+fn stale_install_timer_does_not_arm_a_duplicate() {
+    // Two pipelined installs (done at ~16 ms and one per-rule cost later)
+    // and, in one of the two runs, a superseded `TIMER_INSTALL` fire
+    // while they are pending. It must cost exactly itself: a stale fire
+    // that forgot the pending timer would re-arm the 16 ms deadline a
+    // second time, and the duplicate would re-arm every later one.
+    const TIMER_INSTALL: TimerToken = TimerToken(2); // private to switch.rs
+    let timers_at_switch = |stale_fire: bool| {
+        let mut lab = build(TableMiss::Drop);
+        let add = |priority| OfMessage::FlowMod {
+            command: FlowModCommand::Add,
+            priority,
+            cookie: 0,
+            matcher: FlowMatch::any(),
+            actions: vec![Action::Drop],
+        };
+        let t0 = SimTime::from_millis(1);
+        lab.world.node_mut::<StubController>(lab.ctrl).script = vec![(t0, add(1)), (t0, add(2))];
+        if stale_fire {
+            lab.world
+                .wake_node(SimTime::from_millis(5), lab.sw, TIMER_INSTALL);
+        }
+        lab.world.run_until(SimTime::from_millis(100));
+        let sw = lab.world.node::<OfSwitch>(lab.sw);
+        assert_eq!(sw.stats.flow_mods_applied, 2);
+        assert_eq!(sw.pending_ops(), 0);
+        lab.world.node_stats(lab.sw).timers_fired
+    };
+    assert_eq!(timers_at_switch(true), timers_at_switch(false) + 1);
 }
 
 #[test]

@@ -29,7 +29,7 @@ use sc_net::wire::{
     UdpEndpoints,
 };
 use sc_net::{Frame, Ipv4Prefix, MacAddr, SimDuration, SimTime};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -41,6 +41,10 @@ const PEER_TIMER_CHANNEL: u64 = 0;
 const PEER_TIMER_SESSION: u64 = 1;
 const PEER_TIMER_BFD: u64 = 2;
 const PEER_TIMER_DEADLINE: u64 = 3;
+
+fn peer_timer(idx: usize, kind: u64) -> TimerToken {
+    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + kind)
+}
 
 /// A router interface: one attachment to the network.
 #[derive(Clone, Copy, Debug)]
@@ -178,13 +182,14 @@ struct PeerState {
     chan: ChannelPort,
     session: Session,
     bfd: Option<BfdSession>,
-    session_wakeup_armed: Option<SimTime>,
-    bfd_wakeup_armed: Option<SimTime>,
+    session_wakeup: Wakeup,
+    bfd_wakeup: Wakeup,
     /// Last instant any transport traffic arrived from this peer (feeds
     /// the liveness watchdog when `cfg.deadline` is set).
     last_heard: SimTime,
-    /// Due time of the one outstanding watchdog timer, if armed.
-    deadline_armed: Option<SimTime>,
+    /// The liveness watchdog: re-armed from its own expiry while
+    /// traffic keeps pushing `last_heard` out.
+    deadline_wakeup: Wakeup,
     /// What we advertise to this peer (RFC 4271 §3.2): seeded from
     /// `cfg.originate`, mutated by [`LegacyRouter::inject_updates`], and
     /// replayed in full on *every* session establishment — the RFC 4271
@@ -206,7 +211,9 @@ pub struct LegacyRouter {
     rib: LocRib,
     fib: Fib,
     walker: FibWalker,
-    walker_armed: bool,
+    /// The walker's tick. `next_apply_at` draws jitter, so it is sampled
+    /// once per tick (behind `is_armed`), not re-derived on every input.
+    walker_wakeup: Wakeup,
     arp: ArpClient,
     arp_timer_armed: bool,
     /// The dst-IP → (out-port, rewritten MAC) memo consulted before the
@@ -255,7 +262,7 @@ impl LegacyRouter {
             rib: LocRib::new(),
             fib: Fib::new(),
             walker: FibWalker::new(cal, jitter_seed),
-            walker_armed: false,
+            walker_wakeup: Wakeup::new(TIMER_WALKER),
             arp: ArpClient::new(),
             arp_timer_armed: false,
             flow_cache: FlowCache::new(),
@@ -326,8 +333,7 @@ impl LegacyRouter {
             dst_port: cfg.remote_port,
         };
         let idx = self.peers.len();
-        let timer =
-            TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_CHANNEL);
+        let timer = peer_timer(idx, PEER_TIMER_CHANNEL);
         let chan = if cfg.transport_active {
             ChannelPort::connect(ChannelConfig::default(), addr, iface.port, timer)
         } else {
@@ -347,10 +353,10 @@ impl LegacyRouter {
             chan,
             session,
             bfd,
-            session_wakeup_armed: None,
-            bfd_wakeup_armed: None,
+            session_wakeup: Wakeup::new(peer_timer(idx, PEER_TIMER_SESSION)),
+            bfd_wakeup: Wakeup::new(peer_timer(idx, PEER_TIMER_BFD)),
             last_heard: SimTime::ZERO,
-            deadline_armed: None,
+            deadline_wakeup: Wakeup::new(peer_timer(idx, PEER_TIMER_DEADLINE)),
             adj_out,
             establishments: 0,
             purged: false,
@@ -367,7 +373,7 @@ impl LegacyRouter {
     /// instead of waiting for the next keepalive tick.
     pub fn inject_updates(&mut self, updates: &[UpdateMsg]) -> Vec<TimerToken> {
         let mut tokens = Vec::new();
-        for (idx, p) in self.peers.iter_mut().enumerate() {
+        for p in &mut self.peers {
             // The Adj-RIB-Out is the advertised *intent* and tracks
             // every injection even while the session is down — a later
             // restart must replay the current state (with mid-outage
@@ -383,9 +389,7 @@ impl LegacyRouter {
                     p.session.queue_update(part);
                 }
             }
-            tokens.push(TimerToken(
-                PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_SESSION,
-            ));
+            tokens.push(p.session_wakeup.token());
         }
         tokens
     }
@@ -660,12 +664,9 @@ impl LegacyRouter {
     }
 
     fn arm_walker(&mut self, ctx: &mut Ctx) {
-        if self.walker_armed {
-            return;
-        }
-        if let Some(at) = self.walker.next_apply_at() {
-            self.walker_armed = true;
-            ctx.set_timer_at(at, TIMER_WALKER);
+        if !self.walker_wakeup.is_armed() {
+            let at = self.walker.next_apply_at();
+            self.walker_wakeup.arm(ctx, at);
         }
     }
 
@@ -703,15 +704,7 @@ impl LegacyRouter {
             }
         }
         peer.chan.flush(ctx);
-        if let Some(at) = peer.session.next_wakeup() {
-            if peer.session_wakeup_armed != Some(at) {
-                peer.session_wakeup_armed = Some(at);
-                let token = TimerToken(
-                    PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_SESSION,
-                );
-                ctx.set_timer_at(at, token);
-            }
-        }
+        peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
     }
 
     fn pump_bfd(&mut self, idx: usize, ctx: &mut Ctx) {
@@ -741,33 +734,17 @@ impl LegacyRouter {
             );
             ctx.send_frame(iface.port, frame);
         }
-        if let Some(at) = next {
-            if self.peers[idx].bfd_wakeup_armed != Some(at) {
-                self.peers[idx].bfd_wakeup_armed = Some(at);
-                let token =
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_BFD);
-                ctx.set_timer_at(at, token);
-            }
-        }
+        self.peers[idx].bfd_wakeup.arm(ctx, next);
         for ev in events {
             self.on_bfd_event(idx, ev, ctx);
         }
     }
 
-    /// Arm the liveness watchdog for a deadline-configured peer (one
-    /// outstanding timer; the fire handler re-arms while traffic keeps
-    /// arriving).
+    /// Arm the liveness watchdog for a deadline-configured peer.
     fn arm_peer_deadline(&mut self, idx: usize, ctx: &mut Ctx) {
-        let Some(d) = self.peers[idx].cfg.deadline else {
-            return;
-        };
-        let due = self.peers[idx].last_heard + d;
-        if self.peers[idx].deadline_armed.is_none() {
-            self.peers[idx].deadline_armed = Some(due);
-            ctx.set_timer_at(
-                due,
-                TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_DEADLINE),
-            );
+        let peer = &mut self.peers[idx];
+        if let Some(d) = peer.cfg.deadline {
+            peer.deadline_wakeup.arm(ctx, Some(peer.last_heard + d));
         }
     }
 
@@ -776,7 +753,7 @@ impl LegacyRouter {
     /// its deadline — tear the session down now (same teardown as BFD)
     /// instead of waiting out the hold timer.
     fn check_peer_deadline(&mut self, idx: usize, ctx: &mut Ctx) {
-        self.peers[idx].deadline_armed = None;
+        self.peers[idx].deadline_wakeup.fired(ctx.now());
         let Some(d) = self.peers[idx].cfg.deadline else {
             return;
         };
@@ -1353,7 +1330,7 @@ impl Node for LegacyRouter {
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         match token {
             TIMER_WALKER => {
-                self.walker_armed = false;
+                self.walker_wakeup.fired(ctx.now());
                 let mut applied = std::mem::take(&mut self.walker_batch_buf);
                 self.walker
                     .apply_batch(&mut self.fib, ctx.now(), &mut applied);
@@ -1400,24 +1377,13 @@ impl Node for LegacyRouter {
                         self.peers[idx].chan.on_timer(ctx);
                     }
                     PEER_TIMER_SESSION => {
-                        // Clear the armed marker only when this fire IS the
-                        // armed wakeup. A receive-driven pump may have re-armed
-                        // at a different instant while this (now stale) timer
-                        // was still queued; clearing unconditionally would let
-                        // the stale fire re-arm a wakeup that is already
-                        // pending, breeding duplicate timers that re-seed each
-                        // other every cycle.
-                        if self.peers[idx].session_wakeup_armed == Some(ctx.now()) {
-                            self.peers[idx].session_wakeup_armed = None;
-                        }
+                        self.peers[idx].session_wakeup.fired(ctx.now());
                         let events = self.peers[idx].session.poll(ctx.now());
                         self.handle_session_events(idx, events, ctx);
                         self.pump_peer(idx, ctx);
                     }
                     PEER_TIMER_BFD => {
-                        if self.peers[idx].bfd_wakeup_armed == Some(ctx.now()) {
-                            self.peers[idx].bfd_wakeup_armed = None;
-                        }
+                        self.peers[idx].bfd_wakeup.fired(ctx.now());
                         self.pump_bfd(idx, ctx);
                     }
                     PEER_TIMER_DEADLINE => {

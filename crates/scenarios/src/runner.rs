@@ -280,10 +280,10 @@ pub fn run_scenario_traced(
         .collect();
     let unrecovered = cycles.last().map(|c| c.unrecovered).unwrap_or(0);
 
-    // Export artifacts last: fold every node's lifetime counters into
-    // the kernel-merged registry, then serialize the ring. The fold is
-    // pure inspection over stopped nodes, so the outcome above is
-    // untouched.
+    // Export artifacts last: fold every node's lifetime counters and
+    // the kernel's own into the kernel-merged registry, then serialize
+    // the ring. The fold is pure inspection over stopped nodes, so the
+    // outcome above is untouched.
     let artifacts = trace_records.is_some().then(|| {
         let mut folded = sc_net::metrics::Registry::enabled();
         for id in std::iter::once(scn.r1)
@@ -299,6 +299,7 @@ pub fn run_scenario_traced(
                 .node::<supercharger::Controller>(c)
                 .fold_metrics(&mut folded);
         }
+        scn.world.fold_kernel_metrics(&mut folded);
         scn.world.metrics_mut().merge(&folded);
         TraceArtifacts {
             jsonl: scn.world.trace().to_jsonl(),

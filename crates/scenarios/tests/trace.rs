@@ -98,6 +98,10 @@ fn phase_breakdowns_partition_measured_convergence() {
             assert!(art.jsonl.contains("\"cat\":\"detect\""), "{label}");
             assert!(art.chrome.contains("traceEvents"), "{label}");
             assert!(art.metrics_json.contains("counters"), "{label}");
+            // The kernel self-profile rides along on every scheduler.
+            for key in ["\"kernel.events.timer\":", "\"kernel.node.r1."] {
+                assert!(art.metrics_json.contains(key), "{label}: no {key}");
+            }
         }
     }
 }
@@ -150,9 +154,11 @@ fn stable_csv_carries_phase_columns() {
 /// stable report row are byte-identical across reruns and across all
 /// three scheduler families at several shard counts. The metrics
 /// registry is byte-identical too — once the sharded kernel's
-/// `kernel.*` self-metrics (window counts, active-shard occupancy)
-/// are set aside: those describe the execution engine, not the
-/// simulated network, and exist only on the scheduler that has them.
+/// window self-metrics (`kernel.windows`, active-shard occupancy) are
+/// set aside: those describe the execution engine, not the simulated
+/// network, and exist only on the scheduler that has them. The
+/// always-on `kernel.events.*` / `kernel.node.*` counts are simulated
+/// work and must match like any domain counter.
 #[test]
 fn trace_exports_are_scheduler_invariant() {
     let topo = TopologySpec::Chain {

@@ -16,6 +16,9 @@
 //! * [`world::World`] — the kernel: owns nodes, links, the event queue
 //!   and the RNG; provides failure injection (link down, node crash) and
 //!   scripted control events for experiment drivers.
+//! * [`wakeup::Wakeup`] — the one timer discipline for state machines
+//!   whose deadline moves: one live timer each, re-armed only when the
+//!   deadline moves earlier.
 //! * [`trace`] — sc-trace: a deterministic, causally-keyed flight
 //!   recorder whose exports are byte-identical across every scheduler
 //!   at any shard count (plus a counters/histograms registry living in
@@ -26,6 +29,7 @@ pub mod netutil;
 pub mod node;
 pub mod sched;
 pub mod trace;
+pub mod wakeup;
 pub mod world;
 
 pub use link::{Endpoint, LinkId, LinkParams};
@@ -33,4 +37,5 @@ pub use netutil::ChannelPort;
 pub use node::{Ctx, Node, NodeId, PortId, TimerToken};
 pub use sched::SchedulerKind;
 pub use trace::{Trace, TraceEvent, TracePhase};
-pub use world::{WallClock, World, WorldStats};
+pub use wakeup::Wakeup;
+pub use world::{NodeStats, WallClock, World, WorldStats};

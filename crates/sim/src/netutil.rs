@@ -8,6 +8,7 @@
 //! implementations stay focused on their protocol logic.
 
 use crate::node::{Ctx, PortId, TimerToken};
+use crate::wakeup::Wakeup;
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{udp_frame_with, UdpDatagram, UdpEndpoints};
 use sc_net::SimTime;
@@ -24,13 +25,9 @@ pub struct ChannelPort {
     pub addr: UdpEndpoints,
     /// The simulated port frames leave through.
     pub port: PortId,
-    /// Timer token the owner dedicates to this channel's retransmissions.
-    pub timer: TimerToken,
-    /// When the channel's one pending timer fires. It stays set until
-    /// that fire, so a deadline that merely moved later (every ACK moves
-    /// it) arms nothing: the pending timer fires early, finds nothing
-    /// due and re-arms itself at the deadline of that moment.
-    armed_at: Option<SimTime>,
+    /// The channel's one live retransmission timer (every ACK moves the
+    /// deadline later, which arms nothing).
+    rto: Wakeup,
 }
 
 impl ChannelPort {
@@ -47,8 +44,7 @@ impl ChannelPort {
             active: true,
             addr,
             port,
-            timer,
-            armed_at: None,
+            rto: Wakeup::new(timer),
         }
     }
 
@@ -65,8 +61,7 @@ impl ChannelPort {
             active: false,
             addr,
             port,
-            timer,
-            armed_at: None,
+            rto: Wakeup::new(timer),
         }
     }
 
@@ -84,7 +79,18 @@ impl ChannelPort {
         } else {
             Endpoint::listen(self.cfg)
         };
-        self.armed_at = None;
+        self.rto.reset();
+    }
+
+    /// Timer token the owner dedicates to this channel's retransmissions.
+    pub fn timer(&self) -> TimerToken {
+        self.rto.token()
+    }
+
+    /// Re-home the channel on another token (an owner numbering its
+    /// channels as they are attached). Only before the first flush.
+    pub fn set_timer(&mut self, timer: TimerToken) {
+        self.rto = Wakeup::new(timer);
     }
 
     /// Does this datagram belong to this channel (right 5-tuple)?
@@ -128,23 +134,13 @@ impl ChannelPort {
             let frame = udp_frame_with(self.addr, 64, |buf| seg.write_to(buf));
             ctx.send_frame(self.port, frame);
         }
-        if let Some(at) = self.ep.next_wakeup() {
-            if self.armed_at.is_none_or(|armed| at < armed) {
-                self.armed_at = Some(at);
-                ctx.set_timer_at(at, self.timer);
-            }
-        }
+        self.rto.arm(ctx, self.ep.next_wakeup());
     }
 
     /// Handle the channel's retransmission timer (call from `on_timer`
     /// when the token matches).
     pub fn on_timer(&mut self, ctx: &mut Ctx) {
-        // Only the armed fire clears the marker: a timer superseded by
-        // [`ChannelPort::reset`] or by an earlier deadline is still
-        // queued, and letting it clear the marker would arm a duplicate.
-        if self.armed_at == Some(ctx.now()) {
-            self.armed_at = None;
-        }
+        self.rto.fired(ctx.now());
         self.flush(ctx);
     }
 
@@ -221,7 +217,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
             self.timer_fires += 1;
             let chan = self.chan.as_mut().unwrap();
-            if token == chan.timer {
+            if token == chan.timer() {
                 chan.on_timer(ctx);
             }
         }

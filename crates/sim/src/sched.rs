@@ -563,18 +563,18 @@ mod tests {
     #[test]
     fn wheel_orders_same_slot_and_same_time() {
         let mut w = TimerWheel::new();
-        // Three events inside one 8.192 µs bucket, two at the same
-        // instant: order must be (time, seq).
-        w.push(ev(5_000, 2));
+        // Three events inside one 2.048 µs bucket (2,048..4,096 ns), two
+        // at the same instant: order must be (time, seq).
+        w.push(ev(4_050, 2));
         w.push(ev(4_000, 3));
         w.push(ev(4_000, 1));
-        assert_eq!(drain_keys(&mut w), vec![(4_000, 1), (4_000, 3), (5_000, 2)]);
+        assert_eq!(drain_keys(&mut w), vec![(4_000, 1), (4_000, 3), (4_050, 2)]);
     }
 
     #[test]
     fn wheel_promotes_overflow_in_order() {
         let mut w = TimerWheel::new();
-        // Far beyond the 33.5 ms horizon: keepalive-scale timers.
+        // Far beyond the ~524 µs horizon: keepalive-scale timers.
         w.push(ev(30_000_000_000, 1));
         w.push(ev(90_000_000_000, 2));
         // Near events.

@@ -61,6 +61,18 @@ pub struct WorldStats {
     pub frames_dropped_dead_node: u64,
     pub frames_corrupted: u64,
     pub timers_fired: u64,
+    pub timers_dropped_dead_node: u64,
+    pub link_status_events: u64,
+    pub control_events: u64,
+}
+
+/// Per-node kernel counters (cheap, always on). They belong to the node
+/// slot, so a restarted node keeps counting where its predecessor
+/// stopped. A timer storm shows up here as one outlier node.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct NodeStats {
+    pub timers_fired: u64,
+    pub frames_delivered: u64,
 }
 
 impl WorldStats {
@@ -75,6 +87,25 @@ impl WorldStats {
         self.frames_dropped_dead_node += d.frames_dropped_dead_node;
         self.frames_corrupted += d.frames_corrupted;
         self.timers_fired += d.timers_fired;
+        self.timers_dropped_dead_node += d.timers_dropped_dead_node;
+        self.link_status_events += d.link_status_events;
+        self.control_events += d.control_events;
+    }
+
+    /// Events handled by kind, under their registry names. Delayed-emit
+    /// events are the only kind without a counter of their own (they
+    /// are the remainder), so the five sum to `events_processed`.
+    pub fn events_by_kind(&self) -> [(&'static str, u64); 5] {
+        let deliver = self.frames_delivered + self.frames_dropped_dead_node;
+        let timer = self.timers_fired + self.timers_dropped_dead_node;
+        let counted = deliver + timer + self.link_status_events + self.control_events;
+        [
+            ("kernel.events.deliver", deliver),
+            ("kernel.events.emit", self.events_processed - counted),
+            ("kernel.events.timer", timer),
+            ("kernel.events.link_status", self.link_status_events),
+            ("kernel.events.control", self.control_events),
+        ]
     }
 }
 
@@ -125,6 +156,7 @@ pub(crate) struct Slot {
     ports: Vec<Option<LinkId>>,
     /// This node's origin-key emission counter (see the module docs).
     emit_ctr: u64,
+    stats: NodeStats,
 }
 
 /// A non-allocating stand-in left in `World::nodes` while a window
@@ -136,6 +168,7 @@ fn placeholder_slot() -> Slot {
         alive: false,
         ports: Vec::new(),
         emit_ctr: 0,
+        stats: NodeStats::default(),
     }
 }
 
@@ -229,6 +262,26 @@ impl World {
         self.stats
     }
 
+    /// Kernel counters of one node slot.
+    pub fn node_stats(&self, id: NodeId) -> NodeStats {
+        self.nodes[id.0].stats
+    }
+
+    /// Fold the kernel's own totals into `reg`: events by kind
+    /// (`kernel.events.*`) and `kernel.node.<name>.timers_fired` per
+    /// node. Call once, after a run, like the nodes' `fold_metrics`.
+    pub fn fold_kernel_metrics(&self, reg: &mut Registry) {
+        for (name, n) in self.stats.events_by_kind() {
+            reg.add(name, n);
+        }
+        for slot in &self.nodes {
+            reg.add_named(
+                format!("kernel.node.{}.timers_fired", slot.name),
+                slot.stats.timers_fired,
+            );
+        }
+    }
+
     /// Number of events currently queued (diagnostics).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -286,6 +339,7 @@ impl World {
             alive: true,
             ports: Vec::new(),
             emit_ctr: 0,
+            stats: NodeStats::default(),
         });
         id
     }
@@ -656,6 +710,7 @@ impl World {
                     return;
                 }
                 self.stats.frames_delivered += 1;
+                self.nodes[to.node.0].stats.frames_delivered += 1;
                 self.dispatch(to.node, cause, |node, ctx| {
                     node.on_frame(ctx, to.port, frame)
                 });
@@ -665,18 +720,22 @@ impl World {
             }
             EventKind::Timer { node, token } => {
                 if !self.nodes[node.0].alive {
+                    self.stats.timers_dropped_dead_node += 1;
                     return;
                 }
                 self.stats.timers_fired += 1;
+                self.nodes[node.0].stats.timers_fired += 1;
                 self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::LinkStatus { to, up } => {
+                self.stats.link_status_events += 1;
                 if !self.nodes[to.node.0].alive {
                     return;
                 }
                 self.dispatch(to.node, cause, |n, ctx| n.on_link_status(ctx, to.port, up));
             }
             EventKind::Control(idx) => {
+                self.stats.control_events += 1;
                 let f = self.controls[idx]
                     .take()
                     .expect("control event executed twice");
@@ -1126,6 +1185,7 @@ impl ShardScratch {
                     return;
                 }
                 self.stats.frames_delivered += 1;
+                self.slot(to.node.0).stats.frames_delivered += 1;
                 self.dispatch(to.node, cause, |node, ctx| {
                     node.on_frame(ctx, to.port, frame)
                 });
@@ -1135,12 +1195,15 @@ impl ShardScratch {
             }
             EventKind::Timer { node, token } => {
                 if !self.slot(node.0).alive {
+                    self.stats.timers_dropped_dead_node += 1;
                     return;
                 }
                 self.stats.timers_fired += 1;
+                self.slot(node.0).stats.timers_fired += 1;
                 self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::LinkStatus { to, up } => {
+                self.stats.link_status_events += 1;
                 if !self.slot(to.node.0).alive {
                     return;
                 }
@@ -1367,6 +1430,39 @@ mod tests {
             b_node.seen[0].0,
             SimTime::from_millis(1) + SimDuration::from_micros(10)
         );
+    }
+
+    #[test]
+    fn events_by_kind_counts_each_kind() {
+        // `a` echoes after 5 us (a delayed-emit event per frame), `b` at
+        // once (no event): one injected frame ping-pongs until the cut.
+        let mut w = World::new(1);
+        let a = w.add_node(Echo::new("a", SimDuration::from_micros(5)));
+        let b = w.add_node(Echo::new("b", SimDuration::ZERO));
+        let (l, _pa, pb) = w.connect(a, b, LinkParams::with_latency(SimDuration::from_micros(10)));
+        w.schedule(SimTime::from_millis(1), move |w| {
+            w.emit(Endpoint { node: b, port: pb }, vec![b'E'].into());
+        });
+        w.schedule(SimTime::from_millis(2), move |w| w.set_link_up(l, false));
+        w.wake_node(SimTime::from_millis(3), a, TimerToken(9));
+        w.schedule(SimTime::from_millis(4), move |w| w.crash_node(a));
+        w.wake_node(SimTime::from_millis(5), a, TimerToken(9)); // dropped: dead
+        w.run_until_idle(10_000);
+        let seen_a = w.node::<Echo>(a).seen.len() as u64;
+        let seen_b = w.node::<Echo>(b).seen.len() as u64;
+        assert!(seen_a > 30 && seen_b > 30);
+        assert_eq!(
+            w.stats().events_by_kind(),
+            [
+                ("kernel.events.deliver", seen_a + seen_b),
+                ("kernel.events.emit", seen_a),
+                ("kernel.events.timer", 2),
+                ("kernel.events.link_status", 2),
+                ("kernel.events.control", 3),
+            ]
+        );
+        assert_eq!(w.node_stats(a).timers_fired, 1);
+        assert_eq!(w.node_stats(a).frames_delivered, seen_a);
     }
 
     #[test]
@@ -1650,18 +1746,42 @@ mod tests {
                 .iter()
                 .map(|&s| w.node::<Echo>(s).seen.clone())
                 .collect();
-            (w.stats(), seen)
+            // The kernel self-profile: per-node counters and their
+            // registry export, on every scheduler.
+            let per_node: Vec<NodeStats> = (0..12).map(|i| w.node_stats(NodeId(i))).collect();
+            let mut folded = Registry::enabled();
+            w.fold_kernel_metrics(&mut folded);
+            (w.stats(), seen, per_node, folded.to_json())
         };
-        let (ref_stats, ref_seen) = run(SchedulerKind::ReferenceHeap);
+        let (ref_stats, ref_seen, ref_nodes, ref_folded) = run(SchedulerKind::ReferenceHeap);
         assert!(ref_stats.frames_dropped_loss > 0, "loss stream exercised");
         assert!(
             ref_stats.frames_dropped_link_down > 0,
             "carrier cut exercised"
         );
-        for shards in [1usize, 2, 3, 5] {
-            let (stats, seen) = run(SchedulerKind::Sharded { shards });
-            assert_eq!(ref_stats, stats, "stats diverge at {shards} shards");
-            assert_eq!(ref_seen, seen, "deliveries diverge at {shards} shards");
+        assert_eq!(
+            ref_nodes.iter().map(|n| n.timers_fired).sum::<u64>(),
+            ref_stats.timers_fired
+        );
+        assert_eq!(
+            ref_nodes.iter().map(|n| n.frames_delivered).sum::<u64>(),
+            ref_stats.frames_delivered
+        );
+        // Ticker t1 (node 2) fires its 200 ticks; sinks arm no timers.
+        assert_eq!(ref_nodes[2].timers_fired, 200);
+        assert_eq!(ref_nodes[3].timers_fired, 0);
+        assert!(ref_folded.contains("\"kernel.node.t1.timers_fired\":200"));
+        assert!(ref_folded.contains("\"kernel.events.control\":1,"));
+        let others = [1usize, 2, 3, 5]
+            .map(|shards| SchedulerKind::Sharded { shards })
+            .into_iter()
+            .chain([SchedulerKind::TimerWheel]);
+        for kind in others {
+            let (stats, seen, nodes, folded) = run(kind);
+            assert_eq!(ref_stats, stats, "stats diverge on {kind:?}");
+            assert_eq!(ref_seen, seen, "deliveries diverge on {kind:?}");
+            assert_eq!(ref_nodes, nodes, "node stats diverge on {kind:?}");
+            assert_eq!(ref_folded, folded, "kernel metrics diverge on {kind:?}");
         }
     }
 
