@@ -52,6 +52,13 @@ pub struct Route {
     pub local_pref: u32,
 }
 
+// Every RIB entry holds these inline: a field added here is paid once
+// per candidate of every full-table run.
+const _: () = assert!(
+    std::mem::size_of::<Route>() <= 40,
+    "Route: 40 B per RIB candidate"
+);
+
 impl Route {
     /// The protocol next-hop of this route.
     pub fn next_hop(&self) -> Ipv4Addr {

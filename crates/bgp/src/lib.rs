@@ -12,8 +12,8 @@
 //!   candidate routes (the controller *must* rank routes exactly like the
 //!   router would, otherwise its backup-groups are wrong);
 //! * [`rib`] — per-prefix ranked candidate lists ([`rib::LocRib`]) with
-//!   change tracking: every update yields the old and new top-two
-//!   candidates, which is precisely the input of the paper's Listing 1;
+//!   change tracking: every update says whether the top-two candidates
+//!   moved, which is precisely the input of the paper's Listing 1;
 //! * [`session`] — a poll-based session state machine (Idle → OpenSent →
 //!   OpenConfirm → Established) with hold/keepalive timers;
 //! * [`adj_out`] — the per-peer Adj-RIB-Out (RFC 4271 §3.2), replayed on
@@ -36,7 +36,7 @@ pub use adj_out::AdjRibOut;
 pub use attrs::{AsPath, Origin, RouteAttrs};
 pub use decision::{compare_routes, PeerInfo, Route};
 pub use msg::{BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};
-pub use rib::{Change, LocRib, TopTwo};
+pub use rib::{Change, Footprint, LocRib};
 pub use session::{Session, SessionConfig, SessionEvent, SessionState};
 
 /// A BGP peer is identified by its session IP address.

@@ -7,124 +7,420 @@
 //!   to changes of the *top-two* candidates (backup-group changes —
 //!   Listing 1's `routing_table`).
 //!
-//! Every mutation returns a [`Change`] carrying the old and new top-two
-//! snapshot, so callers never re-scan the table.
+//! Every mutation reports a [`Change`]: the touched prefix's candidates
+//! as they now stand plus which ranks moved, so callers never re-scan the
+//! table — and the RIB clones no route to tell them.
+//!
+//! # Storage
+//!
+//! A prefix costs what it holds. The trie is only an index — 4-byte
+//! values, so the FIB's 24-byte nodes — from prefix to a tagged slot in
+//! one of two slabs the RIB owns:
+//! * up to two candidates (the paper's regime: Listing 1 needs the top
+//!   two, the router behind a controller holds one) sit *inline* in an
+//!   80-byte small entry, no heap block;
+//! * three or more live in a large entry whose vector grows one exact
+//!   step at a time and keeps its capacity across withdraw/re-announce.
+//!
+//! An entry is in exactly one slab, chosen by its candidate count alone,
+//! so a 12-candidate IXP prefix carries no dead inline slots and a
+//! 2-candidate lab prefix no vector header. [`LocRib::footprint`] reports
+//! the total; `tests/footprint.rs` pins the bytes per prefix.
 
 use crate::attrs::RouteAttrs;
 use crate::decision::{compare_routes, PeerInfo, Route};
 use crate::PeerId;
 use sc_net::{Ipv4Prefix, PrefixTrie};
+use std::mem::{self, size_of};
 use std::sync::Arc;
 
-/// Snapshot of the two best candidates for a prefix.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct TopTwo {
-    pub best: Option<Route>,
-    pub second: Option<Route>,
+/// "No rank" in a [`Moved`].
+const UNMOVED: usize = usize::MAX;
+
+/// The first rank at which a mutation changed a candidate list: `route`
+/// counts any difference, `peer` only a different peer at that rank (an
+/// attributes-only re-announce moves the first, not the second). Ranks
+/// below are untouched; [`UNMOVED`] means none changed.
+#[derive(Clone, Copy, Debug)]
+struct Moved {
+    route: usize,
+    peer: usize,
 }
 
-impl TopTwo {
-    fn of(ranked: &[Route]) -> TopTwo {
-        TopTwo {
-            best: ranked.first().cloned(),
-            second: ranked.get(1).cloned(),
+impl Moved {
+    /// Removing the candidate at `pos` shifts every later one up a rank.
+    fn removed(pos: usize) -> Moved {
+        Moved {
+            route: pos,
+            peer: pos,
         }
-    }
-
-    /// The (primary NH peer, backup NH peer) pair — the backup-group key
-    /// of the paper, when both exist.
-    pub fn nh_pair(&self) -> (Option<PeerId>, Option<PeerId>) {
-        (
-            self.best.as_ref().map(|r| r.from.peer),
-            self.second.as_ref().map(|r| r.from.peer),
-        )
     }
 }
 
 /// The outcome of one RIB mutation.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Change {
+#[derive(Clone, Copy, Debug)]
+pub struct Change<'a> {
     pub prefix: Ipv4Prefix,
-    pub old: TopTwo,
-    pub new: TopTwo,
+    /// The prefix's candidates as the mutation left them, best first;
+    /// empty when its last candidate went.
+    pub ranked: &'a [Route],
+    moved: Moved,
 }
 
-impl Change {
+impl<'a> Change<'a> {
+    /// The best route now.
+    pub fn best(&self) -> Option<&'a Route> {
+        self.ranked.first()
+    }
+
     /// Did the best route change (what a classic router reacts to)?
     pub fn best_changed(&self) -> bool {
-        !route_eq(&self.old.best, &self.new.best)
+        self.moved.route < 1
     }
 
     /// Did the (best, second) pair change (what Listing 1 reacts to)?
     pub fn top_two_changed(&self) -> bool {
-        self.best_changed() || !route_eq(&self.old.second, &self.new.second)
+        self.moved.route < 2
     }
 
     /// Did the top-two *next-hop peers* change? (VNH reassignment is only
     /// needed when the peers change, not when e.g. the AS path mutates.)
     pub fn nh_pair_changed(&self) -> bool {
-        self.old.nh_pair() != self.new.nh_pair()
+        self.moved.peer < 2
     }
 }
 
-fn route_eq(a: &Option<Route>, b: &Option<Route>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
+/// A ranked candidate list, in either representation.
+trait Ranked {
+    fn as_slice(&self) -> &[Route];
+
+    /// Take the candidate at `pos` out, closing the gap.
+    fn take(&mut self, pos: usize) -> Route;
+
+    /// Put `route` at `pos`. A list with no room hands all its
+    /// candidates back, `route` in place, and is left empty.
+    fn put(&mut self, pos: usize, route: Route) -> Option<[Route; 3]>;
 }
 
-/// What the RIB holds for one prefix.
+/// At most two candidates, held in the slab entry itself.
 #[derive(Default)]
-struct Entry<X> {
-    /// Candidates, best first.
+enum Inline {
+    #[default]
+    Zero,
+    One(Route),
+    Two([Route; 2]),
+}
+
+impl Ranked for Inline {
+    fn as_slice(&self) -> &[Route] {
+        match self {
+            Inline::Zero => &[],
+            Inline::One(only) => std::slice::from_ref(only),
+            Inline::Two(both) => both,
+        }
+    }
+
+    fn take(&mut self, pos: usize) -> Route {
+        match mem::take(self) {
+            Inline::Zero => unreachable!("no candidate at rank {pos}"),
+            Inline::One(only) => only,
+            Inline::Two([best, second]) => {
+                let (taken, kept) = if pos == 0 {
+                    (best, second)
+                } else {
+                    (second, best)
+                };
+                *self = Inline::One(kept);
+                taken
+            }
+        }
+    }
+
+    fn put(&mut self, pos: usize, route: Route) -> Option<[Route; 3]> {
+        *self = match mem::take(self) {
+            Inline::Zero => Inline::One(route),
+            Inline::One(only) if pos == 0 => Inline::Two([route, only]),
+            Inline::One(only) => Inline::Two([only, route]),
+            Inline::Two([best, second]) => {
+                return Some(match pos {
+                    0 => [route, best, second],
+                    1 => [best, route, second],
+                    _ => [best, second, route],
+                })
+            }
+        };
+        None
+    }
+}
+
+/// Three or more candidates, sized to content: growth is one exact step,
+/// never amortized doubling, and a withdraw keeps the capacity for the
+/// re-announce that usually follows.
+impl Ranked for Vec<Route> {
+    fn as_slice(&self) -> &[Route] {
+        self
+    }
+
+    fn take(&mut self, pos: usize) -> Route {
+        self.remove(pos)
+    }
+
+    fn put(&mut self, pos: usize, route: Route) -> Option<[Route; 3]> {
+        self.reserve_exact(1);
+        self.insert(pos, route);
+        None
+    }
+}
+
+/// Insert or replace the candidate from `route.from.peer`, keeping
+/// `ranked` ordered by the decision process. Returns the ranks that
+/// moved, whether a candidate was added (not replaced), and the
+/// overflow of [`Ranked::put`].
+fn place(ranked: &mut impl Ranked, route: Route) -> (Moved, bool, Option<[Route; 3]>) {
+    let replaced = position(ranked.as_slice(), route.from.peer);
+    let removed = replaced.map(|pos| ranked.take(pos));
+    let pos = ranked
+        .as_slice()
+        .binary_search_by(|probe| compare_routes(probe, &route))
+        .unwrap_or_else(|e| e);
+    let moved = if replaced == Some(pos) {
+        // Same peer back at the same rank: the list changed only if the
+        // route itself did.
+        let unchanged = removed.as_ref() == Some(&route);
+        Moved {
+            route: if unchanged { UNMOVED } else { pos },
+            peer: UNMOVED,
+        }
+    } else {
+        // Every rank between the two positions now holds another peer's
+        // route, starting at the lower one.
+        let first = replaced.map_or(pos, |r| r.min(pos));
+        Moved {
+            route: first,
+            peer: first,
+        }
+    };
+    let overflow = ranked.put(pos, route);
+    (moved, replaced.is_none(), overflow)
+}
+
+/// Take `peer`'s candidate out of `ranked`; returns the rank it held.
+fn remove(ranked: &mut impl Ranked, peer: PeerId) -> Option<usize> {
+    let pos = position(ranked.as_slice(), peer)?;
+    ranked.take(pos);
+    Some(pos)
+}
+
+fn position(ranked: &[Route], peer: PeerId) -> Option<usize> {
+    ranked.iter().position(|r| r.from.peer == peer)
+}
+
+/// What the RIB holds for a prefix with at most two candidates.
+#[derive(Default)]
+struct Small<X> {
+    ranked: Inline,
+    ext: X,
+}
+
+/// What the RIB holds for a prefix with three or more candidates.
+#[derive(Default)]
+struct Large<X> {
     ranked: Vec<Route>,
     ext: X,
 }
 
-impl<X> Entry<X> {
-    fn position(&self, peer: PeerId) -> Option<usize> {
-        self.ranked.iter().position(|r| r.from.peer == peer)
+/// Where a prefix's entry lives, as the index trie stores it: a slab
+/// position, with the top bit naming the slab.
+#[derive(Clone, Copy)]
+struct Slot(u32);
+
+impl Slot {
+    const SPILLED: u32 = 1 << 31;
+
+    fn small(idx: u32) -> Slot {
+        Slot(idx)
     }
 
-    /// Insert or replace the candidate from `route.from.peer`, keeping
-    /// the list ranked by the decision process. Returns how many
-    /// candidates that added (0 for a replacement).
-    fn place(&mut self, route: Route) -> usize {
-        let replaced = self.position(route.from.peer);
-        if let Some(pos) = replaced {
-            self.ranked.remove(pos);
+    fn large(idx: u32) -> Slot {
+        Slot(idx | Slot::SPILLED)
+    }
+
+    fn is_spilled(self) -> bool {
+        self.0 & Slot::SPILLED != 0
+    }
+
+    fn idx(self) -> u32 {
+        self.0 & !Slot::SPILLED
+    }
+}
+
+// Per-prefix budgets. A field added to one of these types moves the RSS
+// of every full-table run; break the build instead.
+const _: () = assert!(
+    size_of::<Slot>() <= 4,
+    "RIB index value: 4 B keeps the index trie's nodes at the FIB's 24 B"
+);
+const _: () = assert!(
+    size_of::<Small<()>>() <= 80,
+    "small RIB entry: two inline 40 B routes and nothing else"
+);
+const _: () = assert!(
+    size_of::<Large<()>>() <= 24,
+    "large RIB entry: one vector header and nothing else"
+);
+
+/// Same-sized entries addressed by `u32`, vacated positions reused.
+#[derive(Default)]
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Default> Slab<T> {
+    /// Store `value`; returns its position.
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(idx) => {
+                self.items[idx as usize] = value;
+                idx
+            }
+            None => {
+                let idx = self.items.len() as u32;
+                assert!(idx < Slot::SPILLED, "RIB slab exhausted");
+                self.items.push(value);
+                idx
+            }
         }
-        let pos = self
-            .ranked
-            .binary_search_by(|probe| compare_routes(probe, &route))
-            .unwrap_or_else(|e| e);
-        self.ranked.insert(pos, route);
-        replaced.is_none() as usize
+    }
+
+    /// Vacate `idx`, leaving `T::default()` there: what the entry owned
+    /// goes with the returned value, not at the position's reuse.
+    fn take(&mut self, idx: u32) -> T {
+        self.free.push(idx);
+        mem::take(&mut self.items[idx as usize])
+    }
+
+    fn live(&self) -> usize {
+        self.items.len() - self.free.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.items.capacity() * size_of::<T>() + self.free.capacity() * size_of::<u32>()
+    }
+}
+
+/// The entries behind the index: everything a mutation touches once the
+/// trie descent has produced the prefix's [`Slot`].
+#[derive(Default)]
+struct Entries<X> {
+    small: Slab<Small<X>>,
+    large: Slab<Large<X>>,
+    routes: usize,
+}
+
+impl<X: Default> Entries<X> {
+    fn entry(&self, slot: Slot) -> (&[Route], &X) {
+        if slot.is_spilled() {
+            let e = &self.large.items[slot.idx() as usize];
+            (&e.ranked, &e.ext)
+        } else {
+            let e = &self.small.items[slot.idx() as usize];
+            (e.ranked.as_slice(), &e.ext)
+        }
+    }
+
+    fn entry_mut(&mut self, slot: Slot) -> (&[Route], &mut X) {
+        if slot.is_spilled() {
+            let e = &mut self.large.items[slot.idx() as usize];
+            (&e.ranked, &mut e.ext)
+        } else {
+            let e = &mut self.small.items[slot.idx() as usize];
+            (e.ranked.as_slice(), &mut e.ext)
+        }
+    }
+
+    /// [`place`] on the entry at `slot`, which moves to the large slab
+    /// when a third candidate arrives.
+    fn place(&mut self, slot: &mut Slot, route: Route) -> Moved {
+        let (moved, added, overflow) = if slot.is_spilled() {
+            place(&mut self.large.items[slot.idx() as usize].ranked, route)
+        } else {
+            place(&mut self.small.items[slot.idx() as usize].ranked, route)
+        };
+        self.routes += added as usize;
+        if let Some(three) = overflow {
+            let Small { ext, .. } = self.small.take(slot.idx());
+            let ranked = Vec::from(three);
+            *slot = Slot::large(self.large.insert(Large { ranked, ext }));
+        }
+        moved
+    }
+
+    /// [`remove`] on the entry at `slot`, which moves back to the small
+    /// slab when its third candidate leaves. An emptied entry stays (the
+    /// owner sees its state one last time) until [`Entries::release`].
+    fn remove(&mut self, slot: &mut Slot, peer: PeerId) -> Option<usize> {
+        let pos = if slot.is_spilled() {
+            let large = &mut self.large.items[slot.idx() as usize];
+            let pos = remove(&mut large.ranked, peer)?;
+            if large.ranked.len() == 2 {
+                let Large { ranked, ext } = self.large.take(slot.idx());
+                let both = <[Route; 2]>::try_from(ranked).expect("two candidates left");
+                let ranked = Inline::Two(both);
+                *slot = Slot::small(self.small.insert(Small { ranked, ext }));
+            }
+            pos
+        } else {
+            remove(&mut self.small.items[slot.idx() as usize].ranked, peer)?
+        };
+        self.routes -= 1;
+        Some(pos)
+    }
+
+    /// Vacate the emptied entry at `slot` (only a small entry can be
+    /// empty).
+    fn release(&mut self, slot: Slot) {
+        debug_assert!(self.entry(slot).0.is_empty());
+        self.small.take(slot.idx());
+    }
+}
+
+/// What a RIB's tables cost, by capacity: the number the perf ledger's
+/// `peak_rss_mb` moves with.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Footprint {
+    pub prefixes: usize,
+    pub routes: usize,
+    /// Entries with three or more candidates, whose list is a heap block.
+    pub spilled_entries: usize,
+    /// Index arena + both slabs + the spilled lists.
+    pub bytes: usize,
+}
+
+impl Footprint {
+    /// Add this RIB to the registry's `rib.*` totals (like every node's
+    /// `fold_metrics`: once, after a run).
+    pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
+        reg.add("rib.prefixes", self.prefixes as u64);
+        reg.add("rib.routes", self.routes as u64);
+        reg.add("rib.spilled_entries", self.spilled_entries as u64);
+        reg.add("rib.bytes", self.bytes as u64);
     }
 }
 
 /// Per-prefix ranked candidate lists over all peers.
 ///
-/// `X` is per-prefix state the owner keeps *in the same trie node* as
-/// the candidates (the supercharger engine stores what it last announced
+/// `X` is per-prefix state the owner keeps *in the same entry* as the
+/// candidates (the supercharger engine stores what it last announced
 /// there), so reacting to a change costs no second lookup: the `_with`
 /// mutators hand the touched prefix's remaining candidates and `&mut X`
 /// to a callback instead of building a [`Change`]. The state lives
-/// exactly as long as the prefix has a candidate.
+/// exactly as long as the prefix has a candidate: a prefix that returns
+/// starts from `X::default()` again.
+#[derive(Default)]
 pub struct LocRib<X = ()> {
-    entries: PrefixTrie<Entry<X>>,
-    routes: usize,
-}
-
-impl<X> Default for LocRib<X> {
-    fn default() -> Self {
-        LocRib {
-            entries: PrefixTrie::new(),
-            routes: 0,
-        }
-    }
+    index: PrefixTrie<Slot>,
+    entries: Entries<X>,
 }
 
 impl LocRib {
@@ -137,34 +433,60 @@ impl LocRib {
 impl<X: Default> LocRib<X> {
     /// Number of prefixes with at least one candidate.
     pub fn prefix_count(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Total candidate routes across all prefixes.
     pub fn route_count(&self) -> usize {
-        self.routes
+        self.entries.routes
+    }
+
+    /// What the tables cost right now.
+    pub fn footprint(&self) -> Footprint {
+        let Entries { small, large, .. } = &self.entries;
+        let spilled_lists: usize = large.items.iter().map(|e| e.ranked.capacity()).sum();
+        Footprint {
+            prefixes: self.prefix_count(),
+            routes: self.route_count(),
+            spilled_entries: large.live(),
+            bytes: self.index.heap_bytes()
+                + small.heap_bytes()
+                + large.heap_bytes()
+                + spilled_lists * size_of::<Route>(),
+        }
+    }
+
+    /// The one way a candidate gets in: a single trie descent to the
+    /// prefix's slot (claiming a fresh one for a new prefix), then
+    /// [`place`] on its entry.
+    fn place(&mut self, route: Route) -> (Slot, Moved) {
+        let small = &mut self.entries.small;
+        let slot = self
+            .index
+            .get_mut_or_insert_with(route.prefix, || Slot::small(small.insert(Small::default())));
+        let moved = self.entries.place(slot, route);
+        (*slot, moved)
     }
 
     /// Insert or replace the candidate from `route.from.peer` for
     /// `route.prefix`, keeping the list ranked by the decision process.
-    pub fn update(&mut self, route: Route) -> Change {
+    pub fn update(&mut self, route: Route) -> Change<'_> {
         let prefix = route.prefix;
-        let entry = self.entries.get_mut_or_insert_with(prefix, Entry::default);
-        let old = TopTwo::of(&entry.ranked);
-        self.routes += entry.place(route);
-        let new = TopTwo::of(&entry.ranked);
-        Change { prefix, old, new }
+        let (slot, moved) = self.place(route);
+        Change {
+            prefix,
+            ranked: self.entries.entry(slot).0,
+            moved,
+        }
     }
 
     /// [`LocRib::update`] for an owner that reacts per prefix: one trie
     /// descent, then `react` sees the re-ranked candidates and the
     /// prefix's owner state.
     pub fn update_with<R>(&mut self, route: Route, react: impl FnOnce(&[Route], &mut X) -> R) -> R {
-        let entry = self
-            .entries
-            .get_mut_or_insert_with(route.prefix, Entry::default);
-        self.routes += entry.place(route);
-        react(&entry.ranked, &mut entry.ext)
+        let (slot, _) = self.place(route);
+        let (ranked, ext) = self.entries.entry_mut(slot);
+        react(ranked, ext)
     }
 
     /// Bulk insert one UPDATE's NLRI: every prefix gets the shared
@@ -173,16 +495,14 @@ impl<X: Default> LocRib<X> {
     /// `on_change` observes the per-prefix [`Change`] in NLRI order.
     ///
     /// Semantically identical to calling [`LocRib::update`] per prefix —
-    /// the property tests pin the equivalence — but a full-feed load
-    /// stays inside the trie/decision machinery without rebuilding the
-    /// route skeleton per call.
+    /// the property tests pin the equivalence.
     pub fn apply_update_batch(
         &mut self,
         attrs: &Arc<RouteAttrs>,
         nlri: &[Ipv4Prefix],
         from: PeerInfo,
         local_pref: u32,
-        mut on_change: impl FnMut(Change),
+        mut on_change: impl FnMut(Change<'_>),
     ) {
         for &prefix in nlri {
             let route = Route {
@@ -196,13 +516,9 @@ impl<X: Default> LocRib<X> {
     }
 
     /// Remove the candidate learned from `peer` for `prefix`, if any.
-    pub fn withdraw(&mut self, prefix: Ipv4Prefix, peer: PeerId) -> Option<Change> {
-        self.remove_one(prefix, peer, |entry, pos| {
-            let old = TopTwo::of(&entry.ranked);
-            entry.ranked.remove(pos);
-            let new = TopTwo::of(&entry.ranked);
-            Change { prefix, old, new }
-        })
+    pub fn withdraw(&mut self, prefix: Ipv4Prefix, peer: PeerId) -> Option<Change<'_>> {
+        self.remove_one(prefix, peer, |_, _| ())
+            .map(|(change, ())| change)
     }
 
     /// [`LocRib::withdraw`] for an owner that reacts per prefix: `react`
@@ -214,41 +530,42 @@ impl<X: Default> LocRib<X> {
         peer: PeerId,
         react: impl FnOnce(&[Route], &mut X) -> R,
     ) -> Option<R> {
-        self.remove_one(prefix, peer, |entry, pos| {
-            entry.ranked.remove(pos);
-            react(&entry.ranked, &mut entry.ext)
-        })
+        self.remove_one(prefix, peer, react).map(|(_, out)| out)
     }
 
-    /// Find `peer`'s candidate for `prefix` and have `remove` take it
-    /// out of the entry; drops the entry if that was its last candidate.
+    /// The one way a single candidate gets out: one trie descent, then
+    /// [`remove`] on the entry, `react`, and — from the same descent —
+    /// the entry's slot and trie node go if that was its last candidate.
     fn remove_one<R>(
         &mut self,
         prefix: Ipv4Prefix,
         peer: PeerId,
-        remove: impl FnOnce(&mut Entry<X>, usize) -> R,
-    ) -> Option<R> {
-        let entry = self.entries.get_mut(prefix)?;
-        let pos = entry.position(peer)?;
-        let out = remove(entry, pos);
-        self.routes -= 1;
-        if entry.ranked.is_empty() {
-            self.entries.remove(prefix);
-        }
-        Some(out)
+        react: impl FnOnce(&[Route], &mut X) -> R,
+    ) -> Option<(Change<'_>, R)> {
+        let mut indexed = self.index.occupied(prefix)?;
+        let pos = self.entries.remove(indexed.get_mut(), peer)?;
+        let slot = *indexed.get_mut();
+        let (ranked, ext) = self.entries.entry_mut(slot);
+        let out = react(ranked, ext);
+        let ranked = if ranked.is_empty() {
+            self.entries.release(slot);
+            indexed.remove();
+            &[]
+        } else {
+            self.entries.entry(slot).0
+        };
+        let change = Change {
+            prefix,
+            ranked,
+            moved: Moved::removed(pos),
+        };
+        Some((change, out))
     }
 
-    /// Purge every candidate learned from `peer` (session down). Returns
-    /// the changes for every affected prefix, in FIB walk order.
-    pub fn withdraw_peer(&mut self, peer: PeerId) -> Vec<Change> {
-        let mut changes = Vec::new();
-        self.remove_all(peer, |prefix, entry, pos| {
-            let old = TopTwo::of(&entry.ranked);
-            entry.ranked.remove(pos);
-            let new = TopTwo::of(&entry.ranked);
-            changes.push(Change { prefix, old, new });
-        });
-        changes
+    /// Purge every candidate learned from `peer` (session down);
+    /// `on_change` observes every affected prefix, in FIB walk order.
+    pub fn withdraw_peer(&mut self, peer: PeerId, mut on_change: impl FnMut(Change<'_>)) {
+        self.remove_all(peer, |change, _| on_change(change));
     }
 
     /// [`LocRib::withdraw_peer`] for an owner that reacts per prefix:
@@ -259,40 +576,37 @@ impl<X: Default> LocRib<X> {
         peer: PeerId,
         mut react: impl FnMut(Ipv4Prefix, &[Route], &mut X),
     ) {
-        self.remove_all(peer, |prefix, entry, pos| {
-            entry.ranked.remove(pos);
-            react(prefix, &entry.ranked, &mut entry.ext);
-        });
+        self.remove_all(peer, |change, ext| react(change.prefix, change.ranked, ext));
     }
 
     /// [`LocRib::remove_one`] over every prefix with a candidate from
-    /// `peer`, in FIB walk order.
-    fn remove_all(
-        &mut self,
-        peer: PeerId,
-        mut remove: impl FnMut(Ipv4Prefix, &mut Entry<X>, usize),
-    ) {
-        let mut emptied = Vec::new();
-        self.entries.for_each_mut(|prefix, entry| {
-            if let Some(pos) = entry.position(peer) {
-                remove(prefix, entry, pos);
-                self.routes -= 1;
-                if entry.ranked.is_empty() {
-                    emptied.push(prefix);
-                }
+    /// `peer`, in FIB walk order, in one pass over the index.
+    fn remove_all(&mut self, peer: PeerId, mut react: impl FnMut(Change<'_>, &mut X)) {
+        let entries = &mut self.entries;
+        self.index.retain(|prefix, slot| {
+            let Some(pos) = entries.remove(slot, peer) else {
+                return true;
+            };
+            let (ranked, ext) = entries.entry_mut(*slot);
+            let change = Change {
+                prefix,
+                ranked,
+                moved: Moved::removed(pos),
+            };
+            react(change, ext);
+            let emptied = ranked.is_empty();
+            if emptied {
+                entries.release(*slot);
             }
+            !emptied
         });
-        for p in emptied {
-            self.entries.remove(p);
-        }
     }
 
     /// The ranked candidates for `prefix` (best first).
     pub fn candidates(&self, prefix: Ipv4Prefix) -> &[Route] {
-        self.entries
+        self.index
             .get(prefix)
-            .map(|e| e.ranked.as_slice())
-            .unwrap_or(&[])
+            .map_or(&[], |&slot| self.entries.entry(slot).0)
     }
 
     /// The best route for `prefix`.
@@ -300,19 +614,18 @@ impl<X: Default> LocRib<X> {
         self.candidates(prefix).first()
     }
 
-    /// The current top-two snapshot for `prefix`.
-    pub fn top_two(&self, prefix: Ipv4Prefix) -> TopTwo {
-        TopTwo::of(self.candidates(prefix))
-    }
-
     /// Iterate `(prefix, ranked candidates)` in FIB walk order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Route])> {
-        self.entries.iter().map(|(p, e)| (p, e.ranked.as_slice()))
+        self.index
+            .iter()
+            .map(|(p, &slot)| (p, self.entries.entry(slot).0))
     }
 
     /// Iterate `(prefix, owner state)` in FIB walk order.
     pub fn iter_ext(&self) -> impl Iterator<Item = (Ipv4Prefix, &X)> {
-        self.entries.iter().map(|(p, e)| (p, &e.ext))
+        self.index
+            .iter()
+            .map(|(p, &slot)| (p, self.entries.entry(slot).1))
     }
 }
 
@@ -325,6 +638,11 @@ mod tests {
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    /// The third octet of each candidate's peer address, best first.
+    fn peers(ranked: &[Route]) -> Vec<u8> {
+        ranked.iter().map(|r| r.from.peer.octets()[2]).collect()
     }
 
     fn route(prefix: &str, peer_octet: u8, local_pref: u32) -> Route {
@@ -350,11 +668,7 @@ mod tests {
         let mut rib = LocRib::new();
         let c = rib.update(route("1.0.0.0/24", 2, 200));
         assert!(c.best_changed());
-        assert_eq!(c.old.best, None);
-        assert_eq!(
-            c.new.best.as_ref().unwrap().from.peer,
-            Ipv4Addr::new(10, 0, 2, 1)
-        );
+        assert_eq!(c.best().unwrap().from.peer, Ipv4Addr::new(10, 0, 2, 1));
         assert_eq!(rib.prefix_count(), 1);
         assert_eq!(rib.route_count(), 1);
     }
@@ -366,9 +680,8 @@ mod tests {
         let c = rib.update(route("1.0.0.0/24", 3, 100)); // R3 backup
         assert!(!c.best_changed(), "best stays R2");
         assert!(c.top_two_changed(), "second appeared");
-        let (best, second) = c.new.nh_pair();
-        assert_eq!(best, Some(Ipv4Addr::new(10, 0, 2, 1)));
-        assert_eq!(second, Some(Ipv4Addr::new(10, 0, 3, 1)));
+        assert!(c.nh_pair_changed());
+        assert_eq!(peers(c.ranked), [2, 3]);
     }
 
     #[test]
@@ -377,14 +690,7 @@ mod tests {
         rib.update(route("1.0.0.0/24", 3, 100));
         let c = rib.update(route("1.0.0.0/24", 2, 200));
         assert!(c.best_changed());
-        assert_eq!(
-            c.new.best.as_ref().unwrap().from.peer,
-            Ipv4Addr::new(10, 0, 2, 1)
-        );
-        assert_eq!(
-            c.new.second.as_ref().unwrap().from.peer,
-            Ipv4Addr::new(10, 0, 3, 1)
-        );
+        assert_eq!(peers(c.ranked), [2, 3]);
     }
 
     #[test]
@@ -394,9 +700,10 @@ mod tests {
         // Same peer re-announces with a worse preference: implicit
         // withdraw of its previous route.
         let c = rib.update(route("1.0.0.0/24", 2, 50));
-        assert_eq!(rib.route_count(), 1);
         assert!(c.best_changed());
-        assert_eq!(c.new.best.as_ref().unwrap().local_pref, 50);
+        assert!(!c.nh_pair_changed(), "same peer, same rank");
+        assert_eq!(c.best().unwrap().local_pref, 50);
+        assert_eq!(rib.route_count(), 1);
     }
 
     #[test]
@@ -408,11 +715,7 @@ mod tests {
             .withdraw(p("1.0.0.0/24"), Ipv4Addr::new(10, 0, 2, 1))
             .unwrap();
         assert!(c.best_changed());
-        assert_eq!(
-            c.new.best.as_ref().unwrap().from.peer,
-            Ipv4Addr::new(10, 0, 3, 1)
-        );
-        assert_eq!(c.new.second, None);
+        assert_eq!(peers(c.ranked), [3]);
         // Withdrawing a non-existent candidate is a no-op.
         assert!(rib
             .withdraw(p("1.0.0.0/24"), Ipv4Addr::new(9, 9, 9, 9))
@@ -433,13 +736,19 @@ mod tests {
                 rib.update(route(pfx, 3, 100));
             }
         }
-        let changes = rib.withdraw_peer(Ipv4Addr::new(10, 0, 2, 1));
-        assert_eq!(changes.len(), 3);
+        let mut order = Vec::new();
+        rib.withdraw_peer(Ipv4Addr::new(10, 0, 2, 1), |c| {
+            assert!(c.best_changed(), "R2 was best everywhere");
+            order.push((c.prefix, c.ranked.len()));
+        });
         // FIB walk order = sorted prefix order.
-        let order: Vec<Ipv4Prefix> = changes.iter().map(|c| c.prefix).collect();
         assert_eq!(
             order,
-            vec![p("1.0.0.0/24"), p("2.0.0.0/16"), p("3.0.0.0/8")]
+            vec![
+                (p("1.0.0.0/24"), 1),
+                (p("2.0.0.0/16"), 0),
+                (p("3.0.0.0/8"), 1)
+            ]
         );
         // 2.0.0.0/16 had only R2: gone entirely.
         assert_eq!(rib.prefix_count(), 2);
@@ -474,14 +783,9 @@ mod tests {
         rib.update(route("1.0.0.0/24", 3, 100));
         rib.update(route("1.0.0.0/24", 1, DEFAULT_LOCAL_PREF));
         rib.update(route("1.0.0.0/24", 2, 200));
-        let ranked: Vec<u8> = rib
-            .candidates(p("1.0.0.0/24"))
-            .iter()
-            .map(|r| r.from.peer.octets()[2])
-            .collect();
         // 200 > 100 == 100; tie between peer1 (lp 100) and peer3 (lp 100)
         // broken by router-id (1 < 3).
-        assert_eq!(ranked, vec![2, 1, 3]);
+        assert_eq!(peers(rib.candidates(p("1.0.0.0/24"))), [2, 1, 3]);
     }
 
     #[test]
@@ -494,6 +798,94 @@ mod tests {
         assert_eq!(
             order,
             vec![p("1.0.0.0/24"), p("5.5.0.0/16"), p("9.0.0.0/8")]
+        );
+    }
+
+    /// The verdicts come from positions alone; pin each case of the
+    /// position algebra against what the lists actually did.
+    #[test]
+    fn verdicts_follow_from_positions() {
+        let mut rib = LocRib::new();
+        let pfx = "1.0.0.0/24";
+        rib.update(route(pfx, 1, 300));
+        rib.update(route(pfx, 2, 200));
+        rib.update(route(pfx, 3, 100));
+        // A fourth candidate at the bottom: nothing in the top two moved.
+        let c = rib.update(route(pfx, 4, 50));
+        assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
+        // The same route again: nothing changed at all.
+        let c = rib.update(route(pfx, 1, 300));
+        assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
+        // Rank 3 jumps to rank 1: best stays, the pair moves.
+        let c = rib.update(route(pfx, 4, 250));
+        assert!(!c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
+        assert_eq!(peers(c.ranked), [1, 4, 2, 3]);
+        // The best drops to the bottom: everything shifts up.
+        let c = rib.update(route(pfx, 1, 10));
+        assert!(c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
+        assert_eq!(peers(c.ranked), [4, 2, 3, 1]);
+        // Withdrawing rank 2 leaves the top two alone; rank 1 does not.
+        let c = rib.withdraw(p(pfx), route(pfx, 3, 0).from.peer).unwrap();
+        assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
+        let c = rib.withdraw(p(pfx), route(pfx, 2, 0).from.peer).unwrap();
+        assert!(!c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
+        assert_eq!(peers(c.ranked), [4, 1]);
+    }
+
+    /// An entry moves between the inline and the spilled representation
+    /// at exactly the 2 <-> 3 boundary, taking its owner state along; a
+    /// prefix that vanishes and returns starts from `X::default()`.
+    #[test]
+    fn entries_spill_and_return_with_their_owner_state() {
+        let mut rib: LocRib<u32> = LocRib::default();
+        let pfx = "1.0.0.0/24";
+        let peer = |n: u8| route(pfx, n, 0).from.peer;
+        for n in 1..=2 {
+            rib.update_with(route(pfx, n, 100 + n as u32), |_, x| *x += 1);
+        }
+        assert_eq!(rib.footprint().spilled_entries, 0);
+        rib.update_with(route(pfx, 3, 103), |ranked, x| {
+            assert_eq!((peers(ranked), *x), (vec![3, 2, 1], 2));
+            *x += 1;
+        });
+        assert_eq!(rib.footprint().spilled_entries, 1);
+        rib.withdraw_with(p(pfx), peer(2), |ranked, x| {
+            assert_eq!((peers(ranked), *x), (vec![3, 1], 3));
+        });
+        assert_eq!(rib.footprint().spilled_entries, 0);
+        assert_eq!(rib.iter_ext().map(|(_, x)| *x).collect::<Vec<_>>(), [3]);
+        // The last candidates leave: the owner sees its state once more.
+        rib.withdraw_with(p(pfx), peer(3), |_, _| ());
+        let last = rib.withdraw_with(p(pfx), peer(1), |ranked, x| (ranked.len(), *x));
+        assert_eq!(last, Some((0, 3)));
+        assert_eq!((rib.prefix_count(), rib.route_count()), (0, 0));
+        // Same slot, fresh state.
+        rib.update_with(route(pfx, 1, 100), |_, x| assert_eq!(*x, 0));
+    }
+
+    /// Spilled lists grow one exact step at a time and keep their
+    /// capacity across a withdraw, so `footprint` is a function of the
+    /// high-water candidate count, not of `Vec`'s doubling.
+    #[test]
+    fn spilled_lists_are_exact_fit() {
+        let mut rib = LocRib::new();
+        let pfx = "1.0.0.0/24";
+        let empty = rib.footprint().bytes;
+        assert_eq!(empty, 0, "an empty RIB holds no heap");
+        for n in 1..=9 {
+            rib.update(route(pfx, n, 100));
+        }
+        let nine = rib.footprint();
+        assert_eq!((nine.routes, nine.spilled_entries), (9, 1));
+        rib.withdraw(p(pfx), route(pfx, 5, 0).from.peer).unwrap();
+        assert_eq!(rib.footprint().bytes, nine.bytes, "capacity kept");
+        rib.update(route(pfx, 5, 100));
+        assert_eq!(rib.footprint().bytes, nine.bytes, "and reused");
+        rib.update(route(pfx, 10, 100));
+        assert_eq!(
+            rib.footprint().bytes,
+            nine.bytes + size_of::<Route>(),
+            "one more candidate costs one more route"
         );
     }
 }

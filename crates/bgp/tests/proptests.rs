@@ -6,10 +6,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_bgp::attrs::{AsPath, AsSegment, Origin, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
-use sc_bgp::rib::LocRib;
+use sc_bgp::rib::{Change, LocRib};
 use sc_bgp::{compare_routes, PeerInfo, Route};
 use sc_net::Ipv4Prefix;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -76,6 +77,130 @@ fn arb_route() -> impl Strategy<Value = Route> {
                 local_pref,
             },
         )
+}
+
+/// Six prefixes that nest and split, so the index trie claims and prunes
+/// valueless nodes while entries come and go.
+const DENSE_PREFIXES: [&str; 6] = [
+    "0.0.0.0/0",
+    "10.0.0.0/8",
+    "10.0.0.0/16",
+    "10.1.0.0/16",
+    "10.1.0.0/24",
+    "192.168.0.0/24",
+];
+
+fn dense_prefix(i: usize) -> Ipv4Prefix {
+    DENSE_PREFIXES[i].parse().unwrap()
+}
+
+/// Routes over [`DENSE_PREFIXES`] x 12 peers: few enough LOCAL_PREF and
+/// path-length values that ranks tie, swap and repeat, plus a community
+/// that changes the route but never its rank (the attributes-only
+/// re-announce).
+fn arb_dense_route() -> impl Strategy<Value = Route> {
+    (
+        0usize..DENSE_PREFIXES.len(),
+        1u8..=12,
+        0u32..3,
+        1usize..3,
+        0u32..2,
+    )
+        .prop_map(|(prefix, peer, local_pref, path_len, community)| Route {
+            prefix: dense_prefix(prefix),
+            attrs: Arc::new(RouteAttrs {
+                communities: vec![community],
+                ..RouteAttrs::ebgp(
+                    AsPath::sequence(vec![65000; path_len]),
+                    Ipv4Addr::new(10, 0, peer, 1),
+                )
+            }),
+            from: PeerInfo {
+                peer: Ipv4Addr::new(10, 0, peer, 1),
+                router_id: Ipv4Addr::new(peer, 0, 0, 1),
+                ebgp: true,
+                igp_cost: 0,
+            },
+            local_pref,
+        })
+}
+
+/// What a mutation reported: the three verdicts and the candidates left.
+type Seen = ((bool, bool, bool), Vec<Route>);
+
+fn seen(c: &Change<'_>) -> Seen {
+    (
+        (c.best_changed(), c.top_two_changed(), c.nh_pair_changed()),
+        c.ranked.to_vec(),
+    )
+}
+
+/// The brute-force RIB: a sorted map of re-sorted vectors.
+#[derive(Default)]
+struct Model {
+    entries: BTreeMap<Ipv4Prefix, ModelEntry>,
+}
+
+#[derive(Default)]
+struct ModelEntry {
+    ranked: Vec<Route>,
+    /// How often a `_with` mutator touched the prefix since it appeared.
+    ext: u32,
+}
+
+impl Model {
+    /// Apply `edit` to the prefix's candidates, re-sort, and derive the
+    /// verdicts from the old and new top two.
+    fn mutate(&mut self, prefix: Ipv4Prefix, edit: impl FnOnce(&mut Vec<Route>)) -> Seen {
+        let ranked = &mut self.entries.entry(prefix).or_default().ranked;
+        let old = ranked.clone();
+        edit(ranked);
+        ranked.sort_by(compare_routes);
+        let peers = |l: &[Route]| {
+            (
+                l.first().map(|r| r.from.peer),
+                l.get(1).map(|r| r.from.peer),
+            )
+        };
+        let best_changed = old.first() != ranked.first();
+        let verdicts = (
+            best_changed,
+            best_changed || old.get(1) != ranked.get(1),
+            peers(&old) != peers(ranked),
+        );
+        (verdicts, ranked.clone())
+    }
+
+    fn update(&mut self, route: &Route) -> Seen {
+        self.mutate(route.prefix, |ranked| {
+            ranked.retain(|r| r.from.peer != route.from.peer);
+            ranked.push(route.clone());
+        })
+    }
+
+    fn withdraw(&mut self, prefix: Ipv4Prefix, peer: Ipv4Addr) -> Option<Seen> {
+        let serves = |e: &ModelEntry| e.ranked.iter().any(|r| r.from.peer == peer);
+        self.entries
+            .get(&prefix)
+            .is_some_and(serves)
+            .then(|| self.mutate(prefix, |ranked| ranked.retain(|r| r.from.peer != peer)))
+    }
+
+    fn withdraw_peer(&mut self, peer: Ipv4Addr) -> Vec<(Ipv4Prefix, Seen)> {
+        let prefixes: Vec<Ipv4Prefix> = self.entries.keys().copied().collect();
+        prefixes
+            .into_iter()
+            .filter_map(|p| Some((p, self.withdraw(p, peer)?)))
+            .collect()
+    }
+
+    /// A `_with` mutator is about to touch `prefix`: its owner-state
+    /// tally after the touch.
+    fn touch(&mut self, prefix: Ipv4Prefix) -> u32 {
+        let e = self.entries.entry(prefix).or_default();
+        e.ext += 1;
+        e.ext
+    }
 }
 
 proptest! {
@@ -215,62 +340,104 @@ proptest! {
                         v2.iter().map(key).collect::<Vec<_>>());
     }
 
-    /// LocRib against a naive model: after arbitrary update/withdraw
-    /// interleavings, the ranked candidate lists agree with brute-force
-    /// sorting, and every reported Change old/new snapshot is truthful.
+    /// LocRib against a naive model, on a universe small enough that
+    /// entries cross the inline/spilled boundary both ways and prefixes
+    /// vanish and return (slot reuse): after every step of every mutator
+    /// the ranked lists, counts, owner state, walk order and the change
+    /// verdicts agree with brute force.
     #[test]
     fn locrib_matches_naive_model(
-        ops in vec((arb_route(), any::<bool>()), 1..80),
+        ops in vec((0u8..7, arb_dense_route(), vec(0usize..DENSE_PREFIXES.len(), 1..5)), 1..120),
     ) {
-        let mut rib = LocRib::new();
-        // Model: Vec of (prefix, peer) -> Route.
-        let mut model: Vec<Route> = Vec::new();
-        for (route, is_update) in ops {
-            let naive_top2 = |model: &[Route], pfx| {
-                let mut cands: Vec<&Route> =
-                    model.iter().filter(|r| r.prefix == pfx).collect();
-                cands.sort_by(|a, b| compare_routes(a, b));
-                (
-                    cands.first().map(|r| r.from.peer),
-                    cands.get(1).map(|r| r.from.peer),
-                )
-            };
-            let before = naive_top2(&model, route.prefix);
-            if is_update {
-                model.retain(|r| !(r.prefix == route.prefix && r.from.peer == route.from.peer));
-                model.push(route.clone());
-                let change = rib.update(route.clone());
-                prop_assert_eq!(change.old.nh_pair(), before);
-                prop_assert_eq!(
-                    change.new.nh_pair(),
-                    naive_top2(&model, route.prefix)
-                );
-            } else {
-                let existed = model
-                    .iter()
-                    .any(|r| r.prefix == route.prefix && r.from.peer == route.from.peer);
-                model.retain(|r| !(r.prefix == route.prefix && r.from.peer == route.from.peer));
-                let change = rib.withdraw(route.prefix, route.from.peer);
-                prop_assert_eq!(change.is_some(), existed);
-                if let Some(c) = change {
-                    prop_assert_eq!(c.old.nh_pair(), before);
-                    prop_assert_eq!(c.new.nh_pair(), naive_top2(&model, route.prefix));
+        let mut rib: LocRib<u32> = LocRib::default();
+        let mut model = Model::default();
+        for (kind, route, picks) in ops {
+            let (prefix, peer) = (route.prefix, route.from.peer);
+            match kind {
+                0 => {
+                    let want = model.update(&route);
+                    let got = rib.update(route);
+                    prop_assert_eq!(seen(&got), want);
+                }
+                1 => {
+                    let want = model.update(&route);
+                    let ext = model.touch(prefix);
+                    let got = rib.update_with(route, |ranked, x| {
+                        *x += 1;
+                        (ranked.to_vec(), *x)
+                    });
+                    prop_assert_eq!(got, (want.1, ext));
+                }
+                2 => {
+                    let nlri: Vec<Ipv4Prefix> =
+                        picks.iter().map(|&i| dense_prefix(i)).collect();
+                    let want: Vec<_> = nlri
+                        .iter()
+                        .map(|&prefix| model.update(&Route { prefix, ..route.clone() }))
+                        .collect();
+                    let mut got = Vec::new();
+                    rib.apply_update_batch(&route.attrs, &nlri, route.from, route.local_pref, |c| {
+                        got.push(seen(&c))
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                3 => {
+                    let want = model.withdraw(prefix, peer);
+                    let got = rib.withdraw(prefix, peer);
+                    prop_assert_eq!(got.as_ref().map(seen), want);
+                }
+                4 => {
+                    let want = model
+                        .withdraw(prefix, peer)
+                        .map(|(_, ranked)| (ranked, model.touch(prefix)));
+                    let got = rib.withdraw_with(prefix, peer, |ranked, x| {
+                        *x += 1;
+                        (ranked.to_vec(), *x)
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                5 => {
+                    let want = model.withdraw_peer(peer);
+                    let mut got = Vec::new();
+                    rib.withdraw_peer(peer, |c| got.push((c.prefix, seen(&c))));
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let want: Vec<_> = model
+                        .withdraw_peer(peer)
+                        .into_iter()
+                        .map(|(prefix, (_, ranked))| (prefix, ranked, model.touch(prefix)))
+                        .collect();
+                    let mut got = Vec::new();
+                    rib.withdraw_peer_with(peer, |prefix, ranked, x| {
+                        *x += 1;
+                        got.push((prefix, ranked.to_vec(), *x));
+                    });
+                    prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(rib.route_count(), model.len());
-        }
-        // Final state: every prefix's ranked list matches brute force.
-        let mut prefixes: Vec<Ipv4Prefix> = model.iter().map(|r| r.prefix).collect();
-        prefixes.sort();
-        prefixes.dedup();
-        for pfx in prefixes {
-            let mut want: Vec<&Route> = model.iter().filter(|r| r.prefix == pfx).collect();
-            want.sort_by(|a, b| compare_routes(a, b));
-            let got = rib.candidates(pfx);
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want) {
-                prop_assert_eq!(g.from.peer, w.from.peer);
+            model.entries.retain(|_, e| !e.ranked.is_empty());
+            // The whole table, in FIB walk order whatever the slab order.
+            let got: Vec<_> = rib.iter().map(|(p, r)| (p, r.to_vec())).collect();
+            let want: Vec<_> =
+                model.entries.iter().map(|(p, e)| (*p, e.ranked.clone())).collect();
+            prop_assert_eq!(got, want);
+            let got: Vec<_> = rib.iter_ext().map(|(p, x)| (p, *x)).collect();
+            let want: Vec<_> = model.entries.iter().map(|(p, e)| (*p, e.ext)).collect();
+            prop_assert_eq!(got, want);
+            for i in 0..DENSE_PREFIXES.len() {
+                let ranked = model.entries.get(&dense_prefix(i)).map(|e| &e.ranked[..]);
+                prop_assert_eq!(rib.candidates(dense_prefix(i)), ranked.unwrap_or(&[]));
             }
+            let routes = model.entries.values().map(|e| e.ranked.len()).sum::<usize>();
+            let spilled = model.entries.values().filter(|e| e.ranked.len() > 2).count();
+            prop_assert_eq!(rib.prefix_count(), model.entries.len());
+            prop_assert_eq!(rib.route_count(), routes);
+            let footprint = rib.footprint();
+            prop_assert_eq!(
+                (footprint.prefixes, footprint.routes, footprint.spilled_entries),
+                (model.entries.len(), routes, spilled)
+            );
         }
     }
 
@@ -283,7 +450,8 @@ proptest! {
             rib.update(r.clone());
         }
         let victim = routes[0].from.peer;
-        let changes = rib.withdraw_peer(victim);
+        let mut changed: Vec<Ipv4Prefix> = Vec::new();
+        rib.withdraw_peer(victim, |c| changed.push(c.prefix));
         // No candidate from the victim remains.
         for (_, cands) in rib.iter() {
             prop_assert!(cands.iter().all(|r| r.from.peer != victim));
@@ -296,9 +464,6 @@ proptest! {
             .collect();
         served.sort();
         served.dedup();
-        let mut changed: Vec<Ipv4Prefix> = changes.iter().map(|c| c.prefix).collect();
-        changed.sort();
-        changed.dedup();
-        prop_assert_eq!(changed, served);
+        prop_assert_eq!(changed, served, "each served prefix once, in FIB walk order");
     }
 }

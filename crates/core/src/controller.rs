@@ -295,11 +295,13 @@ impl Controller {
         self.degraded
     }
 
-    /// Fold this controller's lifetime counters — the router-facing and
-    /// every peer-facing BGP session, per-peer BFD, and the flow-mod
-    /// robustness stats — into a metrics registry. Call once, after a
-    /// run: the counters are totals, not deltas.
+    /// Fold this controller's lifetime counters — the engine's RIB
+    /// footprint, the router-facing and every peer-facing BGP session,
+    /// per-peer BFD, and the flow-mod robustness stats — into a metrics
+    /// registry. Call once, after a run: the counters are totals, not
+    /// deltas.
     pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
+        self.engine.rib().footprint().fold_metrics(reg);
         self.router_session.fold_metrics(reg);
         for p in &self.peers {
             p.session.fold_metrics(reg);

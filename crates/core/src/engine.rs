@@ -148,6 +148,16 @@ pub struct Announced {
     group: Option<GroupId>,
 }
 
+// It rides in every RIB entry of the controller: 24 B per prefix.
+const _: () = assert!(
+    std::mem::size_of::<Option<Announced>>() <= 24,
+    "Announced: 24 B per controller RIB entry"
+);
+
+/// Backup-group keys up to this deep are built on the stack
+/// ([`Steering::reconcile`] runs once per learned prefix).
+const STACK_KEY_DEPTH: usize = 8;
+
 /// The supercharger engine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -482,13 +492,26 @@ impl Steering<'_> {
             [only] => Some((only.attrs.clone(), only.next_hop(), None)),
             multiple => {
                 let depth = self.protect_depth.min(multiple.len());
-                let key: Vec<PeerId> = multiple[..depth].iter().map(|r| r.from.peer).collect();
+                // One key per learned prefix: keep it off the heap at
+                // every depth anyone configures.
+                let mut stack = [Ipv4Addr::UNSPECIFIED; STACK_KEY_DEPTH];
+                let heap: Vec<PeerId>;
+                let peers = multiple[..depth].iter().map(|r| r.from.peer);
+                let key: &[PeerId] = if depth <= STACK_KEY_DEPTH {
+                    for (slot, peer) in stack.iter_mut().zip(peers) {
+                        *slot = peer;
+                    }
+                    &stack[..depth]
+                } else {
+                    heap = peers.collect();
+                    &heap
+                };
                 let best = &multiple[0];
                 // A group is only useful if we can actually steer to its
                 // members (all peers known to the switch config).
                 if key.iter().all(|p| self.peer_specs.contains_key(p)) {
                     let attrs = best.attrs.clone();
-                    let (group, created) = self.groups.get_or_create(&key);
+                    let (group, created) = self.groups.get_or_create(key);
                     let (gid, vnh, vmac, target) =
                         (group.id, group.vnh, group.vmac, group.active_target);
                     // Steer to the first *alive* member. A resurrected

@@ -8,13 +8,28 @@
 //! convergence).
 //!
 //! Nodes live in a `Vec` arena addressed by `u32` indices with a free
-//! list, so a 512k-entry full table costs a few tens of megabytes and no
-//! per-node allocations.
+//! list: no per-node allocations, and a table of N prefixes has at most
+//! 2N - 1 nodes. The value sits inline in *every* node, valueless split
+//! nodes included, so what a table costs is set by the value's size:
+//!
+//! * a FIB (4-byte values, 24-byte nodes — asserted below) costs about
+//!   25 MB for a 512k-entry full table;
+//! * a RIB must not put its per-prefix entry here — at 64 bytes a node
+//!   the same table would cost 67 MB before the first route. `sc_bgp`'s
+//!   `LocRib` stores a 4-byte slot and keeps its entries in slabs of its
+//!   own: the same 25 MB of index plus 80-104 bytes of entry per prefix
+//!   with up to two candidates, 168-199 B/prefix all told by capacity
+//!   (`tests/footprint.rs` pins it).
 
 use crate::prefix::Ipv4Prefix;
+use std::mem::size_of;
 use std::net::Ipv4Addr;
 
 const NO_NODE: u32 = u32::MAX;
+
+/// No root-to-node walk is longer: every step down lengthens the node's
+/// prefix, and IPv4 prefix lengths run 0..=32.
+const MAX_DEPTH: usize = 33;
 
 #[derive(Clone, Debug)]
 struct Node<T> {
@@ -26,6 +41,13 @@ struct Node<T> {
     left: u32,
     right: u32,
 }
+
+// The FIB and the RIBs' index store 4-byte values in the nodes; a wider
+// node moves the RSS of every full-table run, so break the build instead.
+const _: () = assert!(
+    size_of::<Node<u32>>() <= 24,
+    "trie node with a 4 B value: 24 B"
+);
 
 /// A map from IPv4 prefixes to `T` with longest-prefix-match lookup.
 #[derive(Clone, Debug)]
@@ -61,6 +83,11 @@ impl<T> PrefixTrie<T> {
     /// True if no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Heap bytes held, by capacity: the node arena and its free list.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node<T>>() + self.free.capacity() * size_of::<u32>()
     }
 
     /// Remove all entries.
@@ -280,8 +307,15 @@ impl<T> PrefixTrie<T> {
     /// Remove a prefix, returning its value. Prunes and re-merges nodes so
     /// the structure stays compact under churn.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<T> {
-        // Walk down, remembering the path for pruning.
-        let mut path: Vec<u32> = Vec::with_capacity(8);
+        Some(self.occupied(prefix)?.remove())
+    }
+
+    /// The entry stored under exactly `prefix`, with the descent that
+    /// found it: a caller that inspects the value before deciding to
+    /// remove it walks the trie once, not twice.
+    pub fn occupied(&mut self, prefix: Ipv4Prefix) -> Option<OccupiedEntry<'_, T>> {
+        let mut path = [NO_NODE; MAX_DEPTH];
+        let mut depth = 0;
         let mut cur = self.root;
         loop {
             if cur == NO_NODE {
@@ -295,64 +329,90 @@ impl<T> PrefixTrie<T> {
             if np.len() == prefix.len() {
                 break;
             }
-            path.push(cur);
+            path[depth] = cur;
+            depth += 1;
             cur = if prefix.bit(np.len()) {
                 node.right
             } else {
                 node.left
             };
         }
-        let value = self.nodes[cur as usize].value.take()?;
-        self.len -= 1;
-        self.prune(cur, &path);
-        Some(value)
+        self.nodes[cur as usize].value.as_ref()?;
+        Some(OccupiedEntry {
+            trie: self,
+            idx: cur,
+            path,
+            depth,
+        })
+    }
+
+    /// What belongs in `idx`'s place: the node itself while it holds a
+    /// value or splits two subtrees, else its only child (or nothing).
+    fn stand_in(&self, idx: u32) -> u32 {
+        let node = &self.nodes[idx as usize];
+        match (node.value.is_some(), node.left, node.right) {
+            (false, child, NO_NODE) | (false, NO_NODE, child) => child,
+            _ => idx,
+        }
     }
 
     /// Remove node `idx` if it has become useless (no value), merging
     /// single-child pass-through nodes upward along `path`.
-    fn prune(&mut self, idx: u32, path: &[u32]) {
-        let mut idx = idx;
-        let mut path_end = path.len();
-        loop {
-            let node = &self.nodes[idx as usize];
-            if node.value.is_some() {
+    fn prune(&mut self, mut idx: u32, path: &[u32]) {
+        for &parent in path.iter().rev() {
+            let replacement = self.stand_in(idx);
+            if replacement == idx {
                 return;
             }
-            let (l, r) = (node.left, node.right);
-            let replacement = match (l != NO_NODE, r != NO_NODE) {
-                (true, true) => return, // genuine split point, keep
-                (true, false) => l,
-                (false, true) => r,
-                (false, false) => NO_NODE,
-            };
-            // Unlink idx from its parent (or root), replacing with child.
-            let parent = if path_end == 0 {
-                None
+            self.free.push(idx);
+            let pnode = &mut self.nodes[parent as usize];
+            if pnode.left == idx {
+                pnode.left = replacement;
             } else {
-                Some(path[path_end - 1])
-            };
-            match parent {
-                None => {
-                    self.root = replacement;
-                    self.free.push(idx);
-                    return;
-                }
-                Some(p) => {
-                    let pnode = &mut self.nodes[p as usize];
-                    if pnode.left == idx {
-                        pnode.left = replacement;
-                    } else {
-                        debug_assert_eq!(pnode.right, idx);
-                        pnode.right = replacement;
-                    }
-                    self.free.push(idx);
-                    // The parent may itself have become a valueless
-                    // pass-through node.
-                    idx = p;
-                    path_end -= 1;
-                }
+                debug_assert_eq!(pnode.right, idx);
+                pnode.right = replacement;
+            }
+            // The parent may itself have become a valueless
+            // pass-through node.
+            idx = parent;
+        }
+        let replacement = self.stand_in(idx);
+        if replacement != idx {
+            self.free.push(idx);
+            self.root = replacement;
+        }
+    }
+
+    /// Keep only the entries `keep` approves, visiting them in iteration
+    /// order and pruning as the walk unwinds: one pass over the trie, no
+    /// descent per removed prefix.
+    pub fn retain(&mut self, mut keep: impl FnMut(Ipv4Prefix, &mut T) -> bool) {
+        self.root = self.retain_below(self.root, &mut keep);
+    }
+
+    /// [`PrefixTrie::retain`] over the subtree at `idx` (at most
+    /// [`MAX_DEPTH`] frames deep); returns what now stands in its place.
+    fn retain_below(&mut self, idx: u32, keep: &mut impl FnMut(Ipv4Prefix, &mut T) -> bool) -> u32 {
+        if idx == NO_NODE {
+            return NO_NODE;
+        }
+        let node = &mut self.nodes[idx as usize];
+        let (left, right) = (node.left, node.right);
+        if let Some(value) = node.value.as_mut() {
+            if !keep(node.prefix, value) {
+                node.value = None;
+                self.len -= 1;
             }
         }
+        let left = self.retain_below(left, keep);
+        let right = self.retain_below(right, keep);
+        let node = &mut self.nodes[idx as usize];
+        (node.left, node.right) = (left, right);
+        let replacement = self.stand_in(idx);
+        if replacement != idx {
+            self.free.push(idx);
+        }
+        replacement
     }
 
     /// Iterate entries in ascending `(network bits, length)` order — the
@@ -372,29 +432,41 @@ impl<T> PrefixTrie<T> {
 
     /// Apply `f` to every value (iteration order as [`PrefixTrie::iter`]).
     pub fn for_each_mut(&mut self, mut f: impl FnMut(Ipv4Prefix, &mut T)) {
-        let mut stack = Vec::new();
-        if self.root != NO_NODE {
-            stack.push(self.root);
-        }
-        while let Some(idx) = stack.pop() {
-            let (l, r) = {
-                let n = &self.nodes[idx as usize];
-                (n.left, n.right)
-            };
-            // Visit own value, then left subtree, then right: push right
-            // first so left pops first.
-            let node = &mut self.nodes[idx as usize];
-            let prefix = node.prefix;
-            if let Some(v) = node.value.as_mut() {
-                f(prefix, v);
-            }
-            if r != NO_NODE {
-                stack.push(r);
-            }
-            if l != NO_NODE {
-                stack.push(l);
-            }
-        }
+        self.retain(|prefix, value| {
+            f(prefix, value);
+            true
+        });
+    }
+}
+
+/// A stored entry plus the descent that found it, from
+/// [`PrefixTrie::occupied`].
+pub struct OccupiedEntry<'a, T> {
+    trie: &'a mut PrefixTrie<T>,
+    idx: u32,
+    /// The ancestors of `idx`, root first; `depth` of them are live.
+    path: [u32; MAX_DEPTH],
+    depth: usize,
+}
+
+impl<T> OccupiedEntry<'_, T> {
+    /// The entry's value.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.trie.nodes[self.idx as usize]
+            .value
+            .as_mut()
+            .expect("an occupied entry has a value")
+    }
+
+    /// Take the entry out of the trie, pruning along the recorded path.
+    pub fn remove(self) -> T {
+        let value = self.trie.nodes[self.idx as usize]
+            .value
+            .take()
+            .expect("an occupied entry has a value");
+        self.trie.len -= 1;
+        self.trie.prune(self.idx, &self.path[..self.depth]);
+        value
     }
 }
 
@@ -702,6 +774,62 @@ mod tests {
         let got: Vec<_> = t.iter().map(|(pfx, v)| (pfx, *v)).collect();
         let expect: Vec<_> = model.iter().map(|(pfx, v)| (*pfx, *v)).collect();
         assert_eq!(got, expect);
+    }
+
+    /// `retain` leaves exactly the structure per-prefix `remove`s would:
+    /// same entries, same number of live nodes (every valueless node
+    /// still splits two subtrees), nothing leaked from the arena.
+    #[test]
+    fn retain_prunes_like_remove() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        let mut one_by_one = PrefixTrie::new();
+        for i in 0..3000u64 {
+            let r = next();
+            // Short prefixes nest; long ones force deep split chains.
+            let len = if i % 3 == 0 { r % 12 } else { 12 + r % 21 } as u8;
+            one_by_one.insert(Ipv4Prefix::new(Ipv4Addr::from((r >> 8) as u32), len), i);
+        }
+        let mut retained = one_by_one.clone();
+        let doomed = |v: &u64| v % 5 < 3;
+        let victims: Vec<Ipv4Prefix> = one_by_one
+            .iter()
+            .filter(|(_, v)| doomed(v))
+            .map(|(p, _)| p)
+            .collect();
+        for p in &victims {
+            assert!(one_by_one.remove(*p).is_some());
+        }
+        retained.retain(|_, v| !doomed(v));
+        let live = |t: &PrefixTrie<u64>| t.nodes.len() - t.free.len();
+        assert_eq!(retained.len(), one_by_one.len());
+        assert_eq!(live(&retained), live(&one_by_one));
+        assert!(retained.iter().eq(one_by_one.iter()));
+        retained.retain(|_, _| false);
+        assert!(retained.is_empty());
+        assert_eq!((retained.root, live(&retained)), (NO_NODE, 0));
+    }
+
+    #[test]
+    fn occupied_entry_inspects_then_removes_in_one_descent() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.2.0.0/16"), 1);
+        t.insert(p("10.3.0.0/16"), 2);
+        // A valueless split node and a missing prefix are not occupied.
+        assert!(t.occupied(p("10.2.0.0/15")).is_none());
+        assert!(t.occupied(p("10.4.0.0/16")).is_none());
+        *t.occupied(p("10.2.0.0/16")).unwrap().get_mut() += 10;
+        assert_eq!(t.get(p("10.2.0.0/16")), Some(&11));
+        assert_eq!(t.occupied(p("10.2.0.0/16")).unwrap().remove(), 11);
+        // The /15 split node went with it: one node left.
+        assert_eq!((t.len(), t.nodes.len() - t.free.len()), (1, 1));
+        assert_eq!(t.occupied(p("10.3.0.0/16")).unwrap().remove(), 2);
+        assert_eq!((t.root, t.is_empty()), (NO_NODE, true));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::flowcache::{FlowCache, FlowCacheEntry};
 use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
-use sc_bgp::{AdjRibOut, LocRib, PeerInfo};
+use sc_bgp::{AdjRibOut, LocRib, PeerInfo, Route};
 use sc_net::channel::{ChannelConfig, ChannelEvent};
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
@@ -407,6 +407,7 @@ impl LegacyRouter {
         reg.add("flowcache.hits", self.flow_cache.hits);
         reg.add("flowcache.misses", self.flow_cache.misses);
         reg.add("flowcache.invalidated", self.flow_cache.invalidated);
+        self.rib.footprint().fold_metrics(reg);
         for p in &self.peers {
             p.session.fold_metrics(reg);
             if let Some(bfd) = &p.bfd {
@@ -541,8 +542,8 @@ impl LegacyRouter {
     /// session (if any) is Down, or Up but silent past half the
     /// detection time. Peers without BFD are never stale — the hold
     /// timer is their only truth.
-    fn peer_bfd_stale(&self, peer_ip: Ipv4Addr, now: SimTime) -> bool {
-        self.peers
+    fn peer_bfd_stale(peers: &[PeerState], peer_ip: Ipv4Addr, now: SimTime) -> bool {
+        peers
             .iter()
             .find(|p| p.cfg.peer_ip == peer_ip)
             .and_then(|p| p.bfd.as_ref())
@@ -550,21 +551,20 @@ impl LegacyRouter {
             .unwrap_or(false)
     }
 
-    /// The next-hop degraded-mode route selection would install for
-    /// `prefix`: the best RIB candidate that is neither from a
-    /// controller-marked peer nor from a peer whose BFD has gone quiet
-    /// (see [`BfdSession::is_stale`]). Falls back to the unfiltered best
-    /// when every candidate is suspect — a stale route beats no route.
-    fn fallback_nh(&self, prefix: Ipv4Prefix, now: SimTime) -> Option<Ipv4Addr> {
-        let candidates = self.rib.candidates(prefix);
+    /// The next-hop degraded-mode route selection would install for a
+    /// prefix with these ranked `candidates`: the best one that is
+    /// neither from a controller-marked peer nor from a peer whose BFD
+    /// has gone quiet (see [`BfdSession::is_stale`]). Falls back to the
+    /// unfiltered best when every candidate is suspect — a stale route
+    /// beats no route.
+    fn fallback_nh(peers: &[PeerState], candidates: &[Route], now: SimTime) -> Option<Ipv4Addr> {
         candidates
             .iter()
             .find(|r| {
-                let from_controller = self
-                    .peers
+                let from_controller = peers
                     .iter()
                     .any(|p| p.cfg.controller && p.cfg.peer_ip == r.from.peer);
-                !from_controller && !self.peer_bfd_stale(r.from.peer, now)
+                !from_controller && !Self::peer_bfd_stale(peers, r.from.peer, now)
             })
             .or_else(|| candidates.first())
             .map(|r| r.next_hop())
@@ -590,7 +590,7 @@ impl LegacyRouter {
             if !best_is_controller {
                 continue;
             }
-            let eff = self.fallback_nh(prefix, now);
+            let eff = Self::fallback_nh(&self.peers, routes, now);
             if let Some(nh) = eff {
                 if nh != best.next_hop() {
                     ops.push(FibOp::Set {
@@ -913,7 +913,7 @@ impl LegacyRouter {
             for prefix in &upd.withdrawn {
                 if let Some(change) = self.rib.withdraw(*prefix, peer_ip) {
                     if change.best_changed() {
-                        ops.push(match change.new.best {
+                        ops.push(match change.best() {
                             Some(r) => FibOp::Set {
                                 prefix: *prefix,
                                 next_hop: r.next_hop(),
@@ -932,10 +932,10 @@ impl LegacyRouter {
                 self.rib
                     .apply_update_batch(attrs, &upd.nlri, from, local_pref, |change| {
                         if change.best_changed() {
-                            let nh = change.new.best.as_ref().unwrap().next_hop();
+                            let best = change.best().expect("an update leaves a candidate");
                             ops.push(FibOp::Set {
                                 prefix: change.prefix,
-                                next_hop: nh,
+                                next_hop: best.next_hop(),
                             });
                         }
                     });
@@ -1000,14 +1000,6 @@ impl LegacyRouter {
                     .push((ctx.now(), RouterEvent::FallbackOverrideExit));
             }
         }
-        let changes = self.rib.withdraw_peer(peer_ip);
-        ctx.trace_instant(
-            "detect",
-            "session.down",
-            idx as u64,
-            changes.len() as u64,
-            || format!("peer {peer_ip} down; {} prefixes affected", changes.len()),
-        );
         // A degraded recompute quarantines BFD-quiet next-hops: a
         // fallback peer that has been silent past half its detection
         // time is very likely dead even though its timer hasn't expired
@@ -1015,16 +1007,18 @@ impl LegacyRouter {
         // churn when the timer fires moments later.
         let quarantine = self.peers[idx].cfg.controller && self.degraded_since.is_some();
         let now = ctx.now();
-        let mut ops: Vec<FibOp> = Vec::with_capacity(changes.len());
-        for c in changes {
+        let peers = &self.peers;
+        let mut affected = 0usize;
+        let mut ops: Vec<FibOp> = Vec::new();
+        self.rib.withdraw_peer(peer_ip, |c| {
+            affected += 1;
             if !c.best_changed() {
-                continue;
+                return;
             }
-            ops.push(match c.new.best {
-                Some(ref r) => {
-                    let nh = if quarantine && self.peer_bfd_stale(r.from.peer, now) {
-                        self.fallback_nh(c.prefix, now)
-                            .unwrap_or_else(|| r.next_hop())
+            ops.push(match c.best() {
+                Some(r) => {
+                    let nh = if quarantine && Self::peer_bfd_stale(peers, r.from.peer, now) {
+                        Self::fallback_nh(peers, c.ranked, now).unwrap_or_else(|| r.next_hop())
                     } else {
                         r.next_hop()
                     };
@@ -1035,7 +1029,14 @@ impl LegacyRouter {
                 }
                 None => FibOp::Remove { prefix: c.prefix },
             });
-        }
+        });
+        ctx.trace_instant(
+            "detect",
+            "session.down",
+            idx as u64,
+            affected as u64,
+            || format!("peer {peer_ip} down; {affected} prefixes affected"),
+        );
         if !ops.is_empty() {
             ctx.trace_instant("program", "fib.burst", 0, ops.len() as u64, String::new);
             ctx.metrics().add("fib.burst_ops", ops.len() as u64);

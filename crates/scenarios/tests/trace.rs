@@ -98,8 +98,16 @@ fn phase_breakdowns_partition_measured_convergence() {
             assert!(art.jsonl.contains("\"cat\":\"detect\""), "{label}");
             assert!(art.chrome.contains("traceEvents"), "{label}");
             assert!(art.metrics_json.contains("counters"), "{label}");
-            // The kernel self-profile rides along on every scheduler.
-            for key in ["\"kernel.events.timer\":", "\"kernel.node.r1."] {
+            // The kernel self-profile and what the run's RIBs cost ride
+            // along on every scheduler.
+            for key in [
+                "\"kernel.events.timer\":",
+                "\"kernel.node.r1.",
+                "\"rib.prefixes\":",
+                "\"rib.routes\":",
+                "\"rib.spilled_entries\":",
+                "\"rib.bytes\":",
+            ] {
                 assert!(art.metrics_json.contains(key), "{label}: no {key}");
             }
         }
