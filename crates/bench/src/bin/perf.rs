@@ -6,11 +6,10 @@
 //! ```text
 //! cargo run --release -p sc-bench --bin perf -- \
 //!     [--smoke] [--prefixes N] [--flows N] [--rate PPS] [--ms MS] \
-//!     [--repeat K] [--label NAME] [--out FILE]
+//!     [--scheduler wheel|heap] [--repeat K] [--label NAME] [--out FILE]
 //! cargo run --release -p sc-bench --bin perf -- \
-//!     --churn [--smoke] [--baseline] [--sched heap|wheel|sharded] \
-//!     [--shards N] [--cells C] [--legacy-encode] [--prefixes N] \
-//!     [--providers K] [--bursts B]
+//!     --churn [--smoke] [--baseline] [--scheduler wheel|heap] \
+//!     [--legacy-encode] [--prefixes N] [--providers K] [--bursts B]
 //! cargo run --release -p sc-bench --bin perf -- \
 //!     --merge baseline.json after.json [--out BENCH_PR4.json]
 //! cargo run --release -p sc-bench --bin perf -- \
@@ -27,11 +26,6 @@
 //! `--churn --baseline` reconstructs the pre-refactor control path
 //! (reference heap scheduler + fresh-`Vec` encode); the event stream
 //! is identical either way, so the events/s ratio isolates kernel cost.
-//! `--churn --shards N` runs the sharded parallel kernel; pair it with
-//! `--cells C` (C replicated churn cells, ring-connected by idle
-//! links) so there is real per-shard work to spread. The event stream
-//! is identical at any shard count — the events/s ratio against
-//! `--shards 1` on the same cell count is the parallel speedup.
 //! `--check FILE` compares the run against the `after` entry of a
 //! committed trajectory point and fails (exit 1) on a regression
 //! beyond the tolerance (percent, default 20) — tolerance-gated so
@@ -42,7 +36,7 @@
 
 use sc_bench::churn::{build_churn_world, run_churn, ChurnMeasurement, ChurnParams};
 use sc_bench::fwd::{build_forwarding_world, run_forwarding, FwdMeasurement, FwdParams};
-use sc_bench::Args;
+use sc_bench::{scheduler_name, Args};
 use sc_net::SimDuration;
 use sc_sim::SchedulerKind;
 
@@ -190,7 +184,7 @@ fn churn_json(label: &str, p: ChurnParams, m: &ChurnMeasurement) -> String {
         concat!(
             "{{\"label\":\"{}\",\"bench\":\"control_churn\",",
             "\"prefixes\":{},\"providers\":{},\"bursts\":{},\"burst_prefixes\":{},",
-            "\"cells\":{},\"scheduler\":\"{}\",\"legacy_encode\":{},",
+            "\"scheduler\":\"{}\",\"legacy_encode\":{},",
             "\"events\":{},\"updates_processed\":{},\"fib_ops_applied\":{},",
             "\"wall_ms\":{:.3},\"events_per_sec\":{}}}"
         ),
@@ -199,12 +193,7 @@ fn churn_json(label: &str, p: ChurnParams, m: &ChurnMeasurement) -> String {
         p.providers,
         p.bursts,
         p.burst_prefixes,
-        p.cells.max(1),
-        match p.scheduler {
-            SchedulerKind::TimerWheel => "wheel".into(),
-            SchedulerKind::ReferenceHeap => "heap".into(),
-            SchedulerKind::Sharded { shards } => format!("sharded-{shards}"),
-        },
+        scheduler_name(p.scheduler),
         p.legacy_encode,
         m.events,
         m.updates_processed,
@@ -222,23 +211,14 @@ fn run_churn_bench(args: &Args) -> (String, u64) {
         ChurnParams::paper()
     };
     let baseline = args.flag("--baseline");
-    // An explicit --sched overrides the --baseline default (heap), so
-    // e.g. `--baseline --sched wheel` isolates the legacy encode path.
-    // `--shards N` selects the sharded parallel kernel and likewise
-    // overrides the defaults.
-    let shards: Option<usize> = args.raw_value("--shards").map(|s| {
-        s.parse()
-            .unwrap_or_else(|e| panic!("bad --shards {s}: {e}"))
+    // An explicit --scheduler overrides the --baseline default (heap),
+    // so e.g. `--baseline --scheduler wheel` isolates the legacy encode
+    // path.
+    let scheduler = args.scheduler(if baseline {
+        SchedulerKind::ReferenceHeap
+    } else {
+        SchedulerKind::TimerWheel
     });
-    let scheduler = match (args.raw_value("--sched").as_deref(), shards) {
-        (Some("heap"), _) => SchedulerKind::ReferenceHeap,
-        (Some("wheel"), _) => SchedulerKind::TimerWheel,
-        (Some("sharded") | None, Some(n)) => SchedulerKind::Sharded { shards: n.max(1) },
-        (Some("sharded"), None) => SchedulerKind::Sharded { shards: 2 },
-        (None, None) if baseline => SchedulerKind::ReferenceHeap,
-        (None, None) => SchedulerKind::TimerWheel,
-        (Some(other), _) => panic!("unknown --sched {other} (heap|wheel|sharded)"),
-    };
     let p = ChurnParams {
         prefixes: args.value("--prefixes", base.prefixes),
         providers: args.value("--providers", base.providers),
@@ -253,7 +233,6 @@ fn run_churn_bench(args: &Args) -> (String, u64) {
         seed: args.value("--seed", base.seed),
         scheduler,
         legacy_encode: baseline || args.flag("--legacy-encode"),
-        cells: args.value("--cells", base.cells),
     };
     let repeat: u32 = args.value("--repeat", if smoke { 1 } else { 3 });
     let label = args.raw_value("--label").unwrap_or_else(|| {
@@ -327,11 +306,7 @@ fn main() {
                 args.value("--ms", base.window.as_nanos() / 1_000_000),
             ),
             seed: args.value("--seed", base.seed),
-            scheduler: match args.raw_value("--sched").as_deref() {
-                Some("heap") => SchedulerKind::ReferenceHeap,
-                Some("wheel") | None => SchedulerKind::TimerWheel,
-                Some(other) => panic!("unknown --sched {other} (heap|wheel)"),
-            },
+            scheduler: args.scheduler(SchedulerKind::TimerWheel),
         };
         let repeat: u32 = args.value("--repeat", if smoke { 1 } else { 3 });
         let label = args.raw_value("--label").unwrap_or_else(|| {
@@ -400,8 +375,8 @@ mod tests {
     #[test]
     fn extra_keys_survive_the_merge_byte_for_byte() {
         let scaling = r#"[
-  {"label":"shards-1","events_per_sec":3168837},
-  {"label":"shards-2","events_per_sec":2149498}]"#;
+  {"label":"width-1","events_per_sec":3168837},
+  {"label":"width-2","events_per_sec":2149498}]"#;
         let prior = format!(
             "{{\"bench\":\"control_churn\",\"speedup_events_per_sec\":1.27,\n \"baseline\":{RUN_A},\n \"after\":{RUN_B},\n \"scaling_note\":\"commas, {{braces}} and [brackets] in strings\",\n \"scaling\":{scaling}}}"
         );

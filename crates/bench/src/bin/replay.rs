@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin replay -- \
-//!     [--smoke] [--baseline] [--sched heap|wheel] [--legacy-encode] \
+//!     [--smoke] [--baseline] [--scheduler wheel|heap] [--legacy-encode] \
 //!     [--fixture] [--time-scale S] [--prefixes N] [--providers K] \
 //!     [--bursts B] [--repeat K] [--label NAME] [--out FILE] \
 //!     [--stable-out FILE] [--check BENCH_PR5.json [--tolerance 20]]
@@ -34,18 +34,10 @@ use sc_bench::replay::{
     build_replay_world, build_replay_world_from, run_replay, ReplayMeasurement, ReplayParams,
     ReplayWorld,
 };
-use sc_bench::Args;
+use sc_bench::{scheduler_name, Args};
 use sc_mrt::TimeScale;
 use sc_net::SimDuration;
 use sc_sim::SchedulerKind;
-
-fn sched_name(s: SchedulerKind) -> &'static str {
-    match s {
-        SchedulerKind::TimerWheel => "wheel",
-        SchedulerKind::ReferenceHeap => "heap",
-        SchedulerKind::Sharded { .. } => "sharded",
-    }
-}
 
 /// The run JSON. `wallclock: false` omits the machine-dependent fields
 /// so identical runs serialize byte-identically.
@@ -70,7 +62,7 @@ fn replay_json(
         rw.providers.len(),
         fixture,
         p.time_scale,
-        sched_name(p.scheduler),
+        scheduler_name(p.scheduler),
         p.legacy_encode,
         rw.updates_injected,
         rw.prefix_events,
@@ -100,13 +92,11 @@ fn main() {
         ReplayParams::paper()
     };
     let baseline = args.flag("--baseline");
-    let scheduler = match args.raw_value("--sched").as_deref() {
-        Some("heap") => SchedulerKind::ReferenceHeap,
-        Some("wheel") => SchedulerKind::TimerWheel,
-        None if baseline => SchedulerKind::ReferenceHeap,
-        None => SchedulerKind::TimerWheel,
-        Some(other) => panic!("unknown --sched {other} (heap|wheel)"),
-    };
+    let scheduler = args.scheduler(if baseline {
+        SchedulerKind::ReferenceHeap
+    } else {
+        SchedulerKind::TimerWheel
+    });
     let time_scale: TimeScale = args
         .raw_value("--time-scale")
         .map(|s| s.parse().unwrap_or_else(|e| panic!("{e}")))

@@ -6,7 +6,7 @@
 //! cargo run --release -p sc-bench --bin scenarios [--prefixes N] \
 //!     [--flows N] [--seed N] [--workers N] [--quick] [--smoke] [--jsonl] \
 //!     [--csv out.csv] [--json out.json] [--invariants] \
-//!     [--scheduler wheel|heap|sharded] [--shards N] [--trace] \
+//!     [--scheduler wheel|heap] [--trace] \
 //!     [--stable-csv out.csv] [--stable-json out.json]
 //! ```
 //!
@@ -16,16 +16,8 @@
 //!   seconds-scale sanity run CI executes on every push;
 //! * `--workers N`: pin the suite worker pool (default: one thread per
 //!   core) — perf trajectories want a fixed, machine-independent degree
-//!   of parallelism. When `--shards` > 1 each trial runs on `shards`
-//!   threads of its own, so the pool is capped at
-//!   `available_parallelism / shards`: `--workers × --shards` never
-//!   oversubscribes the machine (an oversized `--workers` is clamped,
-//!   not honored);
-//! * `--shards N`: run every trial world on the sharded parallel
-//!   kernel with N regions (`--scheduler sharded` alone defaults to
-//!   2). Stable reports are byte-identical to the single-threaded
-//!   schedulers at any shard count — the determinism contract CI
-//!   enforces;
+//!   of parallelism. The pool is capped at the machine's available
+//!   parallelism (an oversized `--workers` is clamped, not honored);
 //! * `--jsonl`: stream one JSON object per trial to stdout *as each
 //!   trial completes* instead of buffering the whole report — long
 //!   sweeps become watchable and `tail -f`-able. Errors stream inline
@@ -53,9 +45,9 @@
 //!   Report rows gain the per-cycle causal phase columns
 //!   (`detect_us`/`notify_us`/`program_us`/`fib_us`); use the `trace`
 //!   binary to export the underlying JSONL/Chrome artifacts;
-//! * `--scheduler wheel|heap|sharded`: pick the kernel event scheduler
-//!   (the determinism contract says reports are byte-identical across
-//!   all of them);
+//! * `--scheduler wheel|heap`: pick the kernel event scheduler (the
+//!   determinism contract says reports are byte-identical across
+//!   both);
 //! * `--stable-csv out.csv` / `--stable-json out.json`: the
 //!   byte-reproducible report variants (wall-clock columns blanked) —
 //!   what the CI smoke diffs across reruns and schedulers.
@@ -88,15 +80,7 @@ fn main() {
     let invariants = args.flag("--invariants");
     let chaos = args.flag("--chaos");
     let trace = args.flag("--trace");
-    let shards: Option<usize> = args.raw_value("--shards").and_then(|v| v.parse().ok());
-    let scheduler = match (args.raw_value("--scheduler").as_deref(), shards) {
-        (Some("heap"), _) => sc_sim::SchedulerKind::ReferenceHeap,
-        (Some("wheel"), _) => sc_sim::SchedulerKind::TimerWheel,
-        (Some("sharded") | None, Some(n)) => sc_sim::SchedulerKind::Sharded { shards: n.max(1) },
-        (Some("sharded"), None) => sc_sim::SchedulerKind::Sharded { shards: 2 },
-        (None, None) => sc_sim::SchedulerKind::TimerWheel,
-        (Some(other), _) => panic!("--scheduler {other:?}: expected wheel|heap|sharded"),
-    };
+    let scheduler = args.scheduler(sc_sim::SchedulerKind::TimerWheel);
 
     let topologies = if smoke {
         vec![TopologySpec::Chain {

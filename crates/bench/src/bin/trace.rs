@@ -6,8 +6,7 @@
 //! cargo run --release -p sc-bench --bin trace \
 //!     [--topology chain|ixp|fig4] [--script cut|flap|chaos] \
 //!     [--mode legacy|supercharged|both] [--prefixes N] [--flows N] \
-//!     [--seed N] [--scheduler wheel|heap|sharded] [--shards N] \
-//!     [--out DIR]
+//!     [--seed N] [--scheduler wheel|heap] [--out DIR]
 //! cargo run --release -p sc-bench --bin trace -- --diff A.json B.json
 //! ```
 //!
@@ -22,12 +21,10 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
 //! * `<mode>.metrics.json` — the counters/histograms registry.
 //!
-//! Every artifact is byte-reproducible across reruns and schedulers
-//! (the sharded kernel's window self-metrics, `kernel.windows` and
-//! friends, excepted — those describe the execution engine and exist
-//! only on the kernel that has them; `kernel.events.*` and
-//! `kernel.node.<name>.timers_fired` count simulated work and are
-//! invariant like the rest).
+//! Every artifact is byte-reproducible across reruns and schedulers:
+//! the kernel's own counters (`kernel.events.*`,
+//! `kernel.node.<name>.timers_fired`) count simulated work and are
+//! invariant like the rest.
 //!
 //! The `--diff` form compares the `counters` section of two metrics
 //! dumps and prints one line per differing counter — the quickest way
@@ -61,15 +58,7 @@ fn main() {
     let flows: usize = args.value("--flows", 20);
     let seed: u64 = args.value("--seed", 42);
     let chaos = args.raw_value("--script").as_deref() == Some("chaos");
-    let shards: Option<usize> = args.raw_value("--shards").and_then(|v| v.parse().ok());
-    let scheduler = match (args.raw_value("--scheduler").as_deref(), shards) {
-        (Some("heap"), _) => sc_sim::SchedulerKind::ReferenceHeap,
-        (Some("wheel"), _) => sc_sim::SchedulerKind::TimerWheel,
-        (Some("sharded") | None, Some(n)) => sc_sim::SchedulerKind::Sharded { shards: n.max(1) },
-        (Some("sharded"), None) => sc_sim::SchedulerKind::Sharded { shards: 2 },
-        (None, None) => sc_sim::SchedulerKind::TimerWheel,
-        (Some(other), _) => panic!("--scheduler {other:?}: expected wheel|heap|sharded"),
-    };
+    let scheduler = args.scheduler(sc_sim::SchedulerKind::TimerWheel);
     let topo = match args.raw_value("--topology").as_deref() {
         Some("ixp") => TopologySpec::IxpHub { peers: 4 },
         Some("fig4") => TopologySpec::Fig4Lab,

@@ -71,10 +71,6 @@ pub struct ChurnParams {
     /// Route outgoing BGP messages through the original fresh-`Vec`
     /// encode path instead of the zero-alloc one (baseline runs).
     pub legacy_encode: bool,
-    /// Replicated churn cells (see [`build_churn_world`]). Cell `c`
-    /// lands on shard `c % shards` under a sharded scheduler; 1 = the
-    /// classic single-star world.
-    pub cells: usize,
 }
 
 impl ChurnParams {
@@ -93,7 +89,6 @@ impl ChurnParams {
             seed: 42,
             scheduler: SchedulerKind::default(),
             legacy_encode: false,
-            cells: 1,
         }
     }
 
@@ -109,7 +104,6 @@ impl ChurnParams {
             seed: 42,
             scheduler: SchedulerKind::default(),
             legacy_encode: false,
-            cells: 1,
         }
     }
 }
@@ -124,20 +118,8 @@ pub struct ChurnWorld {
 }
 
 /// Build the churn world with every burst pre-scheduled.
-///
-/// With `cells > 1` the star is replicated: each cell is an
-/// independent R1-plus-providers island running the same full-feed and
-/// churn script, and neighbouring cells' R1s are joined by idle 200 µs
-/// links. The idle links carry no traffic but bound the sharded
-/// kernel's conservative lookahead, so a multi-cell run exercises the
-/// real windowed executor while staying embarrassingly balanced —
-/// cell `c` lands on shard `c % shards`. A single-cell sharded run
-/// instead spreads the providers round-robin across shards (R1 stays
-/// on shard 0), which pushes every UPDATE and BFD frame across a
-/// shard boundary.
 pub fn build_churn_world(p: ChurnParams) -> ChurnWorld {
     assert!(p.providers >= 1 && p.providers < 200);
-    let cells = p.cells.max(1);
     let universe = prefix_universe(p.prefixes, p.seed);
     let mut world = World::with_scheduler(p.seed, p.scheduler);
     let link = LinkParams::gigabit(SimDuration::from_micros(50));
@@ -188,129 +170,86 @@ pub fn build_churn_world(p: ChurnParams) -> ChurnWorld {
         .map(|s| (withdraw_for(s), reannounce_for(s)))
         .collect();
 
-    let mut cell_r1s = Vec::with_capacity(cells);
-    let mut first_providers = Vec::new();
-    for c in 0..cells {
-        let cell_name = |base: String| {
-            if c == 0 {
-                base
-            } else {
-                format!("c{c}-{base}")
-            }
+    let r1 = world.add_node(LegacyRouter::new(RouterConfig {
+        name: "r1".into(),
+        asn: 65001,
+        router_id: Ipv4Addr::new(1, 1, 1, 1),
+        cal: Calibration::instant(),
+    }));
+    let providers: Vec<NodeId> = (0..p.providers)
+        .map(|i| {
+            world.add_node(LegacyRouter::new(RouterConfig {
+                name: format!("provider-{i}"),
+                asn: 65100 + i as u16,
+                router_id: provider_ip(i),
+                cal: Calibration::instant(),
+            }))
+        })
+        .collect();
+
+    for i in 0..p.providers {
+        let (_, r1_port, prov_port) = world.connect(r1, providers[i], link);
+        let bfd = BfdConfig {
+            local_discr: (10 + i) as u32,
+            desired_min_tx: p.bfd_interval,
+            required_min_rx: p.bfd_interval,
+            detect_mult: 3,
         };
-        let r1 = world.add_node(LegacyRouter::new(RouterConfig {
-            name: cell_name("r1".into()),
-            asn: 65001,
-            router_id: Ipv4Addr::new(1, 1, 1, 1),
-            cal: Calibration::instant(),
-        }));
-        let providers: Vec<NodeId> = (0..p.providers)
-            .map(|i| {
-                world.add_node(LegacyRouter::new(RouterConfig {
-                    name: cell_name(format!("provider-{i}")),
-                    asn: 65100 + i as u16,
-                    router_id: provider_ip(i),
-                    cal: Calibration::instant(),
-                }))
-            })
-            .collect();
-
-        for i in 0..p.providers {
-            let (_, r1_port, prov_port) = world.connect(r1, providers[i], link);
-            let bfd = BfdConfig {
-                local_discr: (10 + i) as u32,
-                desired_min_tx: p.bfd_interval,
-                required_min_rx: p.bfd_interval,
-                detect_mult: 3,
-            };
-            {
-                let r1n = world.node_mut::<LegacyRouter>(r1);
-                let iface = r1n.add_interface(Interface {
-                    port: r1_port,
-                    ip: r1_ip(i),
-                    mac: r1_mac(i),
-                    subnet: subnet(i),
-                });
-                r1n.add_peer(PeerConfig {
-                    // Provider 0 is the primary: its churn flips best routes.
-                    local_pref: if i == 0 { 200 } else { 100 },
-                    local_port: (40000 + i) as u16,
-                    remote_port: 179,
-                    bfd: Some(BfdConfig {
-                        local_discr: (100 + i) as u32,
-                        ..bfd
-                    }),
-                    iface,
-                    ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
-                });
-                r1n.set_zero_alloc_encode(!p.legacy_encode);
-            }
-            {
-                let pn = world.node_mut::<LegacyRouter>(providers[i]);
-                pn.add_interface(Interface {
-                    port: prov_port,
-                    ip: provider_ip(i),
-                    mac: provider_mac(i),
-                    subnet: subnet(i),
-                });
-                pn.add_peer(PeerConfig {
-                    local_port: 179,
-                    remote_port: (40000 + i) as u16,
-                    bfd: Some(bfd),
-                    originate: feeds[i].clone(),
-                    ..PeerConfig::ebgp(r1_ip(i), r1_mac(i), false)
-                });
-                pn.set_zero_alloc_encode(!p.legacy_encode);
-            }
+        {
+            let r1n = world.node_mut::<LegacyRouter>(r1);
+            let iface = r1n.add_interface(Interface {
+                port: r1_port,
+                ip: r1_ip(i),
+                mac: r1_mac(i),
+                subnet: subnet(i),
+            });
+            r1n.add_peer(PeerConfig {
+                // Provider 0 is the primary: its churn flips best routes.
+                local_pref: if i == 0 { 200 } else { 100 },
+                local_port: (40000 + i) as u16,
+                remote_port: 179,
+                bfd: Some(BfdConfig {
+                    local_discr: (100 + i) as u32,
+                    ..bfd
+                }),
+                iface,
+                ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
+            });
+            r1n.set_zero_alloc_encode(!p.legacy_encode);
         }
-
-        let primary = providers[0];
-        for b in 0..p.bursts {
-            let at = start + p.interval * b as u64;
-            let (w, r) = &per_slice[b as usize % slices];
-            schedule_injection(&mut world, primary, at, w.clone());
-            schedule_injection(&mut world, primary, at + p.interval / 2, r.clone());
-        }
-
-        cell_r1s.push(r1);
-        if c == 0 {
-            first_providers = providers;
+        {
+            let pn = world.node_mut::<LegacyRouter>(providers[i]);
+            pn.add_interface(Interface {
+                port: prov_port,
+                ip: provider_ip(i),
+                mac: provider_mac(i),
+                subnet: subnet(i),
+            });
+            pn.add_peer(PeerConfig {
+                local_port: 179,
+                remote_port: (40000 + i) as u16,
+                bfd: Some(bfd),
+                originate: feeds[i].clone(),
+                ..PeerConfig::ebgp(r1_ip(i), r1_mac(i), false)
+            });
+            pn.set_zero_alloc_encode(!p.legacy_encode);
         }
     }
 
-    // Idle inter-cell ring: no frames ever traverse these links (the
-    // ports have no interfaces), but under a sharded scheduler they
-    // bound the conservative lookahead to a genuine 200 µs horizon.
-    if cells > 1 {
-        let ring = LinkParams::with_latency(SimDuration::from_micros(200));
-        for c in 0..cells {
-            world.connect(cell_r1s[c], cell_r1s[(c + 1) % cells], ring);
-            if cells == 2 {
-                break; // two cells need one link, not a doubled pair
-            }
-        }
-    }
-
-    if let SchedulerKind::Sharded { shards } = p.scheduler {
-        let shards = shards.max(1);
-        let per_cell = 1 + p.providers;
-        let n = cells * per_cell;
-        let map: Vec<u32> = if cells > 1 {
-            (0..n).map(|i| ((i / per_cell) % shards) as u32).collect()
-        } else {
-            (0..n)
-                .map(|i| if i == 0 { 0 } else { ((i - 1) % shards) as u32 })
-                .collect()
-        };
-        world.set_shard_map(map);
+    let primary = providers[0];
+    for b in 0..p.bursts {
+        let at = start + p.interval * b as u64;
+        let (w, r) = &per_slice[b as usize % slices];
+        schedule_injection(&mut world, primary, at, w.clone());
+        schedule_injection(&mut world, primary, at + p.interval / 2, r.clone());
     }
 
     let end = start + p.interval * p.bursts as u64 + SimDuration::from_millis(200);
 
     ChurnWorld {
         world,
-        r1: cell_r1s[0],
-        providers: first_providers,
+        r1,
+        providers,
         end,
     }
 }
@@ -368,7 +307,6 @@ mod tests {
             seed: 7,
             scheduler: SchedulerKind::default(),
             legacy_encode: false,
-            cells: 1,
         }
     }
 
@@ -401,9 +339,6 @@ mod tests {
             (SchedulerKind::ReferenceHeap, false),
             (SchedulerKind::TimerWheel, true),
             (SchedulerKind::ReferenceHeap, true),
-            (SchedulerKind::Sharded { shards: 1 }, false),
-            (SchedulerKind::Sharded { shards: 2 }, false),
-            (SchedulerKind::Sharded { shards: 3 }, true),
         ] {
             let mut cw = build_churn_world(ChurnParams {
                 scheduler: sched,
@@ -412,35 +347,6 @@ mod tests {
             });
             let m = run_churn(&mut cw);
             assert_eq!(m.events, base.events, "{sched:?} legacy={legacy}");
-            assert_eq!(m.updates_processed, base.updates_processed);
-            assert_eq!(m.fib_ops_applied, base.fib_ops_applied);
-        }
-    }
-
-    /// Multi-cell worlds replicate the workload per cell and stay
-    /// executor-invariant: any shard count reproduces the serial
-    /// reference run event for event.
-    #[test]
-    fn multi_cell_churn_is_shard_invariant() {
-        let p = ChurnParams { cells: 3, ..tiny() };
-        let base = {
-            let mut cw = build_churn_world(p);
-            run_churn(&mut cw)
-        };
-        let single = {
-            let mut cw = build_churn_world(tiny());
-            run_churn(&mut cw)
-        };
-        // Cells are independent islands running identical scripts.
-        assert!(base.events > 2 * single.events, "3 cells ≈ 3× the work");
-        assert_eq!(base.updates_processed, single.updates_processed);
-        for shards in [2, 3, 8] {
-            let mut cw = build_churn_world(ChurnParams {
-                scheduler: SchedulerKind::Sharded { shards },
-                ..p
-            });
-            let m = run_churn(&mut cw);
-            assert_eq!(m.events, base.events, "shards={shards}");
             assert_eq!(m.updates_processed, base.updates_processed);
             assert_eq!(m.fib_ops_applied, base.fib_ops_applied);
         }

@@ -9,6 +9,7 @@ pub mod replay;
 pub mod timing;
 
 use sc_net::SimDuration;
+use sc_sim::SchedulerKind;
 
 /// Render a duration the way the paper's Fig. 5 labels do: seconds with
 /// one decimal above 1 s, milliseconds below.
@@ -103,6 +104,14 @@ pub fn check_perf_gate(path: &str, events_per_sec: u64, tolerance_pct: u64) {
     );
 }
 
+/// The name a scheduler goes by on the command line and in JSON rows.
+pub fn scheduler_name(kind: SchedulerKind) -> &'static str {
+    match kind {
+        SchedulerKind::TimerWheel => "wheel",
+        SchedulerKind::ReferenceHeap => "heap",
+    }
+}
+
 /// Tiny argument helper: `--key value` and `--flag`.
 pub struct Args {
     raw: Vec<String>,
@@ -123,6 +132,22 @@ impl Args {
         self.raw_value(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
+    }
+
+    /// The kernel event scheduler picked by `--scheduler wheel|heap`
+    /// (`default` when the flag is absent). Any other value prints the
+    /// accepted ones and exits 2.
+    pub fn scheduler(&self, default: SchedulerKind) -> SchedulerKind {
+        let Some(name) = self.raw_value("--scheduler") else {
+            return default;
+        };
+        [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap]
+            .into_iter()
+            .find(|&kind| scheduler_name(kind) == name)
+            .unwrap_or_else(|| {
+                eprintln!("--scheduler {name}: expected wheel|heap");
+                std::process::exit(2)
+            })
     }
 
     /// The raw value following `--key`, if present.

@@ -108,11 +108,10 @@ pub const WAKEUP_CRATES: &[&str] = &["supercharger", "sc-router", "sc-openflow"]
 /// shell's timing module, which every other harness goes through.
 pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/bench/src/timing.rs"];
 
-/// Files allowed to spawn threads outside `sc-sim` (which hosts the
-/// sharded parallel kernel and is exempt crate-wide): the suite
-/// runners, which fan whole independent trials out across a worker
-/// pool. Everything else must stay single-threaded — `no-ambient-
-/// threading` denies `thread::spawn`/`scope`/`Builder` and `rayon`.
+/// Files allowed to spawn threads: the suite runners, which fan whole
+/// independent trials out across a worker pool. Everything else — the
+/// kernel included — must stay single-threaded: `no-ambient-threading`
+/// denies `thread::spawn`/`scope`/`Builder` and `rayon`.
 pub const THREADING_ALLOWLIST: &[&str] = &[
     "crates/scenarios/src/runner.rs",
     "crates/lab/src/experiments.rs",
@@ -135,9 +134,8 @@ pub fn severity(rule: Rule, crate_name: &str) -> Severity {
         // Ambient randomness: even benches must be seeded — perf worlds
         // are replayed for byte-identical event streams.
         (Rule::NoAmbientRandomness, _) => Severity::Deny,
-        // Threading: the sharded kernel crate owns all simulation
-        // parallelism; the runner files are carved out in the engine.
-        (Rule::NoAmbientThreading, _) if crate_name == "sc-sim" => Severity::Allow,
+        // Threading: denied everywhere, the kernel included; the
+        // runner files are carved out in the engine.
         (Rule::NoAmbientThreading, _) => Severity::Deny,
         // Printing: simulation code must speak through sc-trace /
         // metrics, never ambient stdio (output interleaves across suite

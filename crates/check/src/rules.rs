@@ -221,10 +221,10 @@ fn scan_idents(
                 findings.push((
                     Rule::NoAmbientThreading,
                     t.line,
-                    "spawning threads outside the sharded kernel (`sc-sim`) or \
-                     a suite runner creates ambient parallelism; simulation \
-                     state machines must stay single-threaded so event order \
-                     is a pure function of the seed"
+                    "spawning threads outside a suite runner creates ambient \
+                     parallelism; the kernel and its state machines must stay \
+                     single-threaded so event order is a pure function of \
+                     the seed"
                         .to_string(),
                 ));
             }
@@ -233,8 +233,7 @@ fn scan_idents(
                     Rule::NoAmbientThreading,
                     t.line,
                     "`rayon` pools are ambient parallelism; the only sanctioned \
-                     threading lives in the sharded kernel (`sc-sim`) and the \
-                     suite runners"
+                     threading lives in the suite runners"
                         .to_string(),
                 ));
             }

@@ -153,11 +153,12 @@ fn ambient_print_exempts_clis_and_shell_crates() {
 }
 
 #[test]
-fn ambient_threading_exempts_kernel_and_suite_runners() {
+fn ambient_threading_exempts_only_the_suite_runners() {
     let src = include_str!("corpus/threading_bad.rs");
-    // The sharded kernel crate owns simulation parallelism.
+    // The kernel obeys its own rule: one world, one thread.
     let sim = analyze("sc-sim", "crates/sim/src/world.rs", src);
-    assert!(sim.diagnostics.is_empty(), "{:?}", sim.diagnostics);
+    assert_eq!(rules_of(&sim), vec![Rule::NoAmbientThreading; 4]);
+    assert!(sim.diagnostics.iter().all(|d| d.severity == Severity::Deny));
     // The suite runner files fan independent trials across a pool.
     for path in [
         "crates/scenarios/src/runner.rs",

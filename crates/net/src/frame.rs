@@ -26,51 +26,18 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cap on recycled buffers per thread (steady-state forwarding needs a
 /// handful; the cap bounds memory after bursts).
 const POOL_CAP: usize = 64;
 
-/// Source of per-thread pool identities. Each thread that touches a
-/// frame claims one token lazily; a buffer records the token of the
-/// thread that allocated it.
-static NEXT_THREAD_TOKEN: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// This thread's pool identity (see [`NEXT_THREAD_TOKEN`]).
-    static THREAD_TOKEN: u64 = NEXT_THREAD_TOKEN.fetch_add(1, Ordering::Relaxed);
-
     /// Retired sole-holder frames, control block and byte buffer both
     /// intact, ready to back the next copy-on-write without touching
-    /// the allocator. Strictly per-thread: only buffers whose `origin`
-    /// matches this thread ever enter (the sharded kernel moves frames
-    /// across shard threads, and a buffer freed on a foreign thread is
-    /// simply dropped).
-    static POOL: RefCell<Vec<Arc<PooledBuf>>> = const { RefCell::new(Vec::new()) };
-}
-
-#[inline]
-fn thread_token() -> u64 {
-    THREAD_TOKEN.with(|t| *t)
-}
-
-/// A frame buffer plus the pool identity of the thread that allocated
-/// it. `origin` is metadata for the recycler only — frame equality and
-/// hashing see just the bytes.
-struct PooledBuf {
-    origin: u64,
-    bytes: Vec<u8>,
-}
-
-impl PooledBuf {
-    fn new(bytes: Vec<u8>) -> Arc<PooledBuf> {
-        Arc::new(PooledBuf {
-            origin: thread_token(),
-            bytes,
-        })
-    }
+    /// the allocator. Per-thread because a simulation world is built,
+    /// run and dropped on one thread.
+    static POOL: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A shared immutable-until-written frame buffer.
@@ -78,13 +45,13 @@ impl PooledBuf {
 /// The inner `Option` is an implementation detail of buffer recycling
 /// (`Drop` moves the `Arc` into the pool); it is `Some` at every other
 /// moment of the frame's life.
-#[derive(Clone)]
-pub struct Frame(Option<Arc<PooledBuf>>);
+#[derive(Clone, PartialEq, Eq)]
+pub struct Frame(Option<Arc<Vec<u8>>>);
 
 impl Frame {
     /// Wrap an encoded frame.
     pub fn new(bytes: Vec<u8>) -> Frame {
-        Frame(Some(PooledBuf::new(bytes)))
+        Frame(Some(Arc::new(bytes)))
     }
 
     /// Encode a frame straight into a recycled buffer: `fill` receives
@@ -94,13 +61,13 @@ impl Frame {
     pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
         let mut arc = pooled();
         let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
-        buf.bytes.clear();
-        fill(&mut buf.bytes);
+        buf.clear();
+        fill(buf);
         Frame(Some(arc))
     }
 
     #[inline]
-    fn arc(&self) -> &Arc<PooledBuf> {
+    fn arc(&self) -> &Arc<Vec<u8>> {
         self.0.as_ref().expect("frame already retired")
     }
 
@@ -116,19 +83,18 @@ impl Frame {
             // sole-holder by construction, so `get_mut` succeeds.
             let mut arc = pooled();
             let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
-            buf.bytes.clear();
-            buf.bytes.extend_from_slice(&self.arc().bytes);
+            buf.clear();
+            buf.extend_from_slice(self.arc());
             self.0 = Some(arc);
         }
-        let buf = Arc::get_mut(self.0.as_mut().expect("frame already retired"))
-            .expect("sole holder after copy-on-write");
-        &mut buf.bytes
+        Arc::get_mut(self.0.as_mut().expect("frame already retired"))
+            .expect("sole holder after copy-on-write")
     }
 
     /// Copy out the bytes (interop with owned-`Vec<u8>` APIs such as
     /// control-message payloads).
     pub fn to_vec(&self) -> Vec<u8> {
-        self.arc().bytes.clone()
+        self.arc().as_ref().clone()
     }
 
     /// Number of holders sharing this buffer (diagnostics/tests).
@@ -139,38 +105,17 @@ impl Frame {
 
 /// A retired buffer from this thread's pool (contents stale), or a
 /// fresh empty one.
-fn pooled() -> Arc<PooledBuf> {
+fn pooled() -> Arc<Vec<u8>> {
     POOL.with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| PooledBuf::new(Vec::new()))
+        .unwrap_or_else(|| Arc::new(Vec::new()))
 }
-
-/// Buffers parked in *this thread's* recycle pool (diagnostics/tests).
-pub fn pool_len() -> usize {
-    POOL.with(|p| p.borrow().len())
-}
-
-impl PartialEq for Frame {
-    fn eq(&self, other: &Frame) -> bool {
-        // Bytes only: the recycler's origin tag is not frame identity.
-        self.arc().bytes == other.arc().bytes
-    }
-}
-
-impl Eq for Frame {}
 
 impl Drop for Frame {
     fn drop(&mut self) {
         // Last holder: retire the whole Arc (control block + bytes)
-        // into the pool instead of freeing it — but only into the pool
-        // of the thread that allocated it. A frame that crossed a
-        // shard boundary and died on a foreign thread is freed
-        // normally; recycling it there would let one thread's pool
-        // hand out another thread's buffers.
+        // into the pool instead of freeing it.
         if let Some(arc) = self.0.take() {
-            if Arc::strong_count(&arc) == 1
-                && arc.bytes.capacity() > 0
-                && arc.origin == thread_token()
-            {
+            if Arc::strong_count(&arc) == 1 && arc.capacity() > 0 {
                 POOL.with(|p| {
                     let mut p = p.borrow_mut();
                     if p.len() < POOL_CAP {
@@ -186,14 +131,14 @@ impl Deref for Frame {
     type Target = [u8];
     #[inline]
     fn deref(&self) -> &[u8] {
-        self.arc().bytes.as_slice()
+        self.arc().as_slice()
     }
 }
 
 impl AsRef<[u8]> for Frame {
     #[inline]
     fn as_ref(&self) -> &[u8] {
-        self.arc().bytes.as_slice()
+        self.arc().as_slice()
     }
 }
 
@@ -211,12 +156,7 @@ impl From<&[u8]> for Frame {
 
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Frame[{}; rc={}]",
-            self.arc().bytes.len(),
-            self.ref_count()
-        )
+        write!(f, "Frame[{}; rc={}]", self.arc().len(), self.ref_count())
     }
 }
 
@@ -291,34 +231,6 @@ mod tests {
         drop(a);
         assert_eq!(b.ref_count(), 1);
         assert_eq!(&*b, &[5u8; 16]);
-    }
-
-    #[test]
-    fn pool_reuse_never_crosses_threads() {
-        // A buffer allocated here and dropped on another thread must
-        // not seed that thread's pool; the foreign thread's own
-        // buffers still recycle normally. Each closure runs on a
-        // fresh thread whose pool starts empty, so pool_len() counts
-        // are exact.
-        let foreign = Frame::new(vec![3u8; 32]);
-        std::thread::spawn(move || {
-            assert_eq!(pool_len(), 0, "fresh thread, empty pool");
-            drop(foreign);
-            assert_eq!(pool_len(), 0, "foreign-origin buffer freed, not pooled");
-            let local = Frame::new(vec![1, 2, 3]);
-            drop(local);
-            assert_eq!(pool_len(), 1, "own buffer recycles as before");
-        })
-        .join()
-        .unwrap();
-
-        // A frame that round-trips (created here, visits another
-        // thread, comes home) is still recyclable on its origin.
-        let here = Frame::new(vec![9u8; 16]);
-        let here = std::thread::spawn(move || here).join().unwrap();
-        let before = pool_len();
-        drop(here);
-        assert_eq!(pool_len(), before + 1, "round-tripped buffer pools at home");
     }
 
     #[test]

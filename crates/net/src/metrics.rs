@@ -5,10 +5,10 @@
 //! `&'static str` (plus owned counter names for per-instance totals
 //! folded in after a run), storage is `BTreeMap` (iteration order is
 //! name order, never hasher order), and merging two registries is plain
-//! addition — so per-shard and per-worker registries fold into one
-//! total that is independent of thread scheduling. A disabled registry
-//! reduces every operation to one branch, keeping instrumented hot
-//! paths free when observability is off.
+//! addition — so partial registries (a trial's node-local totals, the
+//! kernel's own) fold into one total whatever order they arrive in. A
+//! disabled registry reduces every operation to one branch, keeping
+//! instrumented hot paths free when observability is off.
 //!
 //! Histogram buckets are log-linear (HDR-style): exact below
 //! [`LINEAR_MAX`], then [`SUB_BUCKETS`] linear sub-buckets per power of
@@ -162,8 +162,8 @@ impl Registry {
         self.enabled
     }
 
-    /// An enabled registry (for per-shard scratch registries mirroring
-    /// an enabled world registry).
+    /// An enabled registry (the scenario runner folds a trial's node
+    /// and kernel totals into one before merging it into the world's).
     pub fn enabled() -> Registry {
         Registry {
             enabled: true,
@@ -219,7 +219,7 @@ impl Registry {
 
     /// Additive merge: counters add, histograms add bucket-wise. The
     /// total is the same whatever order partial registries fold in —
-    /// the determinism contract for suite workers and kernel shards.
+    /// the determinism contract for folded metrics dumps.
     pub fn merge(&mut self, other: &Registry) {
         for (k, &v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -227,13 +227,6 @@ impl Registry {
         for (&k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
         }
-    }
-
-    /// Drop every recorded value, keeping the enabled flag (per-window
-    /// scratch reuse).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
     }
 
     /// Byte-reproducible JSON dump: names sorted, integers only.

@@ -289,7 +289,7 @@ fn build_fig4(mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         mode != Mode::Supercharged || cfg.controllers >= 1,
         "supercharged mode needs at least one controller"
     );
-    let mut lab = ConvergenceLab::build(LabConfig {
+    let lab = ConvergenceLab::build(LabConfig {
         mode,
         prefixes: cfg.prefixes,
         flows: cfg.flows,
@@ -309,15 +309,6 @@ fn build_fig4(mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         trace: cfg.trace,
         scheduler: cfg.scheduler,
     });
-    // Parallel-kernel partition (same policy as the generic builder):
-    // providers round-robin, everything else on shard 0. Entries the
-    // map does not cover default to shard 0 in the world.
-    if let sc_sim::SchedulerKind::Sharded { shards } = cfg.scheduler {
-        let shards = shards.max(1);
-        let mut map = vec![0u32; lab.r2.0.max(lab.r3.0) + 1];
-        map[lab.r3.0] = (1 % shards) as u32;
-        lab.world.set_shard_map(map);
-    }
     BuiltScenario {
         cfg: cfg.clone(),
         mode,
@@ -889,24 +880,6 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
                 next_hop: nh,
             });
         }
-    }
-
-    // Shard assignment for the parallel kernel: the fabric hub and the
-    // measurement endpoints stay on shard 0; each provider and each
-    // forwarder lands round-robin. Reports are byte-identical at any
-    // shard count (the sharded regression tests prove it), so this is
-    // purely a load-spreading choice.
-    if let sc_sim::SchedulerKind::Sharded { shards } = cfg.scheduler {
-        let shards = shards.max(1);
-        let count = 2 + m + forwarders.len() + 2 + controllers.len();
-        let mut map = vec![0u32; count];
-        for (i, p) in providers.iter().enumerate() {
-            map[p.0] = (i % shards) as u32;
-        }
-        for (j, f) in forwarders.iter().enumerate() {
-            map[f.0] = (j % shards) as u32;
-        }
-        world.set_shard_map(map);
     }
 
     BuiltScenario {

@@ -129,8 +129,8 @@ impl ScenarioOutcome {
 
 /// The exported observability artifacts of one traced trial: the
 /// flight-recorder ring in both serializations plus the merged metrics
-/// registry. Every field is byte-reproducible across reruns, schedulers
-/// and shard counts (the determinism contract).
+/// registry. Every field is byte-reproducible across reruns and
+/// schedulers (the determinism contract).
 #[derive(Clone, Debug)]
 pub struct TraceArtifacts {
     /// One JSON object per trace record (first line is the meta header).
@@ -619,23 +619,15 @@ fn run_suite_filtered(
     // so running the whole matrix at once would hold every RIB/feed in
     // memory simultaneously. Workers pull the next job index from a
     // shared cursor; rows land in their matrix slot, so the report is
-    // identical regardless of scheduling.
-    //
-    // Under a sharded trial scheduler each trial itself runs on
-    // `shards` threads, so the pool is capped at
-    // `available_parallelism / shards` — workers × shards never
-    // oversubscribes the machine, even when `--workers` asks for more.
-    let shards = match suite.base.scheduler {
-        sc_sim::SchedulerKind::Sharded { shards } => shards.max(1),
-        _ => 1,
-    };
+    // identical regardless of scheduling. The pool never exceeds the
+    // machine's parallelism, even when `--workers` asks for more.
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
     let workers = suite
         .workers
         .unwrap_or(avail)
-        .min((avail / shards).max(1))
+        .min(avail)
         .max(1)
         .min(jobs.len().max(1));
     let slots: Vec<std::sync::Mutex<Option<TrialResult>>> =

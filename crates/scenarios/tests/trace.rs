@@ -2,11 +2,11 @@
 //!
 //! The flight recorder is part of the byte-identical determinism
 //! surface: a traced trial must export the same JSONL, Chrome JSON and
-//! metrics registry on every rerun and on every scheduler — reference
-//! heap, timer wheel, and the sharded kernel at any shard count. And
-//! the causal phase columns it feeds must *partition* the measured
-//! convergence: detect + notify + program + fib equals the cycle's
-//! worst per-flow gap exactly, in both legacy and supercharged mode.
+//! metrics registry on every rerun and on both schedulers — reference
+//! heap and timer wheel. And the causal phase columns it feeds must
+//! *partition* the measured convergence: detect + notify + program +
+//! fib equals the cycle's worst per-flow gap exactly, in both legacy
+//! and supercharged mode.
 
 use sc_lab::Mode;
 use sc_net::SimDuration;
@@ -158,15 +158,10 @@ fn stable_csv_carries_phase_columns() {
     }
 }
 
-/// The hard export contract: trace exports (JSONL + Chrome) and the
-/// stable report row are byte-identical across reruns and across all
-/// three scheduler families at several shard counts. The metrics
-/// registry is byte-identical too — once the sharded kernel's
-/// window self-metrics (`kernel.windows`, active-shard occupancy) are
-/// set aside: those describe the execution engine, not the simulated
-/// network, and exist only on the scheduler that has them. The
-/// always-on `kernel.events.*` / `kernel.node.*` counts are simulated
-/// work and must match like any domain counter.
+/// The hard export contract: trace exports (JSONL + Chrome), the
+/// stable report row and the whole metrics registry — domain counters
+/// and the always-on `kernel.events.*` / `kernel.node.*` counts alike —
+/// are byte-identical across reruns and across both schedulers.
 #[test]
 fn trace_exports_are_scheduler_invariant() {
     let topo = TopologySpec::Chain {
@@ -205,40 +200,15 @@ fn trace_exports_are_scheduler_invariant() {
             "{mode:?}: rerun metrics differ"
         );
 
-        for sched in [
-            SchedulerKind::TimerWheel,
-            SchedulerKind::Sharded { shards: 2 },
-            SchedulerKind::Sharded { shards: 4 },
-        ] {
-            let (out, art) = run(&topo, &script, mode, &traced(11, sched));
-            assert_eq!(
-                render(&art, &out),
-                reference,
-                "{mode:?}/{sched:?}: trace export diverged from reference heap"
-            );
-            // Sharded reruns must reproduce even the kernel
-            // self-metrics byte for byte.
-            let (_, again) = run(&topo, &script, mode, &traced(11, sched));
-            assert_eq!(
-                again.metrics_json, art.metrics_json,
-                "{mode:?}/{sched:?}: metrics not rerun-stable"
-            );
-            // And the simulated-domain counters in them must match the
-            // reference: every reference counter appears verbatim.
-            for entry in ref_art
-                .metrics_json
-                .trim_start_matches("{\"counters\":{")
-                .split(['{', '}'])
-                .next()
-                .unwrap_or_default()
-                .split(',')
-                .filter(|e| !e.is_empty())
-            {
-                assert!(
-                    art.metrics_json.contains(entry),
-                    "{mode:?}/{sched:?}: domain counter {entry} diverged"
-                );
-            }
-        }
+        let (out, art) = run(&topo, &script, mode, &traced(11, SchedulerKind::TimerWheel));
+        assert_eq!(
+            render(&art, &out),
+            reference,
+            "{mode:?}: trace export diverged from reference heap"
+        );
+        assert_eq!(
+            art.metrics_json, ref_art.metrics_json,
+            "{mode:?}: metrics diverged from reference heap"
+        );
     }
 }

@@ -20,9 +20,8 @@
 //!   whose deadline moves: one live timer each, re-armed only when the
 //!   deadline moves earlier.
 //! * [`trace`] — sc-trace: a deterministic, causally-keyed flight
-//!   recorder whose exports are byte-identical across every scheduler
-//!   at any shard count (plus a counters/histograms registry living in
-//!   `sc_net::metrics`).
+//!   recorder whose exports are byte-identical across both schedulers
+//!   (plus a counters/histograms registry living in `sc_net::metrics`).
 
 pub mod link;
 pub mod netutil;

@@ -13,9 +13,7 @@
 //! direction**, seeded from `(world seed, link index, direction)`. Which
 //! frames are hit is therefore a pure function of the seed and the
 //! per-direction emission order — independent of how emissions on
-//! *other* links interleave globally. That independence is what lets
-//! the sharded kernel replay the exact same fault pattern as the
-//! single-threaded reference executor.
+//! *other* links interleave globally, like the kernel's origin keys.
 
 use crate::node::{NodeId, PortId};
 use sc_net::{Frame, SimDuration, SimTime};
@@ -106,16 +104,16 @@ fn unit_f64(x: u64) -> f64 {
 }
 
 /// Internal link state.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub(crate) struct Link {
     pub a: Endpoint,
     pub b: Endpoint,
     pub params: LinkParams,
     pub up: bool,
     /// Per-direction transmitter-busy horizon: [a->b, b->a].
-    pub busy_until: [SimTime; 2],
+    busy_until: [SimTime; 2],
     /// Per-direction counted fault-stream state (see the module docs).
-    pub fault_state: [u64; 2],
+    fault_state: [u64; 2],
 }
 
 impl Link {

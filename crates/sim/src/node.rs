@@ -187,13 +187,8 @@ impl<'a> Ctx<'a> {
 /// A device attached to the simulated network.
 ///
 /// Implementations must be `'static` so the kernel can own them and tests
-/// can downcast via [`Node::as_any`], and `Send` so the sharded kernel
-/// can hand a shard's nodes to a worker thread for one lookahead window.
-/// Nodes never run concurrently with anything that can observe them —
-/// the barrier returns them before any control or accessor touches the
-/// world — so no node ever needs interior synchronization (`Sync` is
-/// deliberately *not* required).
-pub trait Node: Any + Send {
+/// can downcast via [`Node::as_any`].
+pub trait Node: Any {
     /// Human-readable name for traces and panics.
     fn name(&self) -> &str;
 

@@ -6,13 +6,12 @@
 //! delivered in exact `(time, seq)` order, where `seq` is the world's
 //! **origin key** — `(origin stream << 44) | per-stream counter`, with
 //! stream 0 the world/control stream and stream `n + 1` node `n` (see
-//! `World::key_for`). The key is a pure function of *which state
+//! `World::key_for_node`). The key is a pure function of *which state
 //! machine emitted the event and how many events it emitted before*,
-//! never of how emissions interleave globally — so every scheduler
-//! here, including the sharded one executing windows on worker threads,
-//! reproduces the identical total order bit-for-bit. The suite-level
-//! regression tests prove it by comparing stable reports byte-for-byte
-//! across schedulers and shard counts.
+//! never of how emissions interleave globally — so both schedulers
+//! here reproduce the identical total order bit-for-bit. The
+//! suite-level regression tests prove it by comparing stable reports
+//! byte-for-byte across schedulers.
 //!
 //! ## Wheel layout
 //!
@@ -86,11 +85,6 @@ pub(crate) trait Scheduler {
         self.pop_before(SimTime::MAX)
     }
 
-    /// `(time, seq)` of the minimum event without removing it. Takes
-    /// `&mut self` because the wheel may activate its next batch to
-    /// answer; observable state is unchanged.
-    fn peek(&mut self) -> Option<(SimTime, u64)>;
-
     /// Number of pending events.
     fn len(&self) -> usize;
 }
@@ -104,13 +98,6 @@ pub enum SchedulerKind {
     /// The original global `BinaryHeap` — kept as the reference
     /// implementation for differential testing.
     ReferenceHeap,
-    /// Per-shard timer wheels synchronized by conservative lookahead:
-    /// the world partitions its nodes into `shards` regions (see
-    /// `World::set_shard_map`) and `run_until` executes each lookahead
-    /// window on worker threads. Stable reports are byte-identical to
-    /// [`SchedulerKind::ReferenceHeap`] at any shard count — the origin
-    /// keys make the total event order independent of the executor.
-    Sharded { shards: usize },
 }
 
 /// The kernel's scheduler storage: enum dispatch keeps `push`/`pop` on
@@ -120,14 +107,12 @@ pub enum SchedulerKind {
 pub(crate) enum AnyScheduler {
     Wheel(TimerWheel),
     Heap(HeapScheduler),
-    Sharded(ShardedQueues),
 }
 
 pub(crate) fn make_scheduler(kind: SchedulerKind) -> AnyScheduler {
     match kind {
         SchedulerKind::TimerWheel => AnyScheduler::Wheel(TimerWheel::new()),
         SchedulerKind::ReferenceHeap => AnyScheduler::Heap(HeapScheduler::default()),
-        SchedulerKind::Sharded { shards } => AnyScheduler::Sharded(ShardedQueues::new(shards)),
     }
 }
 
@@ -137,7 +122,6 @@ impl Scheduler for AnyScheduler {
         match self {
             AnyScheduler::Wheel(w) => w.push(ev),
             AnyScheduler::Heap(h) => h.push(ev),
-            AnyScheduler::Sharded(s) => s.push(ev),
         }
     }
 
@@ -146,15 +130,6 @@ impl Scheduler for AnyScheduler {
         match self {
             AnyScheduler::Wheel(w) => w.pop_before(deadline),
             AnyScheduler::Heap(h) => h.pop_before(deadline),
-            AnyScheduler::Sharded(s) => s.pop_before(deadline),
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            AnyScheduler::Wheel(w) => w.peek(),
-            AnyScheduler::Heap(h) => h.peek(),
-            AnyScheduler::Sharded(s) => s.peek(),
         }
     }
 
@@ -162,7 +137,6 @@ impl Scheduler for AnyScheduler {
         match self {
             AnyScheduler::Wheel(w) => w.len(),
             AnyScheduler::Heap(h) => h.len(),
-            AnyScheduler::Sharded(s) => s.len(),
         }
     }
 }
@@ -185,128 +159,8 @@ impl Scheduler for HeapScheduler {
         }
     }
 
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(ev)| (ev.time, ev.seq))
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-/// The sharded scheduler: one timer wheel per shard plus a control heap.
-///
-/// Events route by their target node's shard (`shard_of`); control
-/// events — closures with full `&mut World` access — always stay on the
-/// main thread's heap. As a [`Scheduler`] it pops the global `(time,
-/// seq)` minimum across every queue, so serial execution over it (one
-/// shard, tracing enabled, `run_until_idle`) reproduces the reference
-/// order exactly; `World::run_until` additionally knows how to take
-/// whole wheels out and run lookahead windows on worker threads.
-pub(crate) struct ShardedQueues {
-    /// Node index -> shard. Nodes beyond the map (added after
-    /// `set_map`) default to shard 0.
-    pub(crate) shard_of: Vec<u32>,
-    /// `None` only while a window executor has the wheel checked out.
-    pub(crate) wheels: Vec<Option<TimerWheel>>,
-    /// Control events only.
-    pub(crate) ctl: HeapScheduler,
-}
-
-impl ShardedQueues {
-    pub(crate) fn new(shards: usize) -> ShardedQueues {
-        ShardedQueues {
-            shard_of: Vec::new(),
-            wheels: (0..shards.max(1))
-                .map(|_| Some(TimerWheel::new()))
-                .collect(),
-            ctl: HeapScheduler::default(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn shard_of_node(&self, node: usize) -> usize {
-        let s = self.shard_of.get(node).copied().unwrap_or(0) as usize;
-        s.min(self.wheels.len() - 1)
-    }
-
-    #[inline]
-    fn wheel(&mut self, shard: usize) -> &mut TimerWheel {
-        self.wheels[shard]
-            .as_mut()
-            .expect("wheel checked out by a window executor")
-    }
-
-    /// Install a new node->shard map, rerouting everything already
-    /// queued (events scheduled before the partition was known live in
-    /// shard 0's wheel).
-    pub(crate) fn set_map(&mut self, map: Vec<u32>) {
-        let mut drained: Vec<Queued> = Vec::new();
-        for w in &mut self.wheels {
-            let w = w.as_mut().expect("wheel checked out during set_map");
-            while let Some(ev) = w.pop() {
-                drained.push(ev);
-            }
-            *w = TimerWheel::new();
-        }
-        self.shard_of = map;
-        for ev in drained {
-            self.push(ev);
-        }
-    }
-
-    /// Shard that will execute `kind`, or `None` for control events.
-    fn route(&self, kind: &EventKind) -> Option<usize> {
-        kind.target_node().map(|n| self.shard_of_node(n))
-    }
-}
-
-impl Scheduler for ShardedQueues {
-    fn push(&mut self, ev: Queued) {
-        match self.route(&ev.kind) {
-            None => self.ctl.push(ev),
-            Some(shard) => self.wheel(shard).push(ev),
-        }
-    }
-
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
-        let mut best: Option<(SimTime, u64, Option<usize>)> =
-            self.ctl.peek().map(|(t, s)| (t, s, None));
-        for i in 0..self.wheels.len() {
-            if let Some((t, s)) = self.wheel(i).peek() {
-                if best.is_none() || (t, s) < (best.unwrap().0, best.unwrap().1) {
-                    best = Some((t, s, Some(i)));
-                }
-            }
-        }
-        match best {
-            Some((t, _, src)) if t <= deadline => match src {
-                None => self.ctl.pop(),
-                Some(i) => self.wheel(i).pop(),
-            },
-            _ => None,
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        let mut best = self.ctl.peek();
-        for i in 0..self.wheels.len() {
-            if let Some(k) = self.wheel(i).peek() {
-                if best.is_none() || k < best.unwrap() {
-                    best = Some(k);
-                }
-            }
-        }
-        best
-    }
-
-    fn len(&self) -> usize {
-        let wheels: usize = self
-            .wheels
-            .iter()
-            .map(|w| w.as_ref().map_or(0, |w| w.len()))
-            .sum();
-        wheels + self.ctl.len()
     }
 }
 
@@ -513,18 +367,6 @@ impl Scheduler for TimerWheel {
                 let ev = std::mem::replace(ev, CONSUMED);
                 self.active_at += 1;
                 return Some(ev);
-            }
-            if self.wheel_len == 0 && self.overflow.is_empty() {
-                return None;
-            }
-            self.activate_next();
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            if let Some(ev) = self.active.get(self.active_at) {
-                return Some((ev.time, ev.seq));
             }
             if self.wheel_len == 0 && self.overflow.is_empty() {
                 return None;

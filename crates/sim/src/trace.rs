@@ -11,18 +11,12 @@
 //! * `sub` — the record's index within that one dispatch.
 //!
 //! `(time, cause, sub)` is globally unique and sorting by it
-//! reconstructs the exact serial processing order. That is what makes
-//! trace output part of the byte-identical determinism contract: the
-//! sharded kernel records into per-shard rings during a lookahead
-//! window, and the barrier merge-sorts the batches back into the world
-//! ring, producing the same bytes as the reference serial run at any
-//! shard count.
-//!
-//! Eviction in the bounded ring is also scheduler-independent: a shard
-//! ring only evicts a record once `capacity` younger records exist *on
-//! the same shard*, and those younger records alone would evict it from
-//! the merged ring too — so bounded shard rings followed by a merged
-//! truncation retain exactly the records a serial bounded ring would.
+//! reconstructs the exact processing order. That is what makes trace
+//! output part of the byte-identical determinism contract: the key is
+//! built from origin keys, which no scheduler can influence, so the
+//! timer wheel and the reference heap export the same bytes. Eviction
+//! in the bounded ring is scheduler-independent for the same reason:
+//! it keeps the newest `capacity` records of that one order.
 
 use crate::node::NodeId;
 use sc_net::SimTime;
@@ -93,8 +87,7 @@ pub struct Trace {
     /// Total records ever recorded (retained + evicted).
     recorded: u64,
     // Sub-index tracking: consecutive records from one dispatch share
-    // (time, cause) and get increasing `sub`. A dispatch runs on
-    // exactly one executor, so per-ring tracking is exact.
+    // (time, cause) and get increasing `sub`.
     last_time: SimTime,
     last_cause: u64,
     next_sub: u32,
@@ -132,24 +125,9 @@ impl Trace {
         Trace::bounded(usize::MAX)
     }
 
-    /// An empty ring with the same enablement/capacity as `self`
-    /// (per-shard scratch rings mirroring the world ring).
-    pub fn fork_empty(&self) -> Trace {
-        if self.enabled {
-            Trace::bounded(self.capacity)
-        } else {
-            Trace::disabled()
-        }
-    }
-
     /// Whether records are being kept.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The ring bound (`usize::MAX` in full-capture mode).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Record one event. `detail` only runs when tracing is enabled.
@@ -216,51 +194,6 @@ impl Trace {
     /// Number of records evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
         self.recorded - self.records.len() as u64
-    }
-
-    /// Drain this ring: retained records in order, plus the total
-    /// recorded count. Used by the sharded kernel to hand a window's
-    /// batch back to the world at a barrier.
-    pub fn drain_batch(&mut self) -> (Vec<TraceEvent>, u64) {
-        let recorded = self.recorded;
-        self.recorded = 0;
-        self.last_cause = u64::MAX;
-        self.last_time = SimTime::ZERO;
-        self.next_sub = 0;
-        (self.records.drain(..).collect(), recorded)
-    }
-
-    /// Merge per-shard window batches into this ring.
-    ///
-    /// The batches all cover the same time window (disjoint cause
-    /// keys), and every record in them is newer than anything already
-    /// retained, so sorting the union by `(time, cause, sub)` and
-    /// appending reproduces exactly what a serial run would have
-    /// recorded — including which records the bound evicts.
-    pub fn absorb_batches(&mut self, batches: Vec<(Vec<TraceEvent>, u64)>) {
-        if !self.enabled {
-            return;
-        }
-        let mut all: Vec<TraceEvent> = Vec::new();
-        for (batch, recorded) in batches {
-            // Evicted-on-shard records are evicted in the merged view
-            // too (>= capacity younger same-shard records dominate
-            // them), so the recorded count carries over unchanged.
-            self.recorded += recorded;
-            all.extend(batch);
-        }
-        all.sort_unstable_by_key(|e| e.key());
-        for e in all {
-            if self.records.len() == self.capacity {
-                self.records.pop_front();
-            }
-            self.records.push_back(e);
-        }
-        // Cross-batch appends never continue a dispatch, so reset the
-        // sub tracking; the next direct emit starts a new dispatch.
-        self.last_cause = u64::MAX;
-        self.last_time = SimTime::ZERO;
-        self.next_sub = 0;
     }
 
     /// Render all retained records as lines (for debugging dumps).
@@ -427,36 +360,6 @@ mod tests {
         ev(&mut t, 2, 9, "d");
         let subs: Vec<u32> = t.records().map(|r| r.sub).collect();
         assert_eq!(subs, vec![0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn absorb_batches_matches_serial_order_and_eviction() {
-        // Serial reference: one ring sees everything in key order.
-        let mut serial = Trace::bounded(3);
-        let mut shard_a = Trace::bounded(3);
-        let mut shard_b = Trace::bounded(3);
-        // Shard A handles causes 10,30; shard B handles 20,40 — all in
-        // one window at t=1ms, then t=2ms.
-        for (ms, cause) in [(1, 10), (1, 20), (1, 30), (2, 40)] {
-            ev(&mut serial, ms, cause, "e");
-            ev(&mut serial, ms, cause, "e2");
-        }
-        for (ms, cause) in [(1, 10), (1, 30)] {
-            ev(&mut shard_a, ms, cause, "e");
-            ev(&mut shard_a, ms, cause, "e2");
-        }
-        for (ms, cause) in [(1, 20), (2, 40)] {
-            ev(&mut shard_b, ms, cause, "e");
-            ev(&mut shard_b, ms, cause, "e2");
-        }
-        let mut merged = Trace::bounded(3);
-        // Restore order is completion order — deliberately "wrong".
-        merged.absorb_batches(vec![shard_b.drain_batch(), shard_a.drain_batch()]);
-        let got: Vec<_> = merged.records().map(|r| (r.key(), r.name)).collect();
-        let want: Vec<_> = serial.records().map(|r| (r.key(), r.name)).collect();
-        assert_eq!(got, want);
-        assert_eq!(merged.recorded(), serial.recorded());
-        assert_eq!(merged.to_jsonl(), serial.to_jsonl());
     }
 
     #[test]

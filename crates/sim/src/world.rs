@@ -6,33 +6,17 @@
 //! stream emitted the event* (stream 0 is the world/control stream,
 //! stream `n + 1` is node `n`) with that stream's private emission
 //! counter. Keys never depend on how emissions from different streams
-//! interleave globally, so the single-threaded executors and the
-//! sharded lookahead executor (see [`SchedulerKind::Sharded`]) produce
-//! the identical total order — and therefore byte-identical reports —
-//! at any shard count.
-//!
-//! ## Sharded execution
-//!
-//! With a `Sharded` scheduler, [`World::set_shard_map`] partitions the
-//! nodes into regions, each owning a private timer wheel. `run_until`
-//! then advances in conservative-lookahead windows: the minimum
-//! latency over cross-shard links bounds how far any shard may run
-//! ahead of the global minimum before a barrier exchanges boundary
-//! frames (a frame needs at least that latency to cross a shard
-//! boundary, so nothing inside the window can affect another shard).
-//! Control events always run on the main thread with the whole world
-//! parked at a barrier; the instant a control is due is drained
-//! serially, so control-vs-event interleavings match the reference
-//! executor exactly.
+//! interleave globally, so the order is a property of the simulated
+//! system, not of the queue that holds it: the timer wheel and the
+//! reference heap (see [`SchedulerKind`]) pop the identical sequence,
+//! and every trace record can name the event that caused it by key.
 
 use crate::link::{Endpoint, Link, LinkId, LinkParams};
 use crate::node::{Action, Ctx, Node, NodeId, PortId, TimerToken};
-use crate::sched::{make_scheduler, AnyScheduler, Queued, Scheduler, SchedulerKind, TimerWheel};
-use crate::trace::{Trace, TraceEvent};
+use crate::sched::{make_scheduler, AnyScheduler, Queued, Scheduler, SchedulerKind};
+use crate::trace::Trace;
 use sc_net::metrics::Registry;
 use sc_net::{Frame, SimDuration, SimTime};
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Bits of each origin key holding the per-stream counter; the stream
@@ -76,22 +60,6 @@ pub struct NodeStats {
 }
 
 impl WorldStats {
-    /// Add a window job's delta (all counters are additive, so totals
-    /// are independent of how events interleave across shards).
-    fn merge(&mut self, d: &WorldStats) {
-        self.events_processed += d.events_processed;
-        self.frames_delivered += d.frames_delivered;
-        self.frames_dropped_loss += d.frames_dropped_loss;
-        self.frames_dropped_link_down += d.frames_dropped_link_down;
-        self.frames_dropped_no_link += d.frames_dropped_no_link;
-        self.frames_dropped_dead_node += d.frames_dropped_dead_node;
-        self.frames_corrupted += d.frames_corrupted;
-        self.timers_fired += d.timers_fired;
-        self.timers_dropped_dead_node += d.timers_dropped_dead_node;
-        self.link_status_events += d.link_status_events;
-        self.control_events += d.control_events;
-    }
-
     /// Events handled by kind, under their registry names. Delayed-emit
     /// events are the only kind without a counter of their own (they
     /// are the remainder), so the five sum to `events_processed`.
@@ -134,20 +102,6 @@ pub(crate) enum EventKind {
     Control(usize),
 }
 
-impl EventKind {
-    /// The node whose shard must execute this event; `None` for control
-    /// events, which only ever run on the main thread.
-    pub(crate) fn target_node(&self) -> Option<usize> {
-        match self {
-            EventKind::Deliver { to, .. } => Some(to.node.0),
-            EventKind::Emit { from, .. } => Some(from.node.0),
-            EventKind::Timer { node, .. } => Some(node.0),
-            EventKind::LinkStatus { to, .. } => Some(to.node.0),
-            EventKind::Control(_) => None,
-        }
-    }
-}
-
 pub(crate) struct Slot {
     node: Option<Box<dyn Node>>,
     name: String,
@@ -157,19 +111,6 @@ pub(crate) struct Slot {
     /// This node's origin-key emission counter (see the module docs).
     emit_ctr: u64,
     stats: NodeStats,
-}
-
-/// A non-allocating stand-in left in `World::nodes` while a window
-/// executor owns the real slot.
-fn placeholder_slot() -> Slot {
-    Slot {
-        node: None,
-        name: String::new(),
-        alive: false,
-        ports: Vec::new(),
-        emit_ctr: 0,
-        stats: NodeStats::default(),
-    }
 }
 
 type ControlFn = Box<dyn FnOnce(&mut World)>;
@@ -208,12 +149,11 @@ impl World {
         World::with_scheduler(seed, SchedulerKind::default())
     }
 
-    /// A fresh world on an explicitly chosen event scheduler. Every
-    /// scheduler — including the sharded one at any shard count —
-    /// delivers the identical `(time, origin key)` total order, so this
-    /// choice can never change a simulation outcome — the determinism
-    /// regression tests compare suite reports across schedulers
-    /// byte-for-byte to prove it.
+    /// A fresh world on an explicitly chosen event scheduler. Both
+    /// schedulers deliver the identical `(time, origin key)` total
+    /// order, so this choice can never change a simulation outcome —
+    /// the determinism regression tests compare suite reports across
+    /// schedulers byte-for-byte to prove it.
     pub fn with_scheduler(seed: u64, sched: SchedulerKind) -> World {
         World {
             now: SimTime::ZERO,
@@ -506,85 +446,9 @@ impl World {
         self.push(at, EventKind::Control(idx));
     }
 
-    /// Partition the nodes across the sharded scheduler's regions
-    /// (`map[node] = shard`, entries clamped to the shard count,
-    /// missing entries default to shard 0). No-op on the
-    /// single-threaded schedulers — a shard map never changes results,
-    /// only which threads compute them.
-    ///
-    /// Regions connected by a zero-latency link are merged (union-find
-    /// on shard ids): such a link admits no lookahead window, so
-    /// keeping its endpoints in separate shards would force every
-    /// instant onto the serial fallback path.
-    pub fn set_shard_map(&mut self, map: Vec<u32>) {
-        let AnyScheduler::Sharded(q) = &mut self.queue else {
-            return;
-        };
-        let shards = q.wheels.len() as u32;
-        let mut full: Vec<u32> = (0..self.nodes.len())
-            .map(|i| map.get(i).copied().unwrap_or(0).min(shards - 1))
-            .collect();
-        let mut parent: Vec<u32> = (0..shards).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for l in &self.links {
-            if l.params.latency.is_zero() {
-                let ra = find(&mut parent, full[l.a.node.0]);
-                let rb = find(&mut parent, full[l.b.node.0]);
-                if ra != rb {
-                    // Lower root wins so the merge is order-independent.
-                    parent[ra.max(rb) as usize] = ra.min(rb);
-                }
-            }
-        }
-        for s in full.iter_mut() {
-            *s = find(&mut parent, *s);
-        }
-        q.set_map(full);
-    }
-
-    /// The shard a node is assigned to (always 0 on single-threaded
-    /// schedulers).
-    pub fn shard_of(&self, id: NodeId) -> usize {
-        match &self.queue {
-            AnyScheduler::Sharded(q) => q.shard_of_node(id.0),
-            _ => 0,
-        }
-    }
-
-    /// The conservative lookahead horizon: the minimum latency over
-    /// links whose endpoints live in different shards (down links
-    /// included — they can come back up mid-window via nothing, since
-    /// carrier changes are control-driven, but counting them only
-    /// shrinks the window and can never break safety). `None` when no
-    /// link crosses a shard boundary (or the scheduler is not sharded),
-    /// in which case a window may run to the next control time
-    /// unbounded.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        let AnyScheduler::Sharded(q) = &self.queue else {
-            return None;
-        };
-        let mut min: Option<SimDuration> = None;
-        for l in &self.links {
-            if q.shard_of_node(l.a.node.0) != q.shard_of_node(l.b.node.0) {
-                let lat = l.params.latency;
-                min = Some(match min {
-                    Some(m) if m <= lat => m,
-                    _ => lat,
-                });
-            }
-        }
-        min
-    }
-
     /// Queue an event on the world/control stream (origin key 0):
     /// scripted controls, carrier transitions, external wake-ups —
-    /// anything pushed from the main thread rather than from a node
+    /// anything pushed by the driver rather than from a node
     /// handler. Stream-0 keys sort below every node key, so co-timed
     /// control effects always precede co-timed node traffic.
     fn push(&mut self, time: SimTime, kind: EventKind) {
@@ -632,24 +496,13 @@ impl World {
 
     /// Run until the queue is empty or `deadline` is reached; `now` ends
     /// at `min(deadline, drained)`. Events *at* the deadline run.
-    ///
-    /// On a multi-shard scheduler this is the parallel path:
-    /// conservative-lookahead windows executed across worker threads.
-    /// Results — including trace output, which per-shard rings record
-    /// and the barrier merge-sorts back into causal order — are
-    /// byte-identical either way.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
         let t0 = self.wall_clock.map(|clock| clock());
-        let windowed = matches!(&self.queue, AnyScheduler::Sharded(q) if q.wheels.len() > 1);
-        if windowed {
-            self.run_windows(deadline);
-        } else {
-            while let Some(ev) = self.queue.pop_before(deadline) {
-                self.now = ev.time;
-                self.stats.events_processed += 1;
-                self.handle(ev.seq, ev.kind);
-            }
+        while let Some(ev) = self.queue.pop_before(deadline) {
+            self.now = ev.time;
+            self.stats.events_processed += 1;
+            self.handle(ev.seq, ev.kind);
         }
         self.accumulate_wall(t0);
         if self.now < deadline {
@@ -774,7 +627,7 @@ impl World {
         let arrival = link.schedule_arrival(dir, self.now, frame.len());
         // The delivery rides the *sender's* origin stream: its key is a
         // pure function of which node emitted and how many times, never
-        // of global interleaving — the root of cross-executor identity.
+        // of global interleaving — the root of cross-scheduler identity.
         let seq = self.key_for_node(from.node.0);
         self.queue.push(Queued {
             time: arrival,
@@ -820,494 +673,6 @@ impl World {
                 Action::SetTimer { at, token } => {
                     let seq = self.key_for_node(id.0);
                     self.queue.push(Queued {
-                        time: at.max(self.now),
-                        seq,
-                        kind: EventKind::Timer { node: id, token },
-                    });
-                }
-            }
-        }
-        self.action_buf = actions;
-    }
-
-    /// Full-length, clamped copy of the current shard map (missing
-    /// entries — nodes added after `set_shard_map` — default to 0).
-    fn snapshot_shard_map(&self) -> Arc<Vec<u32>> {
-        let AnyScheduler::Sharded(q) = &self.queue else {
-            unreachable!("snapshot_shard_map on a non-sharded world")
-        };
-        let shards = q.wheels.len() as u32;
-        Arc::new(
-            (0..self.nodes.len())
-                .map(|i| q.shard_of.get(i).copied().unwrap_or(0).min(shards - 1))
-                .collect(),
-        )
-    }
-
-    /// The parallel run loop: conservative-lookahead windows.
-    ///
-    /// Each iteration peeks the global minimum `t_min`, then either
-    /// drains the instant serially (a control is due at `t_min`, or a
-    /// zero-latency cross-shard link leaves no lookahead) or opens the
-    /// window `[t_min, h]` with `h = min(t_min + L - 1ns, t_ctl - 1ns,
-    /// deadline)` — `L` the minimum cross-shard latency, `t_ctl` the
-    /// next control time. Every shard with an event inside the window
-    /// runs it in isolation: a cross-shard frame needs `>= L` of wire
-    /// time, so nothing produced inside the window can land in another
-    /// shard before `h`; boundary deliveries buffer in per-shard
-    /// outboxes and are injected (with the origin keys they were born
-    /// with) at the barrier.
-    fn run_windows(&mut self, deadline: SimTime) {
-        let shards = match &self.queue {
-            AnyScheduler::Sharded(q) => q.wheels.len(),
-            _ => unreachable!(),
-        };
-        let one = SimDuration::from_nanos(1);
-        let mut map = self.snapshot_shard_map();
-        let mut members = compute_members(&map, shards);
-        let mut scratches: Vec<Option<ShardScratch>> =
-            (0..shards).map(|s| Some(ShardScratch::new(s))).collect();
-        let mut active: Vec<usize> = Vec::with_capacity(shards);
-        let mut boundary: Vec<Queued> = Vec::new();
-        // Per-window trace batches from the shard rings; merge-sorted
-        // into the world ring at each barrier (completion order of the
-        // workers must not matter).
-        let mut trace_batches: Vec<(Vec<TraceEvent>, u64)> = Vec::new();
-        std::thread::scope(|scope| {
-            // One worker per non-inline shard, spawned once for the
-            // whole run — a window is a channel round-trip, not a
-            // thread spawn. Workers are anonymous: each takes whatever
-            // job it is handed (the job knows its shard).
-            let mut job_txs: Vec<mpsc::Sender<ShardScratch>> = Vec::new();
-            let (done_tx, done_rx) = mpsc::channel::<ShardScratch>();
-            for _ in 1..shards {
-                let (tx, rx) = mpsc::channel::<ShardScratch>();
-                job_txs.push(tx);
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(mut job) = rx.recv() {
-                        job.run();
-                        if done_tx.send(job).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-            while let Some((t_min, _)) = self.queue.peek() {
-                if t_min > deadline {
-                    break;
-                }
-                let t_ctl = match &mut self.queue {
-                    AnyScheduler::Sharded(q) => q.ctl.peek().map(|(t, _)| t),
-                    _ => unreachable!(),
-                };
-                let lookahead = self.lookahead();
-                if t_ctl == Some(t_min) || lookahead.is_some_and(|l| l.is_zero()) {
-                    // A control is due at the instant (or a mid-run
-                    // latency change collapsed the horizon): drain the
-                    // whole instant on the main thread so control-vs-
-                    // event interleaving matches the reference exactly.
-                    self.metrics.inc("kernel.serial_instants");
-                    while let Some((t, _)) = self.queue.peek() {
-                        if t != t_min {
-                            break;
-                        }
-                        let ev = self.queue.pop().expect("peeked event vanished");
-                        self.now = ev.time;
-                        self.stats.events_processed += 1;
-                        self.handle(ev.seq, ev.kind);
-                    }
-                    // Controls may add nodes or repartition: refresh.
-                    map = self.snapshot_shard_map();
-                    members = compute_members(&map, shards);
-                    continue;
-                }
-                let mut h = deadline;
-                if let Some(l) = lookahead {
-                    h = h.min(t_min + l - one);
-                }
-                if let Some(tc) = t_ctl {
-                    h = h.min(tc - one);
-                }
-                active.clear();
-                if let AnyScheduler::Sharded(q) = &mut self.queue {
-                    for s in 0..shards {
-                        let w = q.wheels[s].as_mut().expect("wheel missing at barrier");
-                        if let Some((t, _)) = w.peek() {
-                            if t <= h {
-                                active.push(s);
-                            }
-                        }
-                    }
-                }
-                if self.metrics.is_enabled() {
-                    self.metrics.inc("kernel.windows");
-                    self.metrics
-                        .observe("kernel.window_ns", (h - t_min).as_nanos());
-                    self.metrics
-                        .observe("kernel.active_shards", active.len() as u64);
-                    self.metrics
-                        .observe("kernel.queue_depth", self.queue.len() as u64);
-                }
-                if active.len() <= 1 {
-                    // One busy shard (or an unbounded horizon with all
-                    // activity local): no isolation needed — drain on
-                    // the main world directly.
-                    while let Some(ev) = self.queue.pop_before(h) {
-                        self.now = ev.time;
-                        self.stats.events_processed += 1;
-                        self.handle(ev.seq, ev.kind);
-                    }
-                } else {
-                    for (j, &s) in active.iter().enumerate().skip(1) {
-                        let mut sc = scratches[s].take().expect("scratch in flight");
-                        self.fill_scratch(&mut sc, t_min, h, &map, &members);
-                        job_txs[j - 1].send(sc).expect("window worker died");
-                    }
-                    let inline = active[0];
-                    let mut sc0 = scratches[inline].take().expect("scratch in flight");
-                    self.fill_scratch(&mut sc0, t_min, h, &map, &members);
-                    sc0.run();
-                    self.restore_scratch(
-                        &mut sc0,
-                        &map,
-                        &members,
-                        &mut boundary,
-                        &mut trace_batches,
-                    );
-                    scratches[inline] = Some(sc0);
-                    for _ in 1..active.len() {
-                        let mut sc = done_rx.recv().expect("window worker died");
-                        self.restore_scratch(
-                            &mut sc,
-                            &map,
-                            &members,
-                            &mut boundary,
-                            &mut trace_batches,
-                        );
-                        let s = sc.my_shard;
-                        scratches[s] = Some(sc);
-                    }
-                    // Inject boundary deliveries only once every wheel
-                    // is back at the barrier — an outbox event may
-                    // target any shard.
-                    for ev in boundary.drain(..) {
-                        self.queue.push(ev);
-                    }
-                    // Merge the window's shard-ring batches into the
-                    // world ring in causal order (worker completion
-                    // order is irrelevant after the sort).
-                    if !trace_batches.is_empty() {
-                        self.trace
-                            .absorb_batches(std::mem::take(&mut trace_batches));
-                    }
-                }
-                self.now = h;
-            }
-            drop(job_txs);
-        });
-    }
-
-    /// Hand one shard's state to a window job: its wheel, its slots
-    /// (moved, placeholders left behind), a copy of every link, and the
-    /// window bounds.
-    fn fill_scratch(
-        &mut self,
-        sc: &mut ShardScratch,
-        t_min: SimTime,
-        horizon: SimTime,
-        map: &Arc<Vec<u32>>,
-        members: &[Vec<usize>],
-    ) {
-        sc.now = t_min;
-        sc.horizon = horizon;
-        sc.stats = WorldStats::default();
-        sc.shard_of = Arc::clone(map);
-        if sc.trace.is_enabled() != self.trace.is_enabled()
-            || sc.trace.capacity() != self.trace.capacity()
-        {
-            sc.trace = self.trace.fork_empty();
-        }
-        if self.metrics.is_enabled() && !sc.metrics.is_enabled() {
-            sc.metrics.enable();
-        }
-        sc.wheel = match &mut self.queue {
-            AnyScheduler::Sharded(q) => q.wheels[sc.my_shard].take(),
-            _ => unreachable!(),
-        };
-        debug_assert!(sc.wheel.is_some());
-        sc.nodes.resize_with(self.nodes.len(), || None);
-        for &i in &members[sc.my_shard] {
-            sc.nodes[i] = Some(std::mem::replace(&mut self.nodes[i], placeholder_slot()));
-        }
-        sc.links.clear();
-        sc.links.extend_from_slice(&self.links);
-    }
-
-    /// Take a completed window job back: wheel and slots return, link
-    /// state merges by direction ownership (a shard only ever advances
-    /// the `busy_until`/fault stream of directions it *sends* on), the
-    /// stats delta adds, and boundary deliveries drain into `boundary`
-    /// for injection once every wheel is back at the barrier.
-    fn restore_scratch(
-        &mut self,
-        sc: &mut ShardScratch,
-        map: &Arc<Vec<u32>>,
-        members: &[Vec<usize>],
-        boundary: &mut Vec<Queued>,
-        trace_batches: &mut Vec<(Vec<TraceEvent>, u64)>,
-    ) {
-        match &mut self.queue {
-            AnyScheduler::Sharded(q) => q.wheels[sc.my_shard] = sc.wheel.take(),
-            _ => unreachable!(),
-        }
-        for &i in &members[sc.my_shard] {
-            self.nodes[i] = sc.nodes[i].take().expect("slot lost in window");
-        }
-        let me = sc.my_shard as u32;
-        for (li, l) in self.links.iter_mut().enumerate() {
-            let src = &sc.links[li];
-            if map[l.a.node.0] == me {
-                l.busy_until[0] = src.busy_until[0];
-                l.fault_state[0] = src.fault_state[0];
-            }
-            if map[l.b.node.0] == me {
-                l.busy_until[1] = src.busy_until[1];
-                l.fault_state[1] = src.fault_state[1];
-            }
-        }
-        self.stats.merge(&sc.stats);
-        if self.metrics.is_enabled() {
-            self.metrics
-                .observe("kernel.shard_window_events", sc.stats.events_processed);
-            self.metrics.merge(&sc.metrics);
-            sc.metrics.clear();
-        }
-        if sc.trace.is_enabled() {
-            trace_batches.push(sc.trace.drain_batch());
-        }
-        boundary.append(&mut sc.outbox);
-    }
-}
-
-/// `shard -> member node indices` for the current map.
-fn compute_members(map: &Arc<Vec<u32>>, shards: usize) -> Vec<Vec<usize>> {
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, &s) in map.iter().enumerate() {
-        members[s as usize].push(i);
-    }
-    members
-}
-
-/// One shard's working set for a lookahead window: the shard's wheel
-/// and node slots (moved in, moved back at the barrier), a copy of the
-/// link table, and a private stats delta. The event loop here mirrors
-/// `World::handle`/`World::emit`/`World::dispatch` exactly — same
-/// origin-key assignment, same fault streams — minus control events,
-/// which never route to a shard. The scratch persists across windows
-/// (its buffers are the per-shard allocations), shuttling between the
-/// main thread and a worker over channels.
-struct ShardScratch {
-    my_shard: usize,
-    now: SimTime,
-    /// Inclusive upper bound of the current window.
-    horizon: SimTime,
-    wheel: Option<TimerWheel>,
-    /// Full-length; `Some` only at this shard's member indices.
-    nodes: Vec<Option<Slot>>,
-    links: Vec<Link>,
-    shard_of: Arc<Vec<u32>>,
-    stats: WorldStats,
-    /// Deliveries to foreign shards, all strictly beyond `horizon` —
-    /// that is the lookahead guarantee.
-    outbox: Vec<Queued>,
-    action_buf: Vec<Action>,
-    /// Per-shard trace ring: mirrors the world ring's mode, drained at
-    /// every barrier and merge-sorted back into causal order.
-    trace: Trace,
-    /// Per-shard metrics delta; additively merged at every barrier.
-    metrics: Registry,
-}
-
-impl ShardScratch {
-    fn new(my_shard: usize) -> ShardScratch {
-        ShardScratch {
-            my_shard,
-            now: SimTime::ZERO,
-            horizon: SimTime::ZERO,
-            wheel: None,
-            nodes: Vec::new(),
-            links: Vec::new(),
-            shard_of: Arc::new(Vec::new()),
-            stats: WorldStats::default(),
-            outbox: Vec::new(),
-            action_buf: Vec::new(),
-            trace: Trace::disabled(),
-            metrics: Registry::default(),
-        }
-    }
-
-    #[inline]
-    fn shard_of_node(&self, n: usize) -> usize {
-        self.shard_of.get(n).copied().unwrap_or(0) as usize
-    }
-
-    #[inline]
-    fn slot(&mut self, n: usize) -> &mut Slot {
-        self.nodes[n]
-            .as_mut()
-            .expect("event routed to a foreign shard")
-    }
-
-    /// Drain this shard's wheel up to (and including) the horizon.
-    fn run(&mut self) {
-        loop {
-            let Some(ev) = self
-                .wheel
-                .as_mut()
-                .expect("window job without a wheel")
-                .pop_before(self.horizon)
-            else {
-                break;
-            };
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.handle(ev.seq, ev.kind);
-        }
-    }
-
-    fn handle(&mut self, cause: u64, kind: EventKind) {
-        match kind {
-            EventKind::Deliver { to, frame } => {
-                if !self.slot(to.node.0).alive {
-                    self.stats.frames_dropped_dead_node += 1;
-                    return;
-                }
-                self.stats.frames_delivered += 1;
-                self.slot(to.node.0).stats.frames_delivered += 1;
-                self.dispatch(to.node, cause, |node, ctx| {
-                    node.on_frame(ctx, to.port, frame)
-                });
-            }
-            EventKind::Emit { from, frame } => {
-                self.emit(from, frame);
-            }
-            EventKind::Timer { node, token } => {
-                if !self.slot(node.0).alive {
-                    self.stats.timers_dropped_dead_node += 1;
-                    return;
-                }
-                self.stats.timers_fired += 1;
-                self.slot(node.0).stats.timers_fired += 1;
-                self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
-            }
-            EventKind::LinkStatus { to, up } => {
-                self.stats.link_status_events += 1;
-                if !self.slot(to.node.0).alive {
-                    return;
-                }
-                self.dispatch(to.node, cause, |n, ctx| n.on_link_status(ctx, to.port, up));
-            }
-            EventKind::Control(_) => {
-                unreachable!("control event routed to a shard wheel")
-            }
-        }
-    }
-
-    #[inline]
-    fn key_for_node(&mut self, n: usize) -> u64 {
-        let slot = self.slot(n);
-        let c = slot.emit_ctr;
-        slot.emit_ctr += 1;
-        debug_assert!(c < 1 << ORIGIN_SHIFT, "origin counter overflow");
-        ((n as u64 + 1) << ORIGIN_SHIFT) | c
-    }
-
-    fn push(&mut self, ev: Queued) {
-        let target = ev.kind.target_node().expect("shard pushed a control event");
-        if self.shard_of_node(target) == self.my_shard {
-            self.wheel
-                .as_mut()
-                .expect("window job without a wheel")
-                .push(ev);
-        } else {
-            debug_assert!(
-                ev.time > self.horizon,
-                "cross-shard event inside the lookahead window"
-            );
-            self.outbox.push(ev);
-        }
-    }
-
-    fn emit(&mut self, from: Endpoint, frame: Frame) {
-        let Some(Some(link_id)) = self.slot(from.node.0).ports.get(from.port.0).copied() else {
-            self.stats.frames_dropped_no_link += 1;
-            return;
-        };
-        let link = &mut self.links[link_id.0];
-        if !link.up {
-            self.stats.frames_dropped_link_down += 1;
-            return;
-        }
-        let (dir, peer) = link
-            .direction_from(from)
-            .expect("port/link wiring inconsistent");
-        let mut frame = frame;
-        let corrupted = match link.apply_faults(dir, &mut frame) {
-            None => {
-                self.stats.frames_dropped_loss += 1;
-                return;
-            }
-            Some(c) => c,
-        };
-        if corrupted {
-            self.stats.frames_corrupted += 1;
-        }
-        let arrival = link.schedule_arrival(dir, self.now, frame.len());
-        let seq = self.key_for_node(from.node.0);
-        self.push(Queued {
-            time: arrival,
-            seq,
-            kind: EventKind::Deliver { to: peer, frame },
-        });
-    }
-
-    fn dispatch(&mut self, id: NodeId, cause: u64, f: impl FnOnce(&mut dyn Node, &mut Ctx)) {
-        let mut node = self
-            .slot(id.0)
-            .node
-            .take()
-            .expect("re-entrant dispatch on one node");
-        let mut ctx = Ctx {
-            now: self.now,
-            node: id,
-            cause,
-            actions: std::mem::take(&mut self.action_buf),
-            trace: &mut self.trace,
-            metrics: &mut self.metrics,
-        };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        self.slot(id.0).node = Some(node);
-        for action in actions.drain(..) {
-            match action {
-                Action::SendFrame { port, frame, at } => {
-                    let from = Endpoint { node: id, port };
-                    if at <= self.now {
-                        self.emit(from, frame);
-                    } else {
-                        let seq = self.key_for_node(id.0);
-                        self.push(Queued {
-                            time: at,
-                            seq,
-                            kind: EventKind::Emit { from, frame },
-                        });
-                    }
-                }
-                Action::SetTimer { at, token } => {
-                    let seq = self.key_for_node(id.0);
-                    self.push(Queued {
                         time: at.max(self.now),
                         seq,
                         kind: EventKind::Timer { node: id, token },
@@ -1704,13 +1069,11 @@ mod tests {
         w.run_until_idle(100);
     }
 
-    /// Six ticker->sink pairs, every pair's link crossing a shard
-    /// boundary, one lossy link, one scripted mid-run carrier cut: the
-    /// canonical cross-executor workload.
-    fn sharded_world(kind: SchedulerKind) -> (World, Vec<NodeId>) {
+    /// Six ticker->sink pairs, one lossy link, one scripted mid-run
+    /// carrier cut: the canonical cross-scheduler workload.
+    fn six_pair_world(kind: SchedulerKind) -> (World, Vec<NodeId>) {
         let mut w = World::with_scheduler(77, kind);
         let mut sinks = Vec::new();
-        let mut map = Vec::new();
         for i in 0..6u32 {
             let t = w.add_node(Ticker {
                 name: format!("t{i}"),
@@ -1726,21 +1089,18 @@ mod tests {
                 ..LinkParams::default()
             };
             let (l, _, _) = w.connect(t, s, params);
-            map.push(i % 3); // ticker's shard
-            map.push((i + 1) % 3); // sink's shard: the link crosses
             if i == 2 {
                 w.schedule(SimTime::from_millis(3), move |w| w.set_link_up(l, false));
             }
             sinks.push(s);
         }
-        w.set_shard_map(map);
         (w, sinks)
     }
 
     #[test]
-    fn sharded_execution_matches_reference() {
+    fn wheel_execution_matches_reference_heap() {
         let run = |kind| {
-            let (mut w, sinks) = sharded_world(kind);
+            let (mut w, sinks) = six_pair_world(kind);
             w.run_until(SimTime::from_millis(10));
             let seen: Vec<Vec<(SimTime, PortId, Frame)>> = sinks
                 .iter()
@@ -1772,27 +1132,21 @@ mod tests {
         assert_eq!(ref_nodes[3].timers_fired, 0);
         assert!(ref_folded.contains("\"kernel.node.t1.timers_fired\":200"));
         assert!(ref_folded.contains("\"kernel.events.control\":1,"));
-        let others = [1usize, 2, 3, 5]
-            .map(|shards| SchedulerKind::Sharded { shards })
-            .into_iter()
-            .chain([SchedulerKind::TimerWheel]);
-        for kind in others {
-            let (stats, seen, nodes, folded) = run(kind);
-            assert_eq!(ref_stats, stats, "stats diverge on {kind:?}");
-            assert_eq!(ref_seen, seen, "deliveries diverge on {kind:?}");
-            assert_eq!(ref_nodes, nodes, "node stats diverge on {kind:?}");
-            assert_eq!(ref_folded, folded, "kernel metrics diverge on {kind:?}");
-        }
+        let (stats, seen, nodes, folded) = run(SchedulerKind::TimerWheel);
+        assert_eq!(ref_stats, stats, "stats diverge");
+        assert_eq!(ref_seen, seen, "deliveries diverge");
+        assert_eq!(ref_nodes, nodes, "node stats diverge");
+        assert_eq!(ref_folded, folded, "kernel metrics diverge");
     }
 
     /// The sc-trace determinism contract at the kernel level: JSONL and
     /// Chrome exports (and node-level metrics) are byte-identical across
-    /// the reference executor and the sharded executor at any shard
-    /// count — including ring eviction, exercised by the tight bound.
+    /// the reference heap and the timer wheel — including ring eviction,
+    /// exercised by the tight bound.
     #[test]
-    fn sharded_trace_exports_match_reference() {
+    fn wheel_trace_exports_match_reference_heap() {
         let run = |kind, capacity| {
-            let (mut w, _) = sharded_world(kind);
+            let (mut w, _) = six_pair_world(kind);
             w.enable_trace(capacity);
             w.run_until(SimTime::from_millis(10));
             (
@@ -1807,42 +1161,11 @@ mod tests {
         for capacity in [usize::MAX, 100] {
             let (ref_jsonl, ref_chrome, ref_ctrs) = run(SchedulerKind::ReferenceHeap, capacity);
             assert!(ref_ctrs.0 > 0 && ref_ctrs.1 > 0);
-            for shards in [1usize, 2, 3, 5] {
-                let (jsonl, chrome, ctrs) = run(SchedulerKind::Sharded { shards }, capacity);
-                assert_eq!(ref_jsonl, jsonl, "jsonl diverges at {shards} shards");
-                assert_eq!(ref_chrome, chrome, "chrome diverges at {shards} shards");
-                assert_eq!(ref_ctrs, ctrs, "counters diverge at {shards} shards");
-            }
+            let (jsonl, chrome, ctrs) = run(SchedulerKind::TimerWheel, capacity);
+            assert_eq!(ref_jsonl, jsonl, "jsonl diverges at capacity {capacity}");
+            assert_eq!(ref_chrome, chrome, "chrome diverges at capacity {capacity}");
+            assert_eq!(ref_ctrs, ctrs, "counters diverge at capacity {capacity}");
         }
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_shard_latency() {
-        let mut w = World::with_scheduler(1, SchedulerKind::Sharded { shards: 2 });
-        let a = w.add_node(Echo::new("a", SimDuration::ZERO));
-        let b = w.add_node(Echo::new("b", SimDuration::ZERO));
-        let c = w.add_node(Echo::new("c", SimDuration::ZERO));
-        w.connect(a, b, LinkParams::with_latency(SimDuration::from_micros(50)));
-        w.connect(a, c, LinkParams::with_latency(SimDuration::from_micros(7)));
-        w.set_shard_map(vec![0, 1, 0]);
-        // Only a-b crosses the boundary.
-        assert_eq!(w.lookahead(), Some(SimDuration::from_micros(50)));
-        w.set_shard_map(vec![0, 1, 1]);
-        // Both cross: the minimum wins.
-        assert_eq!(w.lookahead(), Some(SimDuration::from_micros(7)));
-        w.set_shard_map(vec![0, 0, 0]);
-        assert_eq!(w.lookahead(), None, "no cross-shard links, no bound");
-    }
-
-    #[test]
-    fn zero_latency_cross_shard_links_merge_regions() {
-        let mut w = World::with_scheduler(1, SchedulerKind::Sharded { shards: 2 });
-        let a = w.add_node(Echo::new("a", SimDuration::ZERO));
-        let b = w.add_node(Echo::new("b", SimDuration::ZERO));
-        w.connect(a, b, LinkParams::with_latency(SimDuration::ZERO));
-        w.set_shard_map(vec![0, 1]);
-        assert_eq!(w.shard_of(a), w.shard_of(b), "regions merged");
-        assert_eq!(w.lookahead(), None);
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Property tests for the flight-recorder ring: whatever the capacity
-//! and however the event stream is split across shard scratch rings,
-//! the retained window is the *last* `capacity` records of the serial
-//! total order — eviction is a pure function of the stream, never of
-//! the kernel that recorded it.
+//! Property tests for the flight-recorder ring: whatever the capacity,
+//! the retained window is the *last* `capacity` records of the total
+//! order — eviction is a pure function of the stream.
 
 use proptest::prelude::*;
 use sc_net::SimTime;
@@ -75,44 +73,5 @@ proptest! {
             bounded.dropped(),
             all.len().saturating_sub(capacity) as u64
         );
-    }
-
-    /// Splitting a window's records across shard scratch rings by cause
-    /// key and merging with `absorb_batches` reproduces the serial
-    /// ring byte for byte — including which records the bound evicted.
-    #[test]
-    fn shard_split_and_absorb_matches_serial(
-        stream in arb_stream(),
-        capacity in 1usize..64,
-        shards in 1u64..5,
-    ) {
-        let serial = record_serial(&stream, capacity);
-
-        let mut world = Trace::bounded(capacity);
-        let mut scratch: Vec<Trace> =
-            (0..shards).map(|_| world.fork_empty()).collect();
-        for &(t, cause, n) in &stream {
-            let ring = &mut scratch[(cause % shards) as usize];
-            for i in 0..n {
-                ring.emit(
-                    SimTime::from_nanos(t),
-                    cause,
-                    NodeId(0),
-                    TracePhase::Instant,
-                    "prop",
-                    "ev",
-                    cause,
-                    i as u64,
-                    String::new,
-                );
-            }
-        }
-        world.absorb_batches(
-            scratch.iter_mut().map(|s| s.drain_batch()).collect(),
-        );
-
-        prop_assert_eq!(world.recorded(), serial.recorded());
-        prop_assert_eq!(world.to_jsonl(), serial.to_jsonl());
-        prop_assert_eq!(world.to_chrome(), serial.to_chrome());
     }
 }
