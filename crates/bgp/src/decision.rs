@@ -18,10 +18,20 @@
 //! Step 8 guarantees *totality*: two distinct routes never compare equal,
 //! which property tests assert — a ranking with ties would make the
 //! controller's backup-groups nondeterministic across replicas.
+//!
+//! # Where the inputs live
+//!
+//! A [`Route`] is what differs from one candidate to the next — the
+//! attribute set, the peer it came from, the LOCAL_PREF import gave it —
+//! in 16 bytes, because a RIB pays for it once per candidate of every
+//! prefix. The prefix is the key the RIB files the route under, and what
+//! steps 5-7 read (eBGP or iBGP, IGP cost, router ID) are facts of the
+//! *session*, the same for every route a peer sends: they sit once per
+//! peer in a [`PeerTable`], which the comparison consults only when
+//! steps 1-4 tie.
 
 use crate::attrs::RouteAttrs;
 use crate::PeerId;
-use sc_net::Ipv4Prefix;
 use std::cmp::Ordering;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -40,12 +50,54 @@ pub struct PeerInfo {
     pub igp_cost: u32,
 }
 
-/// A candidate route for one prefix.
+/// The [`PeerInfo`] of every peer routes were learned from, one entry a
+/// peer: a handful of sessions, searched linearly.
+#[derive(Debug, Default)]
+pub struct PeerTable {
+    peers: Vec<PeerInfo>,
+}
+
+impl PeerTable {
+    /// An empty table.
+    pub fn new() -> PeerTable {
+        PeerTable::default()
+    }
+
+    /// Record `from` as the facts of `from.peer`. Returns whether the
+    /// peer was known with *other* facts: a list ranked while those held
+    /// and still holding a route of the peer's is no longer sorted.
+    pub fn learn(&mut self, from: PeerInfo) -> bool {
+        match self.peers.iter_mut().find(|known| known.peer == from.peer) {
+            Some(known) => from != std::mem::replace(known, from),
+            None => {
+                self.peers.push(from);
+                false
+            }
+        }
+    }
+
+    /// What was last learned about `peer`.
+    pub fn get(&self, peer: PeerId) -> Option<&PeerInfo> {
+        self.peers.iter().find(|known| known.peer == peer)
+    }
+
+    /// The facts behind the candidates `a` and `b`, for steps 5-8.
+    fn pair(&self, a: &Route, b: &Route) -> (&PeerInfo, &PeerInfo) {
+        let facts = |r: &Route| {
+            self.get(r.peer)
+                .expect("a candidate's peer was learned before its route was ranked")
+        };
+        (facts(a), facts(b))
+    }
+}
+
+/// A candidate route for one prefix, as the prefix's RIB entry holds it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Route {
-    pub prefix: Ipv4Prefix,
     pub attrs: Arc<RouteAttrs>,
-    pub from: PeerInfo,
+    /// The session the route was learned over — its identity for
+    /// replace/withdraw, and the key of the peer's [`PeerInfo`].
+    pub peer: PeerId,
     /// Effective LOCAL_PREF after import policy (eBGP routes carry none
     /// on the wire; import policy assigns it — e.g. the paper prefers R2
     /// by giving its session a higher value).
@@ -55,8 +107,8 @@ pub struct Route {
 // Every RIB entry holds these inline: a field added here is paid once
 // per candidate of every full-table run.
 const _: () = assert!(
-    std::mem::size_of::<Route>() <= 40,
-    "Route: 40 B per RIB candidate"
+    std::mem::size_of::<Route>() <= 16,
+    "Route: 16 B per RIB candidate"
 );
 
 impl Route {
@@ -69,10 +121,10 @@ impl Route {
 /// Default LOCAL_PREF when policy assigns none (industry convention).
 pub const DEFAULT_LOCAL_PREF: u32 = 100;
 
-/// Compare two candidate routes for the same prefix.
-/// `Ordering::Less` means `a` is **preferred** over `b`, so sorting a
-/// candidate list ascending puts the best route first.
-pub fn compare_routes(a: &Route, b: &Route) -> Ordering {
+/// Compare two candidate routes for the same prefix, both learned from
+/// peers `peers` knows. `Ordering::Less` means `a` is **preferred** over
+/// `b`, so sorting a candidate list ascending puts the best route first.
+pub fn compare_routes(peers: &PeerTable, a: &Route, b: &Route) -> Ordering {
     // 1. Highest local-pref wins => reverse numeric order.
     b.local_pref
         .cmp(&a.local_pref)
@@ -84,20 +136,26 @@ pub fn compare_routes(a: &Route, b: &Route) -> Ordering {
         //    default; we compare across neighbors, i.e.
         //    always-compare-med, a documented simplification).
         .then_with(|| a.attrs.med.unwrap_or(0).cmp(&b.attrs.med.unwrap_or(0)))
-        // 5. eBGP over iBGP.
-        .then_with(|| b.from.ebgp.cmp(&a.from.ebgp))
-        // 6. Lowest IGP cost.
-        .then_with(|| a.from.igp_cost.cmp(&b.from.igp_cost))
-        // 7. Lowest router id.
-        .then_with(|| a.from.router_id.cmp(&b.from.router_id))
-        // 8. Lowest peer address.
-        .then_with(|| a.from.peer.cmp(&b.from.peer))
+        // From here on the sessions decide, not the routes.
+        .then_with(|| {
+            let (from_a, from_b) = peers.pair(a, b);
+            // 5. eBGP over iBGP.
+            from_b
+                .ebgp
+                .cmp(&from_a.ebgp)
+                // 6. Lowest IGP cost.
+                .then_with(|| from_a.igp_cost.cmp(&from_b.igp_cost))
+                // 7. Lowest router id.
+                .then_with(|| from_a.router_id.cmp(&from_b.router_id))
+                // 8. Lowest peer address.
+                .then_with(|| a.peer.cmp(&b.peer))
+        })
 }
 
 /// A human-readable explanation of why `a` beats `b` (for traces,
 /// debugging and the examples). Returns `None` if they compare equal,
 /// which only happens when comparing a route with itself.
-pub fn explain_preference(a: &Route, b: &Route) -> Option<&'static str> {
+pub fn explain_preference(peers: &PeerTable, a: &Route, b: &Route) -> Option<&'static str> {
     if a.local_pref != b.local_pref {
         return Some("local-pref");
     }
@@ -110,16 +168,17 @@ pub fn explain_preference(a: &Route, b: &Route) -> Option<&'static str> {
     if a.attrs.med.unwrap_or(0) != b.attrs.med.unwrap_or(0) {
         return Some("med");
     }
-    if a.from.ebgp != b.from.ebgp {
+    let (from_a, from_b) = peers.pair(a, b);
+    if from_a.ebgp != from_b.ebgp {
         return Some("ebgp-over-ibgp");
     }
-    if a.from.igp_cost != b.from.igp_cost {
+    if from_a.igp_cost != from_b.igp_cost {
         return Some("igp cost");
     }
-    if a.from.router_id != b.from.router_id {
+    if from_a.router_id != from_b.router_id {
         return Some("router-id");
     }
-    if a.from.peer != b.from.peer {
+    if a.peer != b.peer {
         return Some("peer address");
     }
     None
@@ -139,12 +198,24 @@ mod tests {
         }
     }
 
+    fn table(peers: impl IntoIterator<Item = PeerInfo>) -> PeerTable {
+        let mut table = PeerTable::new();
+        for from in peers {
+            assert!(!table.learn(from), "one set of facts per peer");
+        }
+        table
+    }
+
+    /// Peers 1..=3 as [`peer`] describes them.
+    fn plain() -> PeerTable {
+        table((1..=3).map(peer))
+    }
+
     fn route(n: u8, f: impl FnOnce(&mut Route)) -> Route {
         let mut r = Route {
-            prefix: "1.0.0.0/24".parse().unwrap(),
             attrs: RouteAttrs::ebgp(AsPath::sequence(vec![100, 200]), Ipv4Addr::new(10, 0, n, 1))
                 .shared(),
-            from: peer(n),
+            peer: peer(n).peer,
             local_pref: DEFAULT_LOCAL_PREF,
         };
         f(&mut r);
@@ -166,19 +237,23 @@ mod tests {
             r.local_pref = 100;
             attrs_mut(r).as_path = AsPath::sequence(vec![1]);
         });
-        assert_eq!(compare_routes(&strong, &weak), Ordering::Less);
-        assert_eq!(explain_preference(&strong, &weak), Some("local-pref"));
+        assert_eq!(compare_routes(&plain(), &strong, &weak), Ordering::Less);
+        assert_eq!(
+            explain_preference(&plain(), &strong, &weak),
+            Some("local-pref")
+        );
     }
 
     #[test]
     fn as_path_length_then_origin_then_med() {
+        let peers = plain();
         let short = route(1, |r| {
             attrs_mut(r).as_path = AsPath::sequence(vec![100]);
         });
         let long = route(2, |r| {
             attrs_mut(r).as_path = AsPath::sequence(vec![100, 200]);
         });
-        assert_eq!(compare_routes(&short, &long), Ordering::Less);
+        assert_eq!(compare_routes(&peers, &short, &long), Ordering::Less);
 
         let igp = route(1, |r| {
             attrs_mut(r).origin = Origin::Igp;
@@ -186,8 +261,11 @@ mod tests {
         let incomplete = route(2, |r| {
             attrs_mut(r).origin = Origin::Incomplete;
         });
-        assert_eq!(compare_routes(&igp, &incomplete), Ordering::Less);
-        assert_eq!(explain_preference(&igp, &incomplete), Some("origin"));
+        assert_eq!(compare_routes(&peers, &igp, &incomplete), Ordering::Less);
+        assert_eq!(
+            explain_preference(&peers, &igp, &incomplete),
+            Some("origin")
+        );
 
         let low_med = route(1, |r| {
             attrs_mut(r).med = Some(10);
@@ -195,58 +273,100 @@ mod tests {
         let high_med = route(2, |r| {
             attrs_mut(r).med = Some(20);
         });
-        assert_eq!(compare_routes(&low_med, &high_med), Ordering::Less);
+        assert_eq!(compare_routes(&peers, &low_med, &high_med), Ordering::Less);
         // Missing MED counts as zero: beats MED 10.
         let no_med = route(3, |r| {
             attrs_mut(r).med = None;
         });
-        assert_eq!(compare_routes(&no_med, &low_med), Ordering::Less);
+        assert_eq!(compare_routes(&peers, &no_med, &low_med), Ordering::Less);
     }
 
     #[test]
     fn ebgp_beats_ibgp_and_igp_cost_breaks() {
-        let ebgp = route(1, |r| r.from.ebgp = true);
-        let ibgp = route(2, |r| r.from.ebgp = false);
-        assert_eq!(compare_routes(&ebgp, &ibgp), Ordering::Less);
-        assert_eq!(explain_preference(&ebgp, &ibgp), Some("ebgp-over-ibgp"));
+        // Peer 2 has the lower-ranked session both times; nothing in the
+        // routes tells them apart.
+        let (one, two) = (route(1, |_| {}), route(2, |_| {}));
+        let ibgp = PeerInfo {
+            ebgp: false,
+            ..peer(2)
+        };
+        let peers = table([peer(1), ibgp]);
+        assert_eq!(compare_routes(&peers, &one, &two), Ordering::Less);
+        assert_eq!(
+            explain_preference(&peers, &one, &two),
+            Some("ebgp-over-ibgp")
+        );
 
-        let near = route(1, |r| r.from.igp_cost = 5);
-        let far = route(2, |r| r.from.igp_cost = 50);
-        assert_eq!(compare_routes(&near, &far), Ordering::Less);
+        let near = PeerInfo {
+            igp_cost: 5,
+            router_id: peer(3).router_id,
+            ..peer(1)
+        };
+        let far = PeerInfo {
+            igp_cost: 50,
+            ..peer(2)
+        };
+        let peers = table([near, far]);
+        assert_eq!(compare_routes(&peers, &one, &two), Ordering::Less);
+        assert_eq!(explain_preference(&peers, &one, &two), Some("igp cost"));
     }
 
     #[test]
     fn router_id_then_peer_address_finalize() {
         let low_id = route(1, |_| {});
         let high_id = route(2, |_| {});
-        assert_eq!(compare_routes(&low_id, &high_id), Ordering::Less);
+        assert_eq!(compare_routes(&plain(), &low_id, &high_id), Ordering::Less);
 
         // Same router id, different peer address.
+        let twin = PeerInfo {
+            peer: Ipv4Addr::new(10, 0, 99, 1),
+            ..peer(1)
+        };
+        let peers = table([peer(1), twin]);
         let a = route(1, |_| {});
-        let b = route(1, |r| r.from.peer = Ipv4Addr::new(10, 0, 99, 1));
-        assert_eq!(compare_routes(&a, &b), Ordering::Less);
-        assert_eq!(explain_preference(&a, &b), Some("peer address"));
+        let b = route(1, |r| r.peer = twin.peer);
+        assert_eq!(compare_routes(&peers, &a, &b), Ordering::Less);
+        assert_eq!(explain_preference(&peers, &a, &b), Some("peer address"));
     }
 
     #[test]
     fn total_order_no_ties_between_distinct_peers() {
         // Identical attributes from different peers must still order.
+        let peers = plain();
         let a = route(1, |_| {});
         let b = route(2, |_| {});
-        assert_ne!(compare_routes(&a, &b), Ordering::Equal);
-        assert_eq!(compare_routes(&a, &a.clone()), Ordering::Equal);
-        assert_eq!(explain_preference(&a, &a.clone()), None);
+        assert_ne!(compare_routes(&peers, &a, &b), Ordering::Equal);
+        assert_eq!(compare_routes(&peers, &a, &a.clone()), Ordering::Equal);
+        assert_eq!(explain_preference(&peers, &a, &a.clone()), None);
     }
 
     #[test]
     fn sorting_yields_paper_scenario_ranking() {
         // The paper: R1 prefers R2 ($ provider) over R3 ($$) for all
         // prefixes, via import local-pref. Sorting must put R2 first.
+        let peers = plain();
         let r2 = route(2, |r| r.local_pref = 200);
         let r3 = route(3, |r| r.local_pref = 100);
         let mut v = [r3.clone(), r2.clone()];
-        v.sort_by(compare_routes);
-        assert_eq!(v[0].from.peer, r2.from.peer);
-        assert_eq!(v[1].from.peer, r3.from.peer);
+        v.sort_by(|a, b| compare_routes(&peers, a, b));
+        assert_eq!(v[0].peer, r2.peer);
+        assert_eq!(v[1].peer, r3.peer);
+    }
+
+    /// The table keeps one entry a peer and says when its facts moved.
+    #[test]
+    fn learning_a_peer_again_replaces_its_facts() {
+        let mut peers = plain();
+        assert!(!peers.learn(peer(2)), "same facts: nothing moved");
+        let renumbered = PeerInfo {
+            router_id: Ipv4Addr::new(0, 0, 0, 9),
+            ..peer(2)
+        };
+        assert!(peers.learn(renumbered));
+        assert_eq!(peers.get(peer(2).peer), Some(&renumbered));
+        assert_eq!(peers.get(Ipv4Addr::new(9, 9, 9, 9)), None);
+        // Router id 0.0.0.9 now beats peer 1's 1.1.1.1.
+        let (one, two) = (route(1, |_| {}), route(2, |_| {}));
+        assert_eq!(compare_routes(&peers, &two, &one), Ordering::Less);
     }
 }

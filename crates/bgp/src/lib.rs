@@ -34,7 +34,7 @@ pub mod session;
 
 pub use adj_out::AdjRibOut;
 pub use attrs::{AsPath, Origin, RouteAttrs};
-pub use decision::{compare_routes, PeerInfo, Route};
+pub use decision::{compare_routes, PeerInfo, PeerTable, Route};
 pub use msg::{BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};
 pub use rib::{Change, Footprint, LocRib};
 pub use session::{Session, SessionConfig, SessionEvent, SessionState};

@@ -14,24 +14,31 @@
 //! # Storage
 //!
 //! A prefix costs what it holds. The trie is only an index — 4-byte
-//! values, so the FIB's 24-byte nodes — from prefix to a tagged slot in
-//! one of two slabs the RIB owns:
+//! values with a niche, so 20-byte nodes — from prefix to a tagged slot
+//! in one of two slabs the RIB owns:
 //! * up to two candidates (the paper's regime: Listing 1 needs the top
-//!   two, the router behind a controller holds one) sit *inline* in an
-//!   80-byte small entry, no heap block;
+//!   two, the router behind a controller holds one) sit *inline* in a
+//!   40-byte small entry, no heap block;
 //! * three or more live in a large entry whose vector grows one exact
 //!   step at a time and keeps its capacity across withdraw/re-announce.
 //!
 //! An entry is in exactly one slab, chosen by its candidate count alone,
 //! so a 12-candidate IXP prefix carries no dead inline slots and a
-//! 2-candidate lab prefix no vector header. [`LocRib::footprint`] reports
-//! the total; `tests/footprint.rs` pins the bytes per prefix.
+//! 2-candidate lab prefix no vector header. A candidate is a 16-byte
+//! [`Route`] and nothing a list could share is in it: the prefix is the
+//! index's key, and what the decision process needs to know about the
+//! *session* a route came over sits once per peer in the RIB's
+//! [`PeerTable`], written from the [`PeerInfo`] every update is handed.
+//! [`LocRib::footprint`] reports the total and its three parts;
+//! `tests/footprint.rs` pins the bytes per prefix (105-126 with up to two
+//! candidates, by capacity).
 
 use crate::attrs::RouteAttrs;
-use crate::decision::{compare_routes, PeerInfo, Route};
+use crate::decision::{compare_routes, PeerInfo, PeerTable, Route};
 use crate::PeerId;
 use sc_net::{Ipv4Prefix, PrefixTrie};
 use std::mem::{self, size_of};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// "No rank" in a [`Moved`].
@@ -172,16 +179,20 @@ impl Ranked for Vec<Route> {
     }
 }
 
-/// Insert or replace the candidate from `route.from.peer`, keeping
-/// `ranked` ordered by the decision process. Returns the ranks that
+/// Insert or replace the candidate from `route.peer`, keeping `ranked`
+/// ordered by the decision process over `peers`. Returns the ranks that
 /// moved, whether a candidate was added (not replaced), and the
 /// overflow of [`Ranked::put`].
-fn place(ranked: &mut impl Ranked, route: Route) -> (Moved, bool, Option<[Route; 3]>) {
-    let replaced = position(ranked.as_slice(), route.from.peer);
+fn place(
+    ranked: &mut impl Ranked,
+    route: Route,
+    peers: &PeerTable,
+) -> (Moved, bool, Option<[Route; 3]>) {
+    let replaced = position(ranked.as_slice(), route.peer);
     let removed = replaced.map(|pos| ranked.take(pos));
     let pos = ranked
         .as_slice()
-        .binary_search_by(|probe| compare_routes(probe, &route))
+        .binary_search_by(|probe| compare_routes(peers, probe, &route))
         .unwrap_or_else(|e| e);
     let moved = if replaced == Some(pos) {
         // Same peer back at the same rank: the list changed only if the
@@ -212,7 +223,7 @@ fn remove(ranked: &mut impl Ranked, peer: PeerId) -> Option<usize> {
 }
 
 fn position(ranked: &[Route], peer: PeerId) -> Option<usize> {
-    ranked.iter().position(|r| r.from.peer == peer)
+    ranked.iter().position(|r| r.peer == peer)
 }
 
 /// What the RIB holds for a prefix with at most two candidates.
@@ -230,39 +241,47 @@ struct Large<X> {
 }
 
 /// Where a prefix's entry lives, as the index trie stores it: a slab
-/// position, with the top bit naming the slab.
+/// position plus one — never zero, so a valueless trie node needs no tag
+/// of its own — with the top bit naming the slab.
 #[derive(Clone, Copy)]
-struct Slot(u32);
+struct Slot(NonZeroU32);
 
 impl Slot {
     const SPILLED: u32 = 1 << 31;
+    /// Slab positions run below this.
+    const LIMIT: u32 = Slot::SPILLED - 1;
 
     fn small(idx: u32) -> Slot {
-        Slot(idx)
+        Slot(NonZeroU32::MIN.saturating_add(idx))
     }
 
     fn large(idx: u32) -> Slot {
-        Slot(idx | Slot::SPILLED)
+        Slot(Slot::small(idx).0 | Slot::SPILLED)
     }
 
     fn is_spilled(self) -> bool {
-        self.0 & Slot::SPILLED != 0
+        self.0.get() & Slot::SPILLED != 0
     }
 
     fn idx(self) -> u32 {
-        self.0 & !Slot::SPILLED
+        (self.0.get() & !Slot::SPILLED) - 1
     }
 }
 
 // Per-prefix budgets. A field added to one of these types moves the RSS
 // of every full-table run; break the build instead.
+const _: () = assert!(size_of::<Slot>() <= 4, "RIB index value: 4 B");
 const _: () = assert!(
-    size_of::<Slot>() <= 4,
-    "RIB index value: 4 B keeps the index trie's nodes at the FIB's 24 B"
+    size_of::<Option<Slot>>() == 4,
+    "RIB index value: its niche keeps the index trie's nodes at 20 B"
 );
 const _: () = assert!(
-    size_of::<Small<()>>() <= 80,
-    "small RIB entry: two inline 40 B routes and nothing else"
+    size_of::<Small<()>>() <= 40,
+    "small RIB entry: two inline 16 B routes, their count, and nothing else"
+);
+const _: () = assert!(
+    size_of::<Small<[u64; 2]>>() <= 56,
+    "small RIB entry with 16 B of owner state, the controller's: 56 B"
 );
 const _: () = assert!(
     size_of::<Large<()>>() <= 24,
@@ -286,7 +305,7 @@ impl<T: Default> Slab<T> {
             }
             None => {
                 let idx = self.items.len() as u32;
-                assert!(idx < Slot::SPILLED, "RIB slab exhausted");
+                assert!(idx < Slot::LIMIT, "RIB slab exhausted");
                 self.items.push(value);
                 idx
             }
@@ -341,11 +360,13 @@ impl<X: Default> Entries<X> {
 
     /// [`place`] on the entry at `slot`, which moves to the large slab
     /// when a third candidate arrives.
-    fn place(&mut self, slot: &mut Slot, route: Route) -> Moved {
+    fn place(&mut self, slot: &mut Slot, route: Route, peers: &PeerTable) -> Moved {
         let (moved, added, overflow) = if slot.is_spilled() {
-            place(&mut self.large.items[slot.idx() as usize].ranked, route)
+            let large = &mut self.large.items[slot.idx() as usize];
+            place(&mut large.ranked, route, peers)
         } else {
-            place(&mut self.small.items[slot.idx() as usize].ranked, route)
+            let small = &mut self.small.items[slot.idx() as usize];
+            place(&mut small.ranked, route, peers)
         };
         self.routes += added as usize;
         if let Some(three) = overflow {
@@ -393,7 +414,13 @@ pub struct Footprint {
     pub routes: usize,
     /// Entries with three or more candidates, whose list is a heap block.
     pub spilled_entries: usize,
-    /// Index arena + both slabs + the spilled lists.
+    /// The index trie's arena.
+    pub index_bytes: usize,
+    /// Both slabs and their free lists.
+    pub entry_bytes: usize,
+    /// The spilled entries' candidate lists.
+    pub list_bytes: usize,
+    /// The three above, summed.
     pub bytes: usize,
 }
 
@@ -404,6 +431,9 @@ impl Footprint {
         reg.add("rib.prefixes", self.prefixes as u64);
         reg.add("rib.routes", self.routes as u64);
         reg.add("rib.spilled_entries", self.spilled_entries as u64);
+        reg.add("rib.index_bytes", self.index_bytes as u64);
+        reg.add("rib.entry_bytes", self.entry_bytes as u64);
+        reg.add("rib.list_bytes", self.list_bytes as u64);
         reg.add("rib.bytes", self.bytes as u64);
     }
 }
@@ -421,6 +451,7 @@ impl Footprint {
 pub struct LocRib<X = ()> {
     index: PrefixTrie<Slot>,
     entries: Entries<X>,
+    peers: PeerTable,
 }
 
 impl LocRib {
@@ -441,38 +472,79 @@ impl<X: Default> LocRib<X> {
         self.entries.routes
     }
 
-    /// What the tables cost right now.
+    /// What the tables cost right now (the peer table, 16 B a session,
+    /// is not in it).
     pub fn footprint(&self) -> Footprint {
         let Entries { small, large, .. } = &self.entries;
         let spilled_lists: usize = large.items.iter().map(|e| e.ranked.capacity()).sum();
+        let index_bytes = self.index.heap_bytes();
+        let entry_bytes = small.heap_bytes() + large.heap_bytes();
+        let list_bytes = spilled_lists * size_of::<Route>();
         Footprint {
             prefixes: self.prefix_count(),
             routes: self.route_count(),
             spilled_entries: large.live(),
-            bytes: self.index.heap_bytes()
-                + small.heap_bytes()
-                + large.heap_bytes()
-                + spilled_lists * size_of::<Route>(),
+            index_bytes,
+            entry_bytes,
+            list_bytes,
+            bytes: index_bytes + entry_bytes + list_bytes,
+        }
+    }
+
+    /// The session facts the candidates are ranked by, one entry for
+    /// every peer a route was ever learned from.
+    pub fn peers(&self) -> &PeerTable {
+        &self.peers
+    }
+
+    /// Every update says who it is `from`. A session's facts are fixed at
+    /// its OPEN and its routes are purged ([`LocRib::withdraw_peer`])
+    /// before the next one, so they change only while the peer holds no
+    /// candidate — a list ranked by the old facts would not be sorted by
+    /// the new ones.
+    fn learn(&mut self, from: PeerInfo) {
+        if self.peers.learn(from) {
+            debug_assert!(
+                self.iter()
+                    .all(|(_, ranked)| position(ranked, from.peer).is_none()),
+                "{}'s session facts changed while the RIB holds its routes",
+                from.peer
+            );
         }
     }
 
     /// The one way a candidate gets in: a single trie descent to the
     /// prefix's slot (claiming a fresh one for a new prefix), then
-    /// [`place`] on its entry.
-    fn place(&mut self, route: Route) -> (Slot, Moved) {
+    /// [`place`] on its entry. `peer` has been [`LocRib::learn`]ed.
+    fn place(
+        &mut self,
+        prefix: Ipv4Prefix,
+        attrs: Arc<RouteAttrs>,
+        peer: PeerId,
+        local_pref: u32,
+    ) -> (Slot, Moved) {
+        let route = Route {
+            attrs,
+            peer,
+            local_pref,
+        };
         let small = &mut self.entries.small;
         let slot = self
             .index
-            .get_mut_or_insert_with(route.prefix, || Slot::small(small.insert(Small::default())));
-        let moved = self.entries.place(slot, route);
+            .get_mut_or_insert_with(prefix, || Slot::small(small.insert(Small::default())));
+        let moved = self.entries.place(slot, route, &self.peers);
         (*slot, moved)
     }
 
-    /// Insert or replace the candidate from `route.from.peer` for
-    /// `route.prefix`, keeping the list ranked by the decision process.
-    pub fn update(&mut self, route: Route) -> Change<'_> {
-        let prefix = route.prefix;
-        let (slot, moved) = self.place(route);
+    /// [`LocRib::place`], reported as a [`Change`].
+    fn place_reporting(
+        &mut self,
+        prefix: Ipv4Prefix,
+        attrs: Arc<RouteAttrs>,
+        peer: PeerId,
+        local_pref: u32,
+    ) -> Change<'_> {
+        let (slot, moved) = self.place(prefix, attrs, peer, local_pref);
         Change {
             prefix,
             ranked: self.entries.entry(slot).0,
@@ -480,11 +552,32 @@ impl<X: Default> LocRib<X> {
         }
     }
 
+    /// Insert or replace `from.peer`'s candidate for `prefix`, keeping
+    /// the list ranked by the decision process.
+    pub fn update(
+        &mut self,
+        prefix: Ipv4Prefix,
+        attrs: Arc<RouteAttrs>,
+        from: PeerInfo,
+        local_pref: u32,
+    ) -> Change<'_> {
+        self.learn(from);
+        self.place_reporting(prefix, attrs, from.peer, local_pref)
+    }
+
     /// [`LocRib::update`] for an owner that reacts per prefix: one trie
     /// descent, then `react` sees the re-ranked candidates and the
     /// prefix's owner state.
-    pub fn update_with<R>(&mut self, route: Route, react: impl FnOnce(&[Route], &mut X) -> R) -> R {
-        let (slot, _) = self.place(route);
+    pub fn update_with<R>(
+        &mut self,
+        prefix: Ipv4Prefix,
+        attrs: Arc<RouteAttrs>,
+        from: PeerInfo,
+        local_pref: u32,
+        react: impl FnOnce(&[Route], &mut X) -> R,
+    ) -> R {
+        self.learn(from);
+        let (slot, _) = self.place(prefix, attrs, from.peer, local_pref);
         let (ranked, ext) = self.entries.entry_mut(slot);
         react(ranked, ext)
     }
@@ -504,14 +597,9 @@ impl<X: Default> LocRib<X> {
         local_pref: u32,
         mut on_change: impl FnMut(Change<'_>),
     ) {
+        self.learn(from);
         for &prefix in nlri {
-            let route = Route {
-                prefix,
-                attrs: attrs.clone(),
-                from,
-                local_pref,
-            };
-            on_change(self.update(route));
+            on_change(self.place_reporting(prefix, attrs.clone(), from.peer, local_pref));
         }
     }
 
@@ -642,33 +730,46 @@ mod tests {
 
     /// The third octet of each candidate's peer address, best first.
     fn peers(ranked: &[Route]) -> Vec<u8> {
-        ranked.iter().map(|r| r.from.peer.octets()[2]).collect()
+        ranked.iter().map(|r| r.peer.octets()[2]).collect()
     }
 
-    fn route(prefix: &str, peer_octet: u8, local_pref: u32) -> Route {
-        Route {
-            prefix: p(prefix),
-            attrs: RouteAttrs::ebgp(
-                AsPath::sequence(vec![100 + peer_octet as u16, 200]),
-                Ipv4Addr::new(10, 0, peer_octet, 1),
-            )
-            .shared(),
-            from: PeerInfo {
-                peer: Ipv4Addr::new(10, 0, peer_octet, 1),
-                router_id: Ipv4Addr::new(peer_octet, 0, 0, 1),
-                ebgp: true,
-                igp_cost: 0,
-            },
-            local_pref,
+    fn peer(octet: u8) -> PeerId {
+        Ipv4Addr::new(10, 0, octet, 1)
+    }
+
+    fn attrs(peer_octet: u8) -> Arc<RouteAttrs> {
+        RouteAttrs::ebgp(
+            AsPath::sequence(vec![100 + peer_octet as u16, 200]),
+            peer(peer_octet),
+        )
+        .shared()
+    }
+
+    fn from(peer_octet: u8) -> PeerInfo {
+        PeerInfo {
+            peer: peer(peer_octet),
+            router_id: Ipv4Addr::new(peer_octet, 0, 0, 1),
+            ebgp: true,
+            igp_cost: 0,
         }
+    }
+
+    /// Peer `peer_octet` announces `prefix`, imported at `local_pref`.
+    fn announce<'a, X: Default>(
+        rib: &'a mut LocRib<X>,
+        prefix: &str,
+        peer_octet: u8,
+        local_pref: u32,
+    ) -> Change<'a> {
+        rib.update(p(prefix), attrs(peer_octet), from(peer_octet), local_pref)
     }
 
     #[test]
     fn first_route_becomes_best() {
         let mut rib = LocRib::new();
-        let c = rib.update(route("1.0.0.0/24", 2, 200));
+        let c = announce(&mut rib, "1.0.0.0/24", 2, 200);
         assert!(c.best_changed());
-        assert_eq!(c.best().unwrap().from.peer, Ipv4Addr::new(10, 0, 2, 1));
+        assert_eq!(c.best().unwrap().peer, Ipv4Addr::new(10, 0, 2, 1));
         assert_eq!(rib.prefix_count(), 1);
         assert_eq!(rib.route_count(), 1);
     }
@@ -676,8 +777,8 @@ mod tests {
     #[test]
     fn second_route_ranks_below_preferred() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 2, 200)); // R2 preferred
-        let c = rib.update(route("1.0.0.0/24", 3, 100)); // R3 backup
+        announce(&mut rib, "1.0.0.0/24", 2, 200); // R2 preferred
+        let c = announce(&mut rib, "1.0.0.0/24", 3, 100); // R3 backup
         assert!(!c.best_changed(), "best stays R2");
         assert!(c.top_two_changed(), "second appeared");
         assert!(c.nh_pair_changed());
@@ -687,8 +788,8 @@ mod tests {
     #[test]
     fn better_route_takes_over() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 3, 100));
-        let c = rib.update(route("1.0.0.0/24", 2, 200));
+        announce(&mut rib, "1.0.0.0/24", 3, 100);
+        let c = announce(&mut rib, "1.0.0.0/24", 2, 200);
         assert!(c.best_changed());
         assert_eq!(peers(c.ranked), [2, 3]);
     }
@@ -696,10 +797,10 @@ mod tests {
     #[test]
     fn implicit_replace_from_same_peer() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 2, 200));
+        announce(&mut rib, "1.0.0.0/24", 2, 200);
         // Same peer re-announces with a worse preference: implicit
         // withdraw of its previous route.
-        let c = rib.update(route("1.0.0.0/24", 2, 50));
+        let c = announce(&mut rib, "1.0.0.0/24", 2, 50);
         assert!(c.best_changed());
         assert!(!c.nh_pair_changed(), "same peer, same rank");
         assert_eq!(c.best().unwrap().local_pref, 50);
@@ -709,8 +810,8 @@ mod tests {
     #[test]
     fn withdraw_promotes_backup() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 2, 200));
-        rib.update(route("1.0.0.0/24", 3, 100));
+        announce(&mut rib, "1.0.0.0/24", 2, 200);
+        announce(&mut rib, "1.0.0.0/24", 3, 100);
         let c = rib
             .withdraw(p("1.0.0.0/24"), Ipv4Addr::new(10, 0, 2, 1))
             .unwrap();
@@ -731,9 +832,9 @@ mod tests {
     fn withdraw_peer_purges_everything_in_order() {
         let mut rib = LocRib::new();
         for (i, pfx) in ["1.0.0.0/24", "2.0.0.0/16", "3.0.0.0/8"].iter().enumerate() {
-            rib.update(route(pfx, 2, 200));
+            announce(&mut rib, pfx, 2, 200);
             if i != 1 {
-                rib.update(route(pfx, 3, 100));
+                announce(&mut rib, pfx, 3, 100);
             }
         }
         let mut order = Vec::new();
@@ -754,7 +855,7 @@ mod tests {
         assert_eq!(rib.prefix_count(), 2);
         assert!(rib.best(p("2.0.0.0/16")).is_none());
         assert_eq!(
-            rib.best(p("1.0.0.0/24")).unwrap().from.peer,
+            rib.best(p("1.0.0.0/24")).unwrap().peer,
             Ipv4Addr::new(10, 0, 3, 1)
         );
         assert_eq!(rib.route_count(), 2);
@@ -763,16 +864,11 @@ mod tests {
     #[test]
     fn nh_pair_changed_distinguishes_attr_churn() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 2, 200));
-        rib.update(route("1.0.0.0/24", 3, 100));
+        announce(&mut rib, "1.0.0.0/24", 2, 200);
+        announce(&mut rib, "1.0.0.0/24", 3, 100);
         // Same peers, new attrs (longer path, still ranked the same):
-        let mut r = route("1.0.0.0/24", 2, 200);
-        r.attrs = RouteAttrs::ebgp(
-            AsPath::sequence(vec![102, 200, 300]),
-            Ipv4Addr::new(10, 0, 2, 1),
-        )
-        .shared();
-        let c = rib.update(r);
+        let longer = RouteAttrs::ebgp(AsPath::sequence(vec![102, 200, 300]), peer(2)).shared();
+        let c = rib.update(p("1.0.0.0/24"), longer, from(2), 200);
         assert!(c.top_two_changed(), "attrs changed");
         assert!(!c.nh_pair_changed(), "but the NH peers did not");
     }
@@ -780,9 +876,9 @@ mod tests {
     #[test]
     fn three_peers_rank_fully() {
         let mut rib = LocRib::new();
-        rib.update(route("1.0.0.0/24", 3, 100));
-        rib.update(route("1.0.0.0/24", 1, DEFAULT_LOCAL_PREF));
-        rib.update(route("1.0.0.0/24", 2, 200));
+        announce(&mut rib, "1.0.0.0/24", 3, 100);
+        announce(&mut rib, "1.0.0.0/24", 1, DEFAULT_LOCAL_PREF);
+        announce(&mut rib, "1.0.0.0/24", 2, 200);
         // 200 > 100 == 100; tie between peer1 (lp 100) and peer3 (lp 100)
         // broken by router-id (1 < 3).
         assert_eq!(peers(rib.candidates(p("1.0.0.0/24"))), [2, 1, 3]);
@@ -792,7 +888,7 @@ mod tests {
     fn iter_is_in_fib_walk_order() {
         let mut rib = LocRib::new();
         for pfx in ["9.0.0.0/8", "1.0.0.0/24", "5.5.0.0/16"] {
-            rib.update(route(pfx, 2, 200));
+            announce(&mut rib, pfx, 2, 200);
         }
         let order: Vec<Ipv4Prefix> = rib.iter().map(|(p, _)| p).collect();
         assert_eq!(
@@ -807,27 +903,27 @@ mod tests {
     fn verdicts_follow_from_positions() {
         let mut rib = LocRib::new();
         let pfx = "1.0.0.0/24";
-        rib.update(route(pfx, 1, 300));
-        rib.update(route(pfx, 2, 200));
-        rib.update(route(pfx, 3, 100));
+        announce(&mut rib, pfx, 1, 300);
+        announce(&mut rib, pfx, 2, 200);
+        announce(&mut rib, pfx, 3, 100);
         // A fourth candidate at the bottom: nothing in the top two moved.
-        let c = rib.update(route(pfx, 4, 50));
+        let c = announce(&mut rib, pfx, 4, 50);
         assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
         // The same route again: nothing changed at all.
-        let c = rib.update(route(pfx, 1, 300));
+        let c = announce(&mut rib, pfx, 1, 300);
         assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
         // Rank 3 jumps to rank 1: best stays, the pair moves.
-        let c = rib.update(route(pfx, 4, 250));
+        let c = announce(&mut rib, pfx, 4, 250);
         assert!(!c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
         assert_eq!(peers(c.ranked), [1, 4, 2, 3]);
         // The best drops to the bottom: everything shifts up.
-        let c = rib.update(route(pfx, 1, 10));
+        let c = announce(&mut rib, pfx, 1, 10);
         assert!(c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
         assert_eq!(peers(c.ranked), [4, 2, 3, 1]);
         // Withdrawing rank 2 leaves the top two alone; rank 1 does not.
-        let c = rib.withdraw(p(pfx), route(pfx, 3, 0).from.peer).unwrap();
+        let c = rib.withdraw(p(pfx), peer(3)).unwrap();
         assert!(!c.best_changed() && !c.top_two_changed() && !c.nh_pair_changed());
-        let c = rib.withdraw(p(pfx), route(pfx, 2, 0).from.peer).unwrap();
+        let c = rib.withdraw(p(pfx), peer(2)).unwrap();
         assert!(!c.best_changed() && c.top_two_changed() && c.nh_pair_changed());
         assert_eq!(peers(c.ranked), [4, 1]);
     }
@@ -839,12 +935,11 @@ mod tests {
     fn entries_spill_and_return_with_their_owner_state() {
         let mut rib: LocRib<u32> = LocRib::default();
         let pfx = "1.0.0.0/24";
-        let peer = |n: u8| route(pfx, n, 0).from.peer;
         for n in 1..=2 {
-            rib.update_with(route(pfx, n, 100 + n as u32), |_, x| *x += 1);
+            rib.update_with(p(pfx), attrs(n), from(n), 100 + n as u32, |_, x| *x += 1);
         }
         assert_eq!(rib.footprint().spilled_entries, 0);
-        rib.update_with(route(pfx, 3, 103), |ranked, x| {
+        rib.update_with(p(pfx), attrs(3), from(3), 103, |ranked, x| {
             assert_eq!((peers(ranked), *x), (vec![3, 2, 1], 2));
             *x += 1;
         });
@@ -860,7 +955,49 @@ mod tests {
         assert_eq!(last, Some((0, 3)));
         assert_eq!((rib.prefix_count(), rib.route_count()), (0, 0));
         // Same slot, fresh state.
-        rib.update_with(route(pfx, 1, 100), |_, x| assert_eq!(*x, 0));
+        rib.update_with(p(pfx), attrs(1), from(1), 100, |_, x| assert_eq!(*x, 0));
+    }
+
+    /// A peer's facts are its session's: a new session, after the purge
+    /// that ends the old one, ranks by its own.
+    #[test]
+    fn new_session_facts_take_effect_after_the_purge() {
+        let mut rib = LocRib::new();
+        let pfx = "1.0.0.0/24";
+        // Steps 1-4 tie; router ids 1.0.0.1 < 2.0.0.1 decide.
+        announce(&mut rib, pfx, 1, 100);
+        announce(&mut rib, pfx, 2, 100);
+        assert_eq!(peers(rib.candidates(p(pfx))), [1, 2]);
+        rib.withdraw_peer(peer(1), |_| ());
+        assert_eq!(
+            rib.peers().get(peer(1)),
+            Some(&from(1)),
+            "kept until replaced"
+        );
+        let renumbered = PeerInfo {
+            router_id: Ipv4Addr::new(9, 0, 0, 1),
+            ..from(1)
+        };
+        let c = rib.update(p(pfx), attrs(1), renumbered, 100);
+        assert!(!c.best_changed() && c.top_two_changed());
+        assert_eq!(peers(c.ranked), [2, 1]);
+        assert_eq!(rib.peers().get(peer(1)), Some(&renumbered));
+    }
+
+    /// The other half of the rule: while a peer holds candidates its
+    /// facts are fixed (lists ranked by the old ones would not be sorted
+    /// by the new), and a debug build says so.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "session facts changed")]
+    fn session_facts_are_fixed_while_the_peer_holds_routes() {
+        let mut rib = LocRib::new();
+        announce(&mut rib, "1.0.0.0/24", 1, 100);
+        let renumbered = PeerInfo {
+            router_id: Ipv4Addr::new(9, 0, 0, 1),
+            ..from(1)
+        };
+        rib.update(p("2.0.0.0/24"), attrs(1), renumbered, 100);
     }
 
     /// Spilled lists grow one exact step at a time and keep their
@@ -873,15 +1010,15 @@ mod tests {
         let empty = rib.footprint().bytes;
         assert_eq!(empty, 0, "an empty RIB holds no heap");
         for n in 1..=9 {
-            rib.update(route(pfx, n, 100));
+            announce(&mut rib, pfx, n, 100);
         }
         let nine = rib.footprint();
         assert_eq!((nine.routes, nine.spilled_entries), (9, 1));
-        rib.withdraw(p(pfx), route(pfx, 5, 0).from.peer).unwrap();
+        rib.withdraw(p(pfx), peer(5)).unwrap();
         assert_eq!(rib.footprint().bytes, nine.bytes, "capacity kept");
-        rib.update(route(pfx, 5, 100));
+        announce(&mut rib, pfx, 5, 100);
         assert_eq!(rib.footprint().bytes, nine.bytes, "and reused");
-        rib.update(route(pfx, 10, 100));
+        announce(&mut rib, pfx, 10, 100);
         assert_eq!(
             rib.footprint().bytes,
             nine.bytes + size_of::<Route>(),

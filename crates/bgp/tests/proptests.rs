@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use sc_bgp::attrs::{AsPath, AsSegment, Origin, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::rib::{Change, LocRib};
-use sc_bgp::{compare_routes, PeerInfo, Route};
+use sc_bgp::{compare_routes, PeerInfo, PeerTable, Route};
 use sc_net::Ipv4Prefix;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -54,29 +54,58 @@ fn arb_attrs() -> impl Strategy<Value = RouteAttrs> {
         )
 }
 
-fn arb_route() -> impl Strategy<Value = Route> {
-    (
-        arb_prefix(),
-        arb_attrs(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<bool>(),
-        any::<u32>(),
-        0u32..1000,
+/// One announcement as a RIB is handed it: the prefix, the route's own
+/// 16 bytes, and the facts of the session it came over.
+#[derive(Clone, Debug)]
+struct Learned {
+    prefix: Ipv4Prefix,
+    attrs: Arc<RouteAttrs>,
+    from: PeerInfo,
+    local_pref: u32,
+}
+
+impl Learned {
+    /// What the RIB keeps of it.
+    fn route(&self) -> Route {
+        Route {
+            attrs: self.attrs.clone(),
+            peer: self.from.peer,
+            local_pref: self.local_pref,
+        }
+    }
+
+    fn into_rib<X: Default>(self, rib: &mut LocRib<X>) -> Change<'_> {
+        rib.update(self.prefix, self.attrs, self.from, self.local_pref)
+    }
+}
+
+fn peer(n: u8) -> Ipv4Addr {
+    Ipv4Addr::new(10, 0, n, 1)
+}
+
+/// The session facts of peer `n` of 12 at its first OPEN: a function of
+/// the peer alone, like a real session's. Router ids are distinct and
+/// not in peer-address order, every third peer is iBGP, and the IGP
+/// costs alternate — so steps 5, 6 and 7 each decide some ranks.
+fn session(n: u8) -> PeerInfo {
+    PeerInfo {
+        peer: peer(n),
+        router_id: Ipv4Addr::new(n % 4, 0, 0, 13 - n),
+        ebgp: !n.is_multiple_of(3),
+        igp_cost: if n.is_multiple_of(2) { 10 } else { 20 },
+    }
+}
+
+/// Arbitrary attributes on an arbitrary prefix from one of 12 peers.
+fn arb_learned() -> impl Strategy<Value = Learned> {
+    (arb_prefix(), arb_attrs(), 1u8..=12, 0u32..1000).prop_map(
+        |(prefix, attrs, peer, local_pref)| Learned {
+            prefix,
+            attrs: Arc::new(attrs),
+            from: session(peer),
+            local_pref,
+        },
     )
-        .prop_map(
-            |(prefix, attrs, peer, router_id, ebgp, igp_cost, local_pref)| Route {
-                prefix,
-                attrs: Arc::new(attrs),
-                from: PeerInfo {
-                    peer: Ipv4Addr::from(peer),
-                    router_id: Ipv4Addr::from(router_id),
-                    ebgp,
-                    igp_cost,
-                },
-                local_pref,
-            },
-        )
 }
 
 /// Six prefixes that nest and split, so the index trie claims and prunes
@@ -95,10 +124,12 @@ fn dense_prefix(i: usize) -> Ipv4Prefix {
 }
 
 /// Routes over [`DENSE_PREFIXES`] x 12 peers: few enough LOCAL_PREF and
-/// path-length values that ranks tie, swap and repeat, plus a community
+/// path-length values (one origin, no MED) that most ranks are decided
+/// by the sessions, steps 5-7, and tie, swap and repeat; plus a community
 /// that changes the route but never its rank (the attributes-only
-/// re-announce).
-fn arb_dense_route() -> impl Strategy<Value = Route> {
+/// re-announce). `from` is the peer's *first* session; the model knows
+/// the current one.
+fn arb_dense_route() -> impl Strategy<Value = Learned> {
     (
         0usize..DENSE_PREFIXES.len(),
         1u8..=12,
@@ -106,21 +137,13 @@ fn arb_dense_route() -> impl Strategy<Value = Route> {
         1usize..3,
         0u32..2,
     )
-        .prop_map(|(prefix, peer, local_pref, path_len, community)| Route {
+        .prop_map(|(prefix, n, local_pref, path_len, community)| Learned {
             prefix: dense_prefix(prefix),
             attrs: Arc::new(RouteAttrs {
                 communities: vec![community],
-                ..RouteAttrs::ebgp(
-                    AsPath::sequence(vec![65000; path_len]),
-                    Ipv4Addr::new(10, 0, peer, 1),
-                )
+                ..RouteAttrs::ebgp(AsPath::sequence(vec![65000; path_len]), peer(n))
             }),
-            from: PeerInfo {
-                peer: Ipv4Addr::new(10, 0, peer, 1),
-                router_id: Ipv4Addr::new(peer, 0, 0, 1),
-                ebgp: true,
-                igp_cost: 0,
-            },
+            from: session(n),
             local_pref,
         })
 }
@@ -135,10 +158,13 @@ fn seen(c: &Change<'_>) -> Seen {
     )
 }
 
-/// The brute-force RIB: a sorted map of re-sorted vectors.
+/// The brute-force RIB: a sorted map of re-sorted vectors, ranked by a
+/// decision process of its own over a per-peer map of its own.
 #[derive(Default)]
 struct Model {
     entries: BTreeMap<Ipv4Prefix, ModelEntry>,
+    /// Every peer's current session facts (absent: [`session`]).
+    sessions: BTreeMap<Ipv4Addr, PeerInfo>,
 }
 
 #[derive(Default)]
@@ -155,13 +181,22 @@ impl Model {
         let ranked = &mut self.entries.entry(prefix).or_default().ranked;
         let old = ranked.clone();
         edit(ranked);
-        ranked.sort_by(compare_routes);
-        let peers = |l: &[Route]| {
+        // RFC 4271 §9.1 as one sort key, steps 1-8 in order.
+        let sessions = &self.sessions;
+        ranked.sort_by_key(|r| {
+            let from = sessions[&r.peer];
             (
-                l.first().map(|r| r.from.peer),
-                l.get(1).map(|r| r.from.peer),
+                Reverse(r.local_pref),
+                r.attrs.as_path.path_len(),
+                r.attrs.origin,
+                r.attrs.med.unwrap_or(0),
+                Reverse(from.ebgp),
+                from.igp_cost,
+                from.router_id,
+                r.peer,
             )
-        };
+        });
+        let peers = |l: &[Route]| (l.first().map(|r| r.peer), l.get(1).map(|r| r.peer));
         let best_changed = old.first() != ranked.first();
         let verdicts = (
             best_changed,
@@ -171,19 +206,26 @@ impl Model {
         (verdicts, ranked.clone())
     }
 
-    fn update(&mut self, route: &Route) -> Seen {
-        self.mutate(route.prefix, |ranked| {
-            ranked.retain(|r| r.from.peer != route.from.peer);
-            ranked.push(route.clone());
+    /// The facts `peer`'s announcements carry right now.
+    fn session_of(&self, first: PeerInfo) -> PeerInfo {
+        *self.sessions.get(&first.peer).unwrap_or(&first)
+    }
+
+    fn update(&mut self, learned: &Learned) -> Seen {
+        let route = learned.route();
+        self.sessions.insert(route.peer, learned.from);
+        self.mutate(learned.prefix, |ranked| {
+            ranked.retain(|r| r.peer != route.peer);
+            ranked.push(route);
         })
     }
 
     fn withdraw(&mut self, prefix: Ipv4Prefix, peer: Ipv4Addr) -> Option<Seen> {
-        let serves = |e: &ModelEntry| e.ranked.iter().any(|r| r.from.peer == peer);
+        let serves = |e: &ModelEntry| e.ranked.iter().any(|r| r.peer == peer);
         self.entries
             .get(&prefix)
             .is_some_and(serves)
-            .then(|| self.mutate(prefix, |ranked| ranked.retain(|r| r.from.peer != peer)))
+            .then(|| self.mutate(prefix, |ranked| ranked.retain(|r| r.peer != peer)))
     }
 
     fn withdraw_peer(&mut self, peer: Ipv4Addr) -> Vec<(Ipv4Prefix, Seen)> {
@@ -192,6 +234,11 @@ impl Model {
             .into_iter()
             .filter_map(|p| Some((p, self.withdraw(p, peer)?)))
             .collect()
+    }
+
+    /// A prefix whose last candidate went is gone, owner state and all.
+    fn sweep(&mut self) {
+        self.entries.retain(|_, e| !e.ranked.is_empty());
     }
 
     /// A `_with` mutator is about to touch `prefix`: its owner-state
@@ -304,27 +351,42 @@ proptest! {
     }
 
     /// The decision process is a strict weak order: antisymmetric,
-    /// transitive, and total — two routes from distinct peers never tie.
+    /// transitive, and total — two routes from distinct peers never tie,
+    /// whatever their sessions' facts.
     /// (A tie would make the controller's backup-groups nondeterministic
     /// across replicas, breaking §3 of the paper.)
     #[test]
-    fn decision_is_total_order(routes in vec(arb_route(), 2..12)) {
+    fn decision_is_total_order(
+        learned in vec((arb_learned(), any::<u32>(), any::<bool>(), any::<u32>()), 2..12),
+    ) {
+        // One peer per route, each with facts of its own.
+        let mut peers = PeerTable::new();
+        let routes: Vec<Route> = learned
+            .iter()
+            .zip(1u8..)
+            .map(|((l, router_id, ebgp, igp_cost), n)| {
+                peers.learn(PeerInfo {
+                    peer: peer(n),
+                    router_id: Ipv4Addr::from(*router_id),
+                    ebgp: *ebgp,
+                    igp_cost: *igp_cost,
+                });
+                Route { peer: peer(n), ..l.route() }
+            })
+            .collect();
+        let compare = |a: &Route, b: &Route| compare_routes(&peers, a, b);
         for a in &routes {
-            prop_assert_eq!(compare_routes(a, a), Ordering::Equal);
+            prop_assert_eq!(compare(a, a), Ordering::Equal);
             for b in &routes {
-                let ab = compare_routes(a, b);
-                let ba = compare_routes(b, a);
+                let ab = compare(a, b);
+                let ba = compare(b, a);
                 prop_assert_eq!(ab, ba.reverse(), "antisymmetry");
-                if a.from.peer != b.from.peer {
+                if a.peer != b.peer {
                     prop_assert_ne!(ab, Ordering::Equal, "distinct peers must not tie");
                 }
                 for c in &routes {
-                    if ab != Ordering::Greater && compare_routes(b, c) != Ordering::Greater {
-                        prop_assert_ne!(
-                            compare_routes(a, c),
-                            Ordering::Greater,
-                            "transitivity"
-                        );
+                    if ab != Ordering::Greater && compare(b, c) != Ordering::Greater {
+                        prop_assert_ne!(compare(a, c), Ordering::Greater, "transitivity");
                     }
                 }
             }
@@ -333,36 +395,46 @@ proptest! {
         // agree.
         let mut v1 = routes.clone();
         let mut v2: Vec<Route> = routes.iter().rev().cloned().collect();
-        v1.sort_by(compare_routes);
-        v2.sort_by(compare_routes);
-        let key = |r: &Route| (r.from.peer, r.prefix);
-        prop_assert_eq!(v1.iter().map(key).collect::<Vec<_>>(),
-                        v2.iter().map(key).collect::<Vec<_>>());
+        v1.sort_by(compare);
+        v2.sort_by(compare);
+        prop_assert_eq!(v1, v2);
     }
 
     /// LocRib against a naive model, on a universe small enough that
     /// entries cross the inline/spilled boundary both ways and prefixes
     /// vanish and return (slot reuse): after every step of every mutator
     /// the ranked lists, counts, owner state, walk order and the change
-    /// verdicts agree with brute force.
+    /// verdicts agree with brute force. The model ranks from its own
+    /// per-peer facts, which a session reset (purge, then a new OPEN)
+    /// changes under the RIB's peer table.
     #[test]
     fn locrib_matches_naive_model(
-        ops in vec((0u8..7, arb_dense_route(), vec(0usize..DENSE_PREFIXES.len(), 1..5)), 1..120),
+        ops in vec(
+            (
+                0u8..8,
+                arb_dense_route(),
+                vec(0usize..DENSE_PREFIXES.len(), 1..5),
+                (0u8..4, any::<bool>(), any::<bool>()),
+            ),
+            1..120,
+        ),
     ) {
         let mut rib: LocRib<u32> = LocRib::default();
         let mut model = Model::default();
-        for (kind, route, picks) in ops {
-            let (prefix, peer) = (route.prefix, route.from.peer);
+        for (kind, mut learned, picks, (id, ebgp, far)) in ops {
+            let (prefix, peer) = (learned.prefix, learned.from.peer);
+            learned.from = model.session_of(learned.from);
             match kind {
                 0 => {
-                    let want = model.update(&route);
-                    let got = rib.update(route);
+                    let want = model.update(&learned);
+                    let got = learned.into_rib(&mut rib);
                     prop_assert_eq!(seen(&got), want);
                 }
                 1 => {
-                    let want = model.update(&route);
+                    let want = model.update(&learned);
                     let ext = model.touch(prefix);
-                    let got = rib.update_with(route, |ranked, x| {
+                    let Learned { attrs, from, local_pref, .. } = learned;
+                    let got = rib.update_with(prefix, attrs, from, local_pref, |ranked, x| {
                         *x += 1;
                         (ranked.to_vec(), *x)
                     });
@@ -373,10 +445,11 @@ proptest! {
                         picks.iter().map(|&i| dense_prefix(i)).collect();
                     let want: Vec<_> = nlri
                         .iter()
-                        .map(|&prefix| model.update(&Route { prefix, ..route.clone() }))
+                        .map(|&prefix| model.update(&Learned { prefix, ..learned.clone() }))
                         .collect();
                     let mut got = Vec::new();
-                    rib.apply_update_batch(&route.attrs, &nlri, route.from, route.local_pref, |c| {
+                    let Learned { attrs, from, local_pref, .. } = learned;
+                    rib.apply_update_batch(&attrs, &nlri, from, local_pref, |c| {
                         got.push(seen(&c))
                     });
                     prop_assert_eq!(got, want);
@@ -402,7 +475,7 @@ proptest! {
                     rib.withdraw_peer(peer, |c| got.push((c.prefix, seen(&c))));
                     prop_assert_eq!(got, want);
                 }
-                _ => {
+                6 => {
                     let want: Vec<_> = model
                         .withdraw_peer(peer)
                         .into_iter()
@@ -415,8 +488,25 @@ proptest! {
                     });
                     prop_assert_eq!(got, want);
                 }
+                _ => {
+                    // The session resets: its routes go, and it returns
+                    // with other facts (router ids stay distinct in the
+                    // last octet) and a first announcement.
+                    model.withdraw_peer(peer);
+                    model.sweep();
+                    rib.withdraw_peer(peer, |_| ());
+                    learned.from = PeerInfo {
+                        peer,
+                        router_id: Ipv4Addr::new(id, 0, 0, peer.octets()[2]),
+                        ebgp,
+                        igp_cost: if far { 20 } else { 10 },
+                    };
+                    let want = model.update(&learned);
+                    let got = learned.into_rib(&mut rib);
+                    prop_assert_eq!(seen(&got), want);
+                }
             }
-            model.entries.retain(|_, e| !e.ranked.is_empty());
+            model.sweep();
             // The whole table, in FIB walk order whatever the slab order.
             let got: Vec<_> = rib.iter().map(|(p, r)| (p, r.to_vec())).collect();
             let want: Vec<_> =
@@ -438,23 +528,30 @@ proptest! {
                 (footprint.prefixes, footprint.routes, footprint.spilled_entries),
                 (model.entries.len(), routes, spilled)
             );
+            prop_assert_eq!(
+                footprint.index_bytes + footprint.entry_bytes + footprint.list_bytes,
+                footprint.bytes
+            );
+            for (peer, from) in &model.sessions {
+                prop_assert_eq!(rib.peers().get(*peer), Some(from));
+            }
         }
     }
 
     /// withdraw_peer ≡ withdrawing each of the peer's prefixes one by
     /// one, and leaves no trace of the peer.
     #[test]
-    fn withdraw_peer_purges_completely(routes in vec(arb_route(), 1..60)) {
+    fn withdraw_peer_purges_completely(routes in vec(arb_learned(), 1..60)) {
         let mut rib = LocRib::new();
         for r in &routes {
-            rib.update(r.clone());
+            r.clone().into_rib(&mut rib);
         }
         let victim = routes[0].from.peer;
         let mut changed: Vec<Ipv4Prefix> = Vec::new();
         rib.withdraw_peer(victim, |c| changed.push(c.prefix));
         // No candidate from the victim remains.
         for (_, cands) in rib.iter() {
-            prop_assert!(cands.iter().all(|r| r.from.peer != victim));
+            prop_assert!(cands.iter().all(|r| r.peer != victim));
         }
         // Change list covers exactly the prefixes the victim served.
         let mut served: Vec<Ipv4Prefix> = routes

@@ -141,17 +141,38 @@ pub struct EngineStats {
 #[derive(Clone, Debug)]
 pub struct Announced {
     next_hop: Ipv4Addr,
+    /// The backup-group whose VNH `next_hop` is, [`Announced::NO_GROUP`]
+    /// for a plain announcement: the bare id, so the two fill one word.
+    group: u32,
     /// Identity of the attribute set we forwarded (Arc pointer — the
     /// sets are immutable, so pointer equality implies content
     /// equality).
     attrs: Arc<RouteAttrs>,
-    group: Option<GroupId>,
 }
 
-// It rides in every RIB entry of the controller: 24 B per prefix.
+impl Announced {
+    /// Group ids are dense from 0 and bounded by the VNH pool.
+    const NO_GROUP: u32 = u32::MAX;
+
+    fn new(next_hop: Ipv4Addr, attrs: Arc<RouteAttrs>, group: Option<GroupId>) -> Announced {
+        debug_assert_ne!(group, Some(GroupId(Announced::NO_GROUP)));
+        Announced {
+            next_hop,
+            group: group.map_or(Announced::NO_GROUP, |g| g.0),
+            attrs,
+        }
+    }
+
+    fn group(&self) -> Option<GroupId> {
+        (self.group != Announced::NO_GROUP).then_some(GroupId(self.group))
+    }
+}
+
+// It rides in every RIB entry of the controller: 16 B per prefix, the
+// `None` in the `Arc`'s niche.
 const _: () = assert!(
-    std::mem::size_of::<Option<Announced>>() <= 24,
-    "Announced: 24 B per controller RIB entry"
+    std::mem::size_of::<Option<Announced>>() <= 16,
+    "Announced: 16 B per controller RIB entry"
 );
 
 /// Backup-group keys up to this deep are built on the stack
@@ -272,15 +293,13 @@ impl Engine {
                 .unwrap_or_else(|| spec.map(|s| s.local_pref).unwrap_or(100));
             for &prefix in &upd.nlri {
                 steering.stats.routes_learned += 1;
-                let route = Route {
+                rib.update_with(
                     prefix,
-                    attrs: attrs.clone(),
+                    attrs.clone(),
                     from,
                     local_pref,
-                };
-                rib.update_with(route, |candidates, announced| {
-                    steering.reconcile(prefix, candidates, announced)
-                });
+                    |candidates, announced| steering.reconcile(prefix, candidates, announced),
+                );
             }
         }
     }
@@ -496,7 +515,7 @@ impl Steering<'_> {
                 // every depth anyone configures.
                 let mut stack = [Ipv4Addr::UNSPECIFIED; STACK_KEY_DEPTH];
                 let heap: Vec<PeerId>;
-                let peers = multiple[..depth].iter().map(|r| r.from.peer);
+                let peers = multiple[..depth].iter().map(|r| r.peer);
                 let key: &[PeerId] = if depth <= STACK_KEY_DEPTH {
                     for (slot, peer) in stack.iter_mut().zip(peers) {
                         *slot = peer;
@@ -556,10 +575,10 @@ impl Steering<'_> {
             (Some(prev), Some((attrs, nh, group)))
                 if prev.next_hop == *nh
                     && Arc::ptr_eq(&prev.attrs, attrs)
-                    && prev.group == *group => {}
+                    && prev.group() == *group => {}
             _ => {
                 // Reference counting for group transitions.
-                let old_group = announced.as_ref().and_then(|p| p.group);
+                let old_group = announced.as_ref().and_then(Announced::group);
                 let new_group = desired.as_ref().and_then(|(_, _, g)| *g);
                 if old_group != new_group {
                     if let Some(g) = new_group {
@@ -584,11 +603,7 @@ impl Steering<'_> {
                             attrs: attrs.clone(),
                             next_hop,
                         });
-                        Some(Announced {
-                            next_hop,
-                            attrs,
-                            group,
-                        })
+                        Some(Announced::new(next_hop, attrs, group))
                     }
                     None => {
                         self.stats.withdrawals_sent += 1;

@@ -90,7 +90,7 @@ fn run_stream(steps: &[Step]) -> Engine {
                     );
                 } else {
                     assert_eq!(
-                        *next_hop, cands[0].from.peer,
+                        *next_hop, cands[0].peer,
                         "single-candidate prefix announced with its real next-hop"
                     );
                 }
@@ -197,7 +197,7 @@ proptest! {
         }
         // The RIB holds nothing from the victim.
         for (_, cands) in e.rib().iter() {
-            prop_assert!(cands.iter().all(|r| r.from.peer != peer(victim)));
+            prop_assert!(cands.iter().all(|r| r.peer != peer(victim)));
         }
     }
 }

@@ -17,9 +17,10 @@
 //! * a RIB must not put its per-prefix entry here — at 64 bytes a node
 //!   the same table would cost 67 MB before the first route. `sc_bgp`'s
 //!   `LocRib` stores a 4-byte slot and keeps its entries in slabs of its
-//!   own: the same 25 MB of index plus 80-104 bytes of entry per prefix
-//!   with up to two candidates, 168-199 B/prefix all told by capacity
-//!   (`tests/footprint.rs` pins it).
+//!   own; the slot is a `NonZeroU32`, so the `Option` around it is free
+//!   and the node is 20 bytes (asserted below too): 21 MB of index plus
+//!   40-56 bytes of entry per prefix with up to two candidates, 105-126
+//!   B/prefix all told by capacity (`tests/footprint.rs` pins it).
 
 use crate::prefix::Ipv4Prefix;
 use std::mem::size_of;
@@ -42,11 +43,16 @@ struct Node<T> {
     right: u32,
 }
 
-// The FIB and the RIBs' index store 4-byte values in the nodes; a wider
-// node moves the RSS of every full-table run, so break the build instead.
+// The FIB and the RIBs' index store 4-byte values in the nodes — the
+// FIB's plain, the index's with a niche for the `Option`; a wider node
+// moves the RSS of every full-table run, so break the build instead.
 const _: () = assert!(
     size_of::<Node<u32>>() <= 24,
     "trie node with a 4 B value: 24 B"
+);
+const _: () = assert!(
+    size_of::<Node<std::num::NonZeroU32>>() <= 20,
+    "trie node with a 4 B value that has a niche: 20 B"
 );
 
 /// A map from IPv4 prefixes to `T` with longest-prefix-match lookup.

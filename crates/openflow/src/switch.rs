@@ -148,6 +148,10 @@ pub struct OfSwitch {
     install_busy_until: SimTime,
     install_wakeup: Wakeup,
     xid_counter: u32,
+    /// The matched rule's actions while [`OfSwitch::forward`] runs them:
+    /// executing needs all of `self`, so they are copied out of the
+    /// table — into a buffer kept across packets, not a fresh one each.
+    matched_actions: Vec<Action>,
     pub stats: SwitchStats,
 }
 
@@ -167,6 +171,7 @@ impl OfSwitch {
             install_busy_until: SimTime::ZERO,
             install_wakeup: Wakeup::new(TIMER_INSTALL),
             xid_counter: 1,
+            matched_actions: Vec::new(),
             stats: SwitchStats::default(),
         }
     }
@@ -469,8 +474,11 @@ impl OfSwitch {
             self.l2.insert(key.eth_src, in_port);
         }
         if let Some(entry) = self.table.lookup(&key, frame.len()) {
-            let actions = entry.actions.clone();
+            let mut actions = std::mem::take(&mut self.matched_actions);
+            actions.clear();
+            actions.extend_from_slice(&entry.actions);
             self.execute_actions(ctx, Some(in_port), &actions, frame);
+            self.matched_actions = actions;
             return;
         }
         // Table miss.

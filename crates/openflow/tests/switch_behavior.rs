@@ -2,217 +2,14 @@
 //! flow installation latency, barriers, PACKET_IN/OUT and failover-style
 //! flow modification — all over the real simulated network.
 
-use sc_net::channel::{ChannelConfig, ChannelEvent};
-use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
+mod common;
+
+use common::{build, probe_frame, Host, StubController, CTRL_MAC, MAC_A, MAC_B};
+use sc_net::wire::peek_udp_frame;
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
-use sc_openflow::{Action, FlowMatch, OfSwitch, SwitchConfig, TableMiss};
-use sc_sim::{ChannelPort, Ctx, LinkParams, Node, NodeId, PortId, TimerToken, World};
-use std::any::Any;
-use std::net::Ipv4Addr;
-
-// ---------------------------------------------------------------- stubs
-
-/// A host that sends scripted frames and records everything it receives.
-struct Host {
-    name: String,
-    script: Vec<(SimTime, PortId, Vec<u8>)>,
-    received: Vec<(SimTime, Vec<u8>)>,
-}
-
-impl Host {
-    fn new(name: &str) -> Host {
-        Host {
-            name: name.into(),
-            script: Vec::new(),
-            received: Vec::new(),
-        }
-    }
-}
-
-impl Node for Host {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        for (i, (at, _, _)) in self.script.iter().enumerate() {
-            ctx.set_timer_at(*at, TimerToken(i as u64 + 100));
-        }
-    }
-    fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: sc_net::Frame) {
-        self.received.push((ctx.now(), frame.to_vec()));
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
-        let idx = (token.0 - 100) as usize;
-        let (_, port, frame) = self.script[idx].clone();
-        ctx.send_frame(port, frame);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A scripted OpenFlow controller stub.
-struct StubController {
-    name: String,
-    chan: Option<ChannelPort>,
-    script: Vec<(SimTime, OfMessage)>,
-    received: Vec<(SimTime, u32, OfMessage)>,
-    xid: u32,
-}
-
-impl StubController {
-    fn new(name: &str) -> StubController {
-        StubController {
-            name: name.into(),
-            chan: None,
-            script: Vec::new(),
-            received: Vec::new(),
-            xid: 1000,
-        }
-    }
-}
-
-impl Node for StubController {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        for (i, (at, _)) in self.script.iter().enumerate() {
-            ctx.set_timer_at(*at, TimerToken(i as u64 + 100));
-        }
-        if let Some(chan) = &mut self.chan {
-            chan.flush(ctx); // kick off the channel handshake
-        }
-    }
-    fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: sc_net::Frame) {
-        let Ok(Some(d)) = peek_udp_frame(&frame) else {
-            return;
-        };
-        let chan = self.chan.as_mut().unwrap();
-        if !chan.matches(&d) {
-            return;
-        }
-        let now = ctx.now();
-        chan.on_datagram(&d, now, |ev| {
-            if let ChannelEvent::Delivered(bytes) = ev {
-                let (xid, msg) = OfMessage::decode(bytes).expect("switch sent valid message");
-                self.received.push((now, xid, msg));
-            }
-        });
-        chan.flush(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
-        let chan = self.chan.as_mut().unwrap();
-        if token == chan.timer() {
-            chan.on_timer(ctx);
-            return;
-        }
-        let idx = (token.0 - 100) as usize;
-        let msg = self.script[idx].1.clone();
-        self.xid += 1;
-        let xid = self.xid;
-        chan.send(msg.encode(xid));
-        chan.flush(ctx);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ------------------------------------------------------------- builders
-
-const SW_MAC: MacAddr = MacAddr([0x00, 0x5c, 0, 0, 0, 0xee]);
-const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
-const CTRL_MAC: MacAddr = MacAddr([0x00, 0x5c, 0, 0, 0, 0xcc]);
-const CTRL_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
-
-struct Lab {
-    world: World,
-    sw: NodeId,
-    ctrl: NodeId,
-    host_a: NodeId,
-    host_b: NodeId,
-    /// Switch-side port numbers.
-    sw_port_a: PortId,
-    sw_port_b: PortId,
-}
-
-fn build(table_miss: TableMiss) -> Lab {
-    let mut world = World::new(42);
-    let sw = world.add_node(OfSwitch::new(SwitchConfig {
-        table_miss,
-        ..SwitchConfig::paper_defaults("hp-e3800")
-    }));
-    let ctrl = world.add_node(StubController::new("floodlight"));
-    let host_a = world.add_node(Host::new("host-a"));
-    let host_b = world.add_node(Host::new("host-b"));
-
-    let lan = LinkParams::with_latency(SimDuration::from_micros(10));
-    let (_, sw_port_a, _) = world.connect(sw, host_a, lan);
-    let (_, sw_port_b, _) = world.connect(sw, host_b, lan);
-    let (_, sw_port_c, ctrl_port) = world.connect(sw, ctrl, lan);
-
-    let ctrl_addr = UdpEndpoints {
-        src_mac: CTRL_MAC,
-        dst_mac: SW_MAC,
-        src_ip: CTRL_IP,
-        dst_ip: SW_IP,
-        src_port: 40001,
-        dst_port: sc_net::wire::udp::port::OPENFLOW,
-    };
-    world.node_mut::<StubController>(ctrl).chan = Some(ChannelPort::connect(
-        ChannelConfig::default(),
-        ctrl_addr,
-        ctrl_port,
-        TimerToken(1),
-    ));
-    {
-        let sw_node = world.node_mut::<OfSwitch>(sw);
-        sw_node.register_data_port(sw_port_a);
-        sw_node.register_data_port(sw_port_b);
-        sw_node.register_data_port(sw_port_c);
-        sw_node.attach_controller(ChannelPort::listen(
-            ChannelConfig::default(),
-            ctrl_addr.flipped(),
-            sw_port_c,
-            TimerToken(1),
-        ));
-    }
-    Lab {
-        world,
-        sw,
-        ctrl,
-        host_a,
-        host_b,
-        sw_port_a,
-        sw_port_b,
-    }
-}
-
-const MAC_A: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xa]);
-const MAC_B: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xb]);
-
-fn probe_frame(src: MacAddr, dst: MacAddr, marker: u8) -> Vec<u8> {
-    udp_frame(
-        UdpEndpoints {
-            src_mac: src,
-            dst_mac: dst,
-            src_ip: Ipv4Addr::new(192, 0, 2, 1),
-            dst_ip: Ipv4Addr::new(198, 51, 100, 1),
-            src_port: 5000,
-            dst_port: 7,
-        },
-        64,
-        &[marker; 26],
-    )
-}
+use sc_openflow::{Action, FlowMatch, OfSwitch, TableMiss};
+use sc_sim::{PortId, TimerToken};
 
 // ----------------------------------------------------------------- tests
 

@@ -563,8 +563,8 @@ impl LegacyRouter {
             .find(|r| {
                 let from_controller = peers
                     .iter()
-                    .any(|p| p.cfg.controller && p.cfg.peer_ip == r.from.peer);
-                !from_controller && !Self::peer_bfd_stale(peers, r.from.peer, now)
+                    .any(|p| p.cfg.controller && p.cfg.peer_ip == r.peer);
+                !from_controller && !Self::peer_bfd_stale(peers, r.peer, now)
             })
             .or_else(|| candidates.first())
             .map(|r| r.next_hop())
@@ -586,7 +586,7 @@ impl LegacyRouter {
             let best_is_controller = self
                 .peers
                 .iter()
-                .any(|p| p.cfg.controller && p.cfg.peer_ip == best.from.peer);
+                .any(|p| p.cfg.controller && p.cfg.peer_ip == best.peer);
             if !best_is_controller {
                 continue;
             }
@@ -1017,7 +1017,7 @@ impl LegacyRouter {
             }
             ops.push(match c.best() {
                 Some(r) => {
-                    let nh = if quarantine && Self::peer_bfd_stale(peers, r.from.peer, now) {
+                    let nh = if quarantine && Self::peer_bfd_stale(peers, r.peer, now) {
                         Self::fallback_nh(peers, c.ranked, now).unwrap_or_else(|| r.next_hop())
                     } else {
                         r.next_hop()

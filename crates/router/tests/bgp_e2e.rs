@@ -277,8 +277,8 @@ fn sessions_establish_and_feed_converges() {
     let first: Ipv4Prefix = "1.0.0.0/24".parse().unwrap();
     assert_eq!(r1.fib().get(first).unwrap().next_hop, IP_R2);
     let best = r1.rib().best(first).unwrap();
-    assert_eq!(best.from.peer, IP_R2);
-    assert_eq!(r1.rib().candidates(first)[1].from.peer, IP_R3);
+    assert_eq!(best.peer, IP_R2);
+    assert_eq!(r1.rib().candidates(first)[1].peer, IP_R3);
 }
 
 #[test]

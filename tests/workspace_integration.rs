@@ -3,7 +3,7 @@
 //! whole lab must be deterministic from its seed, and the facade API
 //! must support the quickstart flow end to end.
 
-use supercharged_router::bgp::{compare_routes, LocRib, PeerInfo, Route};
+use supercharged_router::bgp::{compare_routes, LocRib, PeerInfo};
 use supercharged_router::lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
 use supercharged_router::lab::{run_convergence_trial, LabConfig, Mode};
 use supercharged_router::net::{MacAddr, SimDuration};
@@ -39,17 +39,13 @@ fn controller_ranks_exactly_like_the_router() {
         for upd in feed {
             let attrs = upd.attrs.as_ref().unwrap();
             for pfx in &upd.nlri {
-                router_rib.update(Route {
-                    prefix: *pfx,
-                    attrs: attrs.clone(),
-                    from: PeerInfo {
-                        peer: *peer,
-                        router_id: *peer,
-                        ebgp: true,
-                        igp_cost: 0,
-                    },
-                    local_pref: *local_pref,
-                });
+                let from = PeerInfo {
+                    peer: *peer,
+                    router_id: *peer,
+                    ebgp: true,
+                    igp_cost: 0,
+                };
+                router_rib.update(*pfx, attrs.clone(), from, *local_pref);
             }
         }
     }
@@ -85,12 +81,12 @@ fn controller_ranks_exactly_like_the_router() {
         let engine_cands = engine.rib().candidates(pfx);
         assert_eq!(router_cands.len(), engine_cands.len(), "{pfx}");
         for (r, e) in router_cands.iter().zip(engine_cands) {
-            assert_eq!(r.from.peer, e.from.peer, "ranking disagrees at {pfx}");
+            assert_eq!(r.peer, e.peer, "ranking disagrees at {pfx}");
         }
         // And the ranking is internally consistent with compare_routes.
         for pair in engine_cands.windows(2) {
             assert_ne!(
-                compare_routes(&pair[1], &pair[0]),
+                compare_routes(engine.rib().peers(), &pair[1], &pair[0]),
                 std::cmp::Ordering::Less,
                 "candidate list must be sorted best-first at {pfx}"
             );
