@@ -146,23 +146,20 @@ fn main() {
     println!("Improvement factor (paper: 900x at 500k)");
     println!("{}", sp.render());
 
-    check_shape(&stock, &supercharged);
+    let ok = check_shape(&stock, &supercharged);
 
-    if let Some(path) = std::env::args()
-        .skip(1)
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--csv")
-        .map(|w| w[1].clone())
-    {
+    if let Some(path) = args.raw_value("--csv") {
         std::fs::write(&path, csv.finish()).expect("write csv");
         eprintln!("wrote {path}");
     }
+    if !ok {
+        std::process::exit(1);
+    }
 }
 
-/// Assert the qualitative shape the paper reports; print PASS/FAIL so a
-/// full run doubles as a reproduction check.
-fn check_shape(stock: &[SweepRow], supercharged: &[SweepRow]) {
+/// Check the qualitative shape the paper reports and print PASS/FAIL,
+/// so a run doubles as a reproduction check (`main` exits 1 on FAIL).
+fn check_shape(stock: &[SweepRow], supercharged: &[SweepRow]) -> bool {
     let mut ok = true;
     // 1. Supercharged is flat and ≤ ~150ms everywhere.
     for row in supercharged {
@@ -191,8 +188,7 @@ fn check_shape(stock: &[SweepRow], supercharged: &[SweepRow]) {
     // 3. Stock is within 25% of the paper's printed maxima (40% below
     //    10k prefixes: the paper's own small-scale points sit above its
     //    linear trend — 375ms best case + 1k x 281us/entry puts the 1k
-    //    worst case at ~0.66s, yet Fig. 5 prints 0.9s; see
-    //    EXPERIMENTS.md for the discussion).
+    //    worst case at ~0.66s, yet Fig. 5 prints 0.9s).
     for row in stock {
         if let Some(paper) = paper_stock_max(row.prefixes) {
             let got = row.stats().max.as_secs_f64();
@@ -226,4 +222,5 @@ fn check_shape(stock: &[SweepRow], supercharged: &[SweepRow]) {
             "FAIL (see above)"
         }
     );
+    ok
 }

@@ -15,8 +15,8 @@
 //! * `--smoke`: one topology, 300 prefixes, cut + 2-cycle flap — the
 //!   seconds-scale sanity run CI executes on every push;
 //! * `--workers N`: pin the suite worker pool (default: one thread per
-//!   core) — perf trajectories want a fixed, machine-independent degree
-//!   of parallelism. The pool is capped at the machine's available
+//!   core) — wall-clock comparisons want a fixed, machine-independent
+//!   degree of parallelism. The pool is capped at the machine's available
 //!   parallelism (an oversized `--workers` is clamped, not honored);
 //! * `--jsonl`: stream one JSON object per trial to stdout *as each
 //!   trial completes* instead of buffering the whole report — long
@@ -28,8 +28,8 @@
 //!   only the remaining cells; append it to the prior file for the
 //!   full matrix.
 //! * `--invariants`: run the `sc-invariant` convergence-invariant
-//!   engine in every trial (off by default so perf trajectories stay
-//!   comparable with uninstrumented baselines), report per-class
+//!   engine in every trial (off by default: the samples are
+//!   deterministic but not free), report per-class
 //!   violation durations, and add a two-replica `replica-crash`
 //!   divergence cell to the matrix;
 //! * `--chaos`: the fail-safe soak — replace the script library with
@@ -76,7 +76,7 @@ fn main() {
     let prefixes: u32 = args.value("--prefixes", default_prefixes);
     let flows: usize = args.value("--flows", if smoke { 10 } else { 50 });
     let seed: u64 = args.value("--seed", 42);
-    let workers: Option<usize> = args.raw_value("--workers").and_then(|v| v.parse().ok());
+    let workers: Option<usize> = args.opt_value("--workers");
     let invariants = args.flag("--invariants");
     let chaos = args.flag("--chaos");
     let trace = args.flag("--trace");

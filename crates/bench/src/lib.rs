@@ -1,10 +1,8 @@
-//! Shared helpers for the benchmark binaries (table rendering, argument
-//! parsing). The binaries themselves live in `src/bin/` — one per
-//! table/figure of the paper — and the Criterion micro-benchmarks in
-//! `benches/`.
+//! Shared helpers for the figure binaries (table rendering, argument
+//! parsing, the wall-clock shell). The binaries themselves live in
+//! `src/bin/` — one per table/figure of the paper. Perf measurement is
+//! not here: that is the `benchmark/` package (`BENCHMARK.json`).
 
-pub mod churn;
-pub mod fwd;
 pub mod replay;
 pub mod timing;
 
@@ -65,45 +63,6 @@ impl Table {
     }
 }
 
-/// The `events_per_sec` of the `after` entry in a merged
-/// `BENCH_PR*.json` trajectory file (or the only entry of a flat run
-/// file). Shared by every bench binary's `--check` gate.
-pub fn committed_events_per_sec(json: &str) -> Option<u64> {
-    let tail = match json.find("\"after\":") {
-        Some(at) => &json[at..],
-        None => json,
-    };
-    let needle = "\"events_per_sec\":";
-    let at = tail.find(needle)? + needle.len();
-    let digits: String = tail[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// The `--check FILE [--tolerance PCT]` regression gate shared by the
-/// bench binaries: compare a measured events/s against the committed
-/// trajectory point in `path` and exit 1 on a regression beyond the
-/// tolerance (percent). Tolerance-gated, not exact-match, so
-/// run-to-run jitter does not flake the build.
-pub fn check_perf_gate(path: &str, events_per_sec: u64, tolerance_pct: u64) {
-    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let reference = committed_events_per_sec(&committed).expect("no events_per_sec in check file");
-    let floor = reference * (100 - tolerance_pct.min(99)) / 100;
-    if events_per_sec < floor {
-        eprintln!(
-            "PERF REGRESSION: {events_per_sec} events/s < {floor} \
-             ({tolerance_pct}% below committed {reference} in {path})"
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf check ok: {events_per_sec} events/s >= {floor} \
-         (committed {reference} in {path}, tolerance {tolerance_pct}%)"
-    );
-}
-
 /// The name a scheduler goes by on the command line and in JSON rows.
 pub fn scheduler_name(kind: SchedulerKind) -> &'static str {
     match kind {
@@ -128,10 +87,28 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
+    /// `--key value` parsed as `T`, `default` when the flag is absent.
     pub fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.raw_value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.opt_value(name).unwrap_or(default)
+    }
+
+    /// `--key value` parsed as `T`, `None` when the flag is absent. A
+    /// value that does not parse (`--prefixes 10k`) or is missing names
+    /// the flag and exits 2 — running the default world instead would
+    /// answer a question nobody asked.
+    pub fn opt_value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_value(name).unwrap_or_else(|bad| {
+            eprintln!("{name} {bad}: not a valid value");
+            std::process::exit(2)
+        })
+    }
+
+    fn try_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.raw_value(name) {
+            Some(v) => v.parse().map(Some).map_err(|_| v),
+            None if self.flag(name) => Err("(no value)".into()),
+            None => Ok(None),
+        }
     }
 
     /// The kernel event scheduler picked by `--scheduler wheel|heap`
@@ -168,6 +145,21 @@ mod tests {
     fn labels() {
         assert_eq!(fig5_label(SimDuration::from_millis(150)), "150ms");
         assert_eq!(fig5_label(SimDuration::from_millis(140_900)), "140.9s");
+    }
+
+    #[test]
+    fn values_parse_or_are_refused() {
+        let args = Args {
+            raw: ["--prefixes", "300", "--flows", "10k", "--seed"]
+                .map(String::from)
+                .to_vec(),
+        };
+        assert_eq!(args.try_value::<u32>("--prefixes"), Ok(Some(300)));
+        assert_eq!(args.try_value::<u32>("--flows"), Err("10k".into()));
+        assert_eq!(args.try_value::<u32>("--seed"), Err("(no value)".into()));
+        assert_eq!(args.try_value::<u32>("--bursts"), Ok(None));
+        assert_eq!(args.value("--prefixes", 1_000u32), 300);
+        assert_eq!(args.value("--bursts", 7u32), 7);
     }
 
     #[test]

@@ -1,386 +1,198 @@
-//! The MRT replay bench world used by `sc-bench replay`.
+//! The `replay` bin's entry point: an MRT archive pair becomes a
+//! scenario suite.
 //!
-//! Topology: R1 ← K provider routers, one point-to-point link each,
-//! BFD on every session — the same control-plane shape as the churn
-//! bench (`sc-bench perf --churn`), but driven by *recorded* data end
-//! to end:
-//!
-//! * the provider tables come from an MRT `TABLE_DUMP_V2` snapshot
-//!   parsed through `sc_mrt::RibSnapshot` (next-hops rewritten to the
-//!   owning provider, attribute runs re-shared);
-//! * the churn comes from a `BGP4MP_ET` update trace compiled through
-//!   `sc_mrt::ReplaySchedule` — every injection lands at its recorded
-//!   (optionally time-warped) instant, entering the world through the
-//!   kernel `Scheduler` like any other event.
-//!
-//! By default both archives are *generated* at paper scale by
-//! `sc_routegen::mrt` (in memory — the parser and replay compiler are
-//! part of what's measured); `--fixture` runs the small committed
-//! fixtures instead. Every quantity is a pure function of the
-//! parameters, and the event stream is invariant across schedulers and
-//! encode modes (regression-tested), so events/s ratios isolate kernel
-//! cost exactly as the other trajectory points do.
+//! The archives — the committed `tests/fixtures/*.mrt` pair, or a
+//! RIS-shaped pair generated in memory by `sc_routegen::mrt` — ride
+//! `FeedSource::MrtReplay` on an IXP hub: the `TABLE_DUMP_V2` snapshot
+//! seeds every participant's table, and the `BGP4MP_ET` trace is
+//! replayed on the converged world at its recorded (warpable)
+//! inter-arrival timing, each burst measured in its own convergence
+//! window, legacy and supercharged. The world itself is
+//! `sc_scenarios::build_scenario`'s; nothing here wires a node.
 
-use sc_bfd::BfdConfig;
-use sc_bgp::msg::UpdateMsg;
-use sc_mrt::{NextHopRewriter, ReplaySchedule, RibSnapshot, TimeScale};
-use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration, SimTime};
-use sc_routegen::mrt::MrtExportConfig;
-use sc_router::{Calibration, Interface, LegacyRouter, PeerConfig, RouterConfig};
-use sc_sim::{LinkParams, NodeId, SchedulerKind, World};
+use sc_lab::Mode;
+use sc_mrt::{RibSnapshot, TimeScale};
+use sc_routegen::mrt::{rib_snapshot_mrt, update_trace_mrt, MrtExportConfig};
+use sc_scenarios::{
+    EventScript, FeedSource, MrtReplayFeed, ScenarioConfig, SuiteConfig, TopologySpec,
+};
+use sc_sim::SchedulerKind;
 
-fn r1_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, i as u8, 0, 1)
-}
-
-fn provider_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, i as u8, 0, 2)
-}
-
-fn r1_mac(i: usize) -> MacAddr {
-    MacAddr([0x02, 0x10, 0, 0, i as u8, 1])
-}
-
-fn provider_mac(i: usize) -> MacAddr {
-    MacAddr([0x02, 0x40, 0, 0, i as u8, 2])
-}
-
-fn subnet(i: usize) -> Ipv4Prefix {
-    Ipv4Prefix::new(Ipv4Addr::new(10, i as u8, 0, 0), 24)
-}
-
-/// Parameters of the replay bench world.
+/// Parameters of a replay run.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplayParams {
-    /// Prefixes in the generated snapshot (ignored with fixtures).
-    pub prefixes: u32,
-    /// Provider sessions; also the generated snapshot's peer count.
-    pub providers: usize,
-    /// Bursts in the generated update trace.
-    pub bursts: u32,
-    /// Prefixes withdrawn/re-announced per burst.
-    pub burst_prefixes: u32,
-    /// Mean recorded quiet gap between bursts (µs, jittered ±50%).
-    pub burst_gap_us: u64,
-    /// BFD transmit interval on every session.
-    pub bfd_interval: SimDuration,
+    /// Shape of the generated archive pair. With fixtures only `peers`
+    /// (a cap on the participant count) and `seed` are read.
+    pub archive: MrtExportConfig,
     /// Warp on recorded inter-arrival gaps.
     pub time_scale: TimeScale,
-    pub seed: u64,
-    /// Event scheduler for the world (the comparison axis).
     pub scheduler: SchedulerKind,
-    /// Route outgoing BGP messages through the legacy fresh-`Vec`
-    /// encode path (baseline runs).
-    pub legacy_encode: bool,
 }
 
 impl ReplayParams {
-    /// Paper-scale: full recorded tables on 12 BFD'd sessions, a 3000-
-    /// burst recorded trace at millisecond inter-arrivals — the same
-    /// timer-dense regime as the churn trajectory point, but sourced
-    /// from MRT end to end.
+    /// Full recorded tables on 12 sessions and a 3000-burst trace at
+    /// millisecond inter-arrivals.
     pub fn paper() -> ReplayParams {
         ReplayParams {
-            prefixes: 2_000,
-            providers: 12,
-            bursts: 3_000,
-            burst_prefixes: 10,
-            burst_gap_us: 2_000,
-            bfd_interval: SimDuration::from_micros(500),
+            archive: MrtExportConfig {
+                prefixes: 2_000,
+                seed: 42,
+                peers: 12,
+                bursts: 3_000,
+                burst_prefixes: 10,
+                burst_gap_us: 2_000,
+                ..MrtExportConfig::fixture()
+            },
             time_scale: TimeScale::REAL,
-            seed: 42,
             scheduler: SchedulerKind::default(),
-            legacy_encode: false,
         }
     }
 
     /// Seconds-scale CI variant.
     pub fn smoke() -> ReplayParams {
         ReplayParams {
-            prefixes: 1_000,
-            providers: 8,
-            bursts: 500,
-            burst_prefixes: 20,
-            burst_gap_us: 2_000,
-            bfd_interval: SimDuration::from_millis(1),
-            time_scale: TimeScale::REAL,
-            seed: 42,
-            scheduler: SchedulerKind::default(),
-            legacy_encode: false,
-        }
-    }
-
-    /// The generator config matching these parameters.
-    pub fn export_config(&self) -> MrtExportConfig {
-        MrtExportConfig {
-            prefixes: self.prefixes,
-            seed: self.seed,
-            peers: self.providers as u16,
-            epoch: 1_431_907_200,
-            bursts: self.bursts,
-            burst_prefixes: self.burst_prefixes,
-            burst_gap_us: self.burst_gap_us,
+            archive: MrtExportConfig {
+                prefixes: 1_000,
+                peers: 8,
+                bursts: 500,
+                burst_prefixes: 20,
+                ..ReplayParams::paper().archive
+            },
+            ..ReplayParams::paper()
         }
     }
 }
 
-/// A wired replay world plus everything a driver reports on.
-pub struct ReplayWorld {
-    pub world: World,
-    pub r1: NodeId,
-    pub providers: Vec<NodeId>,
-    /// When the last replayed event (plus settle tail) has drained.
-    pub end: SimTime,
-    /// UPDATE messages scheduled from the trace.
-    pub updates_injected: usize,
-    /// Announced + withdrawn prefixes across the trace.
-    pub prefix_events: usize,
-    /// Recorded trace span after time-warping.
-    pub trace_span: SimDuration,
-    /// Table size actually loaded (the snapshot's, with fixtures).
-    pub table_prefixes: usize,
+/// The archive pair `(rib, trace)` generated from the parameters.
+pub fn generated_archives(p: &ReplayParams) -> (Vec<u8>, Vec<u8>) {
+    (rib_snapshot_mrt(&p.archive), update_trace_mrt(&p.archive))
 }
 
-/// Build the replay world from generated paper/smoke-scale archives.
-pub fn build_replay_world(p: &ReplayParams) -> ReplayWorld {
-    let cfg = p.export_config();
-    let rib = sc_routegen::mrt::rib_snapshot_mrt(&cfg);
-    let trace = sc_routegen::mrt::update_trace_mrt(&cfg);
-    build_replay_world_from(p, &rib, &trace)
+/// The committed fixture pair `(rib, trace)`.
+pub fn fixture_archives() -> (Vec<u8>, Vec<u8>) {
+    let read = |name: &str| {
+        let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+    };
+    (read("ris_rib.mrt"), read("ris_updates.mrt"))
 }
 
-/// Build the replay world from explicit MRT bytes (e.g. the committed
-/// fixtures, or a real `bview` + `updates` pair).
-pub fn build_replay_world_from(p: &ReplayParams, rib: &[u8], trace: &[u8]) -> ReplayWorld {
-    let snap = RibSnapshot::load(rib).unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"));
-    let sched = ReplaySchedule::compile(trace, p.time_scale)
-        .unwrap_or_else(|e| panic!("MRT update trace: {e}"));
-    let k = p.providers.min(snap.peers.len()).max(1);
-    assert!(k < 200, "addressing plan supports < 200 providers");
-    let mut world = World::with_scheduler(p.seed, p.scheduler);
-
-    let r1 = world.add_node(LegacyRouter::new(RouterConfig {
-        name: "r1".into(),
-        asn: 65001,
-        router_id: Ipv4Addr::new(1, 1, 1, 1),
-        cal: Calibration::instant(),
-    }));
-    let providers: Vec<NodeId> = (0..k)
-        .map(|i| {
-            world.add_node(LegacyRouter::new(RouterConfig {
-                name: format!("provider-{i}"),
-                asn: snap.peers[i].asn,
-                router_id: provider_ip(i),
-                cal: Calibration::instant(),
-            }))
-        })
-        .collect();
-
-    let link = LinkParams::gigabit(SimDuration::from_micros(50));
-    for (i, &provider) in providers.iter().enumerate() {
-        let feed = {
-            let routes = snap.routes_for_peer(i as u16);
-            let rewritten = NextHopRewriter::new(provider_ip(i)).rewrite_routes(&routes);
-            sc_mrt::pack_feed(&rewritten, 300)
-        };
-        let (_, r1_port, prov_port) = world.connect(r1, provider, link);
-        let bfd = BfdConfig {
-            local_discr: (10 + i) as u32,
-            desired_min_tx: p.bfd_interval,
-            required_min_rx: p.bfd_interval,
-            detect_mult: 3,
-        };
-        {
-            let r1n = world.node_mut::<LegacyRouter>(r1);
-            let iface = r1n.add_interface(Interface {
-                port: r1_port,
-                ip: r1_ip(i),
-                mac: r1_mac(i),
-                subnet: subnet(i),
-            });
-            r1n.add_peer(PeerConfig {
-                // The trace's churning peer (index 0) is the primary:
-                // its withdrawals flip best routes.
-                local_pref: if i == 0 { 200 } else { 100 },
-                local_port: (40000 + i) as u16,
-                remote_port: 179,
-                bfd: Some(BfdConfig {
-                    local_discr: (100 + i) as u32,
-                    ..bfd
-                }),
-                iface,
-                ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
-            });
-            r1n.set_zero_alloc_encode(!p.legacy_encode);
-        }
-        {
-            let pn = world.node_mut::<LegacyRouter>(provider);
-            pn.add_interface(Interface {
-                port: prov_port,
-                ip: provider_ip(i),
-                mac: provider_mac(i),
-                subnet: subnet(i),
-            });
-            pn.add_peer(PeerConfig {
-                local_port: 179,
-                remote_port: (40000 + i) as u16,
-                bfd: Some(bfd),
-                originate: feed,
-                ..PeerConfig::ebgp(r1_ip(i), r1_mac(i), false)
-            });
-            pn.set_zero_alloc_encode(!p.legacy_encode);
-        }
-    }
-
-    // Replay: every recorded event pre-scheduled at its warped offset,
-    // past full-feed convergence, under the shared mapping policy
-    // (`ReplaySchedule::map_to_providers` — the scenario runner's too).
-    let start = SimTime::from_secs(2);
-    let recorded_peers: Vec<Ipv4Addr> = snap.peers.iter().map(|pe| pe.addr).collect();
-    let provider_ips: Vec<Ipv4Addr> = (0..k).map(provider_ip).collect();
-    let mapped = sched.map_to_providers(&recorded_peers, &provider_ips, 0);
-    let updates_injected = mapped.len();
-    for (i, at, update) in mapped {
-        schedule_injection(&mut world, providers[i], start + at, update);
-    }
-    let end = start + sched.end + SimDuration::from_millis(200);
-
-    ReplayWorld {
-        world,
-        r1,
-        providers,
-        end,
-        updates_injected,
-        prefix_events: sched.prefix_events(),
-        trace_span: sched.end,
-        table_prefixes: snap.routes.len(),
-    }
-}
-
-fn schedule_injection(world: &mut World, node: NodeId, at: SimTime, update: UpdateMsg) {
-    world.schedule(at, move |w| {
-        let tokens = w.node_mut::<LegacyRouter>(node).inject_updates(&[update]);
-        let now = w.now();
-        for tok in tokens {
-            w.wake_node(now, node, tok);
-        }
-    });
-}
-
-/// The measured outcome of one replay run.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayMeasurement {
-    pub events: u64,
-    pub wall: std::time::Duration,
-    pub updates_processed: u64,
-    pub fib_ops_applied: u64,
-}
-
-impl ReplayMeasurement {
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Drive a replay world to its horizon, timing the run.
-pub fn run_replay(rw: &mut ReplayWorld) -> ReplayMeasurement {
-    let ((), wall) = crate::timing::timed(|| rw.world.run_until(rw.end));
-    let r1 = rw.world.node::<LegacyRouter>(rw.r1);
-    ReplayMeasurement {
-        events: rw.world.stats().events_processed,
-        wall,
-        updates_processed: r1.stats.updates_processed,
-        fib_ops_applied: r1.walker().ops_applied,
+/// The suite that replays `(rib, trace)`: one IXP hub with a
+/// participant per recorded peer (at most `archive.peers`), no scripted
+/// failure, both modes.
+pub fn replay_suite(p: &ReplayParams, rib: Vec<u8>, trace: Vec<u8>) -> SuiteConfig {
+    let recorded = RibSnapshot::load(&rib)
+        .unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"))
+        .peers
+        .len();
+    let feed = MrtReplayFeed {
+        time_scale: p.time_scale,
+        ..MrtReplayFeed::new(rib, trace)
+    };
+    SuiteConfig {
+        topologies: vec![TopologySpec::IxpHub {
+            peers: recorded.min(p.archive.peers as usize),
+        }],
+        scripts: vec![EventScript::new("replay", Vec::new())],
+        modes: vec![Mode::Stock, Mode::Supercharged],
+        base: ScenarioConfig {
+            flows: 8,
+            seed: p.archive.seed,
+            scheduler: p.scheduler,
+            feed: FeedSource::MrtReplay(feed),
+            wall_clock: Some(crate::timing::wall_clock),
+            ..ScenarioConfig::default()
+        },
+        workers: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_scenarios::{run_suite, SuiteReport};
 
     fn tiny() -> ReplayParams {
         ReplayParams {
-            prefixes: 300,
-            providers: 2,
-            bursts: 20,
-            burst_prefixes: 25,
-            burst_gap_us: 5_000,
-            bfd_interval: SimDuration::from_millis(5),
-            time_scale: TimeScale::REAL,
-            seed: 7,
-            scheduler: SchedulerKind::default(),
-            legacy_encode: false,
+            archive: MrtExportConfig {
+                prefixes: 300,
+                seed: 7,
+                peers: 2,
+                bursts: 6,
+                burst_prefixes: 25,
+                burst_gap_us: 600_000,
+                ..MrtExportConfig::fixture()
+            },
+            ..ReplayParams::paper()
         }
+    }
+
+    fn run(p: &ReplayParams, (rib, trace): (Vec<u8>, Vec<u8>)) -> SuiteReport {
+        let report = run_suite(&replay_suite(p, rib, trace));
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        report
     }
 
     #[test]
     fn replay_world_loads_tables_and_churns() {
-        let mut rw = build_replay_world(&tiny());
-        assert_eq!(rw.table_prefixes, 300);
-        assert_eq!(rw.prefix_events, 2 * 20 * 25);
-        let m = run_replay(&mut rw);
-        let r1 = rw.world.node::<LegacyRouter>(rw.r1);
-        // Full feed installed from both providers (plus one connected
-        // subnet per interface), replay churn processed.
-        assert_eq!(r1.fib().len(), 300 + 2);
-        assert_eq!(r1.rib().route_count(), 2 * 300);
-        assert!(m.updates_processed as usize > rw.updates_injected / 2);
-        assert!(m.fib_ops_applied >= 300, "replay rewrote the FIB");
-        assert!(m.events > 1_000);
-    }
-
-    /// Scheduler choice, encode path, and a fixture detour are pure
-    /// kernel-cost knobs: the event stream and every router-visible
-    /// outcome must be identical (and two identical runs trivially so).
-    #[test]
-    fn replay_world_is_invariant_under_scheduler_and_encode() {
-        let base = {
-            let mut rw = build_replay_world(&tiny());
-            run_replay(&mut rw)
-        };
-        for (sched, legacy) in [
-            (SchedulerKind::TimerWheel, false), // identical rerun
-            (SchedulerKind::ReferenceHeap, false),
-            (SchedulerKind::TimerWheel, true),
-            (SchedulerKind::ReferenceHeap, true),
-        ] {
-            let mut rw = build_replay_world(&ReplayParams {
-                scheduler: sched,
-                legacy_encode: legacy,
-                ..tiny()
-            });
-            let m = run_replay(&mut rw);
-            assert_eq!(m.events, base.events, "{sched:?} legacy={legacy}");
-            assert_eq!(m.updates_processed, base.updates_processed);
-            assert_eq!(m.fib_ops_applied, base.fib_ops_applied);
+        let p = tiny();
+        let report = run(&p, generated_archives(&p));
+        assert_eq!(report.rows.len(), 2, "legacy and supercharged");
+        for row in &report.rows {
+            assert_eq!(row.topology, "ixp2");
+            assert_eq!(row.prefixes, 300, "the snapshot sizes the table");
+            assert_eq!(row.cycles.len(), 6, "one window per recorded burst");
+            // A withdrawal over a live session moves flows to the
+            // backup without breaking the path: probes kept arriving.
+            assert_eq!(row.unrecovered, 0);
+            assert!(row.per_flow.iter().all(|g| !g.is_zero()));
         }
     }
 
+    /// The fixtures twice and once under the reference heap: the stable
+    /// report — what `replay --stable-out` writes — is the same bytes.
+    #[test]
+    fn replay_is_byte_identical_across_reruns_and_schedulers() {
+        let stable = |scheduler| {
+            let p = ReplayParams {
+                scheduler,
+                ..ReplayParams::smoke()
+            };
+            run(&p, fixture_archives()).to_json_stable()
+        };
+        let first = stable(SchedulerKind::TimerWheel);
+        assert_eq!(stable(SchedulerKind::TimerWheel), first, "rerun");
+        assert_eq!(stable(SchedulerKind::ReferenceHeap), first, "heap");
+    }
+
     /// Warping the trace compresses virtual time without changing the
-    /// logical work: the same updates arrive, just denser.
+    /// logical work: the same bursts arrive, just denser.
     #[test]
     fn time_scale_compresses_without_losing_work() {
-        let real = build_replay_world(&tiny());
-        let fast = build_replay_world(&ReplayParams {
-            time_scale: "0.25".parse().unwrap(),
-            ..tiny()
-        });
-        assert_eq!(fast.updates_injected, real.updates_injected);
-        assert_eq!(fast.prefix_events, real.prefix_events);
-        assert!(fast.trace_span <= real.trace_span / 4 + SimDuration::from_nanos(1));
+        let span = |time_scale: &str| {
+            let p = ReplayParams {
+                time_scale: time_scale.parse().unwrap(),
+                ..tiny()
+            };
+            let report = run(&p, generated_archives(&p));
+            let cycles = &report.rows[0].cycles;
+            assert_eq!(cycles.len(), 6);
+            cycles[5].fail_at - cycles[0].fail_at
+        };
+        let (real, fast) = (span("1"), span("0.5"));
+        // Each offset is warped on its own, so allow the rounding.
+        assert!(fast.as_nanos().abs_diff(real.as_nanos() / 2) <= 1);
     }
 
     /// The committed fixtures drive the same world.
     #[test]
     fn fixtures_build_a_replay_world() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
-        let rib = std::fs::read(format!("{dir}/ris_rib.mrt")).unwrap();
-        let trace = std::fs::read(format!("{dir}/ris_updates.mrt")).unwrap();
-        let mut rw = build_replay_world_from(&tiny(), &rib, &trace);
-        assert_eq!(rw.table_prefixes, 256);
-        let m = run_replay(&mut rw);
-        let r1 = rw.world.node::<LegacyRouter>(rw.r1);
-        assert_eq!(r1.fib().len(), 256 + 2);
-        assert!(m.updates_processed > 0);
+        let report = run(&ReplayParams::smoke(), fixture_archives());
+        for row in &report.rows {
+            assert_eq!(row.topology, "ixp2", "the fixture records two peers");
+            assert_eq!(row.prefixes, 256);
+            assert_eq!(row.cycles.len(), 24);
+            assert_eq!(row.unrecovered, 0);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The workspace's single wall-clock shell.
 //!
 //! Every real-time reading in the workspace funnels through this
-//! module: the six bench harnesses time their runs with [`timed`], and
+//! module: the figure binaries time their runs with [`timed`], and
 //! simulation worlds that should report an `events_per_sec` trajectory
 //! get [`wall_clock`] injected via `sc_sim::World::set_wall_clock`.
 //! Nothing below the bench shell may read the clock — the sc-check
@@ -15,10 +15,6 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Run `f`, returning its result and the wall-clock time it took.
-///
-/// The one timing harness shared by `run_forwarding`/`run_churn`/
-/// `run_replay` and the bench binaries (previously six copy-pasted
-/// `let t0 = Instant::now()` blocks).
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let t0 = Instant::now();
     let r = f();

@@ -7,9 +7,9 @@
 //!
 //! This module turns that claim into checkable code: a
 //! [`ReplicaSet`] drives N engines with the same input stream and
-//! asserts digest equality after every step. The integration tests (and
-//! the `convergence_lab`) use it to run a primary/backup controller pair
-//! and kill the primary mid-experiment.
+//! asserts digest equality after every step. The property tests and
+//! `sc-bench ablations` drive replicated engines through it, failover
+//! and repair included.
 
 use crate::engine::{Engine, EngineAction, EngineConfig, FailoverPlan};
 use sc_bgp::msg::UpdateMsg;

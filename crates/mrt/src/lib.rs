@@ -24,8 +24,8 @@
 //!   [`replay::ReplaySchedule`] compiles a `BGP4MP` stream into
 //!   pre-scheduled world events with a [`replay::TimeScale`] warp knob.
 //! * consumers — `sc-scenarios` wires a schedule in as
-//!   `FeedSource::MrtReplay`, and `sc-bench replay` measures the kernel
-//!   against a paper-scale generated stream.
+//!   `FeedSource::MrtReplay`, and `sc-bench replay` runs a fixture or a
+//!   generated paper-scale pair through it from the command line.
 
 pub mod records;
 pub mod replay;

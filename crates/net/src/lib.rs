@@ -22,6 +22,8 @@
 //! * [`checksum`] — the internet checksum (RFC 1071).
 //! * [`channel`] — a poll-based reliable, in-order message transport state
 //!   machine (a deliberately simplified TCP; see `DESIGN.md` §2).
+//! * [`json`] — the one JSON string escaper every hand-written dump
+//!   (metrics, trace exports, scenario reports) quotes through.
 //! * [`metrics`] — deterministic counters and log-linear histograms (the
 //!   metrics half of sc-trace); lives here so every layer can record.
 //!
@@ -32,6 +34,7 @@ pub mod channel;
 pub mod checksum;
 pub mod frame;
 pub mod fxhash;
+pub mod json;
 pub mod mac;
 pub mod metrics;
 pub mod prefix;
@@ -41,6 +44,7 @@ pub mod wire;
 
 pub use frame::Frame;
 pub use fxhash::{FxHashMap, FxHashSet};
+pub use json::escape_json;
 pub use mac::MacAddr;
 pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use time::{SimDuration, SimTime};

@@ -15,6 +15,7 @@
 //! two. Relative quantile error is bounded by `1/SUB_BUCKETS` across
 //! the whole `u64` range, with a fixed 976-slot footprint.
 
+use crate::json::escape_json;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -238,7 +239,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{k}\":{v}");
+            let _ = write!(out, "\"{}\":{v}", escape_json(k));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -247,8 +248,9 @@ impl Registry {
             }
             let _ = write!(
                 out,
-                "\"{k}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
+                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
                  \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+                escape_json(k),
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -352,6 +354,21 @@ mod tests {
         assert_eq!(ab, cb);
         assert_eq!(ab.counter("events"), 6);
         assert_eq!(ab.to_json(), cb.to_json());
+    }
+
+    /// Per-node counter names are built from node names at run time;
+    /// whatever they hold, the dump stays one well-formed JSON object.
+    #[test]
+    fn hostile_names_are_escaped_in_the_dump() {
+        let mut r = Registry::enabled();
+        r.add_named("node.\"r\\1\u{1}\".timers".to_string(), 2);
+        r.observe("h\"\n", 3);
+        assert_eq!(
+            r.to_json(),
+            "{\"counters\":{\"node.\\\"r\\\\1\\u0001\\\".timers\":2},\
+             \"histograms\":{\"h\\\"\\n\":{\"count\":1,\"sum\":3,\"min\":3,\"max\":3,\
+             \"p50\":3,\"p90\":3,\"p99\":3,\"buckets\":[[3,1]]}}}\n"
+        );
     }
 
     #[test]

@@ -223,12 +223,6 @@ pub struct LegacyRouter {
     /// path. The determinism regression tests flip this to prove the
     /// cache never changes a forwarding decision.
     flow_cache_enabled: bool,
-    /// Diagnostics knob mirroring `flow_cache_enabled`: `false` routes
-    /// every outgoing message through the original fresh-`Vec` encode
-    /// path. The wire bytes must be identical either way (regression-
-    /// tested); the perf baseline runs use it to reconstruct the
-    /// pre-refactor control path.
-    zero_alloc_encode: bool,
     /// Reusable FIB-op scratch shared by all UPDATE processing.
     ops_buf: Vec<FibOp>,
     /// Reusable batch buffer for walker ticks.
@@ -267,7 +261,6 @@ impl LegacyRouter {
             arp_timer_armed: false,
             flow_cache: FlowCache::new(),
             flow_cache_enabled: true,
-            zero_alloc_encode: true,
             ops_buf: Vec::new(),
             walker_batch_buf: Vec::new(),
             controller_was_up: false,
@@ -312,13 +305,6 @@ impl LegacyRouter {
     /// The forwarding flow cache (hit/invalidation counters).
     pub fn flow_cache(&self) -> &FlowCache {
         &self.flow_cache
-    }
-
-    /// Disable (or re-enable) the zero-alloc BGP encode path. The wire
-    /// bytes are identical either way — determinism-regression tested —
-    /// so this only changes allocation behavior (perf baselines).
-    pub fn set_zero_alloc_encode(&mut self, enabled: bool) {
-        self.zero_alloc_encode = enabled;
     }
 
     /// Configure a BGP peer. Must be called before the world starts.
@@ -693,15 +679,11 @@ impl LegacyRouter {
     fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
         let peer = &mut self.peers[idx];
         while let Some(msg) = peer.session.poll_transmit() {
-            if self.zero_alloc_encode {
-                // Hot path: encode straight into a recycled channel
-                // buffer — no allocation and no copy per message.
-                let mut buf = peer.chan.take_buffer();
-                msg.encode_into(&mut buf);
-                peer.chan.send(buf);
-            } else {
-                peer.chan.send(msg.encode());
-            }
+            // Encode straight into a recycled channel buffer — no
+            // allocation and no copy per message.
+            let mut buf = peer.chan.take_buffer();
+            msg.encode_into(&mut buf);
+            peer.chan.send(buf);
         }
         peer.chan.flush(ctx);
         peer.session_wakeup.arm(ctx, peer.session.next_wakeup());

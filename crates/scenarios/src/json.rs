@@ -5,7 +5,8 @@
 //! and floats, rendered deterministically (insertion order, fixed float
 //! formatting) so that identical suites produce byte-identical files.
 
-use std::fmt;
+use sc_net::escape_json;
+use std::fmt::{self, Write as _};
 
 /// A JSON value tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,7 +43,7 @@ impl Json {
 
     fn write(&self, out: &mut String) {
         match self {
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_str(s, out),
             Json::Int(v) => out.push_str(&v.to_string()),
             Json::Float(v) => {
                 // Shortest-roundtrip formatting is deterministic; a
@@ -71,7 +72,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -81,20 +82,8 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn write_str(s: &str, out: &mut String) {
+    let _ = write!(out, "\"{}\"", escape_json(s));
 }
 
 /// Compact serialization (no whitespace); `to_string()` comes with it.

@@ -19,7 +19,7 @@
 //! it keeps the newest `capacity` records of that one order.
 
 use crate::node::NodeId;
-use sc_net::SimTime;
+use sc_net::{escape_json, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -276,26 +276,6 @@ impl Trace {
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping (details are our own text, but keep the
-/// exports well-formed whatever they contain).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
