@@ -13,9 +13,19 @@
 //!
 //! # Storage
 //!
-//! A prefix costs what it holds. The trie is only an index — 4-byte
-//! values with a niche, so 20-byte nodes — from prefix to a tagged slot
-//! in one of two slabs the RIB owns:
+//! A prefix costs what it holds. A RIB is only ever asked two things of
+//! its keys — *this exact prefix* (every announce and withdraw) and *all
+//! of them in FIB walk order* (a session's purge, the iterators) — never
+//! the longest match for an address; that is the FIB's question, and the
+//! only one `sc_net::PrefixTrie` is kept for. Exact plus ordered is what
+//! a B-tree does best, so the index is a `BTreeMap` whose key order,
+//! `Ipv4Prefix`'s `(bits, len)`, *is* the walk order: up to eleven
+//! 12-byte (prefix, slot) pairs a node — 26 B a prefix on a table loaded
+//! in ascending order, where a path-compressed trie paid two 20-byte
+//! nodes a prefix, 52 B by capacity — and a descent of log₇ N nodes,
+//! each searched in place, instead of log₂ N dependent loads across the
+//! trie's arena. It maps a prefix to a tagged slot in one of two slabs
+//! the RIB owns:
 //! * up to two candidates (the paper's regime: Listing 1 needs the top
 //!   two, the router behind a controller holds one) sit *inline* in a
 //!   40-byte small entry, no heap block;
@@ -29,14 +39,17 @@
 //! index's key, and what the decision process needs to know about the
 //! *session* a route came over sits once per peer in the RIB's
 //! [`PeerTable`], written from the [`PeerInfo`] every update is handed.
-//! [`LocRib::footprint`] reports the total and its three parts;
-//! `tests/footprint.rs` pins the bytes per prefix (105-126 with up to two
-//! candidates, by capacity).
+//! [`LocRib::footprint`] reports what the RIB can read off its own
+//! vectors (the slabs and the spilled lists, by capacity); a `BTreeMap`
+//! reports no capacity, so the whole — index included — is measured where
+//! it can be, as live heap under a counting allocator, and
+//! `tests/footprint.rs` pins those bytes per prefix.
 
 use crate::attrs::RouteAttrs;
 use crate::decision::{compare_routes, PeerInfo, PeerTable, Route};
 use crate::PeerId;
-use sc_net::{Ipv4Prefix, PrefixTrie};
+use sc_net::Ipv4Prefix;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::mem::{self, size_of};
 use std::num::NonZeroU32;
 use std::sync::Arc;
@@ -240,9 +253,8 @@ struct Large<X> {
     ext: X,
 }
 
-/// Where a prefix's entry lives, as the index trie stores it: a slab
-/// position plus one — never zero, so a valueless trie node needs no tag
-/// of its own — with the top bit naming the slab.
+/// Where a prefix's entry lives, as the index stores it: a slab position
+/// plus one, never zero, with the top bit naming the slab.
 #[derive(Clone, Copy)]
 struct Slot(NonZeroU32);
 
@@ -270,10 +282,9 @@ impl Slot {
 
 // Per-prefix budgets. A field added to one of these types moves the RSS
 // of every full-table run; break the build instead.
-const _: () = assert!(size_of::<Slot>() <= 4, "RIB index value: 4 B");
 const _: () = assert!(
-    size_of::<Option<Slot>>() == 4,
-    "RIB index value: its niche keeps the index trie's nodes at 20 B"
+    size_of::<(Ipv4Prefix, Slot)>() <= 12,
+    "RIB index: 8 B of key and 4 B of value a prefix"
 );
 const _: () = assert!(
     size_of::<Small<()>>() <= 40,
@@ -329,7 +340,7 @@ impl<T: Default> Slab<T> {
 }
 
 /// The entries behind the index: everything a mutation touches once the
-/// trie descent has produced the prefix's [`Slot`].
+/// index descent has produced the prefix's [`Slot`].
 #[derive(Default)]
 struct Entries<X> {
     small: Slab<Small<X>>,
@@ -406,22 +417,20 @@ impl<X: Default> Entries<X> {
     }
 }
 
-/// What a RIB's tables cost, by capacity: the number the perf ledger's
-/// `peak_rss_mb` moves with.
+/// What a RIB holds and what its own vectors cost, by capacity. The
+/// index is not in it: a `BTreeMap` reports no capacity, so the whole is
+/// measured from outside (`tests/footprint.rs`, the perf ledger's
+/// `peak_rss_mb`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Footprint {
     pub prefixes: usize,
     pub routes: usize,
     /// Entries with three or more candidates, whose list is a heap block.
     pub spilled_entries: usize,
-    /// The index trie's arena.
-    pub index_bytes: usize,
     /// Both slabs and their free lists.
     pub entry_bytes: usize,
     /// The spilled entries' candidate lists.
     pub list_bytes: usize,
-    /// The three above, summed.
-    pub bytes: usize,
 }
 
 impl Footprint {
@@ -431,10 +440,8 @@ impl Footprint {
         reg.add("rib.prefixes", self.prefixes as u64);
         reg.add("rib.routes", self.routes as u64);
         reg.add("rib.spilled_entries", self.spilled_entries as u64);
-        reg.add("rib.index_bytes", self.index_bytes as u64);
         reg.add("rib.entry_bytes", self.entry_bytes as u64);
         reg.add("rib.list_bytes", self.list_bytes as u64);
-        reg.add("rib.bytes", self.bytes as u64);
     }
 }
 
@@ -449,7 +456,9 @@ impl Footprint {
 /// starts from `X::default()` again.
 #[derive(Default)]
 pub struct LocRib<X = ()> {
-    index: PrefixTrie<Slot>,
+    /// Exact-match and ordered-walk only (see "# Storage"); ascending
+    /// key order is FIB walk order.
+    index: BTreeMap<Ipv4Prefix, Slot>,
     entries: Entries<X>,
     peers: PeerTable,
 }
@@ -472,22 +481,17 @@ impl<X: Default> LocRib<X> {
         self.entries.routes
     }
 
-    /// What the tables cost right now (the peer table, 16 B a session,
-    /// is not in it).
+    /// What the RIB holds right now and what its slabs and lists cost
+    /// (the index and the peer table, 16 B a session, are not in it).
     pub fn footprint(&self) -> Footprint {
         let Entries { small, large, .. } = &self.entries;
         let spilled_lists: usize = large.items.iter().map(|e| e.ranked.capacity()).sum();
-        let index_bytes = self.index.heap_bytes();
-        let entry_bytes = small.heap_bytes() + large.heap_bytes();
-        let list_bytes = spilled_lists * size_of::<Route>();
         Footprint {
             prefixes: self.prefix_count(),
             routes: self.route_count(),
             spilled_entries: large.live(),
-            index_bytes,
-            entry_bytes,
-            list_bytes,
-            bytes: index_bytes + entry_bytes + list_bytes,
+            entry_bytes: small.heap_bytes() + large.heap_bytes(),
+            list_bytes: spilled_lists * size_of::<Route>(),
         }
     }
 
@@ -513,7 +517,7 @@ impl<X: Default> LocRib<X> {
         }
     }
 
-    /// The one way a candidate gets in: a single trie descent to the
+    /// The one way a candidate gets in: a single index descent to the
     /// prefix's slot (claiming a fresh one for a new prefix), then
     /// [`place`] on its entry. `peer` has been [`LocRib::learn`]ed.
     fn place(
@@ -531,7 +535,8 @@ impl<X: Default> LocRib<X> {
         let small = &mut self.entries.small;
         let slot = self
             .index
-            .get_mut_or_insert_with(prefix, || Slot::small(small.insert(Small::default())));
+            .entry(prefix)
+            .or_insert_with(|| Slot::small(small.insert(Small::default())));
         let moved = self.entries.place(slot, route, &self.peers);
         (*slot, moved)
     }
@@ -565,7 +570,7 @@ impl<X: Default> LocRib<X> {
         self.place_reporting(prefix, attrs, from.peer, local_pref)
     }
 
-    /// [`LocRib::update`] for an owner that reacts per prefix: one trie
+    /// [`LocRib::update`] for an owner that reacts per prefix: one index
     /// descent, then `react` sees the re-ranked candidates and the
     /// prefix's owner state.
     pub fn update_with<R>(
@@ -621,18 +626,20 @@ impl<X: Default> LocRib<X> {
         self.remove_one(prefix, peer, react).map(|(_, out)| out)
     }
 
-    /// The one way a single candidate gets out: one trie descent, then
+    /// The one way a single candidate gets out: one index descent, then
     /// [`remove`] on the entry, `react`, and — from the same descent —
-    /// the entry's slot and trie node go if that was its last candidate.
+    /// the entry's slot and index key go if that was its last candidate.
     fn remove_one<R>(
         &mut self,
         prefix: Ipv4Prefix,
         peer: PeerId,
         react: impl FnOnce(&[Route], &mut X) -> R,
     ) -> Option<(Change<'_>, R)> {
-        let mut indexed = self.index.occupied(prefix)?;
+        let Entry::Occupied(mut indexed) = self.index.entry(prefix) else {
+            return None;
+        };
         let pos = self.entries.remove(indexed.get_mut(), peer)?;
-        let slot = *indexed.get_mut();
+        let slot = *indexed.get();
         let (ranked, ext) = self.entries.entry_mut(slot);
         let out = react(ranked, ext);
         let ranked = if ranked.is_empty() {
@@ -668,10 +675,11 @@ impl<X: Default> LocRib<X> {
     }
 
     /// [`LocRib::remove_one`] over every prefix with a candidate from
-    /// `peer`, in FIB walk order, in one pass over the index.
+    /// `peer`, in one pass over the index — `BTreeMap::retain` visits in
+    /// ascending key order, which is FIB walk order.
     fn remove_all(&mut self, peer: PeerId, mut react: impl FnMut(Change<'_>, &mut X)) {
         let entries = &mut self.entries;
-        self.index.retain(|prefix, slot| {
+        self.index.retain(|&prefix, slot| {
             let Some(pos) = entries.remove(slot, peer) else {
                 return true;
             };
@@ -693,7 +701,7 @@ impl<X: Default> LocRib<X> {
     /// The ranked candidates for `prefix` (best first).
     pub fn candidates(&self, prefix: Ipv4Prefix) -> &[Route] {
         self.index
-            .get(prefix)
+            .get(&prefix)
             .map_or(&[], |&slot| self.entries.entry(slot).0)
     }
 
@@ -706,14 +714,14 @@ impl<X: Default> LocRib<X> {
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Route])> {
         self.index
             .iter()
-            .map(|(p, &slot)| (p, self.entries.entry(slot).0))
+            .map(|(&p, &slot)| (p, self.entries.entry(slot).0))
     }
 
     /// Iterate `(prefix, owner state)` in FIB walk order.
     pub fn iter_ext(&self) -> impl Iterator<Item = (Ipv4Prefix, &X)> {
         self.index
             .iter()
-            .map(|(p, &slot)| (p, self.entries.entry(slot).1))
+            .map(|(&p, &slot)| (p, self.entries.entry(slot).1))
     }
 }
 
@@ -1005,23 +1013,27 @@ mod tests {
     /// high-water candidate count, not of `Vec`'s doubling.
     #[test]
     fn spilled_lists_are_exact_fit() {
+        let bytes = |rib: &LocRib| {
+            let f = rib.footprint();
+            (f.entry_bytes, f.list_bytes)
+        };
         let mut rib = LocRib::new();
         let pfx = "1.0.0.0/24";
-        let empty = rib.footprint().bytes;
-        assert_eq!(empty, 0, "an empty RIB holds no heap");
+        assert_eq!(bytes(&rib), (0, 0), "an empty RIB holds no heap");
         for n in 1..=9 {
             announce(&mut rib, pfx, n, 100);
         }
         let nine = rib.footprint();
         assert_eq!((nine.routes, nine.spilled_entries), (9, 1));
+        let nine = bytes(&rib);
         rib.withdraw(p(pfx), peer(5)).unwrap();
-        assert_eq!(rib.footprint().bytes, nine.bytes, "capacity kept");
+        assert_eq!(bytes(&rib), nine, "capacity kept");
         announce(&mut rib, pfx, 5, 100);
-        assert_eq!(rib.footprint().bytes, nine.bytes, "and reused");
+        assert_eq!(bytes(&rib), nine, "and reused");
         announce(&mut rib, pfx, 10, 100);
         assert_eq!(
-            rib.footprint().bytes,
-            nine.bytes + size_of::<Route>(),
+            bytes(&rib),
+            (nine.0, nine.1 + size_of::<Route>()),
             "one more candidate costs one more route"
         );
     }

@@ -8,7 +8,7 @@ use sc_bgp::attrs::{AsPath, AsSegment, Origin, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::rib::{Change, LocRib};
 use sc_bgp::{compare_routes, PeerInfo, PeerTable, Route};
-use sc_net::Ipv4Prefix;
+use sc_net::{Ipv4Prefix, PrefixTrie};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -108,8 +108,8 @@ fn arb_learned() -> impl Strategy<Value = Learned> {
     )
 }
 
-/// Six prefixes that nest and split, so the index trie claims and prunes
-/// valueless nodes while entries come and go.
+/// Six prefixes that nest and split, so neighbours in the index come and
+/// go around entries that stay.
 const DENSE_PREFIXES: [&str; 6] = [
     "0.0.0.0/0",
     "10.0.0.0/8",
@@ -118,6 +118,20 @@ const DENSE_PREFIXES: [&str; 6] = [
     "10.1.0.0/24",
     "192.168.0.0/24",
 ];
+
+/// Prefixes whose order is easy to get wrong: the default route, /8 ⊃ /16
+/// ⊃ /24 ⊃ /32 chains over a handful of networks (so equal bits meet at
+/// different lengths), host routes, and anything else.
+fn arb_order_prefix() -> impl Strategy<Value = Ipv4Prefix> {
+    prop_oneof![
+        Just(Ipv4Prefix::DEFAULT),
+        (0u8..3, 0u8..3, 0u8..3, 1u8..=4).prop_map(|(a, b, c, octets)| {
+            Ipv4Prefix::new(Ipv4Addr::new(10 + a, b, c, 0), 8 * octets)
+        }),
+        any::<u32>().prop_map(|a| Ipv4Prefix::host(Ipv4Addr::from(a))),
+        arb_prefix(),
+    ]
+}
 
 fn dense_prefix(i: usize) -> Ipv4Prefix {
     DENSE_PREFIXES[i].parse().unwrap()
@@ -528,10 +542,6 @@ proptest! {
                 (footprint.prefixes, footprint.routes, footprint.spilled_entries),
                 (model.entries.len(), routes, spilled)
             );
-            prop_assert_eq!(
-                footprint.index_bytes + footprint.entry_bytes + footprint.list_bytes,
-                footprint.bytes
-            );
             for (peer, from) in &model.sessions {
                 prop_assert_eq!(rib.peers().get(*peer), Some(from));
             }
@@ -562,5 +572,45 @@ proptest! {
         served.sort();
         served.dedup();
         prop_assert_eq!(changed, served, "each served prefix once, in FIB walk order");
+    }
+
+    /// What swapping the RIB's index for an ordered map rests on: the
+    /// map's key order *is* FIB walk order. The reference is the FIB's
+    /// own structure — a `PrefixTrie` holding the same prefixes — and
+    /// both the RIB's iterators and a session purge's callbacks visit
+    /// them exactly as it does.
+    #[test]
+    fn rib_walks_in_fib_order(
+        prefixes in vec((arb_order_prefix(), any::<bool>()), 1..120),
+    ) {
+        let mut rib: LocRib<u8> = LocRib::default();
+        let mut fib = PrefixTrie::new();
+        let attrs = Arc::new(RouteAttrs::ebgp(AsPath::sequence(vec![65001]), peer(1)));
+        for (prefix, both) in &prefixes {
+            // Peer 1 serves every prefix, peer 2 some: the purge below
+            // empties some entries and only shortens others.
+            for n in 1..=1 + *both as u8 {
+                rib.update(*prefix, attrs.clone(), session(n), 100);
+            }
+            fib.insert(*prefix, ());
+        }
+        let walk: Vec<Ipv4Prefix> = fib.iter().map(|(p, ())| p).collect();
+        prop_assert_eq!(rib.iter().map(|(p, _)| p).collect::<Vec<_>>(), walk.clone());
+        prop_assert_eq!(rib.iter_ext().map(|(p, _)| p).collect::<Vec<_>>(), walk.clone());
+        let mut purged = Vec::new();
+        rib.withdraw_peer(peer(1), |c| purged.push(c.prefix));
+        prop_assert_eq!(purged, walk);
+        // What is left is peer 2's (a prefix drawn twice has its route
+        // if either draw said so), purged in walk order too.
+        let fib: PrefixTrie<()> = prefixes
+            .iter()
+            .filter(|(_, both)| *both)
+            .map(|(prefix, _)| (*prefix, ()))
+            .collect();
+        let walk: Vec<Ipv4Prefix> = fib.iter().map(|(p, ())| p).collect();
+        let mut purged = Vec::new();
+        rib.withdraw_peer_with(peer(2), |p, _, _| purged.push(p));
+        prop_assert_eq!(purged, walk);
+        prop_assert_eq!(rib.prefix_count(), 0);
     }
 }

@@ -15,7 +15,7 @@
 //!   map (flow cache, sink CAM, ARP cache, switch L2 table).
 //! * [`prefix`] — IPv4 CIDR prefixes with canonicalization.
 //! * [`trie`] — a binary radix trie implementing longest-prefix match, the
-//!   data structure backing every RIB/FIB in the workspace.
+//!   data structure backing the router's FIB.
 //! * [`wire`] — parse/emit for Ethernet II, ARP, IPv4 and UDP, in the
 //!   two-level style of `smoltcp`: raw accessors over byte slices plus a
 //!   high-level `Repr` with `parse`/`emit`.

@@ -1,26 +1,26 @@
 //! A path-compressed binary radix trie over [`Ipv4Prefix`] keys.
 //!
-//! This is the structure behind every RIB and FIB in the workspace: the
-//! router's forwarding table, the controller's routing table, and the
-//! traffic sink's expected-destination CAM. It supports exact-match
-//! insert/remove/get, **longest-prefix match** on addresses, and ordered
-//! iteration (the order in which the legacy router walks its FIB during
-//! convergence).
+//! This is the structure behind the router's forwarding table
+//! (`sc_router::Fib`), and it is here for the one question only a trie
+//! answers well: **longest-prefix match** on an address, once per
+//! forwarded packet that misses the flow cache. It also supports
+//! exact-match insert/remove/get (the FIB walker's writes) and ordered
+//! iteration — ascending `(network bits, length)`, the order in which the
+//! legacy router walks its FIB during convergence.
+//!
+//! It is *not* the structure behind a RIB. A RIB looks a prefix up
+//! exactly or walks all of them in order and never asks for a longest
+//! match, and for that access pattern an ordered map is smaller and
+//! faster: `sc_bgp`'s `LocRib` indexes its entries with a `BTreeMap`
+//! whose key order is this trie's iteration order (a proptest in
+//! `sc_bgp` pins that the two agree).
 //!
 //! Nodes live in a `Vec` arena addressed by `u32` indices with a free
 //! list: no per-node allocations, and a table of N prefixes has at most
 //! 2N - 1 nodes. The value sits inline in *every* node, valueless split
-//! nodes included, so what a table costs is set by the value's size:
-//!
-//! * a FIB (4-byte values, 24-byte nodes — asserted below) costs about
-//!   25 MB for a 512k-entry full table;
-//! * a RIB must not put its per-prefix entry here — at 64 bytes a node
-//!   the same table would cost 67 MB before the first route. `sc_bgp`'s
-//!   `LocRib` stores a 4-byte slot and keeps its entries in slabs of its
-//!   own; the slot is a `NonZeroU32`, so the `Option` around it is free
-//!   and the node is 20 bytes (asserted below too): 21 MB of index plus
-//!   40-56 bytes of entry per prefix with up to two candidates, 105-126
-//!   B/prefix all told by capacity (`tests/footprint.rs` pins it).
+//! nodes included, so what a table costs is set by the value's size: a
+//! FIB (4-byte values, 24-byte nodes — asserted below) costs about 25 MB
+//! for a 512k-entry full table.
 
 use crate::prefix::Ipv4Prefix;
 use std::mem::size_of;
@@ -43,16 +43,11 @@ struct Node<T> {
     right: u32,
 }
 
-// The FIB and the RIBs' index store 4-byte values in the nodes — the
-// FIB's plain, the index's with a niche for the `Option`; a wider node
-// moves the RSS of every full-table run, so break the build instead.
+// The FIB stores 4-byte values in the nodes; a wider node moves the RSS
+// of every full-table run, so break the build instead.
 const _: () = assert!(
     size_of::<Node<u32>>() <= 24,
     "trie node with a 4 B value: 24 B"
-);
-const _: () = assert!(
-    size_of::<Node<std::num::NonZeroU32>>() <= 20,
-    "trie node with a 4 B value that has a niche: 20 B"
 );
 
 /// A map from IPv4 prefixes to `T` with longest-prefix-match lookup.
@@ -91,19 +86,6 @@ impl<T> PrefixTrie<T> {
         self.len == 0
     }
 
-    /// Heap bytes held, by capacity: the node arena and its free list.
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * size_of::<Node<T>>() + self.free.capacity() * size_of::<u32>()
-    }
-
-    /// Remove all entries.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NO_NODE;
-        self.len = 0;
-    }
-
     fn alloc(&mut self, node: Node<T>) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
@@ -119,31 +101,19 @@ impl<T> PrefixTrie<T> {
     /// Insert `value` under `prefix`, returning the previous value if the
     /// prefix was already present.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
-        let idx = self.node_for(prefix);
-        let old = self.nodes[idx as usize].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// One descent to the node keyed exactly `prefix`, creating it
-    /// (valueless) if the trie has none. Every caller fills the slot
-    /// before returning, so a valueless leaf never outlives the call.
-    fn node_for(&mut self, prefix: Ipv4Prefix) -> u32 {
         let leaf = |prefix| Node {
             prefix,
             value: None,
             left: NO_NODE,
             right: NO_NODE,
         };
+        // One descent to the node keyed exactly `prefix`, creating it
+        // (valueless, until the end of this call) if the trie has none.
         if self.root == NO_NODE {
             self.root = self.alloc(leaf(prefix));
-            return self.root;
         }
-
         let mut cur = self.root;
-        loop {
+        let idx = loop {
             let cur_prefix = self.nodes[cur as usize].prefix;
             let common = common_prefix_len(prefix, cur_prefix);
 
@@ -165,7 +135,7 @@ impl<T> PrefixTrie<T> {
                 }
                 if common == prefix.len() {
                     // The new prefix *is* the split point.
-                    return cur;
+                    break cur;
                 }
                 // Attach a fresh leaf for the new prefix on the other side.
                 let new_leaf = self.alloc(leaf(prefix));
@@ -175,12 +145,12 @@ impl<T> PrefixTrie<T> {
                 } else {
                     self.nodes[cur as usize].right = new_leaf;
                 }
-                return new_leaf;
+                break new_leaf;
             }
 
             // cur_prefix is fully a prefix of the new key.
             if prefix.len() == cur_prefix.len() {
-                return cur;
+                break cur;
             }
 
             // Descend.
@@ -197,46 +167,19 @@ impl<T> PrefixTrie<T> {
                 } else {
                     self.nodes[cur as usize].left = new_leaf;
                 }
-                return new_leaf;
+                break new_leaf;
             }
             cur = child;
+        };
+        let old = self.nodes[idx as usize].value.replace(value);
+        if old.is_none() {
+            self.len += 1;
         }
+        old
     }
 
     /// Exact-match lookup.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
-        let idx = self.find_exact(prefix)?;
-        self.nodes[idx as usize].value.as_ref()
-    }
-
-    /// Exact-match mutable lookup.
-    pub fn get_mut(&mut self, prefix: Ipv4Prefix) -> Option<&mut T> {
-        let idx = self.find_exact(prefix)?;
-        self.nodes[idx as usize].value.as_mut()
-    }
-
-    /// Mutable access to the entry for `prefix`, inserting `default()`
-    /// first if absent (or if only a valueless split node sits there) —
-    /// one descent either way.
-    pub fn get_mut_or_insert_with(
-        &mut self,
-        prefix: Ipv4Prefix,
-        default: impl FnOnce() -> T,
-    ) -> &mut T {
-        let idx = self.node_for(prefix);
-        let slot = &mut self.nodes[idx as usize].value;
-        if slot.is_none() {
-            self.len += 1;
-        }
-        slot.get_or_insert_with(default)
-    }
-
-    /// True if the exact prefix is stored.
-    pub fn contains_prefix(&self, prefix: Ipv4Prefix) -> bool {
-        self.get(prefix).is_some()
-    }
-
-    fn find_exact(&self, prefix: Ipv4Prefix) -> Option<u32> {
         let mut cur = self.root;
         while cur != NO_NODE {
             let node = &self.nodes[cur as usize];
@@ -245,7 +188,7 @@ impl<T> PrefixTrie<T> {
                 return None;
             }
             if np.len() == prefix.len() {
-                return Some(cur);
+                return node.value.as_ref();
             }
             cur = if prefix.bit(np.len()) {
                 node.right
@@ -283,43 +226,10 @@ impl<T> PrefixTrie<T> {
         best
     }
 
-    /// All stored prefixes containing `addr`, shortest first (for
-    /// diagnostics and tests).
-    pub fn matches(&self, addr: Ipv4Addr) -> Vec<(Ipv4Prefix, &T)> {
-        let key = Ipv4Prefix::host(addr);
-        let mut out = Vec::new();
-        let mut cur = self.root;
-        while cur != NO_NODE {
-            let node = &self.nodes[cur as usize];
-            let np = node.prefix;
-            if !np.covers(key) {
-                break;
-            }
-            if let Some(v) = &node.value {
-                out.push((np, v));
-            }
-            if np.len() == 32 {
-                break;
-            }
-            cur = if key.bit(np.len()) {
-                node.right
-            } else {
-                node.left
-            };
-        }
-        out
-    }
-
     /// Remove a prefix, returning its value. Prunes and re-merges nodes so
     /// the structure stays compact under churn.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<T> {
-        Some(self.occupied(prefix)?.remove())
-    }
-
-    /// The entry stored under exactly `prefix`, with the descent that
-    /// found it: a caller that inspects the value before deciding to
-    /// remove it walks the trie once, not twice.
-    pub fn occupied(&mut self, prefix: Ipv4Prefix) -> Option<OccupiedEntry<'_, T>> {
+        // Walk down, remembering the ancestors (root first) for pruning.
         let mut path = [NO_NODE; MAX_DEPTH];
         let mut depth = 0;
         let mut cur = self.root;
@@ -343,13 +253,10 @@ impl<T> PrefixTrie<T> {
                 node.left
             };
         }
-        self.nodes[cur as usize].value.as_ref()?;
-        Some(OccupiedEntry {
-            trie: self,
-            idx: cur,
-            path,
-            depth,
-        })
+        let value = self.nodes[cur as usize].value.take()?;
+        self.len -= 1;
+        self.prune(cur, &path[..depth]);
+        Some(value)
     }
 
     /// What belongs in `idx`'s place: the node itself while it holds a
@@ -389,38 +296,6 @@ impl<T> PrefixTrie<T> {
         }
     }
 
-    /// Keep only the entries `keep` approves, visiting them in iteration
-    /// order and pruning as the walk unwinds: one pass over the trie, no
-    /// descent per removed prefix.
-    pub fn retain(&mut self, mut keep: impl FnMut(Ipv4Prefix, &mut T) -> bool) {
-        self.root = self.retain_below(self.root, &mut keep);
-    }
-
-    /// [`PrefixTrie::retain`] over the subtree at `idx` (at most
-    /// [`MAX_DEPTH`] frames deep); returns what now stands in its place.
-    fn retain_below(&mut self, idx: u32, keep: &mut impl FnMut(Ipv4Prefix, &mut T) -> bool) -> u32 {
-        if idx == NO_NODE {
-            return NO_NODE;
-        }
-        let node = &mut self.nodes[idx as usize];
-        let (left, right) = (node.left, node.right);
-        if let Some(value) = node.value.as_mut() {
-            if !keep(node.prefix, value) {
-                node.value = None;
-                self.len -= 1;
-            }
-        }
-        let left = self.retain_below(left, keep);
-        let right = self.retain_below(right, keep);
-        let node = &mut self.nodes[idx as usize];
-        (node.left, node.right) = (left, right);
-        let replacement = self.stand_in(idx);
-        if replacement != idx {
-            self.free.push(idx);
-        }
-        replacement
-    }
-
     /// Iterate entries in ascending `(network bits, length)` order — the
     /// order in which the modeled router walks its FIB.
     pub fn iter(&self) -> Iter<'_, T> {
@@ -429,50 +304,6 @@ impl<T> PrefixTrie<T> {
             stack.push(self.root);
         }
         Iter { trie: self, stack }
-    }
-
-    /// Iterate just the stored prefixes, in order.
-    pub fn keys(&self) -> impl Iterator<Item = Ipv4Prefix> + '_ {
-        self.iter().map(|(p, _)| p)
-    }
-
-    /// Apply `f` to every value (iteration order as [`PrefixTrie::iter`]).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(Ipv4Prefix, &mut T)) {
-        self.retain(|prefix, value| {
-            f(prefix, value);
-            true
-        });
-    }
-}
-
-/// A stored entry plus the descent that found it, from
-/// [`PrefixTrie::occupied`].
-pub struct OccupiedEntry<'a, T> {
-    trie: &'a mut PrefixTrie<T>,
-    idx: u32,
-    /// The ancestors of `idx`, root first; `depth` of them are live.
-    path: [u32; MAX_DEPTH],
-    depth: usize,
-}
-
-impl<T> OccupiedEntry<'_, T> {
-    /// The entry's value.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.trie.nodes[self.idx as usize]
-            .value
-            .as_mut()
-            .expect("an occupied entry has a value")
-    }
-
-    /// Take the entry out of the trie, pruning along the recorded path.
-    pub fn remove(self) -> T {
-        let value = self.trie.nodes[self.idx as usize]
-            .value
-            .take()
-            .expect("an occupied entry has a value");
-        self.trie.len -= 1;
-        self.trie.prune(self.idx, &self.path[..self.depth]);
-        value
     }
 }
 
@@ -502,14 +333,6 @@ impl<'a, T> Iterator for Iter<'a, T> {
             }
         }
         None
-    }
-}
-
-impl<'a, T> IntoIterator for &'a PrefixTrie<T> {
-    type Item = (Ipv4Prefix, &'a T);
-    type IntoIter = Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -595,30 +418,17 @@ mod tests {
             Some((p("10.3.0.0/16"), 2))
         );
         assert!(t.lookup(Ipv4Addr::new(10, 4, 0, 1)).is_none());
-    }
-
-    #[test]
-    fn get_or_insert_claims_split_node_and_counts_once() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.2.0.0/16"), 1);
-        t.insert(p("10.3.0.0/16"), 2);
-        // The valueless /15 split node is claimed in place.
+        // Inserting at the split point claims the valueless node in place.
         let nodes = t.nodes.len();
-        *t.get_mut_or_insert_with(p("10.2.0.0/15"), || 7) += 1;
-        assert_eq!(t.nodes.len(), nodes, "no new node for the split point");
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(p("10.2.0.0/15")), Some(&8));
-        // A hit leaves the value and the count alone.
-        *t.get_mut_or_insert_with(p("10.2.0.0/15"), || unreachable!()) += 1;
-        assert_eq!((t.len(), t.get(p("10.2.0.0/15"))), (3, Some(&9)));
-        // A miss below a leaf and a miss that splits an edge.
-        assert_eq!(*t.get_mut_or_insert_with(p("10.2.1.0/24"), || 4), 4);
-        assert_eq!(*t.get_mut_or_insert_with(p("10.8.0.0/16"), || 5), 5);
-        assert_eq!(t.len(), 5);
-        let keys: Vec<Ipv4Prefix> = t.keys().collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
+        assert_eq!(t.insert(p("10.2.0.0/15"), 7), None);
+        assert_eq!((t.nodes.len(), t.len()), (nodes, 3));
+        assert_eq!(t.get(p("10.2.0.0/15")), Some(&7));
+        // Its value gone, it splits two subtrees again; with one of them
+        // gone too it is merged away.
+        assert_eq!(t.remove(p("10.2.0.0/15")), Some(7));
+        assert_eq!(t.get(p("10.2.0.0/15")), None);
+        assert_eq!(t.remove(p("10.2.0.0/16")), Some(1));
+        assert_eq!((t.len(), t.nodes.len() - t.free.len()), (1, 1));
     }
 
     #[test]
@@ -667,7 +477,7 @@ mod tests {
         for (i, s) in prefixes.iter().enumerate() {
             t.insert(p(s), i);
         }
-        let keys: Vec<Ipv4Prefix> = t.keys().collect();
+        let keys: Vec<Ipv4Prefix> = t.iter().map(|(p, _)| p).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -687,32 +497,6 @@ mod tests {
             t.lookup(Ipv4Addr::new(255, 255, 255, 255)).map(|(_, v)| *v),
             Some(42)
         );
-    }
-
-    #[test]
-    fn matches_returns_all_covering() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("0.0.0.0/0"), 0);
-        t.insert(p("10.0.0.0/8"), 1);
-        t.insert(p("10.1.0.0/16"), 2);
-        t.insert(p("11.0.0.0/8"), 3);
-        let m: Vec<u32> = t
-            .matches(Ipv4Addr::new(10, 1, 2, 3))
-            .into_iter()
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(m, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn for_each_mut_visits_all() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.0.0.0/8"), 1);
-        t.insert(p("10.1.0.0/16"), 10);
-        t.insert(p("20.0.0.0/8"), 100);
-        t.for_each_mut(|_, v| *v *= 2);
-        let sum: u32 = t.iter().map(|(_, v)| *v).sum();
-        assert_eq!(sum, 222);
     }
 
     #[test]
@@ -780,62 +564,6 @@ mod tests {
         let got: Vec<_> = t.iter().map(|(pfx, v)| (pfx, *v)).collect();
         let expect: Vec<_> = model.iter().map(|(pfx, v)| (*pfx, *v)).collect();
         assert_eq!(got, expect);
-    }
-
-    /// `retain` leaves exactly the structure per-prefix `remove`s would:
-    /// same entries, same number of live nodes (every valueless node
-    /// still splits two subtrees), nothing leaked from the arena.
-    #[test]
-    fn retain_prunes_like_remove() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 16
-        };
-        let mut one_by_one = PrefixTrie::new();
-        for i in 0..3000u64 {
-            let r = next();
-            // Short prefixes nest; long ones force deep split chains.
-            let len = if i % 3 == 0 { r % 12 } else { 12 + r % 21 } as u8;
-            one_by_one.insert(Ipv4Prefix::new(Ipv4Addr::from((r >> 8) as u32), len), i);
-        }
-        let mut retained = one_by_one.clone();
-        let doomed = |v: &u64| v % 5 < 3;
-        let victims: Vec<Ipv4Prefix> = one_by_one
-            .iter()
-            .filter(|(_, v)| doomed(v))
-            .map(|(p, _)| p)
-            .collect();
-        for p in &victims {
-            assert!(one_by_one.remove(*p).is_some());
-        }
-        retained.retain(|_, v| !doomed(v));
-        let live = |t: &PrefixTrie<u64>| t.nodes.len() - t.free.len();
-        assert_eq!(retained.len(), one_by_one.len());
-        assert_eq!(live(&retained), live(&one_by_one));
-        assert!(retained.iter().eq(one_by_one.iter()));
-        retained.retain(|_, _| false);
-        assert!(retained.is_empty());
-        assert_eq!((retained.root, live(&retained)), (NO_NODE, 0));
-    }
-
-    #[test]
-    fn occupied_entry_inspects_then_removes_in_one_descent() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.2.0.0/16"), 1);
-        t.insert(p("10.3.0.0/16"), 2);
-        // A valueless split node and a missing prefix are not occupied.
-        assert!(t.occupied(p("10.2.0.0/15")).is_none());
-        assert!(t.occupied(p("10.4.0.0/16")).is_none());
-        *t.occupied(p("10.2.0.0/16")).unwrap().get_mut() += 10;
-        assert_eq!(t.get(p("10.2.0.0/16")), Some(&11));
-        assert_eq!(t.occupied(p("10.2.0.0/16")).unwrap().remove(), 11);
-        // The /15 split node went with it: one node left.
-        assert_eq!((t.len(), t.nodes.len() - t.free.len()), (1, 1));
-        assert_eq!(t.occupied(p("10.3.0.0/16")).unwrap().remove(), 2);
-        assert_eq!((t.root, t.is_empty()), (NO_NODE, true));
     }
 
     #[test]

@@ -74,6 +74,10 @@ pub struct FibWalker {
 }
 
 impl FibWalker {
+    /// Ops of queue capacity kept however far the walk has drained
+    /// (64 KiB): ordinary churn bursts never reallocate.
+    const QUEUE_FLOOR: usize = 4096;
+
     /// `seed` roots the per-entry jitter stream; routers pass their
     /// router-id so each walker jitters independently but reproducibly.
     pub fn new(cal: Calibration, seed: u64) -> FibWalker {
@@ -105,8 +109,8 @@ impl FibWalker {
     /// before the walk starts; ordinary update churn pays the small
     /// per-update cost.
     ///
-    /// Returns the time the *first* queued op will complete, if any were
-    /// queued — the caller arms its timer from [`FibWalker::next_apply_at`].
+    /// Returns nothing: the caller arms its timer from
+    /// [`FibWalker::next_apply_at`].
     pub fn enqueue_burst(
         &mut self,
         now: SimTime,
@@ -153,6 +157,15 @@ impl FibWalker {
     /// timer fired). Returns the op applied.
     pub fn apply_one(&mut self, fib: &mut Fib, now: SimTime) -> Option<FibOp> {
         let op = self.queue.pop_front()?;
+        // A table load fills the queue in its first simulated second and
+        // the walk drains it over minutes: hand the high-water mark back
+        // as it drains, by amortised halving, instead of holding it for
+        // the rest of the run. Releasing on empty alone would be too
+        // late — the controller's tables peak while the walk still runs.
+        let capacity = self.queue.capacity();
+        if capacity > Self::QUEUE_FLOOR && self.queue.len() * 4 <= capacity {
+            self.queue.shrink_to((capacity / 2).max(Self::QUEUE_FLOOR));
+        }
         match op {
             FibOp::Set { prefix, next_hop } => {
                 fib.insert(prefix, FibEntry { next_hop });
@@ -213,6 +226,7 @@ impl FibWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::size_of;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -354,6 +368,32 @@ mod tests {
         assert_eq!(log[0].0, p("2.0.0.0/24"), "FIFO preserved");
         assert_eq!(log[1].0, p("3.0.0.0/24"));
         assert_eq!(fib.len(), 3);
+    }
+
+    /// The queue's high-water mark goes back as the walk drains, and no
+    /// op is lost or reordered for it.
+    #[test]
+    fn drained_walker_hands_its_queue_back() {
+        const OPS: u32 = 100_000;
+        let burst = || {
+            (0..OPS).map(|i| FibOp::Set {
+                prefix: Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 + (i << 8)), 24),
+                next_hop: nh(3),
+            })
+        };
+        let mut w = FibWalker::new(Calibration::nexus7k(), 7);
+        let mut fib = Fib::new();
+        w.enqueue_burst(SimTime::ZERO, burst(), true);
+        let loaded = w.queue.capacity() * size_of::<FibOp>();
+        assert!(loaded >= OPS as usize * 16, "{loaded} B for {OPS} ops");
+        let log = drain(&mut w, &mut fib);
+        let held = w.queue.capacity() * size_of::<FibOp>();
+        assert!(held < 128 << 10, "{held} B of queue after the walk");
+        assert_eq!((w.ops_applied, fib.len()), (OPS as u64, OPS as usize));
+        assert!(log
+            .iter()
+            .map(|(p, _)| *p)
+            .eq(burst().map(|op| op.prefix())));
     }
 
     #[test]

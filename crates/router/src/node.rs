@@ -308,7 +308,10 @@ impl LegacyRouter {
     }
 
     /// Configure a BGP peer. Must be called before the world starts.
-    pub fn add_peer(&mut self, cfg: PeerConfig) {
+    /// `cfg.originate` is consumed: the peer's Adj-RIB-Out is what is
+    /// advertised from here on, and a provider keeps no second copy of
+    /// its feed.
+    pub fn add_peer(&mut self, mut cfg: PeerConfig) {
         let iface = self.interfaces[cfg.iface];
         let addr = UdpEndpoints {
             src_mac: iface.mac,
@@ -333,7 +336,7 @@ impl LegacyRouter {
         let bfd = cfg.bfd.map(BfdSession::new);
         // Infrastructure MACs are statically configured.
         self.arp.add_static(cfg.peer_ip, cfg.peer_mac);
-        let adj_out = AdjRibOut::from_updates(&cfg.originate);
+        let adj_out = AdjRibOut::from_updates(&std::mem::take(&mut cfg.originate));
         self.peers.push(PeerState {
             cfg,
             chan,
@@ -1385,5 +1388,46 @@ impl Node for LegacyRouter {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_bgp::{AsPath, RouteAttrs};
+
+    /// A provider's feed lives on in the peer's Adj-RIB-Out and nowhere
+    /// else: `add_peer` keeps no second copy in the peer's config.
+    #[test]
+    fn add_peer_consumes_the_originate_feed() {
+        let peer_ip = Ipv4Addr::new(10, 0, 1, 1);
+        let mut router = LegacyRouter::new(RouterConfig {
+            name: "r2".into(),
+            asn: 65002,
+            router_id: Ipv4Addr::new(10, 0, 2, 1),
+            cal: Calibration::instant(),
+        });
+        router.add_interface(Interface {
+            port: PortId(0),
+            ip: Ipv4Addr::new(10, 0, 1, 2),
+            mac: MacAddr([2, 0, 0, 0, 0, 2]),
+            subnet: "10.0.1.0/24".parse().unwrap(),
+        });
+        let attrs = RouteAttrs::ebgp(AsPath::sequence(vec![65002, 65100]), peer_ip).shared();
+        let nlri = |base: u32| -> Vec<Ipv4Prefix> {
+            (base..base + 50)
+                .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000 + (i << 8)), 24))
+                .collect()
+        };
+        let feed = vec![
+            UpdateMsg::announce(attrs.clone(), nlri(0)),
+            UpdateMsg::announce(attrs, nlri(50)),
+        ];
+        router.add_peer(PeerConfig {
+            originate: feed,
+            ..PeerConfig::ebgp(peer_ip, MacAddr([2, 0, 0, 0, 0, 1]), false)
+        });
+        assert!(router.peers[0].cfg.originate.is_empty());
+        assert_eq!(router.adj_rib_out_len(peer_ip), Some(100));
     }
 }

@@ -328,7 +328,7 @@ fn build_fig4(mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         ring_closer_link: None,
         flow_ips: lab.flow_ips,
         universe: lab.universe,
-        feeds: lab.feeds.to_vec(),
+        feeds: Vec::from(lab.feeds),
         primary: 0,
         replay_peers: Vec::new(),
         controller_cfgs: Vec::new(),

@@ -106,10 +106,8 @@ fn phase_breakdowns_partition_measured_convergence() {
                 "\"rib.prefixes\":",
                 "\"rib.routes\":",
                 "\"rib.spilled_entries\":",
-                "\"rib.index_bytes\":",
                 "\"rib.entry_bytes\":",
                 "\"rib.list_bytes\":",
-                "\"rib.bytes\":",
             ] {
                 assert!(art.metrics_json.contains(key), "{label}: no {key}");
             }

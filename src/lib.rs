@@ -8,7 +8,7 @@
 //! examples and downstream users can depend on a single package:
 //!
 //! * [`net`] — base types and wire formats (Ethernet, ARP, IPv4, UDP),
-//!   prefix trie, virtual time, reliable channel.
+//!   the FIB's longest-prefix-match trie, virtual time, reliable channel.
 //! * [`sim`] — the deterministic discrete-event simulation kernel.
 //! * [`bgp`] — BGP-4: messages, session FSM, RIBs, decision process.
 //! * [`bfd`] — RFC 5880 failure detection.
