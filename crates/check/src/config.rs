@@ -104,6 +104,21 @@ pub const SANS_IO_CRATES: &[&str] = &["sc-bgp", "sc-bfd", "supercharger"];
 /// sources ticking a fixed schedule) the rule is off.
 pub const WAKEUP_CRATES: &[&str] = &["supercharger", "sc-router", "sc-openflow"];
 
+/// The crates every simulated event runs through. A world is built, run
+/// and dropped on one thread (PR 18 deleted the sharded kernel), so an
+/// `Arc`, a lock or an atomic here buys a thread-safety no caller uses
+/// and charges every packet hop for it: `no-sync-in-dataplane` denies
+/// them. Bytes shared between suite workers live above the kernel, in
+/// `sc-scenarios`.
+pub const DATAPLANE_CRATES: &[&str] = &[
+    "sc-net",
+    "sc-sim",
+    "sc-openflow",
+    "sc-router",
+    "sc-traffic",
+    "sc-bfd",
+];
+
 /// The single file allowed to touch `Instant`/`SystemTime`: the bench
 /// shell's timing module, which every other harness goes through.
 pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/bench/src/timing.rs"];
@@ -144,6 +159,8 @@ pub fn severity(rule: Rule, crate_name: &str) -> Severity {
         // in the engine.
         (Rule::NoAmbientPrint, CrateKind::Sim) => Severity::Deny,
         (Rule::NoAmbientPrint, CrateKind::Shell) => Severity::Allow,
+        (Rule::NoSyncInDataplane, _) if DATAPLANE_CRATES.contains(&crate_name) => Severity::Deny,
+        (Rule::NoSyncInDataplane, _) => Severity::Allow,
         (Rule::Layering, _) => Severity::Deny,
         (Rule::RawAbsoluteTimer, _) if WAKEUP_CRATES.contains(&crate_name) => Severity::Deny,
         (Rule::RawAbsoluteTimer, _) => Severity::Allow,

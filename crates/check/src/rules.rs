@@ -27,6 +27,7 @@ pub enum Rule {
     NoAmbientRandomness,
     NoAmbientThreading,
     NoAmbientPrint,
+    NoSyncInDataplane,
     Layering,
     RawAbsoluteTimer,
     UnsafeNeedsSafetyComment,
@@ -43,6 +44,7 @@ impl Rule {
         Rule::NoAmbientRandomness,
         Rule::NoAmbientThreading,
         Rule::NoAmbientPrint,
+        Rule::NoSyncInDataplane,
         Rule::Layering,
         Rule::RawAbsoluteTimer,
         Rule::UnsafeNeedsSafetyComment,
@@ -57,6 +59,7 @@ impl Rule {
             Rule::NoAmbientRandomness => "no-ambient-randomness",
             Rule::NoAmbientThreading => "no-ambient-threading",
             Rule::NoAmbientPrint => "no-ambient-print",
+            Rule::NoSyncInDataplane => "no-sync-in-dataplane",
             Rule::Layering => "layering",
             Rule::RawAbsoluteTimer => "raw-absolute-timer",
             Rule::UnsafeNeedsSafetyComment => "unsafe-needs-safety-comment",
@@ -254,6 +257,21 @@ fn scan_idents(
                     ),
                 ));
             }
+            // One finding a line: `use std::sync::Arc;` is one mistake.
+            name if is_sync_primitive(name, code, i, src)
+                && findings.last().map(|f| (f.0, f.1))
+                    != Some((Rule::NoSyncInDataplane, t.line)) =>
+            {
+                findings.push((
+                    Rule::NoSyncInDataplane,
+                    t.line,
+                    format!(
+                        "`{name}` is cross-thread machinery on the per-event \
+                         path; the kernel is single-threaded: use `Rc` / `Cell`; \
+                         shared input bytes belong in `sc-scenarios`"
+                    ),
+                ));
+            }
             "rand" if path_seq(code, i, &["rand", "random"], src) => {
                 findings.push((
                     Rule::NoAmbientRandomness,
@@ -290,6 +308,18 @@ fn scan_idents(
             }
             _ => {}
         }
+    }
+}
+
+/// Is `code[i]` (spelled `name`) a `std::sync` path or one of the
+/// names that only mean something across threads?
+fn is_sync_primitive(name: &str, code: &[&Tok], i: usize, src: &str) -> bool {
+    match name {
+        "Arc" | "Mutex" | "RwLock" => true,
+        "sync" => ["std", "core", "alloc"]
+            .iter()
+            .any(|root| qualified_by(code, i, root, src)),
+        _ => name.starts_with("Atomic"),
     }
 }
 

@@ -178,6 +178,46 @@ fn ambient_threading_exempts_only_the_suite_runners() {
 }
 
 #[test]
+fn sync_primitives_fire_only_in_dataplane_crates() {
+    let src = include_str!("corpus/sync_bad.rs");
+    for (krate, path) in [
+        ("sc-net", "crates/net/src/corpus.rs"),
+        ("sc-sim", "crates/sim/src/corpus.rs"),
+        ("sc-openflow", "crates/openflow/src/corpus.rs"),
+        ("sc-router", "crates/router/src/corpus.rs"),
+        ("sc-traffic", "crates/traffic/src/corpus.rs"),
+        ("sc-bfd", "crates/bfd/src/corpus.rs"),
+    ] {
+        let bad = analyze(krate, path, src);
+        assert_eq!(rules_of(&bad), vec![Rule::NoSyncInDataplane; 4], "{krate}");
+        let lines: Vec<u32> = bad.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(
+            lines,
+            vec![1, 3, 5, 8],
+            "one a line: the `use`, `Arc<..>`, the atomic, `Mutex<..>`"
+        );
+        assert!(bad.diagnostics.iter().all(|d| d.severity == Severity::Deny));
+    }
+    // Above the kernel, suite workers do share input bytes.
+    for (krate, path) in [
+        ("sc-scenarios", "crates/scenarios/src/builder.rs"),
+        ("sc-bgp", "crates/bgp/src/attrs.rs"),
+    ] {
+        let fa = analyze(krate, path, src);
+        assert!(fa.diagnostics.is_empty(), "{krate}: {:?}", fa.diagnostics);
+    }
+
+    // `Rc`/`Cell`, a function named `sync`, decoys in comments and
+    // strings, and test code stay legal.
+    let good = analyze(
+        "sc-net",
+        "crates/net/src/corpus.rs",
+        include_str!("corpus/sync_good.rs"),
+    );
+    assert!(good.diagnostics.is_empty(), "{:?}", good.diagnostics);
+}
+
+#[test]
 fn layering_fires_only_in_sans_io_crates() {
     let src = include_str!("corpus/layering_bad.rs");
     let bad = analyze("sc-bgp", "crates/bgp/src/corpus.rs", src);

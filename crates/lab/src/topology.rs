@@ -188,10 +188,20 @@ pub struct ConvergenceLab {
     pub flow_ips: Vec<Ipv4Addr>,
     /// The advertised prefix universe.
     pub universe: Vec<Ipv4Prefix>,
-    /// The feeds (R2, R3) actually originate — scenario drivers
-    /// re-announce from these during churn events, so the knowledge of
-    /// how they were generated stays in one place.
-    pub feeds: [Vec<UpdateMsg>; 2],
+}
+
+/// The feed provider `provider` (0 = R2, 1 = R3) originates over
+/// `universe`. A pure function of its arguments: scenario drivers that
+/// re-announce during churn events regenerate it here, so the knowledge
+/// of how it was generated stays in one place and no copy is kept.
+pub fn provider_feed(
+    prefixes: u32,
+    seed: u64,
+    universe: &[Ipv4Prefix],
+    provider: usize,
+) -> Vec<UpdateMsg> {
+    let (ip, asn) = [(IP_R2, 65002), (IP_R3, 65003)][provider];
+    generate_feed_for(&FeedConfig::new(prefixes, seed, ip, asn), universe)
 }
 
 impl ConvergenceLab {
@@ -425,22 +435,16 @@ impl ConvergenceLab {
         }
 
         // --- R2 / R3 (providers) ---
-        let feed_r2 = generate_feed_for(
-            &FeedConfig::new(cfg.prefixes, cfg.seed, IP_R2, 65002),
-            &universe,
-        );
-        let feed_r3 = generate_feed_for(
-            &FeedConfig::new(cfg.prefixes, cfg.seed, IP_R3, 65003),
-            &universe,
-        );
-        for (node, ip, mac, sink_net, sink_ip, feed, discr_base) in [
+        let feed_r2 = provider_feed(cfg.prefixes, cfg.seed, &universe, 0);
+        let feed_r3 = provider_feed(cfg.prefixes, cfg.seed, &universe, 1);
+        for (node, ip, mac, sink_net, sink_ip, mut feed, discr_base) in [
             (
                 r2,
                 IP_R2,
                 MAC_R2,
                 "192.168.2.0/24",
                 Ipv4Addr::new(192, 168, 2, 100),
-                &feed_r2,
+                feed_r2,
                 20u32,
             ),
             (
@@ -449,7 +453,7 @@ impl ConvergenceLab {
                 MAC_R3,
                 "192.168.3.0/24",
                 Ipv4Addr::new(192, 168, 3, 100),
-                &feed_r3,
+                feed_r3,
                 30u32,
             ),
         ] {
@@ -486,7 +490,7 @@ impl ConvergenceLab {
                             required_min_rx: cfg.bfd_interval,
                             detect_mult: 3,
                         }),
-                        originate: feed.clone(),
+                        originate: feed,
                         ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
                     });
                 }
@@ -502,7 +506,12 @@ impl ConvergenceLab {
                                 required_min_rx: cfg.bfd_interval,
                                 detect_mult: 3,
                             }),
-                            originate: feed.clone(),
+                            // The last session takes the feed itself.
+                            originate: if ci + 1 == controllers_n {
+                                std::mem::take(&mut feed)
+                            } else {
+                                feed.clone()
+                            },
                             ..PeerConfig::ebgp(controller_ip(ci), controller_mac(ci), false)
                         });
                     }
@@ -529,7 +538,6 @@ impl ConvergenceLab {
             sw_port_r3,
             flow_ips,
             universe,
-            feeds: [feed_r2, feed_r3],
         }
     }
 

@@ -15,10 +15,28 @@
 //! * retired buffers are recycled through a bounded thread-local pool,
 //!   so steady-state forwarding (probe template shared → router
 //!   copy-on-write → sink read → drop) performs **zero allocations**
-//!   per packet: the copy-on-write pops the `Arc` the previous packet
+//!   per packet: the copy-on-write pops the `Rc` the previous packet
 //!   returned;
 //! * [`Frame::build`] encodes a new frame straight into such a recycled
 //!   buffer, so control-plane senders share the pool with the data plane.
+//!
+//! The count is an [`Rc`], not an `Arc`, on purpose. A simulation world
+//! owns `Box<dyn Node>` and is built, run and dropped on one thread
+//! (suite workers each run whole worlds; nothing hands a frame across),
+//! so an atomic count bought a thread-safety no caller used and charged
+//! every probe hop for it: a clone and a drop are two locked
+//! read-modify-writes, a copy-on-write six. `Frame` is therefore
+//! `!Send + !Sync`, and the compiler holds the line:
+//!
+//! ```compile_fail
+//! let frame = sc_net::Frame::new(vec![0u8; 64]);
+//! // error[E0277]: `Rc<Vec<u8>>` cannot be sent between threads safely
+//! std::thread::spawn(move || drop(frame));
+//! ```
+//!
+//! Bytes that must cross threads (a suite's shared input) travel as
+//! plain `Vec<u8>` / `Arc<[u8]>` above the kernel and become a `Frame`
+//! on the thread that runs the world.
 //!
 //! `Deref<Target = [u8]>` keeps every parser call site (`parse(&frame)`)
 //! untouched.
@@ -26,7 +44,7 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Cap on recycled buffers per thread (steady-state forwarding needs a
 /// handful; the cap bounds memory after bursts).
@@ -37,21 +55,21 @@ thread_local! {
     /// intact, ready to back the next copy-on-write without touching
     /// the allocator. Per-thread because a simulation world is built,
     /// run and dropped on one thread.
-    static POOL: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A shared immutable-until-written frame buffer.
 ///
 /// The inner `Option` is an implementation detail of buffer recycling
-/// (`Drop` moves the `Arc` into the pool); it is `Some` at every other
+/// (`Drop` moves the `Rc` into the pool); it is `Some` at every other
 /// moment of the frame's life.
 #[derive(Clone, PartialEq, Eq)]
-pub struct Frame(Option<Arc<Vec<u8>>>);
+pub struct Frame(Option<Rc<Vec<u8>>>);
 
 impl Frame {
     /// Wrap an encoded frame.
     pub fn new(bytes: Vec<u8>) -> Frame {
-        Frame(Some(Arc::new(bytes)))
+        Frame(Some(Rc::new(bytes)))
     }
 
     /// Encode a frame straight into a recycled buffer: `fill` receives
@@ -59,15 +77,15 @@ impl Frame {
     /// this way and whose receiver drops them after reading allocates
     /// nothing per frame in steady state.
     pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
-        let mut arc = pooled();
-        let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
+        let mut rc = pooled();
+        let buf = Rc::get_mut(&mut rc).expect("pooled rc is sole-holder");
         buf.clear();
         fill(buf);
-        Frame(Some(arc))
+        Frame(Some(rc))
     }
 
     #[inline]
-    fn arc(&self) -> &Arc<Vec<u8>> {
+    fn rc(&self) -> &Rc<Vec<u8>> {
         self.0.as_ref().expect("frame already retired")
     }
 
@@ -78,48 +96,48 @@ impl Frame {
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
         // No weak refs exist anywhere in the workspace, so strong_count
         // is the whole sharing story.
-        if Arc::strong_count(self.arc()) > 1 {
-            // Copy-on-write backed by the recycle pool: pooled arcs are
+        if Rc::strong_count(self.rc()) > 1 {
+            // Copy-on-write backed by the recycle pool: pooled rcs are
             // sole-holder by construction, so `get_mut` succeeds.
-            let mut arc = pooled();
-            let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
+            let mut rc = pooled();
+            let buf = Rc::get_mut(&mut rc).expect("pooled rc is sole-holder");
             buf.clear();
-            buf.extend_from_slice(self.arc());
-            self.0 = Some(arc);
+            buf.extend_from_slice(self.rc());
+            self.0 = Some(rc);
         }
-        Arc::get_mut(self.0.as_mut().expect("frame already retired"))
+        Rc::get_mut(self.0.as_mut().expect("frame already retired"))
             .expect("sole holder after copy-on-write")
     }
 
     /// Copy out the bytes (interop with owned-`Vec<u8>` APIs such as
     /// control-message payloads).
     pub fn to_vec(&self) -> Vec<u8> {
-        self.arc().as_ref().clone()
+        self.rc().as_ref().clone()
     }
 
     /// Number of holders sharing this buffer (diagnostics/tests).
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(self.arc())
+        Rc::strong_count(self.rc())
     }
 }
 
 /// A retired buffer from this thread's pool (contents stale), or a
 /// fresh empty one.
-fn pooled() -> Arc<Vec<u8>> {
+fn pooled() -> Rc<Vec<u8>> {
     POOL.with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| Arc::new(Vec::new()))
+        .unwrap_or_else(|| Rc::new(Vec::new()))
 }
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        // Last holder: retire the whole Arc (control block + bytes)
+        // Last holder: retire the whole Rc (control block + bytes)
         // into the pool instead of freeing it.
-        if let Some(arc) = self.0.take() {
-            if Arc::strong_count(&arc) == 1 && arc.capacity() > 0 {
+        if let Some(rc) = self.0.take() {
+            if Rc::strong_count(&rc) == 1 && rc.capacity() > 0 {
                 POOL.with(|p| {
                     let mut p = p.borrow_mut();
                     if p.len() < POOL_CAP {
-                        p.push(arc);
+                        p.push(rc);
                     }
                 });
             }
@@ -131,14 +149,14 @@ impl Deref for Frame {
     type Target = [u8];
     #[inline]
     fn deref(&self) -> &[u8] {
-        self.arc().as_slice()
+        self.rc().as_slice()
     }
 }
 
 impl AsRef<[u8]> for Frame {
     #[inline]
     fn as_ref(&self) -> &[u8] {
-        self.arc().as_slice()
+        self.rc().as_slice()
     }
 }
 
@@ -156,7 +174,7 @@ impl From<&[u8]> for Frame {
 
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Frame[{}; rc={}]", self.arc().len(), self.ref_count())
+        write!(f, "Frame[{}; rc={}]", self.rc().len(), self.ref_count())
     }
 }
 

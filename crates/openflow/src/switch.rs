@@ -19,7 +19,7 @@ use crate::msg::{FlowModCommand, FlowStatsRow, OfMessage};
 use crate::table::{FlowEntry, FlowStats, FlowTable};
 use crate::types::{Action, FlowKey, FlowMatch};
 use sc_net::channel::ChannelEvent;
-use sc_net::wire::{peek_udp_frame, EthernetRepr};
+use sc_net::wire::{peek_udp_frame, EthernetRepr, UdpDatagram};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
@@ -127,6 +127,10 @@ pub struct OfSwitch {
     cfg: SwitchConfig,
     table: FlowTable,
     l2: FxHashMap<MacAddr, PortId>,
+    /// The source MAC each ingress port last taught `l2`, by port index:
+    /// `l2_taught[p] == Some(m)` implies `l2[m] == p`, so a frame that
+    /// repeats it (every probe of a flow) has nothing to write.
+    l2_taught: Vec<Option<MacAddr>>,
     data_ports: Vec<PortId>,
     /// Control channels — redundant controllers each get one (§3 of the
     /// paper: data-plane reliability via redundant switches, control
@@ -161,6 +165,7 @@ impl OfSwitch {
             cfg,
             table: FlowTable::new(),
             l2: FxHashMap::default(),
+            l2_taught: Vec::new(),
             data_ports: Vec::new(),
             controllers: Vec::new(),
             ctrl_live: Vec::new(),
@@ -462,16 +467,69 @@ impl OfSwitch {
         self.arm_install_timer(ctx);
     }
 
-    /// Run the data-plane pipeline on a frame.
-    fn forward(&mut self, ctx: &mut Ctx, in_port: PortId, frame: Frame) {
+    /// Hybrid-mode source learning: `mac` lives behind `port`. Only a
+    /// `(mac, port)` pair that differs from what `port` last taught
+    /// reaches the map.
+    fn learn(&mut self, mac: MacAddr, port: PortId) {
+        if self.l2_taught.len() <= port.0 {
+            self.l2_taught.resize(port.0 + 1, None);
+        }
+        if self.l2_taught[port.0] == Some(mac) {
+            return;
+        }
+        if let Some(prev) = self.l2.insert(mac, port) {
+            // The MAC moved here from `prev`: that port's memo no longer
+            // describes the map and must not suppress its next frame.
+            if prev != port && self.l2_taught[prev.0] == Some(mac) {
+                self.l2_taught[prev.0] = None;
+            }
+        }
+        self.l2_taught[port.0] = Some(mac);
+    }
+
+    /// A datagram on controller `idx`'s channel.
+    fn on_channel_datagram(&mut self, ctx: &mut Ctx, idx: usize, d: &UdpDatagram<'_>) {
+        // Any datagram from the controller — data, ack or keepalive —
+        // proves its process is alive.
+        self.ctrl_live[idx] = true;
+        self.last_heard[idx] = ctx.now();
+        self.arm_deadline(ctx, idx);
+        let chan = &mut self.controllers[idx];
+        // Handling a message needs all of `self`, so decode inside the
+        // channel's borrow and act after it; a malformed control message
+        // is dropped.
+        let mut msgs = Vec::new();
+        let mut peer_closed = false;
+        chan.on_datagram(d, ctx.now(), |ev| match ev {
+            ChannelEvent::Delivered(bytes) => msgs.extend(OfMessage::decode(bytes)),
+            ChannelEvent::PeerClosed => peer_closed = true,
+            ChannelEvent::Connected => {}
+        });
+        chan.flush(ctx);
+        for (xid, msg) in msgs {
+            self.on_control(ctx, idx, xid, msg);
+        }
+        if peer_closed {
+            // A fresh SYN hit our established endpoint: the controller
+            // process restarted. Declare the old incarnation dead and
+            // fall back to listening — the replacement's SYN
+            // retransmission completes the new handshake.
+            self.mark_controller_dead(idx);
+        }
+        self.controllers[idx].flush(ctx);
+    }
+
+    /// Run the data-plane pipeline on a frame whose key `on_frame`
+    /// extracted (`None`: not even an Ethernet header).
+    fn forward(&mut self, ctx: &mut Ctx, in_port: PortId, key: Option<FlowKey>, frame: Frame) {
         self.stats.frames_in += 1;
-        let Some(key) = FlowKey::extract(in_port.0 as u16, &frame) else {
+        let Some(key) = key else {
             self.stats.dropped += 1;
             return;
         };
         // Hybrid mode learns source MACs from every frame.
         if self.cfg.table_miss == TableMiss::L2Learn && key.eth_src.is_unicast() {
-            self.l2.insert(key.eth_src, in_port);
+            self.learn(key.eth_src, in_port);
         }
         if let Some(entry) = self.table.lookup(&key, frame.len()) {
             let mut actions = std::mem::take(&mut self.matched_actions);
@@ -533,7 +591,8 @@ impl OfSwitch {
         actions: &[Action],
         mut frame: Frame,
     ) {
-        for action in actions {
+        let last = actions.len().wrapping_sub(1);
+        for (i, action) in actions.iter().enumerate() {
             match action {
                 Action::SetDstMac(m) => {
                     let _ = EthernetRepr::rewrite_dst(frame.make_mut(), *m);
@@ -543,6 +602,12 @@ impl OfSwitch {
                 }
                 Action::Output(p) => {
                     self.stats.frames_out += 1;
+                    if i == last {
+                        // Nothing left to run on it: the frame itself
+                        // goes to the wire, not a clone of it.
+                        ctx.send_frame(PortId(*p as usize), frame);
+                        return;
+                    }
                     ctx.send_frame(PortId(*p as usize), frame.clone());
                 }
                 Action::Flood => {
@@ -565,6 +630,18 @@ impl OfSwitch {
     }
 }
 
+/// The controller channel a frame with this key belongs to: the key
+/// carries UDP ports only when the Ethernet, IPv4 and UDP layers all
+/// verified — when [`peek_udp_frame`] would hand out a datagram — so
+/// matching its 4-tuple is [`ChannelPort::matches`] without the parse.
+fn channel_of(controllers: &[ChannelPort], key: &FlowKey) -> Option<usize> {
+    let (ip_src, ip_dst) = (key.ip_src?, key.ip_dst?);
+    let (udp_src, udp_dst) = (key.udp_src?, key.udp_dst?);
+    controllers
+        .iter()
+        .position(|c| c.matches_tuple(ip_src, ip_dst, udp_src, udp_dst))
+}
+
 impl Node for OfSwitch {
     fn name(&self) -> &str {
         &self.cfg.name
@@ -573,44 +650,17 @@ impl Node for OfSwitch {
     fn on_frame(&mut self, ctx: &mut Ctx, port: PortId, frame: Frame) {
         // Control-channel traffic is any UDP datagram matching one of
         // the controller channels' 5-tuples; everything else is data
-        // plane.
-        if !self.controllers.is_empty() {
+        // plane. The frame is parsed once, into the flow key: only a
+        // frame the key says is a channel's pays a second parse, for the
+        // payload.
+        let key = FlowKey::extract(port.0 as u16, &frame);
+        if let Some(idx) = key.and_then(|k| channel_of(&self.controllers, &k)) {
             if let Ok(Some(d)) = peek_udp_frame(&frame) {
-                if let Some(idx) = self.controllers.iter().position(|c| c.matches(&d)) {
-                    // Any datagram from the controller — data, ack or
-                    // keepalive — proves its process is alive.
-                    self.ctrl_live[idx] = true;
-                    self.last_heard[idx] = ctx.now();
-                    self.arm_deadline(ctx, idx);
-                    let chan = &mut self.controllers[idx];
-                    // Handling a message needs all of `self`, so decode
-                    // inside the channel's borrow and act after it; a
-                    // malformed control message is dropped.
-                    let mut msgs = Vec::new();
-                    let mut peer_closed = false;
-                    chan.on_datagram(&d, ctx.now(), |ev| match ev {
-                        ChannelEvent::Delivered(bytes) => msgs.extend(OfMessage::decode(bytes)),
-                        ChannelEvent::PeerClosed => peer_closed = true,
-                        ChannelEvent::Connected => {}
-                    });
-                    chan.flush(ctx);
-                    for (xid, msg) in msgs {
-                        self.on_control(ctx, idx, xid, msg);
-                    }
-                    if peer_closed {
-                        // A fresh SYN hit our established endpoint: the
-                        // controller process restarted. Declare the old
-                        // incarnation dead and fall back to listening —
-                        // the replacement's SYN retransmission completes
-                        // the new handshake.
-                        self.mark_controller_dead(idx);
-                    }
-                    self.controllers[idx].flush(ctx);
-                    return;
-                }
+                self.on_channel_datagram(ctx, idx, &d);
+                return;
             }
         }
-        self.forward(ctx, port, frame);
+        self.forward(ctx, port, key, frame);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
@@ -632,7 +682,12 @@ impl Node for OfSwitch {
     fn on_link_status(&mut self, ctx: &mut Ctx, port: PortId, up: bool) {
         // Carrier change: purge L2 entries learned on that port and tell
         // the controller (PORT_STATUS) — real switches do both.
-        self.l2.retain(|_, &mut p| p != port || up);
+        if !up {
+            self.l2.retain(|_, &mut p| p != port);
+            if let Some(taught) = self.l2_taught.get_mut(port.0) {
+                *taught = None;
+            }
+        }
         let msg = OfMessage::PortStatus {
             port: port.0 as u16,
             up,
@@ -646,5 +701,129 @@ impl Node for OfSwitch {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use sc_net::channel::ChannelConfig;
+    use sc_net::wire::{udp_frame, EtherType, Ipv4Repr, UdpEndpoints, UdpRepr};
+    use std::net::Ipv4Addr;
+
+    const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
+    const CTRL_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
+    const SW_PORT: u16 = 6653;
+    const CTRL_PORT: u16 = 40001;
+
+    /// The switch's side of a controller channel.
+    fn channel() -> ChannelPort {
+        let addr = UdpEndpoints {
+            src_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xee]),
+            dst_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xcc]),
+            src_ip: SW_IP,
+            dst_ip: CTRL_IP,
+            src_port: SW_PORT,
+            dst_port: CTRL_PORT,
+        };
+        ChannelPort::listen(ChannelConfig::default(), addr, PortId(2), TimerToken(1))
+    }
+
+    /// What is done to a well-formed frame before the switch sees it.
+    #[derive(Clone, Debug)]
+    enum Damage {
+        None,
+        /// Cut to this share (in 256ths) of its length.
+        Truncate(u8),
+        /// One bit, anywhere: a header field, either checksum, the
+        /// EtherType, the protocol number, the payload.
+        FlipBit(usize),
+        /// The same bytes behind a valid IPv4 header that says TCP.
+        NotUdp,
+    }
+
+    /// Frames at and around the channel — its own 4-tuple with at most
+    /// one field off (a wrong address under the right ports, a wrong
+    /// port, the reverse direction) — then damaged; and plain noise.
+    fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
+        let damage = prop_oneof![
+            Just(Damage::None),
+            Just(Damage::None),
+            any::<u8>().prop_map(Damage::Truncate),
+            any::<usize>().prop_map(Damage::FlipBit),
+            Just(Damage::NotUdp),
+        ];
+        let near = (0u8..6, vec(any::<u8>(), 0..24), damage).prop_map(|(off, payload, damage)| {
+            let mut ep = UdpEndpoints {
+                src_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xcc]),
+                dst_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xee]),
+                src_ip: CTRL_IP,
+                dst_ip: SW_IP,
+                src_port: CTRL_PORT,
+                dst_port: SW_PORT,
+            };
+            match off {
+                0 => {}
+                1 => ep.src_ip = Ipv4Addr::new(10, 99, 0, 3),
+                2 => ep.dst_ip = Ipv4Addr::new(10, 99, 0, 3),
+                3 => ep.src_port = 7,
+                4 => ep.dst_port = 7,
+                _ => ep = ep.flipped(),
+            }
+            let mut frame = udp_frame(ep, 64, &payload);
+            match damage {
+                Damage::None => {}
+                Damage::Truncate(share) => frame.truncate(frame.len() * share as usize / 256),
+                Damage::FlipBit(at) => {
+                    let bit = at % (frame.len() * 8);
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+                Damage::NotUdp => {
+                    let segment = UdpRepr {
+                        src_port: ep.src_port,
+                        dst_port: ep.dst_port,
+                    }
+                    .to_segment(ep.src_ip, ep.dst_ip, &payload);
+                    let packet = Ipv4Repr {
+                        src: ep.src_ip,
+                        dst: ep.dst_ip,
+                        protocol: 6,
+                        ttl: 64,
+                        tos: 0,
+                        ident: 0,
+                    }
+                    .to_packet(&segment);
+                    frame = EthernetRepr {
+                        dst: ep.dst_mac,
+                        src: ep.src_mac,
+                        ethertype: EtherType::Ipv4,
+                    }
+                    .to_frame(&packet);
+                }
+            }
+            frame
+        });
+        prop_oneof![near.boxed(), vec(any::<u8>(), 0..80).boxed()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The flow key picks out exactly the frames a full
+        /// `peek_udp_frame` + `ChannelPort::matches` would.
+        #[test]
+        fn key_candidates_are_the_channel_frames(frame in arb_frame()) {
+            let chan = channel();
+            let by_parse = peek_udp_frame(&frame)
+                .ok()
+                .flatten()
+                .map(|d| chan.matches(&d))
+                .unwrap_or(false);
+            let by_key = FlowKey::extract(0, &frame)
+                .and_then(|key| channel_of(std::slice::from_ref(&chan), &key));
+            prop_assert_eq!(by_key, by_parse.then_some(0));
+        }
     }
 }

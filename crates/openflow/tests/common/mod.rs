@@ -7,7 +7,7 @@ use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::OfMessage;
 use sc_openflow::{OfSwitch, SwitchConfig, TableMiss};
-use sc_sim::{ChannelPort, Ctx, LinkParams, Node, NodeId, PortId, TimerToken, World};
+use sc_sim::{ChannelPort, Ctx, LinkId, LinkParams, Node, NodeId, PortId, TimerToken, World};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -142,6 +142,9 @@ pub struct Lab {
     /// Switch-side port numbers.
     pub sw_port_a: PortId,
     pub sw_port_b: PortId,
+    /// The hosts' links to the switch.
+    pub link_a: LinkId,
+    pub link_b: LinkId,
 }
 
 pub fn build(table_miss: TableMiss) -> Lab {
@@ -161,8 +164,8 @@ pub fn build_around<N: Node>(table_miss: TableMiss, wrap: impl FnOnce(OfSwitch) 
     let host_b = world.add_node(Host::new("host-b"));
 
     let lan = LinkParams::with_latency(SimDuration::from_micros(10));
-    let (_, sw_port_a, _) = world.connect(sw, host_a, lan);
-    let (_, sw_port_b, _) = world.connect(sw, host_b, lan);
+    let (link_a, sw_port_a, _) = world.connect(sw, host_a, lan);
+    let (link_b, sw_port_b, _) = world.connect(sw, host_b, lan);
     let (_, sw_port_c, ctrl_port) = world.connect(sw, ctrl, lan);
 
     let ctrl_addr = UdpEndpoints {
@@ -199,6 +202,8 @@ pub fn build_around<N: Node>(table_miss: TableMiss, wrap: impl FnOnce(OfSwitch) 
         host_b,
         sw_port_a,
         sw_port_b,
+        link_a,
+        link_b,
     }
 }
 

@@ -4,7 +4,9 @@
 
 mod common;
 
-use common::{build, probe_frame, Host, StubController, CTRL_MAC, MAC_A, MAC_B};
+use common::{build, probe_frame, Host, Lab, StubController, CTRL_MAC, MAC_A, MAC_B};
+use proptest::collection::vec;
+use proptest::prelude::*;
 use sc_net::wire::peek_udp_frame;
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
@@ -310,4 +312,133 @@ fn port_status_reported_on_carrier_loss() {
     let (t, port) = port_down.expect("controller learned about the dead port");
     assert_eq!(port, lab.sw_port_b.0 as u16);
     assert!(t >= SimTime::from_millis(10));
+}
+
+// ------------------------------------------------- L2 learning, memoised
+//
+// The switch skips the map write when a port repeats the source MAC it
+// last taught. From outside, the table must read as if every frame had
+// been inserted.
+
+const MAC_X: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x77]);
+
+/// Host `host` sends one frame from `src` at `at_ms`.
+fn say(lab: &mut Lab, host: sc_sim::NodeId, at_ms: u64, src: MacAddr) {
+    lab.world.node_mut::<Host>(host).script.push((
+        SimTime::from_millis(at_ms),
+        PortId(0),
+        probe_frame(src, MAC_B, 0),
+    ));
+}
+
+fn learned(lab: &Lab, mac: MacAddr) -> Option<PortId> {
+    lab.world
+        .node::<OfSwitch>(lab.sw)
+        .l2_table()
+        .get(&mac)
+        .copied()
+}
+
+#[test]
+fn l2_follows_a_mac_that_moves_away_and_back() {
+    let mut lab = build(TableMiss::L2Learn);
+    let (a, b) = (lab.host_a, lab.host_b);
+    // Twice on A (the second is the memo hit), then B, then A again: the
+    // memo A holds from before the move must not swallow the return.
+    say(&mut lab, a, 1, MAC_X);
+    say(&mut lab, a, 2, MAC_X);
+    say(&mut lab, b, 3, MAC_X);
+    say(&mut lab, a, 4, MAC_X);
+    for (until_ms, port) in [
+        (2, lab.sw_port_a),
+        (3, lab.sw_port_a),
+        (4, lab.sw_port_b),
+        (5, lab.sw_port_a),
+    ] {
+        lab.world.run_until(SimTime::from_millis(until_ms));
+        assert_eq!(learned(&lab, MAC_X), Some(port), "by {until_ms} ms");
+    }
+}
+
+#[test]
+fn port_down_purges_and_port_up_relearns_from_the_next_frame() {
+    let mut lab = build(TableMiss::L2Learn);
+    let a = lab.host_a;
+    say(&mut lab, a, 1, MAC_A);
+    say(&mut lab, a, 4, MAC_A);
+    lab.world.run_until(SimTime::from_millis(2));
+    assert_eq!(learned(&lab, MAC_A), Some(lab.sw_port_a));
+    lab.world.set_link_up(lab.link_a, false);
+    lab.world.run_until(SimTime::from_millis(3));
+    assert_eq!(learned(&lab, MAC_A), None, "carrier loss purges the port");
+    lab.world.set_link_up(lab.link_a, true);
+    lab.world.run_until(SimTime::from_millis(5));
+    assert_eq!(
+        learned(&lab, MAC_A),
+        Some(lab.sw_port_a),
+        "the same (MAC, port) as before the flap is learned again"
+    );
+}
+
+#[derive(Clone, Copy, Debug)]
+enum L2Step {
+    /// Host 0/1 sends from one of three MACs.
+    Frame {
+        host: usize,
+        mac: u8,
+    },
+    Carrier {
+        host: usize,
+        up: bool,
+    },
+}
+
+fn arb_l2_step() -> impl Strategy<Value = L2Step> {
+    prop_oneof![
+        (0usize..2, 0u8..3).prop_map(|(host, mac)| L2Step::Frame { host, mac }),
+        (0usize..2, 0u8..3).prop_map(|(host, mac)| L2Step::Frame { host, mac }),
+        (0usize..2, 0u8..3).prop_map(|(host, mac)| L2Step::Frame { host, mac }),
+        (0usize..2, any::<bool>()).prop_map(|(host, up)| L2Step::Carrier { host, up }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Frames from a few MACs on two ports, with carrier flaps between
+    /// them: the table equals a model that inserts on every frame.
+    #[test]
+    fn l2_table_equals_an_insert_on_every_frame_model(steps in vec(arb_l2_step(), 1..40)) {
+        let mut lab = build(TableMiss::L2Learn);
+        let hosts = [lab.host_a, lab.host_b];
+        let ports = [lab.sw_port_a, lab.sw_port_b];
+        let links = [lab.link_a, lab.link_b];
+        let mut model = std::collections::BTreeMap::new();
+        let mut carrier = [true; 2];
+        for (k, step) in steps.iter().enumerate() {
+            let at_ms = k as u64 + 1;
+            match *step {
+                L2Step::Frame { host, mac } => {
+                    let mac = MacAddr([2, 0, 0, 0, 1, mac]);
+                    say(&mut lab, hosts[host], at_ms, mac);
+                    if carrier[host] {
+                        model.insert(mac, ports[host]);
+                    }
+                }
+                L2Step::Carrier { host, up } => {
+                    let link = links[host];
+                    lab.world
+                        .schedule(SimTime::from_millis(at_ms), move |w| w.set_link_up(link, up));
+                    carrier[host] = up;
+                    if !up {
+                        model.retain(|_, port| *port != ports[host]);
+                    }
+                }
+            }
+        }
+        lab.world.run_until(SimTime::from_millis(steps.len() as u64 + 2));
+        let table = lab.world.node::<OfSwitch>(lab.sw).l2_table();
+        let table: std::collections::BTreeMap<_, _> = table.iter().map(|(m, p)| (*m, *p)).collect();
+        prop_assert_eq!(table, model);
+    }
 }

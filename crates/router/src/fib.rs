@@ -7,9 +7,16 @@
 //! the calibrated per-entry cost, with the data plane reading only the
 //! already-updated state. What the traffic sink then measures per flow
 //! is the paper's convergence distribution.
+//!
+//! The FIFO is the walker's one large allocation — churn offers ops some
+//! thirty times faster than the modelled hardware writes them, so the
+//! queue runs a million deep — and it stores a private packed op
+//! ([`PackedOp`], 8 bytes: prefix bits, length, and a 2-byte index into
+//! the walker's table of next hops) rather than the 16-byte [`FibOp`]
+//! callers hand in and get back.
 
 use crate::calibration::Calibration;
-use sc_net::{Ipv4Prefix, PrefixTrie, SimDuration, SimTime};
+use sc_net::{FxHashMap, Ipv4Prefix, PrefixTrie, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
@@ -57,11 +64,57 @@ impl FibOp {
 /// The installed table (what the data plane consults).
 pub type Fib = PrefixTrie<FibEntry>;
 
+/// A [`FibOp`] as the walker's queue holds it: half the size, the next
+/// hop replaced by its index in the walker's [`NextHops`].
+#[derive(Clone, Copy, Debug)]
+struct PackedOp {
+    bits: u32,
+    /// Index into [`NextHops`], or [`PackedOp::REMOVE`].
+    nh: u16,
+    len: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedOp>() == 8);
+
+impl PackedOp {
+    /// The `nh` of a [`FibOp::Remove`].
+    const REMOVE: u16 = u16::MAX;
+
+    fn prefix(self) -> Ipv4Prefix {
+        Ipv4Prefix::new(Ipv4Addr::from(self.bits), self.len)
+    }
+}
+
+/// The next hops queued ops name, interned.
+#[derive(Debug, Default)]
+struct NextHops {
+    by_index: Vec<Ipv4Addr>,
+    index_of: FxHashMap<Ipv4Addr, u16>,
+}
+
+impl NextHops {
+    fn intern(&mut self, next_hop: Ipv4Addr) -> u16 {
+        if let Some(&index) = self.index_of.get(&next_hop) {
+            return index;
+        }
+        assert!(
+            self.by_index.len() < PackedOp::REMOVE as usize,
+            "FIB walker: more than {} distinct next hops",
+            PackedOp::REMOVE
+        );
+        let index = self.by_index.len() as u16;
+        self.by_index.push(next_hop);
+        self.index_of.insert(next_hop, index);
+        index
+    }
+}
+
 /// The serialized hardware-update engine.
 #[derive(Debug)]
 pub struct FibWalker {
     cal: Calibration,
-    queue: VecDeque<FibOp>,
+    queue: VecDeque<PackedOp>,
+    next_hops: NextHops,
     /// When the hardware becomes free for the next entry.
     busy_until: SimTime,
     /// Stats.
@@ -75,7 +128,7 @@ pub struct FibWalker {
 
 impl FibWalker {
     /// Ops of queue capacity kept however far the walk has drained
-    /// (64 KiB): ordinary churn bursts never reallocate.
+    /// (32 KiB): ordinary churn bursts never reallocate.
     const QUEUE_FLOOR: usize = 4096;
 
     /// `seed` roots the per-entry jitter stream; routers pass their
@@ -86,6 +139,7 @@ impl FibWalker {
         FibWalker {
             cal,
             queue: VecDeque::new(),
+            next_hops: NextHops::default(),
             busy_until: SimTime::ZERO,
             ops_applied: 0,
             bursts: 0,
@@ -124,12 +178,30 @@ impl FibWalker {
         };
         let start = self.busy_until.max(now) + delay;
         let was_empty = self.queue.is_empty();
-        let mut queued_any = false;
-        for op in ops {
-            self.queue.push_back(op);
-            queued_any = true;
-        }
-        if queued_any {
+        let queued = self.queue.len();
+        let next_hops = &mut self.next_hops;
+        // The next hop packed last and its index: a burst names one for
+        // runs of prefixes, which then cost a compare, not a hash.
+        let mut memo: Option<(Ipv4Addr, u16)> = None;
+        self.queue.extend(ops.into_iter().map(|op| {
+            let (prefix, nh) = match op {
+                FibOp::Set { prefix, next_hop } => match memo {
+                    Some((addr, index)) if addr == next_hop => (prefix, index),
+                    _ => {
+                        let index = next_hops.intern(next_hop);
+                        memo = Some((next_hop, index));
+                        (prefix, index)
+                    }
+                },
+                FibOp::Remove { prefix } => (prefix, PackedOp::REMOVE),
+            };
+            PackedOp {
+                bits: prefix.raw_bits(),
+                nh,
+                len: prefix.len(),
+            }
+        }));
+        if self.queue.len() > queued {
             self.bursts += 1;
             if was_empty {
                 self.busy_until = start;
@@ -156,7 +228,7 @@ impl FibWalker {
     /// Apply exactly one pending op to `fib` at time `now` (the owner's
     /// timer fired). Returns the op applied.
     pub fn apply_one(&mut self, fib: &mut Fib, now: SimTime) -> Option<FibOp> {
-        let op = self.queue.pop_front()?;
+        let packed = self.queue.pop_front()?;
         // A table load fills the queue in its first simulated second and
         // the walk drains it over minutes: hand the high-water mark back
         // as it drains, by amortised halving, instead of holding it for
@@ -166,14 +238,15 @@ impl FibWalker {
         if capacity > Self::QUEUE_FLOOR && self.queue.len() * 4 <= capacity {
             self.queue.shrink_to((capacity / 2).max(Self::QUEUE_FLOOR));
         }
-        match op {
-            FibOp::Set { prefix, next_hop } => {
-                fib.insert(prefix, FibEntry { next_hop });
-            }
-            FibOp::Remove { prefix } => {
-                fib.remove(prefix);
-            }
-        }
+        let prefix = packed.prefix();
+        let op = if packed.nh == PackedOp::REMOVE {
+            fib.remove(prefix);
+            FibOp::Remove { prefix }
+        } else {
+            let next_hop = self.next_hops.by_index[packed.nh as usize];
+            fib.insert(prefix, FibEntry { next_hop });
+            FibOp::Set { prefix, next_hop }
+        };
         self.ops_applied += 1;
         self.busy_until = now;
         self.last_apply_at = Some(now);
@@ -226,6 +299,8 @@ impl FibWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::mem::size_of;
 
     fn p(s: &str) -> Ipv4Prefix {
@@ -384,16 +459,159 @@ mod tests {
         let mut w = FibWalker::new(Calibration::nexus7k(), 7);
         let mut fib = Fib::new();
         w.enqueue_burst(SimTime::ZERO, burst(), true);
-        let loaded = w.queue.capacity() * size_of::<FibOp>();
-        assert!(loaded >= OPS as usize * 16, "{loaded} B for {OPS} ops");
+        let loaded = w.queue.capacity() * size_of::<PackedOp>();
+        assert!(
+            (OPS as usize * 8..OPS as usize * 16).contains(&loaded),
+            "{loaded} B for {OPS} ops"
+        );
         let log = drain(&mut w, &mut fib);
-        let held = w.queue.capacity() * size_of::<FibOp>();
-        assert!(held < 128 << 10, "{held} B of queue after the walk");
+        let held = w.queue.capacity() * size_of::<PackedOp>();
+        assert!(held < 64 << 10, "{held} B of queue after the walk");
         assert_eq!((w.ops_applied, fib.len()), (OPS as u64, OPS as usize));
         assert!(log
             .iter()
             .map(|(p, _)| *p)
             .eq(burst().map(|op| op.prefix())));
+    }
+
+    /// The walker as it was before its queue was packed: the ops
+    /// themselves in the FIFO, the same timing rules.
+    struct ReferenceWalker {
+        cal: Calibration,
+        queue: VecDeque<FibOp>,
+        busy_until: SimTime,
+        jitter: FibWalker,
+    }
+
+    impl ReferenceWalker {
+        fn new(cal: Calibration, seed: u64) -> ReferenceWalker {
+            ReferenceWalker {
+                cal,
+                queue: VecDeque::new(),
+                busy_until: SimTime::ZERO,
+                // An empty walker, kept for its jitter stream alone.
+                jitter: FibWalker::new(cal, seed),
+            }
+        }
+
+        fn enqueue_burst(&mut self, now: SimTime, ops: &[FibOp], session_loss: bool) {
+            if ops.is_empty() {
+                return;
+            }
+            let delay = if session_loss {
+                self.cal.peer_down_processing
+            } else {
+                self.cal.update_processing
+            };
+            let start = self.busy_until.max(now) + delay;
+            self.busy_until = if self.queue.is_empty() {
+                start
+            } else {
+                self.busy_until.max(start)
+            };
+            self.queue.extend(ops);
+        }
+
+        fn apply_next(&mut self, fib: &mut Fib) -> Option<(FibOp, SimTime)> {
+            let op = self.queue.pop_front()?;
+            let at = self.busy_until + self.jitter.jittered_entry_cost();
+            match op {
+                FibOp::Set { prefix, next_hop } => {
+                    fib.insert(prefix, FibEntry { next_hop });
+                }
+                FibOp::Remove { prefix } => {
+                    fib.remove(prefix);
+                }
+            }
+            self.busy_until = at;
+            Some((op, at))
+        }
+    }
+
+    /// Next hop `i` of a pool wider than any one burst repeats.
+    fn pool_nh(i: u16) -> Ipv4Addr {
+        Ipv4Addr::new(10, 1 + (i / 250) as u8, (i % 250) as u8, 1)
+    }
+
+    fn arb_op() -> impl Strategy<Value = FibOp> {
+        // A small prefix space, so removes and overwrites hit entries.
+        let prefix = |i: u32, len| Ipv4Prefix::new(Ipv4Addr::from(0x0b00_0000 + (i << 8)), len);
+        prop_oneof![
+            (0u32..64, 20u8..=24, 0u16..400).prop_map(move |(i, len, nh)| FibOp::Set {
+                prefix: prefix(i, len),
+                next_hop: pool_nh(nh),
+            }),
+            // Runs of one next hop, as a real burst has them.
+            (0u32..64).prop_map(move |i| FibOp::Set {
+                prefix: prefix(i, 24),
+                next_hop: pool_nh(7),
+            }),
+            (0u32..64).prop_map(move |i| FibOp::Remove {
+                prefix: prefix(i, 24),
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever is queued — over 300 distinct next hops, removes,
+        /// bursts that join a walk in progress — the packed queue hands
+        /// back the ops a queue of `FibOp`s would, at the same instants,
+        /// and leaves the same table.
+        #[test]
+        fn packed_queue_matches_a_queue_of_ops(
+            bursts in vec((vec(arb_op(), 0..40), any::<bool>(), 0usize..50), 1..10),
+            jitter_pct in prop_oneof![Just(0u32), Just(10u32)],
+        ) {
+            let cal = Calibration {
+                fib_entry_jitter_pct: jitter_pct,
+                ..Calibration::nexus7k()
+            };
+            let (mut walker, mut fib) = (FibWalker::new(cal, 7), Fib::new());
+            let (mut reference, mut ref_fib) = (ReferenceWalker::new(cal, 7), Fib::new());
+            let mut now = SimTime::ZERO;
+            // Every run starts by interning 320 distinct next hops.
+            let wide: Vec<FibOp> = (0..320u16)
+                .map(|i| FibOp::Set {
+                    prefix: Ipv4Prefix::new(Ipv4Addr::from(0x0c00_0000 + ((i as u32) << 8)), 24),
+                    next_hop: pool_nh(i),
+                })
+                .collect();
+            let bursts = std::iter::once((wide, true, 100)).chain(bursts);
+            for (ops, session_loss, applies) in bursts {
+                walker.enqueue_burst(now, ops.iter().copied(), session_loss);
+                reference.enqueue_burst(now, &ops, session_loss);
+                // Apply some, so the next burst lands mid-walk (or after
+                // the walk has drained).
+                for _ in 0..applies {
+                    let Some(at) = walker.next_apply_at() else {
+                        break;
+                    };
+                    let got = walker.apply_one(&mut fib, at).map(|op| (op, at));
+                    prop_assert_eq!(got, reference.apply_next(&mut ref_fib));
+                    now = at;
+                }
+                prop_assert_eq!(walker.pending(), reference.queue.len());
+            }
+            while let Some(at) = walker.next_apply_at() {
+                let got = walker.apply_one(&mut fib, at).map(|op| (op, at));
+                prop_assert_eq!(got, reference.apply_next(&mut ref_fib));
+            }
+            prop_assert_eq!(reference.apply_next(&mut ref_fib), None);
+            prop_assert!(fib.iter().eq(ref_fib.iter()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct next hops")]
+    fn next_hop_table_exhaustion_is_loud() {
+        let mut w = FibWalker::new(Calibration::instant(), 7);
+        let ops = (0..=u16::MAX as u32).map(|i| FibOp::Set {
+            prefix: Ipv4Prefix::new(Ipv4Addr::from(i << 8), 24),
+            next_hop: Ipv4Addr::from(0x0a00_0000 + i),
+        });
+        w.enqueue_burst(SimTime::ZERO, ops, false);
     }
 
     #[test]

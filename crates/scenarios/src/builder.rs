@@ -238,9 +238,6 @@ pub struct BuiltScenario {
     pub ring_closer_link: Option<LinkId>,
     pub flow_ips: Vec<Ipv4Addr>,
     pub universe: Vec<Ipv4Prefix>,
-    /// Each provider's originated feed (event scripts re-announce from
-    /// it during churn bursts).
-    pub feeds: Vec<Vec<UpdateMsg>>,
     /// Index of the primary (highest-preference) provider.
     pub primary: usize,
     /// Recorded peer addresses of the MRT snapshot (peer-table order;
@@ -252,6 +249,10 @@ pub struct BuiltScenario {
     /// fresh process into the crashed slot. Empty for legacy builds and
     /// the bit-exact Fig. 4 delegation (no restart support there).
     pub controller_cfgs: Vec<ControllerConfig>,
+    /// Built by delegation to [`ConvergenceLab`]: the providers are the
+    /// lab's R2/R3 and originated [`sc_lab::topology::provider_feed`],
+    /// not [`feed_for`].
+    lab_delegate: bool,
 }
 
 /// Build the world for one (topology, mode) pair.
@@ -328,55 +329,58 @@ fn build_fig4(mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         ring_closer_link: None,
         flow_ips: lab.flow_ips,
         universe: lab.universe,
-        feeds: Vec::from(lab.feeds),
         primary: 0,
         replay_peers: Vec::new(),
         controller_cfgs: Vec::new(),
+        lab_delegate: true,
         world: lab.world,
     }
 }
 
-/// The universe and per-provider feeds for a scenario, from whichever
-/// source the config names. For MRT feeds, recorded peer `i % peers`
-/// seeds provider `i`, with next-hops rewritten to the provider's LAN
-/// address (attribute-run sharing preserved, so NLRI packing matches a
-/// real speaker's). Returns the snapshot's peer addresses for replay
-/// mapping (empty when synthetic).
-#[allow(clippy::type_complexity)]
-fn derive_feeds(
-    cfg: &ScenarioConfig,
-    m: usize,
-) -> (Vec<Ipv4Prefix>, Vec<Vec<UpdateMsg>>, Vec<Ipv4Addr>) {
+/// The prefix universe for a scenario, from whichever source the config
+/// names, and the loaded snapshot when that source is an MRT archive.
+fn derive_universe(cfg: &ScenarioConfig) -> (Vec<Ipv4Prefix>, Option<sc_mrt::RibSnapshot>) {
     match &cfg.feed {
-        FeedSource::Synthetic => {
-            let universe = prefix_universe(cfg.prefixes, cfg.seed);
-            let feeds = (0..m)
-                .map(|i| {
-                    generate_feed_for(
-                        &FeedConfig::new(cfg.prefixes, cfg.seed, provider_ip(i), provider_asn(i)),
-                        &universe,
-                    )
-                })
-                .collect();
-            (universe, feeds, Vec::new())
-        }
+        FeedSource::Synthetic => (prefix_universe(cfg.prefixes, cfg.seed), None),
         FeedSource::MrtReplay(replay) => {
-            let snap = sc_mrt::RibSnapshot::load(&replay.rib)
-                .unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"));
+            let snap = load_snapshot(replay);
             let universe = snap.prefixes();
             assert!(!universe.is_empty(), "MRT snapshot carries no routes");
-            let peer_n = snap.peers.len().max(1);
-            let feeds = (0..m)
-                .map(|i| {
-                    let routes = snap.routes_for_peer((i % peer_n) as u16);
-                    let rewritten =
-                        sc_mrt::NextHopRewriter::new(provider_ip(i)).rewrite_routes(&routes);
-                    sc_mrt::pack_feed(&rewritten, 300)
-                })
-                .collect();
-            let peers = snap.peers.iter().map(|p| p.addr).collect();
-            (universe, feeds, peers)
+            (universe, Some(snap))
         }
+    }
+}
+
+fn load_snapshot(replay: &MrtReplayFeed) -> sc_mrt::RibSnapshot {
+    sc_mrt::RibSnapshot::load(&replay.rib).unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"))
+}
+
+/// Provider `i`'s feed out of an MRT snapshot: recorded peer
+/// `i % peers` seeds it, with next-hops rewritten to the provider's LAN
+/// address (attribute-run sharing preserved, so NLRI packing matches a
+/// real speaker's).
+fn mrt_feed(snap: &sc_mrt::RibSnapshot, i: usize) -> Vec<UpdateMsg> {
+    let peer_n = snap.peers.len().max(1);
+    let routes = snap.routes_for_peer((i % peer_n) as u16);
+    let rewritten = sc_mrt::NextHopRewriter::new(provider_ip(i)).rewrite_routes(&routes);
+    sc_mrt::pack_feed(&rewritten, 300)
+}
+
+/// The feed provider `provider` of a generically built scenario
+/// originates over `universe`: a pure function of the config (seed or
+/// archive bytes).
+fn feed_for(cfg: &ScenarioConfig, universe: &[Ipv4Prefix], provider: usize) -> Vec<UpdateMsg> {
+    match &cfg.feed {
+        FeedSource::Synthetic => generate_feed_for(
+            &FeedConfig::new(
+                cfg.prefixes,
+                cfg.seed,
+                provider_ip(provider),
+                provider_asn(provider),
+            ),
+            universe,
+        ),
+        FeedSource::MrtReplay(replay) => mrt_feed(&load_snapshot(replay), provider),
     }
 }
 
@@ -430,7 +434,12 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         "supercharged mode needs at least one controller"
     );
     assert!(cfg.flows >= 1 && cfg.prefixes >= 1);
-    let (universe, feeds, replay_peers) = derive_feeds(cfg, m);
+    let (universe, snapshot) = derive_universe(cfg);
+    // Recorded peer addresses, for replay mapping (empty when synthetic).
+    let replay_peers: Vec<Ipv4Addr> = snapshot
+        .iter()
+        .flat_map(|snap| snap.peers.iter().map(|p| p.addr))
+        .collect();
     let flow_ips = sample_flow_ips(&universe, cfg.flows, cfg.seed);
     let primary = bp.primary();
     // An MRT snapshot overrides the configured table size; keep the
@@ -813,8 +822,8 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
     }
 
     // --- providers: LAN interface, feed, BGP sessions ---
-    for i in 0..m {
-        let rn = world.node_mut::<LegacyRouter>(providers[i]);
+    for (i, &provider) in providers.iter().enumerate() {
+        let rn = world.node_mut::<LegacyRouter>(provider);
         rn.add_interface(Interface {
             port: PortId(0),
             ip: provider_ip(i),
@@ -829,28 +838,27 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
                 detect_mult: 3,
             })
         };
+        let mut peers = Vec::new();
         match mode {
             Mode::Stock => {
-                rn.add_peer(PeerConfig {
+                peers.push(PeerConfig {
                     local_port: 179,
                     remote_port: (40000 + i) as u16,
                     bfd: bfd_for(0),
-                    originate: feeds[i].clone(),
                     ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
                 });
             }
             Mode::Supercharged => {
                 for ci in 0..controllers_n {
-                    rn.add_peer(PeerConfig {
+                    peers.push(PeerConfig {
                         local_port: 179,
                         remote_port: (41000 + ci * 100 + i) as u16,
                         bfd: bfd_for(ci),
-                        originate: feeds[i].clone(),
                         ..PeerConfig::ebgp(controller_ip(ci), controller_mac(ci), false)
                     });
                 }
                 if cfg.fallback_sessions {
-                    rn.add_peer(PeerConfig {
+                    peers.push(PeerConfig {
                         local_port: 179,
                         remote_port: (46000 + i) as u16,
                         bfd: (cfg.bfd && i == primary).then(|| BfdConfig {
@@ -861,11 +869,26 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
                             // detection beats the stock plane's worst case.
                             detect_mult: 2,
                         }),
-                        originate: feeds[i].clone(),
                         ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
                     });
                 }
             }
+        }
+        // Every session originates the provider's feed; the last one
+        // takes it, so no copy outlives the build.
+        let mut feed = match &snapshot {
+            // The archive is decoded already: no reload per provider.
+            Some(snap) => mrt_feed(snap, i),
+            None => feed_for(cfg, &universe, i),
+        };
+        let last = peers.len() - 1;
+        for (k, mut peer) in peers.into_iter().enumerate() {
+            peer.originate = if k == last {
+                std::mem::take(&mut feed)
+            } else {
+                feed.clone()
+            };
+            rn.add_peer(peer);
         }
     }
 
@@ -902,14 +925,26 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         ring_closer_link,
         flow_ips,
         universe,
-        feeds,
         primary,
         replay_peers,
         controller_cfgs,
+        lab_delegate: false,
     }
 }
 
 impl BuiltScenario {
+    /// The feed provider `i` originated when the world was built. The
+    /// providers consumed theirs and nothing keeps a copy; a feed is a
+    /// pure function of the config, so whoever needs one again — a churn
+    /// burst's re-announcement — regenerates the same updates here.
+    pub fn provider_feed(&self, i: usize) -> Vec<UpdateMsg> {
+        if self.lab_delegate {
+            sc_lab::topology::provider_feed(self.cfg.prefixes, self.cfg.seed, &self.universe, i)
+        } else {
+            feed_for(&self.cfg, &self.universe, i)
+        }
+    }
+
     /// The primary provider's LAN address.
     pub fn primary_ip(&self) -> Ipv4Addr {
         self.provider_ips[self.primary]

@@ -919,7 +919,8 @@ impl EventScript {
                     let withdraw = withdraw_of(&scn.universe, count);
                     let targets: std::collections::BTreeSet<Ipv4Prefix> =
                         withdraw.withdrawn.iter().copied().collect();
-                    let reannounce: Vec<UpdateMsg> = scn.feeds[i]
+                    let reannounce: Vec<UpdateMsg> = scn
+                        .provider_feed(i)
                         .iter()
                         .filter_map(|u| {
                             let nlri: Vec<Ipv4Prefix> = u

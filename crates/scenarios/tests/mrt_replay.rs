@@ -54,7 +54,8 @@ fn mrt_feed_seeds_tables_with_rewritten_next_hops() {
     assert_eq!(scn.universe.len(), 256);
     assert_eq!(scn.cfg.prefixes, 256);
     assert_eq!(scn.replay_peers.len(), 2);
-    for (i, feed) in scn.feeds.iter().enumerate() {
+    for i in 0..scn.providers.len() {
+        let feed = scn.provider_feed(i);
         let nlri: usize = feed.iter().map(|u| u.nlri.len()).sum();
         assert_eq!(nlri, 256, "provider {i} announces the full snapshot");
         assert!(

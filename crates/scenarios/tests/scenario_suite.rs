@@ -143,6 +143,46 @@ fn fig4_delegation_matches_the_lab() {
     assert_eq!(scenario.rate_pps, lab.rate_pps);
 }
 
+/// A built scenario keeps no copy of the providers' feeds: a churn
+/// burst regenerates the one it re-announces from. What comes back must
+/// be what the provider originated — on the lab delegate (R2/R3's
+/// addresses and AS numbers) as on a generic topology — so R1 holds every
+/// regenerated route, attribute for attribute, from that provider.
+#[test]
+fn regenerated_feeds_are_what_the_providers_originated() {
+    for topo in [TopologySpec::Fig4Lab, TopologySpec::IxpHub { peers: 3 }] {
+        let mut scn = sc_scenarios::build_scenario(&topo, Mode::Stock, &small(42));
+        scn.run_until_converged();
+        let rib = scn.world.node::<sc_router::LegacyRouter>(scn.r1).rib();
+        for i in 0..scn.providers.len() {
+            let feed = scn.provider_feed(i);
+            let announced: usize = feed.iter().map(|u| u.nlri.len()).sum();
+            assert_eq!(
+                announced,
+                scn.universe.len(),
+                "{}: provider {i}",
+                topo.label()
+            );
+            for update in &feed {
+                let attrs = update.attrs.as_ref().expect("feeds only announce");
+                assert_eq!(attrs.next_hop, scn.provider_ips[i]);
+                for &prefix in &update.nlri {
+                    assert!(
+                        rib.candidates(prefix).iter().any(|r| {
+                            r.attrs.next_hop == attrs.next_hop
+                                && r.attrs.as_path == attrs.as_path
+                                && r.attrs.med == attrs.med
+                                && r.attrs.communities == attrs.communities
+                        }),
+                        "{}: R1 has no route to {prefix} with provider {i}'s attributes",
+                        topo.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Cutting the routeless ring-closing arc is the null failure: no flow
 /// may see more than a nominal gap.
 #[test]

@@ -12,6 +12,7 @@ use crate::wakeup::Wakeup;
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{udp_frame_with, UdpDatagram, UdpEndpoints};
 use sc_net::SimTime;
+use std::net::Ipv4Addr;
 
 /// A reliable message channel bound to a UDP endpoint pair on one port.
 #[derive(Debug)]
@@ -95,10 +96,24 @@ impl ChannelPort {
 
     /// Does this datagram belong to this channel (right 5-tuple)?
     pub fn matches(&self, d: &UdpDatagram) -> bool {
-        d.udp.dst_port == self.addr.src_port
-            && d.udp.src_port == self.addr.dst_port
-            && d.ip.src == self.addr.dst_ip
-            && d.ip.dst == self.addr.src_ip
+        self.matches_tuple(d.ip.src, d.ip.dst, d.udp.src_port, d.udp.dst_port)
+    }
+
+    /// [`ChannelPort::matches`] on the bare IPv4/UDP 4-tuple of a frame
+    /// whose checksums were already verified — an owner that has parsed
+    /// the headers for another reason (a switch's flow key) asks without
+    /// parsing them again.
+    pub fn matches_tuple(
+        &self,
+        ip_src: Ipv4Addr,
+        ip_dst: Ipv4Addr,
+        udp_src: u16,
+        udp_dst: u16,
+    ) -> bool {
+        udp_dst == self.addr.src_port
+            && udp_src == self.addr.dst_port
+            && ip_src == self.addr.dst_ip
+            && ip_dst == self.addr.src_ip
     }
 
     /// Queue an application message for reliable delivery. Call
@@ -159,7 +174,6 @@ mod tests {
     use sc_net::wire::peek_udp_frame;
     use sc_net::MacAddr;
     use std::any::Any;
-    use std::net::Ipv4Addr;
 
     /// A node that reliably sends `to_send` messages to its peer and
     /// records everything it receives.
