@@ -9,12 +9,12 @@
 //!
 //! * [`node::Node`] — anything attached to the network (router, switch,
 //!   controller, traffic source/sink). Nodes react to frames, timers and
-//!   link status changes through a [`node::Ctx`] that collects actions.
+//!   link status changes through a [`node::Ctx`] that applies effects.
 //! * [`link`] — point-to-point links with latency, optional bandwidth
 //!   (serialization + FIFO queueing), probabilistic loss and corruption
 //!   (fault injection, as the guides' examples recommend).
-//! * [`world::World`] — the kernel: owns nodes, links, the event queue
-//!   and the RNG; provides failure injection (link down, node crash) and
+//! * [`world::World`] — the nodes beside the kernel (links, event queue,
+//!   counters); provides failure injection (link down, node crash) and
 //!   scripted control events for experiment drivers.
 //! * [`wakeup::Wakeup`] — the one timer discipline for state machines
 //!   whose deadline moves: one live timer each, re-armed only when the

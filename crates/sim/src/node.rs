@@ -1,10 +1,14 @@
-//! The [`Node`] trait and the action-collecting [`Ctx`] handed to nodes.
+//! The [`Node`] trait and the [`Ctx`] handed to nodes.
 //!
 //! Nodes are pure state machines: a handler receives a [`Ctx`], inspects
-//! `ctx.now()`, and *requests* effects (send a frame, arm a timer). The
-//! kernel applies those effects after the handler returns, which keeps
-//! borrow structure simple and event ordering explicit.
+//! `ctx.now()`, and requests effects (send a frame, arm a timer). Each
+//! effect applies when it is requested, in call order. That is exactly
+//! what deferring them to the handler's return would do: a handler sees
+//! neither the queue nor the links nor the kernel's counters, so nothing
+//! it does can depend on whether an earlier effect already applied.
 
+use crate::link::Endpoint;
+use crate::world::Kernel;
 use sc_net::{Frame, SimDuration, SimTime};
 use std::any::Any;
 use std::fmt;
@@ -33,35 +37,20 @@ impl fmt::Display for PortId {
     }
 }
 
-/// Effects a node handler requests; applied by the kernel afterwards.
-#[derive(Debug)]
-pub(crate) enum Action {
-    /// Transmit `frame` on `port` at time `at` (>= now).
-    SendFrame {
-        port: PortId,
-        frame: Frame,
-        at: SimTime,
-    },
-    /// Deliver a timer event carrying `token` at time `at`.
-    SetTimer { at: SimTime, token: TimerToken },
-}
-
-/// The per-invocation context handed to node handlers.
+/// The per-invocation context handed to node handlers: the kernel, lent
+/// for the length of one handler call.
 pub struct Ctx<'a> {
-    pub(crate) now: SimTime,
+    pub(crate) k: &'a mut Kernel,
     pub(crate) node: NodeId,
     /// Origin key of the kernel event being dispatched — the causal
     /// stamp for every trace record this invocation emits.
     pub(crate) cause: u64,
-    pub(crate) actions: Vec<Action>,
-    pub(crate) trace: &'a mut crate::trace::Trace,
-    pub(crate) metrics: &'a mut sc_net::metrics::Registry,
 }
 
 impl<'a> Ctx<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.k.now
     }
 
     /// The node being invoked.
@@ -72,35 +61,33 @@ impl<'a> Ctx<'a> {
     /// Transmit an encoded frame on one of this node's ports, now.
     /// Accepts a [`Frame`] (refcount bump) or a freshly built `Vec<u8>`.
     pub fn send_frame(&mut self, port: PortId, frame: impl Into<Frame>) {
-        self.actions.push(Action::SendFrame {
+        let from = Endpoint {
+            node: self.node,
             port,
-            frame: frame.into(),
-            at: self.now,
-        });
+        };
+        self.k.send(from, frame.into(), self.k.now);
     }
 
     /// Transmit a frame after a local processing delay (e.g. hardware
     /// table-programming latency before a notification leaves the box).
     pub fn send_frame_after(&mut self, port: PortId, frame: impl Into<Frame>, delay: SimDuration) {
-        self.actions.push(Action::SendFrame {
+        let from = Endpoint {
+            node: self.node,
             port,
-            frame: frame.into(),
-            at: self.now + delay,
-        });
+        };
+        self.k.send(from, frame.into(), self.k.now + delay);
     }
 
     /// Arm a timer that fires at absolute time `at`.
     pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken) {
-        debug_assert!(at >= self.now, "timer armed in the past");
-        self.actions.push(Action::SetTimer { at, token });
+        debug_assert!(at >= self.k.now, "timer armed in the past");
+        self.k.set_timer(self.node, at, token);
     }
 
     /// Arm a timer that fires after `delay`.
     pub fn set_timer_after(&mut self, delay: SimDuration, token: TimerToken) {
-        self.actions.push(Action::SetTimer {
-            at: self.now + delay,
-            token,
-        });
+        let at = self.k.now + delay;
+        self.k.set_timer(self.node, at, token);
     }
 
     /// Record a free-form trace line (no-op unless tracing is enabled).
@@ -118,8 +105,8 @@ impl<'a> Ctx<'a> {
         v: u64,
         detail: impl FnOnce() -> String,
     ) {
-        self.trace.emit(
-            self.now,
+        self.k.trace.emit(
+            self.k.now,
             self.cause,
             self.node,
             crate::trace::TracePhase::Instant,
@@ -134,8 +121,8 @@ impl<'a> Ctx<'a> {
     /// Open a span; close it with [`Ctx::span_end`] using the same
     /// `name` and correlation `id` (possibly from a later invocation).
     pub fn span_begin(&mut self, cat: &'static str, name: &'static str, id: u64, v: u64) {
-        self.trace.emit(
-            self.now,
+        self.k.trace.emit(
+            self.k.now,
             self.cause,
             self.node,
             crate::trace::TracePhase::Begin,
@@ -149,8 +136,8 @@ impl<'a> Ctx<'a> {
 
     /// Close a span opened by [`Ctx::span_begin`].
     pub fn span_end(&mut self, cat: &'static str, name: &'static str, id: u64, v: u64) {
-        self.trace.emit(
-            self.now,
+        self.k.trace.emit(
+            self.k.now,
             self.cause,
             self.node,
             crate::trace::TracePhase::End,
@@ -164,8 +151,8 @@ impl<'a> Ctx<'a> {
 
     /// Record a sampled counter value on this node's timeline.
     pub fn trace_counter(&mut self, cat: &'static str, name: &'static str, v: u64) {
-        self.trace.emit(
-            self.now,
+        self.k.trace.emit(
+            self.k.now,
             self.cause,
             self.node,
             crate::trace::TracePhase::Counter,
@@ -180,7 +167,7 @@ impl<'a> Ctx<'a> {
     /// The world's metrics registry (counters + histograms). Recording
     /// is a no-op unless the registry is enabled on the world.
     pub fn metrics(&mut self) -> &mut sc_net::metrics::Registry {
-        self.metrics
+        &mut self.k.metrics
     }
 }
 

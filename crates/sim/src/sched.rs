@@ -6,7 +6,7 @@
 //! delivered in exact `(time, seq)` order, where `seq` is the world's
 //! **origin key** — `(origin stream << 44) | per-stream counter`, with
 //! stream 0 the world/control stream and stream `n + 1` node `n` (see
-//! `World::key_for_node`). The key is a pure function of *which state
+//! `Kernel::key_for_node`). The key is a pure function of *which state
 //! machine emitted the event and how many events it emitted before*,
 //! never of how emissions interleave globally — so both schedulers
 //! here reproduce the identical total order bit-for-bit. The

@@ -93,56 +93,57 @@ impl Wakeup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Action, NodeId};
-    use crate::trace::Trace;
-    use sc_net::metrics::Registry;
+    use crate::node::NodeId;
+    use crate::sched::{Scheduler, SchedulerKind};
+    use crate::world::{EventKind, Kernel};
     use sc_net::SimDuration;
     use std::collections::BTreeMap;
 
     const TOKEN: TimerToken = TimerToken(7);
 
     /// The kernel's half of the contract, in miniature: a multiset of
-    /// pending timer instants fed by the `SetTimer` actions `arm` emits.
+    /// pending timer instants fed by the timers `arm` pushes into a
+    /// one-node kernel.
     struct Harness {
         wakeup: Wakeup,
         now: SimTime,
+        kernel: Kernel,
         pending: BTreeMap<SimTime, u32>,
         /// The oracle for "live": the most recently pushed timer, unless
         /// a reset disowned it.
         newest: Option<SimTime>,
-        trace: Trace,
-        metrics: Registry,
         timers_set: u64,
     }
 
     impl Harness {
         fn new() -> Harness {
+            let mut kernel = Kernel::new(SchedulerKind::ReferenceHeap);
+            kernel.add_slot("owner");
             Harness {
                 wakeup: Wakeup::new(TOKEN),
                 now: SimTime::ZERO,
+                kernel,
                 pending: BTreeMap::new(),
                 newest: None,
-                trace: Trace::disabled(),
-                metrics: Registry::default(),
                 timers_set: 0,
             }
         }
 
         fn arm(&mut self, deadline: Option<SimTime>) {
+            self.kernel.now = self.now;
+            let node = NodeId(0);
             let mut ctx = Ctx {
-                now: self.now,
-                node: NodeId(0),
+                k: &mut self.kernel,
+                node,
                 cause: 0,
-                actions: Vec::new(),
-                trace: &mut self.trace,
-                metrics: &mut self.metrics,
             };
             self.wakeup.arm(&mut ctx, deadline);
-            for action in ctx.actions {
-                let Action::SetTimer { at, token } = action else {
+            while let Some(ev) = self.kernel.queue.pop() {
+                let EventKind::Timer { node: to, token } = ev.kind else {
                     panic!("a wakeup only sets timers");
                 };
-                assert_eq!(token, TOKEN);
+                let at = ev.time;
+                assert_eq!((to, token), (node, TOKEN));
                 assert!(at >= self.now);
                 *self.pending.entry(at).or_insert(0) += 1;
                 self.newest = Some(at);

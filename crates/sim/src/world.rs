@@ -12,7 +12,7 @@
 //! and every trace record can name the event that caused it by key.
 
 use crate::link::{Endpoint, Link, LinkId, LinkParams};
-use crate::node::{Action, Ctx, Node, NodeId, PortId, TimerToken};
+use crate::node::{Ctx, Node, NodeId, PortId, TimerToken};
 use crate::sched::{make_scheduler, AnyScheduler, Queued, Scheduler, SchedulerKind};
 use crate::trace::Trace;
 use sc_net::metrics::Registry;
@@ -102,8 +102,8 @@ pub(crate) enum EventKind {
     Control(usize),
 }
 
+/// What the kernel keeps of a node besides the object itself.
 pub(crate) struct Slot {
-    node: Option<Box<dyn Node>>,
     name: String,
     alive: bool,
     /// Port index -> link attached there.
@@ -113,23 +113,34 @@ pub(crate) struct Slot {
     stats: NodeStats,
 }
 
+/// Everything but the node objects. A [`Ctx`] holds it while its node's
+/// handler runs and applies each effect when it is requested — the order
+/// they would apply in after the handler returned, as a handler observes
+/// nothing applying one changes: keys are drawn, and each link
+/// direction's fault stream and busy horizon advance, in call order.
+pub(crate) struct Kernel {
+    pub(crate) now: SimTime,
+    /// Origin-key counter for stream 0 (the world/control stream).
+    world_ctr: u64,
+    pub(crate) queue: AnyScheduler,
+    slots: Vec<Slot>,
+    links: Vec<Link>,
+    pub(crate) trace: Trace,
+    /// Counters/histograms registry (sc-trace's metrics half). Disabled
+    /// by default; node handlers record through `Ctx::metrics`.
+    pub(crate) metrics: Registry,
+    stats: WorldStats,
+}
+
 type ControlFn = Box<dyn FnOnce(&mut World)>;
 
 /// The discrete-event world.
 pub struct World {
-    now: SimTime,
-    /// Origin-key counter for stream 0 (the world/control stream).
-    world_ctr: u64,
-    queue: AnyScheduler,
-    nodes: Vec<Slot>,
-    links: Vec<Link>,
+    k: Kernel,
+    /// Node `i`'s object; its kernel slot is `k.slots[i]`.
+    objs: Vec<Box<dyn Node>>,
     /// Root of every link's per-direction fault stream.
     seed: u64,
-    trace: Trace,
-    /// Counters/histograms registry (sc-trace's metrics half). Disabled
-    /// by default; node handlers record through `Ctx::metrics`.
-    metrics: Registry,
-    stats: WorldStats,
     started: bool,
     controls: Vec<Option<ControlFn>>,
     /// Wall-clock time spent inside the run loops (perf reporting only;
@@ -137,313 +148,32 @@ pub struct World {
     /// shell injects a [`WallClock`].
     wall: Duration,
     wall_clock: Option<WallClock>,
-    /// Recycled action buffer handed to each dispatch — one allocation
-    /// for the lifetime of the world instead of one per handler call.
-    action_buf: Vec<Action>,
 }
 
-impl World {
-    /// A fresh world with the given RNG seed and tracing disabled,
-    /// running on the default timer-wheel scheduler.
-    pub fn new(seed: u64) -> World {
-        World::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// A fresh world on an explicitly chosen event scheduler. Both
-    /// schedulers deliver the identical `(time, origin key)` total
-    /// order, so this choice can never change a simulation outcome —
-    /// the determinism regression tests compare suite reports across
-    /// schedulers byte-for-byte to prove it.
-    pub fn with_scheduler(seed: u64, sched: SchedulerKind) -> World {
-        World {
+impl Kernel {
+    pub(crate) fn new(sched: SchedulerKind) -> Kernel {
+        Kernel {
             now: SimTime::ZERO,
             world_ctr: 0,
             queue: make_scheduler(sched),
-            nodes: Vec::new(),
+            slots: Vec::new(),
             links: Vec::new(),
-            seed,
             trace: Trace::disabled(),
             metrics: Registry::default(),
             stats: WorldStats::default(),
-            started: false,
-            controls: Vec::new(),
-            wall: Duration::ZERO,
-            wall_clock: None,
-            action_buf: Vec::new(),
         }
     }
 
-    /// Enable a bounded trace (keep the most recent `capacity` records)
-    /// and the metrics registry.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
-        self.metrics.enable();
-    }
-
-    /// Enable full-capture tracing (nothing evicted) and the registry.
-    pub fn enable_trace_full(&mut self) {
-        self.trace = Trace::full();
-        self.metrics.enable();
-    }
-
-    /// Enable only the metrics registry (counters/histograms without
-    /// the event ring).
-    pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Kernel counters.
-    pub fn stats(&self) -> WorldStats {
-        self.stats
-    }
-
-    /// Kernel counters of one node slot.
-    pub fn node_stats(&self, id: NodeId) -> NodeStats {
-        self.nodes[id.0].stats
-    }
-
-    /// Fold the kernel's own totals into `reg`: events by kind
-    /// (`kernel.events.*`) and `kernel.node.<name>.timers_fired` per
-    /// node. Call once, after a run, like the nodes' `fold_metrics`.
-    pub fn fold_kernel_metrics(&self, reg: &mut Registry) {
-        for (name, n) in self.stats.events_by_kind() {
-            reg.add(name, n);
-        }
-        for slot in &self.nodes {
-            reg.add_named(
-                format!("kernel.node.{}.timers_fired", slot.name),
-                slot.stats.timers_fired,
-            );
-        }
-    }
-
-    /// Number of events currently queued (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Install the shell's monotonic clock; from now on the run loops
-    /// accumulate [`World::wall_time`]. Benches and the scenario runner
-    /// pass `sc_bench::timing::wall_clock`; worlds without a clock
-    /// simply report no perf figures.
-    pub fn set_wall_clock(&mut self, clock: WallClock) {
-        self.wall_clock = Some(clock);
-    }
-
-    /// Wall-clock time accumulated inside [`World::run_until`] /
-    /// [`World::run_until_idle`] so far (zero unless a clock was
-    /// injected via [`World::set_wall_clock`]).
-    pub fn wall_time(&self) -> Duration {
-        self.wall
-    }
-
-    /// Events processed per wall-clock second across all run calls so
-    /// far — the kernel's perf trajectory metric. Wall-clock only; two
-    /// runs of the same seed produce identical event streams but
-    /// different `events_per_sec`. Returns 0.0 when no wall clock was
-    /// injected (perf unmeasured, not infinitely fast).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.stats.events_processed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// The trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Mutable registry access (drivers fold node-local counters in
-    /// before exporting).
-    pub fn metrics_mut(&mut self) -> &mut Registry {
-        &mut self.metrics
-    }
-
-    /// Attach a node; returns its id.
-    pub fn add_node(&mut self, node: impl Node) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Slot {
-            name: node.name().to_string(),
-            node: Some(Box::new(node)),
+    /// Open the slot of the next node.
+    pub(crate) fn add_slot(&mut self, name: &str) -> NodeId {
+        self.slots.push(Slot {
+            name: name.to_string(),
             alive: true,
             ports: Vec::new(),
             emit_ctr: 0,
             stats: NodeStats::default(),
         });
-        id
-    }
-
-    /// The node's configured name.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.nodes[id.0].name
-    }
-
-    /// Whether the node is alive (not crashed).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes[id.0].alive
-    }
-
-    /// Immutable typed access to a node (panics on wrong type — that is
-    /// a bug in the experiment driver, not a runtime condition).
-    pub fn node<T: Node>(&self, id: NodeId) -> &T {
-        self.nodes[id.0]
-            .node
-            .as_ref()
-            .expect("node is currently being dispatched")
-            .as_any()
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
-    }
-
-    /// Mutable typed access to a node.
-    pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.0]
-            .node
-            .as_mut()
-            .expect("node is currently being dispatched")
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
-    }
-
-    /// Connect two nodes with a new link; allocates the next free port on
-    /// each side and returns `(link, port on a, port on b)`.
-    pub fn connect(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        params: LinkParams,
-    ) -> (LinkId, PortId, PortId) {
-        let pa = PortId(self.nodes[a.0].ports.len());
-        let pb = PortId(self.nodes[b.0].ports.len());
-        let id = LinkId(self.links.len());
-        self.nodes[a.0].ports.push(Some(id));
-        self.nodes[b.0].ports.push(Some(id));
-        // Each link's fault streams are seeded from (world seed, link
-        // index); the link decorrelates its two directions itself.
-        let fault_seed = self
-            .seed
-            .wrapping_add((id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        self.links.push(Link::new(
-            Endpoint { node: a, port: pa },
-            Endpoint { node: b, port: pb },
-            params,
-            fault_seed,
-        ));
-        (id, pa, pb)
-    }
-
-    /// Bring a link up or down. Both endpoints receive an
-    /// [`Node::on_link_status`] callback (carrier signal). Idempotent.
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        if self.links[link.0].up == up {
-            return;
-        }
-        self.links[link.0].up = up;
-        let (a, b) = (self.links[link.0].a, self.links[link.0].b);
-        self.push(self.now, EventKind::LinkStatus { to: a, up });
-        self.push(self.now, EventKind::LinkStatus { to: b, up });
-    }
-
-    /// Whether a link is currently up.
-    pub fn is_link_up(&self, link: LinkId) -> bool {
-        self.links[link.0].up
-    }
-
-    /// The link's current fault/timing parameters.
-    pub fn link_params(&self, link: LinkId) -> LinkParams {
-        self.links[link.0].params
-    }
-
-    /// Replace a link's parameters mid-run (scripted chaos: loss or
-    /// corruption bursts, latency shifts). Frames already in flight keep
-    /// the timing they were emitted with; future emissions see the new
-    /// parameters. Faults stay seeded — which frames are hit is still a
-    /// pure function of the world seed.
-    pub fn set_link_params(&mut self, link: LinkId, params: LinkParams) {
-        self.links[link.0].params = params;
-    }
-
-    /// The link attached to `(node, port)`, if any — read-only topology
-    /// introspection for observers (e.g. the invariant engine's FIB
-    /// walks) that trace frames through the wiring without sending any.
-    pub fn link_at(&self, node: NodeId, port: PortId) -> Option<LinkId> {
-        self.nodes.get(node.0)?.ports.get(port.0).copied().flatten()
-    }
-
-    /// The far end of the link attached to `(node, port)`, if any.
-    pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<Endpoint> {
-        let link = &self.links[self.link_at(node, port)?.0];
-        let here = Endpoint { node, port };
-        link.direction_from(here).map(|(_, peer)| peer)
-    }
-
-    /// Crash a node: it stops receiving frames and timers, and all its
-    /// links go down (peers see carrier loss).
-    pub fn crash_node(&mut self, id: NodeId) {
-        self.nodes[id.0].alive = false;
-        let attached: Vec<LinkId> = self.nodes[id.0].ports.iter().flatten().copied().collect();
-        for l in attached {
-            self.set_link_up(l, false);
-        }
-    }
-
-    /// Is the node slot alive (i.e. not crashed)?
-    pub fn node_alive(&self, id: NodeId) -> bool {
-        self.nodes[id.0].alive
-    }
-
-    /// Revive a crashed node slot with a fresh node object (a process
-    /// restart: the replacement boots from its own initial state, not
-    /// the crashed instance's memory). All the slot's links come back up
-    /// (peers see carrier return), and if the world already started the
-    /// replacement's `on_start` hook runs immediately — re-armed timers
-    /// and handshakes flow from there. Restarting a slot that is still
-    /// alive is a driver bug and panics.
-    pub fn restart_node(&mut self, id: NodeId, node: impl Node) {
-        assert!(
-            !self.nodes[id.0].alive,
-            "restart_node on a node that is still alive"
-        );
-        self.nodes[id.0].name = node.name().to_string();
-        self.nodes[id.0].node = Some(Box::new(node));
-        self.nodes[id.0].alive = true;
-        let attached: Vec<LinkId> = self.nodes[id.0].ports.iter().flatten().copied().collect();
-        for l in attached {
-            self.set_link_up(l, true);
-        }
-        if self.started {
-            let cause = self.next_world_key();
-            self.dispatch(id, cause, |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Deliver a timer event to a node at `at` from outside (experiment
-    /// drivers use this to kick nodes whose schedule is decided after
-    /// the world started, e.g. the traffic source's start time).
-    pub fn wake_node(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
-        assert!(at >= self.now, "wake_node scheduled in the past");
-        self.push(at, EventKind::Timer { node, token });
-    }
-
-    /// Schedule a scripted control action (e.g. "fail R2 at t=Y") with
-    /// full access to the world.
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
-        assert!(at >= self.now, "control event scheduled in the past");
-        let idx = self.controls.len();
-        self.controls.push(Some(Box::new(f)));
-        self.push(at, EventKind::Control(idx));
+        NodeId(self.slots.len() - 1)
     }
 
     /// Queue an event on the world/control stream (origin key 0):
@@ -468,139 +198,42 @@ impl World {
     /// Next origin key on node `n`'s stream.
     #[inline]
     fn key_for_node(&mut self, n: usize) -> u64 {
-        let slot = &mut self.nodes[n];
+        let slot = &mut self.slots[n];
         let c = slot.emit_ctr;
         slot.emit_ctr += 1;
         debug_assert!(c < 1 << ORIGIN_SHIFT, "origin counter overflow");
         ((n as u64 + 1) << ORIGIN_SHIFT) | c
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        self.step_inner()
-    }
-
-    /// [`World::step`] without the start hook (the run loops call this
-    /// so per-event wall-clock accounting stays out of the hot loop).
-    fn step_inner(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.time >= self.now, "event queue went backwards");
-        self.now = ev.time;
-        self.stats.events_processed += 1;
-        self.handle(ev.seq, ev.kind);
-        true
-    }
-
-    /// Run until the queue is empty or `deadline` is reached; `now` ends
-    /// at `min(deadline, drained)`. Events *at* the deadline run.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.ensure_started();
-        let t0 = self.wall_clock.map(|clock| clock());
-        while let Some(ev) = self.queue.pop_before(deadline) {
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.handle(ev.seq, ev.kind);
-        }
-        self.accumulate_wall(t0);
-        if self.now < deadline {
-            self.now = deadline;
+    /// Transmit `frame` from `from` at `at`: onto the wire now if `at`
+    /// is due, otherwise as an `Emit` event on the sender's stream.
+    pub(crate) fn send(&mut self, from: Endpoint, frame: Frame, at: SimTime) {
+        if at <= self.now {
+            self.emit(from, frame);
+        } else {
+            let seq = self.key_for_node(from.node.0);
+            self.queue.push(Queued {
+                time: at,
+                seq,
+                kind: EventKind::Emit { from, frame },
+            });
         }
     }
 
-    /// Run for a further `d` of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
-    /// Drain the queue completely (panics after `max_events` as a
-    /// runaway-loop guard). Returns the final virtual time.
-    pub fn run_until_idle(&mut self, max_events: u64) -> SimTime {
-        self.ensure_started();
-        let t0 = self.wall_clock.map(|clock| clock());
-        let mut n = 0u64;
-        while self.step_inner() {
-            n += 1;
-            assert!(
-                n <= max_events,
-                "run_until_idle exceeded {max_events} events"
-            );
-        }
-        self.accumulate_wall(t0);
-        self.now
-    }
-
-    /// Credit one run loop's elapsed time against [`World::wall_time`]
-    /// (`t0` is the loop-entry reading; `None` when no clock is
-    /// installed).
-    fn accumulate_wall(&mut self, t0: Option<Duration>) {
-        if let (Some(clock), Some(t0)) = (self.wall_clock, t0) {
-            self.wall += clock().saturating_sub(t0);
-        }
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            let cause = self.next_world_key();
-            self.dispatch(NodeId(i), cause, |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Process one event; `cause` is its origin key (the causal stamp
-    /// for every trace record the dispatch emits).
-    fn handle(&mut self, cause: u64, kind: EventKind) {
-        match kind {
-            EventKind::Deliver { to, frame } => {
-                if !self.nodes[to.node.0].alive {
-                    self.stats.frames_dropped_dead_node += 1;
-                    return;
-                }
-                self.stats.frames_delivered += 1;
-                self.nodes[to.node.0].stats.frames_delivered += 1;
-                self.dispatch(to.node, cause, |node, ctx| {
-                    node.on_frame(ctx, to.port, frame)
-                });
-            }
-            EventKind::Emit { from, frame } => {
-                self.emit(from, frame);
-            }
-            EventKind::Timer { node, token } => {
-                if !self.nodes[node.0].alive {
-                    self.stats.timers_dropped_dead_node += 1;
-                    return;
-                }
-                self.stats.timers_fired += 1;
-                self.nodes[node.0].stats.timers_fired += 1;
-                self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
-            }
-            EventKind::LinkStatus { to, up } => {
-                self.stats.link_status_events += 1;
-                if !self.nodes[to.node.0].alive {
-                    return;
-                }
-                self.dispatch(to.node, cause, |n, ctx| n.on_link_status(ctx, to.port, up));
-            }
-            EventKind::Control(idx) => {
-                self.stats.control_events += 1;
-                let f = self.controls[idx]
-                    .take()
-                    .expect("control event executed twice");
-                f(self);
-            }
-        }
+    /// Arm `node`'s timer `token` at `at` (an overdue one fires now).
+    pub(crate) fn set_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
+        let seq = self.key_for_node(node.0);
+        self.queue.push(Queued {
+            time: at.max(self.now),
+            seq,
+            kind: EventKind::Timer { node, token },
+        });
     }
 
     /// Put a frame onto the wire from `from`, applying link faults and
     /// timing. Called at the frame's emission time.
     fn emit(&mut self, from: Endpoint, frame: Frame) {
-        let Some(Some(link_id)) = self.nodes[from.node.0].ports.get(from.port.0).copied() else {
+        let Some(Some(link_id)) = self.slots[from.node.0].ports.get(from.port.0).copied() else {
             self.stats.frames_dropped_no_link += 1;
             return;
         };
@@ -635,52 +268,427 @@ impl World {
             kind: EventKind::Deliver { to: peer, frame },
         });
     }
+}
 
-    /// Invoke a node handler and apply the actions it requested.
-    fn dispatch(&mut self, id: NodeId, cause: u64, f: impl FnOnce(&mut dyn Node, &mut Ctx)) {
-        let mut node = self.nodes[id.0]
-            .node
-            .take()
-            .expect("re-entrant dispatch on one node");
-        let mut ctx = Ctx {
-            now: self.now,
-            node: id,
-            cause,
-            // Dispatch never nests (handlers see a Ctx, not the world),
-            // so the buffer is free to lend out here.
-            actions: std::mem::take(&mut self.action_buf),
-            trace: &mut self.trace,
-            metrics: &mut self.metrics,
+impl World {
+    /// A fresh world with the given RNG seed and tracing disabled,
+    /// running on the default timer-wheel scheduler.
+    pub fn new(seed: u64) -> World {
+        World::with_scheduler(seed, SchedulerKind::default())
+    }
+
+    /// A fresh world on an explicitly chosen event scheduler. Both
+    /// schedulers deliver the identical `(time, origin key)` total
+    /// order, so this choice can never change a simulation outcome —
+    /// the determinism regression tests compare suite reports across
+    /// schedulers byte-for-byte to prove it.
+    pub fn with_scheduler(seed: u64, sched: SchedulerKind) -> World {
+        World {
+            k: Kernel::new(sched),
+            objs: Vec::new(),
+            seed,
+            started: false,
+            controls: Vec::new(),
+            wall: Duration::ZERO,
+            wall_clock: None,
+        }
+    }
+
+    /// Enable a bounded trace (keep the most recent `capacity` records)
+    /// and the metrics registry.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.k.trace = Trace::bounded(capacity);
+        self.k.metrics.enable();
+    }
+
+    /// Enable full-capture tracing (nothing evicted) and the registry.
+    pub fn enable_trace_full(&mut self) {
+        self.k.trace = Trace::full();
+        self.k.metrics.enable();
+    }
+
+    /// Enable only the metrics registry (counters/histograms without
+    /// the event ring).
+    pub fn enable_metrics(&mut self) {
+        self.k.metrics.enable();
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.k.now
+    }
+
+    /// Kernel counters.
+    pub fn stats(&self) -> WorldStats {
+        self.k.stats
+    }
+
+    /// Kernel counters of one node slot.
+    pub fn node_stats(&self, id: NodeId) -> NodeStats {
+        self.k.slots[id.0].stats
+    }
+
+    /// Fold the kernel's own totals into `reg`: events by kind
+    /// (`kernel.events.*`) and `kernel.node.<name>.timers_fired` per
+    /// node. Call once, after a run, like the nodes' `fold_metrics`.
+    pub fn fold_kernel_metrics(&self, reg: &mut Registry) {
+        for (name, n) in self.k.stats.events_by_kind() {
+            reg.add(name, n);
+        }
+        for slot in &self.k.slots {
+            reg.add_named(
+                format!("kernel.node.{}.timers_fired", slot.name),
+                slot.stats.timers_fired,
+            );
+        }
+    }
+
+    /// Number of events currently queued (diagnostics).
+    pub fn pending_events(&self) -> usize {
+        self.k.queue.len()
+    }
+
+    /// Install the shell's monotonic clock; from now on the run loops
+    /// accumulate [`World::wall_time`]. Benches and the scenario runner
+    /// pass `sc_bench::timing::wall_clock`; worlds without a clock
+    /// simply report no perf figures.
+    pub fn set_wall_clock(&mut self, clock: WallClock) {
+        self.wall_clock = Some(clock);
+    }
+
+    /// Wall-clock time accumulated inside [`World::run_until`] /
+    /// [`World::run_until_idle`] so far (zero unless a clock was
+    /// injected via [`World::set_wall_clock`]).
+    pub fn wall_time(&self) -> Duration {
+        self.wall
+    }
+
+    /// Events processed per wall-clock second across all run calls so
+    /// far — the kernel's perf trajectory metric. Wall-clock only; two
+    /// runs of the same seed produce identical event streams but
+    /// different `events_per_sec`. Returns 0.0 when no wall clock was
+    /// injected (perf unmeasured, not infinitely fast).
+    pub fn events_per_sec(&self) -> f64 {
+        if self.wall.is_zero() {
+            return 0.0;
+        }
+        self.k.stats.events_processed as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// The trace buffer.
+    pub fn trace(&self) -> &Trace {
+        &self.k.trace
+    }
+
+    /// The metrics registry.
+    pub fn metrics(&self) -> &Registry {
+        &self.k.metrics
+    }
+
+    /// Mutable registry access (drivers fold node-local counters in
+    /// before exporting).
+    pub fn metrics_mut(&mut self) -> &mut Registry {
+        &mut self.k.metrics
+    }
+
+    /// Attach a node; returns its id.
+    pub fn add_node(&mut self, node: impl Node) -> NodeId {
+        let id = self.k.add_slot(node.name());
+        self.objs.push(Box::new(node));
+        id
+    }
+
+    /// The node's configured name.
+    pub fn node_name(&self, id: NodeId) -> &str {
+        &self.k.slots[id.0].name
+    }
+
+    /// Whether the node is alive (not crashed).
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.k.slots[id.0].alive
+    }
+
+    /// Immutable typed access to a node (panics on wrong type — that is
+    /// a bug in the experiment driver, not a runtime condition).
+    pub fn node<T: Node>(&self, id: NodeId) -> &T {
+        self.objs[id.0]
+            .as_any()
+            .downcast_ref::<T>()
+            .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
+    }
+
+    /// Mutable typed access to a node.
+    pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
+        self.objs[id.0]
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
+    }
+
+    /// Connect two nodes with a new link; allocates the next free port on
+    /// each side and returns `(link, port on a, port on b)`.
+    pub fn connect(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        params: LinkParams,
+    ) -> (LinkId, PortId, PortId) {
+        let pa = PortId(self.k.slots[a.0].ports.len());
+        let pb = PortId(self.k.slots[b.0].ports.len());
+        let id = LinkId(self.k.links.len());
+        self.k.slots[a.0].ports.push(Some(id));
+        self.k.slots[b.0].ports.push(Some(id));
+        // Each link's fault streams are seeded from (world seed, link
+        // index); the link decorrelates its two directions itself.
+        let fault_seed = self
+            .seed
+            .wrapping_add((id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        self.k.links.push(Link::new(
+            Endpoint { node: a, port: pa },
+            Endpoint { node: b, port: pb },
+            params,
+            fault_seed,
+        ));
+        (id, pa, pb)
+    }
+
+    /// Bring a link up or down. Both endpoints receive an
+    /// [`Node::on_link_status`] callback (carrier signal). Idempotent.
+    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
+        let k = &mut self.k;
+        if k.links[link.0].up == up {
+            return;
+        }
+        k.links[link.0].up = up;
+        let (a, b) = (k.links[link.0].a, k.links[link.0].b);
+        k.push(k.now, EventKind::LinkStatus { to: a, up });
+        k.push(k.now, EventKind::LinkStatus { to: b, up });
+    }
+
+    /// Whether a link is currently up.
+    pub fn is_link_up(&self, link: LinkId) -> bool {
+        self.k.links[link.0].up
+    }
+
+    /// The link's current fault/timing parameters.
+    pub fn link_params(&self, link: LinkId) -> LinkParams {
+        self.k.links[link.0].params
+    }
+
+    /// Replace a link's parameters mid-run (scripted chaos: loss or
+    /// corruption bursts, latency shifts). Frames already in flight keep
+    /// the timing they were emitted with; future emissions see the new
+    /// parameters. Faults stay seeded — which frames are hit is still a
+    /// pure function of the world seed.
+    pub fn set_link_params(&mut self, link: LinkId, params: LinkParams) {
+        self.k.links[link.0].params = params;
+    }
+
+    /// The link attached to `(node, port)`, if any — read-only topology
+    /// introspection for observers (e.g. the invariant engine's FIB
+    /// walks) that trace frames through the wiring without sending any.
+    pub fn link_at(&self, node: NodeId, port: PortId) -> Option<LinkId> {
+        self.k
+            .slots
+            .get(node.0)?
+            .ports
+            .get(port.0)
+            .copied()
+            .flatten()
+    }
+
+    /// The far end of the link attached to `(node, port)`, if any.
+    pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<Endpoint> {
+        let link = &self.k.links[self.link_at(node, port)?.0];
+        let here = Endpoint { node, port };
+        link.direction_from(here).map(|(_, peer)| peer)
+    }
+
+    /// Crash a node: it stops receiving frames and timers, and all its
+    /// links go down (peers see carrier loss).
+    pub fn crash_node(&mut self, id: NodeId) {
+        self.k.slots[id.0].alive = false;
+        let attached: Vec<LinkId> = self.k.slots[id.0].ports.iter().flatten().copied().collect();
+        for l in attached {
+            self.set_link_up(l, false);
+        }
+    }
+
+    /// Is the node slot alive (i.e. not crashed)?
+    pub fn node_alive(&self, id: NodeId) -> bool {
+        self.k.slots[id.0].alive
+    }
+
+    /// Revive a crashed node slot with a fresh node object (a process
+    /// restart: the replacement boots from its own initial state, not
+    /// the crashed instance's memory). All the slot's links come back up
+    /// (peers see carrier return), and if the world already started the
+    /// replacement's `on_start` hook runs immediately — re-armed timers
+    /// and handshakes flow from there. Restarting a slot that is still
+    /// alive is a driver bug and panics.
+    pub fn restart_node(&mut self, id: NodeId, node: impl Node) {
+        assert!(
+            !self.k.slots[id.0].alive,
+            "restart_node on a node that is still alive"
+        );
+        self.k.slots[id.0].name = node.name().to_string();
+        self.k.slots[id.0].alive = true;
+        self.objs[id.0] = Box::new(node);
+        let attached: Vec<LinkId> = self.k.slots[id.0].ports.iter().flatten().copied().collect();
+        for l in attached {
+            self.set_link_up(l, true);
+        }
+        if self.started {
+            let cause = self.k.next_world_key();
+            self.dispatch(id, cause, |node, ctx| node.on_start(ctx));
+        }
+    }
+
+    /// Deliver a timer event to a node at `at` from outside (experiment
+    /// drivers use this to kick nodes whose schedule is decided after
+    /// the world started, e.g. the traffic source's start time).
+    pub fn wake_node(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
+        assert!(at >= self.k.now, "wake_node scheduled in the past");
+        self.k.push(at, EventKind::Timer { node, token });
+    }
+
+    /// Schedule a scripted control action (e.g. "fail R2 at t=Y") with
+    /// full access to the world.
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
+        assert!(at >= self.k.now, "control event scheduled in the past");
+        let idx = self.controls.len();
+        self.controls.push(Some(Box::new(f)));
+        self.k.push(at, EventKind::Control(idx));
+    }
+
+    /// Process a single event. Returns `false` when the queue is empty.
+    pub fn step(&mut self) -> bool {
+        self.ensure_started();
+        self.step_inner()
+    }
+
+    /// [`World::step`] without the start hook (the run loops call this
+    /// so per-event wall-clock accounting stays out of the hot loop).
+    fn step_inner(&mut self) -> bool {
+        let Some(ev) = self.k.queue.pop() else {
+            return false;
         };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        self.nodes[id.0].node = Some(node);
-        for action in actions.drain(..) {
-            match action {
-                Action::SendFrame { port, frame, at } => {
-                    let from = Endpoint { node: id, port };
-                    if at <= self.now {
-                        self.emit(from, frame);
-                    } else {
-                        let seq = self.key_for_node(id.0);
-                        self.queue.push(Queued {
-                            time: at,
-                            seq,
-                            kind: EventKind::Emit { from, frame },
-                        });
-                    }
+        debug_assert!(ev.time >= self.k.now, "event queue went backwards");
+        self.k.now = ev.time;
+        self.k.stats.events_processed += 1;
+        self.handle(ev.seq, ev.kind);
+        true
+    }
+
+    /// Run until the queue is empty or `deadline` is reached; `now` ends
+    /// at `min(deadline, drained)`. Events *at* the deadline run.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.ensure_started();
+        let t0 = self.wall_clock.map(|clock| clock());
+        while let Some(ev) = self.k.queue.pop_before(deadline) {
+            self.k.now = ev.time;
+            self.k.stats.events_processed += 1;
+            self.handle(ev.seq, ev.kind);
+        }
+        self.accumulate_wall(t0);
+        if self.k.now < deadline {
+            self.k.now = deadline;
+        }
+    }
+
+    /// Run for a further `d` of virtual time.
+    pub fn run_for(&mut self, d: SimDuration) {
+        let deadline = self.k.now + d;
+        self.run_until(deadline);
+    }
+
+    /// Drain the queue completely (panics after `max_events` as a
+    /// runaway-loop guard). Returns the final virtual time.
+    pub fn run_until_idle(&mut self, max_events: u64) -> SimTime {
+        self.ensure_started();
+        let t0 = self.wall_clock.map(|clock| clock());
+        let mut n = 0u64;
+        while self.step_inner() {
+            n += 1;
+            assert!(
+                n <= max_events,
+                "run_until_idle exceeded {max_events} events"
+            );
+        }
+        self.accumulate_wall(t0);
+        self.k.now
+    }
+
+    /// Credit one run loop's elapsed time against [`World::wall_time`]
+    /// (`t0` is the loop-entry reading; `None` when no clock is
+    /// installed).
+    fn accumulate_wall(&mut self, t0: Option<Duration>) {
+        if let (Some(clock), Some(t0)) = (self.wall_clock, t0) {
+            self.wall += clock().saturating_sub(t0);
+        }
+    }
+
+    fn ensure_started(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for i in 0..self.objs.len() {
+            let cause = self.k.next_world_key();
+            self.dispatch(NodeId(i), cause, |node, ctx| node.on_start(ctx));
+        }
+    }
+
+    /// Process one event; `cause` is its origin key (the causal stamp
+    /// for every trace record the dispatch emits).
+    fn handle(&mut self, cause: u64, kind: EventKind) {
+        let k = &mut self.k;
+        match kind {
+            EventKind::Deliver { to, frame } => {
+                if !k.slots[to.node.0].alive {
+                    k.stats.frames_dropped_dead_node += 1;
+                    return;
                 }
-                Action::SetTimer { at, token } => {
-                    let seq = self.key_for_node(id.0);
-                    self.queue.push(Queued {
-                        time: at.max(self.now),
-                        seq,
-                        kind: EventKind::Timer { node: id, token },
-                    });
+                k.stats.frames_delivered += 1;
+                k.slots[to.node.0].stats.frames_delivered += 1;
+                self.dispatch(to.node, cause, |node, ctx| {
+                    node.on_frame(ctx, to.port, frame)
+                });
+            }
+            EventKind::Emit { from, frame } => {
+                k.emit(from, frame);
+            }
+            EventKind::Timer { node, token } => {
+                if !k.slots[node.0].alive {
+                    k.stats.timers_dropped_dead_node += 1;
+                    return;
                 }
+                k.stats.timers_fired += 1;
+                k.slots[node.0].stats.timers_fired += 1;
+                self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
+            }
+            EventKind::LinkStatus { to, up } => {
+                k.stats.link_status_events += 1;
+                if !k.slots[to.node.0].alive {
+                    return;
+                }
+                self.dispatch(to.node, cause, |n, ctx| n.on_link_status(ctx, to.port, up));
+            }
+            EventKind::Control(idx) => {
+                k.stats.control_events += 1;
+                let f = self.controls[idx]
+                    .take()
+                    .expect("control event executed twice");
+                f(self);
             }
         }
-        self.action_buf = actions;
+    }
+
+    /// Invoke a node handler, lending its [`Ctx`] the kernel: a disjoint
+    /// field from the node, so sends and timers apply as they are made.
+    fn dispatch(&mut self, id: NodeId, cause: u64, f: impl FnOnce(&mut dyn Node, &mut Ctx)) {
+        let (k, node) = (&mut self.k, id);
+        f(&mut *self.objs[id.0], &mut Ctx { k, node, cause });
     }
 }
 
@@ -786,7 +794,7 @@ mod tests {
         w.schedule(SimTime::from_millis(1), move |w| {
             // Inject a frame as if `a` sent it.
             let from = Endpoint { node: a, port: pa };
-            w.emit(from, vec![b'X'].into());
+            w.k.emit(from, vec![b'X'].into());
         });
         w.run_until_idle(1000);
         let b_node = w.node::<Echo>(b);
@@ -806,7 +814,7 @@ mod tests {
         let b = w.add_node(Echo::new("b", SimDuration::ZERO));
         let (l, _pa, pb) = w.connect(a, b, LinkParams::with_latency(SimDuration::from_micros(10)));
         w.schedule(SimTime::from_millis(1), move |w| {
-            w.emit(Endpoint { node: b, port: pb }, vec![b'E'].into());
+            w.k.emit(Endpoint { node: b, port: pb }, vec![b'E'].into());
         });
         w.schedule(SimTime::from_millis(2), move |w| w.set_link_up(l, false));
         w.wake_node(SimTime::from_millis(3), a, TimerToken(9));
@@ -1000,8 +1008,8 @@ mod tests {
         let (_l, pa, _pb) = w.connect(a, b, LinkParams::gigabit(SimDuration::from_micros(5)));
         w.schedule(SimTime::from_millis(1), move |w| {
             let from = Endpoint { node: a, port: pa };
-            w.emit(from, vec![0u8; 64].into());
-            w.emit(from, vec![1u8; 64].into());
+            w.k.emit(from, vec![0u8; 64].into());
+            w.k.emit(from, vec![1u8; 64].into());
         });
         w.run_until_idle(100);
         let seen = &w.node::<Echo>(b).seen;
@@ -1168,12 +1176,117 @@ mod tests {
         }
     }
 
+    /// One handler interleaving every kind of effect, over a lossy,
+    /// corrupting, slow link: a send on each port, a timer, a zero-delay
+    /// and a delayed send, another send. Effects apply in call order, so
+    /// origin keys, the fault stream and the busy horizon all advance in
+    /// that order; the literals pin what that order produces.
+    #[test]
+    fn effects_in_one_handler_apply_in_call_order() {
+        const ROUNDS: u8 = 6;
+        struct Burst {
+            round: u8,
+        }
+        impl Node for Burst {
+            fn name(&self) -> &str {
+                "burst"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.set_timer_after(SimDuration::from_micros(1), TimerToken(0));
+            }
+            fn on_frame(&mut self, _: &mut Ctx, _: PortId, _: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+                let (p0, p1, r) = (PortId(0), PortId(1), self.round);
+                if token.0 == 1 {
+                    ctx.send_frame(p1, vec![b't', r]);
+                    return;
+                }
+                ctx.send_frame(p0, vec![b'a', r]);
+                ctx.send_frame(p1, vec![b'b', r]);
+                ctx.set_timer_after(SimDuration::from_micros(5), TimerToken(1));
+                ctx.send_frame_after(p0, vec![b'c', r], SimDuration::ZERO);
+                ctx.send_frame_after(p0, vec![b'd', r], SimDuration::from_micros(5));
+                ctx.send_frame(p1, vec![b'e', r]);
+                if r < ROUNDS {
+                    self.round += 1;
+                    ctx.set_timer_after(SimDuration::from_micros(20), TimerToken(0));
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
+            let mut w = World::with_scheduler(42, kind);
+            let src = w.add_node(Burst { round: 1 });
+            let s0 = w.add_node(Echo::new("s0", SimDuration::ZERO));
+            let s1 = w.add_node(Echo::new("s1", SimDuration::ZERO));
+            let lossy = LinkParams {
+                latency: SimDuration::from_micros(2),
+                bandwidth_bps: Some(10_000_000),
+                loss: 0.3,
+                corrupt: 0.2,
+            };
+            w.connect(src, s0, lossy);
+            w.connect(
+                src,
+                s1,
+                LinkParams::with_latency(SimDuration::from_micros(3)),
+            );
+            w.run_until_idle(1_000);
+            let seen = |s| -> Vec<(u64, [u8; 2])> {
+                w.node::<Echo>(s)
+                    .seen
+                    .iter()
+                    .map(|(t, _, f)| (t.as_nanos(), [f[0], f[1]]))
+                    .collect()
+            };
+            // `D`, `` ` ``: a `d` and an `a` with one bit flipped.
+            #[rustfmt::skip]
+            assert_eq!(seen(s0), [
+                (9_600, [b'D', 1]),
+                (24_600, [b'a', 2]), (26_200, [b'c', 2]), (29_600, [b'd', 2]),
+                (44_600, [b'a', 3]),
+                (64_600, [b'`', 4]), (69_600, [b'd', 4]),
+                (89_600, [b'd', 5]),
+                (104_600, [b'a', 6]), (106_200, [b'c', 6]), (109_600, [b'd', 6]),
+            ], "{kind:?}");
+            // Each round's timer fires after the next round was counted.
+            #[rustfmt::skip]
+            assert_eq!(seen(s1), [
+                (4_000, [b'b', 1]), (4_000, [b'e', 1]), (9_000, [b't', 2]),
+                (24_000, [b'b', 2]), (24_000, [b'e', 2]), (29_000, [b't', 3]),
+                (44_000, [b'b', 3]), (44_000, [b'e', 3]), (49_000, [b't', 4]),
+                (64_000, [b'b', 4]), (64_000, [b'e', 4]), (69_000, [b't', 5]),
+                (84_000, [b'b', 5]), (84_000, [b'e', 5]), (89_000, [b't', 6]),
+                (104_000, [b'b', 6]), (104_000, [b'e', 6]), (109_000, [b't', 6]),
+            ], "{kind:?}");
+            let stats = w.stats();
+            assert_eq!(
+                stats.events_by_kind(),
+                [
+                    ("kernel.events.deliver", 29),
+                    ("kernel.events.emit", 6),
+                    ("kernel.events.timer", 12),
+                    ("kernel.events.link_status", 0),
+                    ("kernel.events.control", 0),
+                ],
+                "{kind:?}"
+            );
+            assert_eq!(stats.frames_dropped_loss, 7, "{kind:?}");
+            assert_eq!(stats.frames_corrupted, 2, "{kind:?}");
+        }
+    }
+
     #[test]
     fn frames_to_unconnected_port_are_counted() {
         let mut w = World::new(9);
         let a = w.add_node(Echo::new("lonely", SimDuration::ZERO));
         w.schedule(SimTime::from_millis(1), move |w| {
-            w.emit(
+            w.k.emit(
                 Endpoint {
                     node: a,
                     port: PortId(0),
