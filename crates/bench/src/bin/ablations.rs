@@ -15,19 +15,30 @@
 //! ```
 
 use sc_bench::{fig5_label, Args, Table};
-use sc_lab::{run_convergence_trial, LabConfig, Mode};
+use sc_lab::Mode;
 use sc_net::SimDuration;
 use sc_router::Calibration;
+use sc_scenarios::{run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec};
+
+/// The paper's experiment: cut R2 in the Fig. 4 lab.
+fn trial(mode: Mode, cfg: &ScenarioConfig) -> ScenarioOutcome {
+    run_scenario(
+        &TopologySpec::Fig4Lab,
+        &EventScript::primary_cut(),
+        mode,
+        cfg,
+    )
+}
 
 fn main() {
     let args = Args::parse();
     let prefixes: u32 = args.value("--prefixes", 1_000);
     let flows: usize = args.value("--flows", 30);
-    let base = LabConfig {
+    let base = ScenarioConfig {
         prefixes,
         flows,
         seed: 42,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     };
 
     // ------------------------------------------------ 1. BFD interval
@@ -38,12 +49,11 @@ fn main() {
         "max convergence",
     ]);
     for interval_ms in [10u64, 30, 50, 100] {
-        let cfg = LabConfig {
-            mode: Mode::Supercharged,
+        let cfg = ScenarioConfig {
             bfd_interval: SimDuration::from_millis(interval_ms),
             ..base.clone()
         };
-        let r = run_convergence_trial(cfg);
+        let r = trial(Mode::Supercharged, &cfg);
         let detect = r
             .detected_at
             .map(|d| fig5_label(d - r.fail_at))
@@ -67,16 +77,12 @@ fn main() {
             fib_entry_update: SimDuration::from_micros(cost_us),
             ..Calibration::nexus7k()
         };
-        let stock = run_convergence_trial(LabConfig {
-            mode: Mode::Stock,
+        let cfg = ScenarioConfig {
             cal,
             ..base.clone()
-        });
-        let sup = run_convergence_trial(LabConfig {
-            mode: Mode::Supercharged,
-            cal,
-            ..base.clone()
-        });
+        };
+        let stock = trial(Mode::Stock, &cfg);
+        let sup = trial(Mode::Supercharged, &cfg);
         let ratio = stock.stats().max.as_secs_f64() / sup.stats().max.as_secs_f64();
         t.row(vec![
             format!("{cost_us}us"),
@@ -94,12 +100,11 @@ fn main() {
     // ------------------------------------ 3. controller reaction delay
     let mut t = Table::new(&["reaction delay", "max convergence", "within 150ms?"]);
     for delay_ms in [1u64, 3, 10, 30, 60] {
-        let cfg = LabConfig {
-            mode: Mode::Supercharged,
+        let cfg = ScenarioConfig {
             reaction_delay: SimDuration::from_millis(delay_ms),
             ..base.clone()
         };
-        let r = run_convergence_trial(cfg);
+        let r = trial(Mode::Supercharged, &cfg);
         let max = r.stats().max;
         t.row(vec![
             format!("{delay_ms}ms"),

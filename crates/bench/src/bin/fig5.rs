@@ -17,8 +17,14 @@
 //! * `--csv`: also write the pooled samples summary as CSV.
 
 use sc_bench::{fig5_label, Args, Table};
-use sc_lab::{run_fig5_sweep, Csv, LabConfig, Mode, SweepRow, FIG5_PREFIX_COUNTS};
+use sc_lab::{BoxStats, Csv, Mode};
 use sc_net::SimDuration;
+use sc_scenarios::{run_trials, EventScript, ScenarioConfig, TopologySpec, Trial, TrialResult};
+
+/// The paper's x-axis.
+const FIG5_PREFIX_COUNTS: [u32; 9] = [
+    1_000, 5_000, 10_000, 50_000, 100_000, 200_000, 300_000, 400_000, 500_000,
+];
 
 /// Fig. 5's printed maxima for the non-supercharged router (seconds).
 const PAPER_STOCK_MAX_S: [(u32, f64); 9] = [
@@ -54,10 +60,10 @@ fn main() {
     };
     let flows: usize = args.value("--flows", 100);
 
-    let base = LabConfig {
+    let base = ScenarioConfig {
         flows,
         seed: args.value("--seed", 42),
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     };
 
     eprintln!(
@@ -68,12 +74,9 @@ fn main() {
         "      probe load: 64-byte UDP frames, auto-rated (<=14kpps/flow, the paper's rate)\n"
     );
 
-    let (stock, took) =
-        sc_bench::timing::timed(|| run_fig5_sweep(Mode::Stock, &counts, trials, &base));
-    eprintln!("stock sweep done in {:.1}s", took.as_secs_f64());
-    let (supercharged, took) =
-        sc_bench::timing::timed(|| run_fig5_sweep(Mode::Supercharged, &counts, trials, &base));
-    eprintln!("supercharged sweep done in {:.1}s\n", took.as_secs_f64());
+    let (rows, took) = sc_bench::timing::timed(|| sweep(&counts, trials, &base));
+    eprintln!("sweep done in {:.1}s\n", took.as_secs_f64());
+    let (stock, supercharged) = rows.split_at(counts.len());
 
     let mut table = Table::new(&[
         "prefixes",
@@ -99,7 +102,7 @@ fn main() {
         "max_ms",
     ]);
     let mut speedups = Vec::new();
-    for (s_row, u_row) in stock.iter().zip(&supercharged) {
+    for (s_row, u_row) in stock.iter().zip(supercharged) {
         for row in [s_row, u_row] {
             let st = row.stats();
             let paper = match row.mode {
@@ -146,7 +149,7 @@ fn main() {
     println!("Improvement factor (paper: 900x at 500k)");
     println!("{}", sp.render());
 
-    let ok = check_shape(&stock, &supercharged);
+    let ok = check_shape(stock, supercharged);
 
     if let Some(path) = args.raw_value("--csv") {
         std::fs::write(&path, csv.finish()).expect("write csv");
@@ -155,6 +158,64 @@ fn main() {
     if !ok {
         std::process::exit(1);
     }
+}
+
+/// One row of the sweep: a prefix count with the per-flow samples of
+/// all its trials pooled (the paper pools 3 × 100 flows).
+struct SweepRow {
+    mode: Mode,
+    prefixes: u32,
+    samples: Vec<SimDuration>,
+}
+
+impl SweepRow {
+    fn stats(&self) -> BoxStats {
+        BoxStats::of(&self.samples)
+    }
+}
+
+/// Every (mode, prefix count, trial) cell of Fig. 4 under a primary
+/// cut, through the suite's worker pool. Trial `t` at `prefixes` runs
+/// seed `base.seed + t·1000 + prefixes`. Rows come back stock first,
+/// each mode in `counts` order.
+fn sweep(counts: &[u32], trials: usize, base: &ScenarioConfig) -> Vec<SweepRow> {
+    let modes = [Mode::Stock, Mode::Supercharged];
+    let mut cells = Vec::new();
+    for mode in modes {
+        for &prefixes in counts {
+            for t in 0..trials {
+                cells.push(Trial {
+                    topology: TopologySpec::Fig4Lab,
+                    script: EventScript::primary_cut(),
+                    mode,
+                    cfg: ScenarioConfig {
+                        prefixes,
+                        seed: base.seed + t as u64 * 1000 + prefixes as u64,
+                        ..base.clone()
+                    },
+                });
+            }
+        }
+    }
+    let mut results = run_trials(&cells, None, |_, _| {}).into_iter();
+    let mut rows = Vec::new();
+    for mode in modes {
+        for &prefixes in counts {
+            let mut samples = Vec::new();
+            for result in results.by_ref().take(trials) {
+                match result {
+                    TrialResult::Ok(outcome) => samples.extend(outcome.per_flow),
+                    TrialResult::Err(e) => panic!("fig5 trial failed: {e:?}"),
+                }
+            }
+            rows.push(SweepRow {
+                mode,
+                prefixes,
+                samples,
+            });
+        }
+    }
+    rows
 }
 
 /// Check the qualitative shape the paper reports and print PASS/FAIL,

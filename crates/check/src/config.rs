@@ -123,14 +123,11 @@ pub const DATAPLANE_CRATES: &[&str] = &[
 /// shell's timing module, which every other harness goes through.
 pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/bench/src/timing.rs"];
 
-/// Files allowed to spawn threads: the suite runners, which fan whole
+/// Files allowed to spawn threads: the suite runner, which fans whole
 /// independent trials out across a worker pool. Everything else — the
 /// kernel included — must stay single-threaded: `no-ambient-threading`
 /// denies `thread::spawn`/`scope`/`Builder` and `rayon`.
-pub const THREADING_ALLOWLIST: &[&str] = &[
-    "crates/scenarios/src/runner.rs",
-    "crates/lab/src/experiments.rs",
-];
+pub const THREADING_ALLOWLIST: &[&str] = &["crates/scenarios/src/runner.rs"];
 
 /// The severity of `rule` inside `crate_name`.
 pub fn severity(rule: Rule, crate_name: &str) -> Severity {

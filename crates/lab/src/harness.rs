@@ -4,8 +4,8 @@
 //! probe traffic, open the measurement window just before the failure,
 //! run out the window, harvest per-flow maximum gaps — is independent
 //! of *which* topology is under test and *what* failure is injected.
-//! This module holds that shared machinery; [`crate::experiments`] and
-//! the `sc-scenarios` suite runner are both thin consumers of it.
+//! This module holds that machinery; the `sc-scenarios` runner drives
+//! it for every topology, the Fig. 4 lab included.
 
 use crate::topology::Mode;
 use sc_net::{SimDuration, SimTime};
@@ -14,8 +14,7 @@ use sc_sim::{NodeId, TimerToken, World};
 use sc_traffic::{TrafficSink, TrafficSource};
 
 /// The expected convergence budget for sizing measurement windows and
-/// probe rates — the single source both `sc_lab::expected_convergence`
-/// and the `sc-scenarios` runner derive from.
+/// probe rates (`sc_scenarios::expected_budget` derives from it).
 pub fn convergence_budget(
     mode: Mode,
     cal: &Calibration,

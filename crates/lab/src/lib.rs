@@ -1,22 +1,16 @@
-//! The evaluation harness: the paper's Fig. 4 lab, experiment drivers,
-//! and statistics.
+//! The evaluation harness shared by every experiment: the Fig. 4 lab's
+//! address plan and modes, the measurement phases, and statistics.
 //!
-//! * [`topology`] — the lab builder ([`ConvergenceLab`]): one switch,
-//!   three routers, the traffic boards, and optionally the
-//!   supercharger controller(s), wired exactly like the paper's
-//!   hardware testbed;
-//! * [`experiments`] — phase-by-phase drivers reproducing §4's
-//!   methodology (converge → stream → cut → measure) and the Fig. 5
-//!   sweep;
+//! * [`topology`] — the lab's addresses and [`Mode`] (stock or
+//!   supercharged); the lab itself is built by `sc-scenarios`
+//!   (`TopologySpec::Fig4Lab`), like every other topology;
+//! * [`harness`] — the §4 measurement phases (converge → stream → cut →
+//!   measure) the `sc-scenarios` runner drives;
 //! * [`stats`] — box-plot summaries and CSV emission.
 
-pub mod experiments;
 pub mod harness;
 pub mod stats;
 pub mod topology;
 
-pub use experiments::{
-    run_convergence_trial, run_fig5_sweep, SweepRow, TrialResult, FIG5_PREFIX_COUNTS,
-};
 pub use stats::{percentile, BoxStats, Csv};
-pub use topology::{expected_convergence, suggested_flow_rate, ConvergenceLab, LabConfig, Mode};
+pub use topology::Mode;

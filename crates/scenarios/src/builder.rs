@@ -1,12 +1,13 @@
 //! Wire a [`Blueprint`] into a runnable [`sc_sim::World`].
 //!
-//! The generic build generalizes `sc_lab::topology::ConvergenceLab`
-//! from (R1 + two providers) to (R1 + M ranked providers + a shared
-//! forwarder fabric). The Fig. 4 topology itself keeps delegating to
-//! `ConvergenceLab`, so the paper reproduction is bit-for-bit
-//! unchanged; everything else is wired here.
+//! One builder for every topology: R1 + M ranked providers around the
+//! OpenFlow switch, each delivering to the sink directly or through a
+//! shared forwarder fabric. The blueprint names each provider's
+//! identity and links; the configuration ([`ScenarioConfig`]) is
+//! applied on top, the same way for every topology, Fig. 4 included.
 //!
-//! Addressing plan (extends the lab's):
+//! Addressing plan (the Fig. 4 lab's, [`sc_lab::topology`], extended;
+//! the Fig. 4 blueprint numbers its providers R2/R3 instead):
 //!
 //! | node            | IP                | MAC               |
 //! |-----------------|-------------------|-------------------|
@@ -19,12 +20,12 @@
 //! | ring closer     | 10.39.0.0/24      | 02:60:00:00:ff:side|
 //! | sink (any edge) | x.x.x.100         | 02:bb:…:01        |
 
-use crate::topo::{Blueprint, TopologySpec};
+use crate::topo::{Blueprint, Delivery, ProviderSpec, TopologySpec};
 use sc_bfd::BfdConfig;
 use sc_bgp::msg::UpdateMsg;
 use sc_lab::topology::{
-    controller_ip, controller_mac, ConvergenceLab, LabConfig, IP_R2, IP_R3, IP_SOURCE, IP_SWITCH,
-    MAC_R1, MAC_SINK, MAC_SOURCE, MAC_SWITCH,
+    controller_ip, controller_mac, IP_R1, IP_SOURCE, IP_SWITCH, MAC_R1, MAC_SINK, MAC_SOURCE,
+    MAC_SWITCH,
 };
 use sc_lab::Mode;
 use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration, SimTime};
@@ -35,8 +36,6 @@ use sc_sim::{LinkId, LinkParams, NodeId, PortId, TimerToken, World};
 use sc_traffic::{SinkConfig, SourceConfig, TrafficSink, TrafficSource};
 use supercharger::engine::PeerSpec;
 use supercharger::{Controller, ControllerConfig, PeerLink, RouterLink, SwitchLink};
-
-pub const IP_R1: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 
 /// LOCAL_PREF R1 assigns to controller-learned routes when
 /// [`ScenarioConfig::fallback_sessions`] is on: strictly above every
@@ -93,8 +92,7 @@ impl MrtReplayFeed {
     }
 }
 
-/// Scenario-wide knobs shared by every topology (the generalization of
-/// `LabConfig` minus the Fig. 4 specifics).
+/// Scenario-wide knobs shared by every topology.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
     /// Number of prefixes every provider advertises.
@@ -115,6 +113,10 @@ pub struct ScenarioConfig {
     pub controllers: usize,
     /// Controller compute/REST latency before FLOW_MODs leave.
     pub reaction_delay: SimDuration,
+    /// React to switch PORT_STATUS carrier loss in addition to BFD
+    /// (an ablation beyond the paper: detection drops from ~90 ms to
+    /// the wire latency).
+    pub portstatus_failover: bool,
     /// Frame-loss probability on controller↔switch links.
     ///
     /// Deprecated alias: prefer [`ScenarioConfig::link_params`] with
@@ -192,6 +194,7 @@ impl Default for ScenarioConfig {
             bfd_interval: SimDuration::from_millis(30),
             controllers: 1,
             reaction_delay: SimDuration::from_millis(3),
+            portstatus_failover: false,
             control_loss: 0.0,
             link_params: Vec::new(),
             echo_interval: None,
@@ -246,24 +249,13 @@ pub struct BuiltScenario {
     pub replay_peers: Vec<Ipv4Addr>,
     /// Restart factories: the exact config each controller replica was
     /// built from, so a `restart_controller` chaos event can boot a
-    /// fresh process into the crashed slot. Empty for legacy builds and
-    /// the bit-exact Fig. 4 delegation (no restart support there).
+    /// fresh process into the crashed slot. Empty for legacy builds.
     pub controller_cfgs: Vec<ControllerConfig>,
-    /// Built by delegation to [`ConvergenceLab`]: the providers are the
-    /// lab's R2/R3 and originated [`sc_lab::topology::provider_feed`],
-    /// not [`feed_for`].
-    lab_delegate: bool,
 }
 
 /// Build the world for one (topology, mode) pair.
 pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
-    let mut scn = match topo {
-        // Fig. 4 with synthetic feeds keeps its bit-exact delegation to
-        // `ConvergenceLab`; an MRT-fed Fig. 4 goes through the generic
-        // builder (same blueprint, snapshot-derived tables).
-        TopologySpec::Fig4Lab if matches!(cfg.feed, FeedSource::Synthetic) => build_fig4(mode, cfg),
-        other => build_generic(other.blueprint(), mode, cfg),
-    };
+    let mut scn = wire(topo.blueprint(), mode, cfg);
     if !cfg.flow_cache {
         let routers: Vec<NodeId> = std::iter::once(scn.r1)
             .chain(scn.providers.iter().copied())
@@ -281,60 +273,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
         scn.world.set_link_params(l, *params);
     }
     scn
-}
-
-/// The Fig. 4 lab, by delegation to [`ConvergenceLab`] (backward
-/// compatibility: the paper reproduction keeps its exact wiring).
-fn build_fig4(mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
-    assert!(
-        mode != Mode::Supercharged || cfg.controllers >= 1,
-        "supercharged mode needs at least one controller"
-    );
-    let lab = ConvergenceLab::build(LabConfig {
-        mode,
-        prefixes: cfg.prefixes,
-        flows: cfg.flows,
-        seed: cfg.seed,
-        rate_pps: cfg.rate_pps,
-        cal: cfg.cal,
-        bfd: cfg.bfd,
-        bfd_interval: cfg.bfd_interval,
-        controllers: if mode == Mode::Supercharged {
-            cfg.controllers
-        } else {
-            1
-        },
-        reaction_delay: cfg.reaction_delay,
-        portstatus_failover: false,
-        control_loss: cfg.control_loss,
-        trace: cfg.trace,
-        scheduler: cfg.scheduler,
-    });
-    BuiltScenario {
-        cfg: cfg.clone(),
-        mode,
-        blueprint: TopologySpec::Fig4Lab.blueprint(),
-        switch: lab.switch,
-        r1: lab.r1,
-        providers: vec![lab.r2, lab.r3],
-        provider_ips: vec![IP_R2, IP_R3],
-        forwarders: Vec::new(),
-        controllers: lab.controllers,
-        controller_links: lab.controller_links,
-        source: lab.source,
-        sink: lab.sink,
-        provider_switch_links: vec![lab.r2_link, lab.r3_link],
-        provider_path_links: lab.sink_links.to_vec(),
-        forwarder_up_links: Vec::new(),
-        ring_closer_link: None,
-        flow_ips: lab.flow_ips,
-        universe: lab.universe,
-        primary: 0,
-        replay_peers: Vec::new(),
-        controller_cfgs: Vec::new(),
-        lab_delegate: true,
-        world: lab.world,
-    }
 }
 
 /// The prefix universe for a scenario, from whichever source the config
@@ -357,30 +295,30 @@ fn load_snapshot(replay: &MrtReplayFeed) -> sc_mrt::RibSnapshot {
 
 /// Provider `i`'s feed out of an MRT snapshot: recorded peer
 /// `i % peers` seeds it, with next-hops rewritten to the provider's LAN
-/// address (attribute-run sharing preserved, so NLRI packing matches a
-/// real speaker's).
-fn mrt_feed(snap: &sc_mrt::RibSnapshot, i: usize) -> Vec<UpdateMsg> {
+/// address `ip` (attribute-run sharing preserved, so NLRI packing
+/// matches a real speaker's).
+fn mrt_feed(snap: &sc_mrt::RibSnapshot, i: usize, ip: Ipv4Addr) -> Vec<UpdateMsg> {
     let peer_n = snap.peers.len().max(1);
     let routes = snap.routes_for_peer((i % peer_n) as u16);
-    let rewritten = sc_mrt::NextHopRewriter::new(provider_ip(i)).rewrite_routes(&routes);
+    let rewritten = sc_mrt::NextHopRewriter::new(ip).rewrite_routes(&routes);
     sc_mrt::pack_feed(&rewritten, 300)
 }
 
-/// The feed provider `provider` of a generically built scenario
-/// originates over `universe`: a pure function of the config (seed or
-/// archive bytes).
-fn feed_for(cfg: &ScenarioConfig, universe: &[Ipv4Prefix], provider: usize) -> Vec<UpdateMsg> {
+/// The feed provider `i` (`spec`) originates over `universe`: a pure
+/// function of the config (seed or archive bytes) and the provider's
+/// identity.
+fn feed_for(
+    cfg: &ScenarioConfig,
+    universe: &[Ipv4Prefix],
+    i: usize,
+    spec: &ProviderSpec,
+) -> Vec<UpdateMsg> {
     match &cfg.feed {
         FeedSource::Synthetic => generate_feed_for(
-            &FeedConfig::new(
-                cfg.prefixes,
-                cfg.seed,
-                provider_ip(provider),
-                provider_asn(provider),
-            ),
+            &FeedConfig::new(cfg.prefixes, cfg.seed, spec.ip, spec.asn),
             universe,
         ),
-        FeedSource::MrtReplay(replay) => mrt_feed(&load_snapshot(replay), provider),
+        FeedSource::MrtReplay(replay) => mrt_feed(&load_snapshot(replay), i, spec.ip),
     }
 }
 
@@ -392,11 +330,18 @@ pub fn provider_mac(i: usize) -> MacAddr {
     MacAddr([0x02, 0x40, 0, 0, 0, i as u8 + 1])
 }
 
-fn provider_asn(i: usize) -> u16 {
+pub(crate) fn provider_asn(i: usize) -> u16 {
     65100 + i as u16
 }
 
-fn edge_mac(k: usize, side: u8) -> MacAddr {
+/// Delivery edge `k`'s subnet: side 1 holds `.1`, a forwarder on side 2
+/// `.2`, the sink `.100`.
+pub(crate) fn edge_subnet(k: usize) -> Ipv4Prefix {
+    assert!(k < 200, "delivery fabric exceeds the addressing plan");
+    Ipv4Prefix::new(Ipv4Addr::new(10, 40 + k as u8, 0, 0), 24)
+}
+
+pub(crate) fn edge_mac(k: usize, side: u8) -> MacAddr {
     MacAddr([0x02, 0x60, 0, 0, k as u8, side])
 }
 
@@ -408,25 +353,7 @@ fn vnh_pool() -> Ipv4Prefix {
     "10.0.200.0/24".parse().unwrap()
 }
 
-/// One allocated delivery edge: `a`'s uplink interface plus the next
-/// hop it routes toward.
-struct EdgePlan {
-    subnet: Ipv4Prefix,
-    a_ip: Ipv4Addr,
-    b_ip: Ipv4Addr,
-}
-
-fn edge_plan(k: usize) -> EdgePlan {
-    assert!(k < 200, "delivery fabric exceeds the addressing plan");
-    let base = Ipv4Addr::new(10, 40 + k as u8, 0, 0);
-    EdgePlan {
-        subnet: Ipv4Prefix::new(base, 24),
-        a_ip: Ipv4Addr::new(10, 40 + k as u8, 0, 1),
-        b_ip: Ipv4Addr::new(10, 40 + k as u8, 0, 2),
-    }
-}
-
-fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
+fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
     let m = bp.providers.len();
     assert!((2..=16).contains(&m), "2..=16 providers supported, got {m}");
     assert!(
@@ -472,12 +399,15 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         router_id: Ipv4Addr::new(1, 1, 1, 1),
         cal: cfg.cal,
     }));
-    let providers: Vec<NodeId> = (0..m)
-        .map(|i| {
+    let providers: Vec<NodeId> = bp
+        .providers
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
             world.add_node(LegacyRouter::new(RouterConfig {
                 name: format!("provider-{i}"),
-                asn: provider_asn(i),
-                router_id: provider_ip(i),
+                asn: spec.asn,
+                router_id: spec.router_id,
                 cal: Calibration::instant(),
             }))
         })
@@ -531,89 +461,85 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         default_route: Option<Ipv4Addr>,
     }
     let mut setups: Vec<RouterSetup> = Vec::new();
-    let mut edge_count = 0usize;
 
-    // Wire `a`'s uplink to `b` (a forwarder or the sink); returns the
-    // link so scripts can target it.
+    // Wire `a`'s uplink over `subnet`, where `a` holds `.1` with `a_mac`,
+    // to a forwarder holding `.2` (`far`) or, when `far` is `None`, to
+    // the sink at `.100`; returns the link so scripts can target it.
     let wire_edge = |world: &mut World,
                      setups: &mut Vec<RouterSetup>,
-                     edge_count: &mut usize,
                      a: NodeId,
-                     b: Option<NodeId>, // None = sink
+                     (subnet, a_mac): (Ipv4Prefix, MacAddr),
+                     far: Option<(NodeId, MacAddr)>,
                      latency: SimDuration|
      -> LinkId {
-        let k = *edge_count;
-        *edge_count += 1;
-        let plan = edge_plan(k);
-        let peer = b.unwrap_or(sink);
-        let (link, pa, pb) = world.connect(a, peer, LinkParams::gigabit(latency));
-        match b {
-            Some(fwd) => {
-                setups.push(RouterSetup {
-                    node: a,
-                    iface: Interface {
-                        port: pa,
-                        ip: plan.a_ip,
-                        mac: edge_mac(k, 1),
-                        subnet: plan.subnet,
-                    },
-                    arp: (plan.b_ip, edge_mac(k, 2)),
-                    default_route: Some(plan.b_ip),
-                });
-                setups.push(RouterSetup {
-                    node: fwd,
-                    iface: Interface {
-                        port: pb,
-                        ip: plan.b_ip,
-                        mac: edge_mac(k, 2),
-                        subnet: plan.subnet,
-                    },
-                    arp: (plan.a_ip, edge_mac(k, 1)),
-                    default_route: None,
-                });
-            }
-            None => {
-                let sink_ip = Ipv4Addr::new(10, 40 + k as u8, 0, 100);
-                setups.push(RouterSetup {
-                    node: a,
-                    iface: Interface {
-                        port: pa,
-                        ip: plan.a_ip,
-                        mac: edge_mac(k, 1),
-                        subnet: plan.subnet,
-                    },
-                    arp: (sink_ip, MAC_SINK),
-                    default_route: Some(sink_ip),
-                });
-            }
+        let host = |n: u32| Ipv4Addr::from(subnet.raw_bits() + n);
+        let (far_node, far_ip, far_mac) = match far {
+            Some((fwd, mac)) => (fwd, host(2), mac),
+            None => (sink, host(100), MAC_SINK),
+        };
+        let (link, pa, pb) = world.connect(a, far_node, LinkParams::gigabit(latency));
+        setups.push(RouterSetup {
+            node: a,
+            iface: Interface {
+                port: pa,
+                ip: host(1),
+                mac: a_mac,
+                subnet,
+            },
+            arp: (far_ip, far_mac),
+            default_route: Some(far_ip),
+        });
+        if far.is_some() {
+            setups.push(RouterSetup {
+                node: far_node,
+                iface: Interface {
+                    port: pb,
+                    ip: far_ip,
+                    mac: far_mac,
+                    subnet,
+                },
+                arp: (host(1), a_mac),
+                default_route: None,
+            });
         }
         link
     };
+    // Edge `k` of the generic plan, from side 1 toward forwarder `far`
+    // (side 2) or the sink.
+    let plan_edge = |k: usize, far: Option<NodeId>| {
+        let near = (edge_subnet(k), edge_mac(k, 1));
+        (near, far.map(|f| (f, edge_mac(k, 2))))
+    };
 
-    // Forwarder uplinks first (a forwarder's uplink is its PortId(0)).
+    // Forwarder uplinks first (a forwarder's uplink is its PortId(0)):
+    // edges 0..F.
     let mut forwarder_up_links = Vec::new();
     for (j, f) in bp.forwarders.iter().enumerate() {
-        let next = f.next.map(|n| forwarders[n]);
+        let (near, far) = plan_edge(j, f.next.map(|n| forwarders[n]));
         forwarder_up_links.push(wire_edge(
             &mut world,
             &mut setups,
-            &mut edge_count,
             forwarders[j],
-            next,
+            near,
+            far,
             f.latency,
         ));
     }
-    // Provider delivery edges.
+    // Provider delivery edges: edge F+i into the fabric, or the
+    // blueprint's own sink edge.
     let mut provider_path_links = Vec::new();
     for (i, spec) in bp.providers.iter().enumerate() {
-        let entry = spec.entry.map(|e| forwarders[e]);
+        let (near, far) = match spec.delivery {
+            Delivery::Forwarder(e) => plan_edge(bp.forwarders.len() + i, Some(forwarders[e])),
+            Delivery::Sink { subnet, mac } => ((subnet, mac), None),
+        };
         provider_path_links.push(wire_edge(
             &mut world,
             &mut setups,
-            &mut edge_count,
             providers[i],
-            entry,
-            SimDuration::from_micros(50),
+            near,
+            far,
+            spec.edge_latency,
         ));
     }
     // The routeless ring-closing arc.
@@ -651,13 +577,16 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
     });
 
     // --- controllers (supercharged only) ---
-    let peer_specs: Vec<PeerSpec> = (0..m)
-        .map(|i| PeerSpec {
-            id: provider_ip(i),
-            mac: provider_mac(i),
-            switch_port: sw_port_p[i].0 as u16,
-            local_pref: bp.providers[i].local_pref,
-            router_id: provider_ip(i),
+    let peer_specs: Vec<PeerSpec> = bp
+        .providers
+        .iter()
+        .zip(&sw_port_p)
+        .map(|(spec, port)| PeerSpec {
+            id: spec.ip,
+            mac: spec.mac,
+            switch_port: port.0 as u16,
+            local_pref: spec.local_pref,
+            router_id: spec.router_id,
         })
         .collect();
     let controllers_n = if mode == Mode::Supercharged {
@@ -709,7 +638,7 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
             },
             reaction_delay: cfg.reaction_delay,
             rule_grace: SimDuration::from_secs(600),
-            portstatus_failover: false,
+            portstatus_failover: cfg.portstatus_failover,
         };
         controller_cfgs.push(ctrl_cfg.clone());
         let ctrl = world.add_node(Controller::new(ctrl_cfg, PortId(0)));
@@ -771,7 +700,7 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
                             required_min_rx: cfg.bfd_interval,
                             detect_mult: 3,
                         }),
-                        ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
+                        ..PeerConfig::ebgp(spec.ip, spec.mac, true)
                     });
                 }
             }
@@ -813,7 +742,7 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
                                 required_min_rx: cfg.bfd_interval,
                                 detect_mult: 2,
                             }),
-                            ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
+                            ..PeerConfig::ebgp(spec.ip, spec.mac, true)
                         });
                     }
                 }
@@ -822,12 +751,12 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
     }
 
     // --- providers: LAN interface, feed, BGP sessions ---
-    for (i, &provider) in providers.iter().enumerate() {
+    for (i, (&provider, spec)) in providers.iter().zip(&bp.providers).enumerate() {
         let rn = world.node_mut::<LegacyRouter>(provider);
         rn.add_interface(Interface {
             port: PortId(0),
-            ip: provider_ip(i),
-            mac: provider_mac(i),
+            ip: spec.ip,
+            mac: spec.mac,
             subnet: lan(),
         });
         let bfd_for = |ci: usize| {
@@ -878,8 +807,8 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         // takes it, so no copy outlives the build.
         let mut feed = match &snapshot {
             // The archive is decoded already: no reload per provider.
-            Some(snap) => mrt_feed(snap, i),
-            None => feed_for(cfg, &universe, i),
+            Some(snap) => mrt_feed(snap, i, spec.ip),
+            None => feed_for(cfg, &universe, i, spec),
         };
         let last = peers.len() - 1;
         for (k, mut peer) in peers.into_iter().enumerate() {
@@ -905,6 +834,7 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         }
     }
 
+    let provider_ips = bp.providers.iter().map(|p| p.ip).collect();
     BuiltScenario {
         world,
         cfg: cfg.clone(),
@@ -913,7 +843,7 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         switch,
         r1,
         providers,
-        provider_ips: (0..m).map(provider_ip).collect(),
+        provider_ips,
         forwarders,
         controllers,
         controller_links,
@@ -928,7 +858,6 @@ fn build_generic(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenar
         primary,
         replay_peers,
         controller_cfgs,
-        lab_delegate: false,
     }
 }
 
@@ -938,11 +867,7 @@ impl BuiltScenario {
     /// pure function of the config, so whoever needs one again — a churn
     /// burst's re-announcement — regenerates the same updates here.
     pub fn provider_feed(&self, i: usize) -> Vec<UpdateMsg> {
-        if self.lab_delegate {
-            sc_lab::topology::provider_feed(self.cfg.prefixes, self.cfg.seed, &self.universe, i)
-        } else {
-            feed_for(&self.cfg, &self.universe, i)
-        }
+        feed_for(&self.cfg, &self.universe, i, &self.blueprint.providers[i])
     }
 
     /// The primary provider's LAN address.
@@ -953,8 +878,7 @@ impl BuiltScenario {
     /// Run until R1's control plane has fully converged (all feed
     /// prefixes installed, walker quiescent, BFD fast). Returns the
     /// instant of quiescence; panics if convergence takes implausibly
-    /// long. Mirrors `ConvergenceLab::run_until_converged`, generalized
-    /// to M providers.
+    /// long.
     pub fn run_until_converged(&mut self) -> SimTime {
         let budget = SimDuration::from_secs(60)
             + self.cfg.cal.fib_entry_update * (self.cfg.prefixes as u64 * 3);

@@ -3,8 +3,8 @@
 //! A script is a schedule of [`ScenarioEvent`]s at offsets relative to
 //! the script origin `t0` (the instant the measurement window opens).
 //! [`EventScript::apply`] compiles the schedule down to
-//! [`sc_sim::World`] failure injections — this replaces the single
-//! "cut R2 at `t_fail`" baked into `run_convergence_trial`.
+//! [`sc_sim::World`] failure injections; the paper's experiment, "cut
+//! R2 at `t_fail`", is [`EventScript::primary_cut`].
 //!
 //! Scripts serialize to a line-oriented text form (`Display` /
 //! `FromStr`) so suites can be described in files and reports can
@@ -265,7 +265,7 @@ pub enum ScenarioEvent {
     /// Chaos: boot a fresh controller process into crashed slot
     /// `replica` (links return, handshakes and engine resync rerun —
     /// the reconciliation path). No-op if the slot is still alive or
-    /// the build keeps no restart factory (legacy, Fig. 4 delegation).
+    /// the build has no such replica (legacy).
     RestartController {
         replica: usize,
         at: SimDuration,
@@ -997,8 +997,8 @@ impl EventScript {
                     }
                 }
                 ScenarioEvent::RestartController { replica, at } => {
-                    // Needs both a replica slot and a restart factory;
-                    // no-op otherwise (legacy, Fig. 4 delegation).
+                    // Needs a replica slot and its restart factory;
+                    // no-op otherwise (legacy).
                     if let (Some(&n), Some(cfg)) = (
                         scn.controllers.get(replica),
                         scn.controller_cfgs.get(replica).cloned(),
@@ -1120,7 +1120,7 @@ pub(crate) fn resolve_pair_links(
         }
         (Provider(sel), Forwarder(j)) | (Forwarder(j), Provider(sel)) => {
             let i = resolve_provider(scn, sel)?;
-            if scn.blueprint.providers[i].entry == Some(j) {
+            if scn.blueprint.providers[i].entry() == Some(j) {
                 Ok(vec![scn.provider_path_links[i]])
             } else {
                 Err(format!("provider {i} has no link to forwarder {j}"))

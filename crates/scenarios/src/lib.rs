@@ -4,19 +4,19 @@
 //! topology (Fig. 4). This crate turns that single reproduction into a
 //! general convergence-evaluation platform, in three layers:
 //!
-//! * [`topo`] — parametric **topology generators**: the Fig. 4 lab
-//!   (delegating to [`sc_lab::topology::ConvergenceLab`]), linear
-//!   chains, rings, k-ary fat-tree/Clos pods, IXP-style hub fan-outs
-//!   (the paper's §5 "boosting an IXP" case), and seeded random
-//!   graphs. Every generator elaborates to a [`topo::Blueprint`] that
+//! * [`topo`] — parametric **topology generators**: the Fig. 4 lab,
+//!   linear chains, rings, k-ary fat-tree/Clos pods, IXP-style hub
+//!   fan-outs (the paper's §5 "boosting an IXP" case), and seeded
+//!   random graphs. Every generator elaborates to a [`topo::Blueprint`]
+//!   (each provider's identity and links as data) that the one
 //!   [`builder`] wires into a deterministic [`sc_sim::World`] with real
 //!   BGP provider routers, a static-route delivery fabric, and — in
 //!   supercharged mode — the controller(s).
 //! * [`events`] — typed, text-serializable **event scripts** (link cut,
 //!   link flap, node crash, session reset, withdraw/churn bursts,
 //!   staggered multi-failure) compiled down to `World` failure
-//!   injections; this replaces the single "cut R2 at `t_fail`" baked
-//!   into `run_convergence_trial`.
+//!   injections; the paper's own experiment is
+//!   [`EventScript::primary_cut`].
 //! * [`runner`] — the **suite runner**: a matrix of (topology × script
 //!   × mode ∈ {legacy, supercharged}) trials, per-flow gap measurement
 //!   through the `sc-traffic` sink, box statistics per scenario, and
@@ -53,8 +53,8 @@ pub use events::{EventScript, LinkRef, NodeRef, ProviderSel, ScenarioEvent};
 pub use phases::{reconstruct_cycle, CyclePhases};
 pub use runner::{
     expected_budget, mode_label, parse_completed_cells, run_scenario, run_scenario_traced,
-    run_suite, run_suite_resume, run_suite_with, CompletedCell, CycleOutcome, ScenarioOutcome,
-    SuiteConfig, SuiteReport, TraceArtifacts, TrialError, TrialResult,
+    run_suite, run_suite_resume, run_suite_with, run_trials, CompletedCell, CycleOutcome,
+    ScenarioOutcome, SuiteConfig, SuiteReport, TraceArtifacts, Trial, TrialError, TrialResult,
 };
 pub use sc_invariant::{InvariantReport, ViolationClass, WindowViolations};
 pub use sc_lab::Mode;

@@ -2,13 +2,13 @@
 //! (topology × event script × mode) trials and report per-scenario
 //! convergence distributions.
 //!
-//! Each trial reuses the shared phase machinery from
-//! [`sc_lab::harness`]: converge the control plane, stream probes, open
-//! the measurement window, fire the script, harvest per-flow maximum
-//! gaps through the `sc-traffic` sink. Trials run on parallel threads
-//! (each owns its world); results are deterministic because every
-//! world is a pure function of its seed and the report rows are placed
-//! by matrix index, not completion order.
+//! Each trial drives the phase machinery of [`sc_lab::harness`]:
+//! converge the control plane, stream probes, open the measurement
+//! window, fire the script, harvest per-flow maximum gaps through the
+//! `sc-traffic` sink. Trials run on a worker pool ([`run_trials`]; each
+//! owns its world); results are deterministic because every world is a
+//! pure function of its seed and results are placed by trial index,
+//! not completion order.
 
 use crate::builder::{build_scenario, BuiltScenario, FeedSource, ScenarioConfig};
 use crate::events::{resolve_provider, schedule_injection, EventScript, ScenarioEvent};
@@ -40,9 +40,7 @@ pub fn mode_label(mode: Mode) -> &'static str {
 }
 
 /// The expected convergence budget for one scenario (sizes measurement
-/// windows and probe rates). Same source of truth as
-/// `sc_lab::expected_convergence` — the Fig. 4 delegation test pins
-/// them to identical results.
+/// windows and probe rates), from `sc_lab::harness::convergence_budget`.
 pub fn expected_budget(mode: Mode, cfg: &ScenarioConfig) -> SimDuration {
     sc_lab::harness::convergence_budget(mode, &cfg.cal, cfg.prefixes, cfg.control_loss)
 }
@@ -605,55 +603,89 @@ fn run_suite_filtered(
     include: impl Fn(&TopologySpec, &EventScript, Mode) -> bool,
     on_trial: impl Fn(usize, &TrialResult) + Sync,
 ) -> SuiteReport {
-    let mut jobs = Vec::new();
+    let mut trials = Vec::new();
     for topo in &suite.topologies {
         for script in &suite.scripts {
             for &mode in &suite.modes {
                 if include(topo, script, mode) {
-                    jobs.push((topo.clone(), script.clone(), mode));
+                    trials.push(Trial {
+                        topology: topo.clone(),
+                        script: script.clone(),
+                        mode,
+                        cfg: suite.base.clone(),
+                    });
                 }
             }
         }
     }
+    let mut rows = Vec::new();
+    let mut errors = Vec::new();
+    for result in run_trials(&trials, suite.workers, on_trial) {
+        match result {
+            TrialResult::Ok(outcome) => rows.push(outcome),
+            TrialResult::Err(e) => errors.push(e),
+        }
+    }
+    SuiteReport { rows, errors }
+}
+
+/// One trial: a (topology, script, mode) cell and the config it runs
+/// under.
+#[derive(Clone, Debug)]
+pub struct Trial {
+    pub topology: TopologySpec,
+    pub script: EventScript,
+    pub mode: Mode,
+    pub cfg: ScenarioConfig,
+}
+
+/// Run `trials` on a bounded worker pool and return their results in
+/// input order — the engine under [`run_suite`], open to sweeps whose
+/// cells differ in more than (topology, script, mode), e.g. prefix
+/// count and seed. `workers` is as in [`SuiteConfig::workers`];
+/// `on_trial` and panic handling are as in [`run_suite_with`].
+pub fn run_trials(
+    trials: &[Trial],
+    workers: Option<usize>,
+    on_trial: impl Fn(usize, &TrialResult) + Sync,
+) -> Vec<TrialResult> {
     // A bounded worker pool: each trial owns a full simulation world,
-    // so running the whole matrix at once would hold every RIB/feed in
-    // memory simultaneously. Workers pull the next job index from a
-    // shared cursor; rows land in their matrix slot, so the report is
+    // so running every trial at once would hold every RIB/feed in
+    // memory simultaneously. Workers pull the next trial index from a
+    // shared cursor; results land in their slot, so the output is
     // identical regardless of scheduling. The pool never exceeds the
     // machine's parallelism, even when `--workers` asks for more.
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let workers = suite
-        .workers
+    let workers = workers
         .unwrap_or(avail)
         .min(avail)
         .max(1)
-        .min(jobs.len().max(1));
+        .min(trials.len().max(1));
     let slots: Vec<std::sync::Mutex<Option<TrialResult>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
+        trials.iter().map(|_| std::sync::Mutex::new(None)).collect();
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let on_trial = &on_trial;
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let (jobs, slots, cursor) = (&jobs, &slots, &cursor);
-            let base = suite.base.clone();
+            let (slots, cursor) = (&slots, &cursor);
             scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((topo, script, mode)) = jobs.get(i) else {
+                let Some(t) = trials.get(i) else {
                     return;
                 };
                 let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_scenario(topo, script, *mode, &base)
+                    run_scenario(&t.topology, &t.script, t.mode, &t.cfg)
                 })) {
                     Ok(outcome) => TrialResult::Ok(outcome),
                     Err(payload) => TrialResult::Err(TrialError {
-                        topology: topo.label(),
-                        script: script.name.clone(),
-                        mode: *mode,
-                        prefixes: base.prefixes,
-                        seed: base.seed,
-                        flows: base.flows,
+                        topology: t.topology.label(),
+                        script: t.script.name.clone(),
+                        mode: t.mode,
+                        prefixes: t.cfg.prefixes,
+                        seed: t.cfg.seed,
+                        flows: t.cfg.flows,
                         error: panic_message(payload.as_ref()),
                     }),
                 };
@@ -662,19 +694,14 @@ fn run_suite_filtered(
             });
         }
     });
-    let mut rows = Vec::new();
-    let mut errors = Vec::new();
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap()
-            .expect("worker filled every slot")
-        {
-            TrialResult::Ok(outcome) => rows.push(outcome),
-            TrialResult::Err(e) => errors.push(e),
-        }
-    }
-    SuiteReport { rows, errors }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap()
+                .expect("worker filled every slot")
+        })
+        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -14,19 +14,22 @@
 //! (plain IP routers with static routes, `Calibration::instant`, no
 //! BGP). Chains, rings, fat-tree pods and random graphs differ only in
 //! the forwarder graph; the Fig. 4 lab is the degenerate two-provider,
-//! zero-forwarder case and keeps delegating to
-//! [`sc_lab::topology::ConvergenceLab`] so the paper reproduction stays
-//! bit-for-bit what it was.
+//! zero-forwarder case, numbered with the lab's own addresses
+//! ([`sc_lab::topology`]). A blueprint carries every provider's
+//! identity and links, so [`crate::builder`] wires all of them the
+//! same way.
 
+use crate::builder::{edge_mac, edge_subnet, provider_asn, provider_ip, provider_mac};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sc_net::SimDuration;
+use sc_lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
+use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration};
 
 /// A parametric topology family.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TopologySpec {
-    /// The paper's Fig. 4 hardware lab, built by
-    /// [`sc_lab::topology::ConvergenceLab`] (R1 + two providers).
+    /// The paper's Fig. 4 hardware lab: R1 + two providers (R2 at
+    /// preference 200, R3 at 100), each wired straight to the sink.
     Fig4Lab,
     /// `providers` parallel chains of `hops` forwarders each: provider
     /// i delivers through its own chain. Models long transit paths.
@@ -65,12 +68,33 @@ impl TopologySpec {
     /// backup).
     pub fn blueprint(&self) -> Blueprint {
         match *self {
-            TopologySpec::Fig4Lab => Blueprint {
-                label: self.label(),
-                providers: vec![ProviderSpec::new(200, None), ProviderSpec::new(100, None)],
-                forwarders: Vec::new(),
-                ring_closer: None,
-            },
+            TopologySpec::Fig4Lab => {
+                // The lab's table: R2/R3 with their own AS numbers and
+                // router ids, each delivering to the sink over its own
+                // 192.168.x.0/24 at LAN latency.
+                let lab = |ip, mac, asn, id: u8, local_pref| ProviderSpec {
+                    ip,
+                    mac,
+                    asn,
+                    router_id: Ipv4Addr::new(id, id, id, id),
+                    local_pref,
+                    lan_latency: SimDuration::from_micros(10),
+                    delivery: Delivery::Sink {
+                        subnet: Ipv4Prefix::new(Ipv4Addr::new(192, 168, id, 0), 24),
+                        mac: MacAddr([0x02, 0x20, 0, 0, 0, id]),
+                    },
+                    edge_latency: SimDuration::from_micros(10),
+                };
+                Blueprint {
+                    label: self.label(),
+                    providers: vec![
+                        lab(IP_R2, MAC_R2, 65002, 2, 200),
+                        lab(IP_R3, MAC_R3, 65003, 3, 100),
+                    ],
+                    forwarders: Vec::new(),
+                    ring_closer: None,
+                }
+            }
             TopologySpec::Chain { providers, hops } => {
                 assert!(providers >= 2, "need a primary and a backup");
                 let mut forwarders = Vec::new();
@@ -88,9 +112,11 @@ impl TopologySpec {
                             latency: SimDuration::from_micros(50),
                         });
                     }
-                    specs.push(ProviderSpec::new(
+                    specs.push(ProviderSpec::generic(
+                        i,
                         200 - (i as u32) * 10,
                         if hops > 0 { Some(base) } else { None },
+                        providers * hops,
                     ));
                 }
                 Blueprint {
@@ -114,7 +140,7 @@ impl TopologySpec {
                     .map(|i| {
                         // Spread entry points around the ring.
                         let entry = (i * ring) / providers;
-                        ProviderSpec::new(200 - (i as u32) * 10, Some(entry))
+                        ProviderSpec::generic(i, 200 - (i as u32) * 10, Some(entry), ring)
                     })
                     .collect();
                 Blueprint {
@@ -139,7 +165,10 @@ impl TopologySpec {
                     });
                 }
                 let specs = (0..k)
-                    .map(|i| ProviderSpec::new(200 - (i as u32) * 10, Some(1 + i % (k / 2))))
+                    .map(|i| {
+                        let entry = Some(1 + i % (k / 2));
+                        ProviderSpec::generic(i, 200 - (i as u32) * 10, entry, forwarders.len())
+                    })
                     .collect();
                 Blueprint {
                     label: self.label(),
@@ -153,7 +182,7 @@ impl TopologySpec {
                 Blueprint {
                     label: self.label(),
                     providers: (0..peers)
-                        .map(|i| ProviderSpec::new(200 - (i as u32) * 10, None))
+                        .map(|i| ProviderSpec::generic(i, 200 - (i as u32) * 10, None, 0))
                         .collect(),
                     forwarders: Vec::new(),
                     ring_closer: None,
@@ -163,7 +192,9 @@ impl TopologySpec {
                 let mut rng = SmallRng::seed_from_u64(seed ^ 0x70b0_70b0);
                 let providers = rng.gen_range(2..=6usize);
                 let mut forwarders = Vec::new();
-                let mut specs = Vec::new();
+                // (preference, entry, LAN latency) per provider; numbered
+                // once the fabric's size is known.
+                let mut attach = Vec::new();
                 // Random preference permutation (Fisher-Yates).
                 let mut prefs: Vec<u32> = (0..providers).map(|i| 200 - (i as u32) * 10).collect();
                 for i in (1..prefs.len()).rev() {
@@ -183,11 +214,17 @@ impl TopologySpec {
                             latency: SimDuration::from_micros(rng.gen_range(10..500u64)),
                         });
                     }
-                    let mut spec =
-                        ProviderSpec::new(pref, if hops > 0 { Some(base) } else { None });
-                    spec.lan_latency = SimDuration::from_micros(rng.gen_range(5..100u64));
-                    specs.push(spec);
+                    let entry = if hops > 0 { Some(base) } else { None };
+                    attach.push((pref, entry, rng.gen_range(5..100u64)));
                 }
+                let specs = attach
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (pref, entry, lan_us))| ProviderSpec {
+                        lan_latency: SimDuration::from_micros(lan_us),
+                        ..ProviderSpec::generic(i, pref, entry, forwarders.len())
+                    })
+                    .collect();
                 Blueprint {
                     label: self.label(),
                     providers: specs,
@@ -199,25 +236,69 @@ impl TopologySpec {
     }
 }
 
-/// One provider router around the switch.
+/// One provider router around the switch: its identity, its import
+/// preference and its two links.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProviderSpec {
+    /// LAN address: BGP next hop, session address and controller peer id.
+    pub ip: Ipv4Addr,
+    pub mac: MacAddr,
+    pub asn: u16,
+    pub router_id: Ipv4Addr,
     /// Import preference R1/the controller assigns to this provider's
     /// routes. The highest value is the primary.
     pub local_pref: u32,
-    /// Index into [`Blueprint::forwarders`] where this provider's
-    /// delivery path enters; `None` attaches the sink directly.
-    pub entry: Option<usize>,
     /// Latency of the provider's link to the switch.
     pub lan_latency: SimDuration,
+    /// Where the provider's delivery edge leads.
+    pub delivery: Delivery,
+    /// Latency of the delivery edge.
+    pub edge_latency: SimDuration,
+}
+
+/// The far end of a provider's delivery edge.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Delivery {
+    /// The forwarder fabric, entering at this index into
+    /// [`Blueprint::forwarders`].
+    Forwarder(usize),
+    /// The sink itself, over its own subnet: the provider holds `.1`
+    /// with `mac`, the sink `.100`.
+    Sink { subnet: Ipv4Prefix, mac: MacAddr },
 }
 
 impl ProviderSpec {
-    pub fn new(local_pref: u32, entry: Option<usize>) -> ProviderSpec {
+    /// Provider `i` on the generic addressing plan (see
+    /// [`crate::builder`]): `10.0.0.(30+i)`, AS `65100+i`, router id =
+    /// IP, and a 50 µs delivery edge into forwarder `entry` or, when
+    /// `None`, to the sink over edge `fabric + i` (`fabric` = the
+    /// blueprint's forwarder count; forwarder uplinks take the edges
+    /// below it).
+    fn generic(i: usize, local_pref: u32, entry: Option<usize>, fabric: usize) -> ProviderSpec {
+        let k = fabric + i;
         ProviderSpec {
+            ip: provider_ip(i),
+            mac: provider_mac(i),
+            asn: provider_asn(i),
+            router_id: provider_ip(i),
             local_pref,
-            entry,
             lan_latency: SimDuration::from_micros(10),
+            delivery: match entry {
+                Some(e) => Delivery::Forwarder(e),
+                None => Delivery::Sink {
+                    subnet: edge_subnet(k),
+                    mac: edge_mac(k, 1),
+                },
+            },
+            edge_latency: SimDuration::from_micros(50),
+        }
+    }
+
+    /// The forwarder this provider's delivery path enters, if any.
+    pub fn entry(&self) -> Option<usize> {
+        match self.delivery {
+            Delivery::Forwarder(e) => Some(e),
+            Delivery::Sink { .. } => None,
         }
     }
 }
@@ -294,7 +375,7 @@ mod tests {
         assert_eq!(bp.providers.len(), 3);
         assert_eq!(bp.forwarders.len(), 6);
         // Each provider enters its own chain head.
-        let entries: Vec<usize> = bp.providers.iter().map(|p| p.entry.unwrap()).collect();
+        let entries: Vec<usize> = bp.providers.iter().map(|p| p.entry().unwrap()).collect();
         assert_eq!(entries, vec![0, 2, 4]);
         // Chains terminate at the sink.
         assert_eq!(bp.forwarders[1].next, None);
@@ -311,8 +392,8 @@ mod tests {
         assert_eq!(bp.forwarders[0].next, None);
         assert_eq!(bp.forwarders[3].next, Some(2));
         assert_eq!(bp.ring_closer, Some((3, 0)));
-        assert_eq!(bp.providers[0].entry, Some(0));
-        assert_eq!(bp.providers[1].entry, Some(2));
+        assert_eq!(bp.providers[0].entry(), Some(0));
+        assert_eq!(bp.providers[1].entry(), Some(2));
     }
 
     #[test]
@@ -320,7 +401,7 @@ mod tests {
         let bp = TopologySpec::FatTreePod { k: 4 }.blueprint();
         assert_eq!(bp.providers.len(), 4);
         assert_eq!(bp.forwarders.len(), 3); // edge + 2 agg
-        let entries: Vec<usize> = bp.providers.iter().map(|p| p.entry.unwrap()).collect();
+        let entries: Vec<usize> = bp.providers.iter().map(|p| p.entry().unwrap()).collect();
         assert_eq!(entries, vec![1, 2, 1, 2]);
     }
 

@@ -1,24 +1,37 @@
-//! Full-stack lab tests: both halves of Fig. 5 at reduced scale, the
-//! controller-replication story, and the headline claim — the
-//! supercharged router converges in ~150 ms regardless of table size
-//! while the stock router's convergence grows linearly.
+//! Full-stack tests on the paper's Fig. 4 lab: both halves of Fig. 5 at
+//! reduced scale, the controller-replication story, and the headline
+//! claim — the supercharged router converges in ~150 ms regardless of
+//! table size while the stock router's convergence grows linearly.
 
-use sc_lab::{run_convergence_trial, LabConfig, Mode};
+use sc_lab::Mode;
 use sc_net::SimDuration;
+use sc_scenarios::{
+    build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
+};
+use sc_sim::PortId;
 
-fn base(mode: Mode, prefixes: u32) -> LabConfig {
-    LabConfig {
-        mode,
+fn base(prefixes: u32) -> ScenarioConfig {
+    ScenarioConfig {
         prefixes,
         flows: 30,
         seed: 7,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     }
+}
+
+/// The paper's experiment: pull R2's cable, measure per-flow gaps.
+fn trial(mode: Mode, cfg: &ScenarioConfig) -> ScenarioOutcome {
+    run_scenario(
+        &TopologySpec::Fig4Lab,
+        &EventScript::primary_cut(),
+        mode,
+        cfg,
+    )
 }
 
 #[test]
 fn supercharged_converges_within_150ms_regardless_of_position() {
-    let r = run_convergence_trial(base(Mode::Supercharged, 1_000));
+    let r = trial(Mode::Supercharged, &base(1_000));
     assert_eq!(r.unrecovered, 0, "all flows recovered");
     assert_eq!(r.flow_rewrites, Some(1), "one backup-group, one rewrite");
     let stats = r.stats();
@@ -51,7 +64,7 @@ fn supercharged_converges_within_150ms_regardless_of_position() {
 
 #[test]
 fn stock_converges_linearly_with_table_size() {
-    let r = run_convergence_trial(base(Mode::Stock, 1_000));
+    let r = trial(Mode::Stock, &base(1_000));
     assert_eq!(r.unrecovered, 0);
     let stats = r.stats();
     let expected_max = sc_router::Calibration::nexus7k().expected_full_walk(1_000);
@@ -81,12 +94,12 @@ fn supercharging_wins_by_a_growing_factor() {
     // recovery stays ~0.11s: the gap grows with the table, which is the
     // paper's core claim (×900 at 500k — checked at full scale by the
     // fig5 bench, not in unit tests).
-    let stock = run_convergence_trial(base(Mode::Stock, 2_000));
-    let sup = run_convergence_trial(base(Mode::Supercharged, 2_000));
+    let stock = trial(Mode::Stock, &base(2_000));
+    let sup = trial(Mode::Supercharged, &base(2_000));
     let ratio = stock.stats().max.as_secs_f64() / sup.stats().max.as_secs_f64();
     assert!(ratio > 4.0, "speedup only {ratio:.1}x");
     // And supercharged does not depend on the table size.
-    let sup_small = run_convergence_trial(base(Mode::Supercharged, 200));
+    let sup_small = trial(Mode::Supercharged, &base(200));
     let d = (sup.stats().max.as_secs_f64() - sup_small.stats().max.as_secs_f64()).abs();
     assert!(
         d < 0.05,
@@ -96,12 +109,12 @@ fn supercharging_wins_by_a_growing_factor() {
 
 #[test]
 fn replicated_controllers_survive_primary_loss() {
-    let cfg = LabConfig {
+    let cfg = ScenarioConfig {
         controllers: 2,
-        ..base(Mode::Supercharged, 500)
+        ..base(500)
     };
     // Build manually so we can kill the primary before the failure.
-    let mut lab = sc_lab::ConvergenceLab::build(cfg.clone());
+    let mut lab = build_scenario(&TopologySpec::Fig4Lab, Mode::Supercharged, &cfg);
     lab.run_until_converged();
 
     // Kill the primary controller, then R2, and verify the backup does
@@ -110,7 +123,7 @@ fn replicated_controllers_survive_primary_loss() {
     let t0 = lab.world.now();
     let kill_at = t0 + SimDuration::from_millis(500);
     lab.world.schedule(kill_at, move |w| w.crash_node(primary));
-    let link = lab.r2_link;
+    let link = lab.provider_switch_links[lab.primary];
     let fail_at = kill_at + SimDuration::from_secs(2);
     lab.world
         .schedule(fail_at, move |w| w.set_link_up(link, false));
@@ -137,7 +150,13 @@ fn replicated_controllers_survive_primary_loss() {
         failover.0 - fail_at
     );
     assert_eq!(failover.1, 1);
-    // The switch now steers the VMAC to R3.
+    // The switch now steers the VMAC to R3: R3's LAN link is its
+    // PortId(0), and its far end is the switch port to steer to.
+    let r3_port = lab
+        .world
+        .peer_of(lab.providers[1], PortId(0))
+        .expect("R3 is wired to the switch")
+        .port;
     let sw = lab.world.node::<sc_openflow::OfSwitch>(lab.switch);
     let vmac_rules: Vec<_> = sw
         .table()
@@ -154,7 +173,7 @@ fn replicated_controllers_survive_primary_loss() {
     for rule in vmac_rules {
         assert!(
             rule.actions
-                .contains(&sc_openflow::Action::Output(lab.sw_port_r3.0 as u16)),
+                .contains(&sc_openflow::Action::Output(r3_port.0 as u16)),
             "rule still points at the dead provider: {rule}"
         );
     }
@@ -162,7 +181,7 @@ fn replicated_controllers_survive_primary_loss() {
 
 #[test]
 fn trial_metadata_is_sound() {
-    let r = run_convergence_trial(base(Mode::Supercharged, 300));
+    let r = trial(Mode::Supercharged, &base(300));
     assert_eq!(r.prefixes, 300);
     assert_eq!(r.per_flow.len(), 30);
     assert!(r.rate_pps >= 1_000 && r.rate_pps <= 14_000);
@@ -175,18 +194,18 @@ fn carrier_detection_beats_bfd() {
     // Ablation beyond the paper: with PORT_STATUS failover the detection
     // term (~90ms of BFD) collapses to the wire+control-channel latency,
     // pushing total convergence well under 50ms.
-    let cfg = LabConfig {
+    let cfg = ScenarioConfig {
         portstatus_failover: true,
-        ..base(Mode::Supercharged, 500)
+        ..base(500)
     };
-    let r = run_convergence_trial(cfg);
+    let r = trial(Mode::Supercharged, &cfg);
     assert_eq!(r.unrecovered, 0);
     let with_carrier = r.stats().max;
     assert!(
         with_carrier <= SimDuration::from_millis(50),
         "carrier-based failover took {with_carrier}"
     );
-    let bfd_only = run_convergence_trial(base(Mode::Supercharged, 500));
+    let bfd_only = trial(Mode::Supercharged, &base(500));
     assert!(
         with_carrier < bfd_only.stats().max,
         "carrier detection must beat BFD ({} vs {})",
@@ -201,11 +220,11 @@ fn lossy_control_plane_is_repaired_by_the_channel() {
     // OpenFlow rides the reliable channel, so the FLOW_MODs still land;
     // convergence may pay retransmission rounds (RTO 200ms) but every
     // flow must recover.
-    let cfg = LabConfig {
+    let cfg = ScenarioConfig {
         control_loss: 0.10,
-        ..base(Mode::Supercharged, 500)
+        ..base(500)
     };
-    let r = run_convergence_trial(cfg);
+    let r = trial(Mode::Supercharged, &cfg);
     assert_eq!(r.unrecovered, 0, "all flows recovered despite control loss");
     let max = r.stats().max;
     assert!(

@@ -12,14 +12,15 @@
 //! cargo run --release --example multihoming
 //! ```
 
-use supercharged_router::lab::topology::{self, ConvergenceLab, IP_R2, IP_R3};
-use supercharged_router::lab::{LabConfig, Mode};
+use supercharged_router::lab::topology::{IP_R2, IP_R3};
+use supercharged_router::lab::Mode;
 use supercharged_router::net::SimDuration;
 use supercharged_router::openflow::OfSwitch;
 use supercharged_router::router::LegacyRouter;
+use supercharged_router::scenarios::{build_scenario, BuiltScenario, ScenarioConfig, TopologySpec};
 use supercharged_router::supercharger::Controller;
 
-fn dump_fib(lab: &ConvergenceLab, title: &str, rows: usize) {
+fn dump_fib(lab: &BuiltScenario, title: &str, rows: usize) {
     let r1 = lab.world.node::<LegacyRouter>(lab.r1);
     println!("{title} (first {rows} of {} entries)", r1.fib().len());
     println!("  {:<20} {:>16}", "prefix", "IP next-hop");
@@ -42,7 +43,7 @@ fn dump_fib(lab: &ConvergenceLab, title: &str, rows: usize) {
     println!();
 }
 
-fn dump_flows(lab: &ConvergenceLab, title: &str) {
+fn dump_flows(lab: &BuiltScenario, title: &str) {
     let sw = lab.world.node::<OfSwitch>(lab.switch);
     println!("{title} ({} entries)", sw.table().len());
     for e in sw.table().entries() {
@@ -51,14 +52,14 @@ fn dump_flows(lab: &ConvergenceLab, title: &str) {
     println!();
 }
 
-fn run(mode: Mode) -> ConvergenceLab {
-    let mut lab = ConvergenceLab::build(LabConfig {
-        mode,
+fn run(mode: Mode) -> BuiltScenario {
+    let cfg = ScenarioConfig {
         prefixes: 8, // small enough to print whole tables
         flows: 4,
         seed: 3,
-        ..LabConfig::default()
-    });
+        ..ScenarioConfig::default()
+    };
+    let mut lab = build_scenario(&TopologySpec::Fig4Lab, mode, &cfg);
     lab.run_until_converged();
     lab
 }
@@ -94,7 +95,7 @@ fn main() {
 
     // ---- the failure ----
     println!("=============== pulling R2's cable ================\n");
-    let link = lab.r2_link;
+    let link = lab.provider_switch_links[lab.primary];
     let fail_at = lab.world.now() + SimDuration::from_millis(100);
     lab.world
         .schedule(fail_at, move |w| w.set_link_up(link, false));
@@ -114,5 +115,4 @@ fn main() {
          Only the switch rule moved. That is the paper's whole trick.",
         lab.cfg.prefixes
     );
-    let _ = topology::MAC_R1; // (referenced for doc purposes)
 }

@@ -5,27 +5,32 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use supercharged_router::lab::{run_convergence_trial, LabConfig, Mode};
+use supercharged_router::lab::Mode;
+use supercharged_router::scenarios::{run_scenario, EventScript, ScenarioConfig, TopologySpec};
 
 fn main() {
     // The paper's scenario at 1k prefixes: R1 prefers provider R2 ($)
     // over R3 ($$); both advertise the same 1 000 prefixes; BFD watches
     // R2; at t=fail the R2 cable is pulled.
-    let cfg = LabConfig {
-        mode: Mode::Supercharged,
+    let cfg = ScenarioConfig {
         prefixes: 1_000,
         flows: 50,
         seed: 1,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
+    };
+    let trial = |mode| {
+        run_scenario(
+            &TopologySpec::Fig4Lab,
+            &EventScript::primary_cut(),
+            mode,
+            &cfg,
+        )
     };
     println!("building the supercharged lab (1k prefixes, 50 monitored flows)...");
-    let supercharged = run_convergence_trial(cfg.clone());
+    let supercharged = trial(Mode::Supercharged);
 
     println!("building the stock lab for comparison...");
-    let stock = run_convergence_trial(LabConfig {
-        mode: Mode::Stock,
-        ..cfg
-    });
+    let stock = trial(Mode::Stock);
 
     let s = supercharged.stats();
     println!("\nsupercharged router:");

@@ -24,19 +24,23 @@
 //! * [`invariant`] — the continuous convergence-invariant engine:
 //!   in-window FIB walks classifying blackholes, loops and transit
 //!   violations.
-//! * [`lab`] — the Fig. 4 evaluation topology and experiment drivers.
+//! * [`lab`] — the Fig. 4 lab's address plan, the measurement
+//!   harness, and statistics.
 //! * [`scenarios`] — the declarative scenario engine: topology
-//!   generators, failure scripts, and the suite runner.
+//!   generators (the Fig. 4 lab among them), failure scripts, and the
+//!   suite runner.
 //!
 //! ## Quickstart
 //!
 //! See `examples/quickstart.rs`; in short:
 //!
 //! ```no_run
-//! use supercharged_router::lab::{run_convergence_trial, LabConfig, Mode};
+//! use supercharged_router::lab::Mode;
+//! use supercharged_router::scenarios::{run_scenario, EventScript, ScenarioConfig, TopologySpec};
 //!
-//! let cfg = LabConfig { prefixes: 10_000, mode: Mode::Supercharged, ..LabConfig::default() };
-//! let report = run_convergence_trial(cfg);
+//! let cfg = ScenarioConfig { prefixes: 10_000, ..ScenarioConfig::default() };
+//! let cut = EventScript::primary_cut();
+//! let report = run_scenario(&TopologySpec::Fig4Lab, &cut, Mode::Supercharged, &cfg);
 //! println!("median convergence: {}", report.stats().median);
 //! ```
 

@@ -5,11 +5,24 @@
 
 use supercharged_router::bgp::{compare_routes, LocRib, PeerInfo};
 use supercharged_router::lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
-use supercharged_router::lab::{run_convergence_trial, LabConfig, Mode};
+use supercharged_router::lab::Mode;
 use supercharged_router::net::{MacAddr, SimDuration};
 use supercharged_router::routegen::{generate_feed_for, prefix_universe, FeedConfig};
+use supercharged_router::scenarios::{
+    build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
+};
 use supercharged_router::supercharger::engine::PeerSpec;
 use supercharged_router::supercharger::{Engine, EngineConfig};
+
+/// The paper's experiment on the Fig. 4 lab: cut R2, measure.
+fn fig4_cut(mode: Mode, cfg: &ScenarioConfig) -> ScenarioOutcome {
+    run_scenario(
+        &TopologySpec::Fig4Lab,
+        &EventScript::primary_cut(),
+        mode,
+        cfg,
+    )
+}
 
 /// The paper's correctness requirement (§2): the controller's decision
 /// process must agree with the router's, otherwise its backup-groups
@@ -99,19 +112,18 @@ fn controller_ranks_exactly_like_the_router() {
 /// measurements; a different seed must not.
 #[test]
 fn lab_is_deterministic_from_its_seed() {
-    let cfg = LabConfig {
-        mode: Mode::Supercharged,
+    let cfg = ScenarioConfig {
         prefixes: 400,
         flows: 20,
         seed: 99,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     };
-    let a = run_convergence_trial(cfg.clone());
-    let b = run_convergence_trial(cfg.clone());
+    let a = fig4_cut(Mode::Supercharged, &cfg);
+    let b = fig4_cut(Mode::Supercharged, &cfg);
     assert_eq!(a.per_flow, b.per_flow, "same seed, same measurements");
     assert_eq!(a.detected_at, b.detected_at);
 
-    let c = run_convergence_trial(LabConfig { seed: 100, ..cfg });
+    let c = fig4_cut(Mode::Supercharged, &ScenarioConfig { seed: 100, ..cfg });
     assert_ne!(
         a.per_flow, c.per_flow,
         "different seed shifts the (jittered) measurements"
@@ -121,14 +133,13 @@ fn lab_is_deterministic_from_its_seed() {
 /// Facade quickstart: the README's advertised flow compiles and works.
 #[test]
 fn facade_quickstart_flow() {
-    let cfg = LabConfig {
-        mode: Mode::Supercharged,
+    let cfg = ScenarioConfig {
         prefixes: 200,
         flows: 10,
         seed: 5,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     };
-    let report = run_convergence_trial(cfg);
+    let report = fig4_cut(Mode::Supercharged, &cfg);
     let stats = report.stats();
     assert!(stats.max <= SimDuration::from_millis(150));
     assert_eq!(report.unrecovered, 0);
@@ -142,17 +153,16 @@ fn facade_quickstart_flow() {
 /// pins down *why* the paper runs BFD.
 #[test]
 fn without_bfd_detection_dominates_but_stays_prefix_independent() {
-    let cfg = LabConfig {
-        mode: Mode::Supercharged,
+    let cfg = ScenarioConfig {
         prefixes: 300,
         flows: 10,
         seed: 13,
         bfd: false,
-        ..LabConfig::default()
+        ..ScenarioConfig::default()
     };
-    let mut lab = supercharged_router::lab::ConvergenceLab::build(cfg);
+    let mut lab = build_scenario(&TopologySpec::Fig4Lab, Mode::Supercharged, &cfg);
     lab.run_until_converged();
-    let link = lab.r2_link;
+    let link = lab.provider_switch_links[lab.primary];
     let fail_at = lab.world.now() + SimDuration::from_secs(1);
     lab.world
         .schedule(fail_at, move |w| w.set_link_up(link, false));
