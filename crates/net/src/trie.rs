@@ -21,6 +21,17 @@
 //! nodes included, so what a table costs is set by the value's size: a
 //! FIB (4-byte values, 24-byte nodes — asserted below) costs about 25 MB
 //! for a 512k-entry full table.
+//!
+//! Inserts start from a **finger**: the trie keeps the arena path of its
+//! last insert, and the next insert descends from the deepest node on
+//! that path whose prefix covers the new key, not from the root. A table
+//! load writes prefixes in ascending order, so consecutive keys share
+//! most of their path and a descent is a step or two. The shortcut is
+//! exact: every node covering the key lies on the key's own root path,
+//! so the descent from there is the root descent's tail, and a split
+//! only swaps arena slots at or below where it starts. The arena, the
+//! free list and the iteration order are what a root descent builds. A
+//! remove clears the finger, since pruning frees nodes.
 
 use crate::prefix::Ipv4Prefix;
 use std::mem::size_of;
@@ -57,6 +68,10 @@ pub struct PrefixTrie<T> {
     free: Vec<u32>,
     root: u32,
     len: usize,
+    /// The arena path of the last insert, root first, in
+    /// `finger[..finger_len]` (see the module docs).
+    finger: [u32; MAX_DEPTH],
+    finger_len: usize,
 }
 
 impl<T> Default for PrefixTrie<T> {
@@ -73,6 +88,8 @@ impl<T> PrefixTrie<T> {
             free: Vec::new(),
             root: NO_NODE,
             len: 0,
+            finger: [NO_NODE; MAX_DEPTH],
+            finger_len: 0,
         }
     }
 
@@ -112,8 +129,22 @@ impl<T> PrefixTrie<T> {
         if self.root == NO_NODE {
             self.root = self.alloc(leaf(prefix));
         }
-        let mut cur = self.root;
+        // It starts at the finger: the nodes covering `prefix` are a
+        // leading run of the last insert's path (coverage is inherited
+        // by ancestors), so the deepest one is found by binary search.
+        let nodes = &self.nodes;
+        let mut depth = self.finger[..self.finger_len]
+            .partition_point(|&n| nodes[n as usize].prefix.covers(prefix));
+        let mut cur = match depth.checked_sub(1) {
+            Some(d) => {
+                depth = d;
+                self.finger[d]
+            }
+            None => self.root,
+        };
         let idx = loop {
+            self.finger[depth] = cur;
+            depth += 1;
             let cur_prefix = self.nodes[cur as usize].prefix;
             let common = common_prefix_len(prefix, cur_prefix);
 
@@ -171,6 +202,11 @@ impl<T> PrefixTrie<T> {
             }
             cur = child;
         };
+        if idx != cur {
+            self.finger[depth] = idx;
+            depth += 1;
+        }
+        self.finger_len = depth;
         let old = self.nodes[idx as usize].value.replace(value);
         if old.is_none() {
             self.len += 1;
@@ -255,6 +291,7 @@ impl<T> PrefixTrie<T> {
         }
         let value = self.nodes[cur as usize].value.take()?;
         self.len -= 1;
+        self.finger_len = 0;
         self.prune(cur, &path[..depth]);
         Some(value)
     }
@@ -354,12 +391,109 @@ fn common_prefix_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
 }
 
 #[cfg(test)]
+impl<T> PrefixTrie<T> {
+    /// [`PrefixTrie::insert`] descending from the root, as it did before
+    /// it kept a finger: the reference the finger is tested against.
+    fn insert_from_root(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
+        self.finger_len = 0;
+        self.insert(prefix, value)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    /// One arena slot: prefix, value, left and right child.
+    type Slot = (Ipv4Prefix, Option<u32>, u32, u32);
+
+    /// What a trie's arena holds, slot by slot, and its free list.
+    fn arena(t: &PrefixTrie<u32>) -> (Vec<Slot>, Vec<u32>) {
+        let nodes = t.nodes.iter().map(|n| (n.prefix, n.value, n.left, n.right));
+        (nodes.collect(), t.free.clone())
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// `n` ascending keys of length `len` from `base`, as a table
+        /// load writes them.
+        Run {
+            base: u32,
+            len: u8,
+            n: u32,
+        },
+        Insert(Ipv4Prefix),
+        /// Remove the key inserted `back` inserts ago: recent keys sit
+        /// on the finger's path.
+        Remove {
+            back: usize,
+        },
+    }
+
+    /// An address in one of four /8s, so runs and inserts meet.
+    fn arb_addr() -> impl Strategy<Value = u32> {
+        (0u32..4, any::<u32>()).prop_map(|(net, host)| 0x0a00_0000 + (net << 24) + (host >> 8))
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (arb_addr(), 16u8..=32, 1u32..200).prop_map(|(base, len, n)| Step::Run {
+                base,
+                len,
+                n
+            }),
+            (arb_addr(), 8u8..=32)
+                .prop_map(|(a, len)| Step::Insert(Ipv4Prefix::new(a.into(), len))),
+            (0usize..8).prop_map(|back| Step::Remove { back }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Inserting from the finger builds, slot for slot, the arena
+        /// and free list a root descent builds, under ascending runs,
+        /// scattered inserts and removes interleaved.
+        #[test]
+        fn finger_inserts_build_the_root_descents_arena(steps in vec(arb_step(), 1..60)) {
+            let mut finger = PrefixTrie::new();
+            let mut root = PrefixTrie::new();
+            let mut inserted: Vec<Ipv4Prefix> = Vec::new();
+            for step in steps {
+                let keys = match step {
+                    Step::Run { base, len, n } => {
+                        let stride = 1u32 << (32 - u32::from(len));
+                        (0..n)
+                            .map(|i| base.wrapping_add(i.wrapping_mul(stride)))
+                            .map(|a| Ipv4Prefix::new(a.into(), len))
+                            .collect()
+                    }
+                    Step::Insert(key) => vec![key],
+                    Step::Remove { back } => {
+                        if let Some(&key) = inserted.iter().rev().nth(back) {
+                            prop_assert_eq!(finger.remove(key), root.remove(key));
+                        }
+                        Vec::new()
+                    }
+                };
+                for key in keys {
+                    let v = inserted.len() as u32;
+                    prop_assert_eq!(finger.insert(key, v), root.insert_from_root(key, v));
+                    inserted.push(key);
+                }
+                prop_assert_eq!(arena(&finger), arena(&root));
+                prop_assert_eq!(finger.root, root.root);
+                prop_assert_eq!(finger.len(), root.len());
+                prop_assert!(finger.iter().eq(root.iter()));
+            }
+        }
     }
 
     #[test]

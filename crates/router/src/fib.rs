@@ -8,6 +8,17 @@
 //! already-updated state. What the traffic sink then measures per flow
 //! is the paper's convergence distribution.
 //!
+//! Every op completes at its own instant: the previous op's completion
+//! (or the walk's start) plus one jittered entry cost, drawn once, when
+//! the op reaches the head of the queue. The owner does not need one
+//! kernel event per op, though. Nothing can read the FIB between two
+//! writes unless some other event runs in between, so one tick applies
+//! every op that completes before the kernel's horizon
+//! ([`FibWalker::apply_until`], with `sc_sim::Ctx::horizon`), each at
+//! its own instant, and arms one timer for the first op that does not.
+//! What the data plane, a driver or an invariant sample sees of the FIB
+//! is the same as with one event per op.
+//!
 //! The FIFO is the walker's one large allocation — churn offers ops some
 //! thirty times faster than the modelled hardware writes them, so the
 //! queue runs a million deep — and it stores a private packed op
@@ -115,12 +126,14 @@ pub struct FibWalker {
     cal: Calibration,
     queue: VecDeque<PackedOp>,
     next_hops: NextHops,
-    /// When the hardware becomes free for the next entry.
-    busy_until: SimTime,
+    /// Completion instant of the head op (`None` when quiescent): drawn
+    /// once, when the op became the head, and kept.
+    next_at: Option<SimTime>,
     /// Stats.
     pub ops_applied: u64,
     pub bursts: u64,
-    /// Completion time of the most recently applied op (for tests).
+    /// Completion time of the most recently applied op: where the next
+    /// walk's hardware becomes free.
     pub last_apply_at: Option<SimTime>,
     /// Jitter stream state (see [`splitmix64`]).
     jitter_state: u64,
@@ -140,7 +153,7 @@ impl FibWalker {
             cal,
             queue: VecDeque::new(),
             next_hops: NextHops::default(),
-            busy_until: SimTime::ZERO,
+            next_at: None,
             ops_applied: 0,
             bursts: 0,
             last_apply_at: None,
@@ -159,9 +172,12 @@ impl FibWalker {
     }
 
     /// Queue a burst of operations produced by one control-plane event.
-    /// `session_loss` bursts pay the (large) peer-down processing delay
-    /// before the walk starts; ordinary update churn pays the small
-    /// per-update cost.
+    /// A burst that starts a walk pays its control-plane delay first:
+    /// `session_loss` bursts the (large) peer-down processing delay,
+    /// ordinary update churn the small per-update cost. A burst that
+    /// joins a walk in progress goes to the tail and adds no stall: its
+    /// delay models CPU work that overlaps the walk, and the head's
+    /// completion instant is already drawn.
     ///
     /// Returns nothing: the caller arms its timer from
     /// [`FibWalker::next_apply_at`].
@@ -171,12 +187,6 @@ impl FibWalker {
         ops: impl IntoIterator<Item = FibOp>,
         session_loss: bool,
     ) {
-        let delay = if session_loss {
-            self.cal.peer_down_processing
-        } else {
-            self.cal.update_processing
-        };
-        let start = self.busy_until.max(now) + delay;
         let was_empty = self.queue.is_empty();
         let queued = self.queue.len();
         let next_hops = &mut self.next_hops;
@@ -204,31 +214,64 @@ impl FibWalker {
         if self.queue.len() > queued {
             self.bursts += 1;
             if was_empty {
-                self.busy_until = start;
-            } else {
-                // Already walking: the new ops join the tail; the delay
-                // models CPU work that overlaps the walk, so no extra
-                // stall is added.
-                self.busy_until = self.busy_until.max(start);
+                let delay = if session_loss {
+                    self.cal.peer_down_processing
+                } else {
+                    self.cal.update_processing
+                };
+                let free = self.last_apply_at.map_or(now, |t| t.max(now));
+                self.next_at = Some(free + delay + self.jittered_entry_cost());
             }
         }
     }
 
-    /// When the next op completes (the owner arms a timer at this time),
-    /// or `None` when quiescent. Consumes a jitter draw for non-zero
-    /// entry costs (`&mut self` for exactly that reason).
-    pub fn next_apply_at(&mut self) -> Option<SimTime> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let cost = self.jittered_entry_cost();
-        Some(self.busy_until + cost)
+    /// When the head op completes (the owner arms a timer at this time),
+    /// or `None` when quiescent.
+    pub fn next_apply_at(&self) -> Option<SimTime> {
+        self.next_at
     }
 
-    /// Apply exactly one pending op to `fib` at time `now` (the owner's
-    /// timer fired). Returns the op applied.
-    pub fn apply_one(&mut self, fib: &mut Fib, now: SimTime) -> Option<FibOp> {
-        let packed = self.queue.pop_front()?;
+    /// Apply the head op at `now`, then every following op that completes
+    /// at `now` or before `horizon`, each at its own instant, appending
+    /// each applied op to `applied` (cleared first). An op at or past the
+    /// horizon is left for the owner's next timer
+    /// ([`FibWalker::next_apply_at`]), so its ties with other events keep
+    /// their order.
+    pub fn apply_until(
+        &mut self,
+        fib: &mut Fib,
+        now: SimTime,
+        horizon: SimTime,
+        applied: &mut Vec<FibOp>,
+    ) {
+        applied.clear();
+        if self.queue.is_empty() {
+            return;
+        }
+        debug_assert_eq!(self.next_at, Some(now), "the head op is not due");
+        let mut at = now;
+        loop {
+            applied.push(self.apply_head(fib, at));
+            match self.next_at {
+                Some(next) if next == now || next < horizon => at = next,
+                _ => return,
+            }
+        }
+    }
+
+    /// [`FibWalker::apply_until`] with no horizon past `now`: the head
+    /// op, and with instant hardware every op queued behind it.
+    pub fn apply_batch(&mut self, fib: &mut Fib, now: SimTime, applied: &mut Vec<FibOp>) {
+        self.apply_until(fib, now, now, applied);
+    }
+
+    /// Apply the head op to `fib` at `at`, and draw the completion
+    /// instant of the op behind it.
+    fn apply_head(&mut self, fib: &mut Fib, at: SimTime) -> FibOp {
+        let packed = self
+            .queue
+            .pop_front()
+            .expect("apply_head on an empty walker");
         // A table load fills the queue in its first simulated second and
         // the walk drains it over minutes: hand the high-water mark back
         // as it drains, by amortised halving, instead of holding it for
@@ -248,35 +291,13 @@ impl FibWalker {
             FibOp::Set { prefix, next_hop }
         };
         self.ops_applied += 1;
-        self.busy_until = now;
-        self.last_apply_at = Some(now);
-        Some(op)
-    }
-
-    /// Apply the contiguous run of ops due at `now` in one walk tick,
-    /// appending each applied op to `applied` (cleared first).
-    ///
-    /// With a non-zero per-entry cost this is exactly
-    /// [`FibWalker::apply_one`] — the next op completes strictly later,
-    /// so the run has length 1 and the owner re-arms its timer as
-    /// before. With a zero-cost calibration (instant hardware) every
-    /// queued op completes at the same instant; draining the whole run
-    /// here collapses what used to be one kernel timer event *per
-    /// entry* into one event per burst, without moving any op's
-    /// completion time. Zero-cost runs consume no jitter draw (jitter
-    /// is only drawn for non-zero base costs), so the walker's stream
-    /// position is untouched either way.
-    pub fn apply_batch(&mut self, fib: &mut Fib, now: SimTime, applied: &mut Vec<FibOp>) {
-        applied.clear();
-        let Some(op) = self.apply_one(fib, now) else {
-            return;
+        self.last_apply_at = Some(at);
+        self.next_at = if self.queue.is_empty() {
+            None
+        } else {
+            Some(at + self.jittered_entry_cost())
         };
-        applied.push(op);
-        if self.cal.fib_entry_update.is_zero() {
-            while let Some(op) = self.apply_one(fib, now) {
-                applied.push(op);
-            }
-        }
+        op
     }
 
     fn jittered_entry_cost(&mut self) -> SimDuration {
@@ -311,12 +332,12 @@ mod tests {
         Ipv4Addr::new(10, 0, n, 1)
     }
 
-    /// Drive the walker to quiescence, returning (prefix, completion
-    /// time) per applied op.
+    /// Drive the walker to quiescence one op per tick, returning (prefix,
+    /// completion time) per applied op.
     fn drain(walker: &mut FibWalker, fib: &mut Fib) -> Vec<(Ipv4Prefix, SimTime)> {
         let mut out = Vec::new();
         while let Some(at) = walker.next_apply_at() {
-            let op = walker.apply_one(fib, at).unwrap();
+            let op = walker.apply_head(fib, at);
             out.push((op.prefix(), at));
         }
         out
@@ -427,21 +448,31 @@ mod tests {
             ],
             true,
         );
-        // Apply the first, then a second burst lands mid-walk.
+        // Apply the first, then a second burst lands mid-walk: the head's
+        // instant is already drawn and the burst's update-processing
+        // delay overlaps the walk, so it adds no stall.
         let t1 = w.next_apply_at().unwrap();
-        w.apply_one(&mut fib, t1);
+        w.apply_head(&mut fib, t1);
+        let t2 = w.next_apply_at().unwrap();
         w.enqueue_burst(
-            t1,
+            t1 + SimDuration::from_micros(100),
             vec![FibOp::Set {
                 prefix: p("3.0.0.0/24"),
                 next_hop: nh(3),
             }],
             false,
         );
+        assert_eq!(w.next_apply_at(), Some(t2));
         let log = drain(&mut w, &mut fib);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].0, p("2.0.0.0/24"), "FIFO preserved");
-        assert_eq!(log[1].0, p("3.0.0.0/24"));
+        let cost = cal.fib_entry_update;
+        assert_eq!(
+            log,
+            [
+                (p("2.0.0.0/24"), t1 + cost),
+                (p("3.0.0.0/24"), t1 + cost * 2)
+            ],
+            "FIFO preserved, one entry cost apart"
+        );
         assert_eq!(fib.len(), 3);
     }
 
@@ -474,8 +505,9 @@ mod tests {
             .eq(burst().map(|op| op.prefix())));
     }
 
-    /// The walker as it was before its queue was packed: the ops
-    /// themselves in the FIFO, the same timing rules.
+    /// The walker as it was before its queue was packed and its head's
+    /// instant kept: the ops themselves in the FIFO, each op's instant
+    /// drawn when it applies, the same timing rules.
     struct ReferenceWalker {
         cal: Calibration,
         queue: VecDeque<FibOp>,
@@ -498,17 +530,16 @@ mod tests {
             if ops.is_empty() {
                 return;
             }
-            let delay = if session_loss {
-                self.cal.peer_down_processing
-            } else {
-                self.cal.update_processing
-            };
-            let start = self.busy_until.max(now) + delay;
-            self.busy_until = if self.queue.is_empty() {
-                start
-            } else {
-                self.busy_until.max(start)
-            };
+            // Only a burst that starts a walk stalls it; one that joins a
+            // walk in progress goes to the tail.
+            if self.queue.is_empty() {
+                let delay = if session_loss {
+                    self.cal.peer_down_processing
+                } else {
+                    self.cal.update_processing
+                };
+                self.busy_until = self.busy_until.max(now) + delay;
+            }
             self.queue.extend(ops);
         }
 
@@ -588,19 +619,115 @@ mod tests {
                     let Some(at) = walker.next_apply_at() else {
                         break;
                     };
-                    let got = walker.apply_one(&mut fib, at).map(|op| (op, at));
-                    prop_assert_eq!(got, reference.apply_next(&mut ref_fib));
+                    let got = (walker.apply_head(&mut fib, at), at);
+                    prop_assert_eq!(Some(got), reference.apply_next(&mut ref_fib));
                     now = at;
                 }
                 prop_assert_eq!(walker.pending(), reference.queue.len());
             }
             while let Some(at) = walker.next_apply_at() {
-                let got = walker.apply_one(&mut fib, at).map(|op| (op, at));
-                prop_assert_eq!(got, reference.apply_next(&mut ref_fib));
+                let got = (walker.apply_head(&mut fib, at), at);
+                prop_assert_eq!(Some(got), reference.apply_next(&mut ref_fib));
             }
             prop_assert_eq!(reference.apply_next(&mut ref_fib), None);
             prop_assert!(fib.iter().eq(ref_fib.iter()));
         }
+
+        /// Draining to a horizon changes nothing the walk writes: for any
+        /// bursts (some joining a walk in progress), calibration and
+        /// horizon, each `apply_until` tick applies exactly the ops one
+        /// tick per op applies at `now` and before the horizon, in order,
+        /// at the same instants, and leaves the same table, the same next
+        /// instant and the jitter stream at the same position.
+        #[test]
+        fn apply_until_matches_one_op_per_tick(
+            bursts in vec(
+                (vec(arb_op(), 0..40), any::<bool>(), 0usize..6, arb_horizon()),
+                1..10,
+            ),
+            cal in prop_oneof![
+                Just(Calibration::nexus7k()),
+                Just(Calibration { fib_entry_jitter_pct: 0, ..Calibration::nexus7k() }),
+                Just(Calibration::instant()),
+            ],
+        ) {
+            let (mut batched, mut fib) = (FibWalker::new(cal, 7), Fib::new());
+            let (mut single, mut single_fib) = (FibWalker::new(cal, 7), Fib::new());
+            let mut now = SimTime::ZERO;
+            let mut applied = Vec::new();
+            // The last round drains what is left with no horizon at all.
+            let drain = (Vec::new(), false, usize::MAX, Horizon::Unbounded);
+            for (ops, session_loss, ticks, horizon) in bursts.into_iter().chain([drain]) {
+                batched.enqueue_burst(now, ops.iter().copied(), session_loss);
+                single.enqueue_burst(now, ops.iter().copied(), session_loss);
+                for _ in 0..ticks {
+                    let Some(at) = batched.next_apply_at() else {
+                        break;
+                    };
+                    // The reference: one tick per op, each at its instant.
+                    let mut log = Vec::new();
+                    let mut tick = |single: &mut FibWalker, log: &mut Vec<(FibOp, SimTime)>| {
+                        let t = single.next_apply_at().expect("the reference ran dry");
+                        log.push((single.apply_head(&mut single_fib, t), t));
+                    };
+                    let h = match horizon {
+                        Horizon::After(ns) => at + SimDuration::from_nanos(ns),
+                        Horizon::AtOp(k) => {
+                            for _ in 0..k {
+                                if single.next_apply_at().is_some() {
+                                    tick(&mut single, &mut log);
+                                }
+                            }
+                            single.next_apply_at().unwrap_or(SimTime::MAX)
+                        }
+                        Horizon::Unbounded => SimTime::MAX,
+                    };
+                    batched.apply_until(&mut fib, at, h, &mut applied);
+                    while log.len() < applied.len() {
+                        tick(&mut single, &mut log);
+                    }
+                    let (want, instants): (Vec<_>, Vec<_>) = log.into_iter().unzip();
+                    prop_assert_eq!(&applied, &want);
+                    prop_assert_eq!(instants[0], at);
+                    prop_assert!(instants.iter().all(|&t| t == at || t < h));
+                    prop_assert_eq!(batched.last_apply_at, instants.last().copied());
+                    // The batch stopped at the first op not due before
+                    // the horizon.
+                    let next = single.next_apply_at();
+                    prop_assert!(next.is_none_or(|t| t != at && t >= h), "{:?} vs {:?}", next, h);
+                    prop_assert_eq!(batched.next_apply_at(), next);
+                    prop_assert_eq!(batched.jitter_state, single.jitter_state);
+                    now = instants[instants.len() - 1];
+                }
+            }
+            prop_assert!(batched.is_quiescent() && single.is_quiescent());
+            prop_assert_eq!(batched.ops_applied, single.ops_applied);
+            prop_assert!(fib.iter().eq(single_fib.iter()));
+        }
+    }
+
+    /// Where a tick's horizon lies.
+    #[derive(Clone, Copy, Debug)]
+    enum Horizon {
+        /// This far past the tick: 0 (a co-timed event), a few µs, a few
+        /// entry costs, a minute.
+        After(u64),
+        /// Exactly at the instant of the op this many places behind the
+        /// head: a tie, which waits for its own timer.
+        AtOp(usize),
+        /// `SimTime::MAX`.
+        Unbounded,
+    }
+
+    fn arb_horizon() -> impl Strategy<Value = Horizon> {
+        prop_oneof![
+            Just(Horizon::After(0)),
+            (1u64..5_000).prop_map(Horizon::After),
+            (5_000u64..2_000_000).prop_map(Horizon::After),
+            Just(Horizon::After(60_000_000_000)),
+            (1usize..6).prop_map(Horizon::AtOp),
+            Just(Horizon::Unbounded),
+        ]
     }
 
     #[test]

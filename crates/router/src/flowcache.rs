@@ -9,8 +9,9 @@
 //! miss path, so entries are invalidated precisely when the inputs
 //! they were derived from change:
 //!
-//! * **FIB**: every [`crate::fib::FibWalker::apply_one`] invalidates
-//!   the destinations covered by the applied prefix (a more-specific
+//! * **FIB**: every op a [`crate::fib::FibWalker::apply_until`] batch
+//!   applies invalidates the destinations covered by its prefix (a
+//!   more-specific
 //!   insert changes the best match for exactly those, a remove exposes
 //!   a covering route for exactly those);
 //! * **ARP**: learning or re-learning a mapping invalidates the

@@ -211,8 +211,9 @@ pub struct LegacyRouter {
     rib: LocRib,
     fib: Fib,
     walker: FibWalker,
-    /// The walker's tick. `next_apply_at` draws jitter, so it is sampled
-    /// once per tick (behind `is_armed`), not re-derived on every input.
+    /// The walker's tick, armed at the head op's completion instant. A
+    /// burst that joins a walk leaves that instant alone, so re-arming
+    /// after it pushes nothing.
     walker_wakeup: Wakeup,
     arp: ArpClient,
     arp_timer_armed: bool,
@@ -653,10 +654,7 @@ impl LegacyRouter {
     }
 
     fn arm_walker(&mut self, ctx: &mut Ctx) {
-        if !self.walker_wakeup.is_armed() {
-            let at = self.walker.next_apply_at();
-            self.walker_wakeup.arm(ctx, at);
-        }
+        self.walker_wakeup.arm(ctx, self.walker.next_apply_at());
     }
 
     fn arm_arp_timer(&mut self, ctx: &mut Ctx) {
@@ -1316,10 +1314,19 @@ impl Node for LegacyRouter {
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         match token {
             TIMER_WALKER => {
-                self.walker_wakeup.fired(ctx.now());
+                if !self.walker_wakeup.fired(ctx.now()) {
+                    // Superseded: the live tick is still pending, and
+                    // nothing is due at this instant.
+                    return;
+                }
+                // Every op due before the horizon, each at its own
+                // instant: no other event runs and no driver looks
+                // before the horizon, so one tick does what one tick per
+                // op did.
+                let now = ctx.now();
                 let mut applied = std::mem::take(&mut self.walker_batch_buf);
                 self.walker
-                    .apply_batch(&mut self.fib, ctx.now(), &mut applied);
+                    .apply_until(&mut self.fib, now, ctx.horizon(), &mut applied);
                 let invalidated_before = self.flow_cache.invalidated;
                 for op in &applied {
                     // Precise invalidation: only destinations covered by
@@ -1327,7 +1334,10 @@ impl Node for LegacyRouter {
                     self.flow_cache.invalidate_prefix(op.prefix());
                 }
                 if !applied.is_empty() {
-                    ctx.trace_instant("program", "fib.apply", 0, applied.len() as u64, String::new);
+                    // The batch's first and, if it ran past `now`, last
+                    // instant: all the phase breakdown reads of a walk.
+                    let n = applied.len() as u64;
+                    ctx.trace_instant("program", "fib.apply", 0, n, String::new);
                     let dropped = self.flow_cache.invalidated - invalidated_before;
                     if dropped > 0 {
                         ctx.trace_instant(
@@ -1338,8 +1348,12 @@ impl Node for LegacyRouter {
                             String::new,
                         );
                     }
+                    let last = self.walker.last_apply_at.expect("a batch was applied");
+                    if last > now {
+                        ctx.trace_instant_at(last, "program", "fib.apply", 0, n, String::new);
+                    }
                     ctx.metrics().inc("fib.apply_batches");
-                    ctx.metrics().add("fib.ops_applied", applied.len() as u64);
+                    ctx.metrics().add("fib.ops_applied", n);
                 }
                 self.walker_batch_buf = applied;
                 self.arm_walker(ctx);

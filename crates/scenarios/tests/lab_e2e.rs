@@ -179,6 +179,62 @@ fn replicated_controllers_survive_primary_loss() {
     }
 }
 
+/// The FIB walker takes one kernel event per batch of writes due before
+/// the kernel's horizon, not one per write, and that changes nothing it
+/// writes. The converged instant, the ops applied and R1's FIB digest
+/// are the values one event per write produced; `events_processed`
+/// fails if the walker goes back to one event per write.
+#[test]
+fn walker_batches_save_events_and_change_nothing_else() {
+    let cfg = ScenarioConfig {
+        prefixes: 2_000,
+        flows: 10,
+        seed: 42,
+        ..ScenarioConfig::default()
+    };
+    let got = [Mode::Stock, Mode::Supercharged].map(|mode| {
+        let mut lab = build_scenario(&TopologySpec::Fig4Lab, mode, &cfg);
+        let converged = lab.run_until_converged();
+        let r1 = lab.world.node::<sc_router::LegacyRouter>(lab.r1);
+        // FNV-1a over every (prefix, length, next hop), in FIB order.
+        let fib_digest = r1.fib().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, (p, e)| {
+            let bytes = p.raw_bits().to_be_bytes().into_iter().chain([p.len()]);
+            bytes
+                .chain(e.next_hop.octets())
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        });
+        (
+            mode,
+            lab.world.stats().events_processed,
+            converged.as_nanos(),
+            r1.walker().ops_applied,
+            fib_digest,
+        )
+    });
+    // (mode, events_processed, converged at (ns), ops applied, FIB digest)
+    assert_eq!(
+        got,
+        [
+            // One event per write: 4,405 events.
+            (
+                Mode::Stock,
+                798,
+                2_000_000_000,
+                3_619,
+                10_981_570_816_538_888_873
+            ),
+            // One event per write: 5,490 events.
+            (
+                Mode::Supercharged,
+                1_523,
+                2_000_000_000,
+                4_000,
+                17_365_040_869_491_217_169
+            ),
+        ]
+    );
+}
+
 #[test]
 fn trial_metadata_is_sound() {
     let r = trial(Mode::Supercharged, &base(300));

@@ -2,12 +2,24 @@
 //!
 //! Nodes are pure state machines: a handler receives a [`Ctx`], inspects
 //! `ctx.now()`, and requests effects (send a frame, arm a timer). Each
-//! effect applies when it is requested, in call order. That is exactly
-//! what deferring them to the handler's return would do: a handler sees
-//! neither the queue nor the links nor the kernel's counters, so nothing
-//! it does can depend on whether an earlier effect already applied.
+//! effect applies when it is requested, in call order, which is the
+//! order deferring them to the handler's return would apply them in: a
+//! handler sees neither the links nor the kernel's counters, and of the
+//! queue only [`Ctx::horizon`]. An effect already applied can only lower
+//! the horizon, so a handler that reads it after requesting effects gets
+//! an answer that accounts for them.
+//!
+//! The horizon is the earliest instant at which anything other than the
+//! running handler can happen: the next queued event, or the instant
+//! after the last one the current run loop processes, whichever is
+//! first. Until then no other node runs and no driver looks, so a
+//! handler may do now what it would otherwise have armed a timer for,
+//! at any instant before the horizon, stamping its trace records at
+//! those instants ([`Ctx::trace_instant_at`]). The FIB walker drains
+//! its writes that way.
 
 use crate::link::Endpoint;
+use crate::sched::Scheduler;
 use crate::world::Kernel;
 use sc_net::{Frame, SimDuration, SimTime};
 use std::any::Any;
@@ -58,6 +70,21 @@ impl<'a> Ctx<'a> {
         self.node
     }
 
+    /// The earliest instant at which anything other than this handler
+    /// can happen: `min(next queued event, last instant of the running
+    /// loop + 1 ns)`. Always `>= now()` unless the loop's last instant
+    /// lies behind the clock. `step` and `run_until_idle` end at the
+    /// instant of the event they handle, so under them it is at most
+    /// `now() + 1 ns`.
+    pub fn horizon(&self) -> SimTime {
+        let past_loop = self
+            .k
+            .until
+            .checked_add(SimDuration::from_nanos(1))
+            .unwrap_or(SimTime::MAX);
+        self.k.queue.peek().map_or(past_loop, |t| t.min(past_loop))
+    }
+
     /// Transmit an encoded frame on one of this node's ports, now.
     /// Accepts a [`Frame`] (refcount bump) or a freshly built `Vec<u8>`.
     pub fn send_frame(&mut self, port: PortId, frame: impl Into<Frame>) {
@@ -105,8 +132,28 @@ impl<'a> Ctx<'a> {
         v: u64,
         detail: impl FnOnce() -> String,
     ) {
+        self.trace_instant_at(self.k.now, cat, name, id, v, detail);
+    }
+
+    /// [`Ctx::trace_instant`] stamped at a later instant `at`, for work a
+    /// handler does ahead of time: `now() <= at < horizon()`, so the
+    /// trace stays in time order. A handler stamps its records in
+    /// ascending `at`.
+    pub fn trace_instant_at(
+        &mut self,
+        at: SimTime,
+        cat: &'static str,
+        name: &'static str,
+        id: u64,
+        v: u64,
+        detail: impl FnOnce() -> String,
+    ) {
+        debug_assert!(
+            at == self.k.now || (at > self.k.now && at < self.horizon()),
+            "trace record at {at:?} outside [now, horizon)"
+        );
         self.k.trace.emit(
-            self.k.now,
+            at,
             self.cause,
             self.node,
             crate::trace::TracePhase::Instant,

@@ -85,6 +85,10 @@ pub(crate) trait Scheduler {
         self.pop_before(SimTime::MAX)
     }
 
+    /// The exact time of the minimum event, without removing it. Exact,
+    /// not a bucket bound: both schedulers answer the same instant.
+    fn peek(&self) -> Option<SimTime>;
+
     /// Number of pending events.
     fn len(&self) -> usize;
 }
@@ -133,6 +137,13 @@ impl Scheduler for AnyScheduler {
         }
     }
 
+    fn peek(&self) -> Option<SimTime> {
+        match self {
+            AnyScheduler::Wheel(w) => w.peek(),
+            AnyScheduler::Heap(h) => h.peek(),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             AnyScheduler::Wheel(w) => w.len(),
@@ -157,6 +168,10 @@ impl Scheduler for HeapScheduler {
             Some(Reverse(ev)) if ev.time <= deadline => self.heap.pop().map(|Reverse(ev)| ev),
             _ => None,
         }
+    }
+
+    fn peek(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(ev)| ev.time)
     }
 
     fn len(&self) -> usize {
@@ -375,6 +390,23 @@ impl Scheduler for TimerWheel {
         }
     }
 
+    /// The active batch is sorted and precedes every wheel bucket, and
+    /// the wheel precedes the overflow heap; only the next occupied
+    /// bucket is unsorted, so it is scanned.
+    fn peek(&self) -> Option<SimTime> {
+        if let Some(ev) = self.active.get(self.active_at) {
+            return Some(ev.time);
+        }
+        if self.wheel_len > 0 {
+            let from = ((self.base_bucket + 1) % SLOTS as u64) as usize;
+            let slot = self
+                .next_occupied(from)
+                .expect("wheel_len > 0 but no occupied slot");
+            return self.slots[slot].iter().map(|ev| ev.time).min();
+        }
+        self.overflow.peek().map(|Reverse(ev)| ev.time)
+    }
+
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len() + (self.active.len() - self.active_at)
     }
@@ -445,7 +477,8 @@ mod tests {
 
     /// The differential test: a random monotone workload (interleaved
     /// pushes and pops, timescales from nanoseconds to minutes) must pop
-    /// in the identical order from the wheel and the reference heap.
+    /// in the identical order from the wheel and the reference heap, and
+    /// both must peek the instant the next pop returns.
     #[test]
     fn wheel_matches_reference_heap_on_random_workloads() {
         for trial in 0..20u64 {
@@ -457,6 +490,8 @@ mod tests {
             let mut popped = 0usize;
             let mut pushed = 0usize;
             for _ in 0..2_000 {
+                let peeked = wheel.peek();
+                assert_eq!(peeked, heap.peek(), "trial {trial}");
                 if pushed == popped || rng.gen_range(0u32..100) < 60 {
                     // Push at now + a span drawn across 6 decades.
                     let exp = rng.gen_range(0u32..7);
@@ -470,17 +505,24 @@ mod tests {
                     let a = wheel.pop().unwrap();
                     let b = heap.pop().unwrap();
                     assert_eq!((a.time, a.seq), (b.time, b.seq), "trial {trial}");
+                    assert_eq!(peeked, Some(a.time), "trial {trial}");
                     now = a.time.as_nanos();
                     popped += 1;
                 }
                 assert_eq!(wheel.len(), heap.len());
             }
             loop {
+                let peeked = wheel.peek();
+                assert_eq!(peeked, heap.peek(), "drain, trial {trial}");
                 match (wheel.pop(), heap.pop()) {
                     (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq), (b.time, b.seq), "drain, trial {trial}")
+                        assert_eq!((a.time, a.seq), (b.time, b.seq), "drain, trial {trial}");
+                        assert_eq!(peeked, Some(a.time), "drain, trial {trial}");
                     }
-                    (None, None) => break,
+                    (None, None) => {
+                        assert_eq!(peeked, None, "drain, trial {trial}");
+                        break;
+                    }
                     _ => panic!("schedulers disagree on emptiness"),
                 }
             }

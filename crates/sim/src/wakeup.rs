@@ -48,12 +48,6 @@ impl Wakeup {
         self.token
     }
 
-    /// Is a live timer pending? (For owners that sample their deadline
-    /// once per tick instead of re-deriving it on every input.)
-    pub fn is_armed(&self) -> bool {
-        self.armed.is_some()
-    }
-
     /// Make sure a timer is pending at or before `deadline` (`None`: the
     /// state machine is quiescent, nothing to do). Call after every
     /// input and after every fire.
@@ -314,7 +308,7 @@ mod tests {
         h.reset();
         h.arm(Some(SimTime::ZERO + ms(20)));
         assert_eq!(h.fire_next(), Some(false));
-        assert!(h.wakeup.is_armed());
+        assert!(h.wakeup.armed.is_some());
         assert_eq!(h.fire_next(), Some(true));
     }
 
@@ -326,6 +320,6 @@ mod tests {
         h.arm(Some(SimTime::ZERO + SimDuration::from_millis(1)));
         assert_eq!(h.fire_next(), Some(true));
         assert_eq!(h.now, SimTime::ZERO + SimDuration::from_millis(5));
-        assert!(!h.wakeup.is_armed());
+        assert!(h.wakeup.armed.is_none());
     }
 }

@@ -120,6 +120,11 @@ pub(crate) struct Slot {
 /// direction's fault stream and busy horizon advance, in call order.
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
+    /// The last instant the running loop will process: `run_until`'s
+    /// deadline, or the instant of the event being handled under `step`
+    /// and `run_until_idle` (their final clock is observable). Bounds
+    /// [`Ctx::horizon`].
+    pub(crate) until: SimTime,
     /// Origin-key counter for stream 0 (the world/control stream).
     world_ctr: u64,
     pub(crate) queue: AnyScheduler,
@@ -154,6 +159,7 @@ impl Kernel {
     pub(crate) fn new(sched: SchedulerKind) -> Kernel {
         Kernel {
             now: SimTime::ZERO,
+            until: SimTime::ZERO,
             world_ctr: 0,
             queue: make_scheduler(sched),
             slots: Vec::new(),
@@ -563,6 +569,7 @@ impl World {
 
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
+        self.k.until = self.k.now;
         self.ensure_started();
         self.step_inner()
     }
@@ -575,6 +582,7 @@ impl World {
         };
         debug_assert!(ev.time >= self.k.now, "event queue went backwards");
         self.k.now = ev.time;
+        self.k.until = ev.time;
         self.k.stats.events_processed += 1;
         self.handle(ev.seq, ev.kind);
         true
@@ -583,6 +591,7 @@ impl World {
     /// Run until the queue is empty or `deadline` is reached; `now` ends
     /// at `min(deadline, drained)`. Events *at* the deadline run.
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.k.until = deadline;
         self.ensure_started();
         let t0 = self.wall_clock.map(|clock| clock());
         while let Some(ev) = self.k.queue.pop_before(deadline) {
@@ -605,6 +614,7 @@ impl World {
     /// Drain the queue completely (panics after `max_events` as a
     /// runaway-loop guard). Returns the final virtual time.
     pub fn run_until_idle(&mut self, max_events: u64) -> SimTime {
+        self.k.until = self.k.now;
         self.ensure_started();
         let t0 = self.wall_clock.map(|clock| clock());
         let mut n = 0u64;
@@ -1278,6 +1288,76 @@ mod tests {
             );
             assert_eq!(stats.frames_dropped_loss, 7, "{kind:?}");
             assert_eq!(stats.frames_corrupted, 2, "{kind:?}");
+        }
+    }
+
+    /// `Ctx::horizon` reads the queue and the run loop's bound: the next
+    /// event inside `run_until`, the deadline + 1 ns past it, and the
+    /// handled event's own instant + 1 ns under `step` and
+    /// `run_until_idle`. An effect the handler requests can only lower
+    /// it.
+    #[test]
+    fn horizon_is_the_next_event_or_the_loop_bound() {
+        let us = SimTime::from_micros;
+        /// Records `(now, horizon)` on every timer; the timer at 10 µs
+        /// also arms one at 15 µs and records again.
+        struct Horizon {
+            at: Vec<SimTime>,
+            seen: Vec<(SimTime, SimTime)>,
+        }
+        impl Node for Horizon {
+            fn name(&self) -> &str {
+                "horizon"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                for (i, &at) in self.at.iter().enumerate() {
+                    ctx.set_timer_at(at, TimerToken(i as u64));
+                }
+            }
+            fn on_frame(&mut self, _: &mut Ctx, _: PortId, _: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Ctx, _: TimerToken) {
+                self.seen.push((ctx.now(), ctx.horizon()));
+                if ctx.now() == SimTime::from_micros(10) {
+                    ctx.set_timer_at(SimTime::from_micros(15), TimerToken(99));
+                    self.seen.push((ctx.now(), ctx.horizon()));
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
+            let mut w = World::with_scheduler(1, kind);
+            let n = w.add_node(Horizon {
+                at: [10, 20, 20, 100, 700, 900].map(us).to_vec(),
+                seen: Vec::new(),
+            });
+            w.run_until(us(50));
+            assert!(w.step());
+            w.run_until_idle(10);
+            let ns = SimDuration::from_nanos(1);
+            assert_eq!(
+                w.node::<Horizon>(n).seen,
+                [
+                    // run_until(50 µs): the next event, lowered by the
+                    // 15 µs timer just armed; a co-timed event bounds
+                    // the horizon at `now`; past the deadline, D + 1 ns.
+                    (us(10), us(20)),
+                    (us(10), us(15)),
+                    (us(15), us(20)),
+                    (us(20), us(20)),
+                    (us(20), us(50) + ns),
+                    // step(), then run_until_idle(): the event's own
+                    // instant + 1 ns, however far the next one lies.
+                    (us(100), us(100) + ns),
+                    (us(700), us(700) + ns),
+                    (us(900), us(900) + ns),
+                ],
+                "{kind:?}"
+            );
         }
     }
 
