@@ -70,9 +70,7 @@ fn main() {
         "fig5: sweeping {:?} prefixes, {trials} trial(s) x {flows} flows per point, both modes",
         counts
     );
-    eprintln!(
-        "      probe load: 64-byte UDP frames, auto-rated (<=14kpps/flow, the paper's rate)\n"
-    );
+    eprintln!("      probe load: 64-byte UDP frames at 14 kpps per flow (the paper's rate)\n");
 
     let (rows, took) = sc_bench::timing::timed(|| sweep(&counts, trials, &base));
     eprintln!("sweep done in {:.1}s\n", took.as_secs_f64());

@@ -8,7 +8,7 @@
 //! cargo run --release -p sc-bench --bin replay -- \
 //!     [--smoke] [--fixture] [--time-scale S] [--scheduler wheel|heap] \
 //!     [--prefixes N] [--providers K] [--bursts B] [--burst-prefixes N] \
-//!     [--burst-gap-us US] [--seed N] [--stable-out FILE]
+//!     [--burst-gap-us US] [--seed N] [--out FILE]
 //! ```
 //!
 //! By default both archives are *generated* by `sc_routegen::mrt` (in
@@ -16,10 +16,9 @@
 //! `--smoke` picks the seconds-scale generator settings and `--fixture`
 //! replays the committed `tests/fixtures/*.mrt` pair instead.
 //! `--time-scale 0.1` replays any trace ten times faster. One JSON row
-//! per mode goes to stdout (the `scenarios --jsonl` row shape);
-//! `--stable-out` writes the report without its wall-clock field:
-//! identical invocations — under either scheduler — produce
-//! byte-identical files, the determinism contract CI checks.
+//! per mode goes to stdout (the `scenarios --jsonl` row shape); `--out`
+//! writes the report: identical invocations — under either scheduler —
+//! produce byte-identical files, the determinism contract CI checks.
 
 use sc_bench::replay::{fixture_archives, generated_archives, replay_suite, ReplayParams};
 use sc_bench::Args;
@@ -66,7 +65,7 @@ fn main() {
         let s = row.stats();
         eprintln!(
             "{} {}: {} prefixes, {} window(s), per-flow gap median {} max {}, {} lost, \
-             {} events at {:.2} M events/sec",
+             {} events",
             row.topology,
             mode_label(row.mode),
             row.prefixes,
@@ -75,15 +74,14 @@ fn main() {
             s.max,
             row.unrecovered,
             row.events_processed,
-            row.events_per_sec as f64 / 1e6,
         );
-        println!("{}", SuiteReport::row_json(row));
+        println!("{}", SuiteReport::row_json_stable(row));
     }
     for e in &report.errors {
         eprintln!("TRIAL FAILED {}: {}", mode_label(e.mode), e.error);
     }
-    if let Some(path) = args.raw_value("--stable-out") {
-        std::fs::write(&path, report.to_json_stable()).expect("write stable JSON");
+    if let Some(path) = args.raw_value("--out") {
+        std::fs::write(&path, report.to_json_stable()).expect("write JSON");
         eprintln!("wrote {path}");
     }
     if !report.errors.is_empty() {

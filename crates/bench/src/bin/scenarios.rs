@@ -6,8 +6,7 @@
 //! cargo run --release -p sc-bench --bin scenarios [--prefixes N] \
 //!     [--flows N] [--seed N] [--workers N] [--quick] [--smoke] [--jsonl] \
 //!     [--csv out.csv] [--json out.json] [--invariants] \
-//!     [--scheduler wheel|heap] [--trace] \
-//!     [--stable-csv out.csv] [--stable-json out.json]
+//!     [--scheduler wheel|heap] [--trace]
 //! ```
 //!
 //! * default: 10k prefixes, the full 6-topology × 5-script matrix;
@@ -48,9 +47,10 @@
 //! * `--scheduler wheel|heap`: pick the kernel event scheduler (the
 //!   determinism contract says reports are byte-identical across
 //!   both);
-//! * `--stable-csv out.csv` / `--stable-json out.json`: the
-//!   byte-reproducible report variants (wall-clock columns blanked) —
-//!   what the CI smoke diffs across reruns and schedulers.
+//! * `--csv out.csv` / `--json out.json`: write the report; both are
+//!   byte-reproducible — what the CI smoke diffs across reruns and
+//!   schedulers. The JSON adds each flow's gap and full per-cycle
+//!   statistics.
 
 use sc_bench::{fig5_label, Args, Table};
 use sc_lab::Mode;
@@ -145,9 +145,6 @@ fn main() {
             seed,
             scheduler,
             invariants,
-            // The shell injects the one sanctioned clock so rows carry
-            // the events_per_sec trajectory.
-            wall_clock: Some(sc_bench::timing::wall_clock),
             // Two replicas whenever the divergence cell is in the
             // matrix, so `replica_crash(1, …)` has a standby to kill.
             controllers: if invariants { 2 } else { 1 },
@@ -192,7 +189,7 @@ fn main() {
                 return;
             }
             let line = match result {
-                TrialResult::Ok(row) => SuiteReport::row_json(row).to_string(),
+                TrialResult::Ok(row) => SuiteReport::row_json_stable(row).to_string(),
                 TrialResult::Err(e) => SuiteReport::error_json(e).to_string(),
             };
             // One locked write per row: rows from parallel workers never
@@ -216,7 +213,6 @@ fn main() {
             "rewrites",
             "cycles",
             "viol b/l/t",
-            "Mev/s",
         ]);
         for row in &report.rows {
             let s = row.stats();
@@ -255,7 +251,6 @@ fn main() {
                         )
                     })
                     .unwrap_or_else(|| "-".into()),
-                format!("{:.1}", row.events_per_sec as f64 / 1e6),
             ]);
         }
         println!("{}", table.render());
@@ -276,25 +271,13 @@ fn main() {
     }
 
     if let Some(path) = args.raw_value("--csv") {
-        std::fs::write(&path, report.to_csv()).expect("write CSV");
+        std::fs::write(&path, report.to_csv_stable()).expect("write CSV");
         if !jsonl {
             println!("wrote {path}");
         }
     }
     if let Some(path) = args.raw_value("--json") {
-        std::fs::write(&path, report.to_json()).expect("write JSON");
-        if !jsonl {
-            println!("wrote {path}");
-        }
-    }
-    if let Some(path) = args.raw_value("--stable-csv") {
-        std::fs::write(&path, report.to_csv_stable()).expect("write stable CSV");
-        if !jsonl {
-            println!("wrote {path}");
-        }
-    }
-    if let Some(path) = args.raw_value("--stable-json") {
-        std::fs::write(&path, report.to_json_stable()).expect("write stable JSON");
+        std::fs::write(&path, report.to_json_stable()).expect("write JSON");
         if !jsonl {
             println!("wrote {path}");
         }

@@ -100,7 +100,6 @@ pub fn replay_suite(p: &ReplayParams, rib: Vec<u8>, trace: Vec<u8>) -> SuiteConf
             seed: p.archive.seed,
             scheduler: p.scheduler,
             feed: FeedSource::MrtReplay(feed),
-            wall_clock: Some(crate::timing::wall_clock),
             ..ScenarioConfig::default()
         },
         workers: None,
@@ -150,7 +149,7 @@ mod tests {
     }
 
     /// The fixtures twice and once under the reference heap: the stable
-    /// report — what `replay --stable-out` writes — is the same bytes.
+    /// report — what `replay --out` writes — is the same bytes.
     #[test]
     fn replay_is_byte_identical_across_reruns_and_schedulers() {
         let stable = |scheduler| {

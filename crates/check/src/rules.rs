@@ -198,8 +198,8 @@ fn scan_idents(
                     t.line,
                     format!(
                         "`{name}` reads real time; only the bench shell \
-                         (`sc_bench::timing`) may — inject its `wall_clock` \
-                         via `World::set_wall_clock` instead"
+                         (`sc_bench::timing`) may — time the run from \
+                         there, around the simulation"
                     ),
                 ));
             }

@@ -1,6 +1,5 @@
 use std::time::Duration;
 
-pub fn measure(clock: sc_sim::WallClock) -> Duration {
-    let t0 = clock();
-    clock().saturating_sub(t0)
+pub fn budget(per_item: Duration, items: u32) -> Duration {
+    per_item * items
 }

@@ -329,11 +329,6 @@ impl Controller {
         Some((bfd.packets_sent, bfd.packets_received))
     }
 
-    /// Is the router-facing session Established?
-    pub fn router_session_up(&self) -> bool {
-        self.router_session.state() == sc_bgp::SessionState::Established
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xid += 1;
         self.xid

@@ -13,8 +13,8 @@ use sc_router::Calibration;
 use sc_sim::{NodeId, TimerToken, World};
 use sc_traffic::{TrafficSink, TrafficSource};
 
-/// The expected convergence budget for sizing measurement windows and
-/// probe rates (`sc_scenarios::expected_budget` derives from it).
+/// The expected convergence budget for sizing measurement windows
+/// (`sc_scenarios::expected_budget` derives from it).
 pub fn convergence_budget(
     mode: Mode,
     cal: &Calibration,
@@ -37,20 +37,6 @@ pub fn convergence_budget(
             }
         }
     }
-}
-
-/// Probe rate per flow: full paper rate when affordable, scaled down
-/// for long runs so a whole sweep stays tractable. The scaled rate
-/// keeps ≥ 1000 probe intervals across the expected convergence time,
-/// i.e. relative quantization error ≤ 0.1%.
-pub fn probe_rate(rate_pps: Option<u64>, expected: SimDuration, flows: usize) -> u64 {
-    if let Some(r) = rate_pps {
-        return r;
-    }
-    let expected = expected.as_secs_f64().max(0.001);
-    let budget_packets = 4_000_000.0; // total probe sends per trial
-    let cap = (budget_packets / (expected * flows.max(1) as f64)) as u64;
-    cap.clamp(1_000, 14_000)
 }
 
 /// Merge two ascending epoch lists into one strictly-ascending union —
@@ -102,19 +88,13 @@ pub struct MeasurementPlan {
 }
 
 /// Lay out the phases after the control plane converged at `now`:
-/// probes start 100 ms later, warm up for at least 20 inter-packet
-/// gaps (so every flow has delivered before the cut), then the failure
-/// fires, and the window runs for `horizon` beyond it. One epoch at
-/// offset zero — the single-failure experiments of the paper.
-pub fn plan_measurement(now: SimTime, rate_pps: u64, horizon: SimDuration) -> MeasurementPlan {
-    plan_cycle_measurement(now, rate_pps, &[SimDuration::ZERO], horizon)
-}
-
-/// The multi-epoch generalization: `epochs` are the failure onsets of
-/// the script (offsets from the script origin, ascending — e.g. one per
-/// flap cycle). Each epoch gets its own [`CycleWindow`]; cycle `i`
-/// closes exactly where cycle `i+1` opens, and the last cycle runs for
-/// `horizon` past its onset.
+/// probes start 100 ms later and warm up for at least 20 inter-packet
+/// gaps (so every flow has delivered before the cut), then the script
+/// origin. `epochs` are the failure onsets of the script (offsets from
+/// that origin, ascending — e.g. one per flap cycle; `[0]` is the
+/// paper's single failure). Each epoch gets its own [`CycleWindow`];
+/// cycle `i` closes exactly where cycle `i+1` opens, and the last cycle
+/// runs for `horizon` past its onset.
 pub fn plan_cycle_measurement(
     now: SimTime,
     rate_pps: u64,
@@ -227,22 +207,9 @@ pub struct Harvest {
     pub unrecovered: usize,
 }
 
-/// Run the world out to the end of the window, close it (so blackholed
-/// flows report open-ended gaps), and collect the per-flow maxima.
-/// Panics if fewer than `expect_flows` flows delivered before the cut —
-/// that is a harness bug, not a measurement.
-pub fn run_out_and_harvest(
-    world: &mut World,
-    sink: NodeId,
-    t_end: SimTime,
-    expect_flows: usize,
-) -> Harvest {
-    world.run_until(t_end);
-    let end = world.now();
-    world.node_mut::<TrafficSink>(sink).close_window(end);
-    harvest_sink(world, sink, Some(expect_flows))
-}
-
+/// The sink's per-flow maxima of the window just closed. Panics if a
+/// delivery check is asked for and fewer than `expect_flows` flows
+/// delivered before the cut — that is a harness bug, not a measurement.
 fn harvest_sink(world: &World, sink: NodeId, expect_flows: Option<usize>) -> Harvest {
     let sink_node = world.node::<TrafficSink>(sink);
     if let Some(expect) = expect_flows {
@@ -316,7 +283,8 @@ mod tests {
 
     #[test]
     fn single_epoch_plan_matches_the_classic_layout() {
-        let plan = plan_measurement(SimTime::from_secs(1), 1_000, ms(500));
+        let plan =
+            plan_cycle_measurement(SimTime::from_secs(1), 1_000, &[SimDuration::ZERO], ms(500));
         assert_eq!(plan.cycles.len(), 1);
         assert_eq!(plan.t_origin, plan.t_fail);
         assert_eq!(plan.cycles[0].t_fail, plan.t_fail);

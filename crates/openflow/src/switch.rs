@@ -207,11 +207,6 @@ impl OfSwitch {
         self.drop_flowmods = count;
     }
 
-    /// Whether controller `idx` is currently considered alive.
-    pub fn controller_live(&self, idx: usize) -> bool {
-        self.ctrl_live.get(idx).copied().unwrap_or(false)
-    }
-
     /// Read-only view of the flow table (for tests/experiments).
     pub fn table(&self) -> &FlowTable {
         &self.table

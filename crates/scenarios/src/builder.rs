@@ -44,6 +44,11 @@ use supercharger::{Controller, ControllerConfig, PeerLink, RouterLink, SwitchLin
 /// instant the last one dies.
 pub const CONTROLLER_PREF: u32 = 1_000;
 
+/// BGP hold time on both ends of the R1 ↔ controller sessions: the
+/// fallback detection path when no `controller_deadline` watchdog is
+/// armed (RFC 4271 floors negotiated holds at 3 s).
+const CONTROLLER_HOLD: SimDuration = SimDuration::from_secs(90);
+
 /// Where the providers' route feeds come from.
 #[derive(Clone, Debug, Default)]
 pub enum FeedSource {
@@ -101,8 +106,8 @@ pub struct ScenarioConfig {
     pub flows: usize,
     /// Seed for feeds, flow sampling, and all simulation randomness.
     pub seed: u64,
-    /// Probe rate per flow; `None` auto-scales (see
-    /// [`crate::runner::suggested_rate`]).
+    /// Probe rate per flow the source sends; `None` is the paper's
+    /// 14,000 pps.
     pub rate_pps: Option<u64>,
     /// R1's hardware model.
     pub cal: Calibration,
@@ -117,19 +122,11 @@ pub struct ScenarioConfig {
     /// (an ablation beyond the paper: detection drops from ~90 ms to
     /// the wire latency).
     pub portstatus_failover: bool,
-    /// Frame-loss probability on controller↔switch links.
-    ///
-    /// Deprecated alias: prefer [`ScenarioConfig::link_params`] with
-    /// [`crate::events::LinkRef::ControllerSwitch`], which can set
-    /// loss, corruption, and latency on *any* resolvable link. This
-    /// scalar is kept for existing cells and composes with
-    /// `link_params` (params win where both name the same link).
+    /// Frame-loss probability on controller↔switch links from the
+    /// start of the trial (a script degrades any link mid-run with
+    /// [`crate::events::ScenarioEvent::SetLinkFaults`]). Also widens the
+    /// supercharged convergence budget for retransmission rounds.
     pub control_loss: f64,
-    /// Per-link parameter overrides applied after the world is wired:
-    /// each [`crate::events::LinkRef`] resolves against the built
-    /// topology and replaces that link's [`LinkParams`] wholesale
-    /// (loss, corruption, latency, bandwidth).
-    pub link_params: Vec<(crate::events::LinkRef, LinkParams)>,
     /// Keepalive/echo beacon interval of each controller replica (to
     /// both the switch agent and R1). `None` (the default) sends no
     /// beacons, leaving liveness to BGP hold timers — the pre-fail-safe
@@ -140,10 +137,6 @@ pub struct ScenarioConfig {
     /// node out of supercharging (the router enters **Degraded**).
     /// `None` disables the watchdogs.
     pub controller_deadline: Option<SimDuration>,
-    /// BGP hold time R1 proposes on its controller sessions (the
-    /// fallback detection path when no `controller_deadline` watchdog
-    /// is armed; RFC 4271 floors negotiated holds at 3 s).
-    pub controller_hold: SimDuration,
     /// Graceful degradation (supercharged mode only): R1 keeps direct
     /// eBGP fallback sessions to every provider at the blueprint's
     /// local-prefs while controller sessions import at
@@ -166,20 +159,11 @@ pub struct ScenarioConfig {
     /// snapshot + timed replay).
     pub feed: FeedSource,
     /// Run the convergence-invariant engine (`sc-invariant`): walk the
-    /// installed FIBs every `invariant_cadence` inside each measurement
-    /// window and report per-class violation durations. Off by default
-    /// — the samples are deterministic but not free, and the perf-gated
-    /// benches compare against uninstrumented baselines.
+    /// installed FIBs every 5 ms inside each measurement window and
+    /// report per-class violation durations, at that resolution. Off by
+    /// default — the samples are deterministic but not free, and the
+    /// perf-gated benches compare against uninstrumented baselines.
     pub invariants: bool,
-    /// Sampling cadence of the invariant engine; also the resolution of
-    /// every violation-duration figure it reports.
-    pub invariant_cadence: SimDuration,
-    /// Monotonic clock injected into trial worlds so the wall-clock
-    /// `events_per_sec` perf column gets recorded. `None` (the default)
-    /// leaves worlds clock-free — the kernel itself never reads real
-    /// time (sc-check `no-wall-clock`), so perf reporting is strictly
-    /// opt-in by the outermost shell (`sc_bench::timing::wall_clock`).
-    pub wall_clock: Option<sc_sim::WallClock>,
 }
 
 impl Default for ScenarioConfig {
@@ -196,18 +180,14 @@ impl Default for ScenarioConfig {
             reaction_delay: SimDuration::from_millis(3),
             portstatus_failover: false,
             control_loss: 0.0,
-            link_params: Vec::new(),
             echo_interval: None,
             controller_deadline: None,
-            controller_hold: SimDuration::from_secs(90),
             fallback_sessions: false,
             trace: false,
             flow_cache: true,
             scheduler: sc_sim::SchedulerKind::default(),
             feed: FeedSource::Synthetic,
             invariants: false,
-            invariant_cadence: SimDuration::from_millis(5),
-            wall_clock: None,
         }
     }
 }
@@ -266,11 +246,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
                 .node_mut::<LegacyRouter>(id)
                 .set_flow_cache_enabled(false);
         }
-    }
-    for (link, params) in &cfg.link_params {
-        let l =
-            crate::events::resolve_link(&scn, *link).unwrap_or_else(|e| panic!("link_params: {e}"));
-        scn.world.set_link_params(l, *params);
     }
     scn
 }
@@ -378,9 +353,6 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
     };
 
     let mut world = World::with_scheduler(cfg.seed, cfg.scheduler);
-    if let Some(clock) = cfg.wall_clock {
-        world.set_wall_clock(clock);
-    }
     if cfg.trace {
         world.enable_trace(1_000_000);
         world.enable_metrics();
@@ -422,16 +394,20 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
             }))
         })
         .collect();
+    let paper_source = SourceConfig::paper(
+        "fpga-source",
+        MAC_SOURCE,
+        IP_SOURCE,
+        MAC_R1,
+        flow_ips.clone(),
+        SimTime::MAX - SimDuration::from_secs(1), // re-windowed later
+        SimTime::MAX,
+    );
     let source = world.add_node(TrafficSource::new(
-        SourceConfig::paper(
-            "fpga-source",
-            MAC_SOURCE,
-            IP_SOURCE,
-            MAC_R1,
-            flow_ips.clone(),
-            SimTime::MAX - SimDuration::from_secs(1), // re-windowed later
-            SimTime::MAX,
-        ),
+        SourceConfig {
+            rate_pps: cfg.rate_pps.unwrap_or(paper_source.rate_pps),
+            ..paper_source
+        },
         PortId(0),
     ));
     let sink = world.add_node(TrafficSink::new(SinkConfig::paper(
@@ -576,6 +552,16 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         link
     });
 
+    // --- BFD: on the primary provider's sessions only, every session at
+    // the configured interval ---
+    let bfd_provider = cfg.bfd.then_some(primary);
+    let bfd = |local_discr: usize, detect_mult: u8| BfdConfig {
+        local_discr: local_discr as u32,
+        desired_min_tx: cfg.bfd_interval,
+        required_min_rx: cfg.bfd_interval,
+        detect_mult,
+    };
+
     // --- controllers (supercharged only) ---
     let peer_specs: Vec<PeerSpec> = bp
         .providers
@@ -615,7 +601,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                 router_mac: MAC_R1,
                 local_port: 179,
                 remote_port: (40000 + ci) as u16,
-                hold_time: SimDuration::from_secs(90),
+                hold_time: CONTROLLER_HOLD,
             },
             peers: (0..m)
                 .map(|i| PeerLink {
@@ -623,12 +609,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                     local_port: (41000 + ci * 100 + i) as u16,
                     remote_port: 179,
                     hold_time: SimDuration::from_secs(90),
-                    bfd: (cfg.bfd && i == primary).then(|| BfdConfig {
-                        local_discr: (100 + ci * 10) as u32,
-                        desired_min_tx: cfg.bfd_interval,
-                        required_min_rx: cfg.bfd_interval,
-                        detect_mult: 3,
-                    }),
+                    bfd: (bfd_provider == Some(i)).then(|| bfd(100 + ci * 10, 3)),
                 })
                 .collect(),
             switch: SwitchLink {
@@ -694,12 +675,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                         local_pref: spec.local_pref,
                         local_port: (40000 + i) as u16,
                         remote_port: 179,
-                        bfd: (cfg.bfd && i == primary).then_some(BfdConfig {
-                            local_discr: 12,
-                            desired_min_tx: cfg.bfd_interval,
-                            required_min_rx: cfg.bfd_interval,
-                            detect_mult: 3,
-                        }),
+                        bfd: (bfd_provider == Some(i)).then(|| bfd(12, 3)),
                         ..PeerConfig::ebgp(spec.ip, spec.mac, true)
                     });
                 }
@@ -714,7 +690,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                         } else {
                             sc_bgp::decision::DEFAULT_LOCAL_PREF
                         },
-                        hold_time: cfg.controller_hold,
+                        hold_time: CONTROLLER_HOLD,
                         controller: true,
                         deadline: cfg.controller_deadline,
                         ..PeerConfig::ebgp(controller_ip(ci), controller_mac(ci), true)
@@ -736,12 +712,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                             local_pref: spec.local_pref,
                             local_port: (46000 + i) as u16,
                             remote_port: 179,
-                            bfd: (cfg.bfd && i == primary).then_some(BfdConfig {
-                                local_discr: 12,
-                                desired_min_tx: cfg.bfd_interval,
-                                required_min_rx: cfg.bfd_interval,
-                                detect_mult: 2,
-                            }),
+                            bfd: (bfd_provider == Some(i)).then(|| bfd(12, 2)),
                             ..PeerConfig::ebgp(spec.ip, spec.mac, true)
                         });
                     }
@@ -759,21 +730,14 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
             mac: spec.mac,
             subnet: lan(),
         });
-        let bfd_for = |ci: usize| {
-            (cfg.bfd && i == primary).then(|| BfdConfig {
-                local_discr: (20 + i * 10 + ci) as u32,
-                desired_min_tx: cfg.bfd_interval,
-                required_min_rx: cfg.bfd_interval,
-                detect_mult: 3,
-            })
-        };
+        let bfd_on = bfd_provider == Some(i);
         let mut peers = Vec::new();
         match mode {
             Mode::Stock => {
                 peers.push(PeerConfig {
                     local_port: 179,
                     remote_port: (40000 + i) as u16,
-                    bfd: bfd_for(0),
+                    bfd: bfd_on.then(|| bfd(20 + i * 10, 3)),
                     ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
                 });
             }
@@ -782,7 +746,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                     peers.push(PeerConfig {
                         local_port: 179,
                         remote_port: (41000 + ci * 100 + i) as u16,
-                        bfd: bfd_for(ci),
+                        bfd: bfd_on.then(|| bfd(20 + i * 10 + ci, 3)),
                         ..PeerConfig::ebgp(controller_ip(ci), controller_mac(ci), false)
                     });
                 }
@@ -790,14 +754,9 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
                     peers.push(PeerConfig {
                         local_port: 179,
                         remote_port: (46000 + i) as u16,
-                        bfd: (cfg.bfd && i == primary).then(|| BfdConfig {
-                            local_discr: (80 + i) as u32,
-                            desired_min_tx: cfg.bfd_interval,
-                            required_min_rx: cfg.bfd_interval,
-                            // Mirrors the R1-side fallback mult: degraded
-                            // detection beats the stock plane's worst case.
-                            detect_mult: 2,
-                        }),
+                        // Mirrors the R1-side fallback mult: degraded
+                        // detection beats the stock plane's worst case.
+                        bfd: bfd_on.then(|| bfd(80 + i, 2)),
                         ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
                     });
                 }

@@ -35,7 +35,7 @@
 //! use sc_scenarios::{run_suite, SuiteConfig};
 //!
 //! let report = run_suite(&SuiteConfig::default_matrix());
-//! println!("{}", report.to_csv());
+//! println!("{}", report.to_csv_stable());
 //! for (topo, script, x) in report.speedups() {
 //!     println!("{topo}/{script}: supercharging is {x:.0}x faster");
 //! }

@@ -40,17 +40,14 @@ pub fn mode_label(mode: Mode) -> &'static str {
 }
 
 /// The expected convergence budget for one scenario (sizes measurement
-/// windows and probe rates), from `sc_lab::harness::convergence_budget`.
+/// windows), from `sc_lab::harness::convergence_budget`.
 pub fn expected_budget(mode: Mode, cfg: &ScenarioConfig) -> SimDuration {
     sc_lab::harness::convergence_budget(mode, &cfg.cal, cfg.prefixes, cfg.control_loss)
 }
 
-/// Auto-scaled probe rate: keep ≥1000 probe intervals across the
-/// expected convergence (quantization error ≤0.1%) under a global
-/// probe-send budget — `sc_lab::harness::probe_rate`.
-pub fn suggested_rate(cfg: &ScenarioConfig, expected: SimDuration) -> u64 {
-    sc_lab::harness::probe_rate(cfg.rate_pps, expected, cfg.flows)
-}
+/// Sampling cadence of the invariant engine; also the resolution of
+/// every violation-duration figure it reports.
+const INVARIANT_CADENCE: SimDuration = SimDuration::from_millis(5);
 
 /// One scripted failure epoch's measurements: the per-flow maximum gap
 /// *within that cycle's window* (cycle `i` closes where cycle `i+1`
@@ -88,6 +85,7 @@ pub struct ScenarioOutcome {
     pub mode: Mode,
     pub prefixes: u32,
     pub seed: u64,
+    /// Probe rate per flow the source sent at.
     pub rate_pps: u64,
     /// Per-flow convergence pooled over the whole script: the
     /// element-wise maximum across cycle windows, one entry per flow.
@@ -110,10 +108,6 @@ pub struct ScenarioOutcome {
     /// Kernel events the trial processed (deterministic: a pure
     /// function of the suite config).
     pub events_processed: u64,
-    /// Wall-clock events/second the kernel sustained — the perf
-    /// trajectory metric. Machine- and run-dependent; excluded from the
-    /// `*_stable` report variants.
-    pub events_per_sec: u64,
     /// Per-window violation durations from the convergence-invariant
     /// engine; `None` unless [`ScenarioConfig::invariants`] is on.
     pub invariants: Option<InvariantReport>,
@@ -195,7 +189,11 @@ pub fn run_scenario_traced(
     let activity_end = script.end().max(replay_end);
     let tail = activity_end.saturating_sub(*epochs.last().unwrap());
     let horizon = tail + budget + budget / 2 + SimDuration::from_secs(1);
-    let rate = suggested_rate(cfg, budget + activity_end);
+    let rate = scn
+        .world
+        .node::<sc_traffic::TrafficSource>(scn.source)
+        .config()
+        .rate_pps;
     let plan = plan_cycle_measurement(scn.world.now(), rate, &epochs, horizon);
     arm_traffic(&mut scn.world, scn.source, scn.sink, &plan);
     script.apply(&mut scn, plan.t_origin);
@@ -204,7 +202,7 @@ pub fn run_scenario_traced(
     }
 
     // The convergence-invariant engine: pre-schedule one FIB walk every
-    // `invariant_cadence` inside each cycle window. The samples are
+    // `INVARIANT_CADENCE` inside each cycle window. The samples are
     // read-only kernel events, so the trial stays byte-reproducible —
     // they just aren't free, hence the opt-in.
     let recorder = cfg.invariants.then(|| {
@@ -232,7 +230,7 @@ pub fn run_scenario_traced(
             let flags = sample_flags(world, &model, probe, &policy, &flows);
             rec.borrow_mut().record(w, world.now(), flags);
         });
-        schedule_window_samples(&mut scn.world, &plan, cfg.invariant_cadence, sampler);
+        schedule_window_samples(&mut scn.world, &plan, INVARIANT_CADENCE, sampler);
         recorder
     });
 
@@ -322,7 +320,6 @@ pub fn run_scenario_traced(
         flowmod_retries: scn.flowmod_retries(),
         cycles,
         events_processed: scn.world.stats().events_processed,
-        events_per_sec: scn.world.events_per_sec() as u64,
         invariants: recorder.map(|rec| rec.borrow().clone().report()),
     };
     (outcome, artifacts)
@@ -395,8 +392,9 @@ pub struct SuiteConfig {
     pub scripts: Vec<EventScript>,
     pub modes: Vec<Mode>,
     pub base: ScenarioConfig,
-    /// Worker-pool size; `None` = one thread per available core. Perf
-    /// runs pin this so wall-clock numbers are comparable.
+    /// Worker-pool size; `None` = one thread per available core. It
+    /// never changes the report (rows land by matrix slot), only how
+    /// many worlds are in memory at once and how long the suite takes.
     pub workers: Option<usize>,
 }
 
@@ -716,7 +714,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The CSV column set; `error` is last so error rows can pad every
 /// metric column and append the message.
-const CSV_HEADER: [&str; 29] = [
+const CSV_HEADER: [&str; 28] = [
     "topology",
     "script",
     "mode",
@@ -735,7 +733,6 @@ const CSV_HEADER: [&str; 29] = [
     "cycle_p95_us",
     "cycle_unrecovered",
     "events",
-    "events_per_sec",
     "viol_blackhole_us",
     "viol_loop_us",
     "viol_transit_us",
@@ -752,21 +749,10 @@ impl SuiteReport {
     /// Per-scenario box statistics as CSV (durations in microseconds).
     /// Multi-epoch scripts add per-cycle columns (`;`-joined, one entry
     /// per cycle in onset order); panicked trials emit a row with blank
-    /// metrics and the panic message in `error`. Includes the
-    /// wall-clock `events_per_sec` perf column — use
-    /// [`SuiteReport::to_csv_stable`] for byte-reproducible files.
-    pub fn to_csv(&self) -> String {
-        self.csv_impl(true)
-    }
-
-    /// [`SuiteReport::to_csv`] with the wall-clock `events_per_sec`
-    /// column left blank: identical suite configs produce byte-identical
-    /// files (the determinism regression contract).
+    /// metrics and the panic message in `error`. Identical suite configs
+    /// produce byte-identical files (the determinism regression
+    /// contract).
     pub fn to_csv_stable(&self) -> String {
-        self.csv_impl(false)
-    }
-
-    fn csv_impl(&self, wallclock: bool) -> String {
         let mut csv = Csv::new(&CSV_HEADER);
         let us = |d: SimDuration| (d.as_nanos() / 1_000).to_string();
         for row in &self.rows {
@@ -813,11 +799,6 @@ impl SuiteReport {
                 joined(&|c| us(c.stats().p95)),
                 joined(&|c| c.unrecovered.to_string()),
                 row.events_processed.to_string(),
-                if wallclock {
-                    row.events_per_sec.to_string()
-                } else {
-                    String::new()
-                },
                 viol(ViolationClass::Blackhole),
                 viol(ViolationClass::Loop),
                 viol(ViolationClass::Transit),
@@ -860,20 +841,10 @@ impl SuiteReport {
     }
 
     /// One outcome as a JSON object — the row format of both
-    /// [`SuiteReport::to_json`] and the `sc-bench scenarios --jsonl`
-    /// stream (all durations in nanoseconds). Carries the wall-clock
-    /// `perf.events_per_sec`; [`SuiteReport::row_json_stable`] omits it.
-    pub fn row_json(row: &ScenarioOutcome) -> Json {
-        Self::row_json_impl(row, true)
-    }
-
-    /// [`SuiteReport::row_json`] without the wall-clock field —
-    /// identical trials serialize byte-identically.
+    /// [`SuiteReport::to_json_stable`] and the `sc-bench scenarios
+    /// --jsonl` stream (all durations in nanoseconds). Identical trials
+    /// serialize byte-identically.
     pub fn row_json_stable(row: &ScenarioOutcome) -> Json {
-        Self::row_json_impl(row, false)
-    }
-
-    fn row_json_impl(row: &ScenarioOutcome, wallclock: bool) -> Json {
         let s = row.stats();
         let ns = |d: SimDuration| Json::Int(d.as_nanos());
         let stats_obj = |s: &BoxStats| {
@@ -932,14 +903,10 @@ impl SuiteReport {
                     None => Json::str("n/a"),
                 },
             )
-            .push("perf", {
-                let mut perf = Json::object();
-                perf.push("events", Json::Int(row.events_processed));
-                if wallclock {
-                    perf.push("events_per_sec", Json::Int(row.events_per_sec));
-                }
-                perf
-            })
+            .push(
+                "perf",
+                Json::Object(vec![("events".into(), Json::Int(row.events_processed))]),
+            )
             .push("stats_ns", stats_obj(&s))
             .push(
                 "per_flow_ns",
@@ -1014,7 +981,8 @@ impl SuiteReport {
     }
 
     /// A trial error as a JSON object (the `--jsonl` stream emits these
-    /// inline; [`SuiteReport::to_json`] collects them under `errors`).
+    /// inline; [`SuiteReport::to_json_stable`] collects them under
+    /// `errors`).
     pub fn error_json(e: &TrialError) -> Json {
         let mut obj = Json::object();
         obj.push("topology", Json::str(&e.topology))
@@ -1027,26 +995,11 @@ impl SuiteReport {
         obj
     }
 
-    /// The machine-readable summary (all durations in nanoseconds).
-    /// Rows carry the wall-clock `perf.events_per_sec`; for a
-    /// byte-reproducible file use [`SuiteReport::to_json_stable`].
-    pub fn to_json(&self) -> String {
-        self.json_impl(true)
-    }
-
-    /// [`SuiteReport::to_json`] minus the wall-clock perf field:
+    /// The machine-readable summary (all durations in nanoseconds):
     /// identical suite configs produce byte-identical files.
     pub fn to_json_stable(&self) -> String {
-        self.json_impl(false)
-    }
-
-    fn json_impl(&self, wallclock: bool) -> String {
         let mut root = Json::object();
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| Self::row_json_impl(r, wallclock))
-            .collect();
+        let rows = self.rows.iter().map(Self::row_json_stable).collect();
         root.push("rows", Json::Array(rows));
         root.push(
             "errors",

@@ -8,7 +8,8 @@ use sc_net::SimDuration;
 use sc_scenarios::{
     build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
 };
-use sc_sim::PortId;
+use sc_sim::{PortId, TimerToken};
+use sc_traffic::TrafficSource;
 
 fn base(prefixes: u32) -> ScenarioConfig {
     ScenarioConfig {
@@ -240,9 +241,33 @@ fn trial_metadata_is_sound() {
     let r = trial(Mode::Supercharged, &base(300));
     assert_eq!(r.prefixes, 300);
     assert_eq!(r.per_flow.len(), 30);
-    assert!(r.rate_pps >= 1_000 && r.rate_pps <= 14_000);
+    assert_eq!(r.rate_pps, 14_000, "the paper's rate by default");
     assert!(r.detected_at.unwrap() > r.fail_at);
     assert!(r.setup_time < r.fail_at);
+}
+
+/// A configured probe rate is the rate the source sends — 2,000 packets
+/// per flow in a one-second window — and the rate the trial reports.
+#[test]
+fn configured_rate_is_the_rate_the_source_sends() {
+    let cfg = ScenarioConfig {
+        rate_pps: Some(2_000),
+        ..base(300)
+    };
+    let mut lab = build_scenario(&TopologySpec::Fig4Lab, Mode::Stock, &cfg);
+    let start = lab.run_until_converged() + SimDuration::from_millis(100);
+    let stop = start + SimDuration::from_secs(1);
+    lab.world
+        .node_mut::<TrafficSource>(lab.source)
+        .set_window(start, stop);
+    lab.world.wake_node(start, lab.source, TimerToken(1));
+    lab.world.run_until(stop + SimDuration::from_millis(100));
+    let sent = lab.world.node::<TrafficSource>(lab.source).packets_sent;
+    assert_eq!(sent, 2_000 * cfg.flows as u64, "2,000 pps per flow for 1 s");
+
+    let r = trial(Mode::Stock, &cfg);
+    assert_eq!(r.rate_pps, 2_000);
+    assert_eq!(r.unrecovered, 0);
 }
 
 #[test]

@@ -37,4 +37,4 @@ pub use node::{Ctx, Node, NodeId, PortId, TimerToken};
 pub use sched::SchedulerKind;
 pub use trace::{Trace, TraceEvent, TracePhase};
 pub use wakeup::Wakeup;
-pub use world::{NodeStats, WallClock, World, WorldStats};
+pub use world::{NodeStats, World, WorldStats};

@@ -117,11 +117,6 @@ impl<'a> Ctx<'a> {
         self.k.set_timer(self.node, at, token);
     }
 
-    /// Record a free-form trace line (no-op unless tracing is enabled).
-    pub fn trace(&mut self, category: &'static str, message: impl FnOnce() -> String) {
-        self.trace_instant(category, category, 0, 0, message);
-    }
-
     /// Record a structured point event. `detail` only renders when
     /// tracing is enabled; the disabled path is a single branch.
     pub fn trace_instant(
@@ -191,21 +186,6 @@ impl<'a> Ctx<'a> {
             cat,
             name,
             id,
-            v,
-            String::new,
-        );
-    }
-
-    /// Record a sampled counter value on this node's timeline.
-    pub fn trace_counter(&mut self, cat: &'static str, name: &'static str, v: u64) {
-        self.k.trace.emit(
-            self.k.now,
-            self.cause,
-            self.node,
-            crate::trace::TracePhase::Counter,
-            cat,
-            name,
-            0,
             v,
             String::new,
         );

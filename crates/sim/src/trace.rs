@@ -33,8 +33,6 @@ pub enum TracePhase {
     Begin,
     /// Closes a span ("E").
     End,
-    /// A sampled counter value ("C").
-    Counter,
 }
 
 impl TracePhase {
@@ -43,7 +41,6 @@ impl TracePhase {
             TracePhase::Instant => "i",
             TracePhase::Begin => "B",
             TracePhase::End => "E",
-            TracePhase::Counter => "C",
         }
     }
 }
@@ -120,11 +117,6 @@ impl Trace {
         }
     }
 
-    /// Full-capture mode: nothing is ever evicted.
-    pub fn full() -> Trace {
-        Trace::bounded(usize::MAX)
-    }
-
     /// Whether records are being kept.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -178,14 +170,6 @@ impl Trace {
         self.records.iter()
     }
 
-    /// Records in a category, oldest first.
-    pub fn in_category<'a>(
-        &'a self,
-        category: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.records.iter().filter(move |r| r.cat == category)
-    }
-
     /// Total records ever recorded (retained + evicted).
     pub fn recorded(&self) -> u64 {
         self.recorded
@@ -194,19 +178,6 @@ impl Trace {
     /// Number of records evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
         self.recorded - self.records.len() as u64
-    }
-
-    /// Render all retained records as lines (for debugging dumps).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            let _ = writeln!(
-                out,
-                "[{}] {} {}/{} id={} v={} {}",
-                r.time, r.node, r.cat, r.name, r.id, r.v, r.detail
-            );
-        }
-        out
     }
 
     /// Byte-reproducible JSONL export: a meta line, then one object per

@@ -17,22 +17,12 @@ use crate::sched::{make_scheduler, AnyScheduler, Queued, Scheduler, SchedulerKin
 use crate::trace::Trace;
 use sc_net::metrics::Registry;
 use sc_net::{Frame, SimDuration, SimTime};
-use std::time::Duration;
 
 /// Bits of each origin key holding the per-stream counter; the stream
 /// id lives above them. 2^44 events per stream and 2^20 streams are
 /// both far beyond any workload here (the counters are per node, and a
 /// run is bounded by `run_until_idle`'s event guard anyway).
 const ORIGIN_SHIFT: u32 = 44;
-
-/// A monotonic elapsed-time source (readings only ever compared against
-/// each other, so the epoch is arbitrary). The kernel itself never
-/// reads the wall clock — the sc-check `no-wall-clock` rule forbids it
-/// here — so perf accounting only happens when the outermost shell
-/// (`sc_bench::timing::wall_clock`) injects a source via
-/// [`World::set_wall_clock`]. Everything the simulation computes stays
-/// a pure function of the seed either way.
-pub type WallClock = fn() -> Duration;
 
 /// Kernel counters (cheap, always on).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -148,11 +138,6 @@ pub struct World {
     seed: u64,
     started: bool,
     controls: Vec<Option<ControlFn>>,
-    /// Wall-clock time spent inside the run loops (perf reporting only;
-    /// never consulted by the simulation itself). Stays zero until a
-    /// shell injects a [`WallClock`].
-    wall: Duration,
-    wall_clock: Option<WallClock>,
 }
 
 impl Kernel {
@@ -295,8 +280,6 @@ impl World {
             seed,
             started: false,
             controls: Vec::new(),
-            wall: Duration::ZERO,
-            wall_clock: None,
         }
     }
 
@@ -304,12 +287,6 @@ impl World {
     /// and the metrics registry.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.k.trace = Trace::bounded(capacity);
-        self.k.metrics.enable();
-    }
-
-    /// Enable full-capture tracing (nothing evicted) and the registry.
-    pub fn enable_trace_full(&mut self) {
-        self.k.trace = Trace::full();
         self.k.metrics.enable();
     }
 
@@ -354,33 +331,6 @@ impl World {
         self.k.queue.len()
     }
 
-    /// Install the shell's monotonic clock; from now on the run loops
-    /// accumulate [`World::wall_time`]. Benches and the scenario runner
-    /// pass `sc_bench::timing::wall_clock`; worlds without a clock
-    /// simply report no perf figures.
-    pub fn set_wall_clock(&mut self, clock: WallClock) {
-        self.wall_clock = Some(clock);
-    }
-
-    /// Wall-clock time accumulated inside [`World::run_until`] /
-    /// [`World::run_until_idle`] so far (zero unless a clock was
-    /// injected via [`World::set_wall_clock`]).
-    pub fn wall_time(&self) -> Duration {
-        self.wall
-    }
-
-    /// Events processed per wall-clock second across all run calls so
-    /// far — the kernel's perf trajectory metric. Wall-clock only; two
-    /// runs of the same seed produce identical event streams but
-    /// different `events_per_sec`. Returns 0.0 when no wall clock was
-    /// injected (perf unmeasured, not infinitely fast).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.k.stats.events_processed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
     /// The trace buffer.
     pub fn trace(&self) -> &Trace {
         &self.k.trace
@@ -402,11 +352,6 @@ impl World {
         let id = self.k.add_slot(node.name());
         self.objs.push(Box::new(node));
         id
-    }
-
-    /// The node's configured name.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.k.slots[id.0].name
     }
 
     /// Whether the node is alive (not crashed).
@@ -574,8 +519,8 @@ impl World {
         self.step_inner()
     }
 
-    /// [`World::step`] without the start hook (the run loops call this
-    /// so per-event wall-clock accounting stays out of the hot loop).
+    /// [`World::step`] without the start hook, which
+    /// [`World::run_until_idle`] runs once before its loop.
     fn step_inner(&mut self) -> bool {
         let Some(ev) = self.k.queue.pop() else {
             return false;
@@ -593,13 +538,11 @@ impl World {
     pub fn run_until(&mut self, deadline: SimTime) {
         self.k.until = deadline;
         self.ensure_started();
-        let t0 = self.wall_clock.map(|clock| clock());
         while let Some(ev) = self.k.queue.pop_before(deadline) {
             self.k.now = ev.time;
             self.k.stats.events_processed += 1;
             self.handle(ev.seq, ev.kind);
         }
-        self.accumulate_wall(t0);
         if self.k.now < deadline {
             self.k.now = deadline;
         }
@@ -616,7 +559,6 @@ impl World {
     pub fn run_until_idle(&mut self, max_events: u64) -> SimTime {
         self.k.until = self.k.now;
         self.ensure_started();
-        let t0 = self.wall_clock.map(|clock| clock());
         let mut n = 0u64;
         while self.step_inner() {
             n += 1;
@@ -625,17 +567,7 @@ impl World {
                 "run_until_idle exceeded {max_events} events"
             );
         }
-        self.accumulate_wall(t0);
         self.k.now
-    }
-
-    /// Credit one run loop's elapsed time against [`World::wall_time`]
-    /// (`t0` is the loop-entry reading; `None` when no clock is
-    /// installed).
-    fn accumulate_wall(&mut self, t0: Option<Duration>) {
-        if let (Some(clock), Some(t0)) = (self.wall_clock, t0) {
-            self.wall += clock().saturating_sub(t0);
-        }
     }
 
     fn ensure_started(&mut self) {

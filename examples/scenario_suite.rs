@@ -63,9 +63,7 @@ fn main() {
 
     let csv_path = format!("{out_prefix}.csv");
     let json_path = format!("{out_prefix}.json");
-    // Stable variants: identical args ⇒ byte-identical files (the
-    // wall-clock events_per_sec perf field lives in `to_csv`/`to_json`
-    // and the `sc-bench scenarios` reports).
+    // Identical args ⇒ byte-identical files.
     std::fs::write(&csv_path, report.to_csv_stable()).expect("write CSV report");
     std::fs::write(&json_path, report.to_json_stable()).expect("write JSON report");
     println!("\nreports: {csv_path}, {json_path}");
