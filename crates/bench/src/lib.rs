@@ -1,7 +1,9 @@
 //! Shared helpers for the figure binaries (table rendering, argument
 //! parsing, the wall-clock shell). The binaries themselves live in
-//! `src/bin/` — one per table/figure of the paper. Perf measurement is
-//! not here: that is the `benchmark/` package (`BENCHMARK.json`).
+//! `src/bin/`: `fig5`, `microbench`, `replay`, `scenarios` and `trace`.
+//! The paper's other quantitative claims are assertions in the
+//! workspace's tests, not printouts here. Perf measurement is not here
+//! either: that is the `benchmark/` package (`BENCHMARK.json`).
 
 pub mod replay;
 pub mod timing;

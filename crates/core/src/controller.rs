@@ -642,19 +642,24 @@ impl Controller {
                 self.peers[idx].session.stop(DownReason::BfdDown);
                 self.peers[idx].chan.reset();
                 self.pump_peer(idx, ctx);
-                // Slow path: control-plane repair toward the router.
-                let actions = self.engine.peer_down_repair(peer_id);
-                ctx.trace_instant("bgp", "repair.queued", 0, actions.len() as u64, String::new);
-                self.events.push((
-                    ctx.now(),
-                    ControllerEvent::RepairQueued {
-                        peer: peer_id,
-                        announcements: actions.len(),
-                    },
-                ));
-                self.run_actions(ctx, actions);
+                self.queue_repair(ctx, peer_id);
             }
         }
+    }
+
+    /// Listing 2's slow path: purge `peer`'s routes and queue the
+    /// control-plane repair toward the router.
+    fn queue_repair(&mut self, ctx: &mut Ctx, peer: PeerId) {
+        let actions = self.engine.peer_down_repair(peer);
+        ctx.trace_instant("bgp", "repair.queued", 0, actions.len() as u64, String::new);
+        self.events.push((
+            ctx.now(),
+            ControllerEvent::RepairQueued {
+                peer,
+                announcements: actions.len(),
+            },
+        ));
+        self.run_actions(ctx, actions);
     }
 
     fn issue_failover(&mut self, ctx: &mut Ctx, peer: PeerId, plan: &FailoverPlan) {
@@ -833,22 +838,7 @@ impl Controller {
                             .push((ctx.now(), ControllerEvent::PeerDown(peer_id)));
                         let plan = self.engine.failover_plan(peer_id);
                         self.issue_failover(ctx, peer_id, &plan);
-                        let actions = self.engine.peer_down_repair(peer_id);
-                        ctx.trace_instant(
-                            "bgp",
-                            "repair.queued",
-                            0,
-                            actions.len() as u64,
-                            String::new,
-                        );
-                        self.events.push((
-                            ctx.now(),
-                            ControllerEvent::RepairQueued {
-                                peer: peer_id,
-                                announcements: actions.len(),
-                            },
-                        ));
-                        self.run_actions(ctx, actions);
+                        self.queue_repair(ctx, peer_id);
                     }
                     // Either way the transport restarts: flush any final
                     // NOTIFICATION, then reconnect so the peer can

@@ -7,9 +7,8 @@
 //!
 //! This module turns that claim into checkable code: a
 //! [`ReplicaSet`] drives N engines with the same input stream and
-//! asserts digest equality after every step. The property tests and
-//! `sc-bench ablations` drive replicated engines through it, failover
-//! and repair included.
+//! asserts digest equality after every step. The property tests drive
+//! five replicated engines through it, failover and repair included.
 
 use crate::engine::{Engine, EngineAction, EngineConfig, FailoverPlan};
 use sc_bgp::msg::UpdateMsg;

@@ -9,6 +9,11 @@
 //!    count) and only rewrites groups that targeted the dead peer;
 //! 4. replicas fed the same arbitrary stream are digest-identical (§3);
 //! 5. after failover + repair, no announcement points at the dead peer.
+//!
+//! A plain test after them checks §2's counts through the decision
+//! process: n peers yield n(n−1) backup groups, failing one peer
+//! rewrites its n−1 groups, and with two peers that is one rewrite at
+//! any table size.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,10 +32,10 @@ fn peer(i: usize) -> PeerId {
     Ipv4Addr::new(10, 0, 7, i as u8 + 1)
 }
 
-fn config() -> EngineConfig {
+fn config(n_peers: usize) -> EngineConfig {
     EngineConfig::new(
         "10.0.200.0/24".parse().unwrap(),
-        (0..N_PEERS)
+        (0..n_peers)
             .map(|i| PeerSpec {
                 id: peer(i),
                 mac: MacAddr([2, 7, 0, 0, 0, i as u8 + 1]),
@@ -68,7 +73,7 @@ fn step_update(step: Step) -> (PeerId, UpdateMsg) {
 /// Run a stream through a fresh engine, checking per-step invariants;
 /// returns the engine.
 fn run_stream(steps: &[Step]) -> Engine {
-    let mut e = Engine::new(config());
+    let mut e = Engine::new(config(N_PEERS));
     for &step in steps {
         let (who, upd) = step_update(step);
         let actions = e.process_update(who, &upd);
@@ -144,9 +149,12 @@ proptest! {
             .iter()
             .filter(|(_, t, _)| *t == peer(victim))
             .collect();
+        let live_before = e.groups().len();
         let plan = e.failover_plan(peer(victim));
         // Bounded by groups targeting the victim, never by prefixes.
         prop_assert_eq!(plan.rewrites.len() + plan.unprotected_groups, targeting.len());
+        // Failover rewrites groups in place: it creates and retires none.
+        prop_assert_eq!(e.groups().len(), live_before);
         for rw in &plan.rewrites {
             prop_assert_ne!(rw.new_target, peer(victim), "never redirect to the dead peer");
             // The rewrite names a real group's VMAC.
@@ -162,7 +170,7 @@ proptest! {
         fail_at in 0usize..80,
         victim in 0..N_PEERS,
     ) {
-        let mut set = ReplicaSet::new(config(), 3);
+        let mut set = ReplicaSet::new(config(N_PEERS), 5);
         for (i, &step) in steps.iter().enumerate() {
             if i == fail_at {
                 set.failover(peer(victim)).expect("agree on failover");
@@ -199,5 +207,62 @@ proptest! {
         for (_, cands) in e.rib().iter() {
             prop_assert!(cands.iter().all(|r| r.peer != peer(victim)));
         }
+    }
+}
+
+/// §2: "the total number of backup-groups is n!/(n−2)!" and "in the
+/// worst case, the number of flow rewritings that has to be done is
+/// the number of peers". Worst case: every ordered (primary, backup)
+/// pair ranks first and second on a block of prefixes (AS-path length
+/// 1 and 2, everyone else 3), so every pair needs a group.
+#[test]
+fn n_peers_need_n_times_n_minus_one_groups_and_n_minus_one_rewrites() {
+    for n in 2..=16 {
+        let mut e = Engine::new(config(n));
+        let pairs = (0..n).flat_map(|p| (0..n).filter(move |&b| b != p).map(move |b| (p, b)));
+        for (block, (p, b)) in pairs.enumerate() {
+            for k in 0..2 {
+                let pfx = Ipv4Prefix::new(
+                    Ipv4Addr::from(0x0100_0000u32 + (((block * 2 + k) as u32) << 8)),
+                    24,
+                );
+                for i in 0..n {
+                    let len = if i == p {
+                        1
+                    } else if i == b {
+                        2
+                    } else {
+                        3
+                    };
+                    let path: Vec<u16> = (0..len).map(|h| 60_000 + h).collect();
+                    let attrs = RouteAttrs::ebgp(AsPath::sequence(path), peer(i)).shared();
+                    e.process_update(peer(i), &UpdateMsg::announce(attrs, vec![pfx]));
+                }
+            }
+        }
+        assert_eq!(e.groups().len(), n * (n - 1), "{n} peers");
+        // Every peer is primary for n−1 groups: failing one rewrites each.
+        assert_eq!(e.failover_plan(peer(0)).rewrites.len(), n - 1, "{n} peers");
+    }
+    // Listing 2 rewrites groups, not prefixes: with two peers one
+    // failover is one rewrite whatever the table size.
+    for prefixes in [100u32, 1_000, 10_000, 100_000] {
+        let mut e = Engine::new(config(2));
+        let nlri: Vec<Ipv4Prefix> = (0..prefixes)
+            .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000 + (i << 8)), 24))
+            .collect();
+        for i in 0..2 {
+            let attrs =
+                RouteAttrs::ebgp(AsPath::sequence(vec![65_000 + i as u16]), peer(i)).shared();
+            for chunk in nlri.chunks(300) {
+                e.process_update(peer(i), &UpdateMsg::announce(attrs.clone(), chunk.to_vec()));
+            }
+        }
+        assert_eq!(e.groups().len(), 1, "{prefixes} prefixes");
+        assert_eq!(
+            e.failover_plan(peer(0)).rewrites.len(),
+            1,
+            "{prefixes} prefixes"
+        );
     }
 }

@@ -752,11 +752,17 @@ impl LegacyRouter {
         ctx.trace_instant("detect", "liveness.expired", idx as u64, 0, || {
             format!("peer {peer_ip} silent past liveness deadline")
         });
-        self.peers[idx].session.stop(DownReason::LivenessExpired);
-        self.peer_down(idx, DownReason::LivenessExpired, ctx);
-        // Drop the transport like a BFD-triggered reset: the active
-        // side's reconnect SYN retries until the peer returns, and the
-        // fresh establishment replays the Adj-RIB-Out (reconciliation).
+        self.tear_down(idx, DownReason::LivenessExpired, ctx);
+    }
+
+    /// Declare peer `idx`'s session down for `reason` without waiting
+    /// for the hold timer, and restart its transport too (BGP drops its
+    /// TCP connection on session reset): the active side's SYN retries
+    /// until the peer is reachable again, and the fresh establishment
+    /// replays the Adj-RIB-Out (reconciliation).
+    fn tear_down(&mut self, idx: usize, reason: DownReason, ctx: &mut Ctx) {
+        self.peers[idx].session.stop(reason.clone());
+        self.peer_down(idx, reason, ctx);
         self.peers[idx].chan.reset();
         self.pump_peer(idx, ctx);
     }
@@ -773,14 +779,7 @@ impl LegacyRouter {
                 ctx.trace_instant("detect", "bfd.down", idx as u64, 0, || {
                     format!("peer {peer_ip} down (bfd)")
                 });
-                self.peers[idx].session.stop(DownReason::BfdDown);
-                self.peer_down(idx, DownReason::BfdDown, ctx);
-                // The transport restarts too (BGP drops its TCP
-                // connection on session reset); the active side's SYN
-                // retries until the peer is reachable again, at which
-                // point Connected → session restart → feed replay.
-                self.peers[idx].chan.reset();
-                self.pump_peer(idx, ctx);
+                self.tear_down(idx, DownReason::BfdDown, ctx);
             }
         }
     }

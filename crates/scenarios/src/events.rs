@@ -1,19 +1,12 @@
-//! Typed, serializable failure scripts.
+//! Typed failure scripts.
 //!
-//! A script is a schedule of [`ScenarioEvent`]s at offsets relative to
-//! the script origin `t0` (the instant the measurement window opens).
-//! [`EventScript::apply`] compiles the schedule down to
-//! [`sc_sim::World`] failure injections; the paper's experiment, "cut
-//! R2 at `t_fail`", is [`EventScript::primary_cut`].
-//!
-//! Scripts serialize to a line-oriented text form (`Display` /
-//! `FromStr`) so suites can be described in files and reports can
-//! embed the exact schedule they ran:
-//!
-//! ```text
-//! script primary-flap
-//! link_flap provider_switch:primary @0us period=250000us cycles=3
-//! ```
+//! A script is a schedule of [`ScenarioEvent`] values at offsets
+//! relative to the script origin `t0` (the instant the measurement
+//! window opens). Scripts are built in code, from the constructors
+//! below or from a `Vec<ScenarioEvent>`; [`EventScript::apply`]
+//! compiles the schedule down to [`sc_sim::World`] failure injections.
+//! The paper's experiment, "cut R2 at `t_fail`", is
+//! [`EventScript::primary_cut`].
 //!
 //! Semantics note: session restart is modeled end-to-end (RFC 4271
 //! §9.4): a session torn down by BFD or the hold timer drops its
@@ -29,8 +22,6 @@ use sc_bgp::msg::UpdateMsg;
 use sc_net::{Ipv4Prefix, SimDuration, SimTime};
 use sc_router::LegacyRouter;
 use sc_sim::{LinkId, NodeId};
-use std::fmt;
-use std::str::FromStr;
 
 /// Which provider an event targets, resolved against the topology's
 /// preference ranking at apply time (scripts stay topology-portable).
@@ -42,32 +33,6 @@ pub enum ProviderSel {
     Rank(usize),
     /// A literal provider index.
     Index(usize),
-}
-
-impl fmt::Display for ProviderSel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProviderSel::Primary => write!(f, "primary"),
-            ProviderSel::Rank(n) => write!(f, "rank:{n}"),
-            ProviderSel::Index(n) => write!(f, "index:{n}"),
-        }
-    }
-}
-
-impl FromStr for ProviderSel {
-    type Err = String;
-    fn from_str(s: &str) -> Result<ProviderSel, String> {
-        if s == "primary" {
-            return Ok(ProviderSel::Primary);
-        }
-        if let Some(n) = s.strip_prefix("rank:") {
-            return Ok(ProviderSel::Rank(n.parse().map_err(|e| format!("{e}"))?));
-        }
-        if let Some(n) = s.strip_prefix("index:") {
-            return Ok(ProviderSel::Index(n.parse().map_err(|e| format!("{e}"))?));
-        }
-        Err(format!("bad provider selector {s:?}"))
-    }
 }
 
 /// A cuttable link.
@@ -88,44 +53,6 @@ pub enum LinkRef {
     ControllerSwitch(usize),
 }
 
-impl fmt::Display for LinkRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkRef::ProviderSwitch(p) => write!(f, "provider_switch:{p}"),
-            LinkRef::ProviderPath(p) => write!(f, "provider_path:{p}"),
-            LinkRef::ForwarderUplink(j) => write!(f, "forwarder_uplink:{j}"),
-            LinkRef::RingCloser => write!(f, "ring_closer"),
-            LinkRef::ControllerSwitch(c) => write!(f, "controller_switch:{c}"),
-        }
-    }
-}
-
-impl FromStr for LinkRef {
-    type Err = String;
-    fn from_str(s: &str) -> Result<LinkRef, String> {
-        if s == "ring_closer" {
-            return Ok(LinkRef::RingCloser);
-        }
-        if let Some(rest) = s.strip_prefix("provider_switch:") {
-            return Ok(LinkRef::ProviderSwitch(rest.parse()?));
-        }
-        if let Some(rest) = s.strip_prefix("provider_path:") {
-            return Ok(LinkRef::ProviderPath(rest.parse()?));
-        }
-        if let Some(rest) = s.strip_prefix("forwarder_uplink:") {
-            return Ok(LinkRef::ForwarderUplink(
-                rest.parse().map_err(|e| format!("{e}"))?,
-            ));
-        }
-        if let Some(rest) = s.strip_prefix("controller_switch:") {
-            return Ok(LinkRef::ControllerSwitch(
-                rest.parse().map_err(|e| format!("{e}"))?,
-            ));
-        }
-        Err(format!("bad link ref {s:?}"))
-    }
-}
-
 /// A crashable node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeRef {
@@ -135,40 +62,6 @@ pub enum NodeRef {
     /// The OpenFlow switch (partition endpoint; crashing it is legal
     /// chaos too).
     Switch,
-}
-
-impl fmt::Display for NodeRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NodeRef::Provider(p) => write!(f, "provider:{p}"),
-            NodeRef::Forwarder(j) => write!(f, "forwarder:{j}"),
-            NodeRef::Controller(c) => write!(f, "controller:{c}"),
-            NodeRef::Switch => write!(f, "switch"),
-        }
-    }
-}
-
-impl FromStr for NodeRef {
-    type Err = String;
-    fn from_str(s: &str) -> Result<NodeRef, String> {
-        if s == "switch" {
-            return Ok(NodeRef::Switch);
-        }
-        if let Some(rest) = s.strip_prefix("provider:") {
-            return Ok(NodeRef::Provider(rest.parse()?));
-        }
-        if let Some(rest) = s.strip_prefix("forwarder:") {
-            return Ok(NodeRef::Forwarder(
-                rest.parse().map_err(|e| format!("{e}"))?,
-            ));
-        }
-        if let Some(rest) = s.strip_prefix("controller:") {
-            return Ok(NodeRef::Controller(
-                rest.parse().map_err(|e| format!("{e}"))?,
-            ));
-        }
-        Err(format!("bad node ref {s:?}"))
-    }
 }
 
 /// One scheduled event; all offsets are relative to the script origin.
@@ -234,9 +127,9 @@ pub enum ScenarioEvent {
     /// Chaos: seeded stochastic faults on a link from `at` to `until` —
     /// drop each frame with probability `loss_ppm` and flip one byte
     /// with probability `corrupt_ppm` (both parts-per-million, so the
-    /// event stays `Eq` and text-exact). Healing restores the link's
-    /// apply-time parameters. Faults apply to frames *emitted* while
-    /// active; in-flight frames are unaffected.
+    /// event stays `Eq`). Healing restores the link's apply-time
+    /// parameters. Faults apply to frames *emitted* while active;
+    /// in-flight frames are unaffected.
     SetLinkFaults {
         link: LinkRef,
         at: SimDuration,
@@ -338,254 +231,6 @@ impl ScenarioEvent {
             } => (0..cycles as u64).map(|c| at + period * c).collect(),
         }
     }
-}
-
-fn fmt_dur(d: SimDuration) -> String {
-    // Lossless: whole microseconds render as `us` for readability,
-    // anything finer falls back to `ns` so Display/FromStr round-trips
-    // exactly.
-    if d.as_nanos().is_multiple_of(1_000) {
-        format!("{}us", d.as_nanos() / 1_000)
-    } else {
-        format!("{}ns", d.as_nanos())
-    }
-}
-
-fn parse_dur(s: &str) -> Result<SimDuration, String> {
-    let (num, mul) = if let Some(n) = s.strip_suffix("us") {
-        (n, 1_000u64)
-    } else if let Some(n) = s.strip_suffix("ms") {
-        (n, 1_000_000)
-    } else if let Some(n) = s.strip_suffix("ns") {
-        (n, 1)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1_000_000_000)
-    } else {
-        return Err(format!("duration {s:?} needs a ns/us/ms/s suffix"));
-    };
-    let v: u64 = num.parse().map_err(|e| format!("duration {s:?}: {e}"))?;
-    v.checked_mul(mul)
-        .map(SimDuration::from_nanos)
-        .ok_or_else(|| format!("duration {s:?} overflows"))
-}
-
-fn kv<'a>(tok: &'a str, key: &str) -> Result<&'a str, String> {
-    tok.strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=…, got {tok:?}"))
-}
-
-fn parse_ppm(s: &str) -> Result<u32, String> {
-    let num = s
-        .strip_suffix("ppm")
-        .ok_or_else(|| format!("probability {s:?} needs a ppm suffix"))?;
-    let v: u32 = num.parse().map_err(|e| format!("ppm {s:?}: {e}"))?;
-    if v > 1_000_000 {
-        return Err(format!("{v}ppm exceeds 1000000 (certainty)"));
-    }
-    Ok(v)
-}
-
-impl fmt::Display for ScenarioEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            ScenarioEvent::LinkDown { link, at } => {
-                write!(f, "link_down {link} @{}", fmt_dur(at))
-            }
-            ScenarioEvent::LinkUp { link, at } => write!(f, "link_up {link} @{}", fmt_dur(at)),
-            ScenarioEvent::LinkFlap {
-                link,
-                at,
-                period,
-                cycles,
-            } => write!(
-                f,
-                "link_flap {link} @{} period={} cycles={cycles}",
-                fmt_dur(at),
-                fmt_dur(period)
-            ),
-            ScenarioEvent::NodeCrash { node, at } => {
-                write!(f, "node_crash {node} @{}", fmt_dur(at))
-            }
-            ScenarioEvent::SessionReset {
-                provider,
-                at,
-                outage,
-            } => write!(
-                f,
-                "session_reset provider:{provider} @{} outage={}",
-                fmt_dur(at),
-                fmt_dur(outage)
-            ),
-            ScenarioEvent::WithdrawBurst {
-                provider,
-                at,
-                count,
-            } => write!(
-                f,
-                "withdraw_burst provider:{provider} @{} count={count}",
-                fmt_dur(at)
-            ),
-            ScenarioEvent::ChurnBurst {
-                provider,
-                at,
-                count,
-                cycles,
-                period,
-            } => write!(
-                f,
-                "churn_burst provider:{provider} @{} count={count} cycles={cycles} period={}",
-                fmt_dur(at),
-                fmt_dur(period)
-            ),
-            ScenarioEvent::CrashReplica { replica, at } => {
-                write!(f, "crash_replica controller:{replica} @{}", fmt_dur(at))
-            }
-            ScenarioEvent::DelayReplica { replica, at, delay } => write!(
-                f,
-                "delay_replica controller:{replica} @{} delay={}",
-                fmt_dur(at),
-                fmt_dur(delay)
-            ),
-            ScenarioEvent::SetLinkFaults {
-                link,
-                at,
-                loss_ppm,
-                corrupt_ppm,
-                until,
-            } => write!(
-                f,
-                "set_link_faults {link} @{} loss={loss_ppm}ppm corrupt={corrupt_ppm}ppm until={}",
-                fmt_dur(at),
-                fmt_dur(until)
-            ),
-            ScenarioEvent::Partition { a, b, at, heal } => write!(
-                f,
-                "partition {a} {b} @{} heal={}",
-                fmt_dur(at),
-                fmt_dur(heal)
-            ),
-            ScenarioEvent::CrashController { replica, at } => {
-                write!(f, "crash_controller controller:{replica} @{}", fmt_dur(at))
-            }
-            ScenarioEvent::RestartController { replica, at } => write!(
-                f,
-                "restart_controller controller:{replica} @{}",
-                fmt_dur(at)
-            ),
-            ScenarioEvent::DropFlowMods { count, at } => {
-                write!(f, "drop_flow_mods @{} count={count}", fmt_dur(at))
-            }
-        }
-    }
-}
-
-impl FromStr for ScenarioEvent {
-    type Err = String;
-    fn from_str(line: &str) -> Result<ScenarioEvent, String> {
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let at_tok = |i: usize| -> Result<SimDuration, String> {
-            toks.get(i)
-                .and_then(|t| t.strip_prefix('@'))
-                .ok_or_else(|| format!("expected @offset in {line:?}"))
-                .and_then(parse_dur)
-        };
-        match toks.first().copied() {
-            Some("link_down") => Ok(ScenarioEvent::LinkDown {
-                link: toks.get(1).ok_or("missing link")?.parse()?,
-                at: at_tok(2)?,
-            }),
-            Some("link_up") => Ok(ScenarioEvent::LinkUp {
-                link: toks.get(1).ok_or("missing link")?.parse()?,
-                at: at_tok(2)?,
-            }),
-            Some("link_flap") => Ok(ScenarioEvent::LinkFlap {
-                link: toks.get(1).ok_or("missing link")?.parse()?,
-                at: at_tok(2)?,
-                period: parse_dur(kv(toks.get(3).ok_or("missing period")?, "period")?)?,
-                cycles: kv(toks.get(4).ok_or("missing cycles")?, "cycles")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
-            }),
-            Some("node_crash") => Ok(ScenarioEvent::NodeCrash {
-                node: toks.get(1).ok_or("missing node")?.parse()?,
-                at: at_tok(2)?,
-            }),
-            Some("session_reset") => Ok(ScenarioEvent::SessionReset {
-                provider: sel_of(toks.get(1).ok_or("missing provider")?)?,
-                at: at_tok(2)?,
-                outage: parse_dur(kv(toks.get(3).ok_or("missing outage")?, "outage")?)?,
-            }),
-            Some("withdraw_burst") => Ok(ScenarioEvent::WithdrawBurst {
-                provider: sel_of(toks.get(1).ok_or("missing provider")?)?,
-                at: at_tok(2)?,
-                count: kv(toks.get(3).ok_or("missing count")?, "count")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
-            }),
-            Some("churn_burst") => Ok(ScenarioEvent::ChurnBurst {
-                provider: sel_of(toks.get(1).ok_or("missing provider")?)?,
-                at: at_tok(2)?,
-                count: kv(toks.get(3).ok_or("missing count")?, "count")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
-                cycles: kv(toks.get(4).ok_or("missing cycles")?, "cycles")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
-                period: parse_dur(kv(toks.get(5).ok_or("missing period")?, "period")?)?,
-            }),
-            Some("crash_replica") => Ok(ScenarioEvent::CrashReplica {
-                replica: ctrl_of(toks.get(1).ok_or("missing controller")?)?,
-                at: at_tok(2)?,
-            }),
-            Some("delay_replica") => Ok(ScenarioEvent::DelayReplica {
-                replica: ctrl_of(toks.get(1).ok_or("missing controller")?)?,
-                at: at_tok(2)?,
-                delay: parse_dur(kv(toks.get(3).ok_or("missing delay")?, "delay")?)?,
-            }),
-            Some("set_link_faults") => Ok(ScenarioEvent::SetLinkFaults {
-                link: toks.get(1).ok_or("missing link")?.parse()?,
-                at: at_tok(2)?,
-                loss_ppm: parse_ppm(kv(toks.get(3).ok_or("missing loss")?, "loss")?)?,
-                corrupt_ppm: parse_ppm(kv(toks.get(4).ok_or("missing corrupt")?, "corrupt")?)?,
-                until: parse_dur(kv(toks.get(5).ok_or("missing until")?, "until")?)?,
-            }),
-            Some("partition") => Ok(ScenarioEvent::Partition {
-                a: toks.get(1).ok_or("missing endpoint a")?.parse()?,
-                b: toks.get(2).ok_or("missing endpoint b")?.parse()?,
-                at: at_tok(3)?,
-                heal: parse_dur(kv(toks.get(4).ok_or("missing heal")?, "heal")?)?,
-            }),
-            Some("crash_controller") => Ok(ScenarioEvent::CrashController {
-                replica: ctrl_of(toks.get(1).ok_or("missing controller")?)?,
-                at: at_tok(2)?,
-            }),
-            Some("restart_controller") => Ok(ScenarioEvent::RestartController {
-                replica: ctrl_of(toks.get(1).ok_or("missing controller")?)?,
-                at: at_tok(2)?,
-            }),
-            Some("drop_flow_mods") => Ok(ScenarioEvent::DropFlowMods {
-                at: at_tok(1)?,
-                count: kv(toks.get(2).ok_or("missing count")?, "count")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
-            }),
-            other => Err(format!("unknown event {other:?}")),
-        }
-    }
-}
-
-fn sel_of(tok: &str) -> Result<ProviderSel, String> {
-    tok.strip_prefix("provider:")
-        .ok_or_else(|| format!("expected provider:…, got {tok:?}"))?
-        .parse()
-}
-
-fn ctrl_of(tok: &str) -> Result<usize, String> {
-    tok.strip_prefix("controller:")
-        .ok_or_else(|| format!("expected controller:…, got {tok:?}"))?
-        .parse()
-        .map_err(|e| format!("{e}"))
 }
 
 /// A named schedule of events.
@@ -1025,39 +670,6 @@ impl EventScript {
     }
 }
 
-impl fmt::Display for EventScript {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "script {}", self.name)?;
-        for ev in &self.events {
-            writeln!(f, "{ev}")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for EventScript {
-    type Err = String;
-    fn from_str(s: &str) -> Result<EventScript, String> {
-        let mut name = None;
-        let mut events = Vec::new();
-        for line in s.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(n) = line.strip_prefix("script ") {
-                name = Some(n.trim().to_string());
-                continue;
-            }
-            events.push(line.parse()?);
-        }
-        Ok(EventScript {
-            name: name.ok_or("missing `script <name>` header")?,
-            events,
-        })
-    }
-}
-
 pub(crate) fn resolve_provider(scn: &BuiltScenario, sel: ProviderSel) -> Result<usize, String> {
     let m = scn.providers.len();
     let idx = match sel {
@@ -1145,7 +757,7 @@ pub(crate) fn resolve_pair_links(
                 Ok(v)
             }
         }
-        _ => Err(format!("no partitionable link between {a} and {b}")),
+        _ => Err(format!("no partitionable link between {a:?} and {b:?}")),
     }
 }
 
@@ -1210,117 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn scripts_roundtrip_through_text() {
-        let scripts = [
-            EventScript::primary_cut(),
-            EventScript::primary_flap(ms(250), 3),
-            EventScript::primary_crash(),
-            EventScript::primary_session_reset(ms(150)),
-            EventScript::withdraw_burst(100),
-            EventScript::staggered_double(ms(200)),
-            EventScript::replica_crash(1, ms(2)),
-            EventScript::replica_delay(0, ms(2), ms(40)),
-            EventScript::chaos(7),
-            EventScript::chaos(0xDEAD_BEEF),
-            EventScript::new(
-                "havoc",
-                vec![
-                    ScenarioEvent::SetLinkFaults {
-                        link: LinkRef::ControllerSwitch(1),
-                        at: ms(2),
-                        loss_ppm: 125_000,
-                        corrupt_ppm: 7,
-                        until: ms(90),
-                    },
-                    ScenarioEvent::Partition {
-                        a: NodeRef::Switch,
-                        b: NodeRef::Controller(0),
-                        at: ms(4),
-                        heal: ms(60),
-                    },
-                    ScenarioEvent::Partition {
-                        a: NodeRef::Provider(ProviderSel::Primary),
-                        b: NodeRef::Forwarder(2),
-                        at: ms(5),
-                        heal: ms(65),
-                    },
-                    ScenarioEvent::CrashController {
-                        replica: 1,
-                        at: ms(8),
-                    },
-                    ScenarioEvent::RestartController {
-                        replica: 1,
-                        at: ms(80),
-                    },
-                    ScenarioEvent::DropFlowMods {
-                        count: 3,
-                        at: ms(1),
-                    },
-                ],
-            ),
-            EventScript::new(
-                "mixed",
-                vec![
-                    ScenarioEvent::LinkDown {
-                        link: LinkRef::ForwarderUplink(2),
-                        at: ms(5),
-                    },
-                    ScenarioEvent::LinkUp {
-                        link: LinkRef::RingCloser,
-                        at: ms(7),
-                    },
-                    ScenarioEvent::ChurnBurst {
-                        provider: ProviderSel::Rank(1),
-                        at: ms(1),
-                        count: 50,
-                        cycles: 2,
-                        period: ms(300),
-                    },
-                    // Sub-microsecond offsets must survive the text
-                    // form too (they render as ns).
-                    ScenarioEvent::LinkDown {
-                        link: LinkRef::ProviderPath(ProviderSel::Index(0)),
-                        at: SimDuration::from_nanos(1_500),
-                    },
-                ],
-            ),
-        ];
-        for script in scripts {
-            let text = script.to_string();
-            let parsed: EventScript = text.parse().unwrap_or_else(|e| {
-                panic!("failed to reparse {text:?}: {e}");
-            });
-            assert_eq!(parsed, script, "roundtrip of {text:?}");
-        }
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!("script x\nlink_down nowhere @0us"
-            .parse::<EventScript>()
-            .is_err());
-        assert!("link_down provider_switch:primary @0us"
-            .parse::<EventScript>()
-            .is_err());
-        assert!(
-            "script x\nlink_flap provider_switch:primary @0us period=1xs cycles=2"
-                .parse::<EventScript>()
-                .is_err()
-        );
-        // ppm values need the suffix and must stay within one million.
-        assert!(
-            "script x\nset_link_faults controller_switch:0 @0us loss=5 corrupt=0ppm until=1ms"
-                .parse::<EventScript>()
-                .is_err()
-        );
-        assert!(
-            "script x\nset_link_faults controller_switch:0 @0us loss=1000001ppm corrupt=0ppm until=1ms"
-                .parse::<EventScript>()
-                .is_err()
-        );
-    }
-
-    #[test]
     fn chaos_is_a_pure_function_of_seed() {
         assert_eq!(EventScript::chaos(42), EventScript::chaos(42));
         assert_ne!(EventScript::chaos(42), EventScript::chaos(43));
@@ -1335,9 +836,6 @@ mod tests {
                     at,
                 } if *at == SimDuration::ZERO
             )));
-            // And the whole script survives the text round-trip.
-            let text = s.to_string();
-            assert_eq!(text.parse::<EventScript>().unwrap(), s);
         }
     }
 

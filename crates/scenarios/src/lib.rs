@@ -12,7 +12,7 @@
 //!   [`builder`] wires into a deterministic [`sc_sim::World`] with real
 //!   BGP provider routers, a static-route delivery fabric, and — in
 //!   supercharged mode — the controller(s).
-//! * [`events`] — typed, text-serializable **event scripts** (link cut,
+//! * [`events`] — typed **event scripts** (link cut,
 //!   link flap, node crash, session reset, withdraw/churn bursts,
 //!   staggered multi-failure) compiled down to `World` failure
 //!   injections; the paper's own experiment is

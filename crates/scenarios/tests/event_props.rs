@@ -131,14 +131,4 @@ proptest! {
                 "epoch {e:?} past end {end:?}");
         }
     }
-
-    /// Scripts of arbitrary events survive the text round-trip exactly
-    /// (parse ∘ display = identity), chaos grammar included.
-    #[test]
-    fn scripts_roundtrip(events in vec(arb_event(), 0..16)) {
-        let script = EventScript::new("prop", events);
-        let text = script.to_string();
-        let parsed: EventScript = text.parse().unwrap();
-        prop_assert_eq!(parsed, script);
-    }
 }

@@ -2,9 +2,16 @@
 //! reduced scale, the controller-replication story, and the headline
 //! claim — the supercharged router converges in ~150 ms regardless of
 //! table size while the stock router's convergence grows linearly.
+//!
+//! The sensitivity sweeps vary one calibration constant at a time and
+//! check the paper's decomposition (§4, Fig. 5): supercharged
+//! convergence is BFD detection + the controller's reaction + one flow
+//! install; stock convergence is detection + the whole FIB walk.
 
 use sc_lab::Mode;
 use sc_net::SimDuration;
+use sc_openflow::SwitchConfig;
+use sc_router::Calibration;
 use sc_scenarios::{
     build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
 };
@@ -29,6 +36,31 @@ fn trial(mode: Mode, cfg: &ScenarioConfig) -> ScenarioOutcome {
         cfg,
     )
 }
+
+/// The cell every sensitivity sweep varies one constant of: 300
+/// prefixes, 10 flows, seed 42.
+fn sweep_cell() -> ScenarioConfig {
+    ScenarioConfig {
+        flows: 10,
+        seed: 42,
+        ..base(300)
+    }
+}
+
+fn detection(r: &ScenarioOutcome) -> SimDuration {
+    r.detected_at.expect("the cut was detected") - r.fail_at
+}
+
+/// What supercharged convergence leaves after its three modeled terms
+/// (detection, reaction delay, the switch's install base), in ns: wire
+/// time and probe spacing, under 250 µs in the Fig. 4 lab.
+fn fast_path_residual_ns(r: &ScenarioOutcome, cfg: &ScenarioConfig) -> i64 {
+    let install = SwitchConfig::paper_defaults("sw").install_base;
+    let terms = detection(r) + cfg.reaction_delay + install;
+    r.stats().max.as_nanos() as i64 - terms.as_nanos() as i64
+}
+
+const RESIDUAL_NS: std::ops::RangeInclusive<i64> = 0..=250_000;
 
 #[test]
 fn supercharged_converges_within_150ms_regardless_of_position() {
@@ -68,7 +100,7 @@ fn stock_converges_linearly_with_table_size() {
     let r = trial(Mode::Stock, &base(1_000));
     assert_eq!(r.unrecovered, 0);
     let stats = r.stats();
-    let expected_max = sc_router::Calibration::nexus7k().expected_full_walk(1_000);
+    let expected_max = Calibration::nexus7k().expected_full_walk(1_000);
     // Worst flow ≈ detection + full walk.
     let got = stats.max.as_secs_f64();
     let model = expected_max.as_secs_f64() + 0.09;
@@ -312,4 +344,92 @@ fn lossy_control_plane_is_repaired_by_the_channel() {
         max <= SimDuration::from_millis(800),
         "convergence with lossy control plane took {max}"
     );
+}
+
+/// The BFD interval moves only the detection term: detection stays
+/// within three intervals and rises with the interval, and the residual
+/// after detection + reaction + install stays in the wire-time band.
+#[test]
+fn bfd_interval_moves_only_detection() {
+    let mut prev = SimDuration::ZERO;
+    for ms in [10, 30, 50, 100] {
+        let cfg = ScenarioConfig {
+            bfd_interval: SimDuration::from_millis(ms),
+            ..sweep_cell()
+        };
+        let r = trial(Mode::Supercharged, &cfg);
+        assert_eq!(r.unrecovered, 0, "{ms} ms");
+        let detect = detection(&r);
+        assert!(
+            detect > prev && detect <= cfg.bfd_interval * 3,
+            "{ms} ms interval: detection {detect} (previous {prev})"
+        );
+        prev = detect;
+        let residual = fast_path_residual_ns(&r, &cfg);
+        assert!(
+            RESIDUAL_NS.contains(&residual),
+            "{ms} ms interval: residual {residual} ns"
+        );
+    }
+}
+
+/// The controller's reaction delay adds one for one: the residual stays
+/// in the wire-time band, and the 150 ms budget holds up to a 30 ms
+/// reaction and breaks at 60 ms.
+#[test]
+fn reaction_delay_adds_one_for_one() {
+    for ms in [1, 3, 10, 30, 60] {
+        let cfg = ScenarioConfig {
+            reaction_delay: SimDuration::from_millis(ms),
+            ..sweep_cell()
+        };
+        let r = trial(Mode::Supercharged, &cfg);
+        assert_eq!(r.unrecovered, 0, "{ms} ms");
+        let residual = fast_path_residual_ns(&r, &cfg);
+        assert!(
+            RESIDUAL_NS.contains(&residual),
+            "{ms} ms reaction: residual {residual} ns"
+        );
+        let max = r.stats().max;
+        assert_eq!(
+            max <= SimDuration::from_millis(150),
+            ms <= 30,
+            "{ms} ms reaction: max {max}"
+        );
+    }
+}
+
+/// The stock router's worst flow waits for detection plus the whole
+/// walk (`Calibration::expected_full_walk`), to within 1 ms at every
+/// per-entry cost, and supercharging never loses. At ≤ 30 µs/entry R1's
+/// own repair walk beats the fast path, so only the residual's upper
+/// bound holds for supercharged.
+#[test]
+fn stock_model_is_detection_plus_full_walk() {
+    for us in [281, 100, 30, 10, 1] {
+        let cal = Calibration {
+            fib_entry_update: SimDuration::from_micros(us),
+            ..Calibration::nexus7k()
+        };
+        let cfg = ScenarioConfig {
+            cal,
+            ..sweep_cell()
+        };
+        let stock = trial(Mode::Stock, &cfg);
+        let sup = trial(Mode::Supercharged, &cfg);
+        assert_eq!((stock.unrecovered, sup.unrecovered), (0, 0), "{us} µs");
+        let model = detection(&stock) + cal.expected_full_walk(300);
+        let err_ns = stock.stats().max.as_nanos() as i64 - model.as_nanos() as i64;
+        assert!(
+            err_ns.abs() <= 1_000_000,
+            "{us} µs/entry: stock max {} vs model {model}",
+            stock.stats().max
+        );
+        assert!(sup.stats().max <= stock.stats().max, "{us} µs/entry");
+        let residual = fast_path_residual_ns(&sup, &cfg);
+        assert!(
+            residual <= *RESIDUAL_NS.end(),
+            "{us} µs/entry: residual {residual} ns"
+        );
+    }
 }

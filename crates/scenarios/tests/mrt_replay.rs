@@ -5,6 +5,8 @@
 
 use sc_lab::Mode;
 use sc_net::SimDuration;
+use sc_openflow::SwitchConfig;
+use sc_router::Calibration;
 use sc_scenarios::{
     build_scenario, run_scenario, EventScript, FeedSource, MrtReplayFeed, ScenarioConfig,
     SuiteReport, TopologySpec,
@@ -131,4 +133,58 @@ fn script_epochs_merge_with_replay_epochs() {
     let outcome = run_scenario(&TOPO, &script, Mode::Stock, &cfg);
     assert_eq!(outcome.cycles.len(), 25, "24 bursts + 1 scripted cut");
     assert_eq!(outcome.unrecovered, 0, "backup provider carries the rest");
+}
+
+/// Where supercharging stops paying: the same recorded trace, then a
+/// primary cut after it drains, on routers scaled from the paper's
+/// Nexus 7k (FIB entry cost and peer-down processing together). The
+/// legacy cut grows with the router's cost while the supercharged cut
+/// stays BFD-bound, so the speedup rises from below 1× at 0 % (an
+/// instant FIB). There supercharging costs at most its reaction delay
+/// and one flow install.
+#[test]
+fn speedup_crosses_one_as_the_router_slows() {
+    let script = EventScript::new(
+        "post-replay-cut",
+        vec![sc_scenarios::ScenarioEvent::LinkDown {
+            link: sc_scenarios::LinkRef::ProviderSwitch(sc_scenarios::ProviderSel::Primary),
+            at: SimDuration::from_millis(2_500),
+        }],
+    );
+    let cut_max = |mode: Mode, cfg: &ScenarioConfig| {
+        let outcome = run_scenario(&TOPO, &script, mode, cfg);
+        assert_eq!(outcome.unrecovered, 0);
+        outcome.cycles.last().unwrap().stats().max
+    };
+    let nexus = Calibration::nexus7k();
+    let mut prev: Option<(SimDuration, f64)> = None;
+    for pct in [0, 25, 50, 100, 200] {
+        let cfg = ScenarioConfig {
+            cal: Calibration {
+                fib_entry_update: nexus.fib_entry_update * pct / 100,
+                peer_down_processing: nexus.peer_down_processing * pct / 100,
+                ..nexus
+            },
+            ..replay_cfg()
+        };
+        let legacy = cut_max(Mode::Stock, &cfg);
+        let sup = cut_max(Mode::Supercharged, &cfg);
+        let speedup = legacy.as_secs_f64() / sup.as_secs_f64();
+        assert!(
+            sup <= SimDuration::from_millis(100),
+            "{pct}%: supercharged {sup}"
+        );
+        assert_eq!(speedup > 1.0, pct > 0, "{pct}%: speedup {speedup:.2}");
+        if let Some((prev_legacy, prev_speedup)) = prev {
+            assert!(legacy > prev_legacy && speedup > prev_speedup, "{pct}%");
+        } else {
+            let loss = sup - legacy;
+            let bound = cfg.reaction_delay + SwitchConfig::paper_defaults("sw").install_base;
+            assert!(
+                !loss.is_zero() && loss <= bound,
+                "instant router: loss {loss}"
+            );
+        }
+        prev = Some((legacy, speedup));
+    }
 }
