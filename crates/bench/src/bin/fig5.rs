@@ -15,43 +15,24 @@
 //! * `--quick`: 1k/5k/10k/50k only (CI-sized);
 //! * `--full`: the paper's 3 trials per point;
 //! * `--csv`: also write the pooled samples summary as CSV.
+//!
+//! The bin prints; it checks nothing. The paper's claims about this
+//! figure are assertions against a closed-form model in
+//! `crates/scenarios/tests/lab_e2e.rs`, run by `cargo test`.
 
 use sc_bench::{fig5_label, Args, Table};
 use sc_lab::{BoxStats, Csv, Mode};
 use sc_net::SimDuration;
+use sc_router::PAPER_STOCK_MAX_S;
 use sc_scenarios::{run_trials, EventScript, ScenarioConfig, TopologySpec, Trial, TrialResult};
-
-/// The paper's x-axis.
-const FIG5_PREFIX_COUNTS: [u32; 9] = [
-    1_000, 5_000, 10_000, 50_000, 100_000, 200_000, 300_000, 400_000, 500_000,
-];
-
-/// Fig. 5's printed maxima for the non-supercharged router (seconds).
-const PAPER_STOCK_MAX_S: [(u32, f64); 9] = [
-    (1_000, 0.9),
-    (5_000, 1.6),
-    (10_000, 3.4),
-    (50_000, 13.8),
-    (100_000, 29.2),
-    (200_000, 56.9),
-    (300_000, 86.4),
-    (400_000, 113.1),
-    (500_000, 140.9),
-];
-
-fn paper_stock_max(prefixes: u32) -> Option<f64> {
-    PAPER_STOCK_MAX_S
-        .iter()
-        .find(|(p, _)| *p == prefixes)
-        .map(|(_, s)| *s)
-}
 
 fn main() {
     let args = Args::parse();
+    let axis = PAPER_STOCK_MAX_S.iter().map(|&(p, _)| p);
     let counts: Vec<u32> = if args.flag("--quick") {
-        vec![1_000, 5_000, 10_000, 50_000]
+        axis.take(4).collect()
     } else {
-        FIG5_PREFIX_COUNTS.to_vec()
+        axis.collect()
     };
     let trials: usize = if args.flag("--full") {
         3
@@ -72,8 +53,7 @@ fn main() {
     );
     eprintln!("      probe load: 64-byte UDP frames at 14 kpps per flow (the paper's rate)\n");
 
-    let (rows, took) = sc_bench::timing::timed(|| sweep(&counts, trials, &base));
-    eprintln!("sweep done in {:.1}s\n", took.as_secs_f64());
+    let rows = sweep(&counts, trials, &base);
     let (stock, supercharged) = rows.split_at(counts.len());
 
     let mut table = Table::new(&[
@@ -104,8 +84,10 @@ fn main() {
         for row in [s_row, u_row] {
             let st = row.stats();
             let paper = match row.mode {
-                Mode::Stock => paper_stock_max(row.prefixes)
-                    .map(|s| format!("{s:.1}s"))
+                Mode::Stock => PAPER_STOCK_MAX_S
+                    .iter()
+                    .find(|(p, _)| *p == row.prefixes)
+                    .map(|(_, s)| format!("{s:.1}s"))
                     .unwrap_or_else(|| "-".into()),
                 Mode::Supercharged => "<=150ms".into(),
             };
@@ -147,14 +129,9 @@ fn main() {
     println!("Improvement factor (paper: 900x at 500k)");
     println!("{}", sp.render());
 
-    let ok = check_shape(stock, supercharged);
-
     if let Some(path) = args.raw_value("--csv") {
         std::fs::write(&path, csv.finish()).expect("write csv");
         eprintln!("wrote {path}");
-    }
-    if !ok {
-        std::process::exit(1);
     }
 }
 
@@ -214,72 +191,4 @@ fn sweep(counts: &[u32], trials: usize, base: &ScenarioConfig) -> Vec<SweepRow> 
         }
     }
     rows
-}
-
-/// Check the qualitative shape the paper reports and print PASS/FAIL,
-/// so a run doubles as a reproduction check (`main` exits 1 on FAIL).
-fn check_shape(stock: &[SweepRow], supercharged: &[SweepRow]) -> bool {
-    let mut ok = true;
-    // 1. Supercharged is flat and ≤ ~150ms everywhere.
-    for row in supercharged {
-        let max = row.stats().max;
-        if max > SimDuration::from_millis(150) {
-            ok = false;
-            println!(
-                "FAIL supercharged max at {} prefixes: {}",
-                row.prefixes,
-                fig5_label(max)
-            );
-        }
-    }
-    // 2. Stock grows monotonically (allowing 5% noise).
-    for pair in stock.windows(2) {
-        let a = pair[0].stats().max.as_secs_f64();
-        let b = pair[1].stats().max.as_secs_f64();
-        if b < a * 0.95 {
-            ok = false;
-            println!(
-                "FAIL stock max not growing: {} -> {} prefixes",
-                pair[0].prefixes, pair[1].prefixes
-            );
-        }
-    }
-    // 3. Stock is within 25% of the paper's printed maxima (40% below
-    //    10k prefixes: the paper's own small-scale points sit above its
-    //    linear trend — 375ms best case + 1k x 281us/entry puts the 1k
-    //    worst case at ~0.66s, yet Fig. 5 prints 0.9s).
-    for row in stock {
-        if let Some(paper) = paper_stock_max(row.prefixes) {
-            let got = row.stats().max.as_secs_f64();
-            let tolerance = if row.prefixes < 10_000 { 0.40 } else { 0.25 };
-            if (got / paper - 1.0).abs() > tolerance {
-                ok = false;
-                println!(
-                    "FAIL stock max at {} prefixes: got {got:.1}s, paper {paper:.1}s",
-                    row.prefixes
-                );
-            }
-        }
-    }
-    // 4. The supercharged worst case beats the stock *best* case (the
-    //    paper: 150ms < 375ms first-entry best case).
-    if let (Some(s), Some(u)) = (stock.first(), supercharged.first()) {
-        if u.stats().max >= s.stats().min {
-            ok = false;
-            println!(
-                "FAIL supercharged worst ({}) must beat stock best ({})",
-                fig5_label(u.stats().max),
-                fig5_label(s.stats().min)
-            );
-        }
-    }
-    println!(
-        "shape check: {}",
-        if ok {
-            "PASS (matches the paper)"
-        } else {
-            "FAIL (see above)"
-        }
-    );
-    ok
 }

@@ -14,7 +14,7 @@
 //! * `--smoke`: one topology, 300 prefixes, cut + 2-cycle flap — the
 //!   seconds-scale sanity run CI executes on every push;
 //! * `--workers N`: pin the suite worker pool (default: one thread per
-//!   core) — wall-clock comparisons want a fixed, machine-independent
+//!   core) — a run timed from outside wants a fixed, machine-independent
 //!   degree of parallelism. The pool is capped at the machine's available
 //!   parallelism (an oversized `--workers` is clamped, not honored);
 //! * `--jsonl`: stream one JSON object per trial to stdout *as each
@@ -183,21 +183,19 @@ fn main() {
         }
     }
 
-    let (report, elapsed) = sc_bench::timing::timed(|| {
-        run_suite_resume(&suite, &completed, |_, result| {
-            if !jsonl {
-                return;
-            }
-            let line = match result {
-                TrialResult::Ok(row) => SuiteReport::row_json_stable(row).to_string(),
-                TrialResult::Err(e) => SuiteReport::error_json(e).to_string(),
-            };
-            // One locked write per row: rows from parallel workers never
-            // interleave mid-line.
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            let _ = writeln!(out, "{line}");
-        })
+    let report = run_suite_resume(&suite, &completed, |_, result| {
+        if !jsonl {
+            return;
+        }
+        let line = match result {
+            TrialResult::Ok(row) => SuiteReport::row_json_stable(row).to_string(),
+            TrialResult::Err(e) => SuiteReport::error_json(e).to_string(),
+        };
+        // One locked write per row: rows from parallel workers never
+        // interleave mid-line.
+        let stdout = std::io::stdout();
+        let mut out = stdout.lock();
+        let _ = writeln!(out, "{line}");
     });
 
     if !jsonl {
@@ -267,7 +265,6 @@ fn main() {
                 e.error
             );
         }
-        println!("\nwall time: {:.1}s", elapsed.as_secs_f64());
     }
 
     if let Some(path) = args.raw_value("--csv") {

@@ -1,12 +1,11 @@
 //! Shared helpers for the figure binaries (table rendering, argument
-//! parsing, the wall-clock shell). The binaries themselves live in
-//! `src/bin/`: `fig5`, `microbench`, `replay`, `scenarios` and `trace`.
-//! The paper's other quantitative claims are assertions in the
-//! workspace's tests, not printouts here. Perf measurement is not here
-//! either: that is the `benchmark/` package (`BENCHMARK.json`).
+//! parsing). The binaries themselves live in `src/bin/`: `fig5`,
+//! `replay`, `scenarios` and `trace`. The paper's quantitative claims
+//! are assertions in the workspace's tests, not printouts here. Time is
+//! not read here either: wall time is the perf ledger's (`benchmark/`,
+//! `BENCHMARK.json`).
 
 pub mod replay;
-pub mod timing;
 
 use sc_net::SimDuration;
 use sc_sim::SchedulerKind;

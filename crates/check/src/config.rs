@@ -1,6 +1,6 @@
 //! Per-crate policy: which severity each rule carries in each crate,
 //! the layering ranks the import graph must respect, and the one file
-//! allowed to read the wall clock.
+//! allowed to spawn threads.
 //!
 //! The table is source, not a config file, on purpose: policy changes
 //! are code-reviewed diffs next to the rules they tune, and the checker
@@ -36,8 +36,8 @@ pub enum CrateKind {
     /// Simulation/core logic: everything must be a pure function of the
     /// seed, so all determinism rules deny.
     Sim,
-    /// Outermost shells (bench harnesses, this checker): wall-clock
-    /// timing is their job and hasher determinism is a warning, not a
+    /// Outermost shells (bench harnesses, this checker): they only
+    /// report results, so hasher determinism is a warning, not a
     /// failure.
     Shell,
 }
@@ -119,10 +119,6 @@ pub const DATAPLANE_CRATES: &[&str] = &[
     "sc-bfd",
 ];
 
-/// The single file allowed to touch `Instant`/`SystemTime`: the bench
-/// shell's timing module, which every other harness goes through.
-pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/bench/src/timing.rs"];
-
 /// Files allowed to spawn threads: the suite runner, which fans whole
 /// independent trials out across a worker pool. Everything else — the
 /// kernel included — must stay single-threaded: `no-ambient-threading`
@@ -140,8 +136,9 @@ pub fn severity(rule: Rule, crate_name: &str) -> Severity {
         // a stray HashMap there is noise worth flagging, not a failure.
         (Rule::NoDefaultHasher, CrateKind::Sim) => Severity::Deny,
         (Rule::NoDefaultHasher, CrateKind::Shell) => Severity::Warn,
-        // Wall clock: denied everywhere; the allowlist file (not a
-        // crate-level hole) is carved out in the engine.
+        // Wall clock: denied everywhere, the bench shell included —
+        // wall time is the perf ledger's (`benchmark/`), outside the
+        // workspace.
         (Rule::NoWallClock, _) => Severity::Deny,
         // Ambient randomness: even benches must be seeded — perf worlds
         // are replayed for byte-identical event streams.

@@ -168,7 +168,6 @@ fn scan_idents(
     src: &str,
     findings: &mut Vec<(Rule, u32, String)>,
 ) {
-    let wall_clock_allowed = config::WALL_CLOCK_ALLOWLIST.contains(&rel_path);
     let threading_allowed = config::THREADING_ALLOWLIST.contains(&rel_path);
     let sans_io = config::SANS_IO_CRATES.contains(&crate_name);
     for (i, t) in code.iter().enumerate() {
@@ -190,16 +189,14 @@ fn scan_idents(
             // `TracePhase::Instant` is the Chrome trace-phase name, not
             // std::time — only that one qualifier is exempt, so
             // `time::Instant` still fires.
-            name @ ("Instant" | "SystemTime")
-                if !wall_clock_allowed && !qualified_by(code, i, "TracePhase", src) =>
-            {
+            name @ ("Instant" | "SystemTime") if !qualified_by(code, i, "TracePhase", src) => {
                 findings.push((
                     Rule::NoWallClock,
                     t.line,
                     format!(
-                        "`{name}` reads real time; only the bench shell \
-                         (`sc_bench::timing`) may — time the run from \
-                         there, around the simulation"
+                        "`{name}` reads real time; no crate may — wall time \
+                         is the perf ledger's (`benchmark/`), outside the \
+                         workspace"
                     ),
                 ));
             }

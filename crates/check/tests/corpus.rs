@@ -61,13 +61,14 @@ fn wall_clock_bad_and_good() {
 }
 
 #[test]
-fn wall_clock_allowlist_file_is_exempt() {
+fn wall_clock_in_the_bench_shell_is_denied() {
     let fa = analyze(
         "sc-bench",
-        "crates/bench/src/timing.rs",
+        "crates/bench/src/bin/fig5.rs",
         include_str!("corpus/wall_clock_bad.rs"),
     );
-    assert!(fa.diagnostics.is_empty(), "{:?}", fa.diagnostics);
+    assert_eq!(rules_of(&fa), vec![Rule::NoWallClock, Rule::NoWallClock]);
+    assert!(fa.diagnostics.iter().all(|d| d.severity == Severity::Deny));
 }
 
 #[test]

@@ -28,7 +28,7 @@ pub mod flowcache;
 pub mod node;
 
 pub use arp::ArpClient;
-pub use calibration::Calibration;
+pub use calibration::{Calibration, PAPER_STOCK_MAX_S};
 pub use fib::{Fib, FibEntry, FibOp, FibWalker};
 pub use flowcache::{FlowCache, FlowCacheEntry};
 pub use node::{Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};

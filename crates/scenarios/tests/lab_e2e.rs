@@ -1,22 +1,36 @@
-//! Full-stack tests on the paper's Fig. 4 lab: both halves of Fig. 5 at
-//! reduced scale, the controller-replication story, and the headline
-//! claim — the supercharged router converges in ~150 ms regardless of
-//! table size while the stock router's convergence grows linearly.
+//! Full-stack tests on the paper's Fig. 4 lab, gated against the
+//! paper's closed-form convergence model — the decomposition Sermpezis
+//! & Dimitropoulos use, computed from configuration and calibration
+//! constants alone ([`Model`]):
 //!
-//! The sensitivity sweeps vary one calibration constant at a time and
-//! check the paper's decomposition (§4, Fig. 5): supercharged
-//! convergence is BFD detection + the controller's reaction + one flow
-//! install; stock convergence is detection + the whole FIB walk.
+//! * stock: BFD detection + the router's peer-down processing + its FIB
+//!   walk up to the flow's prefix, so convergence grows linearly with
+//!   the prefix's position and so with the table size;
+//! * supercharged: BFD detection + the controller's reaction + one
+//!   group flow-mod, whatever the table size.
+//!
+//! Fig. 5's cells check every flow against the model on every push (1k
+//! to 50k prefixes, and the cut swept across one BFD interval); an
+//! ignored test runs the paper's whole x-axis. The sensitivity sweeps
+//! vary one constant at a time and check that it moves only its own
+//! term. Then the controller-replication story, §4's per-UPDATE work
+//! and the lab's plumbing.
 
+use sc_lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
 use sc_lab::Mode;
-use sc_net::SimDuration;
+use sc_net::{Ipv4Addr, SimDuration};
 use sc_openflow::SwitchConfig;
-use sc_router::Calibration;
+use sc_routegen::{generate_feed_for, prefix_universe, FeedConfig};
+use sc_router::{Calibration, PAPER_STOCK_MAX_S};
 use sc_scenarios::{
-    build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
+    build_scenario, run_scenario, run_trials, EventScript, LinkRef, ProviderSel, ScenarioConfig,
+    ScenarioEvent, ScenarioOutcome, TopologySpec, Trial, TrialResult,
 };
 use sc_sim::{PortId, TimerToken};
 use sc_traffic::TrafficSource;
+use std::sync::OnceLock;
+use supercharger::engine::{EngineAction, PeerSpec};
+use supercharger::{Engine, EngineConfig};
 
 fn base(prefixes: u32) -> ScenarioConfig {
     ScenarioConfig {
@@ -51,93 +65,350 @@ fn detection(r: &ScenarioOutcome) -> SimDuration {
     r.detected_at.expect("the cut was detected") - r.fail_at
 }
 
-/// What supercharged convergence leaves after its three modeled terms
-/// (detection, reaction delay, the switch's install base), in ns: wire
-/// time and probe spacing, under 250 µs in the Fig. 4 lab.
+/// The detect multiplier the builder gives every BFD session.
+const DETECT_MULT: u64 = 3;
+
+/// The wire's share of a measured gap, beyond the probe clock: the
+/// flow-mod's hop to the switch, and the backup path's hops to the sink
+/// against the dead one's.
+const WIRE: SimDuration = SimDuration::from_micros(100);
+
+/// The paper's closed-form convergence model, from configuration and
+/// calibration constants alone, never from a run.
+struct Model {
+    cal: Calibration,
+    bfd_interval: SimDuration,
+    reaction: SimDuration,
+    /// The switch's latency for the first flow-mod of a burst.
+    install: SimDuration,
+    probe_gap: SimDuration,
+}
+
+impl Model {
+    fn of(cfg: &ScenarioConfig) -> Model {
+        Model {
+            cal: cfg.cal,
+            bfd_interval: cfg.bfd_interval,
+            reaction: cfg.reaction_delay,
+            install: SwitchConfig::paper_defaults("sw").install_base,
+            // The paper's 14 kpps per flow unless the config names a rate.
+            probe_gap: SimDuration::from_secs(1) / cfg.rate_pps.unwrap_or(14_000),
+        }
+    }
+
+    /// BFD detection, earliest and latest: the session times out
+    /// `DETECT_MULT` intervals after the last control packet it heard,
+    /// and that packet left at most one interval before the cut.
+    fn detection(&self) -> (SimDuration, SimDuration) {
+        (
+            self.bfd_interval * (DETECT_MULT - 1),
+            self.bfd_interval * DETECT_MULT,
+        )
+    }
+
+    /// The supercharged fast path after detection: the controller's
+    /// reaction and one group flow-mod, whatever the table size.
+    fn fast_path(&self) -> SimDuration {
+        self.reaction + self.install
+    }
+
+    /// The first `entries` writes of a FIB walk at `pct` percent of the
+    /// calibrated per-entry cost.
+    fn walk(&self, entries: u64, pct: u64) -> SimDuration {
+        self.cal.fib_entry_update * entries * pct / 100
+    }
+
+    /// How much longer than cut-to-repair a flow's measured gap can be:
+    /// the gap opens with the last probe across the cut and closes with
+    /// the first across the repair, each up to one probe gap off.
+    fn late(&self) -> SimDuration {
+        self.probe_gap * 2 + WIRE
+    }
+
+    /// From detection to the sink seeing the flow whose prefix is at
+    /// `pos` in R1's FIB walk recover: earliest and latest.
+    fn repair(&self, mode: Mode, pos: u64) -> (SimDuration, SimDuration) {
+        let jitter = self.cal.fib_entry_jitter_pct as u64;
+        let late = self.late();
+        match mode {
+            // R1 purges the dead peer, then walks its FIB up to `pos`.
+            Mode::Stock => {
+                let purge = self.cal.peer_down_processing;
+                (
+                    purge + self.walk(pos + 1, 100 - jitter),
+                    purge + self.walk(pos + 1, 100 + jitter) + late,
+                )
+            }
+            // One group rewrite repairs every flow. R1 also walks its
+            // FIB as the controller re-announces the backup's routes,
+            // and that walk reaches the first few dozen prefixes before
+            // the flow-mod lands.
+            Mode::Supercharged => {
+                let rewalk = self.cal.update_processing + self.walk(pos + 1, 100 - jitter);
+                (self.fast_path().min(rewalk), self.fast_path() + late)
+            }
+        }
+    }
+
+    /// The closed-form envelope of the convergence of the flow at walk
+    /// position `pos`: detection and repair, each at its extremes.
+    fn envelope(&self, mode: Mode, pos: u64) -> (SimDuration, SimDuration) {
+        let (d_lo, d_hi) = self.detection();
+        let (r_lo, r_hi) = self.repair(mode, pos);
+        (d_lo + r_lo, d_hi + r_hi)
+    }
+}
+
+/// What the worst supercharged flow leaves after detection and the
+/// fast path, in ns.
 fn fast_path_residual_ns(r: &ScenarioOutcome, cfg: &ScenarioConfig) -> i64 {
-    let install = SwitchConfig::paper_defaults("sw").install_base;
-    let terms = detection(r) + cfg.reaction_delay + install;
+    let terms = detection(r) + Model::of(cfg).fast_path();
     r.stats().max.as_nanos() as i64 - terms.as_nanos() as i64
 }
 
-const RESIDUAL_NS: std::ops::RangeInclusive<i64> = 0..=250_000;
+/// The band the model allows that residual: [`Model::late`].
+fn residual_band(cfg: &ScenarioConfig) -> std::ops::RangeInclusive<i64> {
+    0..=Model::of(cfg).late().as_nanos() as i64
+}
 
+/// One Fig. 5 cell: a mode and a table size, cut `offset` into a BFD
+/// interval.
+struct Cell {
+    mode: Mode,
+    offset: SimDuration,
+    cfg: ScenarioConfig,
+    /// Each flow's position in R1's FIB walk.
+    positions: Vec<u64>,
+    outcome: ScenarioOutcome,
+}
+
+impl Cell {
+    /// Every flow inside the model: detection inside BFD's window, and
+    /// each flow's repair inside its own term. Together they put each
+    /// flow inside [`Model::envelope`].
+    fn assert_in_model(&self) {
+        let r = &self.outcome;
+        let model = Model::of(&self.cfg);
+        let cell = format!(
+            "{} at {} prefixes, cut {} into the BFD interval",
+            self.mode.label(),
+            self.cfg.prefixes,
+            self.offset
+        );
+        assert_eq!(r.unrecovered, 0, "{cell}");
+        let d = detection(r);
+        let (d_lo, d_hi) = model.detection();
+        assert!(
+            d_lo <= d && d <= d_hi,
+            "{cell}: detection {d} outside [{d_lo}, {d_hi}]"
+        );
+        for (f, (&gap, &pos)) in r.per_flow.iter().zip(&self.positions).enumerate() {
+            let (lo, hi) = model.repair(self.mode, pos);
+            assert!(
+                d + lo <= gap && gap <= d + hi,
+                "{cell}: flow {f} at walk position {pos} converged in {gap}, \
+                 model [{}, {}] after detection {d}",
+                d + lo,
+                d + hi
+            );
+        }
+    }
+}
+
+/// Each flow's position in R1's FIB walk: the rank of its covering
+/// (longest matching) prefix in ascending key order, the order
+/// `LocRib::remove_all` walks.
+fn walk_positions(cfg: &ScenarioConfig) -> Vec<u64> {
+    let scn = build_scenario(&TopologySpec::Fig4Lab, Mode::Stock, cfg);
+    assert!(scn.universe.windows(2).all(|w| w[0] < w[1]));
+    scn.flow_ips
+        .iter()
+        .map(|&ip| {
+            let (pos, _) = scn
+                .universe
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.contains(ip))
+                .max_by_key(|(_, p)| p.len())
+                .expect("every flow has a covering prefix");
+            pos as u64
+        })
+        .collect()
+}
+
+/// Fig. 5's primary cut at every count in `counts`, both modes, 10
+/// flows, the cut at `offsets` points spread evenly over one BFD
+/// interval; run on the suite's worker pool, in (mode, count, offset)
+/// order.
+fn fig5_cells(counts: &[u32], offsets: u64) -> Vec<Cell> {
+    let cfgs: Vec<(ScenarioConfig, Vec<u64>)> = counts
+        .iter()
+        .map(|&prefixes| {
+            let cfg = ScenarioConfig {
+                prefixes,
+                flows: 10,
+                ..ScenarioConfig::default()
+            };
+            let positions = walk_positions(&cfg);
+            (cfg, positions)
+        })
+        .collect();
+    let mut cells = Vec::new();
+    let mut trials = Vec::new();
+    for mode in [Mode::Stock, Mode::Supercharged] {
+        for (cfg, positions) in &cfgs {
+            for k in 0..offsets {
+                let offset = cfg.bfd_interval * k / offsets;
+                trials.push(Trial {
+                    topology: TopologySpec::Fig4Lab,
+                    script: EventScript::new(
+                        "primary-cut",
+                        vec![ScenarioEvent::LinkDown {
+                            link: LinkRef::ProviderSwitch(ProviderSel::Primary),
+                            at: offset,
+                        }],
+                    ),
+                    mode,
+                    cfg: cfg.clone(),
+                });
+                cells.push((mode, offset, cfg, positions));
+            }
+        }
+    }
+    run_trials(&trials, None, |_, _| {})
+        .into_iter()
+        .zip(cells)
+        .map(|(result, (mode, offset, cfg, positions))| match result {
+            TrialResult::Ok(outcome) => Cell {
+                mode,
+                offset,
+                cfg: cfg.clone(),
+                positions: positions.clone(),
+                outcome,
+            },
+            TrialResult::Err(e) => panic!("fig5 cell failed: {e:?}"),
+        })
+        .collect()
+}
+
+/// Fig. 5's per-push cells: the primary cut at 1k, 5k, 10k and 50k
+/// prefixes, both modes, run once for every test that reads them.
+fn per_push_cells() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| fig5_cells(&[1_000, 5_000, 10_000, 50_000], 1))
+}
+
+/// The worst flow of each count, stock over supercharged, in count
+/// order: the speedup must grow with the table.
+fn assert_speedup_grows(cells: &[Cell]) {
+    let worst = |mode: Mode, prefixes: u32| {
+        cells
+            .iter()
+            .filter(|c| c.mode == mode && c.cfg.prefixes == prefixes)
+            .map(|c| c.outcome.stats().max)
+            .max()
+            .expect("the sweep ran this cell")
+    };
+    let mut counts: Vec<u32> = cells.iter().map(|c| c.cfg.prefixes).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    let mut prev = 1.0;
+    for prefixes in counts {
+        let ratio = worst(Mode::Stock, prefixes).as_secs_f64()
+            / worst(Mode::Supercharged, prefixes).as_secs_f64();
+        assert!(
+            ratio > prev,
+            "{prefixes} prefixes: speedup {ratio:.1}x, not above {prev:.1}x"
+        );
+        prev = ratio;
+    }
+}
+
+/// Every flow of the detection-phase sweep sits inside the model, and
+/// the cut offsets move detection across at least half of BFD's
+/// window at every (mode, count), so the sweep provably explores it.
+fn assert_sweep_explores_detection(cells: &[Cell]) {
+    for cell in cells {
+        cell.assert_in_model();
+    }
+    // Cells come in (mode, count, offset) order: one chunk per offset sweep.
+    for sweep in cells.chunk_by(|a, b| (a.mode, a.cfg.prefixes) == (b.mode, b.cfg.prefixes)) {
+        let seen = sweep.iter().map(|c| detection(&c.outcome));
+        let spread = seen.clone().max().unwrap() - seen.min().unwrap();
+        let (d_lo, d_hi) = Model::of(&sweep[0].cfg).detection();
+        assert!(
+            spread * 2 >= d_hi - d_lo,
+            "{} at {} prefixes: detection spans only {spread} of [{d_lo}, {d_hi}]",
+            sweep[0].mode.label(),
+            sweep[0].cfg.prefixes
+        );
+    }
+}
+
+/// The paper: the supercharged router converges within ~150 ms wherever
+/// the flow's prefix sits and whatever the table size. Every flow of
+/// every per-push cell sits inside the model, the model's worst case is
+/// under 150 ms, and one backup group takes one rewrite.
 #[test]
 fn supercharged_converges_within_150ms_regardless_of_position() {
-    let r = trial(Mode::Supercharged, &base(1_000));
-    assert_eq!(r.unrecovered, 0, "all flows recovered");
-    assert_eq!(r.flow_rewrites, Some(1), "one backup-group, one rewrite");
-    let stats = r.stats();
-    // The paper: systematically within ~150ms. Allow the BFD-jitter
-    // envelope: detection ≤90ms + reaction 3ms + install ~17ms + wire.
-    assert!(
-        stats.max <= SimDuration::from_millis(150),
-        "worst flow took {}",
-        stats.max
-    );
-    assert!(
-        stats.min >= SimDuration::from_millis(30),
-        "faster than detection is impossible, got {}",
-        stats.min
-    );
-    // Prefix-independence: the spread across flows is the single rule
-    // flip — every flow recovers at the same instant (within one probe
-    // gap + measurement quantum).
-    let spread = stats.max - stats.min;
-    assert!(
-        spread <= SimDuration::from_millis(35),
-        "supercharged recovery must be flat across flows, spread {spread}"
-    );
-    let detect = r.detected_at.expect("controller saw the failure") - r.fail_at;
-    assert!(
-        detect <= SimDuration::from_millis(91),
-        "BFD budget, got {detect}"
-    );
+    let cells = per_push_cells();
+    for cell in cells.iter().filter(|c| c.mode == Mode::Supercharged) {
+        cell.assert_in_model();
+        assert_eq!(cell.outcome.flow_rewrites, Some(1), "{}", cell.cfg.prefixes);
+        let (_, worst) = Model::of(&cell.cfg).envelope(Mode::Supercharged, 0);
+        assert!(
+            worst <= SimDuration::from_millis(150),
+            "model worst {worst}"
+        );
+    }
 }
 
+/// The stock router's flow converges after detection, the peer-down
+/// processing and the walk up to its prefix: every flow of every
+/// per-push cell sits inside that linear model.
 #[test]
 fn stock_converges_linearly_with_table_size() {
-    let r = trial(Mode::Stock, &base(1_000));
-    assert_eq!(r.unrecovered, 0);
-    let stats = r.stats();
-    let expected_max = Calibration::nexus7k().expected_full_walk(1_000);
-    // Worst flow ≈ detection + full walk.
-    let got = stats.max.as_secs_f64();
-    let model = expected_max.as_secs_f64() + 0.09;
-    assert!(
-        (got / model - 1.0).abs() < 0.25,
-        "stock worst-case {got:.3}s vs model {model:.3}s"
-    );
-    // First flow recovers no earlier than ~375ms (paper's best case).
-    assert!(
-        stats.min >= SimDuration::from_millis(300),
-        "best case {}",
-        stats.min
-    );
-    // The distribution is spread (flows recover as the walk reaches
-    // their prefix): median must sit well between min and max — not
-    // collapsed like the supercharged case.
-    assert!(stats.median > stats.min + (stats.max - stats.min) / 10);
-    assert!(stats.median < stats.max - (stats.max - stats.min) / 10);
+    for cell in per_push_cells().iter().filter(|c| c.mode == Mode::Stock) {
+        cell.assert_in_model();
+    }
 }
 
+/// The gap grows with the table, the paper's core claim (~900× at
+/// 500k; the whole x-axis is `fig5_full_axis_sits_in_the_model`'s):
+/// the stock/supercharged ratio of worst flows rises from count to
+/// count. And the model's stock best case, the first prefix of the
+/// walk, is past its supercharged worst case (the paper: 375 ms against
+/// 150 ms).
 #[test]
 fn supercharging_wins_by_a_growing_factor() {
-    // At 2k prefixes the stock walk is ≈0.9s while the supercharged
-    // recovery stays ~0.11s: the gap grows with the table, which is the
-    // paper's core claim (×900 at 500k — checked at full scale by the
-    // fig5 bench, not in unit tests).
-    let stock = trial(Mode::Stock, &base(2_000));
-    let sup = trial(Mode::Supercharged, &base(2_000));
-    let ratio = stock.stats().max.as_secs_f64() / sup.stats().max.as_secs_f64();
-    assert!(ratio > 4.0, "speedup only {ratio:.1}x");
-    // And supercharged does not depend on the table size.
-    let sup_small = trial(Mode::Supercharged, &base(200));
-    let d = (sup.stats().max.as_secs_f64() - sup_small.stats().max.as_secs_f64()).abs();
-    assert!(
-        d < 0.05,
-        "supercharged convergence must be prefix-independent (Δ {d:.3}s)"
-    );
+    let cells = per_push_cells();
+    assert_speedup_grows(cells);
+    let model = Model::of(&cells[0].cfg);
+    let (stock_best, _) = model.envelope(Mode::Stock, 0);
+    let (_, supercharged_worst) = model.envelope(Mode::Supercharged, 0);
+    assert!(stock_best > supercharged_worst);
+}
+
+/// The cut at ten offsets across one BFD interval at 1k prefixes, both
+/// modes: every flow inside the model, and detection spread over at
+/// least half of BFD's window.
+#[test]
+fn detection_phase_sweep_explores_the_bfd_window() {
+    assert_sweep_explores_detection(&fig5_cells(&[1_000], 10));
+}
+
+/// Fig. 5's whole x-axis: the paper's nine table sizes, the cut at ten
+/// offsets across one BFD interval, both modes — every flow inside the
+/// model, and the speedup growing to the last point. Minutes in
+/// release; a scheduled CI job runs it:
+/// `cargo test --release -p sc-scenarios --test lab_e2e -- --ignored`.
+#[test]
+#[ignore]
+fn fig5_full_axis_sits_in_the_model() {
+    let counts: Vec<u32> = PAPER_STOCK_MAX_S.iter().map(|&(n, _)| n).collect();
+    let cells = fig5_cells(&counts, 10);
+    assert_sweep_explores_detection(&cells);
+    assert_speedup_grows(&cells);
 }
 
 #[test]
@@ -367,7 +638,7 @@ fn bfd_interval_moves_only_detection() {
         prev = detect;
         let residual = fast_path_residual_ns(&r, &cfg);
         assert!(
-            RESIDUAL_NS.contains(&residual),
+            residual_band(&cfg).contains(&residual),
             "{ms} ms interval: residual {residual} ns"
         );
     }
@@ -387,7 +658,7 @@ fn reaction_delay_adds_one_for_one() {
         assert_eq!(r.unrecovered, 0, "{ms} ms");
         let residual = fast_path_residual_ns(&r, &cfg);
         assert!(
-            RESIDUAL_NS.contains(&residual),
+            residual_band(&cfg).contains(&residual),
             "{ms} ms reaction: residual {residual} ns"
         );
         let max = r.stats().max;
@@ -428,8 +699,59 @@ fn stock_model_is_detection_plus_full_walk() {
         assert!(sup.stats().max <= stock.stats().max, "{us} µs/entry");
         let residual = fast_path_residual_ns(&sup, &cfg);
         assert!(
-            residual <= *RESIDUAL_NS.end(),
+            residual <= *residual_band(&cfg).end(),
             "{us} µs/entry: residual {residual} ns"
         );
     }
+}
+
+/// §4: the controller took 0.8 s for its worst UPDATE and 125 ms at
+/// the 99th percentile, over two peers' full tables. The same workload
+/// in host-independent units (R2's and R3's feeds over one 100k
+/// universe, through the engine): an UPDATE costs at most one action
+/// per prefix it carries, plus the flow-add of a new backup group, and
+/// exactly one UPDATE creates that group — the first to give its
+/// prefixes a backup. That one UPDATE is the tail.
+#[test]
+fn controller_work_per_update_is_its_prefixes_plus_one_group() {
+    let (prefixes, seed) = (100_000, 42);
+    let universe = prefix_universe(prefixes, seed);
+    // (address, MAC, switch port, LOCAL_PREF, router id, origin AS)
+    let peers = [
+        (IP_R2, MAC_R2, 2, 200, Ipv4Addr::new(2, 2, 2, 2), 65002),
+        (IP_R3, MAC_R3, 3, 100, Ipv4Addr::new(3, 3, 3, 3), 65003),
+    ];
+    let specs = peers
+        .iter()
+        .map(
+            |&(id, mac, switch_port, local_pref, router_id, _)| PeerSpec {
+                id,
+                mac,
+                switch_port,
+                local_pref,
+                router_id,
+            },
+        )
+        .collect();
+    let mut engine = Engine::new(EngineConfig::new("10.0.200.0/24".parse().unwrap(), specs));
+    let mut group_adds = 0;
+    for (peer, .., asn) in peers {
+        for upd in generate_feed_for(&FeedConfig::new(prefixes, seed, peer, asn), &universe) {
+            let actions = engine.process_update(peer, &upd);
+            let carried = upd.nlri.len() + upd.withdrawn.len();
+            assert!(
+                actions.len() <= carried + 1,
+                "{} actions for an UPDATE carrying {carried} prefixes",
+                actions.len()
+            );
+            if actions
+                .iter()
+                .any(|a| matches!(a, EngineAction::FlowAdd { .. }))
+            {
+                group_adds += 1;
+            }
+        }
+    }
+    assert_eq!(engine.stats.routes_learned, 2 * prefixes as u64);
+    assert_eq!(group_adds, 1, "one UPDATE creates the one backup group");
 }
