@@ -21,11 +21,6 @@
 //!   trial completes* instead of buffering the whole report — long
 //!   sweeps become watchable and `tail -f`-able. Errors stream inline
 //!   as `{"topology":…,"error":…}` objects.
-//! * `--resume prior.jsonl`: skip every cell a previous (possibly
-//!   interrupted) `--jsonl` run already completed — a truncated final
-//!   line is ignored and error rows are retried. The new output holds
-//!   only the remaining cells; append it to the prior file for the
-//!   full matrix.
 //! * `--invariants`: run the `sc-invariant` convergence-invariant
 //!   engine in every trial (off by default: the samples are
 //!   deterministic but not free), report per-class
@@ -56,8 +51,8 @@ use sc_bench::{fig5_label, Args, Table};
 use sc_lab::Mode;
 use sc_net::SimDuration;
 use sc_scenarios::{
-    parse_completed_cells, run_suite_resume, EventScript, ScenarioConfig, SuiteConfig, SuiteReport,
-    TopologySpec, TrialResult, ViolationClass,
+    run_suite_with, EventScript, ScenarioConfig, SuiteConfig, SuiteReport, TopologySpec,
+    TrialResult, ViolationClass,
 };
 use std::io::Write;
 
@@ -165,25 +160,11 @@ fn main() {
         workers,
     };
     let trials = suite.topologies.len() * suite.scripts.len() * suite.modes.len();
-    let completed = match args.raw_value("--resume") {
-        Some(path) => {
-            let prior =
-                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("--resume {path}: {e}"));
-            parse_completed_cells(&prior)
-        }
-        None => Vec::new(),
-    };
     if !jsonl {
         println!("scenario matrix: {trials} trials at {prefixes} prefixes, {flows} flows\n");
-        if !completed.is_empty() {
-            println!(
-                "resume: skipping {} already-completed cell(s)\n",
-                completed.len()
-            );
-        }
     }
 
-    let report = run_suite_resume(&suite, &completed, |_, result| {
+    let report = run_suite_with(&suite, |_, result| {
         if !jsonl {
             return;
         }

@@ -19,7 +19,7 @@
 //! * `<mode>.trace.jsonl` — one JSON object per trace record;
 //! * `<mode>.trace.json` — Chrome `trace_event` format: open in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
-//! * `<mode>.metrics.json` — the counters/histograms registry.
+//! * `<mode>.metrics.json` — the counters registry.
 //!
 //! Every artifact is byte-reproducible across reruns and schedulers:
 //! the kernel's own counters (`kernel.events.*`,

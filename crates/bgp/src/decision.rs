@@ -152,38 +152,6 @@ pub fn compare_routes(peers: &PeerTable, a: &Route, b: &Route) -> Ordering {
         })
 }
 
-/// A human-readable explanation of why `a` beats `b` (for traces,
-/// debugging and the examples). Returns `None` if they compare equal,
-/// which only happens when comparing a route with itself.
-pub fn explain_preference(peers: &PeerTable, a: &Route, b: &Route) -> Option<&'static str> {
-    if a.local_pref != b.local_pref {
-        return Some("local-pref");
-    }
-    if a.attrs.as_path.path_len() != b.attrs.as_path.path_len() {
-        return Some("as-path length");
-    }
-    if a.attrs.origin != b.attrs.origin {
-        return Some("origin");
-    }
-    if a.attrs.med.unwrap_or(0) != b.attrs.med.unwrap_or(0) {
-        return Some("med");
-    }
-    let (from_a, from_b) = peers.pair(a, b);
-    if from_a.ebgp != from_b.ebgp {
-        return Some("ebgp-over-ibgp");
-    }
-    if from_a.igp_cost != from_b.igp_cost {
-        return Some("igp cost");
-    }
-    if from_a.router_id != from_b.router_id {
-        return Some("router-id");
-    }
-    if a.peer != b.peer {
-        return Some("peer address");
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,10 +206,6 @@ mod tests {
             attrs_mut(r).as_path = AsPath::sequence(vec![1]);
         });
         assert_eq!(compare_routes(&plain(), &strong, &weak), Ordering::Less);
-        assert_eq!(
-            explain_preference(&plain(), &strong, &weak),
-            Some("local-pref")
-        );
     }
 
     #[test]
@@ -262,10 +226,6 @@ mod tests {
             attrs_mut(r).origin = Origin::Incomplete;
         });
         assert_eq!(compare_routes(&peers, &igp, &incomplete), Ordering::Less);
-        assert_eq!(
-            explain_preference(&peers, &igp, &incomplete),
-            Some("origin")
-        );
 
         let low_med = route(1, |r| {
             attrs_mut(r).med = Some(10);
@@ -292,10 +252,6 @@ mod tests {
         };
         let peers = table([peer(1), ibgp]);
         assert_eq!(compare_routes(&peers, &one, &two), Ordering::Less);
-        assert_eq!(
-            explain_preference(&peers, &one, &two),
-            Some("ebgp-over-ibgp")
-        );
 
         let near = PeerInfo {
             igp_cost: 5,
@@ -308,7 +264,6 @@ mod tests {
         };
         let peers = table([near, far]);
         assert_eq!(compare_routes(&peers, &one, &two), Ordering::Less);
-        assert_eq!(explain_preference(&peers, &one, &two), Some("igp cost"));
     }
 
     #[test]
@@ -326,7 +281,6 @@ mod tests {
         let a = route(1, |_| {});
         let b = route(1, |r| r.peer = twin.peer);
         assert_eq!(compare_routes(&peers, &a, &b), Ordering::Less);
-        assert_eq!(explain_preference(&peers, &a, &b), Some("peer address"));
     }
 
     #[test]
@@ -337,7 +291,6 @@ mod tests {
         let b = route(2, |_| {});
         assert_ne!(compare_routes(&peers, &a, &b), Ordering::Equal);
         assert_eq!(compare_routes(&peers, &a, &a.clone()), Ordering::Equal);
-        assert_eq!(explain_preference(&peers, &a, &a.clone()), None);
     }
 
     #[test]

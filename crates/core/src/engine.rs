@@ -5,9 +5,9 @@
 //! The engine is deliberately free of I/O and simulator types: it maps
 //! BGP updates to *actions* (announcements toward the router, flow-rule
 //! operations toward the switch). That makes it directly benchmarkable
-//! (the paper's §4 controller micro-benchmark) and lets the replication
-//! tests compare two engines fed the same stream for bit-identical
-//! state — the paper's §3 reliability argument.
+//! (the paper's §4 controller micro-benchmark) and lets the property
+//! tests compare engines fed the same stream for bit-identical state —
+//! the paper's §3 reliability argument.
 //!
 //! Differences from the paper's pseudocode, made deliberately and
 //! commented inline: Listing 1 as printed does not handle brand-new
@@ -227,7 +227,7 @@ impl Engine {
     /// A deterministic digest of externally visible state: what each
     /// prefix is announced as, and every group's (key → VNH/VMAC/target).
     /// Two replicas fed the same update stream must agree on this — the
-    /// paper's §3 claim, checked by `replication` tests.
+    /// paper's §3 claim, checked by the `replicas_never_diverge` property.
     pub fn state_digest(&self) -> u64 {
         // FNV-1a over a canonical serialization.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -1012,5 +1012,32 @@ mod tests {
         assert_eq!(a.state_digest(), b.state_digest());
         b.process_update(R3, &announce(R3, &["1.0.0.0/24"]));
         assert_ne!(a.state_digest(), b.state_digest());
+    }
+
+    /// The digest's values are pinned: the §3 property only compares
+    /// digests across replicas, so a change that moved the digest of
+    /// the same state would go unnoticed there.
+    #[test]
+    fn state_digest_is_pinned_over_a_churny_stream() {
+        let mut e = engine2();
+        for step in 0..200u32 {
+            let peer = if step % 2 == 0 { R2 } else { R3 };
+            let attrs =
+                RouteAttrs::ebgp(AsPath::sequence(vec![(65000 + step % 7) as u16, 174]), peer)
+                    .shared();
+            let nlri = (0..20)
+                .map(|i| {
+                    Ipv4Prefix::new(
+                        Ipv4Addr::from(0x0100_0000u32 + (((step * 131 + i) % 5000) << 8)),
+                        24,
+                    )
+                })
+                .collect();
+            e.process_update(peer, &UpdateMsg::announce(attrs, nlri));
+        }
+        assert_eq!(e.state_digest(), 0x7244_d5d5_3f5f_0992);
+        e.failover_plan(R2);
+        e.peer_down_repair(R2);
+        assert_eq!(e.state_digest(), 0xf3c1_5f1c_7bcd_c27e);
     }
 }

@@ -23,15 +23,15 @@
 //!    the healed data plane.
 //!
 //! [`controller`] packages the engine as a simulation node (BGP speaker,
-//! BFD agent, OpenFlow client, ARP responder); [`replication`] provides
-//! the paper's §3 reliability argument as testable code: replicas fed
-//! the same updates compute identical state, so no synchronization is
-//! needed.
+//! BFD agent, OpenFlow client, ARP responder). The engine is a pure
+//! function of its input, which is the paper's §3 reliability argument:
+//! replicas fed the same updates hold the same
+//! [`engine::Engine::state_digest`], so no synchronization is needed
+//! (the property tests run five of them side by side).
 
 pub mod controller;
 pub mod engine;
 pub mod groups;
-pub mod replication;
 pub mod vnh;
 
 pub use controller::{Controller, ControllerConfig, PeerLink, RouterLink, SwitchLink};

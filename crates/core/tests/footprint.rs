@@ -14,13 +14,13 @@
 //! and their peer's facts, one `Vec<Route>` per prefix), so a per-prefix
 //! regression fails here before it shows as RSS in the perf ledger.
 
+use sc_bgp::{AsPath, LocRib, PeerInfo, RouteAttrs, UpdateMsg};
+use sc_net::{Ipv4Prefix, MacAddr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
-use supercharged_router::bgp::{AsPath, LocRib, PeerInfo, RouteAttrs, UpdateMsg};
-use supercharged_router::net::{Ipv4Prefix, MacAddr};
-use supercharged_router::supercharger::engine::PeerSpec;
-use supercharged_router::supercharger::{Engine, EngineConfig};
+use supercharger::engine::PeerSpec;
+use supercharger::{Engine, EngineConfig};
 
 thread_local! {
     /// Bytes this thread has allocated and not yet freed. Each test

@@ -8,7 +8,10 @@
 //! 3. a failover plan is bounded by the group count (never by the prefix
 //!    count) and only rewrites groups that targeted the dead peer;
 //! 4. replicas fed the same arbitrary stream are digest-identical (§3);
-//! 5. after failover + repair, no announcement points at the dead peer.
+//! 5. after failover + repair, no announcement points at the dead peer;
+//! 6. with depth-3 groups on an IXP route server's feed (§5), any two
+//!    failures in a row, with no repair between them, leave every
+//!    group that carries prefixes steering into a live participant.
 //!
 //! A plain test after them checks §2's counts through the decision
 //! process: n peers yield n(n−1) backup groups, failing one peer
@@ -23,7 +26,6 @@ use sc_bgp::PeerId;
 use sc_net::{Ipv4Prefix, MacAddr};
 use std::net::Ipv4Addr;
 use supercharger::engine::{EngineAction, PeerSpec};
-use supercharger::replication::ReplicaSet;
 use supercharger::{Engine, EngineConfig};
 
 const N_PEERS: usize = 4;
@@ -105,6 +107,12 @@ fn run_stream(steps: &[Step]) -> Engine {
     e
 }
 
+/// The replicas' digests, when they are not all equal.
+fn divergence(replicas: &[Engine]) -> Option<Vec<u64>> {
+    let digests: Vec<u64> = replicas.iter().map(Engine::state_digest).collect();
+    digests.windows(2).any(|w| w[0] != w[1]).then_some(digests)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -163,24 +171,35 @@ proptest! {
     }
 
     /// Invariant 4 (§3 of the paper): replicas agree after any stream,
-    /// including failovers and repairs interleaved.
+    /// including failovers and repairs interleaved. "No state needs to
+    /// be synchronized across the backups": five engines fed the same
+    /// input hold the same `state_digest` after every step.
     #[test]
     fn replicas_never_diverge(
         steps in vec((0..N_PEERS, any::<bool>(), 0u8..24, any::<u8>()), 1..80),
         fail_at in 0usize..80,
         victim in 0..N_PEERS,
     ) {
-        let mut set = ReplicaSet::new(config(N_PEERS), 5);
+        let mut replicas: Vec<Engine> = (0..5).map(|_| Engine::new(config(N_PEERS))).collect();
         for (i, &step) in steps.iter().enumerate() {
             if i == fail_at {
-                set.failover(peer(victim)).expect("agree on failover");
-                set.repair(peer(victim)).expect("agree on repair");
+                for r in &mut replicas {
+                    r.failover_plan(peer(victim));
+                }
+                prop_assert_eq!(divergence(&replicas), None, "on failover");
+                for r in &mut replicas {
+                    r.peer_down_repair(peer(victim));
+                }
+                prop_assert_eq!(divergence(&replicas), None, "on repair");
             }
             let (who, upd) = step_update(step);
             if who == peer(victim) && fail_at <= i {
                 continue; // a dead peer sends nothing
             }
-            set.process_update(who, &upd).expect("agree on update");
+            for r in &mut replicas {
+                r.process_update(who, &upd);
+            }
+            prop_assert_eq!(divergence(&replicas), None, "at step {}", i);
         }
     }
 
@@ -206,6 +225,46 @@ proptest! {
         // The RIB holds nothing from the victim.
         for (_, cands) in e.rib().iter() {
             prop_assert!(cands.iter().all(|r| r.peer != peer(victim)));
+        }
+    }
+
+    /// Invariant 6 (§2's depth-3 extension on §5's IXP): participants
+    /// `first` and then `second` fail with no control-plane repair
+    /// between them. Every group that carries prefixes still steers into
+    /// a live participant, and the only groups a plan leaves
+    /// unprotected are ones that carry none (depth-2 groups retired
+    /// while the feed loaded, whose rules merely linger).
+    #[test]
+    fn depth_three_groups_survive_any_two_failures(
+        n in 3usize..=6,
+        first in 0usize..6,
+        offset in 0usize..5,
+    ) {
+        let first = first % n;
+        let second = (first + 1 + offset % (n - 1)) % n;
+        let mut e = rotating_feed(n, 3);
+        for victim in [first, second] {
+            let targeting = e.groups().groups_targeting(peer(victim));
+            let plan = e.failover_plan(peer(victim));
+            let unprotected: Vec<_> = targeting
+                .iter()
+                .filter(|&&id| plan.rewrites.iter().all(|rw| rw.group != id))
+                .collect();
+            prop_assert_eq!(unprotected.len(), plan.unprotected_groups);
+            for &&id in &unprotected {
+                let g = e.groups().get(id).unwrap();
+                prop_assert_eq!(g.prefixes, 0, "unprotected group {:?} carries prefixes", g.key);
+            }
+        }
+        let dead = [peer(first), peer(second)];
+        for g in e.groups().iter().filter(|g| !g.retired && g.prefixes > 0) {
+            prop_assert!(
+                !dead.contains(&g.active_target),
+                "group {:?} ({} prefixes) steers into dead {}",
+                g.key,
+                g.prefixes,
+                g.active_target
+            );
         }
     }
 }
@@ -265,4 +324,26 @@ fn n_peers_need_n_times_n_minus_one_groups_and_n_minus_one_rewrites() {
             "{prefixes} prefixes"
         );
     }
+}
+
+/// An IXP route server's feed (§5): each of `n` participants announces
+/// every one of 60 prefixes, with AS-path lengths rotating so prefix k
+/// prefers participant k mod n, then k+1 mod n, and so on.
+fn rotating_feed(n: usize, protect_depth: usize) -> Engine {
+    let mut e = Engine::new(EngineConfig {
+        protect_depth,
+        ..config(n)
+    });
+    for k in 0..60usize {
+        for i in 0..n {
+            let rank = (i + n - k % n) % n;
+            let path: Vec<u16> = (0..=rank as u16).map(|h| 64_000 + h).collect();
+            let attrs = RouteAttrs::ebgp(AsPath::sequence(path), peer(i)).shared();
+            e.process_update(
+                peer(i),
+                &UpdateMsg::announce(attrs, vec![prefix_for(k as u8)]),
+            );
+        }
+    }
+    e
 }

@@ -24,8 +24,8 @@
 //!   machine (a deliberately simplified TCP; see `DESIGN.md` §2).
 //! * [`json`] — the one JSON string escaper every hand-written dump
 //!   (metrics, trace exports, scenario reports) quotes through.
-//! * [`metrics`] — deterministic counters and log-linear histograms (the
-//!   metrics half of sc-trace); lives here so every layer can record.
+//! * [`metrics`] — deterministic counters (the metrics half of
+//!   sc-trace); lives here so every layer can record.
 //!
 //! Everything here is deterministic and allocation-conscious; nothing
 //! performs I/O.

@@ -19,8 +19,6 @@ pub mod port {
     pub const BGP: u16 = 179;
     /// OpenFlow control channel (over the reliable channel).
     pub const OPENFLOW: u16 = 6653;
-    /// The supercharger's REST-like controller API.
-    pub const CONTROLLER_API: u16 = 8080;
     /// Measurement traffic destination port.
     pub const PROBE: u16 = 7;
 }

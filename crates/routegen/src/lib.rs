@@ -20,8 +20,8 @@
 //! consumer of recorded data (`sc_mrt::RibSnapshot`, the
 //! `FeedSource::MrtReplay` scenario path, `sc-bench replay`) runs
 //! against committed `.mrt` fixtures that are byte-reproducible from a
-//! seed (`cargo run --example routegen_mrt` regenerates them). Swap in
-//! a genuine `bview`/`updates` file and the same pipeline replays it.
+//! seed (the ignored `write_mrt_fixtures` test regenerates them). Swap
+//! in a genuine `bview`/`updates` file and the same pipeline replays it.
 //!
 //! Everything is a pure function of the seed, so two provider routers —
 //! or two controller replicas — can regenerate identical feeds.

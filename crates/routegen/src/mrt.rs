@@ -7,8 +7,8 @@
 //! microsecond inter-arrivals, each slice re-announced moments later,
 //! long quiet gaps between bursts). Both are pure functions of their
 //! config, so the committed `tests/fixtures/*.mrt` files are
-//! byte-reproducible: the `routegen_mrt` example rewrites them and a
-//! fixture test pins the bytes.
+//! byte-reproducible: the ignored `write_mrt_fixtures` test rewrites
+//! them and `mrt_fixtures_are_byte_reproducible` pins the bytes.
 //!
 //! The trace's *shape* is what matters: recorded inter-arrival timing
 //! (not a fixed tick) is exactly what `ReplaySchedule` preserves and

@@ -116,14 +116,6 @@ pub enum ScenarioEvent {
         replica: usize,
         at: SimDuration,
     },
-    /// Partition controller replica `replica` from the switch for
-    /// `delay`, then restore — the slow-replica divergence probe.
-    /// Ignored in legacy builds, like [`ScenarioEvent::CrashReplica`].
-    DelayReplica {
-        replica: usize,
-        at: SimDuration,
-        delay: SimDuration,
-    },
     /// Chaos: seeded stochastic faults on a link from `at` to `until` —
     /// drop each frame with probability `loss_ppm` and flip one byte
     /// with probability `corrupt_ppm` (both parts-per-million, so the
@@ -189,7 +181,6 @@ impl ScenarioEvent {
                 at, period, cycles, ..
             } => at + period * cycles.saturating_sub(1) as u64 + period / 2,
             ScenarioEvent::SessionReset { at, outage, .. } => at + outage,
-            ScenarioEvent::DelayReplica { at, delay, .. } => at + delay,
             ScenarioEvent::SetLinkFaults { until, .. } => until,
             ScenarioEvent::Partition { heal, .. } => heal,
             ScenarioEvent::ChurnBurst {
@@ -220,7 +211,6 @@ impl ScenarioEvent {
             // only modulate a window already open.
             ScenarioEvent::LinkUp { .. }
             | ScenarioEvent::CrashReplica { .. }
-            | ScenarioEvent::DelayReplica { .. }
             | ScenarioEvent::RestartController { .. }
             | ScenarioEvent::DropFlowMods { .. } => Vec::new(),
             ScenarioEvent::LinkFlap {
@@ -318,43 +308,6 @@ impl EventScript {
                     at: SimDuration::ZERO,
                 },
                 ScenarioEvent::CrashReplica { replica, at: after },
-            ],
-        )
-    }
-
-    /// Cut the primary and partition controller replica `replica` for
-    /// `delay`, starting `after` into the failover.
-    pub fn replica_delay(replica: usize, after: SimDuration, delay: SimDuration) -> EventScript {
-        EventScript::new(
-            "replica-delay",
-            vec![
-                ScenarioEvent::LinkDown {
-                    link: LinkRef::ProviderSwitch(ProviderSel::Primary),
-                    at: SimDuration::ZERO,
-                },
-                ScenarioEvent::DelayReplica {
-                    replica,
-                    at: after,
-                    delay,
-                },
-            ],
-        )
-    }
-
-    /// Staggered double failure: cut the primary, then crash the
-    /// third-ranked provider shortly after (needs ≥3 providers).
-    pub fn staggered_double(gap: SimDuration) -> EventScript {
-        EventScript::new(
-            "staggered-double",
-            vec![
-                ScenarioEvent::LinkDown {
-                    link: LinkRef::ProviderSwitch(ProviderSel::Primary),
-                    at: SimDuration::ZERO,
-                },
-                ScenarioEvent::NodeCrash {
-                    node: NodeRef::Provider(ProviderSel::Rank(2)),
-                    at: gap,
-                },
             ],
         )
     }
@@ -458,7 +411,6 @@ impl EventScript {
                     resolve_provider(scn, provider)?;
                 }
                 ScenarioEvent::CrashReplica { replica, .. }
-                | ScenarioEvent::DelayReplica { replica, .. }
                 | ScenarioEvent::CrashController { replica, .. }
                 | ScenarioEvent::RestartController { replica, .. } => {
                     // Legacy builds have no replicas and ignore these
@@ -592,14 +544,6 @@ impl EventScript {
                     // no-op so one script drives both comparison modes.
                     if let Some(&n) = scn.controllers.get(replica) {
                         scn.world.schedule(t0 + at, move |w| w.crash_node(n));
-                    }
-                }
-                ScenarioEvent::DelayReplica { replica, at, delay } => {
-                    if let Some(&l) = scn.controller_links.get(replica) {
-                        scn.world
-                            .schedule(t0 + at, move |w| w.set_link_up(l, false));
-                        scn.world
-                            .schedule(t0 + at + delay, move |w| w.set_link_up(l, true));
                     }
                 }
                 ScenarioEvent::SetLinkFaults {
@@ -898,10 +842,6 @@ mod tests {
         // primary cut at the origin).
         assert_eq!(
             EventScript::replica_crash(1, ms(2)).epochs(),
-            vec![SimDuration::ZERO]
-        );
-        assert_eq!(
-            EventScript::replica_delay(0, ms(2), ms(40)).epochs(),
             vec![SimDuration::ZERO]
         );
         // Chaos onsets: link faults, partitions and controller crashes

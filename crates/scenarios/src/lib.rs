@@ -14,8 +14,8 @@
 //!   supercharged mode — the controller(s).
 //! * [`events`] — typed **event scripts** (link cut,
 //!   link flap, node crash, session reset, withdraw/churn bursts,
-//!   staggered multi-failure) compiled down to `World` failure
-//!   injections; the paper's own experiment is
+//!   controller-replica crashes, seeded chaos) compiled down to `World`
+//!   failure injections; the paper's own experiment is
 //!   [`EventScript::primary_cut`].
 //! * [`runner`] — the **suite runner**: a matrix of (topology × script
 //!   × mode ∈ {legacy, supercharged}) trials, per-flow gap measurement
@@ -52,9 +52,9 @@ pub use builder::{build_scenario, BuiltScenario, FeedSource, MrtReplayFeed, Scen
 pub use events::{EventScript, LinkRef, NodeRef, ProviderSel, ScenarioEvent};
 pub use phases::{reconstruct_cycle, CyclePhases};
 pub use runner::{
-    expected_budget, mode_label, parse_completed_cells, run_scenario, run_scenario_traced,
-    run_suite, run_suite_resume, run_suite_with, run_trials, CompletedCell, CycleOutcome,
-    ScenarioOutcome, SuiteConfig, SuiteReport, TraceArtifacts, Trial, TrialError, TrialResult,
+    expected_budget, mode_label, run_scenario, run_scenario_traced, run_suite, run_suite_with,
+    run_trials, CycleOutcome, ScenarioOutcome, SuiteConfig, SuiteReport, TraceArtifacts, Trial,
+    TrialError, TrialResult,
 };
 pub use sc_invariant::{InvariantReport, ViolationClass, WindowViolations};
 pub use sc_lab::Mode;

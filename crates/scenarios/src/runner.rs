@@ -129,7 +129,7 @@ pub struct TraceArtifacts {
     pub jsonl: String,
     /// Chrome `trace_event` JSON — open in Perfetto / `chrome://tracing`.
     pub chrome: String,
-    /// The counters/histograms registry (kernel + per-node folds).
+    /// The counters registry (kernel + per-node folds).
     pub metrics_json: String,
 }
 
@@ -429,9 +429,8 @@ impl SuiteConfig {
 
 /// A trial that died: which matrix cell, the configuration it ran
 /// under, and the panic message. One bad trial no longer aborts a
-/// 100-trial sweep — it lands here instead. The config fields mirror
-/// the ones [`CompletedCell`] keys on, so error rows in a report carry
-/// enough context for a resume to re-run (not skip) them.
+/// 100-trial sweep — it lands here instead. The config fields let an
+/// error row in a report say which configuration failed.
 #[derive(Clone, Debug)]
 pub struct TrialError {
     pub topology: String,
@@ -480,139 +479,16 @@ pub fn run_suite_with(
     suite: &SuiteConfig,
     on_trial: impl Fn(usize, &TrialResult) + Sync,
 ) -> SuiteReport {
-    run_suite_filtered(suite, |_, _, _| true, on_trial)
-}
-
-/// One completed cell parsed from a prior row-per-line report: the
-/// matrix coordinates plus the configuration the row was measured
-/// under, so a resume with a *different* configuration re-runs instead
-/// of silently mixing incompatible rows.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CompletedCell {
-    pub topology: String,
-    pub script: String,
-    pub mode: String,
-    pub prefixes: u64,
-    pub seed: u64,
-    /// Monitored flow count, recovered from the row's `stats_ns.n`
-    /// (the per-flow distribution has one entry per flow).
-    pub flows: u64,
-}
-
-/// [`run_suite_with`] resuming a partial run: cells listed in
-/// `completed` (as parsed from a prior row-per-line report by
-/// [`parse_completed_cells`]) are skipped — but only when their
-/// recorded `prefixes`/`seed` match the suite's, so a prior report
-/// from a different configuration is re-run rather than trusted.
-/// The returned report holds only the newly run cells (append its rows
-/// to the prior file to reconstruct the full matrix).
-pub fn run_suite_resume(
-    suite: &SuiteConfig,
-    completed: &[CompletedCell],
-    on_trial: impl Fn(usize, &TrialResult) + Sync,
-) -> SuiteReport {
-    // Deterministic hasher (sc-check `no-default-hasher`); membership
-    // only, but the suite's reports must never depend on hasher seeds.
-    let done: sc_net::FxHashSet<(&str, &str, &str)> = completed
-        .iter()
-        .filter(|c| {
-            c.prefixes == suite.base.prefixes as u64
-                && c.seed == suite.base.seed
-                && c.flows == suite.base.flows as u64
-        })
-        .map(|c| (c.topology.as_str(), c.script.as_str(), c.mode.as_str()))
-        .collect();
-    run_suite_filtered(
-        suite,
-        |topo, script, mode| {
-            !done.contains(&(
-                topo.label().as_str(),
-                script.name.as_str(),
-                mode_label(mode),
-            ))
-        },
-        on_trial,
-    )
-}
-
-/// Cells already completed in a prior row-per-line JSONL report
-/// (`sc-bench scenarios --jsonl > report.jsonl`), in file order. A
-/// report from an interrupted run is handled conservatively:
-///
-/// * a truncated final line (the writer died mid-row) is ignored;
-/// * error rows (`{"…","error":…}`) are *not* treated as completed —
-///   a resumed run retries them.
-pub fn parse_completed_cells(jsonl: &str) -> Vec<CompletedCell> {
-    let mut out = Vec::new();
-    for line in jsonl.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            continue;
-        }
-        if extract_json_str(line, "error").is_some() {
-            continue;
-        }
-        let (Some(topology), Some(script), Some(mode), Some(prefixes), Some(seed), Some(flows)) = (
-            extract_json_str(line, "topology"),
-            extract_json_str(line, "script"),
-            extract_json_str(line, "mode"),
-            extract_json_u64(line, "prefixes"),
-            extract_json_u64(line, "seed"),
-            // `stats_ns.n` is the first `"n":` in a row (one per-flow
-            // sample per flow), so the flat extractor lands on it.
-            extract_json_u64(line, "n"),
-        ) else {
-            continue;
-        };
-        out.push(CompletedCell {
-            topology,
-            script,
-            mode,
-            prefixes,
-            seed,
-            flows,
-        });
-    }
-    out
-}
-
-/// Pull a string field out of a flat row JSON (labels never contain
-/// quotes; the workspace deliberately carries no JSON parser).
-fn extract_json_str(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    let end = json[at..].find('"')?;
-    Some(json[at..at + end].to_string())
-}
-
-/// Pull an integer field out of a flat row JSON.
-fn extract_json_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-fn run_suite_filtered(
-    suite: &SuiteConfig,
-    include: impl Fn(&TopologySpec, &EventScript, Mode) -> bool,
-    on_trial: impl Fn(usize, &TrialResult) + Sync,
-) -> SuiteReport {
     let mut trials = Vec::new();
     for topo in &suite.topologies {
         for script in &suite.scripts {
             for &mode in &suite.modes {
-                if include(topo, script, mode) {
-                    trials.push(Trial {
-                        topology: topo.clone(),
-                        script: script.clone(),
-                        mode,
-                        cfg: suite.base.clone(),
-                    });
-                }
+                trials.push(Trial {
+                    topology: topo.clone(),
+                    script: script.clone(),
+                    mode,
+                    cfg: suite.base.clone(),
+                });
             }
         }
     }
@@ -824,8 +700,8 @@ impl SuiteReport {
             ]);
         }
         for e in &self.errors {
-            // Config columns stay populated on error rows so a resume
-            // keyed off the report re-keys the cell correctly.
+            // Config columns stay populated on error rows, so the row
+            // names the configuration that failed.
             let mut fields = vec![
                 e.topology.clone(),
                 e.script.clone(),
@@ -1041,39 +917,5 @@ impl SuiteReport {
             }
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A partial `--jsonl` report as an interrupted run leaves it: two
-    /// good rows, an error row (must be retried), and a final line
-    /// truncated mid-write (must be ignored).
-    const TRUNCATED_JSONL: &str = concat!(
-        "{\"topology\":\"chain-2x1\",\"script\":\"primary-cut\",\"mode\":\"legacy\",",
-        "\"prefixes\":300,\"seed\":42,\"perf\":{\"events\":1},\"stats_ns\":{\"n\":10}}\n",
-        "{\"topology\":\"chain-2x1\",\"script\":\"primary-cut\",\"mode\":\"supercharged\",",
-        "\"prefixes\":300,\"seed\":42,\"perf\":{\"events\":1},\"stats_ns\":{\"n\":10}}\n",
-        "{\"topology\":\"ixp-3\",\"script\":\"primary-cut\",\"mode\":\"legacy\",",
-        "\"error\":\"trial panicked\"}\n",
-        "{\"topology\":\"ixp-3\",\"script\":\"primary-cut\",\"mode\":\"supercharg",
-    );
-
-    #[test]
-    fn parse_completed_cells_skips_errors_and_truncation() {
-        let cells = parse_completed_cells(TRUNCATED_JSONL);
-        let cell = |mode: &str| CompletedCell {
-            topology: "chain-2x1".to_string(),
-            script: "primary-cut".to_string(),
-            mode: mode.to_string(),
-            prefixes: 300,
-            seed: 42,
-            flows: 10,
-        };
-        assert_eq!(cells, vec![cell("legacy"), cell("supercharged")]);
-        assert_eq!(parse_completed_cells(""), Vec::new());
-        assert_eq!(parse_completed_cells("not json\n{\"x\":1}"), Vec::new());
     }
 }

@@ -79,9 +79,6 @@ fn arb_event() -> impl Strategy<Value = ScenarioEvent> {
         ),
         (0usize..3, arb_dur())
             .prop_map(|(replica, at)| ScenarioEvent::CrashReplica { replica, at }),
-        (0usize..3, arb_dur(), arb_dur()).prop_map(|(replica, at, delay)| {
-            ScenarioEvent::DelayReplica { replica, at, delay }
-        }),
         (
             arb_link(),
             arb_dur(),

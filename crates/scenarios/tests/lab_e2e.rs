@@ -13,24 +13,26 @@
 //! to 50k prefixes, and the cut swept across one BFD interval); an
 //! ignored test runs the paper's whole x-axis. The sensitivity sweeps
 //! vary one constant at a time and check that it moves only its own
-//! term. Then the controller-replication story, §4's per-UPDATE work
-//! and the lab's plumbing.
+//! term. Figs. 1 and 2 read R1's FIB, its ARP binding and the switch's
+//! rules across the cut. Then the controller-replication story, §4's
+//! per-UPDATE work and the lab's plumbing.
 
+use sc_lab::harness::{arm_traffic, plan_cycle_measurement, CycleWindow};
 use sc_lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
 use sc_lab::Mode;
-use sc_net::{Ipv4Addr, SimDuration};
-use sc_openflow::SwitchConfig;
+use sc_net::{Ipv4Addr, MacAddr, SimDuration};
+use sc_openflow::{Action, FlowEntry, OfSwitch, SwitchConfig};
 use sc_routegen::{generate_feed_for, prefix_universe, FeedConfig};
-use sc_router::{Calibration, PAPER_STOCK_MAX_S};
+use sc_router::{Calibration, LegacyRouter, PAPER_STOCK_MAX_S};
 use sc_scenarios::{
-    build_scenario, run_scenario, run_trials, EventScript, LinkRef, ProviderSel, ScenarioConfig,
-    ScenarioEvent, ScenarioOutcome, TopologySpec, Trial, TrialResult,
+    build_scenario, expected_budget, run_scenario, run_trials, BuiltScenario, EventScript, LinkRef,
+    ProviderSel, ScenarioConfig, ScenarioEvent, ScenarioOutcome, TopologySpec, Trial, TrialResult,
 };
 use sc_sim::{PortId, TimerToken};
 use sc_traffic::TrafficSource;
 use std::sync::OnceLock;
 use supercharger::engine::{EngineAction, PeerSpec};
-use supercharger::{Engine, EngineConfig};
+use supercharger::{Controller, Engine, EngineConfig};
 
 fn base(prefixes: u32) -> ScenarioConfig {
     ScenarioConfig {
@@ -411,6 +413,148 @@ fn fig5_full_axis_sits_in_the_model() {
     assert_speedup_grows(&cells);
 }
 
+/// The Fig. 4 lab at 1k prefixes and 10 flows, laid out like a trial
+/// of the primary cut: converged, probes flowing, and run to the
+/// instant the measurement window opens, 1 ms before the cut. The
+/// window closes where the runner's would.
+fn fig4_window_opens(mode: Mode) -> (BuiltScenario, CycleWindow) {
+    let cfg = ScenarioConfig {
+        flows: 10,
+        ..base(1_000)
+    };
+    let mut lab = build_scenario(&TopologySpec::Fig4Lab, mode, &cfg);
+    let converged = lab.run_until_converged();
+    let budget = expected_budget(mode, &cfg);
+    let horizon = budget + budget / 2 + SimDuration::from_secs(1);
+    let plan = plan_cycle_measurement(converged, 14_000, &[SimDuration::ZERO], horizon);
+    arm_traffic(&mut lab.world, lab.source, lab.sink, &plan);
+    EventScript::primary_cut().apply(&mut lab, plan.t_origin);
+    let window = plan.cycles[0];
+    lab.world.run_until(window.t_open);
+    (lab, window)
+}
+
+/// R1's FIB next hop for every universe prefix, in universe order.
+fn fib_next_hops(lab: &BuiltScenario) -> Vec<Ipv4Addr> {
+    let r1 = lab.world.node::<LegacyRouter>(lab.r1);
+    lab.universe
+        .iter()
+        .map(|&p| {
+            r1.fib()
+                .get(p)
+                .expect("every universe prefix is installed")
+                .next_hop
+        })
+        .collect()
+}
+
+/// How many universe prefixes R1's FIB does not send to R3.
+fn off_r3(lab: &BuiltScenario) -> usize {
+    fib_next_hops(lab).iter().filter(|&&nh| nh != IP_R3).count()
+}
+
+/// The switch port provider `i`'s LAN link lands on: its `PortId(0)`
+/// is the LAN link, and the far end is the switch.
+fn switch_port_of(lab: &BuiltScenario, i: usize) -> u16 {
+    let far = lab.world.peer_of(lab.providers[i], PortId(0));
+    far.expect("the provider is wired to the switch").port.0 as u16
+}
+
+/// The switch's rules that match `vmac` as destination.
+fn vmac_rules(lab: &BuiltScenario, vmac: MacAddr) -> Vec<FlowEntry> {
+    let sw = lab.world.node::<OfSwitch>(lab.switch);
+    sw.table()
+        .entries()
+        .iter()
+        .filter(|e| e.matcher.eth_dst == Some(vmac))
+        .cloned()
+        .collect()
+}
+
+/// Fig. 1: the stock router's FIB is flat. Every entry holds its own
+/// next hop, R2's before the cut, and after it the walk rewrites every
+/// one of them to R3's.
+#[test]
+fn fig1_stock_fib_rewrites_every_entry() {
+    let (mut lab, window) = fig4_window_opens(Mode::Stock);
+    assert!(fib_next_hops(&lab).iter().all(|&nh| nh == IP_R2));
+    lab.world.run_until(window.t_close);
+    assert!(lab.world.node::<LegacyRouter>(lab.r1).is_quiescent());
+    assert_eq!(off_r3(&lab), 0, "prefixes off R3 once the walk ends");
+}
+
+/// Fig. 2: the supercharged router's FIB has two stages. Every prefix
+/// points at one virtual next hop, R1's ARP resolves it to a virtual
+/// MAC, and one switch rule rewrites that MAC to R2's. On the cut the
+/// data plane recovers in the switch: the rule moves to R3 while R1's
+/// FIB has walked at most the few dozen entries the controller's
+/// repair reaches in the fast path's time. R1 then converges "at its
+/// typical slow pace": by the window's end every prefix points at R3
+/// itself, and the retired group's rule still steers to R3.
+#[test]
+fn fig2_switch_recovers_before_the_fib_walks() {
+    let (mut lab, window) = fig4_window_opens(Mode::Supercharged);
+    let ctrl = lab.world.node::<Controller>(lab.controllers[0]);
+    let live: Vec<_> = ctrl
+        .engine()
+        .groups()
+        .iter()
+        .filter(|g| !g.retired)
+        .collect();
+    assert_eq!(live.len(), 1, "one backup group");
+    let group = live[0].clone();
+    assert_eq!(group.key, vec![IP_R2, IP_R3]);
+    assert!(fib_next_hops(&lab).iter().all(|&nh| nh == group.vnh));
+    let now = lab.world.now();
+    let r1 = lab.world.node::<LegacyRouter>(lab.r1);
+    assert_eq!(r1.arp().lookup(group.vnh, now), Some(group.vmac));
+    let (r2_port, r3_port) = (switch_port_of(&lab, 0), switch_port_of(&lab, 1));
+    let rules = vmac_rules(&lab, group.vmac);
+    assert_eq!(rules.len(), 1, "one rule for the group's VMAC");
+    assert_eq!(
+        rules[0].actions,
+        [Action::SetDstMac(MAC_R2), Action::Output(r2_port)]
+    );
+
+    // Step to the instant the rule outputs to R3.
+    const STEP: SimDuration = SimDuration::from_micros(100);
+    let steered_to_r3 = |lab: &BuiltScenario| {
+        vmac_rules(lab, group.vmac)[0]
+            .actions
+            .contains(&Action::Output(r3_port))
+    };
+    lab.world.run_until(window.t_fail);
+    while !steered_to_r3(&lab) {
+        assert!(
+            lab.world.now() < window.t_close,
+            "the rule never moved to R3"
+        );
+        lab.world.run_for(STEP);
+    }
+    let walked = fib_next_hops(&lab)
+        .iter()
+        .filter(|&&nh| nh != group.vnh)
+        .count() as u64;
+    // The most entries R1 writes at the fastest per-entry cost (the
+    // calibration's jitter is ±10 %) in the fast path and its wire
+    // time, and in one step.
+    let cfg = &lab.cfg;
+    let fastest_write = cfg.cal.fib_entry_update.as_nanos() * 9 / 10;
+    let reach = |d: SimDuration| d.as_nanos().div_ceil(fastest_write);
+    let k = reach(Model::of(cfg).fast_path() + WIRE);
+    assert!(
+        walked <= k + reach(STEP),
+        "{walked} FIB entries left the VNH before the rule moved, more than {k} + {}",
+        reach(STEP)
+    );
+
+    lab.world.run_until(window.t_close);
+    assert_eq!(off_r3(&lab), 0, "prefixes off R3 when the window closes");
+    let rules = vmac_rules(&lab, group.vmac);
+    assert_eq!(rules.len(), 1, "the retired group's rule lingers");
+    assert!(rules[0].actions.contains(&Action::Output(r3_port)));
+}
+
 #[test]
 fn replicated_controllers_survive_primary_loss() {
     let cfg = ScenarioConfig {
@@ -454,14 +598,9 @@ fn replicated_controllers_survive_primary_loss() {
         failover.0 - fail_at
     );
     assert_eq!(failover.1, 1);
-    // The switch now steers the VMAC to R3: R3's LAN link is its
-    // PortId(0), and its far end is the switch port to steer to.
-    let r3_port = lab
-        .world
-        .peer_of(lab.providers[1], PortId(0))
-        .expect("R3 is wired to the switch")
-        .port;
-    let sw = lab.world.node::<sc_openflow::OfSwitch>(lab.switch);
+    // The switch now steers the VMAC to R3.
+    let r3_port = switch_port_of(&lab, 1);
+    let sw = lab.world.node::<OfSwitch>(lab.switch);
     let vmac_rules: Vec<_> = sw
         .table()
         .entries()
@@ -476,8 +615,7 @@ fn replicated_controllers_survive_primary_loss() {
     assert!(!vmac_rules.is_empty());
     for rule in vmac_rules {
         assert!(
-            rule.actions
-                .contains(&sc_openflow::Action::Output(r3_port.0 as u16)),
+            rule.actions.contains(&Action::Output(r3_port)),
             "rule still points at the dead provider: {rule}"
         );
     }

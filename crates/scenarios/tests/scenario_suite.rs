@@ -461,58 +461,6 @@ fn timer_wheel_matches_reference_heap_byte_for_byte() {
     }
 }
 
-/// Resuming from a truncated `--jsonl` report runs exactly the missing
-/// cells and reproduces their rows byte-identically.
-#[test]
-fn resume_skips_completed_cells_and_reproduces_rows() {
-    let suite = SuiteConfig {
-        topologies: vec![TopologySpec::Chain {
-            providers: 2,
-            hops: 1,
-        }],
-        scripts: vec![EventScript::primary_cut()],
-        modes: vec![Mode::Stock, Mode::Supercharged],
-        workers: Some(1),
-        base: ScenarioConfig {
-            prefixes: 150,
-            flows: 4,
-            seed: 23,
-            ..ScenarioConfig::default()
-        },
-    };
-    let full = run_suite(&suite);
-    assert_eq!(full.rows.len(), 2);
-    // Prior report: first row complete, second row truncated mid-write.
-    let row0 = sc_scenarios::SuiteReport::row_json_stable(&full.rows[0]).to_string();
-    let row1 = sc_scenarios::SuiteReport::row_json_stable(&full.rows[1]).to_string();
-    let prior = format!("{row0}\n{}", &row1[..row1.len() / 2]);
-    let completed = sc_scenarios::parse_completed_cells(&prior);
-    assert_eq!(completed.len(), 1, "truncated row is not completed");
-    let streamed = std::sync::atomic::AtomicUsize::new(0);
-    let resumed = sc_scenarios::run_suite_resume(&suite, &completed, |_, _| {
-        streamed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    });
-    assert_eq!(streamed.into_inner(), 1, "only the missing cell ran");
-    assert_eq!(resumed.rows.len(), 1);
-    assert_eq!(
-        sc_scenarios::SuiteReport::row_json_stable(&resumed.rows[0]).to_string(),
-        row1,
-        "resumed cell reproduces the original row"
-    );
-    // Resuming from a complete report runs nothing.
-    let all = sc_scenarios::parse_completed_cells(&format!("{row0}\n{row1}\n"));
-    let nothing = sc_scenarios::run_suite_resume(&suite, &all, |_, _| {
-        panic!("no cell should run");
-    });
-    assert!(nothing.rows.is_empty() && nothing.errors.is_empty());
-    // A prior report from a *different* configuration must not be
-    // trusted: same cells, different seed ⇒ everything re-runs.
-    let mut reseeded = suite.clone();
-    reseeded.base.seed = 24;
-    let rerun = sc_scenarios::run_suite_resume(&reseeded, &all, |_, _| {});
-    assert_eq!(rerun.rows.len(), 2, "config mismatch re-runs every cell");
-}
-
 /// The forwarding flow cache is a pure memo: disabling it (every packet
 /// takes the LPM slow path) must leave every convergence number — and
 /// even the kernel event count — byte-identical.

@@ -1,18 +1,19 @@
-//! Workspace-spanning integration tests on the facade crate: the
-//! controller must rank routes *exactly* like the router it fronts, the
-//! whole lab must be deterministic from its seed, and the facade API
-//! must support the quickstart flow end to end.
+//! Workspace-spanning integration tests: the controller must rank
+//! routes *exactly* like the router it fronts, the whole lab must be
+//! deterministic from its seed, and the README's quickstart flow must
+//! work end to end.
 
-use supercharged_router::bgp::{compare_routes, LocRib, PeerInfo};
-use supercharged_router::lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
-use supercharged_router::lab::Mode;
-use supercharged_router::net::{MacAddr, SimDuration};
-use supercharged_router::routegen::{generate_feed_for, prefix_universe, FeedConfig};
-use supercharged_router::scenarios::{
+use sc_bgp::{compare_routes, LocRib, PeerInfo};
+use sc_lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
+use sc_lab::Mode;
+use sc_net::SimDuration;
+use sc_routegen::{generate_feed_for, prefix_universe, FeedConfig};
+use sc_scenarios::{
     build_scenario, run_scenario, EventScript, ScenarioConfig, ScenarioOutcome, TopologySpec,
 };
-use supercharged_router::supercharger::engine::PeerSpec;
-use supercharged_router::supercharger::{Engine, EngineConfig};
+use supercharger::controller::ControllerEvent;
+use supercharger::engine::PeerSpec;
+use supercharger::{Controller, Engine, EngineConfig};
 
 /// The paper's experiment on the Fig. 4 lab: cut R2, measure.
 fn fig4_cut(mode: Mode, cfg: &ScenarioConfig) -> ScenarioOutcome {
@@ -130,7 +131,8 @@ fn lab_is_deterministic_from_its_seed() {
     );
 }
 
-/// Facade quickstart: the README's advertised flow compiles and works.
+/// The quickstart flow through `sc_scenarios`' root re-exports, as the
+/// README shows it, compiles and works.
 #[test]
 fn facade_quickstart_flow() {
     let cfg = ScenarioConfig {
@@ -143,9 +145,6 @@ fn facade_quickstart_flow() {
     let stats = report.stats();
     assert!(stats.max <= SimDuration::from_millis(150));
     assert_eq!(report.unrecovered, 0);
-    // Facade type re-exports line up.
-    let _mac: MacAddr = supercharged_router::net::MacAddr::virtual_mac(1);
-    let _ = supercharged_router::openflow::FlowMatch::dst_mac(_mac);
 }
 
 /// BFD disabled: the supercharged router falls back to hold-timer
@@ -168,14 +167,11 @@ fn without_bfd_detection_dominates_but_stays_prefix_independent() {
         .schedule(fail_at, move |w| w.set_link_up(link, false));
     // Hold time is 90s: no failover for a long while...
     lab.world.run_until(fail_at + SimDuration::from_secs(30));
-    let ctrl = lab
-        .world
-        .node::<supercharged_router::supercharger::Controller>(lab.controllers[0]);
+    let ctrl = lab.world.node::<Controller>(lab.controllers[0]);
     assert!(
-        ctrl.events.iter().all(|(_, e)| !matches!(
-            e,
-            supercharged_router::supercharger::controller::ControllerEvent::FailoverIssued { .. }
-        )),
+        ctrl.events
+            .iter()
+            .all(|(_, e)| !matches!(e, ControllerEvent::FailoverIssued { .. })),
         "no BFD: the failure cannot have been detected yet"
     );
 }

@@ -21,7 +21,7 @@
 //!   deadline moves earlier.
 //! * [`trace`] — sc-trace: a deterministic, causally-keyed flight
 //!   recorder whose exports are byte-identical across both schedulers
-//!   (plus a counters/histograms registry living in `sc_net::metrics`).
+//!   (plus a counters registry living in `sc_net::metrics`).
 
 pub mod link;
 pub mod netutil;

@@ -191,7 +191,7 @@ impl<'a> Ctx<'a> {
         );
     }
 
-    /// The world's metrics registry (counters + histograms). Recording
+    /// The world's metrics registry (counters). Recording
     /// is a no-op unless the registry is enabled on the world.
     pub fn metrics(&mut self) -> &mut sc_net::metrics::Registry {
         &mut self.k.metrics

@@ -121,7 +121,7 @@ pub(crate) struct Kernel {
     slots: Vec<Slot>,
     links: Vec<Link>,
     pub(crate) trace: Trace,
-    /// Counters/histograms registry (sc-trace's metrics half). Disabled
+    /// Counters registry (sc-trace's metrics half). Disabled
     /// by default; node handlers record through `Ctx::metrics`.
     pub(crate) metrics: Registry,
     stats: WorldStats,
@@ -290,7 +290,7 @@ impl World {
         self.k.metrics.enable();
     }
 
-    /// Enable only the metrics registry (counters/histograms without
+    /// Enable only the metrics registry (counters without
     /// the event ring).
     pub fn enable_metrics(&mut self) {
         self.k.metrics.enable();
