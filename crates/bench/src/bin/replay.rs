@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin replay -- \
-//!     [--smoke] [--fixture] [--time-scale S] [--scheduler wheel|heap] \
-//!     [--prefixes N] [--providers K] [--bursts B] [--burst-prefixes N] \
+//!     [--smoke] [--fixture] [--time-scale S] [--prefixes N] \
+//!     [--providers K] [--bursts B] [--burst-prefixes N] \
 //!     [--burst-gap-us US] [--seed N] [--out FILE]
 //! ```
 //!
@@ -17,8 +17,8 @@
 //! replays the committed `tests/fixtures/*.mrt` pair instead.
 //! `--time-scale 0.1` replays any trace ten times faster. One JSON row
 //! per mode goes to stdout (the `scenarios --jsonl` row shape); `--out`
-//! writes the report: identical invocations — under either scheduler —
-//! produce byte-identical files, the determinism contract CI checks.
+//! writes the report: identical invocations produce byte-identical
+//! files, the determinism contract CI checks.
 
 use sc_bench::replay::{fixture_archives, generated_archives, replay_suite, ReplayParams};
 use sc_bench::Args;
@@ -44,7 +44,6 @@ fn main() {
             ..base.archive
         },
         time_scale: args.value("--time-scale", base.time_scale),
-        scheduler: args.scheduler(base.scheduler),
     };
     let (rib, trace) = if args.flag("--fixture") {
         fixture_archives()

@@ -5,8 +5,8 @@
 //! ```text
 //! cargo run --release -p sc-bench --bin scenarios [--prefixes N] \
 //!     [--flows N] [--seed N] [--workers N] [--quick] [--smoke] [--jsonl] \
-//!     [--csv out.csv] [--json out.json] [--invariants] \
-//!     [--scheduler wheel|heap] [--trace]
+//!     [--csv out.csv] [--json out.json] [--invariants] [--chaos] \
+//!     [--trace]
 //! ```
 //!
 //! * default: 10k prefixes, the full 6-topology × 5-script matrix;
@@ -33,18 +33,14 @@
 //!   (controller keepalive beacons, router liveness deadline, direct
 //!   fallback BGP sessions). Chaos events no-op in legacy mode, so the
 //!   legacy rows stay the do-no-harm baseline. Stable reports remain
-//!   byte-identical across reruns and schedulers — chaos is seeded,
-//!   not random;
+//!   byte-identical across reruns — chaos is seeded, not random;
 //! * `--trace`: run every trial with the sc-trace flight recorder on.
 //!   Report rows gain the per-cycle causal phase columns
 //!   (`detect_us`/`notify_us`/`program_us`/`fib_us`); use the `trace`
 //!   binary to export the underlying JSONL/Chrome artifacts;
-//! * `--scheduler wheel|heap`: pick the kernel event scheduler (the
-//!   determinism contract says reports are byte-identical across
-//!   both);
 //! * `--csv out.csv` / `--json out.json`: write the report; both are
-//!   byte-reproducible — what the CI smoke diffs across reruns and
-//!   schedulers. The JSON adds each flow's gap and full per-cycle
+//!   byte-reproducible — what the CI smoke diffs across reruns. The
+//!   JSON adds each flow's gap and full per-cycle
 //!   statistics.
 
 use sc_bench::{fig5_label, Args, Table};
@@ -75,7 +71,6 @@ fn main() {
     let invariants = args.flag("--invariants");
     let chaos = args.flag("--chaos");
     let trace = args.flag("--trace");
-    let scheduler = args.scheduler(sc_sim::SchedulerKind::TimerWheel);
 
     let topologies = if smoke {
         vec![TopologySpec::Chain {
@@ -138,7 +133,6 @@ fn main() {
             prefixes,
             flows,
             seed,
-            scheduler,
             invariants,
             // Two replicas whenever the divergence cell is in the
             // matrix, so `replica_crash(1, …)` has a standby to kill.

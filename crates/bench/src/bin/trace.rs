@@ -6,7 +6,7 @@
 //! cargo run --release -p sc-bench --bin trace \
 //!     [--topology chain|ixp|fig4] [--script cut|flap|chaos] \
 //!     [--mode legacy|supercharged|both] [--prefixes N] [--flows N] \
-//!     [--seed N] [--scheduler wheel|heap] [--out DIR]
+//!     [--seed N] [--out DIR]
 //! cargo run --release -p sc-bench --bin trace -- --diff A.json B.json
 //! ```
 //!
@@ -21,10 +21,9 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
 //! * `<mode>.metrics.json` — the counters registry.
 //!
-//! Every artifact is byte-reproducible across reruns and schedulers:
-//! the kernel's own counters (`kernel.events.*`,
-//! `kernel.node.<name>.timers_fired`) count simulated work and are
-//! invariant like the rest.
+//! Every artifact is byte-reproducible across reruns: the kernel's own
+//! counters (`kernel.events.*`, `kernel.node.<name>.timers_fired`)
+//! count simulated work and are invariant like the rest.
 //!
 //! The `--diff` form compares the `counters` section of two metrics
 //! dumps and prints one line per differing counter — the quickest way
@@ -58,7 +57,6 @@ fn main() {
     let flows: usize = args.value("--flows", 20);
     let seed: u64 = args.value("--seed", 42);
     let chaos = args.raw_value("--script").as_deref() == Some("chaos");
-    let scheduler = args.scheduler(sc_sim::SchedulerKind::TimerWheel);
     let topo = match args.raw_value("--topology").as_deref() {
         Some("ixp") => TopologySpec::IxpHub { peers: 4 },
         Some("fig4") => TopologySpec::Fig4Lab,
@@ -84,7 +82,6 @@ fn main() {
         prefixes,
         flows,
         seed,
-        scheduler,
         trace: true,
         // The chaos preset switches on the full robustness stack, like
         // the scenarios binary's --chaos soak.

@@ -8,7 +8,6 @@
 pub mod replay;
 
 use sc_net::SimDuration;
-use sc_sim::SchedulerKind;
 
 /// Render a duration the way the paper's Fig. 5 labels do: seconds with
 /// one decimal above 1 s, milliseconds below.
@@ -64,14 +63,6 @@ impl Table {
     }
 }
 
-/// The name a scheduler goes by on the command line and in JSON rows.
-pub fn scheduler_name(kind: SchedulerKind) -> &'static str {
-    match kind {
-        SchedulerKind::TimerWheel => "wheel",
-        SchedulerKind::ReferenceHeap => "heap",
-    }
-}
-
 /// Tiny argument helper: `--key value` and `--flag`.
 pub struct Args {
     raw: Vec<String>,
@@ -110,22 +101,6 @@ impl Args {
             None if self.flag(name) => Err("(no value)".into()),
             None => Ok(None),
         }
-    }
-
-    /// The kernel event scheduler picked by `--scheduler wheel|heap`
-    /// (`default` when the flag is absent). Any other value prints the
-    /// accepted ones and exits 2.
-    pub fn scheduler(&self, default: SchedulerKind) -> SchedulerKind {
-        let Some(name) = self.raw_value("--scheduler") else {
-            return default;
-        };
-        [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap]
-            .into_iter()
-            .find(|&kind| scheduler_name(kind) == name)
-            .unwrap_or_else(|| {
-                eprintln!("--scheduler {name}: expected wheel|heap");
-                std::process::exit(2)
-            })
     }
 
     /// The raw value following `--key`, if present.

@@ -16,7 +16,6 @@ use sc_routegen::mrt::{rib_snapshot_mrt, update_trace_mrt, MrtExportConfig};
 use sc_scenarios::{
     EventScript, FeedSource, MrtReplayFeed, ScenarioConfig, SuiteConfig, TopologySpec,
 };
-use sc_sim::SchedulerKind;
 
 /// Parameters of a replay run.
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +25,6 @@ pub struct ReplayParams {
     pub archive: MrtExportConfig,
     /// Warp on recorded inter-arrival gaps.
     pub time_scale: TimeScale,
-    pub scheduler: SchedulerKind,
 }
 
 impl ReplayParams {
@@ -44,7 +42,6 @@ impl ReplayParams {
                 ..MrtExportConfig::fixture()
             },
             time_scale: TimeScale::REAL,
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -98,7 +95,6 @@ pub fn replay_suite(p: &ReplayParams, rib: Vec<u8>, trace: Vec<u8>) -> SuiteConf
         base: ScenarioConfig {
             flows: 8,
             seed: p.archive.seed,
-            scheduler: p.scheduler,
             feed: FeedSource::MrtReplay(feed),
             ..ScenarioConfig::default()
         },
@@ -148,20 +144,14 @@ mod tests {
         }
     }
 
-    /// The fixtures twice and once under the reference heap: the stable
-    /// report — what `replay --out` writes — is the same bytes.
+    /// The fixtures twice: the stable report — what `replay --out`
+    /// writes — is the same bytes. Any queue popping in key order would
+    /// write them too: the wheel's debug-build order check holds every
+    /// pop to that order.
     #[test]
     fn replay_is_byte_identical_across_reruns_and_schedulers() {
-        let stable = |scheduler| {
-            let p = ReplayParams {
-                scheduler,
-                ..ReplayParams::smoke()
-            };
-            run(&p, fixture_archives()).to_json_stable()
-        };
-        let first = stable(SchedulerKind::TimerWheel);
-        assert_eq!(stable(SchedulerKind::TimerWheel), first, "rerun");
-        assert_eq!(stable(SchedulerKind::ReferenceHeap), first, "heap");
+        let stable = || run(&ReplayParams::smoke(), fixture_archives()).to_json_stable();
+        assert_eq!(stable(), stable(), "rerun");
     }
 
     /// Warping the trace compresses virtual time without changing the

@@ -27,7 +27,7 @@ use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
     peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
 };
-use sc_net::{MacAddr, SimDuration, SimTime};
+use sc_net::{splitmix64, MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
@@ -377,7 +377,8 @@ impl Controller {
         let step = self.cfg.ack_timeout * (1u64 << attempt.min(4));
         let span = (self.cfg.ack_timeout.as_micros() / 4).max(1);
         let jitter = splitmix64(
-            self.cfg
+            &mut self
+                .cfg
                 .seed
                 .wrapping_add(token.wrapping_mul(0x9e37_79b9_7f4a_7c15))
                 .wrapping_add(attempt as u64),
@@ -1028,12 +1029,4 @@ fn pump_session(
         }
         ChannelEvent::PeerClosed => out.extend(session.stop(DownReason::AdminDown)),
     }
-}
-
-/// SplitMix64 mix (Steele et al.) — the jitter hash for retry backoff.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }

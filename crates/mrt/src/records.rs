@@ -26,7 +26,7 @@
 //! simulated sessions speak.
 
 use sc_bgp::attrs::{decode_attrs, encode_attrs, RouteAttrs};
-use sc_bgp::msg::{decode_prefixes, encode_prefix, prefix_wire_len, BgpMessage};
+use sc_bgp::msg::{decode_prefixes, encode_prefix, BgpMessage};
 use sc_net::wire::{be16, be32, WireError};
 use sc_net::Ipv4Prefix;
 use std::fmt;
@@ -494,17 +494,6 @@ impl MrtWriter {
         self.out.extend_from_slice(&msg);
         self.finish_record(len_at);
     }
-}
-
-/// Exact body size of a RIB record (diagnostic; the writer backpatches
-/// rather than pre-computing).
-pub fn rib_body_len(prefix: Ipv4Prefix, entries: &[RibEntry]) -> usize {
-    4 + prefix_wire_len(prefix)
-        + 2
-        + entries
-            .iter()
-            .map(|e| 8 + sc_bgp::attrs::encoded_attrs_len(&e.attrs))
-            .sum::<usize>()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! list of `(offset, peering, UPDATE)` events relative to the first
 //! record, optionally warped by a [`TimeScale`]; the consumer schedules
 //! each event into its simulator (`sc-scenarios` injects them on
-//! provider routers through the world `Scheduler`).
+//! provider routers through the world's event queue).
 //!
 //! [`RibSnapshot`] is the companion loader for `TABLE_DUMP_V2` dumps:
 //! per-peer route lists that seed the providers' tables before the

@@ -50,6 +50,19 @@ pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use time::{SimDuration, SimTime};
 pub use trie::PrefixTrie;
 
+/// One step of Sebastiano Vigna's splitmix64 generator: advances
+/// `state` and returns a well-mixed 64-bit draw. The workspace's one
+/// seeded stream for link faults, walker jitter, chaos scripts and
+/// retry backoff; a stateless hash of `x` is one step from state `x`.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Re-export of the standard IPv4 address type used throughout the
 /// workspace (we do not wrap it; `std`'s type is already exactly right).
 pub use std::net::Ipv4Addr;

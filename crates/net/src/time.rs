@@ -120,17 +120,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest
-    /// nanosecond. Intended for configuration parsing, not for arithmetic
-    /// inside the simulator.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s >= 0.0 && s.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -368,11 +357,5 @@ mod tests {
         let d = SimDuration::from_micros(281);
         assert_eq!((d * 500_000).as_millis(), 140_500);
         assert_eq!((d / 281).as_micros(), 1);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.150).as_millis(), 150);
-        assert_eq!(SimDuration::from_secs_f64(0.0).as_nanos(), 0);
     }
 }

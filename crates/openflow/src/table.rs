@@ -113,13 +113,6 @@ impl FlowTable {
         before - self.entries.len()
     }
 
-    /// Delete by cookie (bulk cleanup, e.g. "all supercharger rules").
-    pub fn delete_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.cookie != cookie);
-        before - self.entries.len()
-    }
-
     /// Look up the highest-priority matching entry for `key`, updating
     /// counters. Returns the actions to execute, or `None` on table miss.
     pub fn lookup(&mut self, key: &FlowKey, frame_len: usize) -> Option<&FlowEntry> {
@@ -250,13 +243,10 @@ mod tests {
         let v2 = MacAddr::virtual_mac(2);
         t.add(entry(50, v1, 1));
         t.add(entry(60, v2, 2));
-        let mut e3 = entry(70, v2, 3);
-        e3.cookie = 42;
-        t.add(e3);
+        t.add(entry(70, v2, 3));
         assert_eq!(t.delete(Some(60), &FlowMatch::dst_mac(v2)), 1);
         assert_eq!(t.len(), 2);
         assert_eq!(t.delete(None, &FlowMatch::dst_mac(v2)), 1);
-        assert_eq!(t.delete_by_cookie(42), 0, "already gone");
         assert_eq!(t.len(), 1);
     }
 

@@ -27,22 +27,9 @@
 //! callers hand in and get back.
 
 use crate::calibration::Calibration;
-use sc_net::{FxHashMap, Ipv4Prefix, PrefixTrie, SimDuration, SimTime};
+use sc_net::{splitmix64, FxHashMap, Ipv4Prefix, PrefixTrie, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-
-/// One step of the splitmix64 generator (the walker's private jitter
-/// stream — counted per walker, so the draw sequence is a pure function
-/// of the router's seed and its own walk history, independent of every
-/// other node and of the executor).
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One installed FIB entry: where traffic for a prefix goes *right now*.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -151,10 +151,6 @@ pub struct ScenarioConfig {
     /// every packet down the LPM slow path; results must be identical —
     /// the determinism regression tests prove it).
     pub flow_cache: bool,
-    /// Event scheduler the trial worlds run on. The timer wheel is the
-    /// default; the reference heap produces byte-identical stable
-    /// reports (the determinism regression tests prove it).
-    pub scheduler: sc_sim::SchedulerKind,
     /// Where provider feeds come from (synthetic tables or an MRT
     /// snapshot + timed replay).
     pub feed: FeedSource,
@@ -185,7 +181,6 @@ impl Default for ScenarioConfig {
             fallback_sessions: false,
             trace: false,
             flow_cache: true,
-            scheduler: sc_sim::SchedulerKind::default(),
             feed: FeedSource::Synthetic,
             invariants: false,
         }
@@ -352,7 +347,7 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         ..cfg.clone()
     };
 
-    let mut world = World::with_scheduler(cfg.seed, cfg.scheduler);
+    let mut world = World::new(cfg.seed);
     if cfg.trace {
         world.enable_trace(1_000_000);
         world.enable_metrics();

@@ -19,7 +19,7 @@
 
 use crate::builder::BuiltScenario;
 use sc_bgp::msg::UpdateMsg;
-use sc_net::{Ipv4Prefix, SimDuration, SimTime};
+use sc_net::{splitmix64, Ipv4Prefix, SimDuration, SimTime};
 use sc_router::LegacyRouter;
 use sc_sim::{LinkId, NodeId};
 
@@ -85,13 +85,6 @@ pub enum ScenarioEvent {
     NodeCrash {
         node: NodeRef,
         at: SimDuration,
-    },
-    /// Carrier outage of `outage` on the provider's switch link — the
-    /// operational shape of a BGP session reset.
-    SessionReset {
-        provider: ProviderSel,
-        at: SimDuration,
-        outage: SimDuration,
     },
     /// The provider withdraws its first `count` prefixes.
     WithdrawBurst {
@@ -180,7 +173,6 @@ impl ScenarioEvent {
             ScenarioEvent::LinkFlap {
                 at, period, cycles, ..
             } => at + period * cycles.saturating_sub(1) as u64 + period / 2,
-            ScenarioEvent::SessionReset { at, outage, .. } => at + outage,
             ScenarioEvent::SetLinkFaults { until, .. } => until,
             ScenarioEvent::Partition { heal, .. } => heal,
             ScenarioEvent::ChurnBurst {
@@ -197,8 +189,7 @@ impl ScenarioEvent {
         match *self {
             ScenarioEvent::LinkDown { at, .. }
             | ScenarioEvent::NodeCrash { at, .. }
-            | ScenarioEvent::WithdrawBurst { at, .. }
-            | ScenarioEvent::SessionReset { at, .. } => vec![at],
+            | ScenarioEvent::WithdrawBurst { at, .. } => vec![at],
             // Chaos onsets that start perturbing traffic or degrade the
             // router open their own measurement window.
             ScenarioEvent::SetLinkFaults { at, .. }
@@ -273,14 +264,17 @@ impl EventScript {
         )
     }
 
-    /// Reset the primary's session (short carrier outage).
+    /// Reset the primary's session: a carrier outage of `outage` on its
+    /// switch link (the operational shape of a BGP session reset), i.e.
+    /// one flap cycle of period `2 × outage`.
     pub fn primary_session_reset(outage: SimDuration) -> EventScript {
         EventScript::new(
             "session-reset",
-            vec![ScenarioEvent::SessionReset {
-                provider: ProviderSel::Primary,
+            vec![ScenarioEvent::LinkFlap {
+                link: LinkRef::ProviderSwitch(ProviderSel::Primary),
                 at: SimDuration::ZERO,
-                outage,
+                period: outage * 2,
+                cycles: 1,
             }],
         )
     }
@@ -319,14 +313,14 @@ impl EventScript {
     /// controller crash/restart pair, and a short switch↔controller
     /// partition after the restart. A pure function of `seed`
     /// (splitmix64 throughout): the same seed always yields the same
-    /// script, so chaos cells stay byte-identical across reruns and
-    /// schedulers. Every chaos target no-ops in a legacy build, so one
-    /// script drives both sides of a comparison cell.
+    /// script, so chaos cells stay byte-identical across reruns. Every
+    /// chaos target no-ops in a legacy build, so one script drives both
+    /// sides of a comparison cell.
     pub fn chaos(seed: u64) -> EventScript {
         let mut ctr = 0u64;
         let mut next = |hi: u64| -> u64 {
             ctr += 1;
-            splitmix64(seed.wrapping_add(ctr.wrapping_mul(0x9e37_79b9_7f4a_7c15))) % hi
+            splitmix64(&mut seed.wrapping_add(ctr.wrapping_mul(0x9e37_79b9_7f4a_7c15))) % hi
         };
         let us = SimDuration::from_micros;
         let fault_at = next(20_000);
@@ -405,8 +399,7 @@ impl EventScript {
                 ScenarioEvent::NodeCrash { node, .. } => {
                     resolve_node(scn, node)?;
                 }
-                ScenarioEvent::SessionReset { provider, .. }
-                | ScenarioEvent::WithdrawBurst { provider, .. }
+                ScenarioEvent::WithdrawBurst { provider, .. }
                 | ScenarioEvent::ChurnBurst { provider, .. } => {
                     resolve_provider(scn, provider)?;
                 }
@@ -481,18 +474,6 @@ impl EventScript {
                 ScenarioEvent::NodeCrash { node, at } => {
                     let n = resolve_node(scn, node).unwrap();
                     scn.world.schedule(t0 + at, move |w| w.crash_node(n));
-                }
-                ScenarioEvent::SessionReset {
-                    provider,
-                    at,
-                    outage,
-                } => {
-                    let i = resolve_provider(scn, provider).unwrap();
-                    let l = scn.provider_switch_links[i];
-                    scn.world
-                        .schedule(t0 + at, move |w| w.set_link_up(l, false));
-                    scn.world
-                        .schedule(t0 + at + outage, move |w| w.set_link_up(l, true));
                 }
                 ScenarioEvent::WithdrawBurst {
                     provider,
@@ -722,15 +703,6 @@ fn resolve_node(scn: &BuiltScenario, node: NodeRef) -> Result<NodeId, String> {
     }
 }
 
-/// Sebastiano Vigna's splitmix64 — the workspace's stock seeded
-/// stateless mixer (also used for flow-mod retry jitter in sc-core).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn withdraw_of(universe: &[Ipv4Prefix], count: u32) -> UpdateMsg {
     UpdateMsg {
         withdrawn: universe.iter().take(count as usize).copied().collect(),
@@ -795,6 +767,11 @@ mod tests {
             EventScript::primary_session_reset(ms(150)).epochs(),
             vec![SimDuration::ZERO],
             "a reset is one down->up cycle"
+        );
+        assert_eq!(
+            EventScript::primary_session_reset(ms(150)).events[0].end(),
+            ms(150),
+            "the carrier returns after the outage"
         );
         let churn = EventScript::new(
             "c",

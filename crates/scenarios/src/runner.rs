@@ -121,8 +121,8 @@ impl ScenarioOutcome {
 
 /// The exported observability artifacts of one traced trial: the
 /// flight-recorder ring in both serializations plus the merged metrics
-/// registry. Every field is byte-reproducible across reruns and
-/// schedulers (the determinism contract).
+/// registry. Every field is byte-reproducible across reruns (the
+/// determinism contract).
 #[derive(Clone, Debug)]
 pub struct TraceArtifacts {
     /// One JSON object per trace record (first line is the meta header).
@@ -372,7 +372,7 @@ fn transit_policy(script: &EventScript, scn: &BuiltScenario, t0: SimTime) -> Tra
 }
 
 /// Schedule every compiled replay event into the world through the
-/// kernel `Scheduler`, under the shared mapping policy
+/// kernel's event queue, under the shared mapping policy
 /// ([`ReplaySchedule::map_to_providers`]): recorded peer `k` injects on
 /// provider `k % providers` with next-hops rewritten — the same mapping
 /// the snapshot-derived feeds used, so withdrawals hit the routes their

@@ -7,7 +7,8 @@
 //! restarted controller must reconcile (engine resync, degraded-mode
 //! exit); without a restart, degradation must persist to the horizon.
 //! Degraded-annotated stable reports stay byte-identical across reruns
-//! and kernel schedulers.
+//! (and, by the kernel queue's debug-build order check, of any queue
+//! popping in key order).
 
 use sc_net::SimDuration;
 use sc_scenarios::{
@@ -217,41 +218,35 @@ fn controller_restart_reconciles_and_exits_degraded_mode() {
 
 #[test]
 fn degraded_reports_are_byte_identical_across_reruns_and_schedulers() {
-    let script = || {
-        EventScript::new(
-            "cut-crash-restart",
-            vec![
-                ScenarioEvent::LinkDown {
-                    link: LinkRef::ProviderSwitch(ProviderSel::Primary),
-                    at: SimDuration::ZERO,
-                },
-                ScenarioEvent::CrashController {
-                    replica: 0,
-                    at: SimDuration::from_millis(20),
-                },
-                ScenarioEvent::RestartController {
-                    replica: 0,
-                    at: SimDuration::from_millis(300),
-                },
-            ],
-        )
-    };
-    let suite = |scheduler| SuiteConfig {
+    let script = EventScript::new(
+        "cut-crash-restart",
+        vec![
+            ScenarioEvent::LinkDown {
+                link: LinkRef::ProviderSwitch(ProviderSel::Primary),
+                at: SimDuration::ZERO,
+            },
+            ScenarioEvent::CrashController {
+                replica: 0,
+                at: SimDuration::from_millis(20),
+            },
+            ScenarioEvent::RestartController {
+                replica: 0,
+                at: SimDuration::from_millis(300),
+            },
+        ],
+    );
+    let suite = SuiteConfig {
         topologies: vec![TopologySpec::Chain {
             providers: 2,
             hops: 1,
         }],
-        scripts: vec![script()],
+        scripts: vec![script],
         modes: vec![Mode::Stock, Mode::Supercharged],
-        base: ScenarioConfig {
-            scheduler,
-            ..robust_cfg(42)
-        },
+        base: robust_cfg(42),
         workers: Some(2),
     };
-    let wheel = suite(sc_sim::SchedulerKind::TimerWheel);
-    let a = run_suite(&wheel);
-    let b = run_suite(&wheel);
+    let a = run_suite(&suite);
+    let b = run_suite(&suite);
     assert!(a.errors.is_empty(), "{:?}", a.errors);
     assert_eq!(
         a.to_csv_stable(),
@@ -259,13 +254,6 @@ fn degraded_reports_are_byte_identical_across_reruns_and_schedulers() {
         "stable CSV must be byte-identical across reruns"
     );
     assert_eq!(a.to_json_stable(), b.to_json_stable());
-    let heap = run_suite(&suite(sc_sim::SchedulerKind::ReferenceHeap));
-    assert_eq!(
-        a.to_csv_stable(),
-        heap.to_csv_stable(),
-        "stable CSV must not depend on the kernel scheduler"
-    );
-    assert_eq!(a.to_json_stable(), heap.to_json_stable());
     // The robustness columns actually carry data (all-blank cells would
     // pass the byte-diffs above).
     let csv = a.to_csv_stable();

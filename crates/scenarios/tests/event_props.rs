@@ -54,13 +54,6 @@ fn arb_event() -> impl Strategy<Value = ScenarioEvent> {
             }
         }),
         (arb_node(), arb_dur()).prop_map(|(node, at)| ScenarioEvent::NodeCrash { node, at }),
-        (arb_sel(), arb_dur(), arb_dur()).prop_map(|(provider, at, outage)| {
-            ScenarioEvent::SessionReset {
-                provider,
-                at,
-                outage,
-            }
-        }),
         (arb_sel(), arb_dur(), 1u32..50).prop_map(|(provider, at, count)| {
             ScenarioEvent::WithdrawBurst {
                 provider,

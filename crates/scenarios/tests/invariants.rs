@@ -3,8 +3,9 @@
 //! windows relative to the legacy baseline (never widen them — even
 //! with a controller replica crashing mid-failover), a no-failure
 //! control cell must report zero violations, and invariant-annotated
-//! stable reports must stay byte-identical across reruns and kernel
-//! schedulers.
+//! stable reports must stay byte-identical across reruns (and, by the
+//! kernel queue's debug-build order check, of any queue popping in key
+//! order).
 
 use sc_net::SimDuration;
 use sc_scenarios::{
@@ -140,7 +141,7 @@ fn no_failure_control_cell_reports_zero_violations() {
 
 #[test]
 fn invariant_reports_are_byte_identical_across_reruns_and_schedulers() {
-    let suite = |scheduler| SuiteConfig {
+    let wheel = SuiteConfig {
         topologies: vec![TopologySpec::Chain {
             providers: 2,
             hops: 1,
@@ -149,12 +150,10 @@ fn invariant_reports_are_byte_identical_across_reruns_and_schedulers() {
         modes: vec![Mode::Stock, Mode::Supercharged],
         base: ScenarioConfig {
             controllers: 2,
-            scheduler,
             ..inv_cfg(42)
         },
         workers: Some(2),
     };
-    let wheel = suite(sc_sim::SchedulerKind::TimerWheel);
     let a = run_suite(&wheel);
     let b = run_suite(&wheel);
     assert!(a.errors.is_empty(), "{:?}", a.errors);
@@ -164,13 +163,6 @@ fn invariant_reports_are_byte_identical_across_reruns_and_schedulers() {
         "stable CSV must be byte-identical across reruns"
     );
     assert_eq!(a.to_json_stable(), b.to_json_stable());
-    let heap = run_suite(&suite(sc_sim::SchedulerKind::ReferenceHeap));
-    assert_eq!(
-        a.to_csv_stable(),
-        heap.to_csv_stable(),
-        "stable CSV must not depend on the kernel scheduler"
-    );
-    assert_eq!(a.to_json_stable(), heap.to_json_stable());
     // The instrumented rows actually carry invariant columns (a quiet
     // regression would be all-blank cells passing the diffs above).
     let header = a.to_csv_stable();

@@ -1,6 +1,6 @@
 //! End-to-end MRT replay through the scenario engine: the committed
 //! fixtures seed the provider tables, the recorded update trace plays
-//! through the kernel scheduler with warped inter-arrival timing, and
+//! through the kernel's event queue with warped inter-arrival timing, and
 //! every burst is measured in its own convergence window.
 
 use sc_lab::Mode;
@@ -96,9 +96,10 @@ fn replay_trial_measures_every_recorded_burst() {
 }
 
 /// Replay is deterministic: identical trials produce byte-identical
-/// stable report rows, and the scheduler kind (timer wheel vs reference
-/// heap) cannot change them — replay events enter through the same
-/// kernel `Scheduler` as everything else.
+/// stable report rows. Replay events enter through the same kernel
+/// event queue as everything else, whose pops the order check holds to
+/// `(time, origin key)` order in debug builds, so no queue could
+/// change them.
 #[test]
 fn replay_is_deterministic_and_scheduler_invariant() {
     let script = EventScript::new("replay-only", Vec::new());
@@ -107,13 +108,7 @@ fn replay_is_deterministic_and_scheduler_invariant() {
         SuiteReport::row_json_stable(&outcome).to_string()
     };
     let base = replay_cfg();
-    let again = row(&base);
-    assert_eq!(row(&base), again, "two identical runs, identical rows");
-    let heap = ScenarioConfig {
-        scheduler: sc_sim::SchedulerKind::ReferenceHeap,
-        ..replay_cfg()
-    };
-    assert_eq!(row(&heap), again, "scheduler choice is invisible");
+    assert_eq!(row(&base), row(&base), "two identical runs, identical rows");
 }
 
 /// A failure script composes with a replay feed: scripted epochs and

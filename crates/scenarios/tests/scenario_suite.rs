@@ -417,20 +417,22 @@ fn worker_count_does_not_change_the_report() {
     assert_eq!(serial.to_csv_stable(), parallel.to_csv_stable());
 }
 
-/// The timer wheel is a pure scheduling structure: running the same
-/// smoke-shaped suite on the reference `BinaryHeap` scheduler must
-/// produce byte-identical stable reports — the wheel preserves the
-/// exact `(time, seq)` total order, so not even the kernel event count
-/// may move.
+/// The timer wheel is a pure scheduling structure: its debug-build
+/// order check holds every pop of this smoke-shaped suite, over every
+/// topology family the sweeps build, to the exact `(time, seq)` order a
+/// reference heap would pop, and a rerun produces byte-identical stable
+/// reports — not even the kernel event count may move.
 #[test]
 fn timer_wheel_matches_reference_heap_byte_for_byte() {
-    let wheel = SuiteConfig {
+    let suite = SuiteConfig {
         topologies: vec![
             TopologySpec::Chain {
                 providers: 2,
                 hops: 1,
             },
             TopologySpec::IxpHub { peers: 3 },
+            TopologySpec::FatTreePod { k: 4 },
+            TopologySpec::Random { seed: 17 },
         ],
         scripts: vec![
             EventScript::primary_cut(),
@@ -442,21 +444,18 @@ fn timer_wheel_matches_reference_heap_byte_for_byte() {
             prefixes: 200,
             flows: 5,
             seed: 17,
-            scheduler: sc_sim::SchedulerKind::TimerWheel,
             ..ScenarioConfig::default()
         },
     };
-    let mut heap = wheel.clone();
-    heap.base.scheduler = sc_sim::SchedulerKind::ReferenceHeap;
-    let on_wheel = run_suite(&wheel);
-    let on_heap = run_suite(&heap);
+    let first = run_suite(&suite);
+    let again = run_suite(&suite);
     assert_eq!(
-        on_wheel.to_json_stable(),
-        on_heap.to_json_stable(),
-        "wheel vs reference heap: identical measurements"
+        first.to_json_stable(),
+        again.to_json_stable(),
+        "rerun: identical measurements"
     );
-    assert_eq!(on_wheel.to_csv_stable(), on_heap.to_csv_stable());
-    for (a, b) in on_wheel.rows.iter().zip(&on_heap.rows) {
+    assert_eq!(first.to_csv_stable(), again.to_csv_stable());
+    for (a, b) in first.rows.iter().zip(&again.rows) {
         assert_eq!(a.events_processed, b.events_processed, "same event stream");
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The flight recorder is part of the byte-identical determinism
 //! surface: a traced trial must export the same JSONL, Chrome JSON and
-//! metrics registry on every rerun and on both schedulers — reference
-//! heap and timer wheel. And the causal phase columns it feeds must
+//! metrics registry on every rerun, and the kernel's queue pops it in
+//! the one `(time, origin key)` order (checked on every pop in debug
+//! builds). And the causal phase columns it feeds must
 //! *partition* the measured convergence: detect + notify + program +
 //! fib equals the cycle's worst per-flow gap exactly, in both legacy
 //! and supercharged mode.
@@ -14,14 +15,12 @@ use sc_scenarios::{
     run_scenario_traced, EventScript, ScenarioConfig, SuiteReport, TopologySpec, TraceArtifacts,
 };
 use sc_scenarios::{ScenarioOutcome, SuiteConfig};
-use sc_sim::SchedulerKind;
 
-fn traced(seed: u64, scheduler: SchedulerKind) -> ScenarioConfig {
+fn traced(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
         prefixes: 300,
         flows: 10,
         seed,
-        scheduler,
         trace: true,
         ..ScenarioConfig::default()
     }
@@ -75,7 +74,7 @@ fn assert_phases_partition(out: &ScenarioOutcome, label: &str) {
 /// emitted and exact for both modes.
 #[test]
 fn phase_breakdowns_partition_measured_convergence() {
-    let cfg = traced(7, SchedulerKind::TimerWheel);
+    let cfg = traced(7);
     let flap = EventScript::primary_flap(SimDuration::from_millis(400), 2);
     for topo in [
         TopologySpec::Chain {
@@ -99,7 +98,7 @@ fn phase_breakdowns_partition_measured_convergence() {
             assert!(art.chrome.contains("traceEvents"), "{label}");
             assert!(art.metrics_json.contains("counters"), "{label}");
             // The kernel self-profile and what the run's RIBs cost ride
-            // along on every scheduler.
+            // along.
             for key in [
                 "\"kernel.events.timer\":",
                 "\"kernel.node.r1.",
@@ -118,7 +117,7 @@ fn phase_breakdowns_partition_measured_convergence() {
 /// Stable CSV rows from a traced suite carry populated phase columns.
 #[test]
 fn stable_csv_carries_phase_columns() {
-    let cfg = traced(7, SchedulerKind::TimerWheel);
+    let cfg = traced(7);
     let topo = TopologySpec::Chain {
         providers: 2,
         hops: 1,
@@ -162,7 +161,9 @@ fn stable_csv_carries_phase_columns() {
 /// The hard export contract: trace exports (JSONL + Chrome), the
 /// stable report row and the whole metrics registry — domain counters
 /// and the always-on `kernel.events.*` / `kernel.node.*` counts alike —
-/// are byte-identical across reruns and across both schedulers.
+/// are byte-identical across reruns. Any queue popping in key order
+/// would export them too: the wheel's order check holds every pop to
+/// that order in debug builds.
 #[test]
 fn trace_exports_are_scheduler_invariant() {
     let topo = TopologySpec::Chain {
@@ -179,37 +180,16 @@ fn trace_exports_are_scheduler_invariant() {
         )
     };
     for mode in [Mode::Stock, Mode::Supercharged] {
-        let (ref_out, ref_art) = run(
-            &topo,
-            &script,
-            mode,
-            &traced(11, SchedulerKind::ReferenceHeap),
-        );
+        let (ref_out, ref_art) = run(&topo, &script, mode, &traced(11));
         let reference = render(&ref_art, &ref_out);
         assert!(ref_art.jsonl.lines().count() > 10, "{mode:?}: trace empty");
 
         // Rerun: every artifact byte-identical, metrics included.
-        let (out2, art2) = run(
-            &topo,
-            &script,
-            mode,
-            &traced(11, SchedulerKind::ReferenceHeap),
-        );
+        let (out2, art2) = run(&topo, &script, mode, &traced(11));
         assert_eq!(render(&art2, &out2), reference, "{mode:?}: rerun differs");
         assert_eq!(
             art2.metrics_json, ref_art.metrics_json,
             "{mode:?}: rerun metrics differ"
-        );
-
-        let (out, art) = run(&topo, &script, mode, &traced(11, SchedulerKind::TimerWheel));
-        assert_eq!(
-            render(&art, &out),
-            reference,
-            "{mode:?}: trace export diverged from reference heap"
-        );
-        assert_eq!(
-            art.metrics_json, ref_art.metrics_json,
-            "{mode:?}: metrics diverged from reference heap"
         );
     }
 }

@@ -19,14 +19,17 @@
 //! * [`wakeup::Wakeup`] — the one timer discipline for state machines
 //!   whose deadline moves: one live timer each, re-armed only when the
 //!   deadline moves earlier.
+//! * `sched` — the event queue: a timer wheel that pops in exact
+//!   `(time, origin key)` order and checks that order on every pop in
+//!   debug builds.
 //! * [`trace`] — sc-trace: a deterministic, causally-keyed flight
-//!   recorder whose exports are byte-identical across both schedulers
-//!   (plus a counters registry living in `sc_net::metrics`).
+//!   recorder whose exports are byte-identical across reruns (plus a
+//!   counters registry living in `sc_net::metrics`).
 
 pub mod link;
 pub mod netutil;
 pub mod node;
-pub mod sched;
+mod sched;
 pub mod trace;
 pub mod wakeup;
 pub mod world;
@@ -34,7 +37,6 @@ pub mod world;
 pub use link::{Endpoint, LinkId, LinkParams};
 pub use netutil::ChannelPort;
 pub use node::{Ctx, Node, NodeId, PortId, TimerToken};
-pub use sched::SchedulerKind;
 pub use trace::{Trace, TraceEvent, TracePhase};
 pub use wakeup::Wakeup;
 pub use world::{NodeStats, World, WorldStats};

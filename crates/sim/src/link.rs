@@ -16,7 +16,7 @@
 //! *other* links interleave globally, like the kernel's origin keys.
 
 use crate::node::{NodeId, PortId};
-use sc_net::{Frame, SimDuration, SimTime};
+use sc_net::{splitmix64, Frame, SimDuration, SimTime};
 
 /// Index of a link within a [`crate::World`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -84,17 +84,6 @@ impl LinkParams {
 pub struct Endpoint {
     pub node: NodeId,
     pub port: PortId,
-}
-
-/// One step of the splitmix64 generator: advances `state` and returns
-/// a well-mixed 64-bit draw.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Map a 64-bit draw to a uniform `f64` in `[0, 1)`.

@@ -19,7 +19,6 @@
 //! its writes that way.
 
 use crate::link::Endpoint;
-use crate::sched::Scheduler;
 use crate::world::Kernel;
 use sc_net::{Frame, SimDuration, SimTime};
 use std::any::Any;

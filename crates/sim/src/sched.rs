@@ -1,6 +1,6 @@
-//! Event schedulers for the kernel: the hierarchical timer wheel the
-//! [`crate::World`] runs on, and the binary-heap reference it is
-//! differentially tested against.
+//! The kernel's event queue: a hierarchical timer wheel that pops in
+//! exact `(time, seq)` order, and in debug builds checks that order on
+//! every pop.
 //!
 //! The kernel's determinism contract hangs on one property: events are
 //! delivered in exact `(time, seq)` order, where `seq` is the world's
@@ -8,10 +8,11 @@
 //! stream 0 the world/control stream and stream `n + 1` node `n` (see
 //! `Kernel::key_for_node`). The key is a pure function of *which state
 //! machine emitted the event and how many events it emitted before*,
-//! never of how emissions interleave globally — so both schedulers
-//! here reproduce the identical total order bit-for-bit. The
-//! suite-level regression tests prove it by comparing stable reports
-//! byte-for-byte across schedulers.
+//! never of how emissions interleave globally, so the order is a
+//! property of the simulated system: any queue that pops the minimum
+//! key reproduces it bit-for-bit. The wheel proves it is such a queue
+//! (see "Order check" below); the unit tests here hold it against a
+//! plain binary heap of keys.
 //!
 //! ## Wheel layout
 //!
@@ -38,6 +39,18 @@
 //! "now", or arriving after a deadline-bounded run parked the base
 //! ahead of the clock) merge into the active batch with order
 //! preserved.
+//!
+//! ## Order check
+//!
+//! Debug builds check heap order in O(1) per pop (release builds carry
+//! nothing). The check keeps the largest key popped so far (`floor`),
+//! the pending keys pushed below it (`low`: zero-delay pushes from a
+//! lower origin stream than the event being handled) and the number of
+//! pending events. A pop must return the minimum of `low` if `low` is
+//! non-empty, and otherwise a key above `floor`, which becomes the new
+//! floor. Under heap order every pending key outside `low` lies above
+//! `floor`, so an event the wheel skips either pops later below `floor`
+//! or is still queued below it when the wheel is dropped; both panic.
 
 use crate::world::EventKind;
 use sc_net::SimTime;
@@ -66,116 +79,7 @@ impl PartialOrd for Queued {
 }
 impl Ord for Queued {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// The event-queue abstraction the kernel runs on. Implementations must
-/// pop in exact `(time, seq)` order.
-pub(crate) trait Scheduler {
-    /// Insert an event. `ev.time` is never earlier than the time of the
-    /// most recently popped event (the kernel's clock is monotonic).
-    fn push(&mut self, ev: Queued);
-
-    /// Remove and return the minimum event if its time is `<= deadline`.
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued>;
-
-    /// Remove and return the minimum event.
-    fn pop(&mut self) -> Option<Queued> {
-        self.pop_before(SimTime::MAX)
-    }
-
-    /// The exact time of the minimum event, without removing it. Exact,
-    /// not a bucket bound: both schedulers answer the same instant.
-    fn peek(&self) -> Option<SimTime>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-}
-
-/// Which scheduler a [`crate::World`] runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// The hierarchical timer wheel (the default).
-    #[default]
-    TimerWheel,
-    /// The original global `BinaryHeap` — kept as the reference
-    /// implementation for differential testing.
-    ReferenceHeap,
-}
-
-/// The kernel's scheduler storage: enum dispatch keeps `push`/`pop` on
-/// the hot event loop statically resolvable (and inlinable), which a
-/// `Box<dyn Scheduler>` measurably is not on the shallow-queue
-/// data-plane workloads.
-pub(crate) enum AnyScheduler {
-    Wheel(TimerWheel),
-    Heap(HeapScheduler),
-}
-
-pub(crate) fn make_scheduler(kind: SchedulerKind) -> AnyScheduler {
-    match kind {
-        SchedulerKind::TimerWheel => AnyScheduler::Wheel(TimerWheel::new()),
-        SchedulerKind::ReferenceHeap => AnyScheduler::Heap(HeapScheduler::default()),
-    }
-}
-
-impl Scheduler for AnyScheduler {
-    #[inline]
-    fn push(&mut self, ev: Queued) {
-        match self {
-            AnyScheduler::Wheel(w) => w.push(ev),
-            AnyScheduler::Heap(h) => h.push(ev),
-        }
-    }
-
-    #[inline]
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
-        match self {
-            AnyScheduler::Wheel(w) => w.pop_before(deadline),
-            AnyScheduler::Heap(h) => h.pop_before(deadline),
-        }
-    }
-
-    fn peek(&self) -> Option<SimTime> {
-        match self {
-            AnyScheduler::Wheel(w) => w.peek(),
-            AnyScheduler::Heap(h) => h.peek(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyScheduler::Wheel(w) => w.len(),
-            AnyScheduler::Heap(h) => h.len(),
-        }
-    }
-}
-
-/// The reference scheduler: one global binary heap.
-#[derive(Default)]
-pub(crate) struct HeapScheduler {
-    heap: BinaryHeap<Reverse<Queued>>,
-}
-
-impl Scheduler for HeapScheduler {
-    fn push(&mut self, ev: Queued) {
-        self.heap.push(Reverse(ev));
-    }
-
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
-        match self.heap.peek() {
-            Some(Reverse(ev)) if ev.time <= deadline => self.heap.pop().map(|Reverse(ev)| ev),
-            _ => None,
-        }
-    }
-
-    fn peek(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(ev)| ev.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
+        key(self).cmp(&key(other))
     }
 }
 
@@ -220,6 +124,8 @@ pub(crate) struct TimerWheel {
     overflow: BinaryHeap<Reverse<Queued>>,
     /// Events currently held in `slots` (excluding `active`/`overflow`).
     wheel_len: usize,
+    #[cfg(debug_assertions)]
+    order: OrderCheck,
 }
 
 #[inline]
@@ -242,7 +148,80 @@ impl TimerWheel {
             active_at: 0,
             overflow: BinaryHeap::new(),
             wheel_len: 0,
+            #[cfg(debug_assertions)]
+            order: OrderCheck::default(),
         }
+    }
+
+    /// Insert an event. `ev.time` is never earlier than the time of the
+    /// most recently popped event (the kernel's clock is monotonic).
+    #[inline]
+    pub(crate) fn push(&mut self, ev: Queued) {
+        #[cfg(debug_assertions)]
+        self.order.pushed(key(&ev));
+        let bucket = bucket_of(ev.time);
+        if bucket <= self.base_bucket {
+            // At-or-behind the batch being drained (an event scheduled
+            // for "now", or a push after a deadline-bounded run parked
+            // the base ahead of the clock): merge into the batch.
+            self.push_active(ev);
+        } else if bucket < self.base_bucket + SLOTS as u64 {
+            self.push_wheel(bucket, ev);
+        } else {
+            self.overflow.push(Reverse(ev));
+        }
+    }
+
+    /// Remove and return the minimum event if its time is `<= deadline`.
+    #[inline]
+    pub(crate) fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
+        loop {
+            if let Some(ev) = self.active.get_mut(self.active_at) {
+                if ev.time > deadline {
+                    return None;
+                }
+                let ev = std::mem::replace(ev, CONSUMED);
+                self.active_at += 1;
+                #[cfg(debug_assertions)]
+                {
+                    self.order.popped(key(&ev));
+                    assert_eq!(self.len(), self.order.pending, "wheel lost count");
+                }
+                return Some(ev);
+            }
+            if self.wheel_len == 0 && self.overflow.is_empty() {
+                return None;
+            }
+            self.activate_next();
+        }
+    }
+
+    /// Remove and return the minimum event.
+    pub(crate) fn pop(&mut self) -> Option<Queued> {
+        self.pop_before(SimTime::MAX)
+    }
+
+    /// The exact time of the minimum event, without removing it (not a
+    /// bucket bound). The active batch is sorted and precedes every
+    /// wheel bucket, and the wheel precedes the overflow heap; only the
+    /// next occupied bucket is unsorted, so it is scanned.
+    pub(crate) fn peek(&self) -> Option<SimTime> {
+        if let Some(ev) = self.active.get(self.active_at) {
+            return Some(ev.time);
+        }
+        if self.wheel_len > 0 {
+            let from = ((self.base_bucket + 1) % SLOTS as u64) as usize;
+            let slot = self
+                .next_occupied(from)
+                .expect("wheel_len > 0 but no occupied slot");
+            return self.slots[slot].iter().map(|ev| ev.time).min();
+        }
+        self.overflow.peek().map(|Reverse(ev)| ev.time)
+    }
+
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
+        self.wheel_len + self.overflow.len() + (self.active.len() - self.active_at)
     }
 
     #[inline]
@@ -356,59 +335,68 @@ impl TimerWheel {
     }
 }
 
-impl Scheduler for TimerWheel {
-    #[inline]
-    fn push(&mut self, ev: Queued) {
-        let bucket = bucket_of(ev.time);
-        if bucket <= self.base_bucket {
-            // At-or-behind the batch being drained (an event scheduled
-            // for "now", or a push after a deadline-bounded run parked
-            // the base ahead of the clock): merge into the batch.
-            self.push_active(ev);
-        } else if bucket < self.base_bucket + SLOTS as u64 {
-            self.push_wheel(bucket, ev);
-        } else {
-            self.overflow.push(Reverse(ev));
+/// The debug-build proof that pops follow heap order (see the module
+/// docs).
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct OrderCheck {
+    /// The largest key popped so far.
+    floor: Option<(SimTime, u64)>,
+    /// Pending keys that were pushed below `floor`, sorted descending
+    /// (the minimum pops off the end; the buffer is reused, so the
+    /// check allocates nothing in steady state).
+    low: Vec<(SimTime, u64)>,
+    /// Pushes minus pops.
+    pending: usize,
+}
+
+#[cfg(debug_assertions)]
+impl OrderCheck {
+    fn pushed(&mut self, k: (SimTime, u64)) {
+        self.pending += 1;
+        if Some(k) < self.floor {
+            let at = self.low.partition_point(|&l| l > k);
+            self.low.insert(at, k);
         }
     }
 
-    #[inline]
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
-        loop {
-            if let Some(ev) = self.active.get_mut(self.active_at) {
-                if ev.time > deadline {
-                    return None;
-                }
-                let ev = std::mem::replace(ev, CONSUMED);
-                self.active_at += 1;
-                return Some(ev);
+    fn popped(&mut self, k: (SimTime, u64)) {
+        self.pending -= 1;
+        match self.low.pop() {
+            Some(min) => assert!(
+                k == min,
+                "out of (time, seq) order: {k:?} while {min:?} was pending"
+            ),
+            None => {
+                assert!(
+                    Some(k) > self.floor,
+                    "out of (time, seq) order: {k:?} after {:?}",
+                    self.floor
+                );
+                self.floor = Some(k);
             }
-            if self.wheel_len == 0 && self.overflow.is_empty() {
-                return None;
-            }
-            self.activate_next();
         }
     }
+}
 
-    /// The active batch is sorted and precedes every wheel bucket, and
-    /// the wheel precedes the overflow heap; only the next occupied
-    /// bucket is unsorted, so it is scanned.
-    fn peek(&self) -> Option<SimTime> {
-        if let Some(ev) = self.active.get(self.active_at) {
-            return Some(ev.time);
+#[cfg(debug_assertions)]
+impl Drop for TimerWheel {
+    /// Every event still queued must be one a later pop could return in
+    /// order: above `floor`, or among the keys pushed below it.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
         }
-        if self.wheel_len > 0 {
-            let from = ((self.base_bucket + 1) % SLOTS as u64) as usize;
-            let slot = self
-                .next_occupied(from)
-                .expect("wheel_len > 0 but no occupied slot");
-            return self.slots[slot].iter().map(|ev| ev.time).min();
+        let queued = self.slots.iter().flatten();
+        let queued = queued.chain(&self.active[self.active_at..]);
+        for ev in queued.chain(self.overflow.iter().map(|Reverse(ev)| ev)) {
+            let k = key(ev);
+            assert!(
+                Some(k) > self.order.floor || self.order.low.contains(&k),
+                "skipped event: {k:?} still queued after {:?}",
+                self.order.floor
+            );
         }
-        self.overflow.peek().map(|Reverse(ev)| ev.time)
-    }
-
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len() + (self.active.len() - self.active_at)
     }
 }
 
@@ -426,9 +414,9 @@ mod tests {
         }
     }
 
-    fn drain_keys(s: &mut dyn Scheduler) -> Vec<(u64, u64)> {
+    fn drain_keys(w: &mut TimerWheel) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        while let Some(e) = s.pop() {
+        while let Some(e) = w.pop() {
             out.push((e.time.as_nanos(), e.seq));
         }
         out
@@ -475,112 +463,121 @@ mod tests {
         assert_eq!(w.pop_before(SimTime::MAX).unwrap().seq, 2);
     }
 
-    /// The differential test: a random monotone workload (interleaved
-    /// pushes and pops, timescales from nanoseconds to minutes) must pop
-    /// in the identical order from the wheel and the reference heap, and
-    /// both must peek the instant the next pop returns.
+    /// The reference: a binary heap of `(time ns, seq)` keys.
+    #[derive(Default)]
+    struct KeyHeap(BinaryHeap<Reverse<(u64, u64)>>);
+
+    impl KeyHeap {
+        fn pop_before(&mut self, deadline: u64) -> Option<(u64, u64)> {
+            match self.0.peek() {
+                Some(&Reverse((t, _))) if t <= deadline => self.0.pop().map(|Reverse(k)| k),
+                _ => None,
+            }
+        }
+
+        fn peek(&self) -> Option<SimTime> {
+            self.0.peek().map(|&Reverse((t, _))| SimTime::from_nanos(t))
+        }
+    }
+
+    /// The differential test: a random monotone workload must pop in the
+    /// identical order from the wheel and a reference heap of keys, and
+    /// both must agree on `peek` and `len` after every operation. Keys
+    /// are origin keys from six streams, as the kernel draws them, and
+    /// the operations are the kernel's:
+    ///
+    /// * pushes at the clock plus a span drawn across 6 decades
+    ///   (nanoseconds to minutes);
+    /// * co-timed bursts at the clock from random streams — after a pop
+    ///   some sort below the key just popped (a node handling an event
+    ///   from a higher stream answers at zero delay);
+    /// * pops;
+    /// * `pop_before(deadline)` runs that leave the clock at the
+    ///   deadline (`run_until`), parking the base ahead of it when the
+    ///   next bucket lies beyond, so later pushes land behind the base.
     #[test]
     fn wheel_matches_reference_heap_on_random_workloads() {
+        const STREAMS: usize = 6;
         for trial in 0..20u64 {
             let mut rng = SmallRng::seed_from_u64(trial);
             let mut wheel = TimerWheel::new();
-            let mut heap = HeapScheduler::default();
+            let mut heap = KeyHeap::default();
             let mut now = 0u64;
-            let mut seq = 0u64;
-            let mut popped = 0usize;
-            let mut pushed = 0usize;
+            let mut ctr = [0u64; STREAMS];
+            let mut push = |wheel: &mut TimerWheel, heap: &mut KeyHeap, rng: &mut SmallRng, t| {
+                let stream = rng.gen_range(0..STREAMS);
+                let seq = ((stream as u64) << 44) | ctr[stream];
+                ctr[stream] += 1;
+                wheel.push(ev(t, seq));
+                heap.0.push(Reverse((t, seq)));
+                (t, seq)
+            };
+            let mut last = (0, 0);
+            let (mut below, mut parked) = (0, 0);
             for _ in 0..2_000 {
-                let peeked = wheel.peek();
-                assert_eq!(peeked, heap.peek(), "trial {trial}");
-                if pushed == popped || rng.gen_range(0u32..100) < 60 {
-                    // Push at now + a span drawn across 6 decades.
-                    let exp = rng.gen_range(0u32..7);
-                    let span = rng.gen_range(0u64..10u64.pow(exp) * 100);
-                    let e = ev(now + span, seq);
-                    wheel.push(ev(now + span, seq));
-                    heap.push(e);
-                    seq += 1;
-                    pushed += 1;
-                } else {
-                    let a = wheel.pop().unwrap();
-                    let b = heap.pop().unwrap();
-                    assert_eq!((a.time, a.seq), (b.time, b.seq), "trial {trial}");
-                    assert_eq!(peeked, Some(a.time), "trial {trial}");
-                    now = a.time.as_nanos();
-                    popped += 1;
+                match rng.gen_range(0u32..100) {
+                    0..=44 => {
+                        let exp = rng.gen_range(0u32..7);
+                        let span = rng.gen_range(0u64..10u64.pow(exp) * 100);
+                        push(&mut wheel, &mut heap, &mut rng, now + span);
+                    }
+                    45..=59 => {
+                        for _ in 0..rng.gen_range(1..8) {
+                            below += usize::from(push(&mut wheel, &mut heap, &mut rng, now) < last);
+                        }
+                    }
+                    60..=89 => {
+                        let a = wheel.pop().map(|e| (e.time.as_nanos(), e.seq));
+                        assert_eq!(a, heap.pop_before(u64::MAX), "trial {trial}");
+                        last = a.unwrap_or(last);
+                        now = last.0;
+                    }
+                    _ => {
+                        let deadline = now + rng.gen_range(0..2_000_000u64);
+                        loop {
+                            let a = wheel.pop_before(SimTime::from_nanos(deadline));
+                            let a = a.map(|e| (e.time.as_nanos(), e.seq));
+                            assert_eq!(a, heap.pop_before(deadline), "trial {trial}");
+                            let Some(a) = a else { break };
+                            last = a;
+                        }
+                        parked += usize::from(
+                            wheel.base_bucket > bucket_of(SimTime::from_nanos(deadline)),
+                        );
+                        now = deadline;
+                    }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.peek(), heap.peek(), "trial {trial}");
+                assert_eq!(wheel.len(), heap.0.len(), "trial {trial}");
             }
+            assert!(below > 0, "trial {trial} never pushed below the last pop");
+            assert!(
+                parked > 0,
+                "trial {trial} never parked the base ahead of the clock"
+            );
             loop {
-                let peeked = wheel.peek();
-                assert_eq!(peeked, heap.peek(), "drain, trial {trial}");
-                match (wheel.pop(), heap.pop()) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq), (b.time, b.seq), "drain, trial {trial}");
-                        assert_eq!(peeked, Some(a.time), "drain, trial {trial}");
-                    }
-                    (None, None) => {
-                        assert_eq!(peeked, None, "drain, trial {trial}");
-                        break;
-                    }
-                    _ => panic!("schedulers disagree on emptiness"),
+                let a = wheel.pop().map(|e| (e.time.as_nanos(), e.seq));
+                assert_eq!(a, heap.pop_before(u64::MAX), "drain, trial {trial}");
+                assert_eq!(wheel.peek(), heap.peek(), "drain, trial {trial}");
+                if a.is_none() {
+                    break;
                 }
             }
         }
     }
 
-    /// Wall-clock micro-comparison (ignored by default; run with
-    /// `cargo test --release -p sc-sim -- --ignored --nocapture`).
-    /// Replays a dataplane-like pattern: a rolling window of ~120
-    /// pending events, pushes ~70 µs ahead of pops.
+    /// The order check fires when the active batch is out of order.
+    #[cfg(debug_assertions)]
     #[test]
-    #[ignore]
-    fn wheel_vs_heap_microbench() {
-        const N: u64 = 5_000_000;
-        // (window, spread): dataplane-like shallow/near, and deep/far
-        // (a scripted-scenario backlog). The third pattern mimics the
-        // forwarding world exactly: bimodal +10.5 µs frame flights and
-        // +71.4 µs per-flow timer re-arms.
-        for (window, spread) in [(120u64, 70_000u64), (4_000, 10_000_000), (115, 0)] {
-            let run = |label: &str, s: &mut dyn Scheduler| {
-                let mut rng = SmallRng::seed_from_u64(9);
-                for seq in 0..window {
-                    let d = if spread == 0 {
-                        if seq % 3 == 0 {
-                            71_430
-                        } else {
-                            10_500
-                        }
-                    } else {
-                        rng.gen_range(0..spread)
-                    };
-                    s.push(ev(d, seq));
-                }
-                let t0 = std::time::Instant::now();
-                for seq in window..N {
-                    let e = s.pop().unwrap();
-                    let now = e.time.as_nanos();
-                    let d = if spread == 0 {
-                        if seq % 3 == 0 {
-                            71_430
-                        } else {
-                            10_500
-                        }
-                    } else {
-                        rng.gen_range(100..spread)
-                    };
-                    s.push(ev(now + d, seq));
-                }
-                let dt = t0.elapsed();
-                println!(
-                    "{label} (window {window}, spread {spread}ns): {:.1} ns/op",
-                    dt.as_nanos() as f64 / N as f64,
-                );
-                while s.pop().is_some() {}
-            };
-            run("heap ", &mut HeapScheduler::default());
-            run("wheel", &mut TimerWheel::new());
+    #[should_panic(expected = "out of (time, seq) order")]
+    fn order_check_catches_a_disordered_active_batch() {
+        let mut w = TimerWheel::new();
+        for seq in 0..3 {
+            w.push(ev(1_000, seq));
         }
+        assert_eq!(w.pop().map(|e| e.seq), Some(0));
+        w.active.swap(1, 2);
+        while w.pop().is_some() {}
     }
 
     #[test]

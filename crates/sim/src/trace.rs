@@ -7,16 +7,16 @@
 //!
 //! * `cause` — the origin key of the kernel event whose dispatch
 //!   produced this record (the same `(time, origin)` total order the
-//!   scheduler uses), and
+//!   event queue pops in), and
 //! * `sub` — the record's index within that one dispatch.
 //!
 //! `(time, cause, sub)` is globally unique and sorting by it
 //! reconstructs the exact processing order. That is what makes trace
 //! output part of the byte-identical determinism contract: the key is
-//! built from origin keys, which no scheduler can influence, so the
-//! timer wheel and the reference heap export the same bytes. Eviction
-//! in the bounded ring is scheduler-independent for the same reason:
-//! it keeps the newest `capacity` records of that one order.
+//! built from origin keys, which no queue can influence, so any queue
+//! that pops in key order exports the same bytes. Eviction in the
+//! bounded ring is queue-independent for the same reason: it keeps the
+//! newest `capacity` records of that one order.
 
 use crate::node::NodeId;
 use sc_net::{escape_json, SimTime};

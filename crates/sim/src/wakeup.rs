@@ -88,9 +88,8 @@ impl Wakeup {
 mod tests {
     use super::*;
     use crate::node::NodeId;
-    use crate::sched::{Scheduler, SchedulerKind};
     use crate::world::{EventKind, Kernel};
-    use sc_net::SimDuration;
+    use sc_net::{splitmix64, SimDuration};
     use std::collections::BTreeMap;
 
     const TOKEN: TimerToken = TimerToken(7);
@@ -111,7 +110,7 @@ mod tests {
 
     impl Harness {
         fn new() -> Harness {
-            let mut kernel = Kernel::new(SchedulerKind::ReferenceHeap);
+            let mut kernel = Kernel::new();
             kernel.add_slot("owner");
             Harness {
                 wakeup: Wakeup::new(TOKEN),
@@ -174,14 +173,6 @@ mod tests {
             self.wakeup.reset();
             self.newest = None;
         }
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     /// Seeded random deadline moves (earlier / later / cleared), resets

@@ -7,13 +7,14 @@
 //! stream `n + 1` is node `n`) with that stream's private emission
 //! counter. Keys never depend on how emissions from different streams
 //! interleave globally, so the order is a property of the simulated
-//! system, not of the queue that holds it: the timer wheel and the
-//! reference heap (see [`SchedulerKind`]) pop the identical sequence,
-//! and every trace record can name the event that caused it by key.
+//! system, not of the queue that holds it: the timer wheel pops the
+//! sequence a heap of keys would, and checks that it does on every pop
+//! in debug builds; every trace record can name the event that caused
+//! it by key.
 
 use crate::link::{Endpoint, Link, LinkId, LinkParams};
 use crate::node::{Ctx, Node, NodeId, PortId, TimerToken};
-use crate::sched::{make_scheduler, AnyScheduler, Queued, Scheduler, SchedulerKind};
+use crate::sched::{Queued, TimerWheel};
 use crate::trace::Trace;
 use sc_net::metrics::Registry;
 use sc_net::{Frame, SimDuration, SimTime};
@@ -117,7 +118,7 @@ pub(crate) struct Kernel {
     pub(crate) until: SimTime,
     /// Origin-key counter for stream 0 (the world/control stream).
     world_ctr: u64,
-    pub(crate) queue: AnyScheduler,
+    pub(crate) queue: TimerWheel,
     slots: Vec<Slot>,
     links: Vec<Link>,
     pub(crate) trace: Trace,
@@ -141,12 +142,12 @@ pub struct World {
 }
 
 impl Kernel {
-    pub(crate) fn new(sched: SchedulerKind) -> Kernel {
+    pub(crate) fn new() -> Kernel {
         Kernel {
             now: SimTime::ZERO,
             until: SimTime::ZERO,
             world_ctr: 0,
-            queue: make_scheduler(sched),
+            queue: TimerWheel::new(),
             slots: Vec::new(),
             links: Vec::new(),
             trace: Trace::disabled(),
@@ -251,7 +252,7 @@ impl Kernel {
         let arrival = link.schedule_arrival(dir, self.now, frame.len());
         // The delivery rides the *sender's* origin stream: its key is a
         // pure function of which node emitted and how many times, never
-        // of global interleaving — the root of cross-scheduler identity.
+        // of global interleaving — the root of the order's determinism.
         let seq = self.key_for_node(from.node.0);
         self.queue.push(Queued {
             time: arrival,
@@ -262,20 +263,10 @@ impl Kernel {
 }
 
 impl World {
-    /// A fresh world with the given RNG seed and tracing disabled,
-    /// running on the default timer-wheel scheduler.
+    /// A fresh world with the given RNG seed and tracing disabled.
     pub fn new(seed: u64) -> World {
-        World::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// A fresh world on an explicitly chosen event scheduler. Both
-    /// schedulers deliver the identical `(time, origin key)` total
-    /// order, so this choice can never change a simulation outcome —
-    /// the determinism regression tests compare suite reports across
-    /// schedulers byte-for-byte to prove it.
-    pub fn with_scheduler(seed: u64, sched: SchedulerKind) -> World {
         World {
-            k: Kernel::new(sched),
+            k: Kernel::new(),
             objs: Vec::new(),
             seed,
             started: false,
@@ -1020,9 +1011,9 @@ mod tests {
     }
 
     /// Six ticker->sink pairs, one lossy link, one scripted mid-run
-    /// carrier cut: the canonical cross-scheduler workload.
-    fn six_pair_world(kind: SchedulerKind) -> (World, Vec<NodeId>) {
-        let mut w = World::with_scheduler(77, kind);
+    /// carrier cut: the canonical kernel workload.
+    fn six_pair_world() -> (World, Vec<NodeId>) {
+        let mut w = World::new(77);
         let mut sinks = Vec::new();
         for i in 0..6u32 {
             let t = w.add_node(Ticker {
@@ -1047,23 +1038,26 @@ mod tests {
         (w, sinks)
     }
 
+    /// The wheel pops the six-pair world in the order a heap of keys
+    /// would (its order check proves it on every pop in debug builds),
+    /// and a rerun reproduces every delivery and counter.
     #[test]
     fn wheel_execution_matches_reference_heap() {
-        let run = |kind| {
-            let (mut w, sinks) = six_pair_world(kind);
+        let run = || {
+            let (mut w, sinks) = six_pair_world();
             w.run_until(SimTime::from_millis(10));
             let seen: Vec<Vec<(SimTime, PortId, Frame)>> = sinks
                 .iter()
                 .map(|&s| w.node::<Echo>(s).seen.clone())
                 .collect();
             // The kernel self-profile: per-node counters and their
-            // registry export, on every scheduler.
+            // registry export.
             let per_node: Vec<NodeStats> = (0..12).map(|i| w.node_stats(NodeId(i))).collect();
             let mut folded = Registry::enabled();
             w.fold_kernel_metrics(&mut folded);
             (w.stats(), seen, per_node, folded.to_json())
         };
-        let (ref_stats, ref_seen, ref_nodes, ref_folded) = run(SchedulerKind::ReferenceHeap);
+        let (ref_stats, ref_seen, ref_nodes, ref_folded) = run();
         assert!(ref_stats.frames_dropped_loss > 0, "loss stream exercised");
         assert!(
             ref_stats.frames_dropped_link_down > 0,
@@ -1082,7 +1076,7 @@ mod tests {
         assert_eq!(ref_nodes[3].timers_fired, 0);
         assert!(ref_folded.contains("\"kernel.node.t1.timers_fired\":200"));
         assert!(ref_folded.contains("\"kernel.events.control\":1,"));
-        let (stats, seen, nodes, folded) = run(SchedulerKind::TimerWheel);
+        let (stats, seen, nodes, folded) = run();
         assert_eq!(ref_stats, stats, "stats diverge");
         assert_eq!(ref_seen, seen, "deliveries diverge");
         assert_eq!(ref_nodes, nodes, "node stats diverge");
@@ -1090,13 +1084,13 @@ mod tests {
     }
 
     /// The sc-trace determinism contract at the kernel level: JSONL and
-    /// Chrome exports (and node-level metrics) are byte-identical across
-    /// the reference heap and the timer wheel — including ring eviction,
-    /// exercised by the tight bound.
+    /// Chrome exports (and node-level metrics) of the wheel's run, whose
+    /// pops follow heap order, are byte-identical across reruns —
+    /// including ring eviction, exercised by the tight bound.
     #[test]
     fn wheel_trace_exports_match_reference_heap() {
-        let run = |kind, capacity| {
-            let (mut w, _) = six_pair_world(kind);
+        let run = |capacity| {
+            let (mut w, _) = six_pair_world();
             w.enable_trace(capacity);
             w.run_until(SimTime::from_millis(10));
             (
@@ -1109,9 +1103,9 @@ mod tests {
             )
         };
         for capacity in [usize::MAX, 100] {
-            let (ref_jsonl, ref_chrome, ref_ctrs) = run(SchedulerKind::ReferenceHeap, capacity);
+            let (ref_jsonl, ref_chrome, ref_ctrs) = run(capacity);
             assert!(ref_ctrs.0 > 0 && ref_ctrs.1 > 0);
-            let (jsonl, chrome, ctrs) = run(SchedulerKind::TimerWheel, capacity);
+            let (jsonl, chrome, ctrs) = run(capacity);
             assert_eq!(ref_jsonl, jsonl, "jsonl diverges at capacity {capacity}");
             assert_eq!(ref_chrome, chrome, "chrome diverges at capacity {capacity}");
             assert_eq!(ref_ctrs, ctrs, "counters diverge at capacity {capacity}");
@@ -1161,66 +1155,63 @@ mod tests {
                 self
             }
         }
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-            let mut w = World::with_scheduler(42, kind);
-            let src = w.add_node(Burst { round: 1 });
-            let s0 = w.add_node(Echo::new("s0", SimDuration::ZERO));
-            let s1 = w.add_node(Echo::new("s1", SimDuration::ZERO));
-            let lossy = LinkParams {
-                latency: SimDuration::from_micros(2),
-                bandwidth_bps: Some(10_000_000),
-                loss: 0.3,
-                corrupt: 0.2,
-            };
-            w.connect(src, s0, lossy);
-            w.connect(
-                src,
-                s1,
-                LinkParams::with_latency(SimDuration::from_micros(3)),
-            );
-            w.run_until_idle(1_000);
-            let seen = |s| -> Vec<(u64, [u8; 2])> {
-                w.node::<Echo>(s)
-                    .seen
-                    .iter()
-                    .map(|(t, _, f)| (t.as_nanos(), [f[0], f[1]]))
-                    .collect()
-            };
-            // `D`, `` ` ``: a `d` and an `a` with one bit flipped.
-            #[rustfmt::skip]
-            assert_eq!(seen(s0), [
-                (9_600, [b'D', 1]),
-                (24_600, [b'a', 2]), (26_200, [b'c', 2]), (29_600, [b'd', 2]),
-                (44_600, [b'a', 3]),
-                (64_600, [b'`', 4]), (69_600, [b'd', 4]),
-                (89_600, [b'd', 5]),
-                (104_600, [b'a', 6]), (106_200, [b'c', 6]), (109_600, [b'd', 6]),
-            ], "{kind:?}");
-            // Each round's timer fires after the next round was counted.
-            #[rustfmt::skip]
-            assert_eq!(seen(s1), [
-                (4_000, [b'b', 1]), (4_000, [b'e', 1]), (9_000, [b't', 2]),
-                (24_000, [b'b', 2]), (24_000, [b'e', 2]), (29_000, [b't', 3]),
-                (44_000, [b'b', 3]), (44_000, [b'e', 3]), (49_000, [b't', 4]),
-                (64_000, [b'b', 4]), (64_000, [b'e', 4]), (69_000, [b't', 5]),
-                (84_000, [b'b', 5]), (84_000, [b'e', 5]), (89_000, [b't', 6]),
-                (104_000, [b'b', 6]), (104_000, [b'e', 6]), (109_000, [b't', 6]),
-            ], "{kind:?}");
-            let stats = w.stats();
-            assert_eq!(
-                stats.events_by_kind(),
-                [
-                    ("kernel.events.deliver", 29),
-                    ("kernel.events.emit", 6),
-                    ("kernel.events.timer", 12),
-                    ("kernel.events.link_status", 0),
-                    ("kernel.events.control", 0),
-                ],
-                "{kind:?}"
-            );
-            assert_eq!(stats.frames_dropped_loss, 7, "{kind:?}");
-            assert_eq!(stats.frames_corrupted, 2, "{kind:?}");
-        }
+        let mut w = World::new(42);
+        let src = w.add_node(Burst { round: 1 });
+        let s0 = w.add_node(Echo::new("s0", SimDuration::ZERO));
+        let s1 = w.add_node(Echo::new("s1", SimDuration::ZERO));
+        let lossy = LinkParams {
+            latency: SimDuration::from_micros(2),
+            bandwidth_bps: Some(10_000_000),
+            loss: 0.3,
+            corrupt: 0.2,
+        };
+        w.connect(src, s0, lossy);
+        w.connect(
+            src,
+            s1,
+            LinkParams::with_latency(SimDuration::from_micros(3)),
+        );
+        w.run_until_idle(1_000);
+        let seen = |s| -> Vec<(u64, [u8; 2])> {
+            w.node::<Echo>(s)
+                .seen
+                .iter()
+                .map(|(t, _, f)| (t.as_nanos(), [f[0], f[1]]))
+                .collect()
+        };
+        // `D`, `` ` ``: a `d` and an `a` with one bit flipped.
+        #[rustfmt::skip]
+        assert_eq!(seen(s0), [
+            (9_600, [b'D', 1]),
+            (24_600, [b'a', 2]), (26_200, [b'c', 2]), (29_600, [b'd', 2]),
+            (44_600, [b'a', 3]),
+            (64_600, [b'`', 4]), (69_600, [b'd', 4]),
+            (89_600, [b'd', 5]),
+            (104_600, [b'a', 6]), (106_200, [b'c', 6]), (109_600, [b'd', 6]),
+        ]);
+        // Each round's timer fires after the next round was counted.
+        #[rustfmt::skip]
+        assert_eq!(seen(s1), [
+            (4_000, [b'b', 1]), (4_000, [b'e', 1]), (9_000, [b't', 2]),
+            (24_000, [b'b', 2]), (24_000, [b'e', 2]), (29_000, [b't', 3]),
+            (44_000, [b'b', 3]), (44_000, [b'e', 3]), (49_000, [b't', 4]),
+            (64_000, [b'b', 4]), (64_000, [b'e', 4]), (69_000, [b't', 5]),
+            (84_000, [b'b', 5]), (84_000, [b'e', 5]), (89_000, [b't', 6]),
+            (104_000, [b'b', 6]), (104_000, [b'e', 6]), (109_000, [b't', 6]),
+        ]);
+        let stats = w.stats();
+        assert_eq!(
+            stats.events_by_kind(),
+            [
+                ("kernel.events.deliver", 29),
+                ("kernel.events.emit", 6),
+                ("kernel.events.timer", 12),
+                ("kernel.events.link_status", 0),
+                ("kernel.events.control", 0),
+            ]
+        );
+        assert_eq!(stats.frames_dropped_loss, 7);
+        assert_eq!(stats.frames_corrupted, 2);
     }
 
     /// `Ctx::horizon` reads the queue and the run loop's bound: the next
@@ -1261,36 +1252,33 @@ mod tests {
                 self
             }
         }
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-            let mut w = World::with_scheduler(1, kind);
-            let n = w.add_node(Horizon {
-                at: [10, 20, 20, 100, 700, 900].map(us).to_vec(),
-                seen: Vec::new(),
-            });
-            w.run_until(us(50));
-            assert!(w.step());
-            w.run_until_idle(10);
-            let ns = SimDuration::from_nanos(1);
-            assert_eq!(
-                w.node::<Horizon>(n).seen,
-                [
-                    // run_until(50 µs): the next event, lowered by the
-                    // 15 µs timer just armed; a co-timed event bounds
-                    // the horizon at `now`; past the deadline, D + 1 ns.
-                    (us(10), us(20)),
-                    (us(10), us(15)),
-                    (us(15), us(20)),
-                    (us(20), us(20)),
-                    (us(20), us(50) + ns),
-                    // step(), then run_until_idle(): the event's own
-                    // instant + 1 ns, however far the next one lies.
-                    (us(100), us(100) + ns),
-                    (us(700), us(700) + ns),
-                    (us(900), us(900) + ns),
-                ],
-                "{kind:?}"
-            );
-        }
+        let mut w = World::new(1);
+        let n = w.add_node(Horizon {
+            at: [10, 20, 20, 100, 700, 900].map(us).to_vec(),
+            seen: Vec::new(),
+        });
+        w.run_until(us(50));
+        assert!(w.step());
+        w.run_until_idle(10);
+        let ns = SimDuration::from_nanos(1);
+        assert_eq!(
+            w.node::<Horizon>(n).seen,
+            [
+                // run_until(50 µs): the next event, lowered by the
+                // 15 µs timer just armed; a co-timed event bounds
+                // the horizon at `now`; past the deadline, D + 1 ns.
+                (us(10), us(20)),
+                (us(10), us(15)),
+                (us(15), us(20)),
+                (us(20), us(20)),
+                (us(20), us(50) + ns),
+                // step(), then run_until_idle(): the event's own
+                // instant + 1 ns, however far the next one lies.
+                (us(100), us(100) + ns),
+                (us(700), us(700) + ns),
+                (us(900), us(900) + ns),
+            ]
+        );
     }
 
     #[test]
