@@ -35,21 +35,30 @@ impl AdjRibOut {
     pub fn from_updates(updates: &[UpdateMsg]) -> AdjRibOut {
         // The announce-only head of the feed (all of it, for an originate
         // feed) is sorted once and bulk-built instead of inserted prefix
-        // by prefix. Latest announcement first, then a stable sort and a
-        // keep-first dedup: a re-announced prefix ends up with its last
-        // attributes, as it would by insertion in feed order.
+        // by prefix. Collected in feed order, a generated or exported
+        // feed is already one ascending run, so the stable sort is a
+        // scan; the dedup then keeps each prefix's last announcement, as
+        // insertion in feed order would.
         let head = updates
             .iter()
             .take_while(|upd| upd.withdrawn.is_empty())
             .count();
-        let mut routes: Vec<(Ipv4Prefix, Arc<RouteAttrs>)> = updates[..head]
-            .iter()
-            .rev()
-            .filter_map(|upd| Some((upd.attrs.as_ref()?, &upd.nlri)))
-            .flat_map(|(attrs, nlri)| nlri.iter().map(move |p| (*p, attrs.clone())))
-            .collect();
+        let announced = updates[..head].iter().map(|upd| upd.nlri.len()).sum();
+        let mut routes: Vec<(Ipv4Prefix, Arc<RouteAttrs>)> = Vec::with_capacity(announced);
+        routes.extend(
+            updates[..head]
+                .iter()
+                .filter_map(|upd| Some((upd.attrs.as_ref()?, &upd.nlri)))
+                .flat_map(|(attrs, nlri)| nlri.iter().map(move |p| (*p, attrs.clone()))),
+        );
         routes.sort_by_key(|(prefix, _)| *prefix);
-        routes.dedup_by_key(|(prefix, _)| *prefix);
+        routes.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            repeat
+        });
         let mut out = AdjRibOut {
             routes: routes.into_iter().collect(),
         };

@@ -206,7 +206,7 @@ pub fn prefix_wire_len(p: Ipv4Prefix) -> usize {
 
 /// Decode a run of NLRI-encoded prefixes filling `buf` entirely.
 pub fn decode_prefixes(mut buf: &[u8]) -> Result<Vec<Ipv4Prefix>, WireError> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(prefix_count(buf));
     while !buf.is_empty() {
         let len = buf[0];
         if len > 32 {
@@ -220,6 +220,19 @@ pub fn decode_prefixes(mut buf: &[u8]) -> Result<Vec<Ipv4Prefix>, WireError> {
         buf = &buf[1 + n..];
     }
     Ok(out)
+}
+
+/// How many prefixes `buf` holds if it is well formed: one per length
+/// byte, skipping each one's octets. At most `buf.len()`, whatever the
+/// bytes; [`decode_prefixes`] checks them.
+fn prefix_count(buf: &[u8]) -> usize {
+    let mut count = 0;
+    let mut at = 0;
+    while let Some(&len) = buf.get(at) {
+        count += 1;
+        at += 1 + (len as usize).div_ceil(8);
+    }
+    count
 }
 
 impl BgpMessage {
@@ -245,8 +258,14 @@ impl BgpMessage {
     /// fields backpatched in place, zero intermediate allocations — a
     /// session replaying a full feed reuses one buffer for every
     /// message instead of building four fresh `Vec<u8>`s per message.
+    /// An UPDATE reserves its size first, rounded up to the power of
+    /// two that growing by doubling would reach, so a fresh buffer is
+    /// allocated once and a recycled one keeps fitting the next message.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
+        if let BgpMessage::Update(u) = self {
+            out.reserve(u.encoded_len().next_power_of_two());
+        }
         out.extend_from_slice(&[0xff; 16]);
         out.extend_from_slice(&[0, 0]); // total length, backpatched
         out.push(self.type_code());

@@ -1,13 +1,15 @@
 //! Property tests for the BGP substrate: wire-format identity for
-//! arbitrary UPDATEs, the decision process as a strict total order, and
-//! the Loc-RIB against a naive model.
+//! arbitrary UPDATEs, a decoder that never panics on hostile bytes, the
+//! decision process as a strict total order, the Loc-RIB against a
+//! naive model, and the Adj-RIB-Out's bulk seeding against applying its
+//! feed in order.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_bgp::attrs::{AsPath, AsSegment, Origin, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::rib::{Change, LocRib};
-use sc_bgp::{compare_routes, PeerInfo, PeerTable, Route};
+use sc_bgp::{compare_routes, AdjRibOut, PeerInfo, PeerTable, Route};
 use sc_net::{Ipv4Prefix, PrefixTrie};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
@@ -262,6 +264,83 @@ impl Model {
         e.ext += 1;
         e.ext
     }
+}
+
+/// Decode hostile bytes: whatever comes back, an UPDATE holds no more
+/// prefixes than its body has bytes (each takes at least its length
+/// byte), and its prefix lists were allocated at exactly their length.
+fn decode_hostile(wire: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(BgpMessage::Update(u)) = BgpMessage::decode(wire) {
+        let body = wire.len() - sc_bgp::msg::HEADER_LEN;
+        prop_assert!(
+            u.withdrawn.len() + u.nlri.len() <= body,
+            "{u:?} from {wire:?}"
+        );
+        prop_assert_eq!(u.withdrawn.capacity(), u.withdrawn.len());
+        prop_assert_eq!(u.nlri.capacity(), u.nlri.len());
+    }
+    Ok(())
+}
+
+/// A BGP header (marker, length, type) in front of `body`.
+fn framed(ty: u8, body: &[u8]) -> Vec<u8> {
+    let mut wire = vec![0xff; 16];
+    wire.extend_from_slice(&((sc_bgp::msg::HEADER_LEN + body.len()) as u16).to_be_bytes());
+    wire.push(ty);
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// A feed for [`AdjRibOut::from_updates`] in one of four shapes over
+/// `draws` of (prefix slot, attribute set): 0 ascending and distinct,
+/// 1 as drawn (shuffled, repeats included), 2 ascending and then
+/// re-announced from a second pass, 3 descending. Consecutive draws
+/// with the same attribute set share an UPDATE; a tail of withdrawals
+/// and announcements follows.
+fn adj_out_feed(
+    shape: u8,
+    draws: &[(u16, usize)],
+    tail: &[(bool, u16, usize)],
+    sets: &[Arc<RouteAttrs>],
+) -> Vec<UpdateMsg> {
+    // Lengths /16 to /24: some slots mask to the same prefix.
+    let prefix = |slot: u16| {
+        let addr = Ipv4Addr::from(0x0100_0000 + ((slot as u32) << 8));
+        Ipv4Prefix::new(addr, 16 + (slot % 9) as u8)
+    };
+    let mut order: Vec<(u16, usize)> = draws.to_vec();
+    match shape {
+        0 => {
+            order.sort_by_key(|(slot, _)| prefix(*slot));
+            order.dedup_by_key(|(slot, _)| prefix(*slot));
+        }
+        1 => {}
+        2 => {
+            let mut again: Vec<(u16, usize)> = draws
+                .iter()
+                .step_by(3)
+                .map(|&(slot, set)| (slot, set + 1))
+                .collect();
+            order.sort_by_key(|(slot, _)| prefix(*slot));
+            again.sort_by_key(|(slot, _)| prefix(*slot));
+            order.extend(again);
+        }
+        _ => order.sort_by_key(|(slot, _)| Reverse(prefix(*slot))),
+    }
+    let mut feed: Vec<UpdateMsg> = Vec::new();
+    for chunk in order.chunk_by(|a, b| a.1 % sets.len() == b.1 % sets.len()) {
+        let attrs = sets[chunk[0].1 % sets.len()].clone();
+        let nlri = chunk.iter().map(|(slot, _)| prefix(*slot)).collect();
+        feed.push(UpdateMsg::announce(attrs, nlri));
+    }
+    for &(announce, slot, set) in tail {
+        feed.push(if announce {
+            UpdateMsg::announce(sets[set % sets.len()].clone(), vec![prefix(slot)])
+        } else {
+            UpdateMsg::withdraw(vec![prefix(slot)])
+        });
+    }
+    feed
 }
 
 proptest! {
@@ -612,5 +691,68 @@ proptest! {
         rib.withdraw_peer_with(peer(2), |p, _, _| purged.push(p));
         prop_assert_eq!(purged, walk);
         prop_assert_eq!(rib.prefix_count(), 0);
+    }
+
+    /// Arbitrary bytes of every length up to the message cap, raw and
+    /// behind a valid header of every type: the decoder returns, never
+    /// panics.
+    #[test]
+    fn decode_never_panics_on_arbitrary_bytes(
+        bytes in vec(any::<u8>(), 0..=sc_bgp::msg::MAX_MESSAGE_LEN),
+        ty in 0u8..6,
+    ) {
+        decode_hostile(&bytes)?;
+        let cut = bytes.len().min(sc_bgp::msg::MAX_MESSAGE_LEN - sc_bgp::msg::HEADER_LEN);
+        decode_hostile(&framed(ty, &bytes[..cut]))?;
+    }
+
+    /// A valid UPDATE with one byte overwritten anywhere — the marker,
+    /// the lengths, a prefix length, an attribute header — decodes or
+    /// fails, and never panics.
+    #[test]
+    fn decode_never_panics_on_a_mutated_update(
+        withdrawn in vec(arb_prefix(), 0..40),
+        attrs in arb_attrs(),
+        nlri in vec(arb_prefix(), 0..40),
+        at in any::<u16>(),
+        byte in any::<u8>(),
+    ) {
+        let upd = UpdateMsg {
+            withdrawn,
+            attrs: if nlri.is_empty() { None } else { Some(Arc::new(attrs)) },
+            nlri,
+        };
+        let mut wire = BgpMessage::Update(upd).encode();
+        let at = at as usize % wire.len();
+        wire[at] = byte;
+        decode_hostile(&wire)?;
+    }
+
+    /// Seeding an Adj-RIB-Out from a feed gives what applying the feed
+    /// in order gives: the same export, attribute `Arc`s included.
+    #[test]
+    fn adj_out_from_updates_equals_applying_in_order(
+        shape in 0u8..4,
+        draws in vec((0u16..600, 0usize..4), 0..400),
+        tail in vec((any::<bool>(), 0u16..600, 0usize..4), 0..30),
+    ) {
+        let path = AsPath::sequence(vec![65002, 174]);
+        let sets = [
+            RouteAttrs::ebgp(path.clone(), peer(2)).shared(),
+            RouteAttrs::ebgp(path, peer(2)).shared(), // equal, not identical
+            RouteAttrs::ebgp(AsPath::sequence(vec![65003]), peer(3)).shared(),
+        ];
+        let feed = adj_out_feed(shape, &draws, &tail, &sets);
+        let mut applied = AdjRibOut::new();
+        for upd in &feed {
+            applied.apply(upd);
+        }
+        let built = AdjRibOut::from_updates(&feed);
+        prop_assert_eq!(built.len(), applied.len());
+        let (built, applied) = (built.export(), applied.export());
+        prop_assert_eq!(&built, &applied);
+        for (x, y) in built.iter().zip(&applied) {
+            prop_assert!(Arc::ptr_eq(x.attrs.as_ref().unwrap(), y.attrs.as_ref().unwrap()));
+        }
     }
 }

@@ -1,0 +1,142 @@
+//! An UPDATE's buffers are allocated at their final size.
+//!
+//! The ledger's `bgp.decode_allocs_per_update` averages over a whole
+//! feed; this binary pins the per-message counts under it with an
+//! allocator of its own that counts only while one call runs. Decoding
+//! a maximum-size announcement allocates the NLRI, AS_PATH's two
+//! vectors and the shared attribute `Arc`, once each; encoding into an
+//! empty buffer allocates it once. A `Vec` that grows by doubling again
+//! shows up here as extra allocations.
+
+use sc_bgp::attrs::{AsPath, RouteAttrs};
+use sc_bgp::msg::{BgpMessage, UpdateMsg, MAX_MESSAGE_LEN};
+use sc_net::Ipv4Prefix;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+thread_local! {
+    /// Whether this thread is metering, and what it allocated meanwhile.
+    static METERING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting the calls that hand out a block.
+struct Counting;
+
+impl Counting {
+    fn count() {
+        if METERING.get() {
+            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller was held to; the counters are
+// const-initialized thread-locals without destructors, so touching them
+// neither allocates nor runs after thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::count();
+        // SAFETY: the caller's `layout`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::count();
+        // SAFETY: the caller's `layout`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::count();
+        // SAFETY: `ptr` came from this allocator, so from `System`, with
+        // this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, so from `System`, with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f` and count what it allocates; what it returns is dropped
+/// after the count.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.get();
+    METERING.set(true);
+    let out = f();
+    METERING.set(false);
+    (ALLOCATIONS.get() - before, out)
+}
+
+fn slash24s(n: u32) -> Vec<Ipv4Prefix> {
+    (0..n)
+        .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000 + (i << 8)), 24))
+        .collect()
+}
+
+/// `upd` cut down to the most /24s that fit in [`MAX_MESSAGE_LEN`].
+fn max_size(mut upd: UpdateMsg) -> UpdateMsg {
+    while upd.encoded_len() > MAX_MESSAGE_LEN {
+        upd.nlri.pop();
+        upd.withdrawn.pop();
+    }
+    assert!(
+        upd.encoded_len() > MAX_MESSAGE_LEN - 4,
+        "{}",
+        upd.encoded_len()
+    );
+    upd
+}
+
+fn max_size_announcement() -> UpdateMsg {
+    let attrs = RouteAttrs::ebgp(
+        AsPath::sequence(vec![65002, 174, 3356]),
+        Ipv4Addr::new(10, 0, 0, 2),
+    )
+    .shared();
+    max_size(UpdateMsg::announce(attrs, slash24s(1_100)))
+}
+
+#[test]
+fn decoding_a_max_size_announcement_allocates_four_blocks() {
+    let upd = max_size_announcement();
+    let wire = BgpMessage::Update(upd.clone()).encode();
+    assert!(wire.len() <= MAX_MESSAGE_LEN);
+    let (count, decoded) = allocations(|| BgpMessage::decode(&wire).unwrap());
+    assert_eq!(decoded, BgpMessage::Update(upd));
+    assert_eq!(count, 4, "NLRI, AS_PATH's segments and ASes, the Arc");
+}
+
+#[test]
+fn decoding_a_max_size_withdrawal_allocates_once() {
+    let upd = max_size(UpdateMsg::withdraw(slash24s(1_100)));
+    let wire = BgpMessage::Update(upd.clone()).encode();
+    let (count, decoded) = allocations(|| BgpMessage::decode(&wire).unwrap());
+    assert_eq!(decoded, BgpMessage::Update(upd));
+    assert_eq!(count, 1, "the withdrawn list");
+}
+
+#[test]
+fn encoding_into_an_empty_buffer_allocates_once() {
+    for upd in [
+        max_size_announcement(),
+        max_size(UpdateMsg::withdraw(slash24s(1_100))),
+    ] {
+        let msg = BgpMessage::Update(upd);
+        let (count, buf) = allocations(|| {
+            let mut buf = Vec::new();
+            msg.encode_into(&mut buf);
+            buf
+        });
+        assert_eq!(buf, msg.encode());
+        assert_eq!(count, 1, "{} bytes", buf.len());
+    }
+}

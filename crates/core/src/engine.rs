@@ -259,7 +259,8 @@ impl Engine {
     /// Process one BGP UPDATE received from `peer` (Listing 1, applied
     /// per prefix). Returns the actions to perform, in order.
     pub fn process_update(&mut self, peer: PeerId, upd: &UpdateMsg) -> Vec<EngineAction> {
-        let mut actions = Vec::new();
+        // About one action per prefix plus one (§4's per-UPDATE work).
+        let mut actions = Vec::with_capacity(upd.withdrawn.len() + upd.nlri.len() + 1);
         self.process_update_into(peer, upd, &mut actions);
         actions
     }
@@ -443,47 +444,56 @@ impl Engine {
     /// sharing attributes and next-hop ride one UPDATE, like real
     /// speakers pack NLRI).
     pub fn pack_for_router(actions: &[EngineAction]) -> Vec<UpdateMsg> {
-        let mut out: Vec<UpdateMsg> = Vec::new();
-        let mut current: Option<(Arc<RouteAttrs>, Ipv4Addr, Vec<Ipv4Prefix>)> = None;
-        let mut withdrawals: Vec<Ipv4Prefix> = Vec::new();
-        let flush_current = |current: &mut Option<(Arc<RouteAttrs>, Ipv4Addr, Vec<Ipv4Prefix>)>,
-                             out: &mut Vec<UpdateMsg>| {
-            if let Some((attrs, nh, nlri)) = current.take() {
-                let rewritten = Arc::new(attrs.with_next_hop(nh));
-                for part in UpdateMsg::announce(rewritten, nlri).split_to_fit() {
-                    out.push(part);
-                }
-            }
-        };
-        for action in actions {
-            match action {
-                EngineAction::Announce {
-                    prefix,
-                    attrs,
-                    next_hop,
-                } => match &mut current {
-                    Some((a, nh, nlri)) if Arc::ptr_eq(a, attrs) && nh == next_hop => {
-                        nlri.push(*prefix);
-                    }
-                    _ => {
-                        flush_current(&mut current, &mut out);
-                        current = Some((attrs.clone(), *next_hop, vec![*prefix]));
-                    }
-                },
-                EngineAction::Withdraw { prefix } => {
-                    withdrawals.push(*prefix);
-                }
-                _ => {}
-            }
+        let mut out = Vec::new();
+        let mut rest = actions;
+        while let Some(start) = rest.iter().position(|a| a.announced().is_some()) {
+            rest = &rest[start..];
+            let (_, attrs, nh) = rest[0].announced().expect("found above");
+            // A run ends at the first announcement with other attributes
+            // or another next-hop; the actions in between do not end it.
+            let len = rest
+                .iter()
+                .position(|a| {
+                    a.announced()
+                        .is_some_and(|(_, a, n)| !Arc::ptr_eq(a, attrs) || n != nh)
+                })
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            let nlri = collect_exact(run.iter().filter_map(|a| Some(a.announced()?.0)));
+            let rewritten = Arc::new(attrs.with_next_hop(nh));
+            out.extend(UpdateMsg::announce(rewritten, nlri).split_to_fit());
+            rest = tail;
         }
-        flush_current(&mut current, &mut out);
+        let withdrawals = collect_exact(actions.iter().filter_map(|a| match a {
+            EngineAction::Withdraw { prefix } => Some(*prefix),
+            _ => None,
+        }));
         if !withdrawals.is_empty() {
-            for part in UpdateMsg::withdraw(withdrawals).split_to_fit() {
-                out.push(part);
-            }
+            out.extend(UpdateMsg::withdraw(withdrawals).split_to_fit());
         }
         out
     }
+}
+
+impl EngineAction {
+    /// An announcement's prefix, attributes and next-hop.
+    fn announced(&self) -> Option<(Ipv4Prefix, &Arc<RouteAttrs>, Ipv4Addr)> {
+        match self {
+            EngineAction::Announce {
+                prefix,
+                attrs,
+                next_hop,
+            } => Some((*prefix, attrs, *next_hop)),
+            _ => None,
+        }
+    }
+}
+
+/// `items` in a vector allocated once, at their count.
+fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.clone().count());
+    out.extend(items);
+    out
 }
 
 /// The engine minus its RIB: what [`Steering::reconcile`] reads and
@@ -1000,6 +1010,95 @@ mod tests {
         assert_eq!(total, 600);
         for m in &msgs {
             assert!(sc_bgp::BgpMessage::Update(m.clone()).encode().len() <= 4096);
+        }
+    }
+
+    /// [`Engine::pack_for_router`] as it was before runs were sized up
+    /// front: one growing NLRI per run. The reference it must match.
+    fn packed_by_pushing(actions: &[EngineAction]) -> Vec<UpdateMsg> {
+        let mut out: Vec<UpdateMsg> = Vec::new();
+        let mut current: Option<(Arc<RouteAttrs>, Ipv4Addr, Vec<Ipv4Prefix>)> = None;
+        let mut withdrawals: Vec<Ipv4Prefix> = Vec::new();
+        let flush_current = |current: &mut Option<(Arc<RouteAttrs>, Ipv4Addr, Vec<Ipv4Prefix>)>,
+                             out: &mut Vec<UpdateMsg>| {
+            if let Some((attrs, nh, nlri)) = current.take() {
+                let rewritten = Arc::new(attrs.with_next_hop(nh));
+                out.extend(UpdateMsg::announce(rewritten, nlri).split_to_fit());
+            }
+        };
+        for action in actions {
+            match action {
+                EngineAction::Announce {
+                    prefix,
+                    attrs,
+                    next_hop,
+                } => match &mut current {
+                    Some((a, nh, nlri)) if Arc::ptr_eq(a, attrs) && nh == next_hop => {
+                        nlri.push(*prefix);
+                    }
+                    _ => {
+                        flush_current(&mut current, &mut out);
+                        current = Some((attrs.clone(), *next_hop, vec![*prefix]));
+                    }
+                },
+                EngineAction::Withdraw { prefix } => withdrawals.push(*prefix),
+                _ => {}
+            }
+        }
+        flush_current(&mut current, &mut out);
+        if !withdrawals.is_empty() {
+            out.extend(UpdateMsg::withdraw(withdrawals).split_to_fit());
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random action lists: announcements from three attribute sets
+        /// (two of them equal in content, distinct in identity) and two
+        /// next-hops, interleaved with withdrawals and flow actions. The
+        /// announcement key changes at a random step with a per-case
+        /// odds, so some cases are one long run that splits at the size
+        /// cap and others change key at almost every step.
+        #[test]
+        fn pack_for_router_matches_the_growing_reference(
+            odds in 0usize..4,
+            steps in proptest::collection::vec((0u8..8, 0u16..4096, 0u16..2048), 0..3000),
+        ) {
+            let path = AsPath::sequence(vec![65002, 174]);
+            let sets = [
+                RouteAttrs::ebgp(path.clone(), R2).shared(),
+                RouteAttrs::ebgp(path, R2).shared(),
+                RouteAttrs::ebgp(AsPath::sequence(vec![65003]), R3).shared(),
+            ];
+            let vmac = MacAddr([2, 0xaa, 0, 0, 0, 1]);
+            let mut key = 0usize;
+            let actions: Vec<EngineAction> = steps
+                .iter()
+                .map(|&(kind, roll, slot)| {
+                    if (roll as usize) < [4096, 1024, 16, 1][odds] {
+                        key = (key + 1 + roll as usize) % 6;
+                    }
+                    let prefix =
+                        Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000u32 + ((slot as u32) << 8)), 24);
+                    match kind {
+                        0..=5 => EngineAction::Announce {
+                            prefix,
+                            attrs: sets[key % 3].clone(),
+                            next_hop: [R2, R3][key / 3],
+                        },
+                        6 => EngineAction::Withdraw { prefix },
+                        _ if roll % 2 == 0 => EngineAction::FlowModify { vmac, dst_mac: MAC_R2, port: 2 },
+                        _ => EngineAction::FlowRetire { group: GroupId(slot as u32), vmac },
+                    }
+                })
+                .collect();
+            let packed = Engine::pack_for_router(&actions);
+            proptest::prop_assert_eq!(&packed, &packed_by_pushing(&actions));
+            for m in &packed {
+                proptest::prop_assert!(m.encoded_len() <= sc_bgp::msg::MAX_MESSAGE_LEN);
+            }
         }
     }
 

@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::UpdateMsg;
-use sc_net::{FxHashSet, Ipv4Prefix};
+use sc_net::Ipv4Prefix;
 use std::net::Ipv4Addr;
 
 /// Feed generation parameters.
@@ -66,16 +66,28 @@ impl FeedConfig {
 /// The deterministic prefix universe for a seed: `count` distinct,
 /// sorted prefixes with a CIDR-report-like length mix, avoiding RFC1918
 /// and other special-purpose space (the lab's infrastructure lives
-/// there).
+/// there). It is the set of the first `count` distinct draws of the
+/// seed's prefix stream.
 pub fn prefix_universe(count: u32, seed: u64) -> Vec<Ipv4Prefix> {
+    let count = count as usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5eed);
-    // Hashed membership while drawing, one sort at the end: the draws,
-    // and so the universe, are what an ordered set would give.
-    let mut set = FxHashSet::default();
-    set.reserve(count as usize);
-    while set.len() < count as usize {
-        // Public-ish first octet: 1..=223, excluding 10 and 127;
-        // 172.16/12 and 192.168/16 excluded below.
+    let mut universe = Vec::with_capacity(count);
+    let mut batch = Vec::new();
+    // Draw exactly the shortfall each round: a draw adds at most one new
+    // prefix, so no round overshoots the first `count` distinct draws.
+    while universe.len() < count {
+        batch.extend((universe.len()..count).map(|_| draw_prefix(&mut rng)));
+        batch.sort_unstable();
+        batch.dedup();
+        merge_new(&mut universe, &mut batch);
+    }
+    universe
+}
+
+/// One draw of the prefix stream. Public-ish first octet: 1..=223,
+/// excluding 10 and 127, 172.16/12 and 192.168/16.
+fn draw_prefix(rng: &mut SmallRng) -> Ipv4Prefix {
+    loop {
         let len: u8 = match rng.gen_range(0..100u32) {
             0..=59 => 24, // CIDR report: /24 dominates
             60..=72 => 23,
@@ -97,11 +109,27 @@ pub fn prefix_universe(count: u32, seed: u64) -> Vec<Ipv4Prefix> {
         if first == 192 && ((addr >> 16) & 0xff) == 168 {
             continue;
         }
-        set.insert(Ipv4Prefix::new(Ipv4Addr::from(addr), len));
+        return Ipv4Prefix::new(Ipv4Addr::from(addr), len);
     }
-    let mut universe: Vec<Ipv4Prefix> = set.into_iter().collect();
-    universe.sort_unstable();
-    universe
+}
+
+/// Merge the sorted, distinct `batch` into the sorted `universe` in
+/// place, dropping the prefixes it already holds: `universe` grows by
+/// the new prefixes only and is filled from the back, emptying `batch`.
+fn merge_new(universe: &mut Vec<Ipv4Prefix>, batch: &mut Vec<Ipv4Prefix>) {
+    batch.retain(|p| universe.binary_search(p).is_err());
+    let mut old = universe.len();
+    universe.extend_from_slice(batch);
+    for slot in (0..universe.len()).rev() {
+        let Some(&new) = batch.last() else { break };
+        if old > 0 && universe[old - 1] > new {
+            old -= 1;
+            universe[slot] = universe[old];
+        } else {
+            universe[slot] = new;
+            batch.pop();
+        }
+    }
 }
 
 /// Generate the UPDATE stream for one provider: every prefix of the
@@ -172,6 +200,37 @@ pub fn sample_flow_ips(universe: &[Ipv4Prefix], n: usize, seed: u64) -> Vec<Ipv4
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_net::FxHashSet;
+
+    /// The universe as a hash set of draws sorted once at the end: the
+    /// definition [`prefix_universe`] must match.
+    fn hashed_universe(count: u32, seed: u64) -> Vec<Ipv4Prefix> {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5eed);
+        let mut set = FxHashSet::default();
+        while set.len() < count as usize {
+            set.insert(draw_prefix(&mut rng));
+        }
+        let mut universe: Vec<Ipv4Prefix> = set.into_iter().collect();
+        universe.sort_unstable();
+        universe
+    }
+
+    #[test]
+    fn merged_universe_equals_the_hashed_draw() {
+        for (count, seed) in [
+            (1, 1),
+            (1_000, 42),
+            (10_000, 42),
+            (10_000, 1034),
+            (200_000, 42),
+        ] {
+            assert_eq!(
+                prefix_universe(count, seed),
+                hashed_universe(count, seed),
+                "count {count}, seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn universe_is_deterministic_sorted_distinct() {
