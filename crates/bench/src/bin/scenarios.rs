@@ -1,6 +1,8 @@
 //! **Scenario matrix** — the full evaluation beyond the paper's lab:
 //! every topology family × a library of failure scripts × both modes,
-//! at paper-scale prefix counts.
+//! at paper-scale prefix counts. The families are the Fig. 4 lab, a
+//! three-provider chain of two forwarders each (`chain3x2`), and the
+//! §5 IXP hub with 3 and 6 participants (`ixp3`, `ixp6`).
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin scenarios [--prefixes N] \
@@ -9,7 +11,7 @@
 //!     [--trace]
 //! ```
 //!
-//! * default: 10k prefixes, the full 6-topology × 5-script matrix;
+//! * default: 10k prefixes, the full 4-topology × 5-script matrix;
 //! * `--quick`: 1k prefixes and the cut/flap scripts only (CI-sized);
 //! * `--smoke`: one topology, 300 prefixes, cut + 2-cycle flap — the
 //!   seconds-scale sanity run CI executes on every push;
@@ -84,13 +86,8 @@ fn main() {
                 providers: 3,
                 hops: 2,
             },
-            TopologySpec::Ring {
-                providers: 3,
-                ring: 6,
-            },
-            TopologySpec::FatTreePod { k: 4 },
+            TopologySpec::IxpHub { peers: 3 },
             TopologySpec::IxpHub { peers: 6 },
-            TopologySpec::Random { seed },
         ]
     };
     let mut scripts = vec![

@@ -91,6 +91,12 @@ impl FlowCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+
+    /// Every memoized decision, live or expired, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Ipv4Addr, FlowCacheEntry)> + '_ {
+        self.map.iter().map(|(dst, e)| (*dst, *e))
+    }
 }
 
 #[cfg(test)]

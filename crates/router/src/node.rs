@@ -220,10 +220,6 @@ pub struct LegacyRouter {
     /// The dst-IP → (out-port, rewritten MAC) memo consulted before the
     /// LPM trie; see [`crate::flowcache`] for the invalidation rules.
     flow_cache: FlowCache,
-    /// Diagnostics knob: `false` forces every packet down the LPM slow
-    /// path. The determinism regression tests flip this to prove the
-    /// cache never changes a forwarding decision.
-    flow_cache_enabled: bool,
     /// Reusable FIB-op scratch shared by all UPDATE processing.
     ops_buf: Vec<FibOp>,
     /// Reusable batch buffer for walker ticks.
@@ -261,7 +257,6 @@ impl LegacyRouter {
             arp: ArpClient::new(),
             arp_timer_armed: false,
             flow_cache: FlowCache::new(),
-            flow_cache_enabled: true,
             ops_buf: Vec::new(),
             walker_batch_buf: Vec::new(),
             controller_was_up: false,
@@ -291,16 +286,6 @@ impl LegacyRouter {
     pub fn add_static_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         self.arp.add_static(ip, mac);
         self.flow_cache.invalidate_next_hop(ip);
-    }
-
-    /// Disable (or re-enable) the forwarding flow cache. Every packet
-    /// then takes the full LPM → interface-scan → ARP path; forwarding
-    /// decisions must be identical either way (regression-tested).
-    pub fn set_flow_cache_enabled(&mut self, enabled: bool) {
-        self.flow_cache_enabled = enabled;
-        if !enabled {
-            self.flow_cache = FlowCache::new();
-        }
     }
 
     /// The forwarding flow cache (hit/invalidation counters).
@@ -1113,20 +1098,18 @@ impl LegacyRouter {
         // decrement + checksum fixup, L2 dst rewrite) — only the LPM
         // walk, interface scan and ARP lookup are skipped, so the
         // emitted bytes are identical either way.
-        if self.flow_cache_enabled {
-            if let Some(e) = self.flow_cache.lookup(ip.dst, now) {
-                let iface = self.interfaces[e.iface];
-                let buf = frame.make_mut();
-                let _ = EthernetRepr::rewrite_src(buf, iface.mac);
-                if Ipv4Repr::decrement_ttl(&mut buf[ip_off..]).is_err() {
-                    self.stats.dropped_ttl += 1;
-                    return;
-                }
-                let _ = EthernetRepr::rewrite_dst(buf, e.dst_mac);
-                self.stats.forwarded += 1;
-                ctx.send_frame(iface.port, frame);
+        if let Some(e) = self.flow_cache.lookup(ip.dst, now) {
+            let iface = self.interfaces[e.iface];
+            let buf = frame.make_mut();
+            let _ = EthernetRepr::rewrite_src(buf, iface.mac);
+            if Ipv4Repr::decrement_ttl(&mut buf[ip_off..]).is_err() {
+                self.stats.dropped_ttl += 1;
                 return;
             }
+            let _ = EthernetRepr::rewrite_dst(buf, e.dst_mac);
+            self.stats.forwarded += 1;
+            ctx.send_frame(iface.port, frame);
+            return;
         }
         // LPM in the *installed* FIB — the data plane sees exactly what
         // the walker has applied so far.
@@ -1157,19 +1140,17 @@ impl LegacyRouter {
         if let Some((mac, expires)) = self.arp.lookup_with_expiry(nh, now) {
             let _ = EthernetRepr::rewrite_dst(frame.make_mut(), mac);
             self.stats.forwarded += 1;
-            if self.flow_cache_enabled {
-                // Memoize for the flow's next packet; `expires` caps the
-                // memo at the backing ARP entry's lifetime.
-                self.flow_cache.insert(
-                    ip.dst,
-                    FlowCacheEntry {
-                        next_hop: nh,
-                        iface: iface_idx,
-                        dst_mac: mac,
-                        expires,
-                    },
-                );
-            }
+            // Memoize for the flow's next packet; `expires` caps the memo
+            // at the backing ARP entry's lifetime.
+            self.flow_cache.insert(
+                ip.dst,
+                FlowCacheEntry {
+                    next_hop: nh,
+                    iface: iface_idx,
+                    dst_mac: mac,
+                    expires,
+                },
+            );
             ctx.send_frame(iface.port, frame);
             return;
         }
@@ -1442,5 +1423,304 @@ mod tests {
         });
         assert!(router.peers[0].cfg.originate.is_empty());
         assert_eq!(router.adj_rib_out_len(peer_ip), Some(100));
+    }
+
+    /// The forwarding flow cache against the slow path it memoizes, in a
+    /// live world: R1 (Nexus 7k walker) learns routes over eBGP from R2
+    /// on 10.0.0.0/24, and a scripted segment on 10.1.0.0/24 sends it
+    /// probes, ARP requests and replies.
+    mod flow_cache_matches_slow_path {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use sc_net::wire::udp_frame;
+        use sc_sim::{LinkParams, NodeId, World};
+        use std::any::Any;
+
+        const IP_R1: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+        const IP_R2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+        const IP_R1_SEG: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
+        const IP_SEG: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 100);
+        const MAC_R1: MacAddr = MacAddr([2, 0x10, 0, 0, 0, 1]);
+        const MAC_R2: MacAddr = MacAddr([2, 0x10, 0, 0, 0, 2]);
+        const MAC_R1_SEG: MacAddr = MacAddr([2, 0x10, 0, 0, 1, 1]);
+        const MAC_SEG: MacAddr = MacAddr([2, 0xaa, 0, 0, 0, 1]);
+        /// R2, two segment neighbours, and one address no interface
+        /// reaches.
+        const NEXT_HOPS: [Ipv4Addr; 4] = [
+            IP_R2,
+            Ipv4Addr::new(10, 1, 0, 10),
+            Ipv4Addr::new(10, 1, 0, 11),
+            Ipv4Addr::new(10, 9, 9, 9),
+        ];
+        /// Nested, so more-specific inserts and removes move best matches.
+        const PREFIXES: [&str; 6] = [
+            "20.0.0.0/8",
+            "20.1.0.0/16",
+            "20.1.2.0/24",
+            "20.1.3.0/24",
+            "21.0.0.0/16",
+            "21.0.0.0/24",
+        ];
+        /// Covered by one or more pool prefixes, by none, and the
+        /// segment neighbours themselves (R1's connected route).
+        const DESTS: [Ipv4Addr; 9] = [
+            Ipv4Addr::new(20, 1, 2, 5),
+            Ipv4Addr::new(20, 1, 3, 5),
+            Ipv4Addr::new(20, 1, 9, 1),
+            Ipv4Addr::new(20, 7, 0, 1),
+            Ipv4Addr::new(21, 0, 0, 9),
+            Ipv4Addr::new(21, 0, 5, 1),
+            Ipv4Addr::new(30, 0, 0, 1),
+            Ipv4Addr::new(10, 1, 0, 10),
+            Ipv4Addr::new(10, 1, 0, 11),
+        ];
+        /// Past the 4 h lifetime of a learned ARP entry.
+        const PAST_ARP_EXPIRY_US: u64 = (4 * 3600 + 1) * 1_000_000;
+
+        /// Segment neighbour `n` (a next hop) and its MAC, variant `m`.
+        fn neighbour(n: usize, m: u8) -> (Ipv4Addr, MacAddr) {
+            (NEXT_HOPS[1 + n], MacAddr([2, 0x11, 0, 0, n as u8, m]))
+        }
+
+        /// Sends whatever the test queued when woken.
+        #[derive(Default)]
+        struct Segment {
+            outbox: Vec<Vec<u8>>,
+        }
+
+        impl Node for Segment {
+            fn name(&self) -> &str {
+                "segment"
+            }
+            fn on_frame(&mut self, _ctx: &mut Ctx, _port: PortId, _frame: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Ctx, _token: TimerToken) {
+                for frame in self.outbox.drain(..) {
+                    ctx.send_frame(PortId(0), frame);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        #[derive(Clone, Debug)]
+        enum Step {
+            /// R2 announces these pool prefixes via `NEXT_HOPS[nh]`.
+            Announce(Vec<usize>, usize),
+            /// R2 withdraws these pool prefixes.
+            Withdraw(Vec<usize>),
+            /// The segment sends a probe to `DESTS[d]`.
+            Probe(usize),
+            /// Neighbour `n` answers an ARP request with MAC variant `m`.
+            ArpReply(usize, u8),
+            /// Neighbour `n` asks who has R1's address (`true`) or the
+            /// segment host's, from MAC variant `m`.
+            ArpRequest(usize, u8, bool),
+            /// R1 gets a static ARP entry for neighbour `n`.
+            StaticArp(usize, u8),
+            /// Time passes (µs).
+            Wait(u64),
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                (vec(0..PREFIXES.len(), 1..4), 0..NEXT_HOPS.len())
+                    .prop_map(|(p, nh)| Step::Announce(p, nh)),
+                vec(0..PREFIXES.len(), 1..3).prop_map(Step::Withdraw),
+                (0..DESTS.len()).prop_map(Step::Probe),
+                (0..DESTS.len()).prop_map(Step::Probe),
+                (0usize..2, 0u8..2).prop_map(|(n, m)| Step::ArpReply(n, m)),
+                (0usize..2, 0u8..2, any::<bool>())
+                    .prop_map(|(n, m, us)| Step::ArpRequest(n, m, us)),
+                (0usize..2, 0u8..2).prop_map(|(n, m)| Step::StaticArp(n, m)),
+                // One wait in four outlives every learned ARP entry.
+                (0u8..4, 1u64..200_000).prop_map(|(k, us)| {
+                    Step::Wait(if k == 0 { PAST_ARP_EXPIRY_US } else { us })
+                }),
+            ]
+        }
+
+        /// R1, R2 and the segment, with the eBGP session Established.
+        fn build() -> (World, NodeId, NodeId, NodeId) {
+            let mut world = World::new(7);
+            let r1 = world.add_node(LegacyRouter::new(RouterConfig {
+                name: "r1".into(),
+                asn: 65001,
+                router_id: IP_R1,
+                cal: Calibration::nexus7k(),
+            }));
+            let r2 = world.add_node(LegacyRouter::new(RouterConfig {
+                name: "r2".into(),
+                asn: 65002,
+                router_id: IP_R2,
+                cal: Calibration::instant(),
+            }));
+            let seg = world.add_node(Segment::default());
+            let wire = LinkParams::gigabit(SimDuration::from_micros(10));
+            let (_, r1_lan, r2_lan) = world.connect(r1, r2, wire);
+            let (_, r1_seg, _) = world.connect(r1, seg, wire);
+            let r = world.node_mut::<LegacyRouter>(r1);
+            r.add_interface(Interface {
+                port: r1_lan,
+                ip: IP_R1,
+                mac: MAC_R1,
+                subnet: "10.0.0.0/24".parse().unwrap(),
+            });
+            r.add_interface(Interface {
+                port: r1_seg,
+                ip: IP_R1_SEG,
+                mac: MAC_R1_SEG,
+                subnet: "10.1.0.0/24".parse().unwrap(),
+            });
+            r.add_peer(PeerConfig {
+                local_port: 40000,
+                remote_port: 179,
+                ..PeerConfig::ebgp(IP_R2, MAC_R2, true)
+            });
+            let r = world.node_mut::<LegacyRouter>(r2);
+            r.add_interface(Interface {
+                port: r2_lan,
+                ip: IP_R2,
+                mac: MAC_R2,
+                subnet: "10.0.0.0/24".parse().unwrap(),
+            });
+            r.add_peer(PeerConfig {
+                local_port: 179,
+                remote_port: 40000,
+                ..PeerConfig::ebgp(IP_R1, MAC_R1, false)
+            });
+            world.run_until(SimTime::from_secs(1));
+            assert_eq!(
+                world.node::<LegacyRouter>(r1).peer_session_state(IP_R2),
+                Some(sc_bgp::SessionState::Established)
+            );
+            (world, r1, r2, seg)
+        }
+
+        /// The first live cache entry that differs from what the slow
+        /// path computes at `now`: FIB LPM, then the interface for the
+        /// next hop, then its ARP entry.
+        fn mismatch(r: &LegacyRouter, now: SimTime) -> Option<String> {
+            r.flow_cache
+                .entries()
+                .filter(|(_, cached)| cached.expires > now)
+                .find_map(|(dst, cached)| {
+                    let slow = r.fib.lookup(dst).and_then(|(_, entry)| {
+                        let next_hop = match entry.next_hop {
+                            Ipv4Addr::UNSPECIFIED => dst,
+                            nh => nh,
+                        };
+                        let iface = r.iface_for_nexthop(next_hop)?;
+                        let (dst_mac, expires) = r.arp.lookup_with_expiry(next_hop, now)?;
+                        Some(FlowCacheEntry {
+                            next_hop,
+                            iface,
+                            dst_mac,
+                            expires,
+                        })
+                    });
+                    (slow != Some(cached))
+                        .then(|| format!("{dst}: cached {cached:?}, slow path {slow:?}"))
+                })
+        }
+
+        /// The segment puts `frame` on the wire now.
+        fn send(world: &mut World, seg: NodeId, frame: Vec<u8>) {
+            world.node_mut::<Segment>(seg).outbox.push(frame);
+            world.wake_node(world.now(), seg, TimerToken(0));
+        }
+
+        /// R2 sends `update` to R1 now.
+        fn inject(world: &mut World, r2: NodeId, update: UpdateMsg) {
+            let now = world.now();
+            for token in world.node_mut::<LegacyRouter>(r2).inject_updates(&[update]) {
+                world.wake_node(now, r2, token);
+            }
+        }
+
+        fn arp(op: ArpOp, (ip, mac): (Ipv4Addr, MacAddr), target_ip: Ipv4Addr) -> Vec<u8> {
+            let (dst, target_mac) = match op {
+                ArpOp::Request => (MacAddr::BROADCAST, MacAddr::ZERO),
+                ArpOp::Reply => (MAC_R1_SEG, MAC_R1_SEG),
+            };
+            let repr = ArpRepr {
+                op,
+                sender_mac: mac,
+                sender_ip: ip,
+                target_mac,
+                target_ip,
+            };
+            EthernetRepr {
+                dst,
+                src: mac,
+                ethertype: EtherType::Arp,
+            }
+            .to_frame(&repr.to_bytes())
+        }
+
+        fn apply(world: &mut World, (r1, r2, seg): (NodeId, NodeId, NodeId), step: &Step) {
+            let pool = |idx: &[usize]| -> Vec<Ipv4Prefix> {
+                idx.iter().map(|&i| PREFIXES[i].parse().unwrap()).collect()
+            };
+            match step {
+                Step::Announce(p, nh) => {
+                    let attrs = RouteAttrs::ebgp(AsPath::sequence(vec![65002]), NEXT_HOPS[*nh]);
+                    inject(world, r2, UpdateMsg::announce(attrs.shared(), pool(p)));
+                }
+                Step::Withdraw(p) => inject(world, r2, UpdateMsg::withdraw(pool(p))),
+                Step::Probe(d) => {
+                    let probe = udp_frame(
+                        UdpEndpoints {
+                            src_mac: MAC_SEG,
+                            dst_mac: MAC_R1_SEG,
+                            src_ip: IP_SEG,
+                            dst_ip: DESTS[*d],
+                            src_port: 49152,
+                            dst_port: 7,
+                        },
+                        64,
+                        &[0xab; 18],
+                    );
+                    send(world, seg, probe);
+                }
+                Step::ArpReply(n, m) => {
+                    send(world, seg, arp(ArpOp::Reply, neighbour(*n, *m), IP_R1_SEG))
+                }
+                Step::ArpRequest(n, m, to_r1) => {
+                    let target = if *to_r1 { IP_R1_SEG } else { IP_SEG };
+                    send(world, seg, arp(ArpOp::Request, neighbour(*n, *m), target));
+                }
+                Step::StaticArp(n, m) => {
+                    let (ip, mac) = neighbour(*n, *m);
+                    world.node_mut::<LegacyRouter>(r1).add_static_arp(ip, mac);
+                }
+                Step::Wait(us) => world.run_for(SimDuration::from_micros(*us)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// After every step — FIB batches from BGP, probes, ARP
+            /// traffic, static ARP, time past ARP expiry — each live
+            /// cache entry is exactly what the slow path would compute.
+            #[test]
+            fn every_live_entry_matches(
+                steps in vec((arb_step(), 20u64..3_000), 1..40),
+            ) {
+                let (mut world, r1, r2, seg) = build();
+                for (step, settle_us) in &steps {
+                    apply(&mut world, (r1, r2, seg), step);
+                    world.run_for(SimDuration::from_micros(*settle_us));
+                    let now = world.now();
+                    let found = mismatch(world.node::<LegacyRouter>(r1), now);
+                    prop_assert_eq!(found, None, "after {:?} at {}", step, now);
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,6 @@
 //! | switch (mgmt)   | 10.0.0.20         | 02:ee:…:01        |
 //! | source          | 10.0.0.100        | 02:aa:…:01        |
 //! | path edge k     | 10.(40+k).0.0/24  | 02:60:00:00:k:side|
-//! | ring closer     | 10.39.0.0/24      | 02:60:00:00:ff:side|
 //! | sink (any edge) | x.x.x.100         | 02:bb:…:01        |
 
 use crate::topo::{Blueprint, Delivery, ProviderSpec, TopologySpec};
@@ -147,10 +146,6 @@ pub struct ScenarioConfig {
     pub fallback_sessions: bool,
     /// Keep a bounded event trace.
     pub trace: bool,
-    /// Router forwarding flow cache (diagnostics knob: `false` forces
-    /// every packet down the LPM slow path; results must be identical —
-    /// the determinism regression tests prove it).
-    pub flow_cache: bool,
     /// Where provider feeds come from (synthetic tables or an MRT
     /// snapshot + timed replay).
     pub feed: FeedSource,
@@ -180,7 +175,6 @@ impl Default for ScenarioConfig {
             controller_deadline: None,
             fallback_sessions: false,
             trace: false,
-            flow_cache: true,
             feed: FeedSource::Synthetic,
             invariants: false,
         }
@@ -212,12 +206,8 @@ pub struct BuiltScenario {
     pub provider_path_links: Vec<LinkId>,
     /// Forwarder j's uplink toward the sink (empty for Fig. 4).
     pub forwarder_up_links: Vec<LinkId>,
-    /// The routeless arc closing a ring, if the topology has one.
-    pub ring_closer_link: Option<LinkId>,
     pub flow_ips: Vec<Ipv4Addr>,
     pub universe: Vec<Ipv4Prefix>,
-    /// Index of the primary (highest-preference) provider.
-    pub primary: usize,
     /// Recorded peer addresses of the MRT snapshot (peer-table order;
     /// empty for synthetic feeds). Replay maps recorded peer `k` onto
     /// provider `k % providers`.
@@ -226,23 +216,6 @@ pub struct BuiltScenario {
     /// built from, so a `restart_controller` chaos event can boot a
     /// fresh process into the crashed slot. Empty for legacy builds.
     pub controller_cfgs: Vec<ControllerConfig>,
-}
-
-/// Build the world for one (topology, mode) pair.
-pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
-    let mut scn = wire(topo.blueprint(), mode, cfg);
-    if !cfg.flow_cache {
-        let routers: Vec<NodeId> = std::iter::once(scn.r1)
-            .chain(scn.providers.iter().copied())
-            .chain(scn.forwarders.iter().copied())
-            .collect();
-        for id in routers {
-            scn.world
-                .node_mut::<LegacyRouter>(id)
-                .set_flow_cache_enabled(false);
-        }
-    }
-    scn
 }
 
 /// The prefix universe for a scenario, from whichever source the config
@@ -323,7 +296,9 @@ fn vnh_pool() -> Ipv4Prefix {
     "10.0.200.0/24".parse().unwrap()
 }
 
-fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
+/// Build the world for one (topology, mode) pair.
+pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
+    let bp = topo.blueprint();
     let m = bp.providers.len();
     assert!((2..=16).contains(&m), "2..=16 providers supported, got {m}");
     assert!(
@@ -338,7 +313,6 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         .flat_map(|snap| snap.peers.iter().map(|p| p.addr))
         .collect();
     let flow_ips = sample_flow_ips(&universe, cfg.flows, cfg.seed);
-    let primary = bp.primary();
     // An MRT snapshot overrides the configured table size; keep the
     // stored config consistent with what the providers actually
     // announce (convergence checks and reports read it from there).
@@ -513,43 +487,10 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
             spec.edge_latency,
         ));
     }
-    // The routeless ring-closing arc.
-    let ring_closer_link = bp.ring_closer.map(|(a, b)| {
-        let subnet: Ipv4Prefix = "10.39.0.0/24".parse().unwrap();
-        let (link, pa, pb) = world.connect(
-            forwarders[a],
-            forwarders[b],
-            LinkParams::gigabit(SimDuration::from_micros(100)),
-        );
-        let (ip_a, ip_b) = (Ipv4Addr::new(10, 39, 0, 1), Ipv4Addr::new(10, 39, 0, 2));
-        setups.push(RouterSetup {
-            node: forwarders[a],
-            iface: Interface {
-                port: pa,
-                ip: ip_a,
-                mac: edge_mac(0xff, 1),
-                subnet,
-            },
-            arp: (ip_b, edge_mac(0xff, 2)),
-            default_route: None,
-        });
-        setups.push(RouterSetup {
-            node: forwarders[b],
-            iface: Interface {
-                port: pb,
-                ip: ip_b,
-                mac: edge_mac(0xff, 2),
-                subnet,
-            },
-            arp: (ip_a, edge_mac(0xff, 1)),
-            default_route: None,
-        });
-        link
-    });
-
-    // --- BFD: on the primary provider's sessions only, every session at
-    // the configured interval ---
-    let bfd_provider = cfg.bfd.then_some(primary);
+    // --- BFD: on the primary provider's sessions only (provider 0, by
+    // the blueprint's preference order), every session at the
+    // configured interval ---
+    let bfd_provider = cfg.bfd.then_some(0);
     let bfd = |local_discr: usize, detect_mult: u8| BfdConfig {
         local_discr: local_discr as u32,
         desired_min_tx: cfg.bfd_interval,
@@ -806,10 +747,8 @@ fn wire(bp: Blueprint, mode: Mode, cfg: &ScenarioConfig) -> BuiltScenario {
         provider_switch_links,
         provider_path_links,
         forwarder_up_links,
-        ring_closer_link,
         flow_ips,
         universe,
-        primary,
         replay_peers,
         controller_cfgs,
     }
@@ -824,9 +763,10 @@ impl BuiltScenario {
         feed_for(&self.cfg, &self.universe, i, &self.blueprint.providers[i])
     }
 
-    /// The primary provider's LAN address.
+    /// The primary provider's LAN address (provider 0: see
+    /// [`Blueprint`]).
     pub fn primary_ip(&self) -> Ipv4Addr {
-        self.provider_ips[self.primary]
+        self.provider_ips[0]
     }
 
     /// Run until R1's control plane has fully converged (all feed

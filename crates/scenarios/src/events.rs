@@ -23,16 +23,15 @@ use sc_net::{splitmix64, Ipv4Prefix, SimDuration, SimTime};
 use sc_router::LegacyRouter;
 use sc_sim::{LinkId, NodeId};
 
-/// Which provider an event targets, resolved against the topology's
-/// preference ranking at apply time (scripts stay topology-portable).
+/// Which provider an event targets, by preference rank (scripts stay
+/// topology-portable). A blueprint lists its providers in preference
+/// order, so rank `n` is provider index `n`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProviderSel {
     /// The highest-preference provider.
     Primary,
     /// The provider ranked `n` by preference (0 = primary).
     Rank(usize),
-    /// A literal provider index.
-    Index(usize),
 }
 
 /// A cuttable link.
@@ -44,9 +43,6 @@ pub enum LinkRef {
     ProviderPath(ProviderSel),
     /// Forwarder j's uplink toward the sink.
     ForwarderUplink(usize),
-    /// The routeless arc closing a ring (cutting it must be harmless —
-    /// the null-test).
-    RingCloser,
     /// Controller replica `c`'s control channel to the switch (the
     /// chaos layer's favorite victim; legacy builds have none and
     /// events targeting it no-op).
@@ -598,13 +594,8 @@ impl EventScript {
 pub(crate) fn resolve_provider(scn: &BuiltScenario, sel: ProviderSel) -> Result<usize, String> {
     let m = scn.providers.len();
     let idx = match sel {
-        ProviderSel::Primary => scn.primary,
-        ProviderSel::Rank(r) => *scn
-            .blueprint
-            .rank_order()
-            .get(r)
-            .ok_or_else(|| format!("rank {r} out of range ({m} providers)"))?,
-        ProviderSel::Index(i) => i,
+        ProviderSel::Primary => 0,
+        ProviderSel::Rank(r) => r,
     };
     if idx < m {
         Ok(idx)
@@ -622,9 +613,6 @@ pub(crate) fn resolve_link(scn: &BuiltScenario, link: LinkRef) -> Result<LinkId,
             .get(j)
             .copied()
             .ok_or_else(|| format!("forwarder {j} out of range")),
-        LinkRef::RingCloser => scn
-            .ring_closer_link
-            .ok_or_else(|| "topology has no ring closer".to_string()),
         LinkRef::ControllerSwitch(c) => scn
             .controller_links
             .get(c)
@@ -670,11 +658,6 @@ pub(crate) fn resolve_pair_links(
             }
             if scn.blueprint.forwarders.get(k).and_then(|f| f.next) == Some(j) {
                 v.push(scn.forwarder_up_links[k]);
-            }
-            if let (Some(l), Some(rc)) = (scn.ring_closer_link, scn.blueprint.ring_closer) {
-                if rc == (j, k) || rc == (k, j) {
-                    v.push(l);
-                }
             }
             if v.is_empty() {
                 Err(format!("no wired link between forwarders {j} and {k}"))
@@ -789,7 +772,7 @@ mod tests {
         let up_only = EventScript::new(
             "up",
             vec![ScenarioEvent::LinkUp {
-                link: LinkRef::RingCloser,
+                link: LinkRef::ForwarderUplink(0),
                 at: ms(5),
             }],
         );

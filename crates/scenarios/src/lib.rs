@@ -5,13 +5,12 @@
 //! general convergence-evaluation platform, in three layers:
 //!
 //! * [`topo`] — parametric **topology generators**: the Fig. 4 lab,
-//!   linear chains, rings, k-ary fat-tree/Clos pods, IXP-style hub
-//!   fan-outs (the paper's §5 "boosting an IXP" case), and seeded
-//!   random graphs. Every generator elaborates to a [`topo::Blueprint`]
-//!   (each provider's identity and links as data) that the one
-//!   [`builder`] wires into a deterministic [`sc_sim::World`] with real
-//!   BGP provider routers, a static-route delivery fabric, and — in
-//!   supercharged mode — the controller(s).
+//!   linear chains and IXP-style hub fan-outs (the paper's §5
+//!   "boosting an IXP" case). Every generator elaborates to a
+//!   [`topo::Blueprint`] (each provider's identity and links as data)
+//!   that the one [`builder`] wires into a deterministic
+//!   [`sc_sim::World`] with real BGP provider routers, a static-route
+//!   delivery fabric, and — in supercharged mode — the controller(s).
 //! * [`events`] — typed **event scripts** (link cut,
 //!   link flap, node crash, session reset, withdraw/churn bursts,
 //!   controller-replica crashes, seeded chaos) compiled down to `World`
@@ -32,9 +31,15 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use sc_scenarios::{run_suite, SuiteConfig};
+//! use sc_scenarios::{run_suite, EventScript, Mode, ScenarioConfig, SuiteConfig, TopologySpec};
 //!
-//! let report = run_suite(&SuiteConfig::default_matrix());
+//! let report = run_suite(&SuiteConfig {
+//!     topologies: vec![TopologySpec::Fig4Lab, TopologySpec::IxpHub { peers: 3 }],
+//!     scripts: vec![EventScript::primary_cut()],
+//!     modes: vec![Mode::Stock, Mode::Supercharged],
+//!     base: ScenarioConfig::default(),
+//!     workers: None,
+//! });
 //! println!("{}", report.to_csv_stable());
 //! for (topo, script, x) in report.speedups() {
 //!     println!("{topo}/{script}: supercharging is {x:.0}x faster");

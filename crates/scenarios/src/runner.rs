@@ -378,7 +378,7 @@ fn transit_policy(script: &EventScript, scn: &BuiltScenario, t0: SimTime) -> Tra
 /// the snapshot-derived feeds used, so withdrawals hit the routes their
 /// peer actually announced.
 fn apply_replay(scn: &mut BuiltScenario, sched: &ReplaySchedule, t0: SimTime) {
-    let mapped = sched.map_to_providers(&scn.replay_peers, &scn.provider_ips, scn.primary);
+    let mapped = sched.map_to_providers(&scn.replay_peers, &scn.provider_ips, 0);
     for (i, at, update) in mapped {
         let node = scn.providers[i];
         schedule_injection(scn, node, t0 + at, vec![update]);
@@ -396,35 +396,6 @@ pub struct SuiteConfig {
     /// never changes the report (rows land by matrix slot), only how
     /// many worlds are in memory at once and how long the suite takes.
     pub workers: Option<usize>,
-}
-
-impl SuiteConfig {
-    /// The default evaluation matrix: three topology families beyond
-    /// the paper's lab, the cable-cut and cable-flap scripts, both
-    /// modes.
-    pub fn default_matrix() -> SuiteConfig {
-        SuiteConfig {
-            topologies: vec![
-                TopologySpec::Fig4Lab,
-                TopologySpec::Chain {
-                    providers: 2,
-                    hops: 2,
-                },
-                TopologySpec::IxpHub { peers: 4 },
-                TopologySpec::Ring {
-                    providers: 2,
-                    ring: 4,
-                },
-            ],
-            scripts: vec![
-                EventScript::primary_cut(),
-                EventScript::primary_flap(SimDuration::from_millis(250), 3),
-            ],
-            modes: vec![Mode::Stock, Mode::Supercharged],
-            base: ScenarioConfig::default(),
-            workers: None,
-        }
-    }
 }
 
 /// A trial that died: which matrix cell, the configuration it ran

@@ -2,26 +2,28 @@
 //!
 //! Every generated topology keeps the paper's invariant — the SDN
 //! switch sits between the supercharged router R1 and its BGP peers —
-//! and varies everything the related work says matters: peer count,
-//! delivery-path depth, link latencies, and controller placement
-//! (Gämperli et al., arXiv:1611.03113; Sermpezis & Dimitropoulos,
-//! arXiv:1702.00188 both find centralization benefits are strongly
-//! topology-dependent).
+//! and varies what the scenario engine can vary without running BGP
+//! beyond the providers: peer count and delivery-path depth.
 //!
 //! A [`TopologySpec`] elaborates into a [`Blueprint`]: the star of
 //! provider routers around the switch, plus each provider's delivery
-//! path to the measurement sink through shared *forwarder* routers
-//! (plain IP routers with static routes, `Calibration::instant`, no
-//! BGP). Chains, rings, fat-tree pods and random graphs differ only in
-//! the forwarder graph; the Fig. 4 lab is the degenerate two-provider,
-//! zero-forwarder case, numbered with the lab's own addresses
-//! ([`sc_lab::topology`]). A blueprint carries every provider's
-//! identity and links, so [`crate::builder`] wires all of them the
-//! same way.
+//! path to the measurement sink, straight or through a private chain of
+//! *forwarder* routers (plain IP routers with static routes,
+//! `Calibration::instant`, no BGP). The Fig. 4 lab is the degenerate
+//! two-provider, zero-forwarder case, numbered with the lab's own
+//! addresses ([`sc_lab::topology`]); the IXP hub is the paper's §5 case.
+//! A blueprint carries every provider's identity and links, so
+//! [`crate::builder`] wires all of them the same way.
+//!
+//! A forwarder fabric only relays: it adds latency, not BGP propagation
+//! across ASes, which is where the related work locates topology
+//! dependence (Gämperli et al., arXiv:1611.03113; Sermpezis &
+//! Dimitropoulos, arXiv:1702.00188). So there is one fabric shape, the
+//! private chain: a ring, fat-tree pod or random graph of relays would
+//! change a cell's latency by well under a millisecond and measure
+//! nothing a chain does not.
 
 use crate::builder::{edge_mac, edge_subnet, provider_asn, provider_ip, provider_mac};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sc_lab::topology::{IP_R2, IP_R3, MAC_R2, MAC_R3};
 use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration};
 
@@ -34,20 +36,10 @@ pub enum TopologySpec {
     /// `providers` parallel chains of `hops` forwarders each: provider
     /// i delivers through its own chain. Models long transit paths.
     Chain { providers: usize, hops: usize },
-    /// A ring of `ring` forwarders; provider i enters the ring at an
-    /// evenly-spaced position and traffic travels the arc down to the
-    /// sink attachment. The closing arc exists but carries no routes.
-    Ring { providers: usize, ring: usize },
-    /// A k-ary Clos/fat-tree pod: k providers feed k/2 aggregation
-    /// forwarders which feed one edge forwarder holding the sink.
-    FatTreePod { k: usize },
     /// An IXP-style hub (the paper's §5 "boosting an IXP"): `peers`
     /// participant routers fan directly out of the switch, each a
     /// one-hop path to the sink.
     IxpHub { peers: usize },
-    /// A seeded random topology: 2..=6 providers, random private-chain
-    /// depths (0..=3), random link latencies, random preference order.
-    Random { seed: u64 },
 }
 
 impl TopologySpec {
@@ -56,10 +48,7 @@ impl TopologySpec {
         match self {
             TopologySpec::Fig4Lab => "fig4".to_string(),
             TopologySpec::Chain { providers, hops } => format!("chain{providers}x{hops}"),
-            TopologySpec::Ring { providers, ring } => format!("ring{providers}r{ring}"),
-            TopologySpec::FatTreePod { k } => format!("fattree{k}"),
             TopologySpec::IxpHub { peers } => format!("ixp{peers}"),
-            TopologySpec::Random { seed } => format!("rand{seed}"),
         }
     }
 
@@ -92,7 +81,6 @@ impl TopologySpec {
                         lab(IP_R3, MAC_R3, 65003, 3, 100),
                     ],
                     forwarders: Vec::new(),
-                    ring_closer: None,
                 }
             }
             TopologySpec::Chain { providers, hops } => {
@@ -123,58 +111,6 @@ impl TopologySpec {
                     label: self.label(),
                     providers: specs,
                     forwarders,
-                    ring_closer: None,
-                }
-            }
-            TopologySpec::Ring { providers, ring } => {
-                assert!(providers >= 2, "need a primary and a backup");
-                assert!(ring >= 2, "a ring needs at least two nodes");
-                // F_0 holds the sink; F_j forwards down to F_{j-1}.
-                let forwarders: Vec<ForwarderSpec> = (0..ring)
-                    .map(|j| ForwarderSpec {
-                        next: if j == 0 { None } else { Some(j - 1) },
-                        latency: SimDuration::from_micros(100),
-                    })
-                    .collect();
-                let specs = (0..providers)
-                    .map(|i| {
-                        // Spread entry points around the ring.
-                        let entry = (i * ring) / providers;
-                        ProviderSpec::generic(i, 200 - (i as u32) * 10, Some(entry), ring)
-                    })
-                    .collect();
-                Blueprint {
-                    label: self.label(),
-                    providers: specs,
-                    forwarders,
-                    ring_closer: Some((ring - 1, 0)),
-                }
-            }
-            TopologySpec::FatTreePod { k } => {
-                assert!(k >= 2 && k % 2 == 0, "fat-tree pods have even k >= 2");
-                // Forwarder 0 is the edge (sink holder); 1..=k/2 are
-                // aggregation forwarders feeding it.
-                let mut forwarders = vec![ForwarderSpec {
-                    next: None,
-                    latency: SimDuration::from_micros(20),
-                }];
-                for _ in 0..k / 2 {
-                    forwarders.push(ForwarderSpec {
-                        next: Some(0),
-                        latency: SimDuration::from_micros(20),
-                    });
-                }
-                let specs = (0..k)
-                    .map(|i| {
-                        let entry = Some(1 + i % (k / 2));
-                        ProviderSpec::generic(i, 200 - (i as u32) * 10, entry, forwarders.len())
-                    })
-                    .collect();
-                Blueprint {
-                    label: self.label(),
-                    providers: specs,
-                    forwarders,
-                    ring_closer: None,
                 }
             }
             TopologySpec::IxpHub { peers } => {
@@ -185,51 +121,6 @@ impl TopologySpec {
                         .map(|i| ProviderSpec::generic(i, 200 - (i as u32) * 10, None, 0))
                         .collect(),
                     forwarders: Vec::new(),
-                    ring_closer: None,
-                }
-            }
-            TopologySpec::Random { seed } => {
-                let mut rng = SmallRng::seed_from_u64(seed ^ 0x70b0_70b0);
-                let providers = rng.gen_range(2..=6usize);
-                let mut forwarders = Vec::new();
-                // (preference, entry, LAN latency) per provider; numbered
-                // once the fabric's size is known.
-                let mut attach = Vec::new();
-                // Random preference permutation (Fisher-Yates).
-                let mut prefs: Vec<u32> = (0..providers).map(|i| 200 - (i as u32) * 10).collect();
-                for i in (1..prefs.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    prefs.swap(i, j);
-                }
-                for pref in prefs {
-                    let hops = rng.gen_range(0..=3usize);
-                    let base = forwarders.len();
-                    for h in 0..hops {
-                        forwarders.push(ForwarderSpec {
-                            next: if h + 1 < hops {
-                                Some(base + h + 1)
-                            } else {
-                                None
-                            },
-                            latency: SimDuration::from_micros(rng.gen_range(10..500u64)),
-                        });
-                    }
-                    let entry = if hops > 0 { Some(base) } else { None };
-                    attach.push((pref, entry, rng.gen_range(5..100u64)));
-                }
-                let specs = attach
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (pref, entry, lan_us))| ProviderSpec {
-                        lan_latency: SimDuration::from_micros(lan_us),
-                        ..ProviderSpec::generic(i, pref, entry, forwarders.len())
-                    })
-                    .collect();
-                Blueprint {
-                    label: self.label(),
-                    providers: specs,
-                    forwarders,
-                    ring_closer: None,
                 }
             }
         }
@@ -314,30 +205,15 @@ pub struct ForwarderSpec {
 }
 
 /// The elaborated topology: what [`crate::builder`] wires into a world.
+///
+/// Invariant: `providers` is in strictly descending `local_pref`, so
+/// provider 0 is the primary and index `n` is the provider ranked `n`
+/// (Fig. 4: 200, 100; every generic family: 200 − 10i).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Blueprint {
     pub label: String,
-    /// Not necessarily preference-ordered (`Random` shuffles prefs) —
-    /// use [`Blueprint::primary`]/[`Blueprint::rank_order`], never
-    /// index 0, to find the primary.
     pub providers: Vec<ProviderSpec>,
     pub forwarders: Vec<ForwarderSpec>,
-    /// An extra routeless link closing a ring, by forwarder indices.
-    pub ring_closer: Option<(usize, usize)>,
-}
-
-impl Blueprint {
-    /// The provider ranked `rank` by preference (0 = primary).
-    pub fn rank_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.providers.len()).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(self.providers[i].local_pref));
-        idx
-    }
-
-    /// Index of the primary (highest local-pref) provider.
-    pub fn primary(&self) -> usize {
-        self.rank_order()[0]
-    }
 }
 
 #[cfg(test)]
@@ -352,17 +228,10 @@ mod tests {
                 providers: 3,
                 hops: 2,
             },
-            TopologySpec::Ring {
-                providers: 2,
-                ring: 4,
-            },
-            TopologySpec::FatTreePod { k: 4 },
             TopologySpec::IxpHub { peers: 6 },
-            TopologySpec::Random { seed: 7 },
         ];
-        let labels: std::collections::HashSet<String> = specs.iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), specs.len());
-        assert_eq!(TopologySpec::FatTreePod { k: 4 }.label(), "fattree4");
+        let labels: Vec<String> = specs.iter().map(|s| s.label()).collect();
+        assert_eq!(labels, ["fig4", "chain3x2", "ixp6"]);
     }
 
     #[test]
@@ -382,46 +251,34 @@ mod tests {
         assert_eq!(bp.forwarders[0].next, Some(1));
     }
 
-    #[test]
-    fn ring_blueprint_descends_to_sink_holder() {
-        let bp = TopologySpec::Ring {
-            providers: 2,
-            ring: 4,
-        }
-        .blueprint();
-        assert_eq!(bp.forwarders[0].next, None);
-        assert_eq!(bp.forwarders[3].next, Some(2));
-        assert_eq!(bp.ring_closer, Some((3, 0)));
-        assert_eq!(bp.providers[0].entry(), Some(0));
-        assert_eq!(bp.providers[1].entry(), Some(2));
-    }
-
-    #[test]
-    fn fattree_pod_shares_aggregation() {
-        let bp = TopologySpec::FatTreePod { k: 4 }.blueprint();
-        assert_eq!(bp.providers.len(), 4);
-        assert_eq!(bp.forwarders.len(), 3); // edge + 2 agg
-        let entries: Vec<usize> = bp.providers.iter().map(|p| p.entry().unwrap()).collect();
-        assert_eq!(entries, vec![1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn random_blueprint_is_deterministic() {
-        let a = TopologySpec::Random { seed: 3 }.blueprint();
-        let b = TopologySpec::Random { seed: 3 }.blueprint();
-        assert_eq!(a, b);
-        let c = TopologySpec::Random { seed: 4 }.blueprint();
-        assert_ne!(a, c);
-        assert!(a.providers.len() >= 2);
-    }
-
+    /// The [`Blueprint`] invariant every family keeps: providers in
+    /// strictly descending preference, so index 0 is the primary.
     #[test]
     fn primary_is_highest_pref() {
-        let bp = TopologySpec::Random { seed: 11 }.blueprint();
-        let p = bp.primary();
-        assert!(bp
-            .providers
-            .iter()
-            .all(|s| s.local_pref <= bp.providers[p].local_pref));
+        for spec in [
+            TopologySpec::Fig4Lab,
+            TopologySpec::Chain {
+                providers: 3,
+                hops: 2,
+            },
+            TopologySpec::Chain {
+                providers: 16,
+                hops: 0,
+            },
+            TopologySpec::IxpHub { peers: 2 },
+            TopologySpec::IxpHub { peers: 16 },
+        ] {
+            let prefs: Vec<u32> = spec
+                .blueprint()
+                .providers
+                .iter()
+                .map(|p| p.local_pref)
+                .collect();
+            assert!(
+                prefs.windows(2).all(|w| w[0] > w[1]),
+                "{}: {prefs:?}",
+                spec.label()
+            );
+        }
     }
 }

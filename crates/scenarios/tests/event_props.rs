@@ -18,7 +18,6 @@ fn arb_sel() -> impl Strategy<Value = ProviderSel> {
     prop_oneof![
         Just(ProviderSel::Primary),
         (0usize..4).prop_map(ProviderSel::Rank),
-        (0usize..4).prop_map(ProviderSel::Index),
     ]
 }
 
@@ -27,7 +26,6 @@ fn arb_link() -> impl Strategy<Value = LinkRef> {
         arb_sel().prop_map(LinkRef::ProviderSwitch),
         arb_sel().prop_map(LinkRef::ProviderPath),
         (0usize..4).prop_map(LinkRef::ForwarderUplink),
-        Just(LinkRef::RingCloser),
         (0usize..3).prop_map(LinkRef::ControllerSwitch),
     ]
 }

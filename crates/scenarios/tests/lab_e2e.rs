@@ -571,7 +571,7 @@ fn replicated_controllers_survive_primary_loss() {
     let t0 = lab.world.now();
     let kill_at = t0 + SimDuration::from_millis(500);
     lab.world.schedule(kill_at, move |w| w.crash_node(primary));
-    let link = lab.provider_switch_links[lab.primary];
+    let link = lab.provider_switch_links[0];
     let fail_at = kill_at + SimDuration::from_secs(2);
     lab.world
         .schedule(fail_at, move |w| w.set_link_up(link, false));

@@ -127,7 +127,7 @@ fn stable_csv_carries_phase_columns() {
         scripts: vec![EventScript::primary_cut()],
         modes: vec![Mode::Stock, Mode::Supercharged],
         base: cfg,
-        ..SuiteConfig::default_matrix()
+        workers: None,
     };
     let report = sc_scenarios::run_suite(&suite);
     let csv = report.to_csv_stable();

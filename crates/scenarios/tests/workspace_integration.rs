@@ -161,7 +161,7 @@ fn without_bfd_detection_dominates_but_stays_prefix_independent() {
     };
     let mut lab = build_scenario(&TopologySpec::Fig4Lab, Mode::Supercharged, &cfg);
     lab.run_until_converged();
-    let link = lab.provider_switch_links[lab.primary];
+    let link = lab.provider_switch_links[0];
     let fail_at = lab.world.now() + SimDuration::from_secs(1);
     lab.world
         .schedule(fail_at, move |w| w.set_link_up(link, false));
