@@ -516,7 +516,7 @@ impl OfSwitch {
 
     /// Run the data-plane pipeline on a frame whose key `on_frame`
     /// extracted (`None`: not even an Ethernet header).
-    fn forward(&mut self, ctx: &mut Ctx, in_port: PortId, key: Option<FlowKey>, frame: Frame) {
+    fn forward(&mut self, ctx: &mut Ctx, in_port: PortId, key: Option<&FlowKey>, frame: Frame) {
         self.stats.frames_in += 1;
         let Some(key) = key else {
             self.stats.dropped += 1;
@@ -526,7 +526,7 @@ impl OfSwitch {
         if self.cfg.table_miss == TableMiss::L2Learn && key.eth_src.is_unicast() {
             self.learn(key.eth_src, in_port);
         }
-        if let Some(entry) = self.table.lookup(&key, frame.len()) {
+        if let Some(entry) = self.table.lookup(key, frame.len()) {
             let mut actions = std::mem::take(&mut self.matched_actions);
             actions.clear();
             actions.extend_from_slice(&entry.actions);
@@ -649,13 +649,13 @@ impl Node for OfSwitch {
         // frame the key says is a channel's pays a second parse, for the
         // payload.
         let key = FlowKey::extract(port.0 as u16, &frame);
-        if let Some(idx) = key.and_then(|k| channel_of(&self.controllers, &k)) {
+        if let Some(idx) = key.as_ref().and_then(|k| channel_of(&self.controllers, k)) {
             if let Ok(Some(d)) = peek_udp_frame(&frame) {
                 self.on_channel_datagram(ctx, idx, &d);
                 return;
             }
         }
-        self.forward(ctx, port, key, frame);
+        self.forward(ctx, port, key.as_ref(), frame);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {

@@ -4,7 +4,8 @@
 //!
 //! * propagation **latency** (fixed),
 //! * optional **bandwidth**: serialization delay plus FIFO queueing per
-//!   direction (`busy_until` bookkeeping),
+//!   direction (`busy_until` bookkeeping), charged per byte without a
+//!   division (see [`Link::schedule_arrival`]),
 //! * fault injection: probabilistic **loss** and byte **corruption**
 //!   (the corrupted frame is still delivered — receivers must detect it
 //!   via checksums, which is exactly what the wire formats do).
@@ -86,6 +87,15 @@ pub struct Endpoint {
     pub port: PortId,
 }
 
+/// Bits per second of 1 ns per byte: a bandwidth that divides it costs a
+/// whole number of nanoseconds per byte.
+const BYTE_NS_BPS: u64 = 8 * 1_000_000_000;
+
+/// The longest frame whose bit-nanosecond product `len * 8 * 10^9` fits in
+/// a `u64`: up to here [`LinkParams::serialization_delay`] does not
+/// saturate, so a whole per-byte cost reproduces it exactly.
+const MAX_PER_BYTE_LEN: u64 = u64::MAX / BYTE_NS_BPS;
+
 /// Map a 64-bit draw to a uniform `f64` in `[0, 1)`.
 #[inline]
 fn unit_f64(x: u64) -> f64 {
@@ -97,7 +107,11 @@ fn unit_f64(x: u64) -> f64 {
 pub(crate) struct Link {
     pub a: Endpoint,
     pub b: Endpoint,
-    pub params: LinkParams,
+    /// Set through [`Link::set_params`], which keeps `ns_per_byte` in step.
+    params: LinkParams,
+    /// `params`' serialization cost per byte when it is a whole number of
+    /// nanoseconds (0 without a bandwidth), else `None`.
+    ns_per_byte: Option<u64>,
     pub up: bool,
     /// Per-direction transmitter-busy horizon: [a->b, b->a].
     busy_until: [SimTime; 2],
@@ -117,10 +131,22 @@ impl Link {
             a,
             b,
             params,
+            ns_per_byte: ns_per_byte(params.bandwidth_bps),
             up: true,
             busy_until: [SimTime::ZERO; 2],
             fault_state: [s0, s1],
         }
+    }
+
+    pub(crate) fn params(&self) -> LinkParams {
+        self.params
+    }
+
+    /// Replace the parameters and recompute the per-byte cost from the
+    /// new bandwidth; the next [`Link::schedule_arrival`] charges it.
+    pub(crate) fn set_params(&mut self, params: LinkParams) {
+        self.params = params;
+        self.ns_per_byte = ns_per_byte(params.bandwidth_bps);
     }
 
     /// Run one frame through this direction's seeded fault stream just
@@ -146,29 +172,60 @@ impl Link {
         Some(corrupted)
     }
 
-    /// Given the sending endpoint, the direction index and the receiver.
-    pub(crate) fn direction_from(&self, from: Endpoint) -> Option<(usize, Endpoint)> {
-        if from == self.a {
-            Some((0, self.b))
-        } else if from == self.b {
-            Some((1, self.a))
+    /// The endpoint receiving what direction `dir` carries (0: a -> b).
+    #[inline]
+    pub(crate) fn receiver(&self, dir: usize) -> Endpoint {
+        if dir == 0 {
+            self.b
         } else {
-            None
+            self.a
+        }
+    }
+
+    /// [`LinkParams::serialization_delay`] of the current parameters,
+    /// without its division when the bandwidth divides 8·10⁹ b/s (every
+    /// link the builders make: 1 Gb/s is 8 ns a byte). Exact: with
+    /// `bps · k = 8·10⁹`, `len · 8 · 10⁹ / bps = len · k` for every `len`
+    /// whose product does not saturate, and longer frames take the
+    /// division.
+    #[inline]
+    pub(crate) fn serialization_delay(&self, len: usize) -> SimDuration {
+        match self.ns_per_byte {
+            Some(k) if len as u64 <= MAX_PER_BYTE_LEN => SimDuration::from_nanos(len as u64 * k),
+            _ => self.params.serialization_delay(len),
         }
     }
 
     /// Compute the arrival time of a frame of `len` bytes entering the
     /// link in direction `dir` at time `now`, updating queue occupancy.
+    /// Serialization is charged by [`Link::serialization_delay`]: `len`
+    /// times the whole nanoseconds per byte that [`Link::set_params`]
+    /// last computed, which equals `len · 8 · 10⁹ / bps` exactly because
+    /// that cost exists only when `bps` divides 8·10⁹; other bandwidths
+    /// and saturating lengths take the division.
     pub(crate) fn schedule_arrival(&mut self, dir: usize, now: SimTime, len: usize) -> SimTime {
         let start = if self.busy_until[dir] > now {
             self.busy_until[dir]
         } else {
             now
         };
-        let ser = self.params.serialization_delay(len);
-        let done = start + ser;
+        let done = start + self.serialization_delay(len);
         self.busy_until[dir] = done;
         done + self.params.latency
+    }
+}
+
+/// The whole nanoseconds a byte takes at `bandwidth_bps`, if a whole
+/// number: `Some(0)` without a bandwidth, `None` when the bandwidth does
+/// not divide 8·10⁹ b/s. A zero bandwidth is 1 b/s, as in
+/// [`LinkParams::serialization_delay`].
+fn ns_per_byte(bandwidth_bps: Option<u64>) -> Option<u64> {
+    match bandwidth_bps {
+        None => Some(0),
+        Some(bps) => {
+            let bps = bps.max(1);
+            BYTE_NS_BPS.is_multiple_of(bps).then(|| BYTE_NS_BPS / bps)
+        }
     }
 }
 
@@ -188,6 +245,46 @@ mod tests {
             LinkParams::default().serialization_delay(1500),
             SimDuration::ZERO
         );
+    }
+
+    /// The per-byte cost equals the division for every frame length up
+    /// to a jumbo frame and on both sides of where `len · 8 · 10⁹`
+    /// saturates, at bandwidths that take the per-byte path (none,
+    /// 10 Mb/s to 1 Gb/s) and ones that fall back (3 b/s, 10 Gb/s,
+    /// `u64::MAX`).
+    #[test]
+    fn per_byte_serialization_is_exact() {
+        let end = Endpoint {
+            node: NodeId(0),
+            port: PortId(0),
+        };
+        let mut link = Link::new(end, end, LinkParams::default(), 0);
+        let edge = MAX_PER_BYTE_LEN as usize;
+        let lens = (0..=9_216).chain(edge - 2..=edge + 2).chain([1 << 40]);
+        let bandwidths = [
+            (None, Some(0)),
+            (Some(3), None),
+            (Some(10_000_000), Some(800)),
+            (Some(100_000_000), Some(80)),
+            (Some(1_000_000_000), Some(8)),
+            (Some(10_000_000_000), None),
+            (Some(u64::MAX), None),
+        ];
+        for (bandwidth_bps, per_byte) in bandwidths {
+            let params = LinkParams {
+                bandwidth_bps,
+                ..LinkParams::default()
+            };
+            link.set_params(params);
+            assert_eq!(link.ns_per_byte, per_byte, "{bandwidth_bps:?}");
+            for len in lens.clone() {
+                assert_eq!(
+                    link.serialization_delay(len),
+                    params.serialization_delay(len),
+                    "{len} B at {bandwidth_bps:?} b/s"
+                );
+            }
+        }
     }
 
     #[test]
@@ -226,12 +323,7 @@ mod tests {
             port: PortId(1),
         };
         let link = Link::new(a, b, LinkParams::default(), 0);
-        assert_eq!(link.direction_from(a), Some((0, b)));
-        assert_eq!(link.direction_from(b), Some((1, a)));
-        let stranger = Endpoint {
-            node: NodeId(9),
-            port: PortId(0),
-        };
-        assert_eq!(link.direction_from(stranger), None);
+        assert_eq!(link.receiver(0), b);
+        assert_eq!(link.receiver(1), a);
     }
 }

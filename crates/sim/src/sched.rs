@@ -52,18 +52,59 @@
 //! `floor`, so an event the wheel skips either pops later below `floor`
 //! or is still queued below it when the wheel is dropped; both panic.
 
+use crate::link::Endpoint;
+use crate::node::{NodeId, PortId};
 use crate::world::EventKind;
 use sc_net::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::ManuallyDrop;
 
 /// A queued event: total order by `(time, seq)` — `seq` is the globally
 /// unique origin key, so simultaneous events keep a deterministic order
 /// that does not depend on insertion interleaving.
+///
+/// The event is stored flat, so that a push writes each field into its
+/// bucket from a register. The kind is one tag and one word, and the
+/// endpoint it happens at rides beside it as two `u32`s (`port` is 0
+/// for timers, both are 0 for controls). A kind that carried its
+/// endpoint would be an enum built in a stack temporary and copied into
+/// the bucket with 16-byte loads straddling the temporary's narrower
+/// stores: a store-forwarding stall on every push. The kind sits in a
+/// `ManuallyDrop` for the same reason. An event without drop glue needs
+/// no unwinding path that holds it in memory while its bucket grows.
+/// Every kind leaves the wheel through [`Queued::into_event`], on pop
+/// or when the wheel is dropped.
 pub(crate) struct Queued {
     pub(crate) time: SimTime,
     pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
+    node: u32,
+    port: u32,
+    kind: ManuallyDrop<EventKind>,
+}
+
+impl Queued {
+    #[inline]
+    fn new(time: SimTime, seq: u64, at: Endpoint, kind: EventKind) -> Queued {
+        Queued {
+            time,
+            seq,
+            // The kernel keeps node and port indices below 2^32.
+            node: at.node.0 as u32,
+            port: at.port.0 as u32,
+            kind: ManuallyDrop::new(kind),
+        }
+    }
+
+    /// The endpoint the event happens at, and its kind.
+    #[inline]
+    pub(crate) fn into_event(self) -> (Endpoint, EventKind) {
+        let at = Endpoint {
+            node: NodeId(self.node as usize),
+            port: PortId(self.port as usize),
+        };
+        (at, ManuallyDrop::into_inner(self.kind))
+    }
 }
 
 impl PartialEq for Queued {
@@ -96,7 +137,9 @@ const BITMAP_WORDS: usize = SLOTS / 64;
 const CONSUMED: Queued = Queued {
     time: SimTime::ZERO,
     seq: 0,
-    kind: EventKind::Control(usize::MAX),
+    node: 0,
+    port: 0,
+    kind: ManuallyDrop::new(EventKind::Control(usize::MAX)),
 };
 
 /// The hierarchical timer wheel (see the module docs for the layout).
@@ -153,22 +196,26 @@ impl TimerWheel {
         }
     }
 
-    /// Insert an event. `ev.time` is never earlier than the time of the
-    /// most recently popped event (the kernel's clock is monotonic).
+    /// Insert an event of `kind` at `at`. `time` is never earlier than
+    /// the time of the most recently popped event (the kernel's clock is
+    /// monotonic). Each branch builds its own [`Queued`]: one shared by
+    /// all three would live in memory for the out-of-line ones, and the
+    /// wheel's copy would be a wide reload of it.
     #[inline]
-    pub(crate) fn push(&mut self, ev: Queued) {
+    pub(crate) fn push(&mut self, time: SimTime, seq: u64, at: Endpoint, kind: EventKind) {
         #[cfg(debug_assertions)]
-        self.order.pushed(key(&ev));
-        let bucket = bucket_of(ev.time);
+        self.order.pushed((time, seq));
+        let ev = move || Queued::new(time, seq, at, kind);
+        let bucket = bucket_of(time);
         if bucket <= self.base_bucket {
             // At-or-behind the batch being drained (an event scheduled
             // for "now", or a push after a deadline-bounded run parked
             // the base ahead of the clock): merge into the batch.
-            self.push_active(ev);
+            self.push_active(ev());
         } else if bucket < self.base_bucket + SLOTS as u64 {
-            self.push_wheel(bucket, ev);
+            self.push_wheel(bucket, ev());
         } else {
-            self.overflow.push(Reverse(ev));
+            self.overflow.push(Reverse(ev()));
         }
     }
 
@@ -379,23 +426,26 @@ impl OrderCheck {
     }
 }
 
-#[cfg(debug_assertions)]
 impl Drop for TimerWheel {
-    /// Every event still queued must be one a later pop could return in
-    /// order: above `floor`, or among the keys pushed below it.
+    /// Hand back every kind still queued, so that frames in flight are
+    /// released. In debug builds each event must first be one a later pop
+    /// could return in order: above `floor`, or among the keys pushed
+    /// below it.
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
-        }
-        let queued = self.slots.iter().flatten();
-        let queued = queued.chain(&self.active[self.active_at..]);
-        for ev in queued.chain(self.overflow.iter().map(|Reverse(ev)| ev)) {
-            let k = key(ev);
-            assert!(
-                Some(k) > self.order.floor || self.order.low.contains(&k),
-                "skipped event: {k:?} still queued after {:?}",
-                self.order.floor
-            );
+        let slots = self.slots.iter_mut().flat_map(|s| s.drain(..));
+        let active = self.active.drain(self.active_at..);
+        let overflow = self.overflow.drain().map(|Reverse(ev)| ev);
+        for ev in slots.chain(active).chain(overflow) {
+            #[cfg(debug_assertions)]
+            if !std::thread::panicking() {
+                let k = key(&ev);
+                assert!(
+                    Some(k) > self.order.floor || self.order.low.contains(&k),
+                    "skipped event: {k:?} still queued after {:?}",
+                    self.order.floor
+                );
+            }
+            drop(ev.into_event());
         }
     }
 }
@@ -406,12 +456,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn ev(time_ns: u64, seq: u64) -> Queued {
-        Queued {
-            time: SimTime::from_nanos(time_ns),
+    fn push_at(w: &mut TimerWheel, time_ns: u64, seq: u64) {
+        let at = Endpoint {
+            node: NodeId(0),
+            port: PortId(0),
+        };
+        w.push(
+            SimTime::from_nanos(time_ns),
             seq,
-            kind: EventKind::Control(seq as usize),
-        }
+            at,
+            EventKind::Control(seq as usize),
+        );
     }
 
     fn drain_keys(w: &mut TimerWheel) -> Vec<(u64, u64)> {
@@ -427,9 +482,9 @@ mod tests {
         let mut w = TimerWheel::new();
         // Three events inside one 2.048 µs bucket (2,048..4,096 ns), two
         // at the same instant: order must be (time, seq).
-        w.push(ev(4_050, 2));
-        w.push(ev(4_000, 3));
-        w.push(ev(4_000, 1));
+        push_at(&mut w, 4_050, 2);
+        push_at(&mut w, 4_000, 3);
+        push_at(&mut w, 4_000, 1);
         assert_eq!(drain_keys(&mut w), vec![(4_000, 1), (4_000, 3), (4_050, 2)]);
     }
 
@@ -437,10 +492,10 @@ mod tests {
     fn wheel_promotes_overflow_in_order() {
         let mut w = TimerWheel::new();
         // Far beyond the ~524 µs horizon: keepalive-scale timers.
-        w.push(ev(30_000_000_000, 1));
-        w.push(ev(90_000_000_000, 2));
+        push_at(&mut w, 30_000_000_000, 1);
+        push_at(&mut w, 90_000_000_000, 2);
         // Near events.
-        w.push(ev(10_000, 3));
+        push_at(&mut w, 10_000, 3);
         assert_eq!(w.len(), 3);
         assert_eq!(
             drain_keys(&mut w),
@@ -452,8 +507,8 @@ mod tests {
     #[test]
     fn pop_before_respects_deadline_across_regions() {
         let mut w = TimerWheel::new();
-        w.push(ev(1_000, 1));
-        w.push(ev(50_000_000_000, 2)); // overflow
+        push_at(&mut w, 1_000, 1);
+        push_at(&mut w, 50_000_000_000, 2); // overflow
         assert!(w.pop_before(SimTime::from_nanos(999)).is_none());
         assert_eq!(w.pop_before(SimTime::from_nanos(1_000)).unwrap().seq, 1);
         // Next event is in overflow; deadline short of it returns None
@@ -508,7 +563,7 @@ mod tests {
                 let stream = rng.gen_range(0..STREAMS);
                 let seq = ((stream as u64) << 44) | ctr[stream];
                 ctr[stream] += 1;
-                wheel.push(ev(t, seq));
+                push_at(wheel, t, seq);
                 heap.0.push(Reverse((t, seq)));
                 (t, seq)
             };
@@ -573,11 +628,32 @@ mod tests {
     fn order_check_catches_a_disordered_active_batch() {
         let mut w = TimerWheel::new();
         for seq in 0..3 {
-            w.push(ev(1_000, seq));
+            push_at(&mut w, 1_000, seq);
         }
         assert_eq!(w.pop().map(|e| e.seq), Some(0));
         w.active.swap(1, 2);
         while w.pop().is_some() {}
+    }
+
+    /// The wheel holds each kind in a `ManuallyDrop`, so dropping it must
+    /// hand back what is still queued: a frame in the active batch, in a
+    /// bucket and in the overflow heap is released, not leaked.
+    #[test]
+    fn dropping_the_wheel_releases_queued_frames() {
+        let frame = sc_net::Frame::new(vec![0; 64]);
+        let mut w = TimerWheel::new();
+        let at = Endpoint {
+            node: NodeId(0),
+            port: PortId(0),
+        };
+        for (seq, time_ns) in [0, 10_000, 50_000_000_000].into_iter().enumerate() {
+            let kind = EventKind::Deliver(frame.clone());
+            w.push(SimTime::from_nanos(time_ns), seq as u64, at, kind);
+        }
+        assert_eq!((w.active.len(), w.wheel_len, w.overflow.len()), (1, 1, 1));
+        assert_eq!(frame.ref_count(), 4);
+        drop(w);
+        assert_eq!(frame.ref_count(), 1);
     }
 
     #[test]
@@ -589,7 +665,7 @@ mod tests {
         let step = 10_000u64; // ~4.9 buckets
         for seq in 0..(3 * SLOTS) as u64 {
             now += step;
-            w.push(ev(now, seq));
+            push_at(&mut w, now, seq);
             let e = w.pop().unwrap();
             assert_eq!((e.time.as_nanos(), e.seq), (now, seq));
         }

@@ -132,11 +132,11 @@ mod tests {
             };
             self.wakeup.arm(&mut ctx, deadline);
             while let Some(ev) = self.kernel.queue.pop() {
-                let EventKind::Timer { node: to, token } = ev.kind else {
+                let at = ev.time;
+                let (to, EventKind::Timer(token)) = ev.into_event() else {
                     panic!("a wakeup only sets timers");
                 };
-                let at = ev.time;
-                assert_eq!((to, token), (node, TOKEN));
+                assert_eq!((to.node, token), (node, TOKEN));
                 assert!(at >= self.now);
                 *self.pending.entry(at).or_insert(0) += 1;
                 self.newest = Some(at);

@@ -14,7 +14,7 @@
 
 use crate::link::{Endpoint, Link, LinkId, LinkParams};
 use crate::node::{Ctx, Node, NodeId, PortId, TimerToken};
-use crate::sched::{Queued, TimerWheel};
+use crate::sched::TimerWheel;
 use crate::trace::Trace;
 use sc_net::metrics::Registry;
 use sc_net::{Frame, SimDuration, SimTime};
@@ -68,37 +68,58 @@ impl WorldStats {
     }
 }
 
+/// What a queued event does at its endpoint (see
+/// [`Queued`](crate::sched::Queued)). Every payload is one 8-byte word,
+/// so the enum is a (tag, word) pair passed in two registers; a `bool`
+/// payload would pass it through memory.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// A frame finishing its flight, to be handed to the receiver. The
-    /// payload is a pointer-sized [`Frame`], not an owned byte vector —
-    /// the queue moves refcounts, never frame bytes.
-    Deliver {
-        to: Endpoint,
-        frame: Frame,
-    },
-    /// A frame leaving a node after a processing delay.
-    Emit {
-        from: Endpoint,
-        frame: Frame,
-    },
-    Timer {
-        node: NodeId,
-        token: TimerToken,
-    },
-    LinkStatus {
-        to: Endpoint,
-        up: bool,
-    },
+    /// A frame finishing its flight, to be handed to the receiving
+    /// endpoint. The payload is a pointer-sized [`Frame`], not an owned
+    /// byte vector — the queue moves refcounts, never frame bytes.
+    Deliver(Frame),
+    /// A frame leaving the sending endpoint after a processing delay.
+    Emit(Frame),
+    /// A timer of the endpoint's node.
+    Timer(TimerToken),
+    /// Carrier returned at the endpoint.
+    LinkUp,
+    /// Carrier lost at the endpoint.
+    LinkDown,
     Control(usize),
 }
+
+impl EventKind {
+    fn carrier(up: bool) -> EventKind {
+        if up {
+            EventKind::LinkUp
+        } else {
+            EventKind::LinkDown
+        }
+    }
+}
+
+/// The endpoint a timer of `node` happens at.
+fn at_node(node: NodeId) -> Endpoint {
+    Endpoint {
+        node,
+        port: PortId(0),
+    }
+}
+
+/// The endpoint a control event carries (it happens at none).
+const NO_ENDPOINT: Endpoint = Endpoint {
+    node: NodeId(0),
+    port: PortId(0),
+};
 
 /// What the kernel keeps of a node besides the object itself.
 pub(crate) struct Slot {
     name: String,
     alive: bool,
-    /// Port index -> link attached there.
-    ports: Vec<Option<LinkId>>,
+    /// Port index -> the link attached there and the direction the port
+    /// sends in (0: the port is the link's `a` end).
+    ports: Vec<(LinkId, usize)>,
     /// This node's origin-key emission counter (see the module docs).
     emit_ctr: u64,
     stats: NodeStats,
@@ -158,6 +179,8 @@ impl Kernel {
 
     /// Open the slot of the next node.
     pub(crate) fn add_slot(&mut self, name: &str) -> NodeId {
+        // The queue stores node and port indices as `u32`s.
+        assert!(self.slots.len() < u32::MAX as usize, "too many nodes");
         self.slots.push(Slot {
             name: name.to_string(),
             alive: true,
@@ -173,9 +196,9 @@ impl Kernel {
     /// anything pushed by the driver rather than from a node
     /// handler. Stream-0 keys sort below every node key, so co-timed
     /// control effects always precede co-timed node traffic.
-    fn push(&mut self, time: SimTime, kind: EventKind) {
+    fn push(&mut self, time: SimTime, at: Endpoint, kind: EventKind) {
         let seq = self.next_world_key();
-        self.queue.push(Queued { time, seq, kind });
+        self.queue.push(time, seq, at, kind);
     }
 
     /// Next origin key on stream 0 (also the causal stamp for dispatches
@@ -204,28 +227,25 @@ impl Kernel {
             self.emit(from, frame);
         } else {
             let seq = self.key_for_node(from.node.0);
-            self.queue.push(Queued {
-                time: at,
-                seq,
-                kind: EventKind::Emit { from, frame },
-            });
+            self.queue.push(at, seq, from, EventKind::Emit(frame));
         }
     }
 
     /// Arm `node`'s timer `token` at `at` (an overdue one fires now).
     pub(crate) fn set_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let seq = self.key_for_node(node.0);
-        self.queue.push(Queued {
-            time: at.max(self.now),
+        self.queue.push(
+            at.max(self.now),
             seq,
-            kind: EventKind::Timer { node, token },
-        });
+            at_node(node),
+            EventKind::Timer(token),
+        );
     }
 
     /// Put a frame onto the wire from `from`, applying link faults and
     /// timing. Called at the frame's emission time.
     fn emit(&mut self, from: Endpoint, frame: Frame) {
-        let Some(Some(link_id)) = self.slots[from.node.0].ports.get(from.port.0).copied() else {
+        let Some(&(link_id, dir)) = self.slots[from.node.0].ports.get(from.port.0) else {
             self.stats.frames_dropped_no_link += 1;
             return;
         };
@@ -234,9 +254,7 @@ impl Kernel {
             self.stats.frames_dropped_link_down += 1;
             return;
         }
-        let (dir, peer) = link
-            .direction_from(from)
-            .expect("port/link wiring inconsistent");
+        let peer = link.receiver(dir);
         // Fault injection from the link direction's counted stream.
         let mut frame = frame;
         let corrupted = match link.apply_faults(dir, &mut frame) {
@@ -254,11 +272,8 @@ impl Kernel {
         // pure function of which node emitted and how many times, never
         // of global interleaving — the root of the order's determinism.
         let seq = self.key_for_node(from.node.0);
-        self.queue.push(Queued {
-            time: arrival,
-            seq,
-            kind: EventKind::Deliver { to: peer, frame },
-        });
+        self.queue
+            .push(arrival, seq, peer, EventKind::Deliver(frame));
     }
 }
 
@@ -377,9 +392,11 @@ impl World {
     ) -> (LinkId, PortId, PortId) {
         let pa = PortId(self.k.slots[a.0].ports.len());
         let pb = PortId(self.k.slots[b.0].ports.len());
+        // The queue stores port indices as `u32`s.
+        assert!(pa.0.max(pb.0) < u32::MAX as usize, "too many ports");
         let id = LinkId(self.k.links.len());
-        self.k.slots[a.0].ports.push(Some(id));
-        self.k.slots[b.0].ports.push(Some(id));
+        self.k.slots[a.0].ports.push((id, 0));
+        self.k.slots[b.0].ports.push((id, 1));
         // Each link's fault streams are seeded from (world seed, link
         // index); the link decorrelates its two directions itself.
         let fault_seed = self
@@ -403,8 +420,8 @@ impl World {
         }
         k.links[link.0].up = up;
         let (a, b) = (k.links[link.0].a, k.links[link.0].b);
-        k.push(k.now, EventKind::LinkStatus { to: a, up });
-        k.push(k.now, EventKind::LinkStatus { to: b, up });
+        k.push(k.now, a, EventKind::carrier(up));
+        k.push(k.now, b, EventKind::carrier(up));
     }
 
     /// Whether a link is currently up.
@@ -414,44 +431,52 @@ impl World {
 
     /// The link's current fault/timing parameters.
     pub fn link_params(&self, link: LinkId) -> LinkParams {
-        self.k.links[link.0].params
+        self.k.links[link.0].params()
     }
 
     /// Replace a link's parameters mid-run (scripted chaos: loss or
     /// corruption bursts, latency shifts). Frames already in flight keep
     /// the timing they were emitted with; future emissions see the new
-    /// parameters. Faults stay seeded — which frames are hit is still a
-    /// pure function of the world seed.
+    /// parameters, the serialization cost per byte included: it is
+    /// recomputed here from the new bandwidth, the only place it can
+    /// change. Faults stay seeded — which frames are hit is still a pure
+    /// function of the world seed.
     pub fn set_link_params(&mut self, link: LinkId, params: LinkParams) {
-        self.k.links[link.0].params = params;
+        self.k.links[link.0].set_params(params);
     }
 
     /// The link attached to `(node, port)`, if any — read-only topology
     /// introspection for observers (e.g. the invariant engine's FIB
     /// walks) that trace frames through the wiring without sending any.
     pub fn link_at(&self, node: NodeId, port: PortId) -> Option<LinkId> {
-        self.k
-            .slots
-            .get(node.0)?
-            .ports
-            .get(port.0)
-            .copied()
-            .flatten()
+        self.port(node, port).map(|(link, _)| link)
     }
 
     /// The far end of the link attached to `(node, port)`, if any.
     pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<Endpoint> {
-        let link = &self.k.links[self.link_at(node, port)?.0];
-        let here = Endpoint { node, port };
-        link.direction_from(here).map(|(_, peer)| peer)
+        let (link, dir) = self.port(node, port)?;
+        Some(self.k.links[link.0].receiver(dir))
+    }
+
+    /// The link attached to `(node, port)` and the direction it sends in.
+    fn port(&self, node: NodeId, port: PortId) -> Option<(LinkId, usize)> {
+        self.k.slots.get(node.0)?.ports.get(port.0).copied()
+    }
+
+    /// Every link attached to node `id`.
+    fn attached(&self, id: NodeId) -> Vec<LinkId> {
+        self.k.slots[id.0]
+            .ports
+            .iter()
+            .map(|&(link, _)| link)
+            .collect()
     }
 
     /// Crash a node: it stops receiving frames and timers, and all its
     /// links go down (peers see carrier loss).
     pub fn crash_node(&mut self, id: NodeId) {
         self.k.slots[id.0].alive = false;
-        let attached: Vec<LinkId> = self.k.slots[id.0].ports.iter().flatten().copied().collect();
-        for l in attached {
+        for l in self.attached(id) {
             self.set_link_up(l, false);
         }
     }
@@ -476,8 +501,7 @@ impl World {
         self.k.slots[id.0].name = node.name().to_string();
         self.k.slots[id.0].alive = true;
         self.objs[id.0] = Box::new(node);
-        let attached: Vec<LinkId> = self.k.slots[id.0].ports.iter().flatten().copied().collect();
-        for l in attached {
+        for l in self.attached(id) {
             self.set_link_up(l, true);
         }
         if self.started {
@@ -491,7 +515,7 @@ impl World {
     /// the world started, e.g. the traffic source's start time).
     pub fn wake_node(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
         assert!(at >= self.k.now, "wake_node scheduled in the past");
-        self.k.push(at, EventKind::Timer { node, token });
+        self.k.push(at, at_node(node), EventKind::Timer(token));
     }
 
     /// Schedule a scripted control action (e.g. "fail R2 at t=Y") with
@@ -500,7 +524,7 @@ impl World {
         assert!(at >= self.k.now, "control event scheduled in the past");
         let idx = self.controls.len();
         self.controls.push(Some(Box::new(f)));
-        self.k.push(at, EventKind::Control(idx));
+        self.k.push(at, NO_ENDPOINT, EventKind::Control(idx));
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
@@ -520,7 +544,8 @@ impl World {
         self.k.now = ev.time;
         self.k.until = ev.time;
         self.k.stats.events_processed += 1;
-        self.handle(ev.seq, ev.kind);
+        let (cause, (at, kind)) = (ev.seq, ev.into_event());
+        self.handle(cause, at, kind);
         true
     }
 
@@ -532,7 +557,8 @@ impl World {
         while let Some(ev) = self.k.queue.pop_before(deadline) {
             self.k.now = ev.time;
             self.k.stats.events_processed += 1;
-            self.handle(ev.seq, ev.kind);
+            let (cause, (at, kind)) = (ev.seq, ev.into_event());
+            self.handle(cause, at, kind);
         }
         if self.k.now < deadline {
             self.k.now = deadline;
@@ -572,40 +598,41 @@ impl World {
         }
     }
 
-    /// Process one event; `cause` is its origin key (the causal stamp
-    /// for every trace record the dispatch emits).
-    fn handle(&mut self, cause: u64, kind: EventKind) {
+    /// Process one event of `kind` at `at`; `cause` is its origin key
+    /// (the causal stamp for every trace record the dispatch emits).
+    fn handle(&mut self, cause: u64, at: Endpoint, kind: EventKind) {
         let k = &mut self.k;
         match kind {
-            EventKind::Deliver { to, frame } => {
-                if !k.slots[to.node.0].alive {
+            EventKind::Deliver(frame) => {
+                if !k.slots[at.node.0].alive {
                     k.stats.frames_dropped_dead_node += 1;
                     return;
                 }
                 k.stats.frames_delivered += 1;
-                k.slots[to.node.0].stats.frames_delivered += 1;
-                self.dispatch(to.node, cause, |node, ctx| {
-                    node.on_frame(ctx, to.port, frame)
+                k.slots[at.node.0].stats.frames_delivered += 1;
+                self.dispatch(at.node, cause, |node, ctx| {
+                    node.on_frame(ctx, at.port, frame)
                 });
             }
-            EventKind::Emit { from, frame } => {
-                k.emit(from, frame);
+            EventKind::Emit(frame) => {
+                k.emit(at, frame);
             }
-            EventKind::Timer { node, token } => {
-                if !k.slots[node.0].alive {
+            EventKind::Timer(token) => {
+                if !k.slots[at.node.0].alive {
                     k.stats.timers_dropped_dead_node += 1;
                     return;
                 }
                 k.stats.timers_fired += 1;
-                k.slots[node.0].stats.timers_fired += 1;
-                self.dispatch(node, cause, |n, ctx| n.on_timer(ctx, token));
+                k.slots[at.node.0].stats.timers_fired += 1;
+                self.dispatch(at.node, cause, |n, ctx| n.on_timer(ctx, token));
             }
-            EventKind::LinkStatus { to, up } => {
+            EventKind::LinkUp | EventKind::LinkDown => {
+                let up = matches!(kind, EventKind::LinkUp);
                 k.stats.link_status_events += 1;
-                if !k.slots[to.node.0].alive {
+                if !k.slots[at.node.0].alive {
                     return;
                 }
-                self.dispatch(to.node, cause, |n, ctx| n.on_link_status(ctx, to.port, up));
+                self.dispatch(at.node, cause, |n, ctx| n.on_link_status(ctx, at.port, up));
             }
             EventKind::Control(idx) => {
                 k.stats.control_events += 1;
@@ -949,6 +976,55 @@ mod tests {
         assert_eq!(seen.len(), 2);
         let gap = seen[1].0 - seen[0].0;
         assert_eq!(gap, SimDuration::from_nanos(512));
+    }
+
+    /// A bandwidth change mid-run times the next emission at the new rate:
+    /// 1 Gb/s (16 ns for a 2-byte tick), then 10 Mb/s (1,600 ns), then
+    /// 3 b/s, which takes the division (5,333,333,333 ns) and queues the
+    /// last tick behind the one before it. The literals are
+    /// `now + len · 8 · 10⁹ / bps + 10 µs`.
+    #[test]
+    fn set_link_params_retimes_the_next_emission() {
+        let mut w = World::new(12);
+        let a = w.add_node(Ticker {
+            name: "ticker".into(),
+            period: SimDuration::from_millis(1),
+            ticks: 0,
+            max_ticks: 6,
+            out_port: PortId(0),
+        });
+        let b = w.add_node(Echo::new("sink", SimDuration::ZERO));
+        let (l, _, _) = w.connect(a, b, LinkParams::gigabit(SimDuration::from_micros(10)));
+        for (at_us, bps) in [(2_500, 10_000_000), (4_500, 3)] {
+            w.schedule(SimTime::from_micros(at_us), move |w| {
+                let p = w.link_params(l);
+                w.set_link_params(
+                    l,
+                    LinkParams {
+                        bandwidth_bps: Some(bps),
+                        ..p
+                    },
+                );
+            });
+        }
+        w.run_until_idle(1_000);
+        let arrivals: Vec<u64> = w
+            .node::<Echo>(b)
+            .seen
+            .iter()
+            .map(|s| s.0.as_nanos())
+            .collect();
+        assert_eq!(
+            arrivals,
+            [
+                1_010_016,
+                2_010_016,
+                3_011_600,
+                4_011_600,
+                5_338_343_333,
+                10_671_676_666
+            ]
+        );
     }
 
     #[test]

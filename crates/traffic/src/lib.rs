@@ -229,6 +229,15 @@ struct FlowState {
     max_gap_end: Option<SimTime>,
 }
 
+impl FlowState {
+    /// Where the flow's next gap starts: its last arrival, or the window
+    /// start if it has not delivered since then.
+    fn gap_start(&self, window_start: SimTime) -> SimTime {
+        self.last_arrival
+            .map_or(window_start, |t| t.max(window_start))
+    }
+}
+
 /// One row of the sink's report.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowReport {
@@ -295,9 +304,9 @@ impl TrafficSink {
     }
 
     /// Begin a fresh measurement window at `now`: clears max-gap state
-    /// but keeps packet counters. A flow that has already seen traffic
-    /// measures its next gap from its last pre-window arrival; a flow
-    /// that never delivered measures from the window start.
+    /// but keeps packet counters. Every flow measures its first gap in
+    /// the window from the window start, whether or not it delivered
+    /// before.
     pub fn reset_window(&mut self, now: SimTime) {
         self.window_start = now;
         for f in &mut self.flows {
@@ -333,11 +342,7 @@ impl TrafficSink {
     /// converged.
     pub fn close_window(&mut self, now: SimTime) {
         for f in &mut self.flows {
-            let reference = f
-                .last_arrival
-                .unwrap_or(self.window_start)
-                .max(self.window_start);
-            let open_gap = now.saturating_duration_since(reference);
+            let open_gap = now.saturating_duration_since(f.gap_start(self.window_start));
             if open_gap > f.max_gap {
                 f.max_gap = open_gap;
                 f.max_gap_end = None; // never recovered
@@ -368,19 +373,10 @@ impl Node for TrafficSink {
         if f.first_arrival.is_none() {
             f.first_arrival = Some(now);
         }
-        // Gap since the last arrival (or since the window start for
-        // flows that had not delivered since the reset).
-        let reference = match f.last_arrival {
-            Some(t) if t >= self.window_start => Some(t),
-            Some(t) => Some(t.max(self.window_start)),
-            None => Some(self.window_start),
-        };
-        if let Some(r) = reference {
-            let gap = now.saturating_duration_since(r);
-            if gap > f.max_gap {
-                f.max_gap = gap;
-                f.max_gap_end = Some(now);
-            }
+        let gap = now.saturating_duration_since(f.gap_start(self.window_start));
+        if gap > f.max_gap {
+            f.max_gap = gap;
+            f.max_gap_end = Some(now);
         }
         f.last_arrival = Some(now);
     }
@@ -506,6 +502,48 @@ mod tests {
             assert_eq!(r.max_gap.as_nanos() % 70_000, 0, "quantized to 70µs");
             assert!(r.recovered_at.is_some());
         }
+    }
+
+    /// A window reset during an outage: the flow's first gap in the new
+    /// window runs from the window start (1.5 s), not from its last
+    /// arrival before the cut (1 s), to the first arrival after the link
+    /// returns at 1.6 s.
+    #[test]
+    fn first_gap_after_a_reset_starts_at_the_window() {
+        let mut w = World::new(5);
+        let fl = flows(1);
+        let src_cfg = SourceConfig {
+            rate_pps: 1_000,
+            ..SourceConfig::paper(
+                "src",
+                SRC_MAC,
+                Ipv4Addr::new(10, 0, 0, 100),
+                GW_MAC,
+                fl.clone(),
+                SimTime::ZERO,
+                SimTime::from_secs(2),
+            )
+        };
+        let sink = w.add_node(TrafficSink::new(SinkConfig::paper("sink", fl)));
+        let src = w.add_node(TrafficSource::new(src_cfg, PortId(0)));
+        let (link, _, _) = w.connect(src, sink, LinkParams::default());
+        w.schedule(SimTime::from_secs(1), move |w| w.set_link_up(link, false));
+        w.schedule(SimTime::from_millis(1_500), move |w| {
+            let now = w.now();
+            w.node_mut::<TrafficSink>(sink).reset_window(now);
+        });
+        w.schedule(SimTime::from_millis(1_600), move |w| {
+            w.set_link_up(link, true)
+        });
+        w.run_until_idle(5_000_000);
+        let r = &w.node::<TrafficSink>(sink).report()[0];
+        let back = r.recovered_at.expect("the flow recovered");
+        assert!(back > SimTime::from_millis(1_600) && back <= SimTime::from_millis(1_602));
+        let from_window = back.saturating_duration_since(SimTime::from_millis(1_500));
+        assert_eq!(
+            r.max_gap,
+            from_window.quantize_up(SimDuration::from_micros(70))
+        );
     }
 
     /// A flow that never recovers must report an open-ended gap, not
