@@ -19,6 +19,7 @@
 //! The bin prints; it checks nothing. The paper's claims about this
 //! figure are assertions against a closed-form model in
 //! `crates/scenarios/tests/lab_e2e.rs`, run by `cargo test`.
+#![allow(clippy::disallowed_macros, reason = "a CLI: printing is its job")]
 
 use sc_bench::{fig5_label, Args, Table};
 use sc_lab::{BoxStats, Csv, Mode};

@@ -19,6 +19,7 @@
 //! per mode goes to stdout (the `scenarios --jsonl` row shape); `--out`
 //! writes the report: identical invocations produce byte-identical
 //! files, the determinism contract CI checks.
+#![allow(clippy::disallowed_macros, reason = "a CLI: printing is its job")]
 
 use sc_bench::replay::{fixture_archives, generated_archives, replay_suite, ReplayParams};
 use sc_bench::Args;

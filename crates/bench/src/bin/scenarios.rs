@@ -44,6 +44,7 @@
 //!   byte-reproducible — what the CI smoke diffs across reruns. The
 //!   JSON adds each flow's gap and full per-cycle
 //!   statistics.
+#![allow(clippy::disallowed_macros, reason = "a CLI: printing is its job")]
 
 use sc_bench::{fig5_label, Args, Table};
 use sc_lab::Mode;

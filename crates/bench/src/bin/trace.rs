@@ -29,6 +29,7 @@
 //! dumps and prints one line per differing counter — the quickest way
 //! to see what a config change did to the pipeline (e.g. legacy vs
 //! supercharged flow-mod traffic, or retry counts under chaos).
+#![allow(clippy::disallowed_macros, reason = "a CLI: printing is its job")]
 
 use sc_bench::{fig5_label, Args, Table};
 use sc_lab::Mode;

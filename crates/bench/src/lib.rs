@@ -88,6 +88,10 @@ impl Args {
     /// value that does not parse (`--prefixes 10k`) or is missing names
     /// the flag and exits 2 — running the default world instead would
     /// answer a question nobody asked.
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "the bins' usage error, printed before any world exists"
+    )]
     pub fn opt_value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.try_value(name).unwrap_or_else(|bad| {
             eprintln!("{name} {bad}: not a valid value");

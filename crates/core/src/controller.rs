@@ -21,8 +21,11 @@ use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
 use sc_bgp::msg::BgpMessage;
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::PeerId;
-// sc-check: allow(layering) -- the controller still drives channels directly; unpicking this is the ROADMAP sans-io refactor
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+#[allow(
+    clippy::disallowed_types,
+    reason = "pump_session still takes channel events; see ROADMAP item 11 (sans-io)"
+)]
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
     peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
@@ -114,7 +117,7 @@ pub struct ControllerConfig {
     /// detect-mult x interval by an order of magnitude.
     pub portstatus_failover: bool,
     /// Seed for the retry backoff jitter — the only randomness this node
-    /// is allowed (sc-check `no-ambient-randomness`).
+    /// has: `splitmix64` of it, never ambient entropy.
     pub seed: u64,
     /// Send an OpenFlow ECHO_REQUEST to the switch at this cadence so
     /// the switch-side liveness deadline keeps hearing from us even when
@@ -206,7 +209,6 @@ impl Controller {
     pub fn new(cfg: ControllerConfig, port: PortId) -> Controller {
         let engine = Engine::new(cfg.engine.clone());
         let switch_chan = ChannelPort::connect(
-            ChannelConfig::default(),
             UdpEndpoints {
                 src_mac: cfg.mac,
                 dst_mac: cfg.switch.switch_mac,
@@ -219,7 +221,6 @@ impl Controller {
             TIMER_SWITCH_CHAN,
         );
         let router_chan = ChannelPort::listen(
-            ChannelConfig::default(),
             UdpEndpoints {
                 src_mac: cfg.mac,
                 dst_mac: cfg.router.router_mac,
@@ -243,7 +244,6 @@ impl Controller {
             .map(|(i, link)| PeerSessionState {
                 link: *link,
                 chan: ChannelPort::connect(
-                    ChannelConfig::default(),
                     UdpEndpoints {
                         src_mac: cfg.mac,
                         dst_mac: link.spec.mac,
@@ -1014,6 +1014,10 @@ impl Node for Controller {
 }
 
 /// Drive a BGP session with one event of the channel that carries it.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the controller still drives channels directly; see ROADMAP item 11 (sans-io)"
+)]
 fn pump_session(
     session: &mut Session,
     ev: ChannelEvent<'_>,

@@ -751,7 +751,7 @@ mod tests {
         assert_eq!(e.groups().len(), 1);
         assert_eq!(e.groups().iter().next().unwrap().prefixes, 4);
         // All announcements carry the same VNH.
-        let vnhs: std::collections::HashSet<Ipv4Addr> = actions
+        let vnhs: std::collections::BTreeSet<Ipv4Addr> = actions
             .iter()
             .filter_map(|a| match a {
                 EngineAction::Announce { next_hop, .. } => Some(*next_hop),

@@ -10,7 +10,7 @@
 use crate::vnh::VnhAllocator;
 use sc_bgp::PeerId;
 // Deterministic hasher, not std's randomly seeded SipHash: controller
-// state must be identical across runs (sc-check `no-default-hasher`).
+// state must be identical across runs (clippy `disallowed_types`).
 use sc_net::FxHashMap;
 use sc_net::MacAddr;
 use std::net::Ipv4Addr;

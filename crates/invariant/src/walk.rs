@@ -10,7 +10,7 @@
 
 use sc_net::MacAddr;
 // Deterministic hasher, not std's randomly seeded SipHash: the walker
-// runs inside byte-reproducible trials (sc-check `no-default-hasher`).
+// runs inside byte-reproducible trials (clippy `disallowed_types`).
 use sc_net::FxHashMap;
 use sc_sim::{NodeId, PortId};
 use std::net::Ipv4Addr;
@@ -156,10 +156,9 @@ pub const MAX_WALK_STATES: usize = 65_536;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     /// A map-backed view for tests: hop → step.
-    pub struct MapView(pub HashMap<Hop, Step>);
+    pub struct MapView(pub FxHashMap<Hop, Step>);
 
     impl ForwardingView for MapView {
         fn step(&self, hop: &Hop, _dst: Ipv4Addr) -> Step {
@@ -183,7 +182,7 @@ mod tests {
 
     #[test]
     fn linear_chain_delivers() {
-        let mut m = HashMap::new();
+        let mut m = FxHashMap::default();
         m.insert(hop(0), Step::Forward(vec![hop(1)]));
         m.insert(hop(1), Step::Forward(vec![hop(2)]));
         m.insert(hop(2), Step::Deliver);
@@ -194,7 +193,7 @@ mod tests {
 
     #[test]
     fn two_node_cycle_is_a_loop() {
-        let mut m = HashMap::new();
+        let mut m = FxHashMap::default();
         m.insert(hop(0), Step::Forward(vec![hop(1)]));
         m.insert(hop(1), Step::Forward(vec![hop(0)]));
         let r = walk(&MapView(m), hop(0), DST, MAX_WALK_STATES);
@@ -205,7 +204,7 @@ mod tests {
     fn diamond_join_is_not_a_loop() {
         // 0 → {1, 2} → 3 → deliver: node 3 is entered twice via
         // different paths, which must read as a join, not a cycle.
-        let mut m = HashMap::new();
+        let mut m = FxHashMap::default();
         let (h1, h2) = (hop(1), hop(2));
         m.insert(hop(0), Step::Forward(vec![h1, h2]));
         m.insert(h1, Step::Forward(vec![hop(3)]));
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn one_live_flood_branch_suffices() {
-        let mut m = HashMap::new();
+        let mut m = FxHashMap::default();
         m.insert(hop(0), Step::Forward(vec![hop(1), hop(2)]));
         m.insert(hop(1), Step::Drop(DropReason::NoRoute));
         m.insert(hop(2), Step::Deliver);

@@ -10,7 +10,10 @@
 //! `FxHasher`): a few instructions per word, fixed seed, so identical
 //! inputs hash identically in every process.
 
-// sc-check: allow(no-default-hasher) -- definition site: these imports exist to pin an explicit FxHasher onto std's map types
+#[allow(
+    clippy::disallowed_types,
+    reason = "definition site: these imports exist to pin an explicit FxHasher onto std's map types"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -81,10 +84,16 @@ impl Hasher for FxHasher {
 }
 
 /// A `HashMap` with the deterministic fast hasher.
-// sc-check: allow(no-default-hasher) -- this alias IS the deterministic replacement the rule points everyone at
+#[allow(
+    clippy::disallowed_types,
+    reason = "this alias IS the deterministic replacement the lint points everyone at"
+)]
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` with the deterministic fast hasher.
-// sc-check: allow(no-default-hasher) -- this alias IS the deterministic replacement the rule points everyone at
+#[allow(
+    clippy::disallowed_types,
+    reason = "this alias IS the deterministic replacement the lint points everyone at"
+)]
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

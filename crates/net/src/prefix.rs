@@ -47,9 +47,11 @@ impl Ipv4Prefix {
         Ipv4Addr::from(self.bits)
     }
 
-    /// The prefix length (mask bits — "empty" is not a meaningful
-    /// notion for a prefix, hence no `is_empty`).
-    #[allow(clippy::len_without_is_empty)]
+    /// The prefix length (mask bits).
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "\"empty\" is not a meaningful notion for a prefix"
+    )]
     pub fn len(self) -> u8 {
         self.len
     }

@@ -704,7 +704,6 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use sc_net::channel::ChannelConfig;
     use sc_net::wire::{udp_frame, EtherType, Ipv4Repr, UdpEndpoints, UdpRepr};
     use std::net::Ipv4Addr;
 
@@ -723,7 +722,7 @@ mod tests {
             src_port: SW_PORT,
             dst_port: CTRL_PORT,
         };
-        ChannelPort::listen(ChannelConfig::default(), addr, PortId(2), TimerToken(1))
+        ChannelPort::listen(addr, PortId(2), TimerToken(1))
     }
 
     /// What is done to a well-formed frame before the switch sees it.

@@ -1,8 +1,8 @@
 //! The stubs and the four-node lab the switch's integration tests share:
 //! two scripted hosts and a scripted controller around one [`OfSwitch`].
-#![allow(dead_code)] // each test binary uses its own part
+#![allow(dead_code, reason = "each test binary uses its own part")]
 
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::OfMessage;
@@ -34,6 +34,10 @@ impl Node for Host {
     fn name(&self) -> &str {
         &self.name
     }
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a test script of fixed instants: no deadline moves"
+    )]
     fn on_start(&mut self, ctx: &mut Ctx) {
         for (i, (at, _, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, TimerToken(i as u64 + 100));
@@ -80,6 +84,10 @@ impl Node for StubController {
     fn name(&self) -> &str {
         &self.name
     }
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a test script of fixed instants: no deadline moves"
+    )]
     fn on_start(&mut self, ctx: &mut Ctx) {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, TimerToken(i as u64 + 100));
@@ -176,19 +184,14 @@ pub fn build_around<N: Node>(table_miss: TableMiss, wrap: impl FnOnce(OfSwitch) 
         src_port: 40001,
         dst_port: sc_net::wire::udp::port::OPENFLOW,
     };
-    world.node_mut::<StubController>(ctrl).chan = Some(ChannelPort::connect(
-        ChannelConfig::default(),
-        ctrl_addr,
-        ctrl_port,
-        TimerToken(1),
-    ));
+    world.node_mut::<StubController>(ctrl).chan =
+        Some(ChannelPort::connect(ctrl_addr, ctrl_port, TimerToken(1)));
     {
         let sw_node = world.node_mut::<OfSwitch>(sw);
         sw_node.register_data_port(sw_port_a);
         sw_node.register_data_port(sw_port_b);
         sw_node.register_data_port(sw_port_c);
         sw_node.attach_controller(ChannelPort::listen(
-            ChannelConfig::default(),
             ctrl_addr.flipped(),
             sw_port_c,
             TimerToken(1),

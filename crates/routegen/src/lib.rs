@@ -320,7 +320,7 @@ mod tests {
     fn attribute_runs_share_arcs() {
         let cfg = FeedConfig::new(5_000, 11, Ipv4Addr::new(10, 0, 0, 2), 65002);
         let feed = generate_feed(&cfg);
-        let distinct_attr_sets: std::collections::HashSet<*const RouteAttrs> = feed
+        let distinct_attr_sets: std::collections::BTreeSet<*const RouteAttrs> = feed
             .iter()
             .map(|u| std::sync::Arc::as_ptr(u.attrs.as_ref().unwrap()))
             .collect();
@@ -349,7 +349,7 @@ mod tests {
         for ip in &ips {
             assert!(u.iter().any(|p| p.contains(*ip)));
         }
-        let dedup: std::collections::HashSet<_> = ips.iter().collect();
+        let dedup: std::collections::BTreeSet<_> = ips.iter().collect();
         assert_eq!(dedup.len(), ips.len(), "flows are distinct");
     }
 }

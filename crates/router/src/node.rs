@@ -22,7 +22,7 @@ use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::{AdjRibOut, LocRib, PeerInfo, Route};
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
     peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram,
@@ -310,9 +310,9 @@ impl LegacyRouter {
         let idx = self.peers.len();
         let timer = peer_timer(idx, PEER_TIMER_CHANNEL);
         let chan = if cfg.transport_active {
-            ChannelPort::connect(ChannelConfig::default(), addr, iface.port, timer)
+            ChannelPort::connect(addr, iface.port, timer)
         } else {
-            ChannelPort::listen(ChannelConfig::default(), addr, iface.port, timer)
+            ChannelPort::listen(addr, iface.port, timer)
         };
         let session = Session::new(SessionConfig {
             local_as: self.cfg.asn,

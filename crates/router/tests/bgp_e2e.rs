@@ -59,6 +59,10 @@ impl Node for Host {
     fn name(&self) -> &str {
         &self.name
     }
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a test script of fixed instants: no deadline moves"
+    )]
     fn on_start(&mut self, ctx: &mut Ctx) {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, TimerToken(i as u64));

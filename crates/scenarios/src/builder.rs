@@ -580,7 +580,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
         for (ci, p) in sw_ctrl_ports.iter().enumerate() {
             sw.register_data_port(*p);
             sw.attach_controller(sc_sim::ChannelPort::listen(
-                sc_net::channel::ChannelConfig::default(),
                 sc_net::wire::UdpEndpoints {
                     src_mac: MAC_SWITCH,
                     dst_mac: controller_mac(ci),

@@ -489,6 +489,10 @@ pub struct Trial {
 /// cells differ in more than (topology, script, mode), e.g. prefix
 /// count and seed. `workers` is as in [`SuiteConfig::workers`];
 /// `on_trial` and panic handling are as in [`run_suite_with`].
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned worker pool: whole trials, each on its own world"
+)]
 pub fn run_trials(
     trials: &[Trial],
     workers: Option<usize>,

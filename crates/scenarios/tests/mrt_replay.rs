@@ -66,7 +66,7 @@ fn mrt_feed_seeds_tables_with_rewritten_next_hops() {
             "provider {i} next-hops rewritten to its own address"
         );
         // Recorded attribute runs still share one Arc per run.
-        let distinct: std::collections::HashSet<*const sc_bgp::attrs::RouteAttrs> = feed
+        let distinct: std::collections::BTreeSet<*const sc_bgp::attrs::RouteAttrs> = feed
             .iter()
             .map(|u| std::sync::Arc::as_ptr(u.attrs.as_ref().unwrap()))
             .collect();

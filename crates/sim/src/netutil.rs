@@ -14,11 +14,11 @@ use sc_net::wire::{udp_frame_with, UdpDatagram, UdpEndpoints};
 use sc_net::SimTime;
 use std::net::Ipv4Addr;
 
-/// A reliable message channel bound to a UDP endpoint pair on one port.
+/// A reliable message channel bound to a UDP endpoint pair on one port,
+/// with the transport's default [`ChannelConfig`].
 #[derive(Debug)]
 pub struct ChannelPort {
     ep: Endpoint,
-    cfg: ChannelConfig,
     /// True for the active opener (reconnects with a SYN after
     /// [`ChannelPort::reset`]); false for the passive listener.
     active: bool,
@@ -33,33 +33,19 @@ pub struct ChannelPort {
 
 impl ChannelPort {
     /// Active opener (client side).
-    pub fn connect(
-        cfg: ChannelConfig,
-        addr: UdpEndpoints,
-        port: PortId,
-        timer: TimerToken,
-    ) -> ChannelPort {
-        ChannelPort {
-            ep: Endpoint::connect(cfg),
-            cfg,
-            active: true,
-            addr,
-            port,
-            rto: Wakeup::new(timer),
-        }
+    pub fn connect(addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
+        ChannelPort::new(true, addr, port, timer)
     }
 
     /// Passive listener (server side).
-    pub fn listen(
-        cfg: ChannelConfig,
-        addr: UdpEndpoints,
-        port: PortId,
-        timer: TimerToken,
-    ) -> ChannelPort {
+    pub fn listen(addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
+        ChannelPort::new(false, addr, port, timer)
+    }
+
+    fn new(active: bool, addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
         ChannelPort {
-            ep: Endpoint::listen(cfg),
-            cfg,
-            active: false,
+            ep: fresh_endpoint(active),
+            active,
             addr,
             port,
             rto: Wakeup::new(timer),
@@ -75,11 +61,7 @@ impl ChannelPort {
     /// [`sc_net::channel::ChannelEvent::Connected`] would never fire
     /// again, so the session could never re-establish.
     pub fn reset(&mut self) {
-        self.ep = if self.active {
-            Endpoint::connect(self.cfg)
-        } else {
-            Endpoint::listen(self.cfg)
-        };
+        self.ep = fresh_endpoint(self.active);
         self.rto.reset();
     }
 
@@ -162,6 +144,17 @@ impl ChannelPort {
     /// Access to the underlying endpoint (state, stats).
     pub fn endpoint(&self) -> &Endpoint {
         &self.ep
+    }
+}
+
+/// A new transport endpoint with the default [`ChannelConfig`]: an
+/// active opener or a passive listener.
+fn fresh_endpoint(active: bool) -> Endpoint {
+    let cfg = ChannelConfig::default();
+    if active {
+        Endpoint::connect(cfg)
+    } else {
+        Endpoint::listen(cfg)
     }
 }
 
@@ -263,18 +256,9 @@ mod tests {
             src_port: 40000,
             dst_port: 6653,
         };
-        w.node_mut::<Talker>(a).chan = Some(ChannelPort::connect(
-            ChannelConfig::default(),
-            addr_a,
-            pa,
-            TimerToken(1),
-        ));
-        w.node_mut::<Talker>(b).chan = Some(ChannelPort::listen(
-            ChannelConfig::default(),
-            addr_a.flipped(),
-            pb,
-            TimerToken(1),
-        ));
+        w.node_mut::<Talker>(a).chan = Some(ChannelPort::connect(addr_a, pa, TimerToken(1)));
+        w.node_mut::<Talker>(b).chan =
+            Some(ChannelPort::listen(addr_a.flipped(), pb, TimerToken(1)));
         (w, a, b)
     }
 

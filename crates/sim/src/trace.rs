@@ -27,7 +27,6 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TracePhase {
     /// A point event ("i" in Chrome).
-    // sc-check: allow(no-wall-clock) -- the Chrome trace-phase name, not std::time
     Instant,
     /// Opens a span; paired with [`TracePhase::End`] by `id` ("B").
     Begin,
@@ -123,7 +122,10 @@ impl Trace {
     }
 
     /// Record one event. `detail` only runs when tracing is enabled.
-    #[allow(clippy::too_many_arguments)] // flat args keep the disabled path branch-only
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "flat args keep the disabled path branch-only"
+    )]
     pub fn emit(
         &mut self,
         time: SimTime,

@@ -1296,6 +1296,10 @@ mod tests {
     /// `run_until_idle`. An effect the handler requests can only lower
     /// it.
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a test script of fixed instants: no deadline moves"
+    )]
     fn horizon_is_the_next_event_or_the_loop_bound() {
         let us = SimTime::from_micros;
         /// Records `(now, horizon)` on every timer; the timer at 10 µs

@@ -165,6 +165,10 @@ impl TrafficSource {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a fixed-schedule source: its deadlines never move, so no `Wakeup` is needed"
+)]
 impl Node for TrafficSource {
     fn name(&self) -> &str {
         &self.cfg.name
