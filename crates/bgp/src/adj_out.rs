@@ -105,9 +105,7 @@ impl AdjRibOut {
         let flush = |current: &mut Option<(Arc<RouteAttrs>, Vec<Ipv4Prefix>)>,
                      out: &mut Vec<UpdateMsg>| {
             if let Some((attrs, nlri)) = current.take() {
-                for part in UpdateMsg::announce(attrs, nlri).split_to_fit() {
-                    out.push(part);
-                }
+                UpdateMsg::announce(attrs, nlri).split_to_fit(out);
             }
         };
         for (prefix, attrs) in &self.routes {

@@ -119,10 +119,13 @@ impl UpdateMsg {
     }
 
     /// Split the NLRI so every emitted message fits in
-    /// [`MAX_MESSAGE_LEN`]. Returns `self` unchanged when it already fits.
-    pub fn split_to_fit(self) -> Vec<UpdateMsg> {
+    /// [`MAX_MESSAGE_LEN`], appending the parts to `out` in order. An
+    /// UPDATE that already fits is pushed unchanged: no vector of its
+    /// own, so the caller's buffer is the only allocation.
+    pub fn split_to_fit(self, out: &mut Vec<UpdateMsg>) {
         if self.encoded_len() <= MAX_MESSAGE_LEN {
-            return vec![self];
+            out.push(self);
+            return;
         }
         // Conservative split: halve the larger list recursively.
         let UpdateMsg {
@@ -130,53 +133,43 @@ impl UpdateMsg {
             attrs,
             nlri,
         } = self;
-        let mut out = Vec::new();
-        if withdrawn.len() > 1 || nlri.len() > 1 {
-            if nlri.len() >= withdrawn.len() {
-                let mid = nlri.len() / 2;
-                let (a, b) = nlri.split_at(mid);
-                if !withdrawn.is_empty() || !a.is_empty() {
-                    out.extend(
-                        UpdateMsg {
-                            withdrawn,
-                            attrs: attrs.clone(),
-                            nlri: a.to_vec(),
-                        }
-                        .split_to_fit(),
-                    );
+        assert!(
+            withdrawn.len() > 1 || nlri.len() > 1,
+            "single-prefix UPDATE exceeds MAX_MESSAGE_LEN"
+        );
+        if nlri.len() >= withdrawn.len() {
+            let mid = nlri.len() / 2;
+            let (a, b) = nlri.split_at(mid);
+            if !withdrawn.is_empty() || !a.is_empty() {
+                UpdateMsg {
+                    withdrawn,
+                    attrs: attrs.clone(),
+                    nlri: a.to_vec(),
                 }
-                out.extend(
-                    UpdateMsg {
-                        withdrawn: Vec::new(),
-                        attrs,
-                        nlri: b.to_vec(),
-                    }
-                    .split_to_fit(),
-                );
-            } else {
-                let mid = withdrawn.len() / 2;
-                let (a, b) = withdrawn.split_at(mid);
-                out.extend(
-                    UpdateMsg {
-                        withdrawn: a.to_vec(),
-                        attrs: None,
-                        nlri: Vec::new(),
-                    }
-                    .split_to_fit(),
-                );
-                out.extend(
-                    UpdateMsg {
-                        withdrawn: b.to_vec(),
-                        attrs,
-                        nlri,
-                    }
-                    .split_to_fit(),
-                );
+                .split_to_fit(out);
             }
+            UpdateMsg {
+                withdrawn: Vec::new(),
+                attrs,
+                nlri: b.to_vec(),
+            }
+            .split_to_fit(out);
         } else {
-            panic!("single-prefix UPDATE exceeds MAX_MESSAGE_LEN");
+            let mid = withdrawn.len() / 2;
+            let (a, b) = withdrawn.split_at(mid);
+            UpdateMsg {
+                withdrawn: a.to_vec(),
+                attrs: None,
+                nlri: Vec::new(),
+            }
+            .split_to_fit(out);
+            UpdateMsg {
+                withdrawn: b.to_vec(),
+                attrs,
+                nlri,
+            }
+            .split_to_fit(out);
         }
-        out
     }
 }
 
@@ -527,7 +520,8 @@ mod tests {
         let nlri: Vec<Ipv4Prefix> = (0..2000u32)
             .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 + (i << 8)), 24))
             .collect();
-        let msgs = UpdateMsg::announce(attrs(), nlri.clone()).split_to_fit();
+        let mut msgs = Vec::new();
+        UpdateMsg::announce(attrs(), nlri.clone()).split_to_fit(&mut msgs);
         assert!(msgs.len() > 1);
         let mut collected = Vec::new();
         for m in &msgs {

@@ -406,7 +406,8 @@ proptest! {
         nlri.sort();
         nlri.dedup();
         let attrs = Arc::new(attrs);
-        let parts = UpdateMsg::announce(attrs.clone(), nlri.clone()).split_to_fit();
+        let mut parts = Vec::new();
+        UpdateMsg::announce(attrs.clone(), nlri.clone()).split_to_fit(&mut parts);
         let mut buf = Vec::new();
         let mut collected = Vec::new();
         for part in &parts {
@@ -433,7 +434,8 @@ proptest! {
         let mut nlri = nlri;
         nlri.sort();
         nlri.dedup();
-        let parts = UpdateMsg::announce(Arc::new(attrs), nlri.clone()).split_to_fit();
+        let mut parts = Vec::new();
+        UpdateMsg::announce(Arc::new(attrs), nlri.clone()).split_to_fit(&mut parts);
         let mut collected = Vec::new();
         for p in &parts {
             let enc = BgpMessage::Update(p.clone()).encode();

@@ -5,8 +5,9 @@
 //! allocator of its own that counts only while one call runs. Decoding
 //! a maximum-size announcement allocates the NLRI, AS_PATH's two
 //! vectors and the shared attribute `Arc`, once each; encoding into an
-//! empty buffer allocates it once. A `Vec` that grows by doubling again
-//! shows up here as extra allocations.
+//! empty buffer allocates it once; splitting an UPDATE that already
+//! fits into a buffer with room allocates nothing. A `Vec` that grows
+//! by doubling again shows up here as extra allocations.
 
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg, MAX_MESSAGE_LEN};
@@ -138,5 +139,19 @@ fn encoding_into_an_empty_buffer_allocates_once() {
         });
         assert_eq!(buf, msg.encode());
         assert_eq!(count, 1, "{} bytes", buf.len());
+    }
+}
+
+#[test]
+fn splitting_an_update_that_fits_allocates_nothing() {
+    for upd in [
+        max_size_announcement(),
+        max_size(UpdateMsg::withdraw(slash24s(1_100))),
+    ] {
+        let mut parts = Vec::with_capacity(1);
+        let msg = upd.clone();
+        let (count, ()) = allocations(|| msg.split_to_fit(&mut parts));
+        assert_eq!(parts, [upd], "a message that fits is passed through");
+        assert_eq!(count, 0, "the part lands in the caller's buffer");
     }
 }

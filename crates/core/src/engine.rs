@@ -461,7 +461,7 @@ impl Engine {
             let (run, tail) = rest.split_at(len);
             let nlri = collect_exact(run.iter().filter_map(|a| Some(a.announced()?.0)));
             let rewritten = Arc::new(attrs.with_next_hop(nh));
-            out.extend(UpdateMsg::announce(rewritten, nlri).split_to_fit());
+            UpdateMsg::announce(rewritten, nlri).split_to_fit(&mut out);
             rest = tail;
         }
         let withdrawals = collect_exact(actions.iter().filter_map(|a| match a {
@@ -469,7 +469,7 @@ impl Engine {
             _ => None,
         }));
         if !withdrawals.is_empty() {
-            out.extend(UpdateMsg::withdraw(withdrawals).split_to_fit());
+            UpdateMsg::withdraw(withdrawals).split_to_fit(&mut out);
         }
         out
     }
@@ -1023,7 +1023,7 @@ mod tests {
                              out: &mut Vec<UpdateMsg>| {
             if let Some((attrs, nh, nlri)) = current.take() {
                 let rewritten = Arc::new(attrs.with_next_hop(nh));
-                out.extend(UpdateMsg::announce(rewritten, nlri).split_to_fit());
+                UpdateMsg::announce(rewritten, nlri).split_to_fit(out);
             }
         };
         for action in actions {
@@ -1047,7 +1047,7 @@ mod tests {
         }
         flush_current(&mut current, &mut out);
         if !withdrawals.is_empty() {
-            out.extend(UpdateMsg::withdraw(withdrawals).split_to_fit());
+            UpdateMsg::withdraw(withdrawals).split_to_fit(&mut out);
         }
         out
     }

@@ -10,6 +10,7 @@ use crate::walk::WalkReport;
 use sc_net::{Ipv4Prefix, SimDuration, SimTime};
 use sc_sim::NodeId;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// What went wrong for one (src, prefix) pair at one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,11 +48,12 @@ pub fn classify(report: &WalkReport, transit_forbidden: bool) -> Option<Violatio
 /// One forbidden-transit rule: between `from` and `until`, traffic for
 /// any of `prefixes` must not cross `node`. The suite runner derives
 /// these from the event script — a provider that withdrew a prefix has
-/// disclaimed transit for it until it re-announces.
+/// disclaimed transit for it until it re-announces. The prefix list is
+/// shared: a churn script's cycles ban the same prefixes in turn.
 #[derive(Clone, Debug)]
 pub struct TransitRule {
     pub node: NodeId,
-    pub prefixes: Vec<Ipv4Prefix>,
+    pub prefixes: Rc<[Ipv4Prefix]>,
     pub from: SimTime,
     pub until: SimTime,
 }
@@ -258,7 +260,7 @@ mod tests {
         let policy = TransitPolicy {
             rules: vec![TransitRule {
                 node: NodeId(7),
-                prefixes: vec![p],
+                prefixes: Rc::new([p]),
                 from: ms(100),
                 until: ms(200),
             }],

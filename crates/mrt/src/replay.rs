@@ -379,7 +379,7 @@ pub fn pack_feed(
         }
         let nlri: Vec<Ipv4Prefix> = routes[i..j].iter().map(|(p, _)| *p).collect();
         for chunk in nlri.chunks(max_nlri_per_update.max(1)) {
-            out.extend(UpdateMsg::announce(attrs.clone(), chunk.to_vec()).split_to_fit());
+            UpdateMsg::announce(attrs.clone(), chunk.to_vec()).split_to_fit(&mut out);
         }
         i = j;
     }

@@ -166,9 +166,7 @@ pub fn generate_feed_for(cfg: &FeedConfig, universe: &[Ipv4Prefix]) -> Vec<Updat
         }
         let attrs = attrs.shared();
         for chunk in universe[i..i + run].chunks(cfg.max_nlri_per_update) {
-            for part in UpdateMsg::announce(attrs.clone(), chunk.to_vec()).split_to_fit() {
-                updates.push(part);
-            }
+            UpdateMsg::announce(attrs.clone(), chunk.to_vec()).split_to_fit(&mut updates);
         }
         i += run;
     }

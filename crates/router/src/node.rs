@@ -348,6 +348,7 @@ impl LegacyRouter {
     /// instead of waiting for the next keepalive tick.
     pub fn inject_updates(&mut self, updates: &[UpdateMsg]) -> Vec<TimerToken> {
         let mut tokens = Vec::new();
+        let mut parts = Vec::new();
         for p in &mut self.peers {
             // The Adj-RIB-Out is the advertised *intent* and tracks
             // every injection even while the session is down — a later
@@ -360,7 +361,8 @@ impl LegacyRouter {
                 continue;
             }
             for upd in updates {
-                for part in upd.clone().split_to_fit() {
+                upd.clone().split_to_fit(&mut parts);
+                for part in parts.drain(..) {
                     p.session.queue_update(part);
                 }
             }

@@ -22,6 +22,7 @@ use sc_bgp::msg::UpdateMsg;
 use sc_net::{splitmix64, Ipv4Prefix, SimDuration, SimTime};
 use sc_router::LegacyRouter;
 use sc_sim::{LinkId, NodeId};
+use std::rc::Rc;
 
 /// Which provider an event targets, by preference rank (scripts stay
 /// topology-portable). A blueprint lists its providers in preference
@@ -478,7 +479,7 @@ impl EventScript {
                 } => {
                     let i = resolve_provider(scn, provider).unwrap();
                     let node = scn.providers[i];
-                    let updates = vec![withdraw_of(&scn.universe, count)];
+                    let updates = Rc::new([withdraw_of(&scn.universe, count)]);
                     schedule_injection(scn, node, t0 + at, updates);
                 }
                 ScenarioEvent::ChurnBurst {
@@ -490,10 +491,13 @@ impl EventScript {
                 } => {
                     let i = resolve_provider(scn, provider).unwrap();
                     let node = scn.providers[i];
+                    // Built once: every cycle injects the same two
+                    // message lists, so the cycles share them.
                     let withdraw = withdraw_of(&scn.universe, count);
                     let targets: std::collections::BTreeSet<Ipv4Prefix> =
                         withdraw.withdrawn.iter().copied().collect();
-                    let reannounce: Vec<UpdateMsg> = scn
+                    let withdraw: Rc<[UpdateMsg]> = Rc::new([withdraw]);
+                    let reannounce: Rc<[UpdateMsg]> = scn
                         .provider_feed(i)
                         .iter()
                         .filter_map(|u| {
@@ -512,7 +516,7 @@ impl EventScript {
                         .collect();
                     for c in 0..cycles as u64 {
                         let w_at = t0 + at + period * c;
-                        schedule_injection(scn, node, w_at, vec![withdraw.clone()]);
+                        schedule_injection(scn, node, w_at, withdraw.clone());
                         schedule_injection(scn, node, w_at + period / 2, reannounce.clone());
                     }
                 }
@@ -696,12 +700,13 @@ fn withdraw_of(universe: &[Ipv4Prefix], count: u32) -> UpdateMsg {
 
 /// Schedule a runtime UPDATE injection on a provider router and wake
 /// its sessions so the messages leave immediately (shared with the
-/// runner's MRT replay path).
+/// runner's MRT replay path). The event holds `updates` by reference
+/// count, so a script that injects one list many times stores it once.
 pub(crate) fn schedule_injection(
     scn: &mut BuiltScenario,
     node: NodeId,
     at: SimTime,
-    updates: Vec<UpdateMsg>,
+    updates: Rc<[UpdateMsg]>,
 ) {
     scn.world.schedule(at, move |w| {
         let tokens = w.node_mut::<LegacyRouter>(node).inject_updates(&updates);

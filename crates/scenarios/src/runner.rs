@@ -26,7 +26,7 @@ use sc_lab::harness::{
 use sc_lab::topology::{IP_SOURCE, MAC_R1, MAC_SOURCE};
 use sc_lab::{BoxStats, Csv, Mode};
 use sc_mrt::ReplaySchedule;
-use sc_net::{SimDuration, SimTime};
+use sc_net::{Ipv4Prefix, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -354,7 +354,8 @@ fn transit_policy(script: &EventScript, scn: &BuiltScenario, t0: SimTime) -> Tra
                 period,
             } => {
                 let i = resolve_provider(scn, provider).unwrap();
-                let prefixes: Vec<_> = scn.universe.iter().take(count as usize).copied().collect();
+                let prefixes: Rc<[Ipv4Prefix]> =
+                    scn.universe.iter().take(count as usize).copied().collect();
                 for c in 0..cycles as u64 {
                     let from = t0 + at + period * c;
                     rules.push(TransitRule {
@@ -381,7 +382,7 @@ fn apply_replay(scn: &mut BuiltScenario, sched: &ReplaySchedule, t0: SimTime) {
     let mapped = sched.map_to_providers(&scn.replay_peers, &scn.provider_ips, 0);
     for (i, at, update) in mapped {
         let node = scn.providers[i];
-        schedule_injection(scn, node, t0 + at, vec![update]);
+        schedule_injection(scn, node, t0 + at, Rc::new([update]));
     }
 }
 

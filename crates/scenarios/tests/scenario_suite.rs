@@ -239,21 +239,45 @@ fn regenerated_feeds_are_what_the_providers_originated() {
 }
 
 /// A withdraw burst over a live session moves the affected flows to
-/// the backup without breaking the rest.
+/// the backup without breaking the rest, and supercharging does no
+/// harm: on the Fig. 4 lab its worst flow is within one probe interval
+/// of stock's.
+///
+/// Known defect (ROADMAP item 1): on a hub with three or more peers the
+/// withdrawal creates a new backup group, and R1 is pointed at the new
+/// VMAC before the switch has installed its rule, so the supercharged
+/// worst flow waits out the rule install (about 15 ms against stock's
+/// 140 µs). The hub case pins that the defect is still there; the fix
+/// turns it into the Fig. 4 bound.
 #[test]
 fn withdraw_burst_converges_without_link_failure() {
-    let topo = TopologySpec::IxpHub { peers: 3 };
     let script = EventScript::withdraw_burst(150);
-    for mode in [Mode::Stock, Mode::Supercharged] {
-        let out = run_scenario(&topo, &script, mode, &small(5));
-        assert_eq!(
-            out.unrecovered,
-            0,
-            "{}: all flows recover",
-            sc_scenarios::mode_label(mode)
-        );
-        // No carrier event: BFD never fires.
-        assert!(out.detected_at.is_none());
+    for topo in [TopologySpec::Fig4Lab, TopologySpec::IxpHub { peers: 3 }] {
+        let [stock, sup] = [Mode::Stock, Mode::Supercharged].map(|mode| {
+            let out = run_scenario(&topo, &script, mode, &small(5));
+            let tag = format!("{} {}", topo.label(), sc_scenarios::mode_label(mode));
+            assert_eq!(out.unrecovered, 0, "{tag}: all flows recover");
+            // No carrier event: BFD never fires.
+            assert!(out.detected_at.is_none(), "{tag}: BFD fired");
+            out
+        });
+        let probe = SimDuration::from_secs(1) / stock.rate_pps;
+        let (stock_max, sup_max) = (stock.stats().max, sup.stats().max);
+        if topo == TopologySpec::Fig4Lab {
+            assert!(
+                sup_max <= stock_max + probe,
+                "{}: supercharged max {sup_max} > stock max {stock_max} + one probe interval",
+                topo.label()
+            );
+        } else {
+            assert!(
+                sup_max > stock_max + probe,
+                "{}: supercharged max {sup_max} is no longer worse than stock max {stock_max}: \
+                 the make-before-break defect (ROADMAP item 1) is fixed, so flip this \
+                 assertion to the Fig. 4 bound",
+                topo.label()
+            );
+        }
     }
 }
 
