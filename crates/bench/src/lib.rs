@@ -1,11 +1,9 @@
 //! Shared helpers for the figure binaries (table rendering, argument
 //! parsing). The binaries themselves live in `src/bin/`: `fig5`,
-//! `replay`, `scenarios` and `trace`. The paper's quantitative claims
-//! are assertions in the workspace's tests, not printouts here. Time is
+//! `scenarios` and `trace`. The paper's quantitative claims are
+//! assertions in the workspace's tests, not printouts here. Time is
 //! not read here either: wall time is the perf ledger's (`benchmark/`,
 //! `BENCHMARK.json`).
-
-pub mod replay;
 
 use sc_net::SimDuration;
 

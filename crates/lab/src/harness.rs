@@ -39,18 +39,6 @@ pub fn convergence_budget(
     }
 }
 
-/// Merge two ascending epoch lists into one strictly-ascending union —
-/// a trial's convergence onsets can come from more than one source (a
-/// failure script *and* a replayed MRT update trace), and
-/// [`plan_cycle_measurement`] wants them as a single schedule, one
-/// window per distinct onset.
-pub fn merge_epochs(a: &[SimDuration], b: &[SimDuration]) -> Vec<SimDuration> {
-    let mut out: Vec<SimDuration> = a.iter().chain(b).copied().collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// One measurement window, covering one scripted failure epoch: gap
 /// counters are re-armed at `t_open` (1 ms before the epoch's failure
 /// fires at `t_fail`) and harvested at `t_close`.
@@ -262,23 +250,6 @@ mod tests {
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
-    }
-
-    #[test]
-    fn merge_epochs_unions_and_dedupes() {
-        assert_eq!(
-            merge_epochs(
-                &[SimDuration::ZERO, ms(200)],
-                &[SimDuration::ZERO, ms(50), ms(200)]
-            ),
-            vec![SimDuration::ZERO, ms(50), ms(200)]
-        );
-        assert_eq!(merge_epochs(&[], &[ms(3)]), vec![ms(3)]);
-        assert_eq!(merge_epochs(&[], &[]), Vec::<SimDuration>::new());
-        // The merged list satisfies plan_cycle_measurement's contract.
-        let merged = merge_epochs(&[ms(10)], &[SimDuration::ZERO, ms(10), ms(20)]);
-        let plan = plan_cycle_measurement(SimTime::from_secs(1), 1_000, &merged, ms(100));
-        assert_eq!(plan.cycles.len(), 3);
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! **sc-mrt** — RFC 6396 MRT dumps and timed route replay.
+//! **sc-mrt** — RFC 6396 MRT dumps: how RIS tables enter the simulator.
 //!
 //! The paper loads its routers with "actual BGP routes collected from
 //! the RIPE RIS dataset". RIS publishes those collections as MRT files
 //! (RFC 6396): `TABLE_DUMP_V2` RIB snapshots (`bview.*`) and
 //! `BGP4MP`/`BGP4MP_ET` timestamped UPDATE streams (`updates.*`). This
-//! crate reads and writes both, and turns an update stream into a
-//! replay schedule that preserves the *recorded inter-arrival timing* —
-//! the burst structure that actually stresses the event kernel and the
-//! batched RIB path, which synthetic table generation alone cannot
-//! reproduce.
+//! crate reads and writes both; the simulator consumes the snapshots.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`records`] — the wire format. [`records::MrtReader`] is a
 //!   zero-copy iterator over a byte slice (each record is a borrowed
@@ -20,12 +16,10 @@
 //!   available offline; encode→decode round-trips are proptest-pinned).
 //!   BGP message bodies and path attributes reuse `sc_bgp`'s decoders.
 //! * [`replay`] — [`replay::RibSnapshot`] loads a `TABLE_DUMP_V2` dump
-//!   into per-peer route lists (what seeds the provider feeds), and
-//!   [`replay::ReplaySchedule`] compiles a `BGP4MP` stream into
-//!   pre-scheduled world events with a [`replay::TimeScale`] warp knob.
-//! * consumers — `sc-scenarios` wires a schedule in as
-//!   `FeedSource::MrtReplay`, and `sc-bench replay` runs a fixture or a
-//!   generated paper-scale pair through it from the command line.
+//!   into per-peer route lists, which `sc-scenarios` turns into the
+//!   providers' feeds (`FeedSource::MrtSnapshot`).
+//!   [`replay::ReplaySchedule`] compiles a `BGP4MP` stream into timed
+//!   events; only the perf ledger's compile kernel calls it.
 
 pub mod records;
 pub mod replay;

@@ -16,7 +16,7 @@
 //! * `BGP4MP(_ET)` / `MESSAGE` — one timestamped BGP message on a
 //!   peering (an `updates` stream row);
 //! * `BGP4MP(_ET)` / `STATE_CHANGE` — FSM transitions (parsed so real
-//!   archives don't choke the reader; replay ignores them).
+//!   archives don't choke the reader; `ReplaySchedule` skips them).
 //!
 //! Reading is zero-copy: [`MrtReader`] iterates `RawRecord` views whose
 //! bodies borrow the input slice — framing only, nothing is copied or

@@ -1,32 +1,29 @@
-//! Timed replay: compile an MRT stream into pre-scheduled world events.
+//! How recorded tables enter the simulator, and the update-trace
+//! compiler the perf ledger times.
 //!
-//! A `BGP4MP(_ET)` update stream records *when* each message arrived at
-//! the collector — the inter-arrival bursts and withdraw/re-announce
-//! interleavings that stress an event kernel in ways a synthetic table
-//! load cannot. [`ReplaySchedule::compile`] turns such a stream into a
-//! list of `(offset, peering, UPDATE)` events relative to the first
-//! record, optionally warped by a [`TimeScale`]; the consumer schedules
-//! each event into its simulator (`sc-scenarios` injects them on
-//! provider routers through the world's event queue).
+//! [`RibSnapshot`] loads a `TABLE_DUMP_V2` dump (a RIS `bview`) into
+//! per-peer route lists; [`NextHopRewriter::rewrite_routes`] points a
+//! peer's routes at the simulated provider that announces them, and
+//! [`pack_feed`] packs them into the UPDATEs that provider sends. This
+//! is the path `sc-scenarios`' `FeedSource::MrtSnapshot` takes.
 //!
-//! [`RibSnapshot`] is the companion loader for `TABLE_DUMP_V2` dumps:
-//! per-peer route lists that seed the providers' tables before the
-//! timed stream plays.
+//! [`ReplaySchedule::compile`] turns a `BGP4MP(_ET)` update stream into
+//! `(offset, peering, UPDATE)` events relative to the first record,
+//! scaled by a [`TimeScale`]. Nothing in the simulator plays such a
+//! schedule: the perf ledger's `mrt.schedule_compile_ns_per_update`
+//! kernel (`benchmark/`) times the compiler over a generated trace, and
+//! the compiler goes when that kernel does.
 
 use crate::records::{MrtError, MrtReader, MrtRecord, PeerTableEntry, RibEntryRecord};
 use sc_bgp::attrs::RouteAttrs;
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_net::{Ipv4Prefix, SimDuration};
-use std::fmt;
 use std::net::Ipv4Addr;
-use std::str::FromStr;
 use std::sync::Arc;
 
-/// A rational time-warp factor for replay: recorded inter-arrival gaps
-/// are multiplied by `num/den`. `1` preserves recorded timing,
-/// `0.1` replays ten times faster (gaps compressed), `2` at half speed
-/// (gaps stretched). Held as a decimal rational — never a float — so
-/// scaled offsets are exact and replay stays bit-deterministic.
+/// A rational warp factor on recorded inter-arrival gaps: they are
+/// multiplied by `num/den`. Held as a rational, never a float, so
+/// scaled offsets are exact.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimeScale {
     num: u32,
@@ -50,65 +47,8 @@ impl TimeScale {
     }
 }
 
-impl Default for TimeScale {
-    fn default() -> TimeScale {
-        TimeScale::REAL
-    }
-}
-
-impl fmt::Display for TimeScale {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
-    }
-}
-
-impl FromStr for TimeScale {
-    type Err = String;
-
-    /// Parse `"1"`, `"0.25"`, `"2.5"` (decimal, ≤ 9 fractional digits)
-    /// or an explicit `"num/den"` rational.
-    fn from_str(s: &str) -> Result<TimeScale, String> {
-        let bad = |_| format!("bad time scale {s:?}");
-        if let Some((n, d)) = s.split_once('/') {
-            let (num, den) = (n.parse().map_err(bad)?, d.parse().map_err(bad)?);
-            if num == 0 || den == 0 {
-                return Err(format!("time scale {s:?} must be positive"));
-            }
-            return Ok(TimeScale { num, den });
-        }
-        let (int, frac) = s.split_once('.').unwrap_or((s, ""));
-        if frac.len() > 9 || (int.is_empty() && frac.is_empty()) {
-            return Err(format!("bad time scale {s:?}"));
-        }
-        let int: u32 = if int.is_empty() {
-            0
-        } else {
-            int.parse().map_err(bad)?
-        };
-        let fnum: u32 = if frac.is_empty() {
-            0
-        } else {
-            frac.parse().map_err(bad)?
-        };
-        let den = 10u64.pow(frac.len() as u32);
-        let num = int as u64 * den + fnum as u64;
-        if num == 0 {
-            return Err(format!("time scale {s:?} must be positive"));
-        }
-        let num = u32::try_from(num).map_err(|_| format!("time scale {s:?} overflows"))?;
-        Ok(TimeScale {
-            num,
-            den: den as u32,
-        })
-    }
-}
-
-/// One replayable event: an UPDATE to inject at `at` (offset from the
-/// replay origin, already time-scaled) as the recorded peer.
+/// One recorded UPDATE at `at` (offset from the first record, already
+/// time-scaled) from the recorded peer.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ReplayEvent {
     pub at: SimDuration,
@@ -118,7 +58,7 @@ pub struct ReplayEvent {
 }
 
 /// A compiled, time-scaled schedule of recorded UPDATE events.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ReplaySchedule {
     /// Events in stream order; offsets are non-decreasing.
     pub events: Vec<ReplayEvent>,
@@ -161,80 +101,6 @@ impl ReplaySchedule {
             end: events.last().map(|e| e.at).unwrap_or(SimDuration::ZERO),
             events,
         })
-    }
-
-    /// The distinct recorded peers, in order of first appearance — the
-    /// consumer's mapping target (peer k → provider k).
-    pub fn peers(&self) -> Vec<(Ipv4Addr, u16)> {
-        let mut out: Vec<(Ipv4Addr, u16)> = Vec::new();
-        for e in &self.events {
-            if !out.iter().any(|(ip, _)| *ip == e.peer_ip) {
-                out.push((e.peer_ip, e.peer_as));
-            }
-        }
-        out
-    }
-
-    /// Burst onsets: the first event, plus every event separated from
-    /// its predecessor by more than `quiet` of silence. These are the
-    /// replay's convergence epochs — each gets its own measurement
-    /// window (`sc_lab::harness::plan_cycle_measurement`).
-    pub fn epochs(&self, quiet: SimDuration) -> Vec<SimDuration> {
-        let mut out = Vec::new();
-        let mut prev: Option<SimDuration> = None;
-        for e in &self.events {
-            match prev {
-                None => out.push(e.at),
-                Some(p) if e.at.saturating_sub(p) > quiet => out.push(e.at),
-                _ => {}
-            }
-            prev = Some(e.at);
-        }
-        out.dedup();
-        out
-    }
-
-    /// Total announced + withdrawn prefix count (work volume, for
-    /// reports).
-    pub fn prefix_events(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| e.update.nlri.len() + e.update.withdrawn.len())
-            .sum()
-    }
-
-    /// THE peer→provider mapping policy, shared by every consumer:
-    /// recorded peer `k` (its position in `recorded_peers`, usually the
-    /// snapshot's peer table) injects on provider `k % providers`;
-    /// peers absent from the table fall back to `primary`. Announcement
-    /// next-hops are rewritten to the target provider's address with
-    /// run-memoized Arc sharing — the same rewrite the snapshot-derived
-    /// feeds get, so withdrawals hit the routes their peer actually
-    /// announced. Yields `(provider_index, offset, update)` in stream
-    /// order, ready to schedule.
-    pub fn map_to_providers(
-        &self,
-        recorded_peers: &[Ipv4Addr],
-        provider_ips: &[Ipv4Addr],
-        primary: usize,
-    ) -> Vec<(usize, SimDuration, UpdateMsg)> {
-        let m = provider_ips.len();
-        assert!(m > 0 && primary < m);
-        let mut rewriters: Vec<NextHopRewriter> = provider_ips
-            .iter()
-            .map(|ip| NextHopRewriter::new(*ip))
-            .collect();
-        self.events
-            .iter()
-            .map(|e| {
-                let i = recorded_peers
-                    .iter()
-                    .position(|ip| *ip == e.peer_ip)
-                    .map(|k| k % m)
-                    .unwrap_or(primary);
-                (i, e.at, rewriters[i].rewrite_update(&e.update))
-            })
-            .collect()
     }
 }
 
@@ -291,7 +157,7 @@ impl RibSnapshot {
     }
 
     /// The distinct prefixes of the snapshot, sorted ascending — the
-    /// replay analogue of `sc_routegen::prefix_universe`.
+    /// snapshot's analogue of `sc_routegen::prefix_universe`.
     pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
         let mut out: Vec<Ipv4Prefix> = self.routes.iter().map(|r| r.prefix).collect();
         out.sort_unstable();
@@ -315,10 +181,11 @@ impl RibSnapshot {
 }
 
 /// Streaming next-hop rewriter: recorded routes carry the collector
-/// peer's next hop, but a simulated provider must announce *itself* —
-/// the replay analogue of loading RIS routes onto R2/R3. Rewrites are
-/// memoized per consecutive attribute run, so the Arc-sharing a real
-/// table exhibits (and NLRI packing exploits) survives the rewrite.
+/// peer's next hop, but a simulated provider must announce *itself*, as
+/// the paper's R2/R3 did with the RIS routes loaded onto them. Rewrites
+/// are memoized per consecutive attribute run, so the Arc-sharing a
+/// real table exhibits (and NLRI packing exploits) survives the
+/// rewrite.
 pub struct NextHopRewriter {
     nh: Ipv4Addr,
     memo: Option<(Arc<RouteAttrs>, Arc<RouteAttrs>)>,
@@ -331,7 +198,7 @@ impl NextHopRewriter {
 
     /// The rewritten attribute set for `attrs` (shared with the
     /// previous call when the source run continues).
-    pub fn rewrite(&mut self, attrs: &Arc<RouteAttrs>) -> Arc<RouteAttrs> {
+    fn rewrite(&mut self, attrs: &Arc<RouteAttrs>) -> Arc<RouteAttrs> {
         match &self.memo {
             Some((src, out)) if **src == **attrs => out.clone(),
             _ => {
@@ -340,15 +207,6 @@ impl NextHopRewriter {
                 out
             }
         }
-    }
-
-    /// Rewrite one UPDATE (withdrawals pass through untouched).
-    pub fn rewrite_update(&mut self, update: &UpdateMsg) -> UpdateMsg {
-        let mut out = update.clone();
-        if let Some(a) = &out.attrs {
-            out.attrs = Some(self.rewrite(a));
-        }
-        out
     }
 
     /// Rewrite a whole route list (e.g. a snapshot peer's table before
@@ -415,37 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn time_scale_parses_and_applies() {
-        let half: TimeScale = "0.5".parse().unwrap();
-        assert_eq!(half, TimeScale::new(5, 10));
-        assert_eq!(
-            half.apply(SimDuration::from_micros(100)),
-            SimDuration::from_micros(50)
-        );
-        let x2: TimeScale = "2".parse().unwrap();
-        assert_eq!(
-            x2.apply(SimDuration::from_millis(3)),
-            SimDuration::from_millis(6)
-        );
-        let r: TimeScale = "3/7".parse().unwrap();
-        assert_eq!(
-            r.apply(SimDuration::from_nanos(7_000)),
-            SimDuration::from_nanos(3_000)
-        );
-        assert_eq!(
-            "1.25".parse::<TimeScale>().unwrap(),
-            TimeScale::new(125, 100)
-        );
-        assert!("0".parse::<TimeScale>().is_err());
-        assert!("0.0".parse::<TimeScale>().is_err());
-        assert!("".parse::<TimeScale>().is_err());
-        assert!("-1".parse::<TimeScale>().is_err());
-        assert!("1.0000000001".parse::<TimeScale>().is_err());
-        assert_eq!(TimeScale::REAL.to_string(), "1");
-        assert_eq!(TimeScale::new(1, 4).to_string(), "1/4");
-    }
-
-    #[test]
     fn compile_preserves_inter_arrival_timing() {
         let mut w = MrtWriter::new();
         msg_at(
@@ -469,11 +296,13 @@ mod tests {
         assert_eq!(s.events[1].at, SimDuration::from_micros(400));
         assert_eq!(s.events[2].at, SimDuration::from_micros(2_000_100));
         assert_eq!(s.end, SimDuration::from_micros(2_000_100));
-        assert_eq!(s.prefix_events(), 3);
-        assert_eq!(s.peers(), vec![(Ipv4Addr::new(10, 0, 0, 2), 65002)]);
+        assert!(s
+            .events
+            .iter()
+            .all(|e| e.peer_ip == Ipv4Addr::new(10, 0, 0, 2)));
 
         // Warp 10x faster.
-        let fast = ReplaySchedule::compile(&bytes, "0.1".parse().unwrap()).unwrap();
+        let fast = ReplaySchedule::compile(&bytes, TimeScale::new(1, 10)).unwrap();
         assert_eq!(fast.events[1].at, SimDuration::from_micros(40));
         assert_eq!(fast.events[2].at, SimDuration::from_micros(200_010));
     }
@@ -498,39 +327,6 @@ mod tests {
         assert_eq!(s.events[1].at, SimDuration::ZERO, "clamped, order kept");
         assert_eq!(s.events[1].update.withdrawn, vec![p("2.0.0.0/24")]);
         assert_eq!(s.events[2].at, SimDuration::from_micros(500_000));
-    }
-
-    #[test]
-    fn epochs_split_on_quiet_gaps() {
-        let mut w = MrtWriter::new();
-        // Burst 1: t=0, +200us. Burst 2 after 1.5s of quiet: two events.
-        msg_at(&mut w, 10, 0, UpdateMsg::withdraw(vec![p("1.0.0.0/24")]));
-        msg_at(&mut w, 10, 200, UpdateMsg::withdraw(vec![p("2.0.0.0/24")]));
-        msg_at(
-            &mut w,
-            11,
-            500_200,
-            UpdateMsg::withdraw(vec![p("3.0.0.0/24")]),
-        );
-        msg_at(
-            &mut w,
-            11,
-            500_400,
-            UpdateMsg::withdraw(vec![p("4.0.0.0/24")]),
-        );
-        let s = ReplaySchedule::compile(&w.into_bytes(), TimeScale::REAL).unwrap();
-        assert_eq!(
-            s.epochs(SimDuration::from_millis(100)),
-            vec![SimDuration::ZERO, SimDuration::from_micros(1_500_200)]
-        );
-        // A coarse-enough quiet threshold folds everything into one.
-        assert_eq!(
-            s.epochs(SimDuration::from_secs(10)),
-            vec![SimDuration::ZERO]
-        );
-        assert!(ReplaySchedule::default()
-            .epochs(SimDuration::from_millis(1))
-            .is_empty());
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! Real RIS archives are still not fetchable from the offline lab, but
 //! they no longer have to be: the [`mrt`] module exports these
 //! synthetic tables *in RIS's own format* — RFC 6396 `TABLE_DUMP_V2`
-//! RIB snapshots and bursty `BGP4MP_ET` update traces — so every
-//! consumer of recorded data (`sc_mrt::RibSnapshot`, the
-//! `FeedSource::MrtReplay` scenario path, `sc-bench replay`) runs
-//! against committed `.mrt` fixtures that are byte-reproducible from a
-//! seed (the ignored `write_mrt_fixtures` test regenerates them). Swap
-//! in a genuine `bview`/`updates` file and the same pipeline replays it.
+//! RIB snapshots (and bursty `BGP4MP_ET` update traces, which only the
+//! perf ledger's compile kernel reads) — so the consumer of recorded
+//! tables (`sc_mrt::RibSnapshot` behind the `FeedSource::MrtSnapshot`
+//! scenario path) runs against a committed `.mrt` fixture that is
+//! byte-reproducible from a seed (the ignored `write_mrt_fixtures` test
+//! regenerates it). Swap in a genuine `bview` file and the same
+//! pipeline loads it.
 //!
 //! Everything is a pure function of the seed, so two provider routers —
 //! or two controller replicas — can regenerate identical feeds.

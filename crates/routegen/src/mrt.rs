@@ -6,13 +6,10 @@
 //! `BGP4MP_ET` update trace (the `updates` shape — withdraw bursts with
 //! microsecond inter-arrivals, each slice re-announced moments later,
 //! long quiet gaps between bursts). Both are pure functions of their
-//! config, so the committed `tests/fixtures/*.mrt` files are
-//! byte-reproducible: the ignored `write_mrt_fixtures` test rewrites
-//! them and `mrt_fixtures_are_byte_reproducible` pins the bytes.
-//!
-//! The trace's *shape* is what matters: recorded inter-arrival timing
-//! (not a fixed tick) is exactly what `ReplaySchedule` preserves and
-//! what the timer-wheel kernel has to absorb.
+//! config. The snapshot is the committed `tests/fixtures/ris_rib.mrt`,
+//! byte-reproducible: the ignored `write_mrt_fixtures` test rewrites it
+//! and `mrt_fixtures_are_byte_reproducible` pins the bytes. Only the
+//! perf ledger's `ReplaySchedule::compile` kernel reads the trace.
 
 use crate::{generate_feed_for, prefix_universe, FeedConfig};
 use rand::rngs::SmallRng;
@@ -23,9 +20,9 @@ use sc_mrt::{Bgp4mpMessage, MrtWriter, PeerTableEntry, RibEntry};
 use sc_net::{Ipv4Addr, Ipv4Prefix};
 use std::sync::Arc;
 
-/// Parameters of an exported archive pair. The defaults produce the
-/// committed fixtures; `sc-bench replay` scales the same generator to
-/// paper size.
+/// Parameters of an exported archive pair. [`MrtExportConfig::fixture`]
+/// produces the committed snapshot; the perf ledger scales the same
+/// generator to its workloads.
 #[derive(Clone, Copy, Debug)]
 pub struct MrtExportConfig {
     /// Prefixes in the snapshot universe.
@@ -229,18 +226,26 @@ mod tests {
         let sched = ReplaySchedule::compile(&update_trace_mrt(&cfg), TimeScale::REAL).unwrap();
         assert!(!sched.events.is_empty());
         // Every burst withdraws and re-announces its slice.
+        let prefix_events: usize = sched
+            .events
+            .iter()
+            .map(|e| e.update.nlri.len() + e.update.withdrawn.len())
+            .sum();
         assert_eq!(
-            sched.prefix_events(),
+            prefix_events,
             2 * cfg.bursts as usize * cfg.burst_prefixes as usize
         );
-        // Quiet-gap epoch detection finds one onset per burst: intra-
-        // burst gaps are microseconds, inter-burst gaps ≥ 200 ms.
-        let epochs = sched.epochs(SimDuration::from_millis(100));
-        assert_eq!(epochs.len(), cfg.bursts as usize);
-        assert_eq!(epochs[0], SimDuration::ZERO);
+        // One onset per burst: intra-burst gaps are microseconds,
+        // inter-burst gaps ≥ 200 ms.
+        let onsets = 1 + sched
+            .events
+            .windows(2)
+            .filter(|w| w[1].at - w[0].at > SimDuration::from_millis(100))
+            .count();
+        assert_eq!(onsets, cfg.bursts as usize);
+        assert_eq!(sched.events[0].at, SimDuration::ZERO);
         // Warping compresses the whole trace proportionally.
-        let fast =
-            ReplaySchedule::compile(&update_trace_mrt(&cfg), "0.25".parse().unwrap()).unwrap();
+        let fast = ReplaySchedule::compile(&update_trace_mrt(&cfg), TimeScale::new(1, 4)).unwrap();
         assert!(fast.end <= sched.end / 4 + SimDuration::from_nanos(1));
     }
 }

@@ -1,13 +1,13 @@
-//! The committed MRT fixtures are byte-reproducible from the
-//! generator: [`write_mrt_fixtures`] must always rewrite exactly what
-//! is in git, and the fixtures must load through the replay pipeline.
+//! The committed MRT fixture is byte-reproducible from the generator:
+//! [`write_mrt_fixtures`] must always rewrite exactly what is in git,
+//! and the fixture must load as a RIB snapshot.
 
-use sc_mrt::{ReplaySchedule, RibSnapshot, TimeScale};
-use sc_routegen::mrt::{rib_snapshot_mrt, update_trace_mrt, MrtExportConfig};
+use sc_mrt::RibSnapshot;
+use sc_routegen::mrt::{rib_snapshot_mrt, MrtExportConfig};
 use sc_routegen::prefix_universe;
 
-/// The workspace's `tests/fixtures/`, where the replay bin and the
-/// scenario tests read the pair from.
+/// The workspace's `tests/fixtures/`, where the scenario tests read the
+/// snapshot from.
 fn fixture_path(name: &str) -> String {
     format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -22,35 +22,23 @@ const REWRITE: &str =
 
 #[test]
 fn mrt_fixtures_are_byte_reproducible() {
-    let cfg = MrtExportConfig::fixture();
     assert_eq!(
         fixture("ris_rib.mrt"),
-        rib_snapshot_mrt(&cfg),
+        rib_snapshot_mrt(&MrtExportConfig::fixture()),
         "committed ris_rib.mrt differs from the generator — rerun `{REWRITE}`"
-    );
-    assert_eq!(
-        fixture("ris_updates.mrt"),
-        update_trace_mrt(&cfg),
-        "committed ris_updates.mrt differs from the generator — rerun `{REWRITE}`"
     );
 }
 
-/// Rewrites `ris_rib.mrt` (a `TABLE_DUMP_V2` RIB snapshot) and
-/// `ris_updates.mrt` (a bursty `BGP4MP_ET` update trace) from
+/// Rewrites `ris_rib.mrt` (a `TABLE_DUMP_V2` RIB snapshot) from
 /// `MrtExportConfig::fixture()`, after a deliberate generator change.
-/// Both are pure functions of the config, so a rerun writes the same
+/// It is a pure function of the config, so a rerun writes the same
 /// bytes.
 #[test]
-#[ignore = "writes the committed fixtures; run by hand after a generator change"]
+#[ignore = "writes the committed fixture; run by hand after a generator change"]
 fn write_mrt_fixtures() {
-    let cfg = MrtExportConfig::fixture();
-    for (name, bytes) in [
-        ("ris_rib.mrt", rib_snapshot_mrt(&cfg)),
-        ("ris_updates.mrt", update_trace_mrt(&cfg)),
-    ] {
-        let path = fixture_path(name);
-        std::fs::write(&path, bytes).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    }
+    let path = fixture_path("ris_rib.mrt");
+    std::fs::write(&path, rib_snapshot_mrt(&MrtExportConfig::fixture()))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 #[test]
@@ -66,17 +54,4 @@ fn rib_fixture_is_a_loadable_snapshot() {
             "peer {pi} covers the full table"
         );
     }
-}
-
-#[test]
-fn updates_fixture_is_a_bursty_trace() {
-    let cfg = MrtExportConfig::fixture();
-    let sched = ReplaySchedule::compile(&fixture("ris_updates.mrt"), TimeScale::REAL).unwrap();
-    assert_eq!(
-        sched.prefix_events(),
-        2 * cfg.bursts as usize * cfg.burst_prefixes as usize,
-        "every burst withdraws then re-announces its slice"
-    );
-    let epochs = sched.epochs(sc_net::SimDuration::from_millis(100));
-    assert_eq!(epochs.len(), cfg.bursts as usize, "one epoch per burst");
 }

@@ -55,45 +55,12 @@ pub enum FeedSource {
     /// every provider announces `prefixes` prefixes).
     #[default]
     Synthetic,
-    /// Feeds seeded from a recorded MRT RIB snapshot, plus an optional
-    /// timed `BGP4MP` update trace replayed on top of the converged
-    /// world with recorded inter-arrival timing. Overrides `prefixes`
-    /// with the snapshot's table size.
-    MrtReplay(MrtReplayFeed),
-}
-
-/// An MRT-backed feed: the `TABLE_DUMP_V2` snapshot that seeds the
-/// provider tables and the `BGP4MP(_ET)` trace replayed after
-/// convergence. Recorded peer `k` maps onto provider `k % providers`
-/// (so the trace's churning peer lands on the primary in every built-in
-/// blueprint), and recorded next-hops are rewritten to the owning
-/// provider's address — the replay analogue of loading RIS routes onto
-/// R2/R3 in the paper's lab.
-#[derive(Clone, Debug)]
-pub struct MrtReplayFeed {
-    /// `TABLE_DUMP_V2` snapshot bytes (e.g. a committed fixture or a
-    /// real `bview` file).
-    pub rib: std::sync::Arc<Vec<u8>>,
-    /// `BGP4MP(_ET)` update-trace bytes; empty = table-only (no timed
-    /// replay).
-    pub updates: std::sync::Arc<Vec<u8>>,
-    /// Warp factor on recorded inter-arrival gaps (`"1"` = recorded
-    /// timing, `"0.25"` = 4× faster).
-    pub time_scale: sc_mrt::TimeScale,
-    /// A silence longer than this (post-warp) splits the trace into
-    /// separate convergence epochs, each measured in its own window.
-    pub epoch_quiet: SimDuration,
-}
-
-impl MrtReplayFeed {
-    pub fn new(rib: Vec<u8>, updates: Vec<u8>) -> MrtReplayFeed {
-        MrtReplayFeed {
-            rib: std::sync::Arc::new(rib),
-            updates: std::sync::Arc::new(updates),
-            time_scale: sc_mrt::TimeScale::REAL,
-            epoch_quiet: SimDuration::from_millis(100),
-        }
-    }
+    /// Tables from an MRT `TABLE_DUMP_V2` snapshot (a committed fixture
+    /// or a RIS `bview` file). Recorded peer `k` seeds provider
+    /// `k % providers`, with next-hops rewritten to that provider's
+    /// address: RIS routes loaded onto R2/R3, as in the paper's lab.
+    /// Overrides `prefixes` with the snapshot's table size.
+    MrtSnapshot(std::sync::Arc<Vec<u8>>),
 }
 
 /// Scenario-wide knobs shared by every topology.
@@ -147,7 +114,7 @@ pub struct ScenarioConfig {
     /// Keep a bounded event trace.
     pub trace: bool,
     /// Where provider feeds come from (synthetic tables or an MRT
-    /// snapshot + timed replay).
+    /// snapshot).
     pub feed: FeedSource,
     /// Run the convergence-invariant engine (`sc-invariant`): walk the
     /// installed FIBs every 5 ms inside each measurement window and
@@ -208,10 +175,6 @@ pub struct BuiltScenario {
     pub forwarder_up_links: Vec<LinkId>,
     pub flow_ips: Vec<Ipv4Addr>,
     pub universe: Vec<Ipv4Prefix>,
-    /// Recorded peer addresses of the MRT snapshot (peer-table order;
-    /// empty for synthetic feeds). Replay maps recorded peer `k` onto
-    /// provider `k % providers`.
-    pub replay_peers: Vec<Ipv4Addr>,
     /// Restart factories: the exact config each controller replica was
     /// built from, so a `restart_controller` chaos event can boot a
     /// fresh process into the crashed slot. Empty for legacy builds.
@@ -223,8 +186,8 @@ pub struct BuiltScenario {
 fn derive_universe(cfg: &ScenarioConfig) -> (Vec<Ipv4Prefix>, Option<sc_mrt::RibSnapshot>) {
     match &cfg.feed {
         FeedSource::Synthetic => (prefix_universe(cfg.prefixes, cfg.seed), None),
-        FeedSource::MrtReplay(replay) => {
-            let snap = load_snapshot(replay);
+        FeedSource::MrtSnapshot(rib) => {
+            let snap = load_snapshot(rib);
             let universe = snap.prefixes();
             assert!(!universe.is_empty(), "MRT snapshot carries no routes");
             (universe, Some(snap))
@@ -232,8 +195,8 @@ fn derive_universe(cfg: &ScenarioConfig) -> (Vec<Ipv4Prefix>, Option<sc_mrt::Rib
     }
 }
 
-fn load_snapshot(replay: &MrtReplayFeed) -> sc_mrt::RibSnapshot {
-    sc_mrt::RibSnapshot::load(&replay.rib).unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"))
+fn load_snapshot(rib: &[u8]) -> sc_mrt::RibSnapshot {
+    sc_mrt::RibSnapshot::load(rib).unwrap_or_else(|e| panic!("MRT RIB snapshot: {e}"))
 }
 
 /// Provider `i`'s feed out of an MRT snapshot: recorded peer
@@ -261,7 +224,7 @@ fn feed_for(
             &FeedConfig::new(cfg.prefixes, cfg.seed, spec.ip, spec.asn),
             universe,
         ),
-        FeedSource::MrtReplay(replay) => mrt_feed(&load_snapshot(replay), i, spec.ip),
+        FeedSource::MrtSnapshot(rib) => mrt_feed(&load_snapshot(rib), i, spec.ip),
     }
 }
 
@@ -307,11 +270,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
     );
     assert!(cfg.flows >= 1 && cfg.prefixes >= 1);
     let (universe, snapshot) = derive_universe(cfg);
-    // Recorded peer addresses, for replay mapping (empty when synthetic).
-    let replay_peers: Vec<Ipv4Addr> = snapshot
-        .iter()
-        .flat_map(|snap| snap.peers.iter().map(|p| p.addr))
-        .collect();
     let flow_ips = sample_flow_ips(&universe, cfg.flows, cfg.seed);
     // An MRT snapshot overrides the configured table size; keep the
     // stored config consistent with what the providers actually
@@ -748,7 +706,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
         forwarder_up_links,
         flow_ips,
         universe,
-        replay_peers,
         controller_cfgs,
     }
 }

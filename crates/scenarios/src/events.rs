@@ -699,10 +699,10 @@ fn withdraw_of(universe: &[Ipv4Prefix], count: u32) -> UpdateMsg {
 }
 
 /// Schedule a runtime UPDATE injection on a provider router and wake
-/// its sessions so the messages leave immediately (shared with the
-/// runner's MRT replay path). The event holds `updates` by reference
-/// count, so a script that injects one list many times stores it once.
-pub(crate) fn schedule_injection(
+/// its sessions so the messages leave immediately. The event holds
+/// `updates` by reference count, so a script that injects one list many
+/// times stores it once.
+fn schedule_injection(
     scn: &mut BuiltScenario,
     node: NodeId,
     at: SimTime,

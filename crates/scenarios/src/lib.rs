@@ -22,11 +22,10 @@
 //!   CSV + JSON reports.
 //!
 //! Feeds come from [`builder::FeedSource`]: deterministic synthetic
-//! tables (the default), or `FeedSource::MrtReplay` — an RFC 6396 MRT
-//! RIB snapshot seeding the provider tables plus a recorded `BGP4MP`
-//! update trace replayed with its recorded inter-arrival timing
-//! (time-warpable via `sc_mrt::TimeScale`), each replay burst measured
-//! in its own convergence window.
+//! tables (the default), or `FeedSource::MrtSnapshot` — an RFC 6396
+//! MRT `TABLE_DUMP_V2` RIB snapshot (a RIS `bview`) seeding the
+//! provider tables. Churn on live sessions is scripted
+//! ([`ScenarioEvent::ChurnBurst`]).
 //!
 //! ## Quickstart
 //!
@@ -53,7 +52,7 @@ pub mod phases;
 pub mod runner;
 pub mod topo;
 
-pub use builder::{build_scenario, BuiltScenario, FeedSource, MrtReplayFeed, ScenarioConfig};
+pub use builder::{build_scenario, BuiltScenario, FeedSource, ScenarioConfig};
 pub use events::{EventScript, LinkRef, NodeRef, ProviderSel, ScenarioEvent};
 pub use phases::{reconstruct_cycle, CyclePhases};
 pub use runner::{

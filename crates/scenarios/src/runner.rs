@@ -10,8 +10,8 @@
 //! pure function of its seed and results are placed by trial index,
 //! not completion order.
 
-use crate::builder::{build_scenario, BuiltScenario, FeedSource, ScenarioConfig};
-use crate::events::{resolve_provider, schedule_injection, EventScript, ScenarioEvent};
+use crate::builder::{build_scenario, BuiltScenario, ScenarioConfig};
+use crate::events::{resolve_provider, EventScript, ScenarioEvent};
 use crate::json::Json;
 use crate::phases::{reconstruct_cycle, CyclePhases};
 use crate::topo::TopologySpec;
@@ -20,12 +20,10 @@ use sc_invariant::{
     TransitRule, ViolationClass,
 };
 use sc_lab::harness::{
-    arm_traffic, merge_epochs, plan_cycle_measurement, run_cycles_and_harvest,
-    schedule_window_samples,
+    arm_traffic, plan_cycle_measurement, run_cycles_and_harvest, schedule_window_samples,
 };
 use sc_lab::topology::{IP_SOURCE, MAC_R1, MAC_SOURCE};
 use sc_lab::{BoxStats, Csv, Mode};
-use sc_mrt::ReplaySchedule;
 use sc_net::{Ipv4Prefix, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -160,34 +158,15 @@ pub fn run_scenario_traced(
         )
     });
 
-    // The timed MRT replay riding this trial, if the feed carries one.
-    let replay = match &cfg.feed {
-        FeedSource::MrtReplay(r) if !r.updates.is_empty() => {
-            let sched = ReplaySchedule::compile(&r.updates, r.time_scale)
-                .unwrap_or_else(|e| panic!("MRT update trace: {e}"));
-            (!sched.events.is_empty()).then_some((sched, r.epoch_quiet))
-        }
-        _ => None,
-    };
-
     // Phase 1: converge the control plane.
     let setup_time = scn.run_until_converged();
 
-    // Phases 2-3: probes + script (+ replay), via the shared harness.
-    // Every failure onset — a scripted epoch or a replayed burst —
-    // gets its own measurement window.
+    // Phases 2-3: probes + script, via the shared harness. Every
+    // scripted failure onset gets its own measurement window.
     let cfg = &scn.cfg.clone(); // snapshot-derived feeds correct `prefixes`
     let budget = expected_budget(mode, cfg);
-    let epochs = match &replay {
-        Some((sched, quiet)) => merge_epochs(&script.epochs(), &sched.epochs(*quiet)),
-        None => script.epochs(),
-    };
-    let replay_end = replay
-        .as_ref()
-        .map(|(s, _)| s.end)
-        .unwrap_or(SimDuration::ZERO);
-    let activity_end = script.end().max(replay_end);
-    let tail = activity_end.saturating_sub(*epochs.last().unwrap());
+    let epochs = script.epochs();
+    let tail = script.end().saturating_sub(*epochs.last().unwrap());
     let horizon = tail + budget + budget / 2 + SimDuration::from_secs(1);
     let rate = scn
         .world
@@ -197,9 +176,6 @@ pub fn run_scenario_traced(
     let plan = plan_cycle_measurement(scn.world.now(), rate, &epochs, horizon);
     arm_traffic(&mut scn.world, scn.source, scn.sink, &plan);
     script.apply(&mut scn, plan.t_origin);
-    if let Some((sched, _)) = &replay {
-        apply_replay(&mut scn, sched, plan.t_origin);
-    }
 
     // The convergence-invariant engine: pre-schedule one FIB walk every
     // `INVARIANT_CADENCE` inside each cycle window. The samples are
@@ -370,20 +346,6 @@ fn transit_policy(script: &EventScript, scn: &BuiltScenario, t0: SimTime) -> Tra
         }
     }
     TransitPolicy { rules }
-}
-
-/// Schedule every compiled replay event into the world through the
-/// kernel's event queue, under the shared mapping policy
-/// ([`ReplaySchedule::map_to_providers`]): recorded peer `k` injects on
-/// provider `k % providers` with next-hops rewritten — the same mapping
-/// the snapshot-derived feeds used, so withdrawals hit the routes their
-/// peer actually announced.
-fn apply_replay(scn: &mut BuiltScenario, sched: &ReplaySchedule, t0: SimTime) {
-    let mapped = sched.map_to_providers(&scn.replay_peers, &scn.provider_ips, 0);
-    for (i, at, update) in mapped {
-        let node = scn.providers[i];
-        schedule_injection(scn, node, t0 + at, Rc::new([update]));
-    }
 }
 
 /// A suite: the full matrix of topologies × scripts × modes.

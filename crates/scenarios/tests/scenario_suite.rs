@@ -6,8 +6,8 @@
 use sc_lab::Mode;
 use sc_net::{Ipv4Addr, SimDuration, SimTime};
 use sc_scenarios::{
-    run_scenario, run_suite, EventScript, LinkRef, ScenarioConfig, ScenarioEvent, SuiteConfig,
-    TopologySpec,
+    run_scenario, run_suite, EventScript, FeedSource, LinkRef, ScenarioConfig, ScenarioEvent,
+    SuiteConfig, TopologySpec,
 };
 
 fn small(seed: u64) -> ScenarioConfig {
@@ -417,42 +417,64 @@ fn worker_count_does_not_change_the_report() {
 
 /// A rerun of a smoke-shaped suite over every topology family, cut
 /// and flap, both modes, produces byte-identical stable reports — not
-/// even a trial's kernel event count may move. (Debug builds also
-/// check the timer wheel's `(time, seq)` order on every pop.)
+/// even a trial's kernel event count may move. So does the same matrix
+/// on a chain whose tables come from the committed MRT snapshot.
+/// (Debug builds also check the timer wheel's `(time, seq)` order on
+/// every pop.)
 #[test]
 fn rerun_gives_identical_reports_and_event_counts() {
-    let suite = SuiteConfig {
-        topologies: vec![
-            TopologySpec::Fig4Lab,
-            TopologySpec::Chain {
-                providers: 2,
-                hops: 1,
-            },
-            TopologySpec::IxpHub { peers: 3 },
-            TopologySpec::IxpHub { peers: 6 },
-        ],
-        scripts: vec![
-            EventScript::primary_cut(),
-            EventScript::primary_flap(SimDuration::from_secs(3), 2),
-        ],
-        modes: vec![Mode::Stock, Mode::Supercharged],
-        workers: None,
-        base: ScenarioConfig {
-            prefixes: 200,
-            flows: 5,
-            seed: 17,
-            ..ScenarioConfig::default()
-        },
+    let chain = TopologySpec::Chain {
+        providers: 2,
+        hops: 1,
     };
-    let first = run_suite(&suite);
-    let again = run_suite(&suite);
-    assert_eq!(
-        first.to_json_stable(),
-        again.to_json_stable(),
-        "rerun: identical measurements"
+    let base = ScenarioConfig {
+        prefixes: 200,
+        flows: 5,
+        seed: 17,
+        ..ScenarioConfig::default()
+    };
+    let rib = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/ris_rib.mrt"
     );
-    assert_eq!(first.to_csv_stable(), again.to_csv_stable());
-    for (a, b) in first.rows.iter().zip(&again.rows) {
-        assert_eq!(a.events_processed, b.events_processed, "same event stream");
+    let rib = std::fs::read(rib).unwrap_or_else(|e| panic!("read {rib}: {e}"));
+    let mrt_fed = ScenarioConfig {
+        feed: FeedSource::MrtSnapshot(std::sync::Arc::new(rib)),
+        ..base.clone()
+    };
+    for (topologies, base) in [
+        (
+            vec![
+                TopologySpec::Fig4Lab,
+                chain.clone(),
+                TopologySpec::IxpHub { peers: 3 },
+                TopologySpec::IxpHub { peers: 6 },
+            ],
+            base,
+        ),
+        (vec![chain], mrt_fed),
+    ] {
+        let suite = SuiteConfig {
+            topologies,
+            scripts: vec![
+                EventScript::primary_cut(),
+                EventScript::primary_flap(SimDuration::from_secs(3), 2),
+            ],
+            modes: vec![Mode::Stock, Mode::Supercharged],
+            workers: None,
+            base,
+        };
+        let first = run_suite(&suite);
+        let again = run_suite(&suite);
+        assert!(first.errors.is_empty(), "every trial ran");
+        assert_eq!(
+            first.to_json_stable(),
+            again.to_json_stable(),
+            "rerun: identical measurements"
+        );
+        assert_eq!(first.to_csv_stable(), again.to_csv_stable());
+        for (a, b) in first.rows.iter().zip(&again.rows) {
+            assert_eq!(a.events_processed, b.events_processed, "same event stream");
+        }
     }
 }
