@@ -19,16 +19,28 @@
 //! What the data plane, a driver or an invariant sample sees of the FIB
 //! is the same as with one event per op.
 //!
-//! The FIFO is the walker's one large allocation — churn offers ops some
-//! thirty times faster than the modelled hardware writes them, so the
-//! queue runs a million deep — and it stores a private packed op
-//! ([`PackedOp`], 8 bytes: prefix bits, length, and a 2-byte index into
-//! the walker's table of next hops) rather than the 16-byte [`FibOp`]
-//! callers hand in and get back.
+//! Churn offers ops some thirty times faster than the modelled hardware
+//! writes them, so the queue runs a million ops deep, but most of those
+//! ops repeat: every churn cycle re-sends the same UPDATEs. So the walker
+//! stores each burst's ops once, packed ([`PackedOp`], 8 bytes: prefix
+//! bits, length, and a 2-byte index into the walker's table of next hops,
+//! rather than the 16-byte [`FibOp`] callers hand in and get back), and
+//! queues *runs*, stretches of that store. A burst equal to a stored one
+//! the walk has not reached yet is queued as another pass over those ops,
+//! and bursts queued back to back over back-to-back ops share one run,
+//! so a repeated churn cycle costs one run, not its ops. The store keeps
+//! an op only while a queued run can reach it, never more than twice the
+//! deepest backlog, and a drained walker hands it all back. The store is
+//! one buffer, not a block per burst: a table load of distinct bursts
+//! costs what a queue of its ops did and leaves no small blocks behind in
+//! the heap. Sharing changes nothing the walk does: every op of every
+//! burst is applied, in FIFO order, at its own instant.
 
 use crate::calibration::Calibration;
+use sc_net::fxhash::FxHasher;
 use sc_net::{splitmix64, FxHashMap, Ipv4Prefix, PrefixTrie, SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::net::Ipv4Addr;
 
 /// One installed FIB entry: where traffic for a prefix goes *right now*.
@@ -62,9 +74,10 @@ impl FibOp {
 /// The installed table (what the data plane consults).
 pub type Fib = PrefixTrie<FibEntry>;
 
-/// A [`FibOp`] as the walker's queue holds it: half the size, the next
-/// hop replaced by its index in the walker's [`NextHops`].
-#[derive(Clone, Copy, Debug)]
+/// A [`FibOp`] as the walker stores it: half the size, the next hop
+/// replaced by its index in the walker's [`NextHops`]. Indices are never
+/// reused, so two packed ops are equal exactly when the ops are.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct PackedOp {
     bits: u32,
     /// Index into [`NextHops`], or [`PackedOp::REMOVE`].
@@ -107,11 +120,50 @@ impl NextHops {
     }
 }
 
+/// The store position an index entry names: the one at or above `base`
+/// that agrees with it in the low 32 bits (the store never holds 2^32
+/// ops).
+fn position(base: u64, cut: u32) -> u64 {
+    base + u64::from(cut.wrapping_sub(base as u32))
+}
+
+/// A stretch of the walker's store that the walk applies in order: one
+/// burst, or several queued back to back whose ops lie back to back.
+#[derive(Debug)]
+struct Run {
+    /// Where its ops start, counted over every op ever stored.
+    at: u64,
+    len: u64,
+    /// How far the walk had reached into the store ([`FibWalker::frontier`])
+    /// when the run was queued: at most `at`, and at most the floor of
+    /// every run queued after it.
+    floor: u64,
+}
+
 /// The serialized hardware-update engine.
 #[derive(Debug)]
 pub struct FibWalker {
     cal: Calibration,
-    queue: VecDeque<PackedOp>,
+    /// The stored ops: every burst that was not queued as a copy, in the
+    /// order queued. Runs name their ops by position in it.
+    store: VecDeque<PackedOp>,
+    /// The position of `store`'s first op.
+    store_base: u64,
+    /// The queue, oldest first.
+    queue: VecDeque<Run>,
+    /// How many of the head run's ops are applied.
+    cursor: u64,
+    /// Ops still pending, over every queued run.
+    pending: usize,
+    /// One past the furthest store position the walk has applied.
+    frontier: u64,
+    /// Where a burst was stored, by its content hash, both cut to 32
+    /// bits (see [`position`]). A hint only: a new burst shares the ops
+    /// there if they equal its own and the walk has not reached them.
+    index: FxHashMap<u32, u32>,
+    /// Where [`FibWalker::enqueue_burst`] packs a burst before the
+    /// lookup.
+    scratch: Vec<PackedOp>,
     next_hops: NextHops,
     /// Completion instant of the head op (`None` when quiescent): drawn
     /// once, when the op became the head, and kept.
@@ -127,10 +179,6 @@ pub struct FibWalker {
 }
 
 impl FibWalker {
-    /// Ops of queue capacity kept however far the walk has drained
-    /// (32 KiB): ordinary churn bursts never reallocate.
-    const QUEUE_FLOOR: usize = 4096;
-
     /// `seed` roots the per-entry jitter stream; routers pass their
     /// router-id so each walker jitters independently but reproducibly.
     pub fn new(cal: Calibration, seed: u64) -> FibWalker {
@@ -138,7 +186,14 @@ impl FibWalker {
         splitmix64(&mut jitter_state);
         FibWalker {
             cal,
+            store: VecDeque::new(),
+            store_base: 0,
             queue: VecDeque::new(),
+            cursor: 0,
+            pending: 0,
+            frontier: 0,
+            index: FxHashMap::default(),
+            scratch: Vec::new(),
             next_hops: NextHops::default(),
             next_at: None,
             ops_applied: 0,
@@ -150,12 +205,12 @@ impl FibWalker {
 
     /// Number of operations still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 
     /// True when nothing is queued (the FIB reflects the RIB).
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.pending == 0
     }
 
     /// Queue a burst of operations produced by one control-plane event.
@@ -166,6 +221,9 @@ impl FibWalker {
     /// delay models CPU work that overlaps the walk, and the head's
     /// completion instant is already drawn.
     ///
+    /// A burst equal to one stored where the walk has not reached yet
+    /// is queued as a second pass over those ops, not stored again.
+    ///
     /// Returns nothing: the caller arms its timer from
     /// [`FibWalker::next_apply_at`].
     pub fn enqueue_burst(
@@ -174,13 +232,12 @@ impl FibWalker {
         ops: impl IntoIterator<Item = FibOp>,
         session_loss: bool,
     ) {
-        let was_empty = self.queue.is_empty();
-        let queued = self.queue.len();
         let next_hops = &mut self.next_hops;
         // The next hop packed last and its index: a burst names one for
         // runs of prefixes, which then cost a compare, not a hash.
         let mut memo: Option<(Ipv4Addr, u16)> = None;
-        self.queue.extend(ops.into_iter().map(|op| {
+        self.scratch.clear();
+        self.scratch.extend(ops.into_iter().map(|op| {
             let (prefix, nh) = match op {
                 FibOp::Set { prefix, next_hop } => match memo {
                     Some((addr, index)) if addr == next_hop => (prefix, index),
@@ -198,17 +255,47 @@ impl FibWalker {
                 len: prefix.len(),
             }
         }));
-        if self.queue.len() > queued {
-            self.bursts += 1;
-            if was_empty {
-                let delay = if session_loss {
-                    self.cal.peer_down_processing
-                } else {
-                    self.cal.update_processing
-                };
-                let free = self.last_apply_at.map_or(now, |t| t.max(now));
-                self.next_at = Some(free + delay + self.jittered_entry_cost());
-            }
+        let len = self.scratch.len() as u64;
+        if len == 0 {
+            return;
+        }
+        let key = (BuildHasherDefault::<FxHasher>::default().hash_one(&self.scratch) >> 32) as u32;
+        let end = self.store_base + self.store.len() as u64;
+        let shared = self.index.get(&key).and_then(|&cut| {
+            let at = position(self.store_base, cut);
+            let from = (at - self.store_base) as usize;
+            (at >= self.frontier
+                && at + len <= end
+                && self
+                    .store
+                    .range(from..from + len as usize)
+                    .eq(&self.scratch))
+            .then_some(at)
+        });
+        let at = shared.unwrap_or_else(|| {
+            self.store.extend(&self.scratch);
+            self.index.insert(key, end as u32);
+            end
+        });
+        match self.queue.back_mut() {
+            Some(tail) if tail.at + tail.len == at => tail.len += len,
+            _ => self.queue.push_back(Run {
+                at,
+                len,
+                floor: self.frontier,
+            }),
+        }
+        let was_empty = self.pending == 0;
+        self.pending += len as usize;
+        self.bursts += 1;
+        if was_empty {
+            let delay = if session_loss {
+                self.cal.peer_down_processing
+            } else {
+                self.cal.update_processing
+            };
+            let free = self.last_apply_at.map_or(now, |t| t.max(now));
+            self.next_at = Some(free + delay + self.jittered_entry_cost());
         }
     }
 
@@ -255,18 +342,16 @@ impl FibWalker {
     /// Apply the head op to `fib` at `at`, and draw the completion
     /// instant of the op behind it.
     fn apply_head(&mut self, fib: &mut Fib, at: SimTime) -> FibOp {
-        let packed = self
-            .queue
-            .pop_front()
-            .expect("apply_head on an empty walker");
-        // A table load fills the queue in its first simulated second and
-        // the walk drains it over minutes: hand the high-water mark back
-        // as it drains, by amortised halving, instead of holding it for
-        // the rest of the run. Releasing on empty alone would be too
-        // late — the controller's tables peak while the walk still runs.
-        let capacity = self.queue.capacity();
-        if capacity > Self::QUEUE_FLOOR && self.queue.len() * 4 <= capacity {
-            self.queue.shrink_to((capacity / 2).max(Self::QUEUE_FLOOR));
+        let run = self.queue.front().expect("apply_head on an empty walker");
+        let position = run.at + self.cursor;
+        let packed = self.store[(position - self.store_base) as usize];
+        self.frontier = self.frontier.max(position + 1);
+        self.cursor += 1;
+        self.pending -= 1;
+        if self.cursor == run.len {
+            self.cursor = 0;
+            self.queue.pop_front();
+            self.retire();
         }
         let prefix = packed.prefix();
         let op = if packed.nh == PackedOp::REMOVE {
@@ -279,12 +364,38 @@ impl FibWalker {
         };
         self.ops_applied += 1;
         self.last_apply_at = Some(at);
-        self.next_at = if self.queue.is_empty() {
+        self.next_at = if self.pending == 0 {
             None
         } else {
             Some(at + self.jittered_entry_cost())
         };
         op
+    }
+
+    /// Drop the stored ops no queued run can reach: every run lies at or
+    /// above its floor, and floors rise along the queue, so the head's
+    /// floor bounds them all.
+    fn retire(&mut self) {
+        let Some(head) = self.queue.front() else {
+            // The walk is done, and has applied every stored op. Its
+            // backlog sized the store, the queue and the index, its
+            // largest burst the scratch; the next walk sizes its own.
+            self.store_base += self.store.len() as u64;
+            self.store = VecDeque::new();
+            self.queue = VecDeque::new();
+            self.index = FxHashMap::default();
+            self.scratch = Vec::new();
+            return;
+        };
+        let floor = head.floor;
+        self.store.drain(..(floor - self.store_base) as usize);
+        self.store_base = floor;
+        // Keep the index no larger than what it may point at.
+        if self.index.len() > self.store.len() {
+            let (base, frontier) = (self.store_base, self.frontier);
+            self.index
+                .retain(|_, &mut cut| position(base, cut) >= frontier);
+        }
     }
 
     fn jittered_entry_cost(&mut self) -> SimDuration {
@@ -413,6 +524,43 @@ mod tests {
         assert!(fib.is_empty());
     }
 
+    /// A burst queued again before the walk reaches it is walked twice
+    /// and stored once, in a walk that follows a drained one too.
+    #[test]
+    fn a_burst_queued_twice_is_stored_once() {
+        let mut w = FibWalker::new(Calibration::instant(), 7);
+        let mut fib = Fib::new();
+        let burst = [p("1.0.0.0/24"), p("2.0.0.0/24")].map(|prefix| FibOp::Set {
+            prefix,
+            next_hop: nh(2),
+        });
+        let other = [FibOp::Remove {
+            prefix: p("1.0.0.0/24"),
+        }];
+        for walk in 0..2 {
+            w.enqueue_burst(SimTime::ZERO, burst, false);
+            w.enqueue_burst(SimTime::ZERO, other, false);
+            w.enqueue_burst(SimTime::ZERO, burst, false);
+            assert_eq!((w.pending(), w.store.len()), (5, 3), "walk {walk}");
+            let log: Vec<Ipv4Prefix> = drain(&mut w, &mut fib)
+                .into_iter()
+                .map(|(p, _)| p)
+                .collect();
+            assert_eq!(
+                log,
+                [
+                    "1.0.0.0/24",
+                    "2.0.0.0/24",
+                    "1.0.0.0/24",
+                    "1.0.0.0/24",
+                    "2.0.0.0/24"
+                ]
+                .map(p)
+            );
+            assert_eq!(fib.len(), 2);
+        }
+    }
+
     #[test]
     fn burst_while_walking_joins_tail() {
         let cal = Calibration {
@@ -463,33 +611,76 @@ mod tests {
         assert_eq!(fib.len(), 3);
     }
 
-    /// The queue's high-water mark goes back as the walk drains, and no
-    /// op is lost or reordered for it.
+    /// A table load of distinct ops is stored once, walked in order with
+    /// no op lost, and handed back when the walk drains.
     #[test]
     fn drained_walker_hands_its_queue_back() {
         const OPS: u32 = 100_000;
-        let burst = || {
-            (0..OPS).map(|i| FibOp::Set {
+        const BURST: usize = 1_000;
+        let load: Vec<FibOp> = (0..OPS)
+            .map(|i| FibOp::Set {
                 prefix: Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 + (i << 8)), 24),
                 next_hop: nh(3),
             })
-        };
+            .collect();
         let mut w = FibWalker::new(Calibration::nexus7k(), 7);
         let mut fib = Fib::new();
-        w.enqueue_burst(SimTime::ZERO, burst(), true);
-        let loaded = w.queue.capacity() * size_of::<PackedOp>();
-        assert!(
-            (OPS as usize * 8..OPS as usize * 16).contains(&loaded),
-            "{loaded} B for {OPS} ops"
-        );
-        let log = drain(&mut w, &mut fib);
-        let held = w.queue.capacity() * size_of::<PackedOp>();
+        // A table load arrives one UPDATE-sized burst at a time.
+        for burst in load.chunks(BURST) {
+            w.enqueue_burst(SimTime::ZERO, burst.iter().copied(), true);
+        }
+        assert_eq!((w.pending(), w.store.len()), (OPS as usize, OPS as usize));
+        let mut log = Vec::new();
+        while let Some(at) = w.next_apply_at() {
+            log.push(w.apply_head(&mut fib, at).prefix());
+            assert!(w.store.len() <= OPS as usize);
+        }
+        let held = w.store.capacity() * size_of::<PackedOp>()
+            + w.queue.capacity() * size_of::<Run>()
+            + w.index.capacity() * size_of::<(u32, u32)>()
+            + w.scratch.capacity() * size_of::<PackedOp>();
         assert!(held < 64 << 10, "{held} B of queue after the walk");
         assert_eq!((w.ops_applied, fib.len()), (OPS as u64, OPS as usize));
-        assert!(log
-            .iter()
-            .map(|(p, _)| *p)
-            .eq(burst().map(|op| op.prefix())));
+        assert!(log.into_iter().eq(load.iter().map(FibOp::prefix)));
+    }
+
+    /// A walk that never drains keeps its store to twice its deepest
+    /// backlog, however long it runs: a stored burst that later copies
+    /// share goes when they are walked, and so does everything stored
+    /// behind it.
+    #[test]
+    fn a_busy_walk_keeps_its_store_bounded() {
+        let cal = Calibration::instant();
+        let mut w = FibWalker::new(cal, 7);
+        let mut fib = Fib::new();
+        let burst = |first: u32| -> Vec<FibOp> {
+            (first..first + 20)
+                .map(|i| FibOp::Remove {
+                    prefix: Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 + (i << 8)), 24),
+                })
+                .collect()
+        };
+        let again = burst(0);
+        let mut deepest = 0;
+        for step in 0..5_000u32 {
+            // One fresh burst and one that recurs, 40 ops, and 30 applied
+            // until the backlog reaches 1,000, then 40.
+            w.enqueue_burst(SimTime::ZERO, burst(1 + step * 20), false);
+            w.enqueue_burst(SimTime::ZERO, again.iter().copied(), false);
+            deepest = deepest.max(w.pending());
+            let applies = if step < 100 { 30 } else { 40 };
+            for _ in 0..applies {
+                let at = w.next_apply_at().expect("the walk never drains");
+                w.apply_head(&mut fib, at);
+            }
+            assert!(!w.is_quiescent());
+            assert!(
+                w.store.len() <= 2 * deepest,
+                "step {step}: {} ops stored, backlog at most {deepest}",
+                w.store.len()
+            );
+            assert!(w.index.len() <= w.store.len());
+        }
     }
 
     /// The walker as it was before its queue was packed and its head's
@@ -528,6 +719,21 @@ mod tests {
                 self.busy_until = self.busy_until.max(now) + delay;
             }
             self.queue.extend(ops);
+        }
+
+        /// Where the walker's jitter stream should stand: the reference
+        /// draws an op's cost when it applies, the walker when the op
+        /// becomes the head, so a walker with ops pending is one draw
+        /// ahead.
+        fn walker_jitter_state(&self) -> u64 {
+            let mut ahead = FibWalker {
+                jitter_state: self.jitter.jitter_state,
+                ..FibWalker::new(self.cal, 0)
+            };
+            if !self.queue.is_empty() {
+                ahead.jittered_entry_cost();
+            }
+            ahead.jitter_state
         }
 
         fn apply_next(&mut self, fib: &mut Fib) -> Option<(FibOp, SimTime)> {
@@ -570,16 +776,34 @@ mod tests {
         ]
     }
 
+    /// Up to ten bursts, each with `rest`. About half are fresh ops; the
+    /// others are drawn again from a pool of three, so a burst is queued
+    /// again while an earlier copy of it is partly applied, or after it
+    /// drained.
+    fn arb_bursts<T: Clone + std::fmt::Debug>(
+        rest: impl Strategy<Value = T>,
+    ) -> impl Strategy<Value = Vec<(Vec<FibOp>, T)>> {
+        let pick = (vec(arb_op(), 0..40), proptest::option::of(0usize..3));
+        (vec(vec(arb_op(), 1..12), 3), vec((pick, rest), 1..10)).prop_map(|(pool, bursts)| {
+            bursts
+                .into_iter()
+                .map(|((fresh, again), rest)| (again.map_or(fresh, |i| pool[i].clone()), rest))
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whatever is queued — over 300 distinct next hops, removes,
-        /// bursts that join a walk in progress — the packed queue hands
+        /// bursts that join a walk in progress, bursts queued again while
+        /// a copy is partly applied — the queue of shared bursts hands
         /// back the ops a queue of `FibOp`s would, at the same instants,
-        /// and leaves the same table.
+        /// and leaves the same table, the same pending count and the
+        /// jitter stream at the same position after every op.
         #[test]
         fn packed_queue_matches_a_queue_of_ops(
-            bursts in vec((vec(arb_op(), 0..40), any::<bool>(), 0usize..50), 1..10),
+            bursts in arb_bursts((any::<bool>(), 0usize..50)),
             jitter_pct in prop_oneof![Just(0u32), Just(10u32)],
         ) {
             let cal = Calibration {
@@ -596,10 +820,15 @@ mod tests {
                     next_hop: pool_nh(i),
                 })
                 .collect();
-            let bursts = std::iter::once((wide, true, 100)).chain(bursts);
-            for (ops, session_loss, applies) in bursts {
+            let bursts = std::iter::once((wide, (true, 100))).chain(bursts);
+            // The last round drains what is left.
+            let drain = (Vec::new(), (false, usize::MAX));
+            let mut deepest = 0;
+            for (ops, (session_loss, applies)) in bursts.chain([drain]) {
                 walker.enqueue_burst(now, ops.iter().copied(), session_loss);
                 reference.enqueue_burst(now, &ops, session_loss);
+                prop_assert_eq!(walker.pending(), reference.queue.len());
+                deepest = deepest.max(walker.pending());
                 // Apply some, so the next burst lands mid-walk (or after
                 // the walk has drained).
                 for _ in 0..applies {
@@ -608,30 +837,30 @@ mod tests {
                     };
                     let got = (walker.apply_head(&mut fib, at), at);
                     prop_assert_eq!(Some(got), reference.apply_next(&mut ref_fib));
+                    prop_assert_eq!(walker.pending(), reference.queue.len());
+                    prop_assert_eq!(walker.jitter_state, reference.walker_jitter_state());
+                    prop_assert!(fib.iter().eq(ref_fib.iter()));
+                    prop_assert!(walker.store.len() <= 2 * deepest);
                     now = at;
                 }
-                prop_assert_eq!(walker.pending(), reference.queue.len());
-            }
-            while let Some(at) = walker.next_apply_at() {
-                let got = (walker.apply_head(&mut fib, at), at);
-                prop_assert_eq!(Some(got), reference.apply_next(&mut ref_fib));
             }
             prop_assert_eq!(reference.apply_next(&mut ref_fib), None);
-            prop_assert!(fib.iter().eq(ref_fib.iter()));
+            prop_assert!(walker.store.is_empty() && walker.index.is_empty(), "a drained walker stores nothing");
         }
 
         /// Draining to a horizon changes nothing the walk writes: for any
-        /// bursts (some joining a walk in progress), calibration and
-        /// horizon, each `apply_until` tick applies exactly the ops one
-        /// tick per op applies at `now` and before the horizon, in order,
-        /// at the same instants, and leaves the same table, the same next
-        /// instant and the jitter stream at the same position.
+        /// bursts (some joining a walk in progress, some queued again
+        /// while a copy is partly applied), calibration and horizon,
+        /// each `apply_until` tick applies exactly the ops one tick per
+        /// op applies at `now` and before the horizon, in order, at the
+        /// same instants, and leaves the same table, the same next
+        /// instant and the jitter stream at the same position. A queue of
+        /// `FibOp`s walked alongside applies the same ops at the same
+        /// instants, and after each tick leaves the same table and the
+        /// same pending count.
         #[test]
         fn apply_until_matches_one_op_per_tick(
-            bursts in vec(
-                (vec(arb_op(), 0..40), any::<bool>(), 0usize..6, arb_horizon()),
-                1..10,
-            ),
+            bursts in arb_bursts((any::<bool>(), 0usize..6, arb_horizon())),
             cal in prop_oneof![
                 Just(Calibration::nexus7k()),
                 Just(Calibration { fib_entry_jitter_pct: 0, ..Calibration::nexus7k() }),
@@ -640,22 +869,27 @@ mod tests {
         ) {
             let (mut batched, mut fib) = (FibWalker::new(cal, 7), Fib::new());
             let (mut single, mut single_fib) = (FibWalker::new(cal, 7), Fib::new());
+            let (mut reference, mut ref_fib) = (ReferenceWalker::new(cal, 7), Fib::new());
             let mut now = SimTime::ZERO;
             let mut applied = Vec::new();
             // The last round drains what is left with no horizon at all.
-            let drain = (Vec::new(), false, usize::MAX, Horizon::Unbounded);
-            for (ops, session_loss, ticks, horizon) in bursts.into_iter().chain([drain]) {
+            let drain = (Vec::new(), (false, usize::MAX, Horizon::Unbounded));
+            for (ops, (session_loss, ticks, horizon)) in bursts.into_iter().chain([drain]) {
                 batched.enqueue_burst(now, ops.iter().copied(), session_loss);
                 single.enqueue_burst(now, ops.iter().copied(), session_loss);
+                reference.enqueue_burst(now, &ops, session_loss);
                 for _ in 0..ticks {
                     let Some(at) = batched.next_apply_at() else {
                         break;
                     };
-                    // The reference: one tick per op, each at its instant.
+                    // The reference: one tick per op, each at its instant,
+                    // checked against the queue of `FibOp`s op by op.
                     let mut log = Vec::new();
                     let mut tick = |single: &mut FibWalker, log: &mut Vec<(FibOp, SimTime)>| {
                         let t = single.next_apply_at().expect("the reference ran dry");
-                        log.push((single.apply_head(&mut single_fib, t), t));
+                        let got = (single.apply_head(&mut single_fib, t), t);
+                        assert_eq!(Some(got), reference.apply_next(&mut ref_fib));
+                        log.push(got);
                     };
                     let h = match horizon {
                         Horizon::After(ns) => at + SimDuration::from_nanos(ns),
@@ -684,10 +918,14 @@ mod tests {
                     prop_assert!(next.is_none_or(|t| t != at && t >= h), "{:?} vs {:?}", next, h);
                     prop_assert_eq!(batched.next_apply_at(), next);
                     prop_assert_eq!(batched.jitter_state, single.jitter_state);
+                    prop_assert_eq!(batched.jitter_state, reference.walker_jitter_state());
+                    prop_assert_eq!(batched.pending(), reference.queue.len());
+                    prop_assert!(fib.iter().eq(ref_fib.iter()));
                     now = instants[instants.len() - 1];
                 }
             }
             prop_assert!(batched.is_quiescent() && single.is_quiescent());
+            prop_assert_eq!(reference.apply_next(&mut ref_fib), None);
             prop_assert_eq!(batched.ops_applied, single.ops_applied);
             prop_assert!(fib.iter().eq(single_fib.iter()));
         }
