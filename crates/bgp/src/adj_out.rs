@@ -7,9 +7,23 @@
 //! a flapped session came back *empty* and every flap script measured
 //! first-failover only.
 //!
-//! [`AdjRibOut`] is that bookkeeping: a prefix → attribute map mutated by
-//! the same [`UpdateMsg`]s that go on the wire (withdrawals remove,
-//! announcements insert) and exported back as packed UPDATEs — prefixes
+//! [`AdjRibOut`] is that bookkeeping, in two parts:
+//!
+//! * the **base**: the feed the session was configured with, immutable
+//!   and `Arc`-shared — its sorted, distinct prefixes as one
+//!   `Arc<[Ipv4Prefix]>` and the attribute runs over them (prefixes in a
+//!   row with the same attribute set `Arc` form one run). Cloning an
+//!   Adj-RIB-Out shares its base, so every session of a provider holds
+//!   one table, and a builder that hands every provider the same prefix
+//!   list ([`AdjRibOut::from_runs`]) holds one list: a full table costs
+//!   its runs, 16 bytes per run, not a tree node per prefix;
+//! * the **delta**: what [`AdjRibOut::apply`] wrote since, one entry per
+//!   prefix an UPDATE named (a withdrawal writes `None`). `apply` never
+//!   looks at the base, so churn costs a B-tree write per prefix and a
+//!   repeated cycle over the same prefixes overwrites its entries.
+//!
+//! [`AdjRibOut::export`] merges the two in prefix order, the delta
+//! winning, and packs the result back into UPDATEs — prefixes in a row
 //! sharing an attribute set ride one message, split to the RFC 4271 size
 //! cap — on every establishment.
 
@@ -22,7 +36,37 @@ use std::sync::Arc;
 /// Per-peer outbound routing state, replayed on session (re-)establish.
 #[derive(Clone, Debug, Default)]
 pub struct AdjRibOut {
-    routes: BTreeMap<Ipv4Prefix, Arc<RouteAttrs>>,
+    base: Arc<Base>,
+    /// Prefix → what `apply` last wrote for it: an attribute set, or
+    /// `None` for a withdrawal. Overrides the base.
+    delta: BTreeMap<Ipv4Prefix, Option<Arc<RouteAttrs>>>,
+}
+
+/// The configured feed: immutable, shared by every clone.
+#[derive(Debug, Default)]
+struct Base {
+    /// Sorted and distinct.
+    prefixes: Arc<[Ipv4Prefix]>,
+    /// `(index of the run's first prefix, its attribute set)` in
+    /// ascending order, the first at 0; a run ends where the next
+    /// begins.
+    runs: Box<[(u32, Arc<RouteAttrs>)]>,
+}
+
+impl Base {
+    /// Every prefix with its attribute set, in prefix order.
+    fn routes(&self) -> impl Iterator<Item = (Ipv4Prefix, &Arc<RouteAttrs>)> {
+        let ends = self.runs.iter().skip(1).map(|(start, _)| *start as usize);
+        let ends = ends.chain(std::iter::once(self.prefixes.len()));
+        self.runs
+            .iter()
+            .zip(ends)
+            .flat_map(move |((start, attrs), end)| {
+                self.prefixes[*start as usize..end]
+                    .iter()
+                    .map(move |prefix| (*prefix, attrs))
+            })
+    }
 }
 
 impl AdjRibOut {
@@ -30,26 +74,55 @@ impl AdjRibOut {
         AdjRibOut::default()
     }
 
-    /// Seed from a static originate feed (the configured announcements a
-    /// provider router offers on every establishment).
+    /// A feed already in table form: the sorted, distinct `prefixes`
+    /// (shared, not copied) and `runs` of `(index of the first prefix,
+    /// attribute set)` over them, ascending from 0. Panics on a list or
+    /// runs out of order.
+    pub fn from_runs(prefixes: Arc<[Ipv4Prefix]>, runs: Vec<(u32, Arc<RouteAttrs>)>) -> AdjRibOut {
+        assert!(
+            prefixes.windows(2).all(|w| w[0] < w[1]),
+            "an Adj-RIB-Out's prefixes are sorted and distinct"
+        );
+        assert_eq!(
+            runs.first().map(|(start, _)| *start),
+            (!prefixes.is_empty()).then_some(0),
+            "the first run starts at the first prefix"
+        );
+        assert!(
+            runs.windows(2).all(|w| w[0].0 < w[1].0)
+                && runs
+                    .last()
+                    .is_none_or(|(start, _)| (*start as usize) < prefixes.len()),
+            "runs ascend within the prefix list"
+        );
+        AdjRibOut {
+            base: Arc::new(Base {
+                prefixes,
+                runs: runs.into_boxed_slice(),
+            }),
+            delta: BTreeMap::new(),
+        }
+    }
+
+    /// Seed from a feed of UPDATEs (an MRT snapshot's, or a test's).
     pub fn from_updates(updates: &[UpdateMsg]) -> AdjRibOut {
         // The announce-only head of the feed (all of it, for an originate
-        // feed) is sorted once and bulk-built instead of inserted prefix
-        // by prefix. Collected in feed order, a generated or exported
-        // feed is already one ascending run, so the stable sort is a
-        // scan; the dedup then keeps each prefix's last announcement, as
-        // insertion in feed order would.
+        // feed) is sorted once into the base; the rest is applied. Collected
+        // in feed order, a generated or exported feed is already one
+        // ascending run, so the stable sort is a scan; the dedup then
+        // keeps each prefix's last announcement, as applying the feed in
+        // order would.
         let head = updates
             .iter()
             .take_while(|upd| upd.withdrawn.is_empty())
             .count();
         let announced = updates[..head].iter().map(|upd| upd.nlri.len()).sum();
-        let mut routes: Vec<(Ipv4Prefix, Arc<RouteAttrs>)> = Vec::with_capacity(announced);
+        let mut routes: Vec<(Ipv4Prefix, &Arc<RouteAttrs>)> = Vec::with_capacity(announced);
         routes.extend(
             updates[..head]
                 .iter()
                 .filter_map(|upd| Some((upd.attrs.as_ref()?, &upd.nlri)))
-                .flat_map(|(attrs, nlri)| nlri.iter().map(move |p| (*p, attrs.clone()))),
+                .flat_map(|(attrs, nlri)| nlri.iter().map(move |p| (*p, attrs))),
         );
         routes.sort_by_key(|(prefix, _)| *prefix);
         routes.dedup_by(|later, kept| {
@@ -59,38 +132,69 @@ impl AdjRibOut {
             }
             repeat
         });
-        let mut out = AdjRibOut {
-            routes: routes.into_iter().collect(),
-        };
+        let prefixes = routes.iter().map(|(prefix, _)| *prefix).collect();
+        let mut runs: Vec<(u32, Arc<RouteAttrs>)> = Vec::new();
+        for (i, (_, attrs)) in routes.iter().enumerate() {
+            if !runs.last().is_some_and(|(_, run)| Arc::ptr_eq(run, attrs)) {
+                runs.push((i as u32, Arc::clone(attrs)));
+            }
+        }
+        let mut out = AdjRibOut::from_runs(prefixes, runs);
         for upd in &updates[head..] {
             out.apply(upd);
         }
         out
     }
 
-    /// Number of prefixes currently advertised.
+    /// Every advertised prefix with its attribute set, in prefix order:
+    /// the base merged with the delta, the delta winning.
+    fn routes(&self) -> impl Iterator<Item = (Ipv4Prefix, &Arc<RouteAttrs>)> {
+        let mut base = self.base.routes().peekable();
+        let mut delta = self.delta.iter().peekable();
+        std::iter::from_fn(move || loop {
+            let next_base = base.peek().map(|(prefix, _)| *prefix);
+            let Some((&prefix, _)) = delta.peek() else {
+                return base.next();
+            };
+            match next_base {
+                Some(from_base) if from_base < prefix => return base.next(),
+                Some(from_base) if from_base == prefix => {
+                    base.next();
+                }
+                _ => {}
+            }
+            if let (_, Some(attrs)) = delta.next()? {
+                return Some((prefix, attrs));
+            }
+        })
+    }
+
+    /// Number of prefixes currently advertised (a merge: diagnostics).
     pub fn len(&self) -> usize {
-        self.routes.len()
+        self.routes().count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.routes().next().is_none()
     }
 
     /// Is `prefix` currently advertised?
     pub fn contains(&self, prefix: Ipv4Prefix) -> bool {
-        self.routes.contains_key(&prefix)
+        match self.delta.get(&prefix) {
+            Some(written) => written.is_some(),
+            None => self.base.prefixes.binary_search(&prefix).is_ok(),
+        }
     }
 
     /// Track one UPDATE sent to the peer: withdrawals leave the table,
     /// announcements enter (or replace) it.
     pub fn apply(&mut self, upd: &UpdateMsg) {
         for prefix in &upd.withdrawn {
-            self.routes.remove(prefix);
+            self.delta.insert(*prefix, None);
         }
         if let Some(attrs) = &upd.attrs {
             for prefix in &upd.nlri {
-                self.routes.insert(*prefix, attrs.clone());
+                self.delta.insert(*prefix, Some(attrs.clone()));
             }
         }
     }
@@ -101,23 +205,20 @@ impl AdjRibOut {
     /// to the RFC 4271 size cap. Deterministic for identical state.
     pub fn export(&self) -> Vec<UpdateMsg> {
         let mut out = Vec::new();
-        let mut current: Option<(Arc<RouteAttrs>, Vec<Ipv4Prefix>)> = None;
-        let flush = |current: &mut Option<(Arc<RouteAttrs>, Vec<Ipv4Prefix>)>,
-                     out: &mut Vec<UpdateMsg>| {
-            if let Some((attrs, nlri)) = current.take() {
-                UpdateMsg::announce(attrs, nlri).split_to_fit(out);
-            }
-        };
-        for (prefix, attrs) in &self.routes {
+        let mut current: Option<(&Arc<RouteAttrs>, Vec<Ipv4Prefix>)> = None;
+        for (prefix, attrs) in self.routes() {
             match &mut current {
-                Some((a, nlri)) if Arc::ptr_eq(a, attrs) => nlri.push(*prefix),
+                Some((run, nlri)) if Arc::ptr_eq(run, attrs) => nlri.push(prefix),
                 _ => {
-                    flush(&mut current, &mut out);
-                    current = Some((attrs.clone(), vec![*prefix]));
+                    if let Some((run, nlri)) = current.replace((attrs, vec![prefix])) {
+                        UpdateMsg::announce(run.clone(), nlri).split_to_fit(&mut out);
+                    }
                 }
             }
         }
-        flush(&mut current, &mut out);
+        if let Some((run, nlri)) = current {
+            UpdateMsg::announce(run.clone(), nlri).split_to_fit(&mut out);
+        }
         out
     }
 }

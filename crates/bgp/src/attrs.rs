@@ -327,7 +327,19 @@ pub fn decode_attrs(mut buf: &[u8]) -> Result<RouteAttrs, WireError> {
                 origin = Some(Origin::from_u8(value[0])?);
             }
             ATTR_AS_PATH => {
-                let mut segments = Vec::new();
+                // Count the segment headers first, so the path holds
+                // what it carries; a malformed tail stops the count and
+                // fails below.
+                let mut headers = 0;
+                let mut v = value;
+                while let [_, count, ..] = *v {
+                    let Some(rest) = v.get(2 + count as usize * 2..) else {
+                        break;
+                    };
+                    headers += 1;
+                    v = rest;
+                }
+                let mut segments = Vec::with_capacity(headers);
                 let mut v = value;
                 while !v.is_empty() {
                     need(v, 2)?;

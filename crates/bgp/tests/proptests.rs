@@ -291,6 +291,97 @@ fn framed(ty: u8, body: &[u8]) -> Vec<u8> {
     wire
 }
 
+/// The prefix an Adj-RIB-Out test draws as `slot`. Lengths /16 to /24:
+/// some slots mask to the same prefix.
+fn adj_out_prefix(slot: u16) -> Ipv4Prefix {
+    let addr = Ipv4Addr::from(0x0100_0000 + ((slot as u32) << 8));
+    Ipv4Prefix::new(addr, 16 + (slot % 9) as u8)
+}
+
+/// The per-session B-tree the Adj-RIB-Out was before it kept a shared
+/// base and a delta: the reference model it must export like, message
+/// for message and attribute `Arc` for `Arc`.
+#[derive(Clone, Default)]
+struct ModelAdjRibOut {
+    routes: BTreeMap<Ipv4Prefix, Arc<RouteAttrs>>,
+}
+
+impl ModelAdjRibOut {
+    fn apply(&mut self, upd: &UpdateMsg) {
+        for prefix in &upd.withdrawn {
+            self.routes.remove(prefix);
+        }
+        if let Some(attrs) = &upd.attrs {
+            for prefix in &upd.nlri {
+                self.routes.insert(*prefix, attrs.clone());
+            }
+        }
+    }
+
+    fn export(&self) -> Vec<UpdateMsg> {
+        let mut out = Vec::new();
+        let mut current: Option<(Arc<RouteAttrs>, Vec<Ipv4Prefix>)> = None;
+        for (prefix, attrs) in &self.routes {
+            match &mut current {
+                Some((a, nlri)) if Arc::ptr_eq(a, attrs) => nlri.push(*prefix),
+                _ => {
+                    if let Some((a, nlri)) = current.replace((attrs.clone(), vec![*prefix])) {
+                        UpdateMsg::announce(a, nlri).split_to_fit(&mut out);
+                    }
+                }
+            }
+        }
+        if let Some((a, nlri)) = current {
+            UpdateMsg::announce(a, nlri).split_to_fit(&mut out);
+        }
+        out
+    }
+}
+
+/// `rib` exports what `model` does, attribute `Arc`s included, and
+/// agrees with it on its size and on every slot below `slots`.
+fn matches_model(rib: &AdjRibOut, model: &ModelAdjRibOut, slots: u16) -> Result<(), TestCaseError> {
+    let (got, want) = (rib.export(), model.export());
+    prop_assert_eq!(&got, &want);
+    for (x, y) in got.iter().zip(&want) {
+        prop_assert!(Arc::ptr_eq(
+            x.attrs.as_ref().unwrap(),
+            y.attrs.as_ref().unwrap()
+        ));
+    }
+    prop_assert_eq!(rib.len(), model.routes.len());
+    prop_assert_eq!(rib.is_empty(), model.routes.is_empty());
+    for slot in 0..slots {
+        let prefix = adj_out_prefix(slot);
+        prop_assert_eq!(
+            rib.contains(prefix),
+            model.routes.contains_key(&prefix),
+            "{}",
+            prefix
+        );
+    }
+    Ok(())
+}
+
+/// One UPDATE a session sends after its feed, drawn as (kind, slots,
+/// set): 0 withdraws the slots, 1 re-announces them with one of the
+/// feed's own attribute sets, 2 with an equal set in a new `Arc`, 3
+/// withdraws the first slot and announces the rest with a feed set.
+fn adj_out_step((kind, slots, set): &(u8, Vec<u16>, usize), sets: &[Arc<RouteAttrs>]) -> UpdateMsg {
+    let prefixes: Vec<Ipv4Prefix> = slots.iter().map(|slot| adj_out_prefix(*slot)).collect();
+    let feed_set = sets[set % sets.len()].clone();
+    match kind {
+        0 => UpdateMsg::withdraw(prefixes),
+        1 => UpdateMsg::announce(feed_set, prefixes),
+        2 => UpdateMsg::announce(Arc::new((*feed_set).clone()), prefixes),
+        _ => UpdateMsg {
+            withdrawn: prefixes[..1].to_vec(),
+            attrs: Some(feed_set),
+            nlri: prefixes[1..].to_vec(),
+        },
+    }
+}
+
 /// A feed for [`AdjRibOut::from_updates`] in one of four shapes over
 /// `draws` of (prefix slot, attribute set): 0 ascending and distinct,
 /// 1 as drawn (shuffled, repeats included), 2 ascending and then
@@ -303,11 +394,7 @@ fn adj_out_feed(
     tail: &[(bool, u16, usize)],
     sets: &[Arc<RouteAttrs>],
 ) -> Vec<UpdateMsg> {
-    // Lengths /16 to /24: some slots mask to the same prefix.
-    let prefix = |slot: u16| {
-        let addr = Ipv4Addr::from(0x0100_0000 + ((slot as u32) << 8));
-        Ipv4Prefix::new(addr, 16 + (slot % 9) as u8)
-    };
+    let prefix = adj_out_prefix;
     let mut order: Vec<(u16, usize)> = draws.to_vec();
     match shape {
         0 => {
@@ -731,12 +818,17 @@ proptest! {
     }
 
     /// Seeding an Adj-RIB-Out from a feed gives what applying the feed
-    /// in order gives: the same export, attribute `Arc`s included.
+    /// in order gives: the same export, attribute `Arc`s included. So
+    /// does every UPDATE after it, against the B-tree model — slots from
+    /// 600 up lie outside every feed — and two sessions that share one
+    /// base diverge independently: one takes every step, the other
+    /// every second one.
     #[test]
     fn adj_out_from_updates_equals_applying_in_order(
         shape in 0u8..4,
         draws in vec((0u16..600, 0usize..4), 0..400),
         tail in vec((any::<bool>(), 0u16..600, 0usize..4), 0..30),
+        steps in vec((0u8..4, vec(0u16..700, 1..4), 0usize..4), 0..24),
     ) {
         let path = AsPath::sequence(vec![65002, 174]);
         let sets = [
@@ -751,10 +843,29 @@ proptest! {
         }
         let built = AdjRibOut::from_updates(&feed);
         prop_assert_eq!(built.len(), applied.len());
-        let (built, applied) = (built.export(), applied.export());
-        prop_assert_eq!(&built, &applied);
-        for (x, y) in built.iter().zip(&applied) {
+        let (exported, applied) = (built.export(), applied.export());
+        prop_assert_eq!(&exported, &applied);
+        for (x, y) in exported.iter().zip(&applied) {
             prop_assert!(Arc::ptr_eq(x.attrs.as_ref().unwrap(), y.attrs.as_ref().unwrap()));
+        }
+
+        let mut model = ModelAdjRibOut::default();
+        for upd in &feed {
+            model.apply(upd);
+        }
+        let (mut every, mut second) = (built.clone(), built);
+        let (mut every_model, mut second_model) = (model.clone(), model);
+        matches_model(&every, &every_model, 700)?;
+        for (k, step) in steps.iter().enumerate() {
+            let upd = adj_out_step(step, &sets);
+            every.apply(&upd);
+            every_model.apply(&upd);
+            if k % 2 == 0 {
+                second.apply(&upd);
+                second_model.apply(&upd);
+            }
+            matches_model(&every, &every_model, 700)?;
+            matches_model(&second, &second_model, 700)?;
         }
     }
 }

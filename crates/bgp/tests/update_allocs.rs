@@ -4,10 +4,11 @@
 //! feed; this binary pins the per-message counts under it with an
 //! allocator of its own that counts only while one call runs. Decoding
 //! a maximum-size announcement allocates the NLRI, AS_PATH's two
-//! vectors and the shared attribute `Arc`, once each; encoding into an
-//! empty buffer allocates it once; splitting an UPDATE that already
-//! fits into a buffer with room allocates nothing. A `Vec` that grows
-//! by doubling again shows up here as extra allocations.
+//! vectors and the shared attribute `Arc`, once each, and a decoded
+//! AS_PATH's vectors hold what they carry; encoding into an empty buffer
+//! allocates it once; splitting an UPDATE that already fits into a
+//! buffer with room allocates nothing. A `Vec` that grows by doubling
+//! again shows up here as extra allocations.
 
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg, MAX_MESSAGE_LEN};
@@ -153,5 +154,33 @@ fn splitting_an_update_that_fits_allocates_nothing() {
         let (count, ()) = allocations(|| msg.split_to_fit(&mut parts));
         assert_eq!(parts, [upd], "a message that fits is passed through");
         assert_eq!(count, 0, "the part lands in the caller's buffer");
+    }
+}
+
+#[test]
+fn a_decoded_as_path_holds_what_it_carries() {
+    use sc_bgp::attrs::AsSegment;
+    let segments = [
+        AsSegment::Sequence(vec![65002, 174]),
+        AsSegment::Set(vec![3356, 1299, 2914]),
+        AsSegment::Sequence(vec![15169]),
+    ];
+    for n in 1..=segments.len() {
+        let path = AsPath {
+            segments: segments[..n].to_vec(),
+        };
+        let attrs = RouteAttrs::ebgp(path, Ipv4Addr::new(10, 0, 0, 2)).shared();
+        let upd = UpdateMsg::announce(attrs, slash24s(4));
+        let wire = BgpMessage::Update(upd.clone()).encode();
+        let Ok(BgpMessage::Update(decoded)) = BgpMessage::decode(&wire) else {
+            panic!("{n} segments: not an UPDATE");
+        };
+        assert_eq!(decoded, upd);
+        let decoded = &decoded.attrs.as_ref().unwrap().as_path.segments;
+        assert_eq!(decoded.capacity(), n, "{n} segments");
+        for seg in decoded {
+            let (AsSegment::Sequence(ases) | AsSegment::Set(ases)) = seg;
+            assert_eq!(ases.capacity(), ases.len(), "{seg:?}");
+        }
     }
 }

@@ -33,8 +33,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::UpdateMsg;
+use sc_bgp::AdjRibOut;
 use sc_net::Ipv4Prefix;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Feed generation parameters.
 #[derive(Clone, Debug)]
@@ -144,34 +146,63 @@ pub fn generate_feed(cfg: &FeedConfig) -> Vec<UpdateMsg> {
 /// Like [`generate_feed`] but over a caller-provided universe (so R2 and
 /// R3 provably announce the same prefixes).
 pub fn generate_feed_for(cfg: &FeedConfig, universe: &[Ipv4Prefix]) -> Vec<UpdateMsg> {
-    // Attribute-run RNG is salted with the origin AS so the two
-    // providers have *different* paths (as in reality) over the *same*
-    // prefixes.
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (cfg.origin_as as u64) << 32);
     let mut updates = Vec::new();
     let mut i = 0usize;
-    while i < universe.len() {
-        // Run length: how many consecutive prefixes share this path.
-        let run = rng.gen_range(1..=64usize).min(universe.len() - i);
-        let path_len = rng.gen_range(1..=4usize);
-        let mut path = vec![cfg.origin_as];
-        for _ in 0..path_len {
-            path.push(rng.gen_range(1000..64000u16));
-        }
-        let mut attrs = RouteAttrs::ebgp(AsPath::sequence(path), cfg.next_hop);
-        if rng.gen_bool(0.3) {
-            attrs.med = Some(rng.gen_range(0..200));
-        }
-        if rng.gen_bool(0.2) {
-            attrs.communities = vec![((cfg.origin_as as u32) << 16) | rng.gen_range(0..1000u32)];
-        }
-        let attrs = attrs.shared();
+    for (run, attrs) in attribute_runs(cfg, universe.len()) {
         for chunk in universe[i..i + run].chunks(cfg.max_nlri_per_update) {
             UpdateMsg::announce(attrs.clone(), chunk.to_vec()).split_to_fit(&mut updates);
         }
         i += run;
     }
     updates
+}
+
+/// [`generate_feed_for`]'s feed as the provider's Adj-RIB-Out: its
+/// attribute runs over `universe` itself, which every provider's table
+/// shares instead of holding a copy.
+pub fn generate_adj_rib_out(cfg: &FeedConfig, universe: &Arc<[Ipv4Prefix]>) -> AdjRibOut {
+    let mut start = 0;
+    let runs = attribute_runs(cfg, universe.len())
+        .map(|(run, attrs)| {
+            let first = start as u32;
+            start += run;
+            (first, attrs)
+        })
+        .collect();
+    AdjRibOut::from_runs(Arc::clone(universe), runs)
+}
+
+/// The feed's attribute sets over `n` prefixes in order, each with the
+/// number of consecutive prefixes that share it (like a real table
+/// dump).
+fn attribute_runs(cfg: &FeedConfig, n: usize) -> impl Iterator<Item = (usize, Arc<RouteAttrs>)> {
+    // Attribute-run RNG is salted with the origin AS so the two
+    // providers have *different* paths (as in reality) over the *same*
+    // prefixes.
+    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (cfg.origin_as as u64) << 32);
+    let (next_hop, origin_as) = (cfg.next_hop, cfg.origin_as);
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        if i == n {
+            return None;
+        }
+        // Run length: how many consecutive prefixes share this path.
+        let run = rng.gen_range(1..=64usize).min(n - i);
+        let path_len = rng.gen_range(1..=4usize);
+        let mut path = vec![origin_as];
+        for _ in 0..path_len {
+            path.push(rng.gen_range(1000..64000u16));
+        }
+        let mut attrs = RouteAttrs::ebgp(AsPath::sequence(path), next_hop);
+        if rng.gen_bool(0.3) {
+            attrs.med = Some(rng.gen_range(0..200));
+        }
+        if rng.gen_bool(0.2) {
+            attrs.communities = vec![((origin_as as u32) << 16) | rng.gen_range(0..1000u32)];
+        }
+        i += run;
+        Some((run, attrs.shared()))
+    })
 }
 
 /// The paper's flow-sampling rule: `n` destination IPs drawn from
@@ -313,6 +344,21 @@ mod tests {
         assert!(r3
             .iter()
             .all(|u| u.attrs.as_ref().unwrap().next_hop == Ipv4Addr::new(10, 0, 0, 3)));
+    }
+
+    /// The table form exports what seeding an Adj-RIB-Out from the
+    /// UPDATE feed exports (each generation's attribute sets are its
+    /// own `Arc`s, so they compare by value).
+    #[test]
+    fn adj_rib_out_is_the_feed_as_a_table() {
+        let universe: Arc<[Ipv4Prefix]> = prefix_universe(3_000, 5).into();
+        for origin_as in [65002, 65003] {
+            let cfg = FeedConfig::new(3_000, 5, Ipv4Addr::new(10, 0, 0, 2), origin_as);
+            let table = generate_adj_rib_out(&cfg, &universe);
+            let seeded = AdjRibOut::from_updates(&generate_feed_for(&cfg, &universe));
+            assert_eq!(table.len(), 3_000);
+            assert_eq!(table.export(), seeded.export());
+        }
     }
 
     #[test]

@@ -81,9 +81,11 @@ pub struct PeerConfig {
     pub hold_time: SimDuration,
     /// Run BFD with this peer.
     pub bfd: Option<BfdConfig>,
-    /// Updates to announce once the session establishes (the provider
-    /// routers originate the RIS feed through this).
-    pub originate: Vec<UpdateMsg>,
+    /// The routes to announce once the session establishes: the
+    /// session's starting Adj-RIB-Out (the provider routers originate
+    /// the RIS feed through this). A clone shares its table, so every
+    /// session of a provider is handed the same one.
+    pub originate: AdjRibOut,
     /// Which interface the peer is reached through.
     pub iface: usize,
     /// This session terminates at a supercharger controller replica.
@@ -113,7 +115,7 @@ impl PeerConfig {
             remote_port: if active { udp_port::BGP } else { 40000 },
             hold_time: SimDuration::from_secs(90),
             bfd: None,
-            originate: Vec::new(),
+            originate: AdjRibOut::new(),
             iface: 0,
             controller: false,
             deadline: None,
@@ -190,10 +192,11 @@ struct PeerState {
     /// The liveness watchdog: re-armed from its own expiry while
     /// traffic keeps pushing `last_heard` out.
     deadline_wakeup: Wakeup,
-    /// What we advertise to this peer (RFC 4271 §3.2): seeded from
-    /// `cfg.originate`, mutated by [`LegacyRouter::inject_updates`], and
-    /// replayed in full on *every* session establishment — the RFC 4271
-    /// §9.4 restart behavior the old one-shot `feed_sent` latch broke.
+    /// What we advertise to this peer (RFC 4271 §3.2): `cfg.originate`,
+    /// whose table stays shared with the provider's other sessions, plus
+    /// what [`LegacyRouter::inject_updates`] wrote since, replayed in
+    /// full on *every* session establishment — the RFC 4271 §9.4 restart
+    /// behavior the old one-shot `feed_sent` latch broke.
     adj_out: AdjRibOut,
     /// Establishment counter (diagnostics; feed replays once per epoch).
     establishments: u32,
@@ -294,9 +297,9 @@ impl LegacyRouter {
     }
 
     /// Configure a BGP peer. Must be called before the world starts.
-    /// `cfg.originate` is consumed: the peer's Adj-RIB-Out is what is
-    /// advertised from here on, and a provider keeps no second copy of
-    /// its feed.
+    /// `cfg.originate` moves into the peer's Adj-RIB-Out, which is what
+    /// is advertised from here on; its table is shared, not copied, so a
+    /// provider's sessions hold one feed between them.
     pub fn add_peer(&mut self, mut cfg: PeerConfig) {
         let iface = self.interfaces[cfg.iface];
         let addr = UdpEndpoints {
@@ -322,7 +325,7 @@ impl LegacyRouter {
         let bfd = cfg.bfd.map(BfdSession::new);
         // Infrastructure MACs are statically configured.
         self.arp.add_static(cfg.peer_ip, cfg.peer_mac);
-        let adj_out = AdjRibOut::from_updates(&std::mem::take(&mut cfg.originate));
+        let adj_out = std::mem::take(&mut cfg.originate);
         self.peers.push(PeerState {
             cfg,
             chan,
@@ -809,8 +812,8 @@ impl LegacyRouter {
                     // RFC 4271 §9.4: advertise the Adj-RIB-Out on every
                     // establishment — including re-establishments after
                     // a flap, which the old `feed_sent` latch skipped.
-                    if !self.peers[idx].adj_out.is_empty() {
-                        let feed = self.peers[idx].adj_out.export();
+                    let feed = self.peers[idx].adj_out.export();
+                    if !feed.is_empty() {
                         let n = feed.len();
                         for part in feed {
                             self.peers[idx].session.queue_update(part);
@@ -1392,8 +1395,8 @@ mod tests {
     use super::*;
     use sc_bgp::{AsPath, RouteAttrs};
 
-    /// A provider's feed lives on in the peer's Adj-RIB-Out and nowhere
-    /// else: `add_peer` keeps no second copy in the peer's config.
+    /// A provider's feed lives on in the peer's Adj-RIB-Out: `add_peer`
+    /// moves it out of the peer's config, which keeps no handle on it.
     #[test]
     fn add_peer_consumes_the_originate_feed() {
         let peer_ip = Ipv4Addr::new(10, 0, 1, 1);
@@ -1420,7 +1423,7 @@ mod tests {
             UpdateMsg::announce(attrs, nlri(50)),
         ];
         router.add_peer(PeerConfig {
-            originate: feed,
+            originate: AdjRibOut::from_updates(&feed),
             ..PeerConfig::ebgp(peer_ip, MacAddr([2, 0, 0, 0, 0, 1]), false)
         });
         assert!(router.peers[0].cfg.originate.is_empty());

@@ -7,6 +7,7 @@
 use sc_bfd::BfdConfig;
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::UpdateMsg;
+use sc_bgp::AdjRibOut;
 use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_openflow::{OfSwitch, SwitchConfig};
@@ -86,16 +87,18 @@ impl Node for Host {
 
 // ---------------------------------------------------------------- builders
 
-/// `n_prefixes` synthetic /24s starting at 1.0.0.0, packed into UPDATEs.
-fn feed(n_prefixes: u32, next_hop: Ipv4Addr, first_as: u16) -> Vec<UpdateMsg> {
+/// `n_prefixes` synthetic /24s starting at 1.0.0.0, packed into UPDATEs
+/// and seeded into an Adj-RIB-Out.
+fn feed(n_prefixes: u32, next_hop: Ipv4Addr, first_as: u16) -> AdjRibOut {
     let prefixes: Vec<Ipv4Prefix> = (0..n_prefixes)
         .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000u32 + (i << 8)), 24))
         .collect();
     let attrs = RouteAttrs::ebgp(AsPath::sequence(vec![first_as, 174, 3356]), next_hop).shared();
-    prefixes
+    let updates: Vec<UpdateMsg> = prefixes
         .chunks(256)
         .map(|chunk| UpdateMsg::announce(attrs.clone(), chunk.to_vec()))
-        .collect()
+        .collect();
+    AdjRibOut::from_updates(&updates)
 }
 
 struct Lab {

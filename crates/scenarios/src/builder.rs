@@ -22,6 +22,7 @@
 use crate::topo::{Blueprint, Delivery, ProviderSpec, TopologySpec};
 use sc_bfd::BfdConfig;
 use sc_bgp::msg::UpdateMsg;
+use sc_bgp::AdjRibOut;
 use sc_lab::topology::{
     controller_ip, controller_mac, IP_R1, IP_SOURCE, IP_SWITCH, MAC_R1, MAC_SINK, MAC_SOURCE,
     MAC_SWITCH,
@@ -29,10 +30,13 @@ use sc_lab::topology::{
 use sc_lab::Mode;
 use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_openflow::{OfSwitch, SwitchConfig, TableMiss};
-use sc_routegen::{generate_feed_for, prefix_universe, sample_flow_ips, FeedConfig};
+use sc_routegen::{
+    generate_adj_rib_out, generate_feed_for, prefix_universe, sample_flow_ips, FeedConfig,
+};
 use sc_router::{Calibration, Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};
 use sc_sim::{LinkId, LinkParams, NodeId, PortId, TimerToken, World};
 use sc_traffic::{SinkConfig, SourceConfig, TrafficSink, TrafficSource};
+use std::sync::Arc;
 use supercharger::engine::PeerSpec;
 use supercharger::{Controller, ControllerConfig, PeerLink, RouterLink, SwitchLink};
 
@@ -174,7 +178,9 @@ pub struct BuiltScenario {
     /// Forwarder j's uplink toward the sink (empty for Fig. 4).
     pub forwarder_up_links: Vec<LinkId>,
     pub flow_ips: Vec<Ipv4Addr>,
-    pub universe: Vec<Ipv4Prefix>,
+    /// Every provider's prefixes, sorted; the synthetic feeds' tables
+    /// share this list.
+    pub universe: Arc<[Ipv4Prefix]>,
     /// Restart factories: the exact config each controller replica was
     /// built from, so a `restart_controller` chaos event can boot a
     /// fresh process into the crashed slot. Empty for legacy builds.
@@ -183,14 +189,14 @@ pub struct BuiltScenario {
 
 /// The prefix universe for a scenario, from whichever source the config
 /// names, and the loaded snapshot when that source is an MRT archive.
-fn derive_universe(cfg: &ScenarioConfig) -> (Vec<Ipv4Prefix>, Option<sc_mrt::RibSnapshot>) {
+fn derive_universe(cfg: &ScenarioConfig) -> (Arc<[Ipv4Prefix]>, Option<sc_mrt::RibSnapshot>) {
     match &cfg.feed {
-        FeedSource::Synthetic => (prefix_universe(cfg.prefixes, cfg.seed), None),
+        FeedSource::Synthetic => (prefix_universe(cfg.prefixes, cfg.seed).into(), None),
         FeedSource::MrtSnapshot(rib) => {
             let snap = load_snapshot(rib);
             let universe = snap.prefixes();
             assert!(!universe.is_empty(), "MRT snapshot carries no routes");
-            (universe, Some(snap))
+            (universe.into(), Some(snap))
         }
     }
 }
@@ -220,12 +226,14 @@ fn feed_for(
     spec: &ProviderSpec,
 ) -> Vec<UpdateMsg> {
     match &cfg.feed {
-        FeedSource::Synthetic => generate_feed_for(
-            &FeedConfig::new(cfg.prefixes, cfg.seed, spec.ip, spec.asn),
-            universe,
-        ),
+        FeedSource::Synthetic => generate_feed_for(&feed_config(cfg, spec), universe),
         FeedSource::MrtSnapshot(rib) => mrt_feed(&load_snapshot(rib), i, spec.ip),
     }
+}
+
+/// Provider `spec`'s synthetic feed parameters under `cfg`.
+fn feed_config(cfg: &ScenarioConfig, spec: &ProviderSpec) -> FeedConfig {
+    FeedConfig::new(cfg.prefixes, cfg.seed, spec.ip, spec.asn)
 }
 
 pub fn provider_ip(i: usize) -> Ipv4Addr {
@@ -655,21 +663,18 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
                 }
             }
         }
-        // Every session originates the provider's feed; the last one
-        // takes it, so no copy outlives the build.
-        let mut feed = match &snapshot {
+        // Every session originates the provider's feed, one table they
+        // share; a synthetic feed's table shares the universe too.
+        let originate = match &snapshot {
             // The archive is decoded already: no reload per provider.
-            Some(snap) => mrt_feed(snap, i, spec.ip),
-            None => feed_for(cfg, &universe, i, spec),
+            Some(snap) => AdjRibOut::from_updates(&mrt_feed(snap, i, spec.ip)),
+            None => generate_adj_rib_out(&feed_config(cfg, spec), &universe),
         };
-        let last = peers.len() - 1;
-        for (k, mut peer) in peers.into_iter().enumerate() {
-            peer.originate = if k == last {
-                std::mem::take(&mut feed)
-            } else {
-                feed.clone()
-            };
-            rn.add_peer(peer);
+        for peer in peers {
+            rn.add_peer(PeerConfig {
+                originate: originate.clone(),
+                ..peer
+            });
         }
     }
 
@@ -711,10 +716,11 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
 }
 
 impl BuiltScenario {
-    /// The feed provider `i` originated when the world was built. The
-    /// providers consumed theirs and nothing keeps a copy; a feed is a
-    /// pure function of the config, so whoever needs one again — a churn
-    /// burst's re-announcement — regenerates the same updates here.
+    /// The feed provider `i` originated when the world was built, as
+    /// UPDATEs. The providers hold theirs as tables; a feed is a pure
+    /// function of the config, so whoever needs its messages — a churn
+    /// burst's re-announcement — regenerates the same updates here, with
+    /// attribute sets of their own.
     pub fn provider_feed(&self, i: usize) -> Vec<UpdateMsg> {
         feed_for(&self.cfg, &self.universe, i, &self.blueprint.providers[i])
     }
