@@ -22,13 +22,16 @@
 //!   looks at the base, so churn costs a B-tree write per prefix and a
 //!   repeated cycle over the same prefixes overwrites its entries.
 //!
-//! [`AdjRibOut::export`] merges the two in prefix order, the delta
-//! winning, and packs the result back into UPDATEs — prefixes in a row
-//! sharing an attribute set ride one message, split to the RFC 4271 size
-//! cap — on every establishment.
+//! [`AdjRibOut::export_each`] merges the two in prefix order, the delta
+//! winning, and packs the result back into UPDATEs with the
+//! [`RunPacker`] — prefixes in a row sharing an attribute set ride one
+//! message, split to the RFC 4271 size cap — on every establishment,
+//! handing each message over as it is packed ([`AdjRibOut::export`]
+//! collects them).
 
 use crate::attrs::RouteAttrs;
 use crate::msg::UpdateMsg;
+use crate::pack::RunPacker;
 use sc_net::Ipv4Prefix;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -205,21 +208,20 @@ impl AdjRibOut {
     /// to the RFC 4271 size cap. Deterministic for identical state.
     pub fn export(&self) -> Vec<UpdateMsg> {
         let mut out = Vec::new();
-        let mut current: Option<(&Arc<RouteAttrs>, Vec<Ipv4Prefix>)> = None;
-        for (prefix, attrs) in self.routes() {
-            match &mut current {
-                Some((run, nlri)) if Arc::ptr_eq(run, attrs) => nlri.push(prefix),
-                _ => {
-                    if let Some((run, nlri)) = current.replace((attrs, vec![prefix])) {
-                        UpdateMsg::announce(run.clone(), nlri).split_to_fit(&mut out);
-                    }
-                }
-            }
-        }
-        if let Some((run, nlri)) = current {
-            UpdateMsg::announce(run.clone(), nlri).split_to_fit(&mut out);
-        }
+        self.export_each(|msg| out.push(msg));
         out
+    }
+
+    /// [`AdjRibOut::export`]'s messages handed to `out` one at a time,
+    /// each as soon as the walk has packed it: a session replaying its
+    /// table encodes each into its channel at once and never holds more
+    /// than one attribute run's prefixes.
+    pub fn export_each(&self, mut out: impl FnMut(UpdateMsg)) {
+        let mut packer = RunPacker::new();
+        for (prefix, attrs) in self.routes() {
+            packer.push(prefix, attrs, None, &mut out);
+        }
+        packer.finish(&mut out);
     }
 }
 

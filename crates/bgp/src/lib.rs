@@ -18,7 +18,9 @@
 //!   OpenConfirm → Established) with hold/keepalive timers;
 //! * [`adj_out`] — the per-peer Adj-RIB-Out (RFC 4271 §3.2), replayed on
 //!   every session (re-)establishment so flapped sessions come back with
-//!   their routes.
+//!   their routes;
+//! * [`pack`] — the run packer that turns a table walk into UPDATEs as
+//!   it goes (the Adj-RIB-Out's replay, the controller's re-announcements).
 //!
 //! Known simplifications (documented in `DESIGN.md`): 2-byte AS numbers
 //! (no AS4 capability), no route reflection, MED compared across
@@ -29,6 +31,7 @@ pub mod adj_out;
 pub mod attrs;
 pub mod decision;
 pub mod msg;
+pub mod pack;
 pub mod rib;
 pub mod session;
 
@@ -36,6 +39,7 @@ pub use adj_out::AdjRibOut;
 pub use attrs::{AsPath, Origin, RouteAttrs};
 pub use decision::{compare_routes, PeerInfo, PeerTable, Route};
 pub use msg::{BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};
+pub use pack::RunPacker;
 pub use rib::{Change, Footprint, LocRib};
 pub use session::{Session, SessionConfig, SessionEvent, SessionState};
 

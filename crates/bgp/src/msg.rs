@@ -127,49 +127,65 @@ impl UpdateMsg {
             out.push(self);
             return;
         }
-        // Conservative split: halve the larger list recursively.
-        let UpdateMsg {
-            withdrawn,
-            attrs,
-            nlri,
-        } = self;
-        assert!(
-            withdrawn.len() > 1 || nlri.len() > 1,
-            "single-prefix UPDATE exceeds MAX_MESSAGE_LEN"
+        UpdateMsg::split_from(
+            &self.withdrawn,
+            self.attrs.as_ref(),
+            &self.nlri,
+            &mut |part| out.push(part),
         );
-        if nlri.len() >= withdrawn.len() {
-            let mid = nlri.len() / 2;
-            let (a, b) = nlri.split_at(mid);
-            if !withdrawn.is_empty() || !a.is_empty() {
-                UpdateMsg {
-                    withdrawn,
-                    attrs: attrs.clone(),
-                    nlri: a.to_vec(),
-                }
-                .split_to_fit(out);
-            }
-            UpdateMsg {
-                withdrawn: Vec::new(),
-                attrs,
-                nlri: b.to_vec(),
-            }
-            .split_to_fit(out);
-        } else {
-            let mid = withdrawn.len() / 2;
-            let (a, b) = withdrawn.split_at(mid);
-            UpdateMsg {
-                withdrawn: a.to_vec(),
-                attrs: None,
-                nlri: Vec::new(),
-            }
-            .split_to_fit(out);
-            UpdateMsg {
-                withdrawn: b.to_vec(),
-                attrs,
-                nlri,
-            }
-            .split_to_fit(out);
+    }
+
+    /// The UPDATEs that carry `withdrawn`, then `nlri` announced with
+    /// `attrs`, each within [`MAX_MESSAGE_LEN`], handed to `out` in
+    /// order: one message when it fits, else the longer list halved,
+    /// recursively. The halving runs over index ranges of the borrowed
+    /// lists, and each part's lists are copied out once, at their size.
+    pub fn split_from(
+        withdrawn: &[Ipv4Prefix],
+        attrs: Option<&Arc<RouteAttrs>>,
+        nlri: &[Ipv4Prefix],
+        out: &mut impl FnMut(UpdateMsg),
+    ) {
+        let attrs_len = attrs.map_or(0, |a| encoded_attrs_len(a));
+        split_ranges(withdrawn, attrs, attrs_len, nlri, out);
+    }
+}
+
+/// [`UpdateMsg::split_from`] with the attribute block's size known:
+/// `attrs_len` when `attrs` is present.
+fn split_ranges(
+    withdrawn: &[Ipv4Prefix],
+    attrs: Option<&Arc<RouteAttrs>>,
+    attrs_len: usize,
+    nlri: &[Ipv4Prefix],
+    out: &mut impl FnMut(UpdateMsg),
+) {
+    let wire =
+        |prefixes: &[Ipv4Prefix]| -> usize { prefixes.iter().map(|p| prefix_wire_len(*p)).sum() };
+    let len = HEADER_LEN + 2 + wire(withdrawn) + 2 + attrs.map_or(0, |_| attrs_len) + wire(nlri);
+    if len <= MAX_MESSAGE_LEN {
+        out(UpdateMsg {
+            withdrawn: withdrawn.to_vec(),
+            attrs: attrs.cloned(),
+            nlri: nlri.to_vec(),
+        });
+        return;
+    }
+    // Conservative split: halve the larger list recursively.
+    assert!(
+        withdrawn.len() > 1 || nlri.len() > 1,
+        "single-prefix UPDATE exceeds MAX_MESSAGE_LEN"
+    );
+    if nlri.len() >= withdrawn.len() {
+        let (a, b) = nlri.split_at(nlri.len() / 2);
+        if !withdrawn.is_empty() || !a.is_empty() {
+            split_ranges(withdrawn, attrs, attrs_len, a, out);
         }
+        split_ranges(&[], attrs, attrs_len, b, out);
+    } else {
+        let (a, b) = withdrawn.split_at(withdrawn.len() / 2);
+        split_ranges(a, None, attrs_len, &[], out);
+        split_ranges(b, attrs, attrs_len, nlri, out);
     }
 }
 

@@ -13,7 +13,11 @@
 //!   9 B/prefix in all (it holds 8.5);
 //! * churn overwrites: 500 withdraw/re-announce cycles of the same 1,000
 //!   prefixes hold at most 64 B more per cycle after the first (the
-//!   first holds 34 KB, each later one nothing).
+//!   first holds 34 KB, each later one nothing);
+//! * a replay streams: exporting the 100k-prefix table message by
+//!   message into a sink that drops each holds at most 64 KiB above its
+//!   start at any instant (one run's prefixes and one message), where
+//!   the collected export holds every message (1.0 MB).
 //!
 //! The feed's attribute sets are the routes' own, shared with every
 //! table that learns them, so they are built before measuring.
@@ -30,20 +34,24 @@ thread_local! {
     /// builds and measures its table on its own thread, so the tests do
     /// not see each other.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most [`LIVE`] has been since [`peak_above`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// `System`, keeping [`LIVE`].
+/// `System`, keeping [`LIVE`] and [`PEAK`].
 struct Counting;
 
 impl Counting {
     fn moved(by: isize) {
-        LIVE.set(LIVE.get() + by);
+        let live = LIVE.get() + by;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one the caller was held to; the counter is a
-// const-initialized thread-local without a destructor, so touching it
+// whose contract is the one the caller was held to; the counters are
+// const-initialized thread-locals without destructors, so touching them
 // neither allocates nor runs after thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -81,6 +89,15 @@ fn held_by<T>(build: impl FnOnce() -> T) -> (T, f64) {
     let before = LIVE.get();
     let built = build();
     (built, (LIVE.get() - before) as f64)
+}
+
+/// `run`'s result and the most heap it held above its start at any
+/// instant.
+fn peak_above<T>(run: impl FnOnce() -> T) -> (T, f64) {
+    let start = LIVE.get();
+    PEAK.set(start);
+    let out = run();
+    (out, (PEAK.get() - start) as f64)
 }
 
 const PREFIXES: u32 = 100_000;
@@ -174,4 +191,21 @@ fn churn_over_the_same_prefixes_overwrites() {
         "a churn cycle after the first holds {per_cycle:.1} B (budget 64; the first held {first})"
     );
     assert_eq!(rib.len(), PREFIXES as usize);
+}
+
+#[test]
+fn a_streamed_export_holds_one_run() {
+    let prefixes: Arc<[Ipv4Prefix]> = (0..PREFIXES).map(slash24).collect();
+    let sets = feed_sets();
+    let rib = table(&prefixes, &sets);
+    let mut announced = 0;
+    let ((), peak) = peak_above(|| rib.export_each(|update| announced += update.nlri.len()));
+    assert!(
+        peak <= 64.0 * 1024.0,
+        "streaming the export held {peak} B above its start (budget 64 KiB)"
+    );
+    assert_eq!(announced, PREFIXES as usize);
+    let (collected, held) = held_by(|| rib.export());
+    assert_eq!(collected.len(), sets.len());
+    assert!(held > 64.0 * 1024.0, "the collected export holds {held} B");
 }

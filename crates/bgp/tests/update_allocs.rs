@@ -7,8 +7,9 @@
 //! vectors and the shared attribute `Arc`, once each, and a decoded
 //! AS_PATH's vectors hold what they carry; encoding into an empty buffer
 //! allocates it once; splitting an UPDATE that already fits into a
-//! buffer with room allocates nothing. A `Vec` that grows by doubling
-//! again shows up here as extra allocations.
+//! buffer with room allocates nothing, and splitting one that does not
+//! allocates each part's lists once, at their size. A `Vec` that grows
+//! by doubling again shows up here as extra allocations.
 
 use sc_bgp::attrs::{AsPath, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg, MAX_MESSAGE_LEN};
@@ -16,6 +17,7 @@ use sc_net::Ipv4Prefix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 thread_local! {
     /// Whether this thread is metering, and what it allocated meanwhile.
@@ -181,6 +183,115 @@ fn a_decoded_as_path_holds_what_it_carries() {
         for seg in decoded {
             let (AsSegment::Sequence(ases) | AsSegment::Set(ases)) = seg;
             assert_eq!(ases.capacity(), ases.len(), "{seg:?}");
+        }
+    }
+}
+
+/// [`UpdateMsg::split_to_fit`] as it was before it split index ranges:
+/// every level copies both halves out of its own lists. The reference
+/// the range split must match, part for part.
+fn split_by_copying(upd: UpdateMsg, out: &mut Vec<UpdateMsg>) {
+    if upd.encoded_len() <= MAX_MESSAGE_LEN {
+        out.push(upd);
+        return;
+    }
+    let UpdateMsg {
+        withdrawn,
+        attrs,
+        nlri,
+    } = upd;
+    assert!(withdrawn.len() > 1 || nlri.len() > 1);
+    if nlri.len() >= withdrawn.len() {
+        let (a, b) = nlri.split_at(nlri.len() / 2);
+        if !withdrawn.is_empty() || !a.is_empty() {
+            let left = UpdateMsg {
+                withdrawn,
+                attrs: attrs.clone(),
+                nlri: a.to_vec(),
+            };
+            split_by_copying(left, out);
+        }
+        let right = UpdateMsg {
+            withdrawn: Vec::new(),
+            attrs,
+            nlri: b.to_vec(),
+        };
+        split_by_copying(right, out);
+    } else {
+        let (a, b) = withdrawn.split_at(withdrawn.len() / 2);
+        let left = UpdateMsg {
+            withdrawn: a.to_vec(),
+            attrs: None,
+            nlri: Vec::new(),
+        };
+        split_by_copying(left, out);
+        let right = UpdateMsg {
+            withdrawn: b.to_vec(),
+            attrs,
+            nlri,
+        };
+        split_by_copying(right, out);
+    }
+}
+
+/// `n` prefixes of mixed lengths (/8 to /32, so 2 to 5 bytes on the
+/// wire), drawn from `seed`.
+fn mixed_prefixes(n: usize, seed: u64) -> Vec<Ipv4Prefix> {
+    const LENGTHS: [u8; 6] = [8, 16, 19, 22, 24, 32];
+    let mut x = seed | 1;
+    (0..n as u32)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let len = LENGTHS[(x >> 32) as usize % LENGTHS.len()];
+            Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000 + (i << 8)), len)
+        })
+        .collect()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// Splitting over index ranges makes the parts the copying recursion
+    /// made, and allocates each part's withdrawn and NLRI lists once.
+    #[test]
+    fn the_range_split_matches_the_copying_one(
+        withdrawn in 0usize..5_000,
+        nlri in 0usize..5_000,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let attrs = RouteAttrs::ebgp(
+            AsPath::sequence(vec![65002, 174, 3356]),
+            Ipv4Addr::new(10, 0, 0, 2),
+        )
+        .shared();
+        let upd = UpdateMsg {
+            withdrawn: mixed_prefixes(withdrawn, seed),
+            attrs: (nlri > 0).then_some(attrs),
+            nlri: mixed_prefixes(nlri, !seed),
+        };
+        let mut want = Vec::new();
+        split_by_copying(upd.clone(), &mut want);
+        let mut parts = Vec::with_capacity(want.len());
+        let (count, ()) = allocations(|| {
+            UpdateMsg::split_from(&upd.withdrawn, upd.attrs.as_ref(), &upd.nlri, &mut |part| {
+                parts.push(part)
+            })
+        });
+        proptest::prop_assert_eq!(&parts, &want);
+        let lists: Vec<&Vec<Ipv4Prefix>> = parts
+            .iter()
+            .flat_map(|part| [&part.withdrawn, &part.nlri])
+            .filter(|list| !list.is_empty())
+            .collect();
+        proptest::prop_assert_eq!(count, lists.len() as u64, "one allocation per list");
+        for list in lists {
+            proptest::prop_assert_eq!(list.capacity(), list.len());
+        }
+        for part in &parts {
+            proptest::prop_assert!(part.encoded_len() <= MAX_MESSAGE_LEN);
+            proptest::prop_assert!(part.attrs.is_none() || Arc::ptr_eq(part.attrs.as_ref().unwrap(), upd.attrs.as_ref().unwrap()));
         }
     }
 }

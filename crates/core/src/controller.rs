@@ -18,7 +18,7 @@
 
 use crate::engine::{Engine, EngineAction, EngineConfig, FailoverPlan, PeerSpec};
 use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
-use sc_bgp::msg::BgpMessage;
+use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::PeerId;
 #[allow(
@@ -491,6 +491,12 @@ impl Controller {
                 self.router_session.queue_update(update);
             }
         }
+        self.run_flow_actions(ctx, actions);
+    }
+
+    /// The switch side of a batch of engine actions (its announcements
+    /// and withdrawals are skipped), then the router session's pump.
+    fn run_flow_actions(&mut self, ctx: &mut Ctx, actions: Vec<EngineAction>) {
         // Switch side: the whole run is one fenced batch.
         let mut batch = Vec::new();
         for action in actions {
@@ -556,11 +562,7 @@ impl Controller {
     }
 
     fn pump_router(&mut self, ctx: &mut Ctx) {
-        while let Some(msg) = self.router_session.poll_transmit() {
-            let mut buf = self.router_chan.take_buffer();
-            msg.encode_into(&mut buf);
-            self.router_chan.send(buf);
-        }
+        drain(&mut self.router_session, &mut self.router_chan);
         self.router_chan.flush(ctx);
         self.router_session_wakeup
             .arm(ctx, self.router_session.next_wakeup());
@@ -568,11 +570,7 @@ impl Controller {
 
     fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
         let peer = &mut self.peers[idx];
-        while let Some(msg) = peer.session.poll_transmit() {
-            let mut buf = peer.chan.take_buffer();
-            msg.encode_into(&mut buf);
-            peer.chan.send(buf);
-        }
+        drain(&mut peer.session, &mut peer.chan);
         peer.chan.flush(ctx);
         peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
     }
@@ -649,18 +647,33 @@ impl Controller {
     }
 
     /// Listing 2's slow path: purge `peer`'s routes and queue the
-    /// control-plane repair toward the router.
+    /// control-plane repair toward the router. The engine's walk packs
+    /// the re-announcements as it makes them, and each UPDATE is encoded
+    /// into the router's channel at once (only while the session is
+    /// Established); the flush that sends them runs where it would for
+    /// any batch, after the switch side's.
     fn queue_repair(&mut self, ctx: &mut Ctx, peer: PeerId) {
-        let actions = self.engine.peer_down_repair(peer);
-        ctx.trace_instant("bgp", "repair.queued", 0, actions.len() as u64, String::new);
+        let (session, chan) = (&mut self.router_session, &mut self.router_chan);
+        let established = session.state() == sc_bgp::SessionState::Established;
+        let mut send = |update| send_update(session, chan, update);
+        let router: Option<&mut dyn FnMut(UpdateMsg)> =
+            if established { Some(&mut send) } else { None };
+        let walked = self.engine.peer_down_repair(peer, router);
+        ctx.trace_instant(
+            "bgp",
+            "repair.queued",
+            0,
+            walked.actions as u64,
+            String::new,
+        );
         self.events.push((
             ctx.now(),
             ControllerEvent::RepairQueued {
                 peer,
-                announcements: actions.len(),
+                announcements: walked.actions,
             },
         ));
-        self.run_actions(ctx, actions);
+        self.run_flow_actions(ctx, walked.flow);
     }
 
     fn issue_failover(&mut self, ctx: &mut Ctx, peer: PeerId, plan: &FailoverPlan) {
@@ -788,11 +801,11 @@ impl Controller {
                         .push((ctx.now(), ControllerEvent::RouterSessionUp));
                     // Full replay of the announced state (the router
                     // purged our routes when the session dropped): the
-                    // controller-side Adj-RIB-Out, RFC 4271 §9.4.
-                    let replay = self.engine.export_announcements();
-                    for update in Engine::pack_for_router(&replay) {
-                        self.router_session.queue_update(update);
-                    }
+                    // controller-side Adj-RIB-Out, RFC 4271 §9.4, each
+                    // UPDATE encoded into the channel as it is packed.
+                    let (session, chan) = (&mut self.router_session, &mut self.router_chan);
+                    self.engine
+                        .replay(|update| send_update(session, chan, update));
                 }
                 SessionEvent::Down(_) => {
                     // Flush any final NOTIFICATION, then reset the
@@ -811,13 +824,15 @@ impl Controller {
     }
 
     /// Dispatch a batch of peer-session events. UPDATEs are processed
-    /// one message at a time on purpose: [`Engine::pack_for_router`]
-    /// packs a run of actions announcements-first/withdrawals-last, so
-    /// concatenating actions *across* messages would let an earlier
-    /// message's withdrawal overtake a later message's announcement of
-    /// the same prefix on the wire toward the router (a co-timed
-    /// withdraw + re-announce would end withdrawn downstream).
-    /// Per-message processing keeps the packed output order-faithful.
+    /// one message at a time on purpose: a batch of actions goes to the
+    /// router announcements first, withdrawals last
+    /// ([`Engine::pack_for_router`], and the streamed repair the same
+    /// way), so concatenating actions *across* messages would let an
+    /// earlier message's withdrawal overtake a later message's
+    /// announcement of the same prefix on the wire toward the router (a
+    /// co-timed withdraw + re-announce would end withdrawn downstream).
+    /// Per-message processing keeps the packed output order-faithful; a
+    /// repair is one walk, which meets each prefix once.
     fn handle_peer_session_events(&mut self, idx: usize, events: Vec<SessionEvent>, ctx: &mut Ctx) {
         let peer_id = self.peers[idx].link.spec.id;
         for ev in events {
@@ -1011,6 +1026,24 @@ impl Node for Controller {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Encode everything `session` has queued into `chan`, unflushed, each
+/// message straight into a recycled channel buffer.
+fn drain(session: &mut Session, chan: &mut ChannelPort) {
+    while let Some(msg) = session.poll_transmit() {
+        let mut buf = chan.take_buffer();
+        msg.encode_into(&mut buf);
+        chan.send(buf);
+    }
+}
+
+/// Queue `update` on `session` and encode it into `chan` at once (the
+/// streamed table walks): the channel's next flush sends it as it would
+/// have sent the whole queue.
+fn send_update(session: &mut Session, chan: &mut ChannelPort, update: UpdateMsg) {
+    session.queue_update(update);
+    drain(session, chan);
 }
 
 /// Drive a BGP session with one event of the channel that carries it.

@@ -20,6 +20,7 @@ use crate::groups::{GroupId, GroupTable};
 use crate::vnh::VnhAllocator;
 use sc_bgp::attrs::RouteAttrs;
 use sc_bgp::msg::UpdateMsg;
+use sc_bgp::pack::RunPacker;
 use sc_bgp::rib::LocRib;
 use sc_bgp::{PeerId, PeerInfo, Route};
 use sc_net::{Ipv4Prefix, MacAddr};
@@ -116,6 +117,17 @@ pub struct FailoverPlan {
     /// Groups whose entire key is dead: traffic stays black-holed until
     /// the control plane re-announces (counted for diagnostics).
     pub unprotected_groups: usize,
+}
+
+/// What a streamed walk ([`Engine::peer_down_repair`]) leaves besides
+/// the UPDATEs it packed for the router.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Walked {
+    /// How many actions the walk made, announcements and withdrawals
+    /// included: the length of the list the walk would have collected.
+    pub actions: usize,
+    /// Its flow actions, in order, for the host to carry out.
+    pub flow: Vec<EngineAction>,
 }
 
 /// Engine counters (also part of the state-hash for replication tests).
@@ -370,13 +382,41 @@ impl Engine {
     /// dead peer's routes and re-announce every affected prefix (the
     /// router digests this at its own slow pace — the data plane is
     /// already healed).
-    pub fn peer_down_repair(&mut self, dead_peer: PeerId) -> Vec<EngineAction> {
-        let mut actions = Vec::new();
-        let (rib, mut steering) = self.split(&mut actions);
-        rib.withdraw_peer_with(dead_peer, |prefix, candidates, announced| {
-            steering.reconcile(prefix, candidates, announced)
+    ///
+    /// One walk over the RIB, streamed: each re-announcement joins the
+    /// [`RunPacker`] as the walk makes it, and each packed UPDATE goes to
+    /// `router` at once; the withdrawals follow every announcement, as
+    /// [`Engine::pack_for_router`] orders a batch. With `router` `None`
+    /// (the router's session is down) nothing is packed, and the
+    /// engine's state changes all the same. The flow actions come back
+    /// in [`Walked`].
+    pub fn peer_down_repair(
+        &mut self,
+        dead_peer: PeerId,
+        router: Option<&mut dyn FnMut(UpdateMsg)>,
+    ) -> Walked {
+        let mut feed = RouterFeed::new(router);
+        self.withdraw_peer(dead_peer, &mut Vec::new(), |actions| {
+            for action in actions.drain(..) {
+                feed.add(&action);
+            }
         });
-        actions
+        feed.finish()
+    }
+
+    /// Purge `dead_peer`'s routes, collecting the actions in `actions`
+    /// and handing them to `after` once each prefix is reconciled.
+    fn withdraw_peer(
+        &mut self,
+        dead_peer: PeerId,
+        actions: &mut Vec<EngineAction>,
+        mut after: impl FnMut(&mut Vec<EngineAction>),
+    ) {
+        let (rib, mut steering) = self.split(actions);
+        rib.withdraw_peer_with(dead_peer, |prefix, candidates, announced| {
+            steering.reconcile(prefix, candidates, announced);
+            after(steering.actions);
+        });
     }
 
     /// A previously failed peer is back (its BFD session recovered or
@@ -417,10 +457,23 @@ impl Engine {
         actions
     }
 
-    /// The full announced state as `Announce` actions — what the router
-    /// must be told when its session (re-)establishes (RFC 4271 §9.4 on
-    /// the controller side). The router purged our routes when the
-    /// session dropped, so a full replay is exactly the delta.
+    /// The full announced state, packed for the router: what it must be
+    /// told when its session (re-)establishes (RFC 4271 §9.4 on the
+    /// controller side). The router purged our routes when the session
+    /// dropped, so a full replay is exactly the delta. One walk over the
+    /// RIB; each UPDATE goes to `out` as soon as it is packed, the same
+    /// messages [`Engine::pack_for_router`] makes of
+    /// [`Engine::export_announcements`].
+    pub fn replay(&self, mut out: impl FnMut(UpdateMsg)) {
+        let mut packer = RunPacker::new();
+        for (prefix, a) in self.announced() {
+            packer.push(prefix, &a.attrs, Some(a.next_hop), &mut out);
+        }
+        packer.finish(&mut out);
+    }
+
+    /// The full announced state as `Announce` actions, in the order
+    /// [`Engine::replay`] packs them.
     pub fn export_announcements(&self) -> Vec<EngineAction> {
         self.announced()
             .map(|(prefix, a)| EngineAction::Announce {
@@ -440,60 +493,72 @@ impl Engine {
     }
 
     /// Convert a batch of announce/withdraw actions into packed BGP
-    /// UPDATE messages toward the router (consecutive announcements
+    /// UPDATE messages toward the router: consecutive announcements
     /// sharing attributes and next-hop ride one UPDATE, like real
-    /// speakers pack NLRI).
+    /// speakers pack NLRI, the actions in between not ending the run;
+    /// the batch's withdrawals follow every announcement. The streamed
+    /// repair packs the same way, through the same code.
     pub fn pack_for_router(actions: &[EngineAction]) -> Vec<UpdateMsg> {
         let mut out = Vec::new();
-        let mut rest = actions;
-        while let Some(start) = rest.iter().position(|a| a.announced().is_some()) {
-            rest = &rest[start..];
-            let (_, attrs, nh) = rest[0].announced().expect("found above");
-            // A run ends at the first announcement with other attributes
-            // or another next-hop; the actions in between do not end it.
-            let len = rest
-                .iter()
-                .position(|a| {
-                    a.announced()
-                        .is_some_and(|(_, a, n)| !Arc::ptr_eq(a, attrs) || n != nh)
-                })
-                .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(len);
-            let nlri = collect_exact(run.iter().filter_map(|a| Some(a.announced()?.0)));
-            let rewritten = Arc::new(attrs.with_next_hop(nh));
-            UpdateMsg::announce(rewritten, nlri).split_to_fit(&mut out);
-            rest = tail;
+        let mut push = |msg| out.push(msg);
+        let mut feed = RouterFeed::new(Some(&mut push));
+        for action in actions {
+            feed.add(action);
         }
-        let withdrawals = collect_exact(actions.iter().filter_map(|a| match a {
-            EngineAction::Withdraw { prefix } => Some(*prefix),
-            _ => None,
-        }));
-        if !withdrawals.is_empty() {
-            UpdateMsg::withdraw(withdrawals).split_to_fit(&mut out);
-        }
+        feed.finish();
         out
     }
 }
 
-impl EngineAction {
-    /// An announcement's prefix, attributes and next-hop.
-    fn announced(&self) -> Option<(Ipv4Prefix, &Arc<RouteAttrs>, Ipv4Addr)> {
-        match self {
-            EngineAction::Announce {
-                prefix,
-                attrs,
-                next_hop,
-            } => Some((*prefix, attrs, *next_hop)),
-            _ => None,
-        }
-    }
+/// A batch of actions packed for the router as they come: announcements
+/// into the [`RunPacker`], whose UPDATEs go out at once; withdrawals
+/// held until [`RouterFeed::finish`], to follow every announcement of
+/// the batch; flow actions kept, in order, for the host.
+struct RouterFeed<'o> {
+    /// Where packed UPDATEs go; `None` packs nothing.
+    out: Option<&'o mut dyn FnMut(UpdateMsg)>,
+    packer: RunPacker,
+    withdrawals: Vec<Ipv4Prefix>,
+    walked: Walked,
 }
 
-/// `items` in a vector allocated once, at their count.
-fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
-    let mut out = Vec::with_capacity(items.clone().count());
-    out.extend(items);
-    out
+impl<'o> RouterFeed<'o> {
+    fn new(out: Option<&'o mut dyn FnMut(UpdateMsg)>) -> RouterFeed<'o> {
+        RouterFeed {
+            out,
+            packer: RunPacker::new(),
+            withdrawals: Vec::new(),
+            walked: Walked::default(),
+        }
+    }
+
+    fn add(&mut self, action: &EngineAction) {
+        self.walked.actions += 1;
+        match (action, &mut self.out) {
+            (
+                EngineAction::Announce {
+                    prefix,
+                    attrs,
+                    next_hop,
+                },
+                Some(out),
+            ) => self.packer.push(*prefix, attrs, Some(*next_hop), out),
+            (EngineAction::Withdraw { prefix }, Some(_)) => self.withdrawals.push(*prefix),
+            (EngineAction::Announce { .. } | EngineAction::Withdraw { .. }, None) => {}
+            (flow, _) => self.walked.flow.push(flow.clone()),
+        }
+    }
+
+    /// Send the open run and the held withdrawals.
+    fn finish(mut self) -> Walked {
+        if let Some(out) = &mut self.out {
+            self.packer.finish(out);
+            if !self.withdrawals.is_empty() {
+                UpdateMsg::split_from(&self.withdrawals, None, &[], out);
+            }
+        }
+        self.walked
+    }
 }
 
 /// The engine minus its RIB: what [`Steering::reconcile`] reads and
@@ -671,6 +736,14 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// [`Engine::peer_down_repair`]'s walk, collecting its actions: the
+    /// list its streamed UPDATEs must pack like.
+    fn peer_down_repair_as_list(e: &mut Engine, dead_peer: PeerId) -> Vec<EngineAction> {
+        let mut actions = Vec::new();
+        e.withdraw_peer(dead_peer, &mut actions, |_| {});
+        actions
+    }
+
     fn announce(peer: PeerId, prefixes: &[&str]) -> UpdateMsg {
         let attrs = RouteAttrs::ebgp(
             AsPath::sequence(vec![65000 + peer.octets()[3] as u16, 174]),
@@ -810,7 +883,7 @@ mod tests {
         e.process_update(R2, &announce(R2, &["1.0.0.0/24", "2.0.0.0/24"]));
         e.process_update(R3, &announce(R3, &["1.0.0.0/24", "2.0.0.0/24"]));
         e.failover_plan(R2);
-        let actions = e.peer_down_repair(R2);
+        let actions = peer_down_repair_as_list(&mut e, R2);
         // With only R3 left, prefixes become unprotected: announced with
         // R3's real NH; the (R2,R3) group empties and its rule dies.
         let announces: Vec<_> = actions
@@ -854,7 +927,7 @@ mod tests {
         let plan = e.failover_plan(R2);
         assert_eq!(plan.rewrites.len(), 1);
         assert_eq!(plan.rewrites[0].new_target, R3);
-        let actions = e.peer_down_repair(R2);
+        let actions = peer_down_repair_as_list(&mut e, R2);
         // Repair creates the (R3,R4) group and re-announces with its VNH.
         assert!(actions
             .iter()
@@ -953,7 +1026,7 @@ mod tests {
         let vnh = e.groups().iter().next().unwrap().vnh;
         // Primary dies: fast path steers to R3, repair de-superchages.
         e.failover_plan(R2);
-        e.peer_down_repair(R2);
+        peer_down_repair_as_list(&mut e, R2);
         assert_eq!(e.groups().retired_count(), 1, "group retired");
 
         // Primary's forwarding plane returns (BFD Up): the retired
@@ -1100,6 +1173,83 @@ mod tests {
                 proptest::prop_assert!(m.encoded_len() <= sc_bgp::msg::MAX_MESSAGE_LEN);
             }
         }
+
+        /// The streamed repair and replay against the same reference, on
+        /// random RIBs of three peers: runs of /24s and /16s announced
+        /// with two attribute sets per peer, some withdrawn again. Three
+        /// engines learn the same stream and lose the same peer: one
+        /// collects the repair's actions, one streams its UPDATEs, one
+        /// streams with the router's session down and packs nothing. All
+        /// three end in the same state.
+        #[test]
+        fn streamed_repair_and_replay_match_the_growing_reference(
+            steps in proptest::collection::vec((0usize..3, 0usize..3, 0u32..4096, 1u32..1500), 1..40),
+            victim in 0usize..3,
+            fail_first in 0u8..2,
+        ) {
+            let peers = [R2, R3, R4];
+            let sets: Vec<Vec<Arc<RouteAttrs>>> = peers
+                .iter()
+                .map(|&peer| {
+                    (0..2u16)
+                        .map(|k| {
+                            let path = AsPath::sequence(vec![65000 + peer.octets()[3] as u16, 100 + k]);
+                            RouteAttrs::ebgp(path, peer).shared()
+                        })
+                        .collect()
+                })
+                .collect();
+            let prefix = |i: u32| {
+                let len = if i.is_multiple_of(5) { 16 } else { 24 };
+                Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000u32 + (i << 8)), len)
+            };
+            let feed: Vec<(PeerId, UpdateMsg)> = steps
+                .iter()
+                .map(|&(who, kind, start, len)| {
+                    let nlri = (start..start + len).map(prefix).collect();
+                    let upd = match kind {
+                        2 => UpdateMsg::withdraw(nlri),
+                        k => UpdateMsg::announce(sets[who][k].clone(), nlri),
+                    };
+                    (peers[who], upd)
+                })
+                .collect();
+            let learned = || {
+                let mut e = engine3();
+                for (peer, upd) in &feed {
+                    e.process_update(*peer, upd);
+                }
+                if fail_first == 1 {
+                    e.failover_plan(peers[victim]);
+                }
+                e
+            };
+            let (mut listed, mut streamed, mut silent) = (learned(), learned(), learned());
+
+            let actions = peer_down_repair_as_list(&mut listed, peers[victim]);
+            let mut packed = Vec::new();
+            let walked = streamed.peer_down_repair(peers[victim], Some(&mut |m| packed.push(m)));
+            proptest::prop_assert_eq!(&packed, &packed_by_pushing(&actions));
+            proptest::prop_assert_eq!(walked.actions, actions.len());
+            let flow: Vec<EngineAction> = actions
+                .iter()
+                .filter(|a| !matches!(a, EngineAction::Announce { .. } | EngineAction::Withdraw { .. }))
+                .cloned()
+                .collect();
+            proptest::prop_assert_eq!(&walked.flow, &flow);
+            proptest::prop_assert_eq!(silent.peer_down_repair(peers[victim], None), walked);
+            proptest::prop_assert_eq!(streamed.state_digest(), listed.state_digest());
+            proptest::prop_assert_eq!(silent.state_digest(), listed.state_digest());
+
+            let mut replayed = Vec::new();
+            streamed.replay(|m| replayed.push(m));
+            let exported = listed.export_announcements();
+            proptest::prop_assert_eq!(&replayed, &packed_by_pushing(&exported));
+            proptest::prop_assert_eq!(&replayed, &Engine::pack_for_router(&exported));
+            for m in packed.iter().chain(&replayed) {
+                proptest::prop_assert!(m.encoded_len() <= sc_bgp::msg::MAX_MESSAGE_LEN);
+            }
+        }
     }
 
     #[test]
@@ -1136,7 +1286,7 @@ mod tests {
         }
         assert_eq!(e.state_digest(), 0x7244_d5d5_3f5f_0992);
         e.failover_plan(R2);
-        e.peer_down_repair(R2);
+        e.peer_down_repair(R2, None);
         assert_eq!(e.state_digest(), 0xf3c1_5f1c_7bcd_c27e);
     }
 }

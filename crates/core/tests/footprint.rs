@@ -13,6 +13,12 @@
 //! index as a 20-byte-node trie, 40-byte candidates carrying their prefix
 //! and their peer's facts, one `Vec<Route>` per prefix), so a per-prefix
 //! regression fails here before it shows as RSS in the perf ledger.
+//!
+//! The controller's peer-down repair is gated by its peak instead: it
+//! walks the table once and streams the re-announcements out, so the
+//! live heap it adds at any instant is one attribute run's prefixes and
+//! one message, whatever the table's size. The list of actions it
+//! collected before held 24 B per re-announced prefix (2.4 MB at 100k).
 
 use sc_bgp::{AsPath, LocRib, PeerInfo, RouteAttrs, UpdateMsg};
 use sc_net::{Ipv4Prefix, MacAddr};
@@ -27,20 +33,24 @@ thread_local! {
     /// builds and measures its table on its own thread, so the tests do
     /// not see each other.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most [`LIVE`] has been since [`peak_above`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// `System`, keeping [`LIVE`].
+/// `System`, keeping [`LIVE`] and [`PEAK`].
 struct Counting;
 
 impl Counting {
     fn moved(by: isize) {
-        LIVE.set(LIVE.get() + by);
+        let live = LIVE.get() + by;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one the caller was held to; the counter is a
-// const-initialized thread-local without a destructor, so touching it
+// whose contract is the one the caller was held to; the counters are
+// const-initialized thread-locals without destructors, so touching them
 // neither allocates nor runs after thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -78,6 +88,15 @@ fn held_by<T>(build: impl FnOnce() -> T) -> (T, f64) {
     let before = LIVE.get();
     let built = build();
     (built, (LIVE.get() - before) as f64)
+}
+
+/// `run`'s result and the most heap it held above its start at any
+/// instant.
+fn peak_above<T>(run: impl FnOnce() -> T) -> (T, f64) {
+    let start = LIVE.get();
+    PEAK.set(start);
+    let out = run();
+    (out, (PEAK.get() - start) as f64)
 }
 
 fn slash24(i: u32) -> Ipv4Prefix {
@@ -180,4 +199,56 @@ fn nine_candidates_per_prefix_pay_for_nine() {
     let per_prefix = held / f.prefixes as f64;
     assert!(per_prefix <= 252.0, "{per_prefix:.1} B/prefix: {f:?}");
     assert_eq!(f.list_bytes, 18_000 * 16, "a spilled candidate is 16 B");
+}
+
+/// Prefixes per attribute run (a synthetic RIS table averages 32.5).
+const RUN: u32 = 32;
+
+/// The Fig. 4 controller after both providers sent `prefixes` /24s,
+/// each provider a new attribute set every [`RUN`] of them: every prefix
+/// protected by the one backup-group.
+fn loaded_engine(prefixes: u32) -> Engine {
+    let specs = (1..=2u8)
+        .map(|n| PeerSpec {
+            id: peer(n),
+            mac: MacAddr([2, 0, 0, 0, 0, n]),
+            switch_port: n as u16,
+            local_pref: 100 * n as u32,
+            router_id: peer(n),
+        })
+        .collect();
+    let mut engine = Engine::new(EngineConfig::new("10.0.200.0/24".parse().unwrap(), specs));
+    for n in 1..=2u8 {
+        for first in (0..prefixes).step_by(RUN as usize) {
+            let path =
+                AsPath::sequence(vec![65000 + n as u16, 1000 + (first / RUN % 60_000) as u16]);
+            let attrs = RouteAttrs::ebgp(path, peer(n)).shared();
+            let nlri = (first..(first + RUN).min(prefixes)).map(slash24).collect();
+            engine.process_update(peer(n), &UpdateMsg::announce(attrs, nlri));
+        }
+    }
+    engine
+}
+
+/// The preferred provider fails and the repair re-announces every prefix
+/// with the other's route. Streamed into a router session that drops
+/// each UPDATE, it holds at most 64 KiB above its start at 50k and at
+/// 100k prefixes: one run's working set, not the table's.
+#[test]
+fn a_streamed_repair_holds_one_run_not_the_table() {
+    for prefixes in [50_000, 100_000] {
+        let mut engine = loaded_engine(prefixes);
+        engine.failover_plan(peer(2));
+        let mut messages = 0;
+        let (walked, peak) =
+            peak_above(|| engine.peer_down_repair(peer(2), Some(&mut |_update| messages += 1)));
+        assert!(
+            peak <= 64.0 * 1024.0,
+            "{prefixes} prefixes: the repair held {peak} B above its start (budget 64 KiB)"
+        );
+        // Every prefix re-announced (plus the retired group's action),
+        // in at least one UPDATE per run.
+        assert_eq!(walked.actions, prefixes as usize + 1, "{walked:?}");
+        assert!(messages >= prefixes / RUN, "{messages} UPDATEs");
+    }
 }

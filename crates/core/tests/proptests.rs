@@ -188,7 +188,7 @@ proptest! {
                 }
                 prop_assert_eq!(divergence(&replicas), None, "on failover");
                 for r in &mut replicas {
-                    r.peer_down_repair(peer(victim));
+                    r.peer_down_repair(peer(victim), None);
                 }
                 prop_assert_eq!(divergence(&replicas), None, "on repair");
             }
@@ -212,11 +212,15 @@ proptest! {
     ) {
         let mut e = run_stream(&steps);
         e.failover_plan(peer(victim));
-        let actions = e.peer_down_repair(peer(victim));
-        for a in &actions {
-            if let EngineAction::Announce { next_hop, .. } = a {
-                prop_assert_ne!(*next_hop, peer(victim));
+        let mut packed = Vec::new();
+        let walked = e.peer_down_repair(peer(victim), Some(&mut |m| packed.push(m)));
+        for m in &packed {
+            if let Some(attrs) = &m.attrs {
+                prop_assert_ne!(attrs.next_hop, peer(victim));
             }
+        }
+        for a in &walked.flow {
+            prop_assert!(!matches!(a, EngineAction::Announce { .. } | EngineAction::Withdraw { .. }));
         }
         for g in e.groups().iter() {
             prop_assert_ne!(g.active_target, peer(victim),

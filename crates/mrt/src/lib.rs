@@ -16,8 +16,10 @@
 //!   available offline; encode→decode round-trips are proptest-pinned).
 //!   BGP message bodies and path attributes reuse `sc_bgp`'s decoders.
 //! * [`replay`] — [`replay::RibSnapshot`] loads a `TABLE_DUMP_V2` dump
-//!   into per-peer route lists, which `sc-scenarios` turns into the
-//!   providers' feeds (`FeedSource::MrtSnapshot`).
+//!   into per-peer route lists and tables ([`replay::PeerTable`]: one
+//!   prefix list per recorded peer, shared by the providers that replay
+//!   it), which `sc-scenarios` turns into the providers' feeds
+//!   (`FeedSource::MrtSnapshot`).
 //!   [`replay::ReplaySchedule`] compiles a `BGP4MP` stream into timed
 //!   events; only the perf ledger's compile kernel calls it.
 
@@ -28,4 +30,6 @@ pub use records::{
     Bgp4mpMessage, MrtError, MrtReader, MrtRecord, MrtWriter, PeerIndexTable, PeerTableEntry,
     RawRecord, RibEntry, RibEntryRecord,
 };
-pub use replay::{pack_feed, NextHopRewriter, ReplayEvent, ReplaySchedule, RibSnapshot, TimeScale};
+pub use replay::{
+    pack_feed, NextHopRewriter, PeerTable, ReplayEvent, ReplaySchedule, RibSnapshot, TimeScale,
+};

@@ -15,6 +15,7 @@
 //! the compiler goes when that kernel does.
 
 use crate::records::{MrtError, MrtReader, MrtRecord, PeerTableEntry, RibEntryRecord};
+use sc_bgp::adj_out::AdjRibOut;
 use sc_bgp::attrs::RouteAttrs;
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_net::{Ipv4Prefix, SimDuration};
@@ -177,6 +178,92 @@ impl RibSnapshot {
                     .map(|e| (r.prefix, e.attrs.clone()))
             })
             .collect()
+    }
+
+    /// Peer `idx`'s table, once for every provider that replays it.
+    /// Its runs are where the routes' attribute sets change — in stream
+    /// order, where [`NextHopRewriter`] starts a new rewritten set, and
+    /// then in prefix order, each prefix keeping its last route, as
+    /// `AdjRibOut::from_updates` sorts a feed.
+    pub fn peer_table(&self, idx: u16) -> PeerTable {
+        let routes = self.routes_for_peer(idx);
+        // Each route tagged with its row: the routes in a row (stream
+        // order) with equal attributes.
+        let mut rows: Vec<&Arc<RouteAttrs>> = Vec::new();
+        let mut tagged: Vec<(Ipv4Prefix, u32)> = Vec::with_capacity(routes.len());
+        for (prefix, attrs) in &routes {
+            if rows.last().is_none_or(|row| **row != *attrs) {
+                rows.push(attrs);
+            }
+            tagged.push((*prefix, rows.len() as u32 - 1));
+        }
+        tagged.sort_by_key(|(prefix, _)| *prefix);
+        tagged.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                kept.1 = later.1;
+            }
+            repeat
+        });
+        let mut runs: Vec<(u32, Arc<RouteAttrs>)> = Vec::new();
+        let mut last_row = None;
+        for (i, (_, row)) in tagged.iter().enumerate() {
+            if last_row != Some(*row) {
+                runs.push((i as u32, Arc::clone(rows[*row as usize])));
+                last_row = Some(*row);
+            }
+        }
+        PeerTable {
+            prefixes: tagged.iter().map(|(prefix, _)| *prefix).collect(),
+            runs,
+        }
+    }
+}
+
+/// One recorded peer's table in Adj-RIB-Out form, built once for every
+/// provider that replays the peer: its sorted, distinct prefixes, shared
+/// by all of their tables, and the runs of recorded attribute sets over
+/// them, which each provider rewrites to its own next hop
+/// ([`PeerTable::adj_rib_out`]).
+#[derive(Clone, Debug)]
+pub struct PeerTable {
+    prefixes: Arc<[Ipv4Prefix]>,
+    /// `(index of the run's first prefix, recorded attribute set)`,
+    /// ascending from 0.
+    runs: Vec<(u32, Arc<RouteAttrs>)>,
+}
+
+impl PeerTable {
+    /// The table's prefixes, sorted and distinct.
+    pub fn prefixes(&self) -> &Arc<[Ipv4Prefix]> {
+        &self.prefixes
+    }
+
+    /// The table with `list` as its prefix list when the two are equal
+    /// (a scenario's universe, which the table then shares).
+    pub fn sharing(mut self, list: &Arc<[Ipv4Prefix]>) -> PeerTable {
+        if *self.prefixes == **list {
+            self.prefixes = Arc::clone(list);
+        }
+        self
+    }
+
+    /// The runs' attribute sets, in order.
+    pub fn attribute_sets(&self) -> impl Iterator<Item = &Arc<RouteAttrs>> {
+        self.runs.iter().map(|(_, attrs)| attrs)
+    }
+
+    /// A provider's Adj-RIB-Out over the table: the shared prefix list,
+    /// and each run's attribute set with `next_hop` in it. It exports
+    /// what `AdjRibOut::from_updates` makes of the peer's
+    /// [`NextHopRewriter`]-rewritten [`pack_feed`].
+    pub fn adj_rib_out(&self, next_hop: Ipv4Addr) -> AdjRibOut {
+        let runs = self
+            .runs
+            .iter()
+            .map(|(start, attrs)| (*start, Arc::new(attrs.with_next_hop(next_hop))))
+            .collect();
+        AdjRibOut::from_runs(Arc::clone(&self.prefixes), runs)
     }
 }
 

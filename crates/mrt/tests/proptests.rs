@@ -7,9 +7,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_bgp::attrs::{AsPath, AsSegment, Origin, RouteAttrs};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
+use sc_bgp::AdjRibOut;
 use sc_mrt::{
-    Bgp4mpMessage, MrtError, MrtReader, MrtRecord, MrtWriter, PeerTableEntry, ReplaySchedule,
-    RibEntry, TimeScale,
+    pack_feed, Bgp4mpMessage, MrtError, MrtReader, MrtRecord, MrtWriter, NextHopRewriter,
+    PeerTableEntry, ReplaySchedule, RibEntry, RibEntryRecord, RibSnapshot, TimeScale,
 };
 use sc_net::{Ipv4Prefix, SimDuration};
 use std::net::Ipv4Addr;
@@ -117,6 +118,66 @@ proptest! {
             prop_assert_eq!(m.peer_ip, *peer_ip);
             prop_assert_eq!(m.local_ip, *local_ip);
             prop_assert_eq!(&m.msg, &BgpMessage::Update(update.clone()));
+        }
+    }
+
+    /// A recorded peer's table, rewritten to a provider's next hop,
+    /// exports what the provider's packed feed seeds: the rewritten
+    /// routes packed by [`pack_feed`] into `AdjRibOut::from_updates`.
+    /// Each record decodes its own attribute `Arc`s, drawn from three
+    /// contents so that equal sets come in rows; the records are in
+    /// stream order, prefix-sorted or not, and may repeat a prefix.
+    #[test]
+    fn a_peer_table_exports_like_its_packed_feed(
+        records in vec((0u32..48, 0usize..3, 1u8..4), 0..160),
+        sorted in any::<bool>(),
+        nh in arb_ip(),
+    ) {
+        let sets = [65002u16, 65003, 65004].map(|asn| {
+            RouteAttrs::ebgp(AsPath::sequence(vec![asn, 174]), Ipv4Addr::new(198, 51, 100, 1))
+        });
+        let mut routes: Vec<RibEntryRecord> = records
+            .iter()
+            .enumerate()
+            .map(|(seq, &(slot, set, peers))| RibEntryRecord {
+                seq: seq as u32,
+                prefix: Ipv4Prefix::new(
+                    Ipv4Addr::from(0x0a00_0000 + (slot << 8)),
+                    if slot.is_multiple_of(4) { 16 } else { 24 },
+                ),
+                entries: (0..2u16)
+                    .filter(|k| peers & (1 << k) != 0)
+                    .map(|k| RibEntry {
+                        peer_index: k,
+                        originated: 0,
+                        attrs: Arc::new(sets[(set + k as usize) % 3].clone()),
+                    })
+                    .collect(),
+            })
+            .collect();
+        if sorted {
+            routes.sort_by_key(|r| r.prefix);
+        }
+        let peer = |k: u8| PeerTableEntry {
+            bgp_id: Ipv4Addr::new(198, 51, 100, k),
+            addr: Ipv4Addr::new(198, 51, 100, k),
+            asn: 64900 + k as u16,
+        };
+        let snap = RibSnapshot {
+            collector_id: Ipv4Addr::new(192, 0, 2, 1),
+            view: String::new(),
+            peers: vec![peer(1), peer(2)],
+            routes,
+        };
+        for k in 0..2 {
+            let table = snap.peer_table(k);
+            let rewritten = NextHopRewriter::new(nh).rewrite_routes(&snap.routes_for_peer(k));
+            let seeded = AdjRibOut::from_updates(&pack_feed(&rewritten, 300));
+            prop_assert_eq!(table.adj_rib_out(nh).export(), seeded.export());
+            let mut prefixes: Vec<Ipv4Prefix> = rewritten.iter().map(|(p, _)| *p).collect();
+            prefixes.sort();
+            prefixes.dedup();
+            prop_assert_eq!(&table.prefixes()[..], &prefixes[..]);
         }
     }
 

@@ -42,6 +42,17 @@ const PEER_TIMER_SESSION: u64 = 1;
 const PEER_TIMER_BFD: u64 = 2;
 const PEER_TIMER_DEADLINE: u64 = 3;
 
+/// Encode everything `session` has queued into `chan`, unflushed, each
+/// message straight into a recycled channel buffer — no allocation and
+/// no copy per message.
+fn drain(session: &mut Session, chan: &mut ChannelPort) {
+    while let Some(msg) = session.poll_transmit() {
+        let mut buf = chan.take_buffer();
+        msg.encode_into(&mut buf);
+        chan.send(buf);
+    }
+}
+
 fn peer_timer(idx: usize, kind: u64) -> TimerToken {
     TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + kind)
 }
@@ -351,7 +362,6 @@ impl LegacyRouter {
     /// instead of waiting for the next keepalive tick.
     pub fn inject_updates(&mut self, updates: &[UpdateMsg]) -> Vec<TimerToken> {
         let mut tokens = Vec::new();
-        let mut parts = Vec::new();
         for p in &mut self.peers {
             // The Adj-RIB-Out is the advertised *intent* and tracks
             // every injection even while the session is down — a later
@@ -364,10 +374,9 @@ impl LegacyRouter {
                 continue;
             }
             for upd in updates {
-                upd.clone().split_to_fit(&mut parts);
-                for part in parts.drain(..) {
-                    p.session.queue_update(part);
-                }
+                UpdateMsg::split_from(&upd.withdrawn, upd.attrs.as_ref(), &upd.nlri, &mut |part| {
+                    p.session.queue_update(part)
+                });
             }
             tokens.push(p.session_wakeup.token());
         }
@@ -669,13 +678,7 @@ impl LegacyRouter {
     /// Drain a peer's session output into its channel and re-arm timers.
     fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
         let peer = &mut self.peers[idx];
-        while let Some(msg) = peer.session.poll_transmit() {
-            // Encode straight into a recycled channel buffer — no
-            // allocation and no copy per message.
-            let mut buf = peer.chan.take_buffer();
-            msg.encode_into(&mut buf);
-            peer.chan.send(buf);
-        }
+        drain(&mut peer.session, &mut peer.chan);
         peer.chan.flush(ctx);
         peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
     }
@@ -812,12 +815,21 @@ impl LegacyRouter {
                     // RFC 4271 §9.4: advertise the Adj-RIB-Out on every
                     // establishment — including re-establishments after
                     // a flap, which the old `feed_sent` latch skipped.
-                    let feed = self.peers[idx].adj_out.export();
-                    if !feed.is_empty() {
-                        let n = feed.len();
-                        for part in feed {
-                            self.peers[idx].session.queue_update(part);
-                        }
+                    // Each UPDATE is encoded into the channel as the
+                    // table's walk packs it; the next flush sends them.
+                    let PeerState {
+                        adj_out,
+                        session,
+                        chan,
+                        ..
+                    } = &mut self.peers[idx];
+                    let mut n = 0;
+                    adj_out.export_each(|part| {
+                        n += 1;
+                        session.queue_update(part);
+                        drain(session, chan);
+                    });
+                    if n > 0 {
                         self.events.push((
                             ctx.now(),
                             RouterEvent::FeedAnnounced {

@@ -22,7 +22,6 @@
 use crate::topo::{Blueprint, Delivery, ProviderSpec, TopologySpec};
 use sc_bfd::BfdConfig;
 use sc_bgp::msg::UpdateMsg;
-use sc_bgp::AdjRibOut;
 use sc_lab::topology::{
     controller_ip, controller_mac, IP_R1, IP_SOURCE, IP_SWITCH, MAC_R1, MAC_SINK, MAC_SOURCE,
     MAC_SWITCH,
@@ -623,6 +622,15 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
     }
 
     // --- providers: LAN interface, feed, BGP sessions ---
+    // A snapshot's recorded peers, each one's table built once: the
+    // providers replaying a peer (provider `i` replays peer `i % peers`)
+    // share its prefix list, the universe's where the two are equal.
+    let peer_tables: Vec<sc_mrt::PeerTable> = snapshot.as_ref().map_or(Vec::new(), |snap| {
+        let recorded = snap.peers.len().max(1).min(bp.providers.len());
+        (0..recorded)
+            .map(|k| snap.peer_table(k as u16).sharing(&universe))
+            .collect()
+    });
     for (i, (&provider, spec)) in providers.iter().zip(&bp.providers).enumerate() {
         let rn = world.node_mut::<LegacyRouter>(provider);
         rn.add_interface(Interface {
@@ -666,8 +674,7 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
         // Every session originates the provider's feed, one table they
         // share; a synthetic feed's table shares the universe too.
         let originate = match &snapshot {
-            // The archive is decoded already: no reload per provider.
-            Some(snap) => AdjRibOut::from_updates(&mrt_feed(snap, i, spec.ip)),
+            Some(_) => peer_tables[i % peer_tables.len()].adj_rib_out(spec.ip),
             None => generate_adj_rib_out(&feed_config(cfg, spec), &universe),
         };
         for peer in peers {
