@@ -18,9 +18,11 @@
 //!   list ([`AdjRibOut::from_runs`]) holds one list: a full table costs
 //!   its runs, 16 bytes per run, not a tree node per prefix;
 //! * the **delta**: what [`AdjRibOut::apply`] wrote since, one entry per
-//!   prefix an UPDATE named (a withdrawal writes `None`). `apply` never
-//!   looks at the base, so churn costs a B-tree write per prefix and a
-//!   repeated cycle over the same prefixes overwrites its entries.
+//!   prefix an UPDATE named (a withdrawal writes `None`), in a
+//!   `index::PrefixIndex` that looks for each of an UPDATE's ascending
+//!   prefixes where it found the last. `apply` never looks at the base,
+//!   so churn costs one index write per prefix and a repeated cycle over
+//!   the same prefixes overwrites its entries.
 //!
 //! [`AdjRibOut::export_each`] merges the two in prefix order, the delta
 //! winning, and packs the result back into UPDATEs with the
@@ -30,10 +32,10 @@
 //! collects them).
 
 use crate::attrs::RouteAttrs;
+use crate::index::PrefixIndex;
 use crate::msg::UpdateMsg;
 use crate::pack::RunPacker;
 use sc_net::Ipv4Prefix;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-peer outbound routing state, replayed on session (re-)establish.
@@ -42,7 +44,7 @@ pub struct AdjRibOut {
     base: Arc<Base>,
     /// Prefix → what `apply` last wrote for it: an attribute set, or
     /// `None` for a withdrawal. Overrides the base.
-    delta: BTreeMap<Ipv4Prefix, Option<Arc<RouteAttrs>>>,
+    delta: PrefixIndex<Option<Arc<RouteAttrs>>>,
 }
 
 /// The configured feed: immutable, shared by every clone.
@@ -103,7 +105,7 @@ impl AdjRibOut {
                 prefixes,
                 runs: runs.into_boxed_slice(),
             }),
-            delta: BTreeMap::new(),
+            delta: PrefixIndex::default(),
         }
     }
 
@@ -156,7 +158,7 @@ impl AdjRibOut {
         let mut delta = self.delta.iter().peekable();
         std::iter::from_fn(move || loop {
             let next_base = base.peek().map(|(prefix, _)| *prefix);
-            let Some((&prefix, _)) = delta.peek() else {
+            let Some((prefix, _)) = delta.peek().copied() else {
                 return base.next();
             };
             match next_base {
@@ -183,7 +185,7 @@ impl AdjRibOut {
 
     /// Is `prefix` currently advertised?
     pub fn contains(&self, prefix: Ipv4Prefix) -> bool {
-        match self.delta.get(&prefix) {
+        match self.delta.get(prefix) {
             Some(written) => written.is_some(),
             None => self.base.prefixes.binary_search(&prefix).is_ok(),
         }
@@ -193,11 +195,11 @@ impl AdjRibOut {
     /// announcements enter (or replace) it.
     pub fn apply(&mut self, upd: &UpdateMsg) {
         for prefix in &upd.withdrawn {
-            self.delta.insert(*prefix, None);
+            *self.delta.get_or_insert_with(*prefix, || None) = None;
         }
         if let Some(attrs) = &upd.attrs {
             for prefix in &upd.nlri {
-                self.delta.insert(*prefix, Some(attrs.clone()));
+                *self.delta.get_or_insert_with(*prefix, || None) = Some(attrs.clone());
             }
         }
     }

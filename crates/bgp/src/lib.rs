@@ -20,7 +20,10 @@
 //!   every session (re-)establishment so flapped sessions come back with
 //!   their routes;
 //! * [`pack`] — the run packer that turns a table walk into UPDATEs as
-//!   it goes (the Adj-RIB-Out's replay, the controller's re-announcements).
+//!   it goes (the Adj-RIB-Out's replay, the controller's re-announcements);
+//! * `index` (crate-private) — the prefix index under both RIBs: sorted
+//!   blocks searched from where the last lookup landed, since every
+//!   UPDATE lists its prefixes in ascending order.
 //!
 //! Known simplifications (documented in `DESIGN.md`): 2-byte AS numbers
 //! (no AS4 capability), no route reflection, MED compared across
@@ -30,6 +33,7 @@
 pub mod adj_out;
 pub mod attrs;
 pub mod decision;
+mod index;
 pub mod msg;
 pub mod pack;
 pub mod rib;

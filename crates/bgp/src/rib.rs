@@ -17,15 +17,15 @@
 //! its keys — *this exact prefix* (every announce and withdraw) and *all
 //! of them in FIB walk order* (a session's purge, the iterators) — never
 //! the longest match for an address; that is the FIB's question, and the
-//! only one `sc_net::PrefixTrie` is kept for. Exact plus ordered is what
-//! a B-tree does best, so the index is a `BTreeMap` whose key order,
-//! `Ipv4Prefix`'s `(bits, len)`, *is* the walk order: up to eleven
-//! 12-byte (prefix, slot) pairs a node — 26 B a prefix on a table loaded
-//! in ascending order, where a path-compressed trie paid two 20-byte
-//! nodes a prefix, 52 B by capacity — and a descent of log₇ N nodes,
-//! each searched in place, instead of log₂ N dependent loads across the
-//! trie's arena. It maps a prefix to a tagged slot in one of two slabs
-//! the RIB owns:
+//! only one `sc_net::PrefixTrie` is kept for. The index is a
+//! `index::PrefixIndex`: sorted blocks of up to 128 12-byte (prefix, slot)
+//! pairs, in `Ipv4Prefix`'s `(bits, len)` order, which *is* the walk
+//! order. An UPDATE lists its NLRI in ascending order, so the index looks
+//! for each prefix in the block where it found the last one, where a
+//! `BTreeMap` paid a descent of about seven nodes a prefix; an ascending
+//! load fills its blocks, 12 B a prefix and 32 B a block (the B-tree held
+//! 26 B a prefix, a path-compressed trie 52 by capacity). It maps a
+//! prefix to a tagged slot in one of two slabs the RIB owns:
 //! * up to two candidates (the paper's regime: Listing 1 needs the top
 //!   two, the router behind a controller holds one) sit *inline* in a
 //!   40-byte small entry, no heap block;
@@ -39,17 +39,16 @@
 //! index's key, and what the decision process needs to know about the
 //! *session* a route came over sits once per peer in the RIB's
 //! [`PeerTable`], written from the [`PeerInfo`] every update is handed.
-//! [`LocRib::footprint`] reports what the RIB can read off its own
-//! vectors (the slabs and the spilled lists, by capacity); a `BTreeMap`
-//! reports no capacity, so the whole — index included — is measured where
-//! it can be, as live heap under a counting allocator, and
-//! `tests/footprint.rs` pins those bytes per prefix.
+//! [`LocRib::footprint`] reports what the RIB reads off its slabs and
+//! spilled lists, by capacity; the whole — index included — is measured
+//! as live heap under a counting allocator, and `tests/footprint.rs`
+//! pins those bytes per prefix.
 
 use crate::attrs::RouteAttrs;
 use crate::decision::{compare_routes, PeerInfo, PeerTable, Route};
+use crate::index::PrefixIndex;
 use crate::PeerId;
 use sc_net::Ipv4Prefix;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::mem::{self, size_of};
 use std::num::NonZeroU32;
 use std::sync::Arc;
@@ -417,10 +416,9 @@ impl<X: Default> Entries<X> {
     }
 }
 
-/// What a RIB holds and what its own vectors cost, by capacity. The
-/// index is not in it: a `BTreeMap` reports no capacity, so the whole is
-/// measured from outside (`tests/footprint.rs`, the perf ledger's
-/// `peak_rss_mb`).
+/// What a RIB holds and what its slabs and lists cost, by capacity. The
+/// index is not in it: the whole is measured from outside
+/// (`tests/footprint.rs`, the perf ledger's `peak_rss_mb`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Footprint {
     pub prefixes: usize,
@@ -458,7 +456,7 @@ impl Footprint {
 pub struct LocRib<X = ()> {
     /// Exact-match and ordered-walk only (see "# Storage"); ascending
     /// key order is FIB walk order.
-    index: BTreeMap<Ipv4Prefix, Slot>,
+    index: PrefixIndex<Slot>,
     entries: Entries<X>,
     peers: PeerTable,
 }
@@ -535,8 +533,7 @@ impl<X: Default> LocRib<X> {
         let small = &mut self.entries.small;
         let slot = self
             .index
-            .entry(prefix)
-            .or_insert_with(|| Slot::small(small.insert(Small::default())));
+            .get_or_insert_with(prefix, || Slot::small(small.insert(Small::default())));
         let moved = self.entries.place(slot, route, &self.peers);
         (*slot, moved)
     }
@@ -635,16 +632,15 @@ impl<X: Default> LocRib<X> {
         peer: PeerId,
         react: impl FnOnce(&[Route], &mut X) -> R,
     ) -> Option<(Change<'_>, R)> {
-        let Entry::Occupied(mut indexed) = self.index.entry(prefix) else {
-            return None;
-        };
-        let pos = self.entries.remove(indexed.get_mut(), peer)?;
-        let slot = *indexed.get();
+        let found = self.index.find(prefix)?;
+        let slot = self.index.get_mut(found);
+        let pos = self.entries.remove(slot, peer)?;
+        let slot = *slot;
         let (ranked, ext) = self.entries.entry_mut(slot);
         let out = react(ranked, ext);
         let ranked = if ranked.is_empty() {
             self.entries.release(slot);
-            indexed.remove();
+            self.index.remove(found);
             &[]
         } else {
             self.entries.entry(slot).0
@@ -675,11 +671,11 @@ impl<X: Default> LocRib<X> {
     }
 
     /// [`LocRib::remove_one`] over every prefix with a candidate from
-    /// `peer`, in one pass over the index — `BTreeMap::retain` visits in
-    /// ascending key order, which is FIB walk order.
+    /// `peer`, in one pass over the index — `PrefixIndex::retain`
+    /// visits in ascending key order, which is FIB walk order.
     fn remove_all(&mut self, peer: PeerId, mut react: impl FnMut(Change<'_>, &mut X)) {
         let entries = &mut self.entries;
-        self.index.retain(|&prefix, slot| {
+        self.index.retain(|prefix, slot| {
             let Some(pos) = entries.remove(slot, peer) else {
                 return true;
             };
@@ -701,7 +697,7 @@ impl<X: Default> LocRib<X> {
     /// The ranked candidates for `prefix` (best first).
     pub fn candidates(&self, prefix: Ipv4Prefix) -> &[Route] {
         self.index
-            .get(&prefix)
+            .get(prefix)
             .map_or(&[], |&slot| self.entries.entry(slot).0)
     }
 
@@ -714,14 +710,14 @@ impl<X: Default> LocRib<X> {
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Route])> {
         self.index
             .iter()
-            .map(|(&p, &slot)| (p, self.entries.entry(slot).0))
+            .map(|(p, &slot)| (p, self.entries.entry(slot).0))
     }
 
     /// Iterate `(prefix, owner state)` in FIB walk order.
     pub fn iter_ext(&self) -> impl Iterator<Item = (Ipv4Prefix, &X)> {
         self.index
             .iter()
-            .map(|(&p, &slot)| (p, self.entries.entry(slot).1))
+            .map(|(p, &slot)| (p, self.entries.entry(slot).1))
     }
 }
 

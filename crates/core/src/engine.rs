@@ -24,6 +24,7 @@ use sc_bgp::pack::RunPacker;
 use sc_bgp::rib::LocRib;
 use sc_bgp::{PeerId, PeerInfo, Route};
 use sc_net::{Ipv4Prefix, MacAddr};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -287,7 +288,11 @@ impl Engine {
     ) {
         let (rib, mut steering) = self.split(actions);
         steering.stats.updates_processed += 1;
+        let reannounced = reannounced(upd);
         for &prefix in &upd.withdrawn {
+            if reannounced.binary_search(&prefix).is_ok() {
+                continue;
+            }
             steering.stats.withdrawals_processed += 1;
             rib.withdraw_with(prefix, peer, |candidates, announced| {
                 steering.reconcile(prefix, candidates, announced)
@@ -507,6 +512,23 @@ impl Engine {
         }
         feed.finish();
         out
+    }
+}
+
+/// The prefixes `upd` both withdraws and announces can be told apart
+/// from its withdrawals by a search of this: its NLRI, sorted, when it
+/// has both lists, and empty otherwise. RFC 4271 §3.1 reads such a prefix
+/// as announced only; withdrawing it first would have the router, whose
+/// batch sends withdrawals last, end with it withdrawn.
+fn reannounced(upd: &UpdateMsg) -> Cow<'_, [Ipv4Prefix]> {
+    if upd.attrs.is_none() || upd.withdrawn.is_empty() {
+        Cow::Borrowed(&[])
+    } else if upd.nlri.is_sorted() {
+        Cow::Borrowed(&upd.nlri)
+    } else {
+        let mut sorted = upd.nlri.clone();
+        sorted.sort_unstable();
+        Cow::Owned(sorted)
     }
 }
 
@@ -1084,6 +1106,46 @@ mod tests {
         for m in &msgs {
             assert!(sc_bgp::BgpMessage::Update(m.clone()).encode().len() <= 4096);
         }
+    }
+
+    /// RFC 4271 §3.1: an UPDATE that both withdraws and announces a
+    /// prefix announces it. The router, applying the packed messages in
+    /// order, ends holding it, as the engine records.
+    #[test]
+    fn a_prefix_withdrawn_and_announced_in_one_update_is_announced() {
+        let mut e = engine2();
+        e.process_update(R2, &announce(R2, &["1.0.0.0/24"]));
+        // NLRI out of order; 3.0.0.0/24 was never announced.
+        let mut upd = announce(R2, &["2.0.0.0/24", "1.0.0.0/24"]);
+        upd.withdrawn = vec![p("3.0.0.0/24"), p("1.0.0.0/24")];
+        let actions = e.process_update(R2, &upd);
+        assert!(
+            !actions
+                .iter()
+                .any(|a| matches!(a, EngineAction::Withdraw { .. })),
+            "{actions:?}"
+        );
+        let controller = PeerInfo {
+            peer: Ipv4Addr::new(10, 0, 0, 254),
+            router_id: Ipv4Addr::new(10, 0, 0, 254),
+            ebgp: true,
+            igp_cost: 0,
+        };
+        let mut router = LocRib::new();
+        for msg in Engine::pack_for_router(&actions) {
+            for prefix in &msg.withdrawn {
+                router.withdraw(*prefix, controller.peer);
+            }
+            for prefix in &msg.nlri {
+                let attrs = msg.attrs.clone().expect("an announcement");
+                router.update(*prefix, attrs, controller, 100);
+            }
+        }
+        let held: Vec<Ipv4Prefix> = router.iter().map(|(prefix, _)| prefix).collect();
+        assert_eq!(held, [p("1.0.0.0/24"), p("2.0.0.0/24")]);
+        let announced: Vec<Ipv4Prefix> = e.announced().map(|(prefix, _)| prefix).collect();
+        assert_eq!(announced, held);
+        assert_eq!(e.stats.withdrawals_processed, 1, "only 3.0.0.0/24");
     }
 
     /// [`Engine::pack_for_router`] as it was before runs were sized up

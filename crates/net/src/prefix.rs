@@ -6,15 +6,30 @@
 //! bits below the mask are zero, so `Eq`/`Ord`/`Hash` behave as set
 //! identity.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 prefix in canonical (masked) form.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Prefix {
     bits: u32,
     len: u8,
+}
+
+/// Network bits, then length: the FIB walk order. Every RIB lookup
+/// compares prefixes, so the two fields are compared as one `u64`.
+impl Ord for Ipv4Prefix {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.order_key().cmp(&other.order_key())
+    }
+}
+
+impl PartialOrd for Ipv4Prefix {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Ipv4Prefix {
@@ -59,6 +74,11 @@ impl Ipv4Prefix {
     /// The raw network bits (host bits zero).
     pub fn raw_bits(self) -> u32 {
         self.bits
+    }
+
+    /// `(bits, len)` packed so that comparing keys compares the pairs.
+    fn order_key(self) -> u64 {
+        (u64::from(self.bits) << 8) | u64::from(self.len)
     }
 
     /// The netmask as an address (e.g. `255.255.255.0` for /24).

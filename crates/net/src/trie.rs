@@ -11,9 +11,9 @@
 //! It is *not* the structure behind a RIB. A RIB looks a prefix up
 //! exactly or walks all of them in order and never asks for a longest
 //! match, and for that access pattern an ordered map is smaller and
-//! faster: `sc_bgp`'s `LocRib` indexes its entries with a `BTreeMap`
-//! whose key order is this trie's iteration order (a proptest in
-//! `sc_bgp` pins that the two agree).
+//! faster: `sc_bgp`'s `LocRib` indexes its entries with sorted blocks
+//! of `(prefix, slot)` pairs whose key order is this trie's iteration
+//! order (a proptest in `sc_bgp` pins that the two agree).
 //!
 //! Nodes live in a `Vec` arena addressed by `u32` indices with a free
 //! list: no per-node allocations, and a table of N prefixes has at most

@@ -292,6 +292,37 @@ proptest! {
         prop_assert_eq!(out.as_nanos() % q.as_nanos(), 0);
         prop_assert!(out - d < q);
     }
+
+    /// `Ipv4Prefix`'s order is the lexicographic `(bits, len)` order and
+    /// agrees with `Eq`, over random prefixes, the default route, /32s
+    /// and equal bits at different lengths.
+    #[test]
+    fn prefix_order_is_bits_then_len(
+        pairs in vec(
+            (
+                prop_oneof![
+                    arb_prefix(),
+                    arb_nested_prefix(),
+                    Just(Ipv4Prefix::DEFAULT),
+                    arb_ip().prop_map(Ipv4Prefix::host),
+                ],
+                prop_oneof![arb_prefix(), arb_nested_prefix(), Just(Ipv4Prefix::DEFAULT)],
+                0u8..=32,
+            ),
+            1..64,
+        ),
+    ) {
+        for (a, b, len) in pairs {
+            // `same_bits` shares `a`'s network bits where its length allows.
+            let same_bits = Ipv4Prefix::new(a.network(), len);
+            for (x, y) in [(a, b), (a, same_bits), (same_bits, a), (a, a)] {
+                let lexicographic = (x.raw_bits(), x.len()).cmp(&(y.raw_bits(), y.len()));
+                prop_assert_eq!(x.cmp(&y), lexicographic, "{:?} vs {:?}", x, y);
+                prop_assert_eq!(x.partial_cmp(&y), Some(lexicographic));
+                prop_assert_eq!(x == y, lexicographic.is_eq());
+            }
+        }
+    }
 }
 
 /// The canonical corruption narrative, step by step: a payload byte of
