@@ -16,7 +16,7 @@
 //! * **ARP responder**: answers PACKET_IN ARP requests for virtual
 //!   next-hops with the owning group's VMAC via PACKET_OUT.
 
-use crate::engine::{Engine, EngineAction, EngineConfig, FailoverPlan, PeerSpec};
+use crate::engine::{Engine, EngineAction, EngineConfig, FailoverPlan, PeerSpec, Walked};
 use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
@@ -481,21 +481,26 @@ impl Controller {
         }
     }
 
-    /// Execute a batch of engine actions.
-    fn run_actions(&mut self, ctx: &mut Ctx, actions: Vec<EngineAction>) {
-        // Routing side, packed like a real speaker. With the session
-        // down nothing is queued: the engine's `announced` state is the
-        // source of truth and is replayed in full on (re-)establishment.
-        if self.router_session.state() == sc_bgp::SessionState::Established {
-            for update in Engine::pack_for_router(&actions) {
-                self.router_session.queue_update(update);
-            }
-        }
-        self.run_flow_actions(ctx, actions);
+    /// Run one of the engine's streamed walks with the router session as
+    /// its output: each UPDATE the walk packs is encoded into the
+    /// router's channel at once, unflushed. With the session down
+    /// nothing is packed: the engine's `announced` state is the source of
+    /// truth and is replayed in full on (re-)establishment.
+    fn walk_to_router(
+        &mut self,
+        walk: impl FnOnce(&mut Engine, Option<&mut dyn FnMut(UpdateMsg)>) -> Walked,
+    ) -> Walked {
+        let (session, chan) = (&mut self.router_session, &mut self.router_chan);
+        let established = session.state() == sc_bgp::SessionState::Established;
+        let mut send = |update| send_update(session, chan, update);
+        let router: Option<&mut dyn FnMut(UpdateMsg)> =
+            if established { Some(&mut send) } else { None };
+        walk(&mut self.engine, router)
     }
 
     /// The switch side of a batch of engine actions (its announcements
-    /// and withdrawals are skipped), then the router session's pump.
+    /// and withdrawals are skipped), then the router session's pump,
+    /// whose flush sends what a streamed walk encoded.
     fn run_flow_actions(&mut self, ctx: &mut Ctx, actions: Vec<EngineAction>) {
         // Switch side: the whole run is one fenced batch.
         let mut batch = Vec::new();
@@ -618,7 +623,7 @@ impl Controller {
                 // 5882 §4.1); its routes return when the BGP session
                 // re-establishes and replays the feed.
                 let actions = self.engine.peer_up(peer_id);
-                self.run_actions(ctx, actions);
+                self.run_flow_actions(ctx, actions);
             }
             BfdEvent::Down(_diag) => {
                 if self.peers[idx].failed_over {
@@ -653,12 +658,7 @@ impl Controller {
     /// Established); the flush that sends them runs where it would for
     /// any batch, after the switch side's.
     fn queue_repair(&mut self, ctx: &mut Ctx, peer: PeerId) {
-        let (session, chan) = (&mut self.router_session, &mut self.router_chan);
-        let established = session.state() == sc_bgp::SessionState::Established;
-        let mut send = |update| send_update(session, chan, update);
-        let router: Option<&mut dyn FnMut(UpdateMsg)> =
-            if established { Some(&mut send) } else { None };
-        let walked = self.engine.peer_down_repair(peer, router);
+        let walked = self.walk_to_router(|engine, router| engine.peer_down_repair(peer, router));
         ctx.trace_instant(
             "bgp",
             "repair.queued",
@@ -824,15 +824,16 @@ impl Controller {
     }
 
     /// Dispatch a batch of peer-session events. UPDATEs are processed
-    /// one message at a time on purpose: a batch of actions goes to the
-    /// router announcements first, withdrawals last
-    /// ([`Engine::pack_for_router`], and the streamed repair the same
-    /// way), so concatenating actions *across* messages would let an
-    /// earlier message's withdrawal overtake a later message's
-    /// announcement of the same prefix on the wire toward the router (a
-    /// co-timed withdraw + re-announce would end withdrawn downstream).
-    /// Per-message processing keeps the packed output order-faithful; a
-    /// repair is one walk, which meets each prefix once.
+    /// one message at a time on purpose: a batch goes to the router
+    /// announcements first, withdrawals last
+    /// ([`Engine::process_update_streamed`] holds an UPDATE's
+    /// withdrawals to its end, and the streamed repair the same way), so
+    /// a batch spanning messages would let an earlier message's
+    /// withdrawal overtake a later message's announcement of the same
+    /// prefix on the wire toward the router (a co-timed withdraw +
+    /// re-announce would end withdrawn downstream). Per-message
+    /// processing keeps the packed output order-faithful; a repair is
+    /// one walk, which meets each prefix once.
     fn handle_peer_session_events(&mut self, idx: usize, events: Vec<SessionEvent>, ctx: &mut Ctx) {
         let peer_id = self.peers[idx].link.spec.id;
         for ev in events {
@@ -842,7 +843,7 @@ impl Controller {
                         .push((ctx.now(), ControllerEvent::PeerSessionUp(peer_id)));
                     self.peers[idx].failed_over = false;
                     let actions = self.engine.peer_up(peer_id);
-                    self.run_actions(ctx, actions);
+                    self.run_flow_actions(ctx, actions);
                 }
                 SessionEvent::Down(_) => {
                     // Without BFD this is the detection path (hold
@@ -863,8 +864,10 @@ impl Controller {
                     self.peers[idx].chan.reset();
                 }
                 SessionEvent::Update(upd) => {
-                    let actions = self.engine.process_update(peer_id, &upd);
-                    self.run_actions(ctx, actions);
+                    let walked = self.walk_to_router(|engine, router| {
+                        engine.process_update_streamed(peer_id, &upd, router)
+                    });
+                    self.run_flow_actions(ctx, walked.flow);
                 }
             }
         }

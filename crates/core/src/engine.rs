@@ -3,11 +3,15 @@
 //! machine.
 //!
 //! The engine is deliberately free of I/O and simulator types: it maps
-//! BGP updates to *actions* (announcements toward the router, flow-rule
-//! operations toward the switch). That makes it directly benchmarkable
-//! (the paper's §4 controller micro-benchmark) and lets the property
-//! tests compare engines fed the same stream for bit-identical state —
-//! the paper's §3 reliability argument.
+//! BGP updates to what the router must be told and to flow-rule
+//! operations toward the switch. Its host either takes the router's
+//! UPDATEs as the walk packs them ([`Engine::process_update_streamed`],
+//! [`Engine::peer_down_repair`], [`Engine::replay`]) or collects every
+//! decision as an [`EngineAction`] list ([`Engine::process_update`]).
+//! That makes it directly benchmarkable (the paper's §4 controller
+//! micro-benchmark) and lets the property tests compare engines fed the
+//! same stream for bit-identical state — the paper's §3 reliability
+//! argument.
 //!
 //! Differences from the paper's pseudocode, made deliberately and
 //! commented inline: Listing 1 as printed does not handle brand-new
@@ -120,8 +124,9 @@ pub struct FailoverPlan {
     pub unprotected_groups: usize,
 }
 
-/// What a streamed walk ([`Engine::peer_down_repair`]) leaves besides
-/// the UPDATEs it packed for the router.
+/// What a streamed walk ([`Engine::process_update_streamed`],
+/// [`Engine::peer_down_repair`]) leaves besides the UPDATEs it packed
+/// for the router.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Walked {
     /// How many actions the walk made, announcements and withdrawals
@@ -270,7 +275,9 @@ impl Engine {
     // ------------------------------------------------- update handling
 
     /// Process one BGP UPDATE received from `peer` (Listing 1, applied
-    /// per prefix). Returns the actions to perform, in order.
+    /// per prefix). Returns the actions to perform, in order: the
+    /// collected form of [`Engine::process_update_streamed`], which
+    /// [`Engine::pack_for_router`] packs into the same UPDATEs.
     pub fn process_update(&mut self, peer: PeerId, upd: &UpdateMsg) -> Vec<EngineAction> {
         // About one action per prefix plus one (§4's per-UPDATE work).
         let mut actions = Vec::with_capacity(upd.withdrawn.len() + upd.nlri.len() + 1);
@@ -278,15 +285,28 @@ impl Engine {
         actions
     }
 
-    /// [`Engine::process_update`] appending to a caller-owned action
-    /// buffer (the batch path).
-    fn process_update_into(
+    /// Process one BGP UPDATE received from `peer`, streamed the way
+    /// [`Engine::peer_down_repair`] is: each announcement joins the
+    /// [`RunPacker`] as it is decided, each packed UPDATE goes to
+    /// `router` at once, and the withdrawals follow every announcement.
+    /// The batch is the one UPDATE, so the router gets the messages
+    /// [`Engine::pack_for_router`] makes of [`Engine::process_update`]'s
+    /// list. With `router` `None` nothing is packed. The flow actions
+    /// come back in [`Walked`].
+    pub fn process_update_streamed(
         &mut self,
         peer: PeerId,
         upd: &UpdateMsg,
-        actions: &mut Vec<EngineAction>,
-    ) {
-        let (rib, mut steering) = self.split(actions);
+        router: Option<&mut dyn FnMut(UpdateMsg)>,
+    ) -> Walked {
+        let mut feed = RouterFeed::new(router);
+        self.process_update_into(peer, upd, &mut feed);
+        feed.finish()
+    }
+
+    /// Listing 1 over one UPDATE, writing what it decides into `sink`.
+    fn process_update_into(&mut self, peer: PeerId, upd: &UpdateMsg, sink: &mut impl ActionSink) {
+        let (rib, mut steering) = self.split(sink);
         steering.stats.updates_processed += 1;
         let reannounced = reannounced(upd);
         for &prefix in &upd.withdrawn {
@@ -324,17 +344,17 @@ impl Engine {
 
     /// The RIB, and everything [`Steering::reconcile`] needs while a RIB
     /// entry is borrowed.
-    fn split<'a>(
+    fn split<'a, S: ActionSink>(
         &'a mut self,
-        actions: &'a mut Vec<EngineAction>,
-    ) -> (&'a mut LocRib<Option<Announced>>, Steering<'a>) {
+        sink: &'a mut S,
+    ) -> (&'a mut LocRib<Option<Announced>>, Steering<'a, S>) {
         let steering = Steering {
             protect_depth: self.cfg.protect_depth,
             peer_specs: &self.peer_specs,
             alive: &self.alive,
             groups: &mut self.groups,
             stats: &mut self.stats,
-            actions,
+            sink,
         };
         (&mut self.rib, steering)
     }
@@ -401,26 +421,16 @@ impl Engine {
         router: Option<&mut dyn FnMut(UpdateMsg)>,
     ) -> Walked {
         let mut feed = RouterFeed::new(router);
-        self.withdraw_peer(dead_peer, &mut Vec::new(), |actions| {
-            for action in actions.drain(..) {
-                feed.add(&action);
-            }
-        });
+        self.withdraw_peer(dead_peer, &mut feed);
         feed.finish()
     }
 
-    /// Purge `dead_peer`'s routes, collecting the actions in `actions`
-    /// and handing them to `after` once each prefix is reconciled.
-    fn withdraw_peer(
-        &mut self,
-        dead_peer: PeerId,
-        actions: &mut Vec<EngineAction>,
-        mut after: impl FnMut(&mut Vec<EngineAction>),
-    ) {
-        let (rib, mut steering) = self.split(actions);
+    /// Purge `dead_peer`'s routes, writing what each prefix's
+    /// reconciliation decides into `sink`.
+    fn withdraw_peer(&mut self, dead_peer: PeerId, sink: &mut impl ActionSink) {
+        let (rib, mut steering) = self.split(sink);
         rib.withdraw_peer_with(dead_peer, |prefix, candidates, announced| {
-            steering.reconcile(prefix, candidates, announced);
-            after(steering.actions);
+            steering.reconcile(prefix, candidates, announced)
         });
     }
 
@@ -502,7 +512,8 @@ impl Engine {
     /// sharing attributes and next-hop ride one UPDATE, like real
     /// speakers pack NLRI, the actions in between not ending the run;
     /// the batch's withdrawals follow every announcement. The streamed
-    /// repair packs the same way, through the same code.
+    /// UPDATE path and repair pack the same way, through the same
+    /// [`RouterFeed`].
     pub fn pack_for_router(actions: &[EngineAction]) -> Vec<UpdateMsg> {
         let mut out = Vec::new();
         let mut push = |msg| out.push(msg);
@@ -532,10 +543,43 @@ fn reannounced(upd: &UpdateMsg) -> Cow<'_, [Ipv4Prefix]> {
     }
 }
 
-/// A batch of actions packed for the router as they come: announcements
-/// into the [`RunPacker`], whose UPDATEs go out at once; withdrawals
-/// held until [`RouterFeed::finish`], to follow every announcement of
-/// the batch; flow actions kept, in order, for the host.
+/// Where [`Steering::reconcile`] writes what it decides: a [`RouterFeed`]
+/// packs it for the router as it comes, a `Vec<EngineAction>` collects
+/// it (an `Arc` handle per announcement).
+trait ActionSink {
+    /// Tell the router `prefix` is reached via `next_hop` with `attrs`.
+    fn announce(&mut self, prefix: Ipv4Prefix, attrs: &Arc<RouteAttrs>, next_hop: Ipv4Addr);
+    /// Tell the router `prefix` is gone.
+    fn withdraw(&mut self, prefix: Ipv4Prefix);
+    /// A flow-rule action for the host.
+    fn flow(&mut self, action: EngineAction);
+}
+
+impl ActionSink for Vec<EngineAction> {
+    fn announce(&mut self, prefix: Ipv4Prefix, attrs: &Arc<RouteAttrs>, next_hop: Ipv4Addr) {
+        self.push(EngineAction::Announce {
+            prefix,
+            attrs: Arc::clone(attrs),
+            next_hop,
+        });
+    }
+
+    fn withdraw(&mut self, prefix: Ipv4Prefix) {
+        self.push(EngineAction::Withdraw { prefix });
+    }
+
+    fn flow(&mut self, action: EngineAction) {
+        self.push(action);
+    }
+}
+
+/// A batch packed for the router as it comes: announcements into the
+/// [`RunPacker`], whose UPDATEs go out at once; withdrawals held until
+/// [`RouterFeed::finish`], to follow every announcement of the batch;
+/// flow actions kept, in order, for the host. A batch is one UPDATE
+/// ([`Engine::process_update_streamed`]), one repair walk
+/// ([`Engine::peer_down_repair`]) or one list
+/// ([`Engine::pack_for_router`]).
 struct RouterFeed<'o> {
     /// Where packed UPDATEs go; `None` packs nothing.
     out: Option<&'o mut dyn FnMut(UpdateMsg)>,
@@ -555,19 +599,14 @@ impl<'o> RouterFeed<'o> {
     }
 
     fn add(&mut self, action: &EngineAction) {
-        self.walked.actions += 1;
-        match (action, &mut self.out) {
-            (
-                EngineAction::Announce {
-                    prefix,
-                    attrs,
-                    next_hop,
-                },
-                Some(out),
-            ) => self.packer.push(*prefix, attrs, Some(*next_hop), out),
-            (EngineAction::Withdraw { prefix }, Some(_)) => self.withdrawals.push(*prefix),
-            (EngineAction::Announce { .. } | EngineAction::Withdraw { .. }, None) => {}
-            (flow, _) => self.walked.flow.push(flow.clone()),
+        match action {
+            EngineAction::Announce {
+                prefix,
+                attrs,
+                next_hop,
+            } => self.announce(*prefix, attrs, *next_hop),
+            EngineAction::Withdraw { prefix } => self.withdraw(*prefix),
+            flow => self.flow(flow.clone()),
         }
     }
 
@@ -583,29 +622,52 @@ impl<'o> RouterFeed<'o> {
     }
 }
 
+impl ActionSink for RouterFeed<'_> {
+    fn announce(&mut self, prefix: Ipv4Prefix, attrs: &Arc<RouteAttrs>, next_hop: Ipv4Addr) {
+        self.walked.actions += 1;
+        if let Some(out) = &mut self.out {
+            self.packer.push(prefix, attrs, Some(next_hop), out);
+        }
+    }
+
+    fn withdraw(&mut self, prefix: Ipv4Prefix) {
+        self.walked.actions += 1;
+        if self.out.is_some() {
+            self.withdrawals.push(prefix);
+        }
+    }
+
+    fn flow(&mut self, action: EngineAction) {
+        self.walked.actions += 1;
+        self.walked.flow.push(action);
+    }
+}
+
 /// The engine minus its RIB: what [`Steering::reconcile`] reads and
 /// writes while the RIB lends out one prefix's entry.
-struct Steering<'a> {
+struct Steering<'a, S> {
     protect_depth: usize,
     peer_specs: &'a BTreeMap<PeerId, PeerSpec>,
     alive: &'a BTreeMap<PeerId, bool>,
     groups: &'a mut GroupTable,
     stats: &'a mut EngineStats,
-    actions: &'a mut Vec<EngineAction>,
+    sink: &'a mut S,
 }
 
-impl Steering<'_> {
+impl<S: ActionSink> Steering<'_, S> {
     /// Bring `announced`, what the router was last told about `prefix`,
-    /// in line with the prefix's ranked `candidates`.
+    /// in line with the prefix's ranked `candidates`. It decides on the
+    /// best candidate's attributes by reference, and takes a handle of
+    /// its own only when the announcement changes.
     fn reconcile(
         &mut self,
         prefix: Ipv4Prefix,
         candidates: &[Route],
         announced: &mut Option<Announced>,
     ) {
-        let desired: Option<(Arc<RouteAttrs>, Ipv4Addr, Option<GroupId>)> = match candidates {
+        let desired: Option<(&Arc<RouteAttrs>, Ipv4Addr, Option<GroupId>)> = match candidates {
             [] => None,
-            [only] => Some((only.attrs.clone(), only.next_hop(), None)),
+            [only] => Some((&only.attrs, only.next_hop(), None)),
             multiple => {
                 let depth = self.protect_depth.min(multiple.len());
                 // One key per learned prefix: keep it off the heap at
@@ -626,7 +688,6 @@ impl Steering<'_> {
                 // A group is only useful if we can actually steer to its
                 // members (all peers known to the switch config).
                 if key.iter().all(|p| self.peer_specs.contains_key(p)) {
-                    let attrs = best.attrs.clone();
                     let (group, created) = self.groups.get_or_create(key);
                     let (gid, vnh, vmac, target) =
                         (group.id, group.vnh, group.vmac, group.active_target);
@@ -644,7 +705,7 @@ impl Steering<'_> {
                     if created {
                         self.stats.groups_created += 1;
                         let spec = self.peer_specs[&desired.unwrap_or(key[0])];
-                        self.actions.push(EngineAction::FlowAdd {
+                        self.sink.flow(EngineAction::FlowAdd {
                             vmac,
                             dst_mac: spec.mac,
                             port: spec.switch_port,
@@ -653,30 +714,30 @@ impl Steering<'_> {
                     } else if let Some(desired) = desired.filter(|d| *d != target) {
                         self.stats.groups_rearmed += 1;
                         let spec = self.peer_specs[&desired];
-                        self.actions.push(EngineAction::FlowModify {
+                        self.sink.flow(EngineAction::FlowModify {
                             vmac,
                             dst_mac: spec.mac,
                             port: spec.switch_port,
                         });
                         self.groups.get_mut(gid).unwrap().active_target = desired;
                     }
-                    Some((attrs, vnh, Some(gid)))
+                    Some((&best.attrs, vnh, Some(gid)))
                 } else {
-                    Some((best.attrs.clone(), best.next_hop(), None))
+                    Some((&best.attrs, best.next_hop(), None))
                 }
             }
         };
 
-        match (&*announced, &desired) {
+        match (&*announced, desired) {
             (None, None) => {}
             (Some(prev), Some((attrs, nh, group)))
-                if prev.next_hop == *nh
+                if prev.next_hop == nh
                     && Arc::ptr_eq(&prev.attrs, attrs)
-                    && prev.group() == *group => {}
+                    && prev.group() == group => {}
             _ => {
                 // Reference counting for group transitions.
                 let old_group = announced.as_ref().and_then(Announced::group);
-                let new_group = desired.as_ref().and_then(|(_, _, g)| *g);
+                let new_group = desired.and_then(|(_, _, g)| g);
                 if old_group != new_group {
                     if let Some(g) = new_group {
                         self.groups.add_ref(g);
@@ -685,7 +746,7 @@ impl Steering<'_> {
                         if let Some(retired) = self.groups.drop_ref(g) {
                             self.stats.groups_retired += 1;
                             let vmac = self.groups.get(retired).unwrap().vmac;
-                            self.actions.push(EngineAction::FlowRetire {
+                            self.sink.flow(EngineAction::FlowRetire {
                                 group: retired,
                                 vmac,
                             });
@@ -695,16 +756,12 @@ impl Steering<'_> {
                 *announced = match desired {
                     Some((attrs, next_hop, group)) => {
                         self.stats.announcements += 1;
-                        self.actions.push(EngineAction::Announce {
-                            prefix,
-                            attrs: attrs.clone(),
-                            next_hop,
-                        });
-                        Some(Announced::new(next_hop, attrs, group))
+                        self.sink.announce(prefix, attrs, next_hop);
+                        Some(Announced::new(next_hop, Arc::clone(attrs), group))
                     }
                     None => {
                         self.stats.withdrawals_sent += 1;
-                        self.actions.push(EngineAction::Withdraw { prefix });
+                        self.sink.withdraw(prefix);
                         None
                     }
                 };
@@ -762,7 +819,7 @@ mod tests {
     /// list its streamed UPDATEs must pack like.
     fn peer_down_repair_as_list(e: &mut Engine, dead_peer: PeerId) -> Vec<EngineAction> {
         let mut actions = Vec::new();
-        e.withdraw_peer(dead_peer, &mut actions, |_| {});
+        e.withdraw_peer(dead_peer, &mut actions);
         actions
     }
 
@@ -1187,6 +1244,65 @@ mod tests {
         out
     }
 
+    /// The flow actions of a collected list, in order.
+    fn flow_of(actions: &[EngineAction]) -> Vec<EngineAction> {
+        actions
+            .iter()
+            .filter(|a| {
+                !matches!(
+                    a,
+                    EngineAction::Announce { .. } | EngineAction::Withdraw { .. }
+                )
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// A random stream of UPDATEs from R2, R3 and R4, one per step
+    /// `(who, kind, start, len)`: runs of /24s and /16s from `start`,
+    /// announced with one of two attribute sets per peer (kinds 0 and 1),
+    /// withdrawn (kind 2), or withdrawn and re-announced in one UPDATE
+    /// (kind 3): its NLRI, unsorted, overlaps its withdrawals by half, so
+    /// RFC 4271 §3.1's rule decides those prefixes.
+    fn random_feed(steps: &[(usize, usize, u32, u32)]) -> Vec<(PeerId, UpdateMsg)> {
+        let peers = [R2, R3, R4];
+        let sets: Vec<Vec<Arc<RouteAttrs>>> = peers
+            .iter()
+            .map(|&peer| {
+                (0..2u16)
+                    .map(|k| {
+                        let path = AsPath::sequence(vec![65000 + peer.octets()[3] as u16, 100 + k]);
+                        RouteAttrs::ebgp(path, peer).shared()
+                    })
+                    .collect()
+            })
+            .collect();
+        let prefix = |i: u32| {
+            let len = if i.is_multiple_of(5) { 16 } else { 24 };
+            Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000u32 + (i << 8)), len)
+        };
+        steps
+            .iter()
+            .map(|&(who, kind, start, len)| {
+                let nlri: Vec<Ipv4Prefix> = (start..start + len).map(prefix).collect();
+                let upd = match kind {
+                    2 => UpdateMsg::withdraw(nlri),
+                    3 => {
+                        let half = start + len / 2;
+                        let mut upd = UpdateMsg::announce(
+                            sets[who][(start % 2) as usize].clone(),
+                            (half..half + len).rev().map(prefix).collect(),
+                        );
+                        upd.withdrawn = nlri;
+                        upd
+                    }
+                    k => UpdateMsg::announce(sets[who][k].clone(), nlri),
+                };
+                (peers[who], upd)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -1237,45 +1353,19 @@ mod tests {
         }
 
         /// The streamed repair and replay against the same reference, on
-        /// random RIBs of three peers: runs of /24s and /16s announced
-        /// with two attribute sets per peer, some withdrawn again. Three
-        /// engines learn the same stream and lose the same peer: one
-        /// collects the repair's actions, one streams its UPDATEs, one
-        /// streams with the router's session down and packs nothing. All
-        /// three end in the same state.
+        /// random RIBs of three peers ([`random_feed`]). Three engines
+        /// learn the same stream and lose the same peer: one collects the
+        /// repair's actions, one streams its UPDATEs, one streams with
+        /// the router's session down and packs nothing. All three end in
+        /// the same state.
         #[test]
         fn streamed_repair_and_replay_match_the_growing_reference(
-            steps in proptest::collection::vec((0usize..3, 0usize..3, 0u32..4096, 1u32..1500), 1..40),
+            steps in proptest::collection::vec((0usize..3, 0usize..4, 0u32..4096, 1u32..1500), 1..40),
             victim in 0usize..3,
             fail_first in 0u8..2,
         ) {
             let peers = [R2, R3, R4];
-            let sets: Vec<Vec<Arc<RouteAttrs>>> = peers
-                .iter()
-                .map(|&peer| {
-                    (0..2u16)
-                        .map(|k| {
-                            let path = AsPath::sequence(vec![65000 + peer.octets()[3] as u16, 100 + k]);
-                            RouteAttrs::ebgp(path, peer).shared()
-                        })
-                        .collect()
-                })
-                .collect();
-            let prefix = |i: u32| {
-                let len = if i.is_multiple_of(5) { 16 } else { 24 };
-                Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000u32 + (i << 8)), len)
-            };
-            let feed: Vec<(PeerId, UpdateMsg)> = steps
-                .iter()
-                .map(|&(who, kind, start, len)| {
-                    let nlri = (start..start + len).map(prefix).collect();
-                    let upd = match kind {
-                        2 => UpdateMsg::withdraw(nlri),
-                        k => UpdateMsg::announce(sets[who][k].clone(), nlri),
-                    };
-                    (peers[who], upd)
-                })
-                .collect();
+            let feed = random_feed(&steps);
             let learned = || {
                 let mut e = engine3();
                 for (peer, upd) in &feed {
@@ -1293,12 +1383,7 @@ mod tests {
             let walked = streamed.peer_down_repair(peers[victim], Some(&mut |m| packed.push(m)));
             proptest::prop_assert_eq!(&packed, &packed_by_pushing(&actions));
             proptest::prop_assert_eq!(walked.actions, actions.len());
-            let flow: Vec<EngineAction> = actions
-                .iter()
-                .filter(|a| !matches!(a, EngineAction::Announce { .. } | EngineAction::Withdraw { .. }))
-                .cloned()
-                .collect();
-            proptest::prop_assert_eq!(&walked.flow, &flow);
+            proptest::prop_assert_eq!(&walked.flow, &flow_of(&actions));
             proptest::prop_assert_eq!(silent.peer_down_repair(peers[victim], None), walked);
             proptest::prop_assert_eq!(streamed.state_digest(), listed.state_digest());
             proptest::prop_assert_eq!(silent.state_digest(), listed.state_digest());
@@ -1310,6 +1395,44 @@ mod tests {
             proptest::prop_assert_eq!(&replayed, &Engine::pack_for_router(&exported));
             for m in packed.iter().chain(&replayed) {
                 proptest::prop_assert!(m.encoded_len() <= sc_bgp::msg::MAX_MESSAGE_LEN);
+            }
+        }
+
+        /// The streamed UPDATE path against the collected one, UPDATE by
+        /// UPDATE, over [`random_feed`]'s streams. Three engines learn
+        /// the same stream, the `victim` failing over (no repair) before
+        /// step `fail_at`, so later groups are built around a dead
+        /// member: one collects each UPDATE's actions, one streams its
+        /// packed UPDATEs, one streams with the router's session down.
+        /// After every UPDATE the streamed messages equal the growing
+        /// reference's packing of the list, and all three agree on what
+        /// was walked and on their state.
+        #[test]
+        fn streamed_updates_match_the_collected_list(
+            steps in proptest::collection::vec((0usize..3, 0usize..4, 0u32..4096, 1u32..1500), 1..40),
+            victim in 0usize..3,
+            fail_at in 0usize..48,
+        ) {
+            let peers = [R2, R3, R4];
+            let (mut listed, mut streamed, mut silent) = (engine3(), engine3(), engine3());
+            for (step, (peer, upd)) in random_feed(&steps).iter().enumerate() {
+                if step == fail_at {
+                    for e in [&mut listed, &mut streamed, &mut silent] {
+                        e.failover_plan(peers[victim]);
+                    }
+                }
+                let actions = listed.process_update(*peer, upd);
+                let mut packed = Vec::new();
+                let walked = streamed.process_update_streamed(*peer, upd, Some(&mut |m| packed.push(m)));
+                proptest::prop_assert_eq!(&packed, &packed_by_pushing(&actions));
+                proptest::prop_assert_eq!(walked.actions, actions.len());
+                proptest::prop_assert_eq!(&walked.flow, &flow_of(&actions));
+                proptest::prop_assert_eq!(silent.process_update_streamed(*peer, upd, None), walked);
+                proptest::prop_assert_eq!(streamed.state_digest(), listed.state_digest());
+                proptest::prop_assert_eq!(silent.state_digest(), listed.state_digest());
+                for m in &packed {
+                    proptest::prop_assert!(m.encoded_len() <= sc_bgp::msg::MAX_MESSAGE_LEN);
+                }
             }
         }
     }

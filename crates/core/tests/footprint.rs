@@ -21,12 +21,16 @@
 //! live heap it adds at any instant is one attribute run's prefixes and
 //! one message, whatever the table's size. The list of actions it
 //! collected before held 24 B per re-announced prefix (2.4 MB at 100k).
+//! A provider's UPDATE takes the same streamed path to the router, so it
+//! is gated the same way: an UPDATE re-announcing the whole table holds
+//! one attribute run, not a list of the table's actions.
 
 use sc_bgp::{AsPath, LocRib, PeerInfo, RouteAttrs, UpdateMsg};
 use sc_net::{Ipv4Prefix, MacAddr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use supercharger::engine::PeerSpec;
 use supercharger::{Engine, EngineConfig};
 
@@ -207,10 +211,9 @@ fn nine_candidates_per_prefix_pay_for_nine() {
 /// Prefixes per attribute run (a synthetic RIS table averages 32.5).
 const RUN: u32 = 32;
 
-/// The Fig. 4 controller after both providers sent `prefixes` /24s,
-/// each provider a new attribute set every [`RUN`] of them: every prefix
-/// protected by the one backup-group.
-fn loaded_engine(prefixes: u32) -> Engine {
+/// The Fig. 4 controller, its two providers not yet heard from; peer 2
+/// is the preferred one.
+fn fig4_engine() -> Engine {
     let specs = (1..=2u8)
         .map(|n| PeerSpec {
             id: peer(n),
@@ -220,7 +223,14 @@ fn loaded_engine(prefixes: u32) -> Engine {
             router_id: peer(n),
         })
         .collect();
-    let mut engine = Engine::new(EngineConfig::new("10.0.200.0/24".parse().unwrap(), specs));
+    Engine::new(EngineConfig::new("10.0.200.0/24".parse().unwrap(), specs))
+}
+
+/// The Fig. 4 controller after both providers sent `prefixes` /24s,
+/// each provider a new attribute set every [`RUN`] of them: every prefix
+/// protected by the one backup-group.
+fn loaded_engine(prefixes: u32) -> Engine {
+    let mut engine = fig4_engine();
     for n in 1..=2u8 {
         for first in (0..prefixes).step_by(RUN as usize) {
             let path =
@@ -253,5 +263,55 @@ fn a_streamed_repair_holds_one_run_not_the_table() {
         // in at least one UPDATE per run.
         assert_eq!(walked.actions, prefixes as usize + 1, "{walked:?}");
         assert!(messages >= prefixes / RUN, "{messages} UPDATEs");
+    }
+}
+
+/// The preferred provider sends `prefixes` /24s, the other every second
+/// [`RUN`] of them: the router is told a VNH for the prefixes both
+/// carry and the preferred provider's own next-hop for the rest, in
+/// runs of [`RUN`]. Then the preferred provider re-announces its whole
+/// table with one fresh attribute set, in one UPDATE, streamed into a
+/// router session that drops each message. The call holds at most
+/// 64 KiB above its start at 50k and at 100k prefixes: one run's
+/// prefixes and one message. The list of actions the collected path
+/// builds for that UPDATE is `prefixes` × 24 B on its own (2.4 MB at
+/// 100k). The fresh set ends with one handle per RIB candidate and one
+/// per announcement, none left over from the walk.
+#[test]
+fn a_streamed_update_holds_one_run_not_an_action_list() {
+    for prefixes in [50_000, 100_000] {
+        let mut engine = fig4_engine();
+        let universe: Vec<Ipv4Prefix> = (0..prefixes).map(slash24).collect();
+        for n in [2u8, 1] {
+            let attrs = RouteAttrs::ebgp(AsPath::sequence(vec![65000 + n as u16, 65100]), peer(n));
+            let attrs = attrs.shared();
+            for (i, nlri) in universe.chunks(RUN as usize).enumerate() {
+                if n == 2 || i % 2 == 0 {
+                    engine.process_update(
+                        peer(n),
+                        &UpdateMsg::announce(attrs.clone(), nlri.to_vec()),
+                    );
+                }
+            }
+        }
+        let fresh = RouteAttrs::ebgp(AsPath::sequence(vec![65002, 65200]), peer(2)).shared();
+        let update = UpdateMsg::announce(fresh.clone(), universe);
+        let mut messages = 0;
+        let (walked, peak) = peak_above(|| {
+            engine.process_update_streamed(peer(2), &update, Some(&mut |_update| messages += 1))
+        });
+        assert!(
+            peak <= 64.0 * 1024.0,
+            "{prefixes} prefixes: the UPDATE held {peak} B above its start (budget 64 KiB)"
+        );
+        assert_eq!(walked.actions, prefixes as usize, "{walked:?}");
+        assert!(walked.flow.is_empty(), "{walked:?}");
+        assert!(messages >= prefixes / RUN, "{messages} UPDATEs");
+        drop(update);
+        assert_eq!(
+            Arc::strong_count(&fresh),
+            1 + 2 * prefixes as usize,
+            "the caller's, the RIB's and the announcements' handles only"
+        );
     }
 }
