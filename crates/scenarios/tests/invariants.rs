@@ -5,7 +5,7 @@
 //! control cell must report zero violations, and invariant-annotated
 //! stable reports must stay byte-identical across reruns (and, by the
 //! kernel queue's debug-build order check, of any queue popping in key
-//! order).
+//! order). The engine's exact answers on five small cells are pinned.
 
 use sc_net::SimDuration;
 use sc_scenarios::{
@@ -170,5 +170,81 @@ fn invariant_reports_are_byte_identical_across_reruns_and_schedulers() {
     assert!(header.contains("viol_blackhole_us"));
     for row in &a.rows {
         assert!(row.invariants.is_some());
+    }
+}
+
+/// One cell's invariant answers: `(inv_samples, viol_*_ns, hits_*)`,
+/// each array in [`ViolationClass`] order (blackhole, loop, transit).
+type Answers = (u64, [u64; 3], [u64; 3]);
+
+fn answers(topo: &TopologySpec, script: &EventScript, mode: Mode) -> Answers {
+    // The `scenarios --smoke --invariants` setting: two replicas.
+    let cfg = ScenarioConfig {
+        controllers: 2,
+        ..inv_cfg(42)
+    };
+    let out = run_scenario(topo, script, mode, &cfg);
+    let inv = out.invariants.as_ref().expect("engine was on");
+    let classes = [
+        ViolationClass::Blackhole,
+        ViolationClass::Loop,
+        ViolationClass::Transit,
+    ];
+    (
+        inv.samples(),
+        classes.map(|c| inv.total(c).as_nanos()),
+        classes.map(|c| inv.hits(c)),
+    )
+}
+
+/// The engine's exact answers on small cells in both modes, pinned: a
+/// walk that drifted from what the switch and the router forward would
+/// change a violation span or a hit count here even where a rerun
+/// agrees with itself. Each row is `(stock, supercharged)`.
+#[test]
+fn invariant_answers_are_pinned() {
+    let chain = TopologySpec::Chain {
+        providers: 2,
+        hops: 1,
+    };
+    const MS: u64 = 1_000_000;
+    let cut = [
+        (341, [435 * MS, 0, 0], [88, 0, 0]),
+        (291, [95 * MS, 0, 0], [20, 0, 0]),
+    ];
+    let cells: [(TopologySpec, EventScript, [Answers; 2]); 5] = [
+        (TopologySpec::Fig4Lab, EventScript::primary_cut(), cut),
+        (chain.clone(), EventScript::primary_cut(), cut),
+        (
+            chain.clone(),
+            slow_flap(),
+            [
+                (1241, [870 * MS, 0, 0], [176, 0, 0]),
+                (1191, [175 * MS, 0, 0], [37, 0, 0]),
+            ],
+        ),
+        (
+            chain.clone(),
+            EventScript::replica_crash(1, SimDuration::from_millis(2)),
+            [(342, [435 * MS, 0, 0], [88, 0, 0]), cut[1]],
+        ),
+        (
+            chain,
+            EventScript::withdraw_burst(75),
+            [
+                (341, [0, 0, 0], [0, 0, 1]),
+                (291, [0, 0, 20 * MS], [0, 0, 5]),
+            ],
+        ),
+    ];
+    for (topo, script, want) in &cells {
+        for (mode, want) in [Mode::Stock, Mode::Supercharged].into_iter().zip(want) {
+            assert_eq!(
+                answers(topo, script, mode),
+                *want,
+                "{topo:?} {} {mode:?}: (inv_samples, viol_*_ns, hits_*)",
+                script.name
+            );
+        }
     }
 }
