@@ -23,7 +23,7 @@ use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::PeerId;
 #[allow(
     clippy::disallowed_types,
-    reason = "pump_session still takes channel events; see ROADMAP item 11 (sans-io)"
+    reason = "pump_session still takes channel events; see ROADMAP item 14 (`Peering`, sans-io)"
 )]
 use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
@@ -57,6 +57,18 @@ fn peer_timer(idx: usize, kind: u64) -> TimerToken {
 
 /// Priority of per-group VMAC rules.
 const VMAC_RULE_PRIORITY: u16 = 100;
+/// How long a retired group's rule stays installed. Must exceed the
+/// router's worst-case FIB walk, or traffic still tagged with the old
+/// VMAC would blackhole (see `groups::BackupGroup::retired`).
+const RULE_GRACE: SimDuration = SimDuration::from_secs(600);
+/// How long an issued flow-mod batch may stay unacked (no BARRIER_REPLY)
+/// before its first retry; later retries back off exponentially from
+/// here.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Attempts before the controller gives a batch up and declares itself
+/// degraded (the switch is not programmable; the routers' own BGP
+/// fallback is the remaining convergence path).
+const MAX_FLOWMOD_ATTEMPTS: u32 = 5;
 /// Priority of the ARP punt rule.
 const ARP_RULE_PRIORITY: u16 = 50;
 /// Cookie marking all supercharger-owned rules.
@@ -107,10 +119,6 @@ pub struct ControllerConfig {
     /// the FLOW_MODs leaving the box (the paper's prototype measured a
     /// few ms on this path).
     pub reaction_delay: SimDuration,
-    /// How long a retired group's rule stays installed. Must exceed the
-    /// router's worst-case FIB walk, or traffic still tagged with the
-    /// old VMAC would blackhole (see `groups::BackupGroup::retired`).
-    pub rule_grace: SimDuration,
     /// React to switch PORT_STATUS (carrier loss) in addition to BFD —
     /// an ablation beyond the paper: when the failed peer hangs directly
     /// off the supercharged switch, carrier detection beats BFD's
@@ -123,14 +131,6 @@ pub struct ControllerConfig {
     /// the switch-side liveness deadline keeps hearing from us even when
     /// no flow-mods flow. `None` disables keepalives.
     pub echo_interval: Option<SimDuration>,
-    /// How long an issued flow-mod batch may stay unacked (no
-    /// BARRIER_REPLY) before its first retry; later retries back off
-    /// exponentially from here.
-    pub ack_timeout: SimDuration,
-    /// Retry attempts before the controller gives the batch up and
-    /// declares itself degraded (the switch is not programmable; the
-    /// routers' own BGP fallback is the remaining convergence path).
-    pub max_flowmod_attempts: u32,
 }
 
 /// Timestamped controller events, for the experiment harness.
@@ -152,7 +152,7 @@ pub enum ControllerEvent {
 pub struct ControllerStats {
     /// Unacked flow-mod batches re-sent after a backoff expiry.
     pub flowmod_retries: u64,
-    /// Batches abandoned after `max_flowmod_attempts` — each one flips
+    /// Batches abandoned after `MAX_FLOWMOD_ATTEMPTS` — each one flips
     /// the controller into its degraded state until an ack returns.
     pub flowmod_giveups: u64,
 }
@@ -190,7 +190,7 @@ pub struct Controller {
     pending_flowmods: VecDeque<OfMessage>,
     reaction_armed: bool,
     /// Retired groups awaiting the rule-grace purge: (eligible_at, group).
-    retire_queue: VecDeque<(SimTime, sc_net::Ipv4Prefix, crate::groups::GroupId)>,
+    retire_queue: VecDeque<(SimTime, crate::groups::GroupId)>,
     retire_wakeup: Wakeup,
     /// Flow-mod batches fenced by a barrier whose reply is still out.
     /// Tokens are assigned in send order, so the deque stays sorted and
@@ -343,7 +343,7 @@ impl Controller {
     /// Send a batch of FLOW_MODs fenced by a barrier, and track it until
     /// the BARRIER_REPLY acks it. Unacked batches are re-sent on a
     /// bounded exponential backoff with seeded jitter; after
-    /// `max_flowmod_attempts` the batch is abandoned and the controller
+    /// `MAX_FLOWMOD_ATTEMPTS` the batch is abandoned and the controller
     /// declares itself degraded.
     fn send_flow_batch(&mut self, ctx: &mut Ctx, msgs: Vec<OfMessage>) {
         if msgs.is_empty() {
@@ -369,13 +369,13 @@ impl Controller {
     }
 
     /// Deterministic backoff before retry `attempt + 1` of batch
-    /// `token`: `ack_timeout × 2^attempt` (exponent capped) plus a
-    /// jitter in `[0, ack_timeout/4)` that is a pure function of
+    /// `token`: `ACK_TIMEOUT × 2^attempt` (exponent capped) plus a
+    /// jitter in `[0, ACK_TIMEOUT/4)` that is a pure function of
     /// `(seed, token, attempt)` — replicas desynchronize their retry
     /// storms without any ambient randomness.
     fn backoff(&self, token: u64, attempt: u32) -> SimDuration {
-        let step = self.cfg.ack_timeout * (1u64 << attempt.min(4));
-        let span = (self.cfg.ack_timeout.as_micros() / 4).max(1);
+        let step = ACK_TIMEOUT * (1u64 << attempt.min(4));
+        let span = (ACK_TIMEOUT.as_micros() / 4).max(1);
         let jitter = splitmix64(
             &mut self
                 .cfg
@@ -422,7 +422,7 @@ impl Controller {
                 continue;
             }
             b.attempt += 1;
-            if b.attempt >= self.cfg.max_flowmod_attempts {
+            if b.attempt >= MAX_FLOWMOD_ATTEMPTS {
                 self.stats.flowmod_giveups += 1;
                 if !self.degraded {
                     ctx.trace_instant("bgp", "ctl.degraded.enter", b.token, 0, String::new);
@@ -528,9 +528,7 @@ impl Controller {
                     Some(Self::flow_mod(FlowModCommand::Delete, vmac, Vec::new()))
                 }
                 EngineAction::FlowRetire { group, .. } => {
-                    let eligible = ctx.now() + self.cfg.rule_grace;
-                    self.retire_queue
-                        .push_back((eligible, sc_net::Ipv4Prefix::DEFAULT, group));
+                    self.retire_queue.push_back((ctx.now() + RULE_GRACE, group));
                     self.arm_retire_timer(ctx);
                     None
                 }
@@ -545,7 +543,7 @@ impl Controller {
     }
 
     fn arm_retire_timer(&mut self, ctx: &mut Ctx) {
-        let next = self.retire_queue.front().map(|&(at, _, _)| at);
+        let next = self.retire_queue.front().map(|&(at, _)| at);
         self.retire_wakeup.arm(ctx, next);
     }
 
@@ -553,7 +551,7 @@ impl Controller {
         let now = ctx.now();
         self.retire_wakeup.fired(now);
         let mut batch = Vec::new();
-        while let Some((at, _, group)) = self.retire_queue.front().copied() {
+        while let Some((at, group)) = self.retire_queue.front().copied() {
             if at > now {
                 break;
             }
@@ -1052,7 +1050,7 @@ fn send_update(session: &mut Session, chan: &mut ChannelPort, update: UpdateMsg)
 /// Drive a BGP session with one event of the channel that carries it.
 #[allow(
     clippy::disallowed_types,
-    reason = "the controller still drives channels directly; see ROADMAP item 11 (sans-io)"
+    reason = "the controller still drives channels directly; see ROADMAP item 14 (`Peering`, sans-io)"
 )]
 fn pump_session(
     session: &mut Session,

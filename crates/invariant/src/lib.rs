@@ -21,10 +21,11 @@
 //!   branch, detects cycles, and always terminates — property-testable
 //!   without a simulator.
 //! * [`view`] — [`view::WorldView`], the view backed by a live
-//!   [`sc_sim::World`]: replays the router's installed-FIB decision and
-//!   the switch's flow-table match (with the L2-learn miss fallback of
-//!   the scenario switches) strictly read-only, so sampling never
-//!   perturbs the event stream.
+//!   [`sc_sim::World`]: at each hop it asks the device for the decision
+//!   its own data plane forwards by (the router's NIC filter and
+//!   installed-FIB decision, the switch's flow-table match or L2-learn
+//!   miss rule) and adds only link crossing. Those decisions are
+//!   read-only, so sampling never perturbs the event stream.
 //! * [`record`] — [`record::TransitPolicy`] (time-windowed forbidden
 //!   transit rules derived from the event script) and
 //!   [`record::InvariantRecorder`], the per-window first/last-seen

@@ -1,20 +1,21 @@
 //! [`WorldView`]: a [`ForwardingView`] backed by a live
 //! [`sc_sim::World`].
 //!
-//! The view replays, read-only, the exact forwarding decision each node
-//! type makes for a probe frame — the router's installed-FIB LPM +
-//! interface scan + ARP resolution ([`sc_router::LegacyRouter`]'s data
-//! plane), and the switch's flow-table match with the L2-learn
-//! table-miss fallback ([`sc_openflow::OfSwitch`]). Nothing is sent,
-//! learned, or counted: sampling the view any number of times leaves
-//! the event stream byte-identical.
+//! The view asks each device for the forwarding decision its own data
+//! plane takes for a probe frame — [`sc_router::LegacyRouter::accepts`]
+//! (the NIC filter) and [`sc_router::LegacyRouter::decide`] (installed-FIB
+//! LPM, interface scan, ARP binding), and [`sc_openflow::OfSwitch::decide`]
+//! (flow-table match and actions, or the L2-learn miss rule) — and adds
+//! only link crossing and the mapping to [`DropReason`]. The decisions
+//! are read-only: nothing is sent, learned, or counted, so sampling the
+//! view any number of times leaves the event stream byte-identical.
 
 use crate::record::{classify, TransitPolicy};
 use crate::walk::{walk, DropReason, ForwardingView, Hop, Step, MAX_WALK_STATES};
 use sc_net::wire::ethernet::EtherType;
 use sc_net::MacAddr;
-use sc_openflow::{Action, FlowKey, OfSwitch};
-use sc_router::LegacyRouter;
+use sc_openflow::{Egress, FlowKey, OfSwitch};
+use sc_router::{Forwarding, LegacyRouter};
 use sc_sim::{NodeId, PortId, World};
 use std::net::Ipv4Addr;
 
@@ -100,35 +101,25 @@ impl<'a> WorldView<'a> {
 
     fn router_step(&self, hop: &Hop, dst: Ipv4Addr) -> Step {
         let r = self.world.node::<LegacyRouter>(hop.node);
-        // NIC filter: the arrival interface only accepts frames
-        // addressed to it.
-        let Some(iface_in) = r.interfaces().iter().find(|i| i.port == hop.in_port) else {
-            return Step::Drop(DropReason::NicFilter);
-        };
-        if hop.dst_mac != iface_in.mac && !hop.dst_mac.is_broadcast() {
+        if !r.accepts(hop.in_port, hop.dst_mac) {
             return Step::Drop(DropReason::NicFilter);
         }
-        // The installed-FIB forwarding decision, exactly as
-        // `forward_ipv4` takes it (the flow cache is a pure memo of the
-        // same decision, so skipping it changes nothing).
-        let Some((_, entry)) = r.fib().lookup(dst) else {
-            return Step::Drop(DropReason::NoRoute);
-        };
-        let nh = if entry.next_hop == Ipv4Addr::UNSPECIFIED {
-            dst
-        } else {
-            entry.next_hop
-        };
-        let Some(idx) = r.interfaces().iter().position(|i| i.subnet.contains(nh)) else {
-            return Step::Drop(DropReason::NoInterface);
-        };
-        let out = r.interfaces()[idx];
-        let Some(mac) = r.arp().lookup(nh, self.world.now()) else {
-            return Step::Drop(DropReason::ArpUnresolved);
-        };
-        match self.cross(hop.node, out.port, out.mac, mac) {
-            Some(next) => Step::Forward(vec![next]),
-            None => Step::Forward(Vec::new()),
+        // The flow cache is a memo of the same decision, so asking the
+        // decision itself changes nothing.
+        match r.decide(dst, self.world.now()) {
+            Forwarding::NoRoute => Step::Drop(DropReason::NoRoute),
+            Forwarding::NoInterface => Step::Drop(DropReason::NoInterface),
+            Forwarding::Via { arp: None, .. } => Step::Drop(DropReason::ArpUnresolved),
+            Forwarding::Via {
+                port,
+                src_mac,
+                arp: Some((mac, _)),
+                ..
+            } => Step::Forward(
+                self.cross(hop.node, port, src_mac, mac)
+                    .into_iter()
+                    .collect(),
+            ),
         }
     }
 
@@ -144,50 +135,19 @@ impl<'a> WorldView<'a> {
             udp_src: Some(self.probe.udp_src),
             udp_dst: Some(self.probe.udp_dst),
         };
-        // (out port, src mac, dst mac) egress list.
-        let mut egress: Vec<(PortId, MacAddr, MacAddr)> = Vec::new();
-        if let Some(entry) = sw.table().peek(&key) {
-            let (mut smac, mut dmac) = (hop.src_mac, hop.dst_mac);
-            for action in &entry.actions {
-                match action {
-                    Action::SetDstMac(m) => dmac = *m,
-                    Action::SetSrcMac(m) => smac = *m,
-                    Action::Output(p) => egress.push((PortId(*p as usize), smac, dmac)),
-                    Action::Flood => {
-                        for &p in sw.data_ports() {
-                            if p != hop.in_port {
-                                egress.push((p, smac, dmac));
-                            }
-                        }
-                    }
-                    Action::ToController => {}
-                    Action::Drop => break, // stops the action list
-                }
+        let (mut named, mut next) = (false, Vec::new());
+        let verdict = sw.decide(&key, |egress| {
+            if let Egress::Port { port, src, dst } = egress {
+                named = true;
+                next.extend(self.cross(hop.node, port, src, dst));
             }
-            if egress.is_empty() {
-                return Step::Drop(DropReason::Dropped);
-            }
-        } else if hop.dst_mac.is_unicast() && sw.l2_table().contains_key(&hop.dst_mac) {
-            // L2-learn table miss with a known destination.
-            let out = sw.l2_table()[&hop.dst_mac];
-            if out == hop.in_port {
-                return Step::Drop(DropReason::Dropped);
-            }
-            egress.push((out, hop.src_mac, hop.dst_mac));
-        } else {
-            // Unknown destination: flood the data ports.
-            for &p in sw.data_ports() {
-                if p != hop.in_port {
-                    egress.push((p, hop.src_mac, hop.dst_mac));
-                }
-            }
+        });
+        if !named && verdict.floods == 0 {
+            // A drop action or an L2 entry back out the ingress, or a
+            // rule that sends to no port.
+            return Step::Drop(DropReason::Dropped);
         }
-        Step::Forward(
-            egress
-                .into_iter()
-                .filter_map(|(p, s, d)| self.cross(hop.node, p, s, d))
-                .collect(),
-        )
+        Step::Forward(next)
     }
 }
 

@@ -39,8 +39,8 @@ pub enum DropReason {
     ArpUnresolved,
     /// The NIC filter rejected the frame (wrong destination MAC).
     NicFilter,
-    /// An explicit drop action, or an L2 table pointing back out the
-    /// ingress port.
+    /// An explicit drop action, an L2 table pointing back out the
+    /// ingress port, or a matched rule that sends to no port.
     Dropped,
     /// The frame reached a node that does not forward (controller,
     /// traffic source).

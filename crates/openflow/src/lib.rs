@@ -30,6 +30,6 @@ pub mod table;
 pub mod types;
 
 pub use msg::OfMessage;
-pub use switch::{OfSwitch, SwitchConfig, TableMiss};
+pub use switch::{Egress, OfSwitch, SwitchConfig, Verdict};
 pub use table::{FlowEntry, FlowStats, FlowTable};
 pub use types::{Action, FlowKey, FlowMatch};

@@ -24,6 +24,7 @@ use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::mem::take;
 
 /// Timer token for the flow-install completion queue.
 const TIMER_INSTALL: TimerToken = TimerToken(2);
@@ -31,19 +32,6 @@ const TIMER_INSTALL: TimerToken = TimerToken(2);
 const TIMER_CHANNEL_BASE: u64 = 10;
 /// Timer tokens for controller liveness deadlines: BASE + index.
 const TIMER_DEADLINE_BASE: u64 = 1000;
-
-/// What to do with a frame no flow entry matches.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TableMiss {
-    /// Drop silently (pure OpenFlow switch without a default rule).
-    Drop,
-    /// Flood out every data port except the ingress.
-    Flood,
-    /// Behave like a learning L2 switch (the paper's hybrid mode).
-    L2Learn,
-    /// Punt to the controller as PACKET_IN.
-    PacketIn,
-}
 
 /// Static switch configuration.
 #[derive(Clone, Debug)]
@@ -55,7 +43,6 @@ pub struct SwitchConfig {
     pub install_base: SimDuration,
     /// Install latency for each subsequent back-to-back FLOW_MOD.
     pub install_per_rule: SimDuration,
-    pub table_miss: TableMiss,
     /// Controller liveness deadline: if a controller channel stays
     /// silent this long after having spoken, the switch declares that
     /// controller dead, resets the channel back to listening, and keeps
@@ -71,7 +58,6 @@ impl SwitchConfig {
             datapath_id: 0xe3800,
             install_base: SimDuration::from_millis(15),
             install_per_rule: SimDuration::from_millis(2),
-            table_miss: TableMiss::L2Learn,
             controller_deadline: None,
         }
     }
@@ -92,6 +78,31 @@ pub struct SwitchStats {
     /// FLOW_MODs discarded by the scripted chaos budget
     /// ([`OfSwitch::set_drop_flowmods`]).
     pub chaos_dropped_mods: u64,
+}
+
+/// One copy a forwarding decision sends, in the order the data plane
+/// sends it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Egress {
+    /// Out of a port, carrying these Ethernet addresses.
+    Port {
+        port: PortId,
+        src: MacAddr,
+        dst: MacAddr,
+    },
+    /// To the controllers as a PACKET_IN, carrying these addresses.
+    Controller { src: MacAddr, dst: MacAddr },
+}
+
+/// How a forwarding decision ended, beside the copies it named.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// Floods it made: one per `Flood` action, or the table miss of a
+    /// destination the L2 table does not know.
+    pub floods: u64,
+    /// It ended in a drop: a `Drop` action, or a table miss whose known
+    /// destination sits behind the ingress port.
+    pub dropped: bool,
 }
 
 /// A queued hardware operation (FLOW_MOD waiting for TCAM programming,
@@ -152,10 +163,6 @@ pub struct OfSwitch {
     install_busy_until: SimTime,
     install_wakeup: Wakeup,
     xid_counter: u32,
-    /// The matched rule's actions while [`OfSwitch::forward`] runs them:
-    /// executing needs all of `self`, so they are copied out of the
-    /// table — into a buffer kept across packets, not a fresh one each.
-    matched_actions: Vec<Action>,
     pub stats: SwitchStats,
 }
 
@@ -176,7 +183,6 @@ impl OfSwitch {
             install_busy_until: SimTime::ZERO,
             install_wakeup: Wakeup::new(TIMER_INSTALL),
             xid_counter: 1,
-            matched_actions: Vec::new(),
             stats: SwitchStats::default(),
         }
     }
@@ -217,30 +223,34 @@ impl OfSwitch {
         &self.l2
     }
 
-    /// The registered data ports, in registration order — the flood
-    /// domain observers need to replay the table-miss broadcast.
-    pub fn data_ports(&self) -> &[PortId] {
-        &self.data_ports
-    }
-
     /// Number of hardware operations still pending.
     pub fn pending_ops(&self) -> usize {
         self.pending.len()
     }
 
-    fn next_xid(&mut self) -> u32 {
-        self.xid_counter += 1;
-        self.xid_counter
-    }
-
-    /// Asynchronous switch-to-controller notifications go to *every*
-    /// attached controller (PACKET_IN, PORT_STATUS).
-    fn send_to_controllers(&mut self, ctx: &mut Ctx, msg: OfMessage) {
-        let xid = self.next_xid();
-        for chan in &mut self.controllers {
-            chan.send(msg.encode(xid));
-            chan.flush(ctx);
+    /// The forwarding decision for a data frame with `key`, arriving on
+    /// port `key.in_port`, as the data plane takes it: the flow table's
+    /// match and its action list, or on a miss the L2-learn rule (a
+    /// known destination goes to its port unless that is the ingress;
+    /// an unknown one floods the data ports but the ingress). `emit`
+    /// gets each copy in the data plane's send order. Read-only and
+    /// allocation-free: it learns nothing and counts nothing.
+    pub fn decide(&self, key: &FlowKey, mut emit: impl FnMut(Egress)) -> Verdict {
+        let actions = self.table.peek(key).map(|e| e.actions.as_slice());
+        let in_port = Some(PortId(key.in_port as usize));
+        let addrs = (key.eth_src, key.eth_dst);
+        let (verdict, last) = decide(
+            actions,
+            &self.l2,
+            &self.data_ports,
+            in_port,
+            addrs,
+            |e, _| emit(e),
+        );
+        if let Some((port, src, dst, _)) = last {
+            emit(Egress::Port { port, src, dst });
         }
+        verdict
     }
 
     /// Replies go only to the controller that asked.
@@ -323,8 +333,29 @@ impl OfSwitch {
             OfMessage::PacketOut { actions, frame } => {
                 // Controller-injected frame (e.g. an ARP reply). No
                 // ingress port; flood excludes nothing but the controller
-                // channel.
-                self.execute_actions(ctx, None, &actions, frame.into());
+                // channel. No rewrite can touch a frame too short for
+                // an Ethernet header: it leaves as it came.
+                let addrs = EthernetRepr::parse(&frame)
+                    .map_or((MacAddr::ZERO, MacAddr::ZERO), |(eth, _)| {
+                        (eth.src, eth.dst)
+                    });
+                let mut frame = Frame::from(frame);
+                let mut out = Emitter {
+                    frame: &mut frame,
+                    in_port: None,
+                    stats: &mut self.stats,
+                    controllers: &mut self.controllers,
+                    xid_counter: &mut self.xid_counter,
+                };
+                let decided = decide(
+                    Some(&actions),
+                    &self.l2,
+                    &self.data_ports,
+                    None,
+                    addrs,
+                    |e, rewritten| out.send(ctx, e, rewritten),
+                );
+                finish(ctx, frame, &mut self.stats, decided);
             }
             OfMessage::StatsRequest => {
                 let flows = self
@@ -523,105 +554,182 @@ impl OfSwitch {
             return;
         };
         // Hybrid mode learns source MACs from every frame.
-        if self.cfg.table_miss == TableMiss::L2Learn && key.eth_src.is_unicast() {
+        if key.eth_src.is_unicast() {
             self.learn(key.eth_src, in_port);
         }
-        if let Some(entry) = self.table.lookup(key, frame.len()) {
-            let mut actions = std::mem::take(&mut self.matched_actions);
-            actions.clear();
-            actions.extend_from_slice(&entry.actions);
-            self.execute_actions(ctx, Some(in_port), &actions, frame);
-            self.matched_actions = actions;
-            return;
+        // The counting lookup matches as `decide`'s `peek` does.
+        let actions = self
+            .table
+            .lookup(key, frame.len())
+            .map(|e| e.actions.as_slice());
+        let addrs = (key.eth_src, key.eth_dst);
+        let mut frame = frame;
+        let mut out = Emitter {
+            frame: &mut frame,
+            in_port: Some(in_port),
+            stats: &mut self.stats,
+            controllers: &mut self.controllers,
+            xid_counter: &mut self.xid_counter,
+        };
+        let decided = decide(
+            actions,
+            &self.l2,
+            &self.data_ports,
+            Some(in_port),
+            addrs,
+            |e, rewritten| out.send(ctx, e, rewritten),
+        );
+        finish(ctx, frame, &mut self.stats, decided);
+    }
+}
+
+/// The last port copy of a decision: its port, its addresses, and
+/// whether a rewrite ran since the copy before it.
+type LastCopy = Option<(PortId, MacAddr, MacAddr, bool)>;
+
+/// The decision [`OfSwitch::decide`] and the data plane share. `actions`
+/// run in turn (a rewrite applies to the copies after it, `Drop` ends
+/// the list), or with no matched entry the L2-learn rule applies; a
+/// flood goes to every data port but `in_port`. Every copy goes to
+/// `emit` in send order, with whether a rewrite ran since the copy
+/// before it (the data plane touches the header only then), except a
+/// last port copy: that comes back with the verdict, and the data plane
+/// sends the frame itself there, not a clone of it.
+fn decide(
+    actions: Option<&[Action]>,
+    l2: &FxHashMap<MacAddr, PortId>,
+    data_ports: &[PortId],
+    in_port: Option<PortId>,
+    (mut src, mut dst): (MacAddr, MacAddr),
+    mut emit: impl FnMut(Egress, bool),
+) -> (Verdict, LastCopy) {
+    let mut verdict = Verdict::default();
+    // The latest copy waits until a later one shows it is not the last.
+    let mut held = None;
+    let mut push = |egress, rewritten| {
+        if let Some((egress, rewritten)) = held.replace((egress, rewritten)) {
+            emit(egress, rewritten);
         }
-        // Table miss.
-        match self.cfg.table_miss {
-            TableMiss::Drop => {
-                self.stats.dropped += 1;
+    };
+    let flood_ports = data_ports.iter().copied().filter(|&p| Some(p) != in_port);
+    match actions {
+        None => match if dst.is_unicast() { l2.get(&dst) } else { None } {
+            Some(&port) if Some(port) == in_port => verdict.dropped = true,
+            Some(&port) => push(Egress::Port { port, src, dst }, false),
+            None => {
+                verdict.floods += 1;
+                flood_ports.for_each(|port| push(Egress::Port { port, src, dst }, false));
             }
-            TableMiss::Flood => {
-                self.flood(ctx, Some(in_port), frame);
-            }
-            TableMiss::L2Learn => {
-                if key.eth_dst.is_unicast() {
-                    if let Some(&out) = self.l2.get(&key.eth_dst) {
-                        if out != in_port {
-                            self.stats.frames_out += 1;
-                            ctx.send_frame(out, frame);
-                        } else {
-                            self.stats.dropped += 1;
+        },
+        Some(actions) => {
+            let mut rewritten = false;
+            for action in actions {
+                match *action {
+                    Action::SetDstMac(m) => (dst, rewritten) = (m, true),
+                    Action::SetSrcMac(m) => (src, rewritten) = (m, true),
+                    Action::Output(p) => {
+                        let port = PortId(p as usize);
+                        push(Egress::Port { port, src, dst }, take(&mut rewritten));
+                    }
+                    Action::Flood => {
+                        verdict.floods += 1;
+                        for port in flood_ports.clone() {
+                            push(Egress::Port { port, src, dst }, take(&mut rewritten));
                         }
-                        return;
+                    }
+                    Action::ToController => {
+                        push(Egress::Controller { src, dst }, take(&mut rewritten));
+                    }
+                    Action::Drop => {
+                        verdict.dropped = true;
+                        break;
                     }
                 }
-                self.flood(ctx, Some(in_port), frame);
             }
-            TableMiss::PacketIn => {
+        }
+    }
+    let last = match held {
+        Some((Egress::Port { port, src, dst }, rewritten)) => Some((port, src, dst, rewritten)),
+        Some((controller, rewritten)) => {
+            emit(controller, rewritten);
+            None
+        }
+        None => None,
+    };
+    (verdict, last)
+}
+
+/// Sends the copies of a frame that its decision names before the last
+/// port copy, each carrying the addresses the decision gave it.
+struct Emitter<'s> {
+    frame: &'s mut Frame,
+    in_port: Option<PortId>,
+    stats: &'s mut SwitchStats,
+    controllers: &'s mut [ChannelPort],
+    xid_counter: &'s mut u32,
+}
+
+impl Emitter<'_> {
+    fn send(&mut self, ctx: &mut Ctx, egress: Egress, rewritten: bool) {
+        let (Egress::Port { src, dst, .. } | Egress::Controller { src, dst }) = egress;
+        if rewritten {
+            address(self.frame, (src, dst));
+        }
+        match egress {
+            Egress::Port { port, .. } => {
+                self.stats.frames_out += 1;
+                ctx.send_frame(port, self.frame.clone());
+            }
+            Egress::Controller { .. } => {
                 self.stats.packet_ins += 1;
                 let msg = OfMessage::PacketIn {
-                    in_port: in_port.0 as u16,
-                    frame: frame.to_vec(),
+                    in_port: self.in_port.map_or(u16::MAX, |p| p.0 as u16),
+                    frame: self.frame.to_vec(),
                 };
-                self.send_to_controllers(ctx, msg);
+                send_to_controllers(self.controllers, self.xid_counter, ctx, &msg);
             }
         }
     }
+}
 
-    fn flood(&mut self, ctx: &mut Ctx, except: Option<PortId>, frame: Frame) {
-        self.stats.flooded += 1;
-        // Every egress shares one buffer: N ports cost N refcount
-        // bumps, not N byte copies.
-        for &p in &self.data_ports {
-            if Some(p) != except {
-                self.stats.frames_out += 1;
-                ctx.send_frame(p, frame.clone());
-            }
+/// Send a decision's last port copy, which is the frame itself, and
+/// count the decision's floods and drop.
+#[inline(always)]
+fn finish(ctx: &mut Ctx, mut frame: Frame, stats: &mut SwitchStats, decided: (Verdict, LastCopy)) {
+    let (verdict, last) = decided;
+    if let Some((port, src, dst, rewritten)) = last {
+        if rewritten {
+            address(&mut frame, (src, dst));
         }
+        stats.frames_out += 1;
+        ctx.send_frame(port, frame);
     }
+    stats.flooded += verdict.floods;
+    stats.dropped += u64::from(verdict.dropped);
+}
 
-    fn execute_actions(
-        &mut self,
-        ctx: &mut Ctx,
-        in_port: Option<PortId>,
-        actions: &[Action],
-        mut frame: Frame,
-    ) {
-        let last = actions.len().wrapping_sub(1);
-        for (i, action) in actions.iter().enumerate() {
-            match action {
-                Action::SetDstMac(m) => {
-                    let _ = EthernetRepr::rewrite_dst(frame.make_mut(), *m);
-                }
-                Action::SetSrcMac(m) => {
-                    let _ = EthernetRepr::rewrite_src(frame.make_mut(), *m);
-                }
-                Action::Output(p) => {
-                    self.stats.frames_out += 1;
-                    if i == last {
-                        // Nothing left to run on it: the frame itself
-                        // goes to the wire, not a clone of it.
-                        ctx.send_frame(PortId(*p as usize), frame);
-                        return;
-                    }
-                    ctx.send_frame(PortId(*p as usize), frame.clone());
-                }
-                Action::Flood => {
-                    self.flood(ctx, in_port, frame.clone());
-                }
-                Action::ToController => {
-                    self.stats.packet_ins += 1;
-                    let msg = OfMessage::PacketIn {
-                        in_port: in_port.map(|p| p.0 as u16).unwrap_or(u16::MAX),
-                        frame: frame.to_vec(),
-                    };
-                    self.send_to_controllers(ctx, msg);
-                }
-                Action::Drop => {
-                    self.stats.dropped += 1;
-                    return;
-                }
-            }
-        }
+/// Set the frame's header to a copy's addresses: those a rewrite gave
+/// it since the copy before.
+#[inline(always)]
+fn address(frame: &mut Frame, (src, dst): (MacAddr, MacAddr)) {
+    let buf = frame.make_mut();
+    let _ = EthernetRepr::rewrite_src(buf, src);
+    let _ = EthernetRepr::rewrite_dst(buf, dst);
+}
+
+/// Asynchronous switch-to-controller notifications go to *every*
+/// attached controller (PACKET_IN, PORT_STATUS).
+fn send_to_controllers(
+    controllers: &mut [ChannelPort],
+    xid_counter: &mut u32,
+    ctx: &mut Ctx,
+    msg: &OfMessage,
+) {
+    *xid_counter += 1;
+    let xid = *xid_counter;
+    for chan in controllers {
+        chan.send(msg.encode(xid));
+        chan.flush(ctx);
     }
 }
 
@@ -687,7 +795,7 @@ impl Node for OfSwitch {
             port: port.0 as u16,
             up,
         };
-        self.send_to_controllers(ctx, msg);
+        send_to_controllers(&mut self.controllers, &mut self.xid_counter, ctx, &msg);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -818,6 +926,211 @@ mod tests {
             let by_key = FlowKey::extract(0, &frame)
                 .and_then(|key| channel_of(std::slice::from_ref(&chan), &key));
             prop_assert_eq!(by_key, by_parse.then_some(0));
+        }
+    }
+
+    /// [`OfSwitch::decide`] against the data plane, in a live world: a
+    /// switch with three hosts, a random flow table and the L2 table the
+    /// probes teach it. For every probe, the copies that reach the hosts
+    /// are the port copies the decision names, and the PACKET_INs are its
+    /// controller copies.
+    mod decision_matches_data_plane {
+        use super::*;
+        use sc_net::wire::UdpEndpoints;
+        use sc_sim::{LinkParams, NodeId, World};
+        use std::any::Any;
+
+        const HOSTS: usize = 3;
+        /// Unicast addresses the probes come from and go to, and rules
+        /// match on and rewrite to.
+        const MACS: [MacAddr; 4] = [
+            MacAddr([2, 0, 0, 0, 0, 1]),
+            MacAddr([2, 0, 0, 0, 0, 2]),
+            MacAddr([2, 0, 0, 0, 0, 3]),
+            MacAddr([2, 0, 0, 0, 0, 4]),
+        ];
+        const UDP_PORTS: [u16; 2] = [7, 9];
+
+        /// Sends what the test queues when woken; records what arrives.
+        #[derive(Default)]
+        struct Host {
+            outbox: Vec<Vec<u8>>,
+            received: Vec<Vec<u8>>,
+        }
+
+        impl Node for Host {
+            fn name(&self) -> &str {
+                "host"
+            }
+            fn on_frame(&mut self, _ctx: &mut Ctx, _port: PortId, frame: Frame) {
+                self.received.push(frame.to_vec());
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, _token: TimerToken) {
+                for frame in self.outbox.drain(..) {
+                    ctx.send_frame(PortId(0), frame);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        /// A frame as it leaves: port, source MAC, destination MAC.
+        type Sent = (PortId, MacAddr, MacAddr);
+
+        /// The switch, noting after each data frame the decision it
+        /// names for that frame in the state the data plane used.
+        struct Checked {
+            sw: OfSwitch,
+            /// Per probe marker: the port copies, the controller copies,
+            /// and the PACKET_INs the data plane counted.
+            named: Vec<(u16, Vec<Sent>, u64, u64)>,
+        }
+
+        impl Node for Checked {
+            fn name(&self) -> &str {
+                self.sw.name()
+            }
+            fn on_frame(&mut self, ctx: &mut Ctx, port: PortId, frame: Frame) {
+                let key = FlowKey::extract(port.0 as u16, &frame).expect("a probe");
+                let marker = marker(&frame);
+                let before = self.sw.stats.packet_ins;
+                self.sw.on_frame(ctx, port, frame);
+                let (mut ports, mut to_controller) = (Vec::new(), 0);
+                self.sw.decide(&key, |egress| match egress {
+                    Egress::Port { port, src, dst } => ports.push((port, src, dst)),
+                    Egress::Controller { .. } => to_controller += 1,
+                });
+                ports.sort();
+                let counted = self.sw.stats.packet_ins - before;
+                self.named.push((marker, ports, to_controller, counted));
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+                self.sw.on_timer(ctx, token);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        fn marker(frame: &[u8]) -> u16 {
+            let d = peek_udp_frame(frame).unwrap().expect("a probe");
+            u16::from_be_bytes([d.payload[0], d.payload[1]])
+        }
+
+        fn arb_mac() -> impl Strategy<Value = MacAddr> {
+            (0..MACS.len()).prop_map(|i| MACS[i])
+        }
+
+        fn arb_udp_port() -> impl Strategy<Value = u16> {
+            (0..UDP_PORTS.len()).prop_map(|i| UDP_PORTS[i])
+        }
+
+        fn arb_action() -> impl Strategy<Value = Action> {
+            prop_oneof![
+                (0..HOSTS as u16).prop_map(Action::Output),
+                (0..HOSTS as u16).prop_map(Action::Output),
+                arb_mac().prop_map(Action::SetDstMac),
+                arb_mac().prop_map(Action::SetSrcMac),
+                Just(Action::Flood),
+                Just(Action::Drop),
+                Just(Action::ToController),
+            ]
+        }
+
+        fn arb_entry() -> impl Strategy<Value = FlowEntry> {
+            let matcher = (
+                proptest::option::of(0..HOSTS as u16),
+                proptest::option::of(arb_mac()),
+                proptest::option::of(arb_mac()),
+                proptest::option::of(arb_udp_port()),
+            )
+                .prop_map(|(in_port, eth_src, eth_dst, udp_dst)| FlowMatch {
+                    in_port,
+                    eth_src,
+                    eth_dst,
+                    udp_dst,
+                    ..FlowMatch::default()
+                });
+            (1u16..4, matcher, vec(arb_action(), 0..4)).prop_map(|(priority, matcher, actions)| {
+                FlowEntry {
+                    priority,
+                    cookie: 0,
+                    matcher,
+                    actions,
+                    stats: FlowStats::default(),
+                }
+            })
+        }
+
+        /// A probe: from host `.0`, source MAC `.1`, to MAC `.2` (one in
+        /// five broadcast), UDP destination port `.3`.
+        fn arb_probe() -> impl Strategy<Value = (usize, MacAddr, MacAddr, u16)> {
+            let dst = (0..MACS.len() + 1)
+                .prop_map(|i| MACS.get(i).copied().unwrap_or(MacAddr::BROADCAST));
+            (0..HOSTS, arb_mac(), dst, arb_udp_port())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn every_probe_leaves_as_decided(
+                entries in vec(arb_entry(), 0..6),
+                probes in vec(arb_probe(), 1..30),
+            ) {
+                let mut world = World::new(1);
+                let sw = world.add_node(Checked {
+                    sw: OfSwitch::new(SwitchConfig::paper_defaults("sw")),
+                    named: Vec::new(),
+                });
+                let lan = LinkParams::with_latency(SimDuration::from_micros(10));
+                let hosts: Vec<NodeId> = (0..HOSTS).map(|_| world.add_node(Host::default())).collect();
+                for &h in &hosts {
+                    let (_, port, _) = world.connect(sw, h, lan);
+                    world.node_mut::<Checked>(sw).sw.register_data_port(port);
+                }
+                for entry in entries {
+                    world.node_mut::<Checked>(sw).sw.table.add(entry);
+                }
+                for (k, &(host, src, dst, udp_dst)) in probes.iter().enumerate() {
+                    let ep = UdpEndpoints {
+                        src_mac: src,
+                        dst_mac: dst,
+                        src_ip: Ipv4Addr::new(10, 0, 0, 1),
+                        dst_ip: Ipv4Addr::new(10, 0, 0, 2),
+                        src_port: 5000,
+                        dst_port: udp_dst,
+                    };
+                    let frame = udp_frame(ep, 64, &(k as u16).to_be_bytes());
+                    world.node_mut::<Host>(hosts[host]).outbox.push(frame);
+                    let now = world.now();
+                    world.wake_node(now, hosts[host], TimerToken(0));
+                    world.run_for(SimDuration::from_micros(100));
+                }
+                let checked = world.node::<Checked>(sw);
+                prop_assert_eq!(checked.named.len(), probes.len());
+                for (probe, ports, to_controller, counted) in &checked.named {
+                    let mut sent: Vec<Sent> = Vec::new();
+                    for (port, &h) in hosts.iter().enumerate() {
+                        for frame in &world.node::<Host>(h).received {
+                            if marker(frame) == *probe {
+                                let d = peek_udp_frame(frame).unwrap().unwrap();
+                                sent.push((PortId(port), d.eth.src, d.eth.dst));
+                            }
+                        }
+                    }
+                    sent.sort();
+                    prop_assert_eq!(&sent, ports, "probe {}: sent against decided", probe);
+                    prop_assert_eq!(to_controller, counted, "probe {}: PACKET_INs", probe);
+                }
+            }
         }
     }
 }

@@ -130,7 +130,8 @@ impl FlowTable {
         }
     }
 
-    /// Non-mutating lookup (for assertions in tests).
+    /// The entry [`FlowTable::lookup`] would match, without counting
+    /// the lookup.
     pub fn peek(&self, key: &FlowKey) -> Option<&FlowEntry> {
         self.entries.iter().find(|e| e.matcher.matches(key))
     }

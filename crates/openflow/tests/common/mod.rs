@@ -6,7 +6,7 @@ use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::OfMessage;
-use sc_openflow::{OfSwitch, SwitchConfig, TableMiss};
+use sc_openflow::{OfSwitch, SwitchConfig};
 use sc_sim::{ChannelPort, Ctx, LinkId, LinkParams, Node, NodeId, PortId, TimerToken, World};
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -155,18 +155,17 @@ pub struct Lab {
     pub link_b: LinkId,
 }
 
-pub fn build(table_miss: TableMiss) -> Lab {
-    build_around(table_miss, |switch| switch)
+pub fn build() -> Lab {
+    build_around(|switch| switch)
 }
 
 /// [`build`] with the switch inside a node of the caller's, which must
 /// hand out the [`OfSwitch`] as its `as_any`/`as_any_mut`.
-pub fn build_around<N: Node>(table_miss: TableMiss, wrap: impl FnOnce(OfSwitch) -> N) -> Lab {
+pub fn build_around<N: Node>(wrap: impl FnOnce(OfSwitch) -> N) -> Lab {
     let mut world = World::new(42);
-    let sw = world.add_node(wrap(OfSwitch::new(SwitchConfig {
-        table_miss,
-        ..SwitchConfig::paper_defaults("hp-e3800")
-    })));
+    let sw = world.add_node(wrap(OfSwitch::new(SwitchConfig::paper_defaults(
+        "hp-e3800",
+    ))));
     let ctrl = world.add_node(StubController::new("floodlight"));
     let host_a = world.add_node(Host::new("host-a"));
     let host_b = world.add_node(Host::new("host-b"));

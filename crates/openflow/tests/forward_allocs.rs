@@ -15,7 +15,7 @@ use common::{build_around, probe_frame, Host, StubController, MAC_A, MAC_B};
 use sc_net::wire::peek_udp_frame;
 use sc_net::{Frame, MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
-use sc_openflow::{Action, FlowMatch, OfSwitch, TableMiss};
+use sc_openflow::{Action, FlowMatch, OfSwitch};
 use sc_sim::{Ctx, Node, PortId, TimerToken};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
@@ -107,7 +107,7 @@ impl Node for Metered {
 #[test]
 fn matched_packets_allocate_nothing_in_the_switch() {
     const PACKETS: usize = 1_000;
-    let mut lab = build_around(TableMiss::Drop, Metered);
+    let mut lab = build_around(Metered);
     let vmac = MacAddr::virtual_mac(1);
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![(
         SimTime::from_millis(1),

@@ -10,14 +10,14 @@ use proptest::prelude::*;
 use sc_net::wire::peek_udp_frame;
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
-use sc_openflow::{Action, FlowMatch, OfSwitch, TableMiss};
+use sc_openflow::{Action, FlowMatch, OfSwitch};
 use sc_sim::{PortId, TimerToken};
 
 // ----------------------------------------------------------------- tests
 
 #[test]
 fn l2_learning_floods_then_forwards() {
-    let mut lab = build(TableMiss::L2Learn);
+    let mut lab = build();
     // A -> B (unknown): flood. B -> A (A now known): direct. A -> B again:
     // direct.
     lab.world.node_mut::<Host>(lab.host_a).script = vec![
@@ -53,7 +53,7 @@ fn l2_learning_floods_then_forwards() {
 
 #[test]
 fn controller_handshake_features() {
-    let mut lab = build(TableMiss::L2Learn);
+    let mut lab = build();
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![
         (SimTime::from_millis(1), OfMessage::Hello),
         (SimTime::from_millis(2), OfMessage::FeaturesRequest),
@@ -77,7 +77,7 @@ fn controller_handshake_features() {
 
 #[test]
 fn flow_install_latency_gates_rule_application() {
-    let mut lab = build(TableMiss::Drop);
+    let mut lab = build();
     let vmac = MacAddr::virtual_mac(1);
     // Install at t=1ms a rule rewriting VMAC -> MAC_B, output port B.
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![(
@@ -107,20 +107,24 @@ fn flow_install_latency_gates_rule_application() {
         ),
     ];
     lab.world.run_until(SimTime::from_millis(50));
+    // Before the install the VMAC is an unknown destination: the probe
+    // floods as it came. After it, the rule rewrites the VMAC to B's
+    // real MAC.
     let b = lab.world.node::<Host>(lab.host_b);
-    assert_eq!(b.received.len(), 1, "only the post-install probe arrives");
-    let (t, frame) = &b.received[0];
-    assert!(*t >= SimTime::from_millis(30));
-    assert_eq!(frame[frame.len() - 1], 2);
-    // The VMAC was rewritten to B's real MAC.
-    let d = peek_udp_frame(frame).unwrap().unwrap();
-    assert_eq!(d.eth.dst, MAC_B);
-    assert_eq!(lab.world.node::<OfSwitch>(lab.sw).stats.dropped, 1);
+    let seen: Vec<(u8, MacAddr)> = b
+        .received
+        .iter()
+        .map(|(_, f)| (f[f.len() - 1], peek_udp_frame(f).unwrap().unwrap().eth.dst))
+        .collect();
+    assert_eq!(seen, vec![(1, vmac), (2, MAC_B)]);
+    assert!(b.received[1].0 >= SimTime::from_millis(30));
+    let sw = lab.world.node::<OfSwitch>(lab.sw);
+    assert_eq!((sw.stats.flooded, sw.stats.dropped), (1, 0));
 }
 
 #[test]
 fn modify_redirects_traffic_like_failover() {
-    let mut lab = build(TableMiss::Drop);
+    let mut lab = build();
     let vmac = MacAddr::virtual_mac(7);
     let ctrl = lab.world.node_mut::<StubController>(lab.ctrl);
     ctrl.script = vec![
@@ -180,7 +184,7 @@ fn modify_redirects_traffic_like_failover() {
 
 #[test]
 fn barrier_completes_after_pending_installs() {
-    let mut lab = build(TableMiss::Drop);
+    let mut lab = build();
     let t0 = SimTime::from_millis(1);
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![
         (
@@ -215,7 +219,7 @@ fn stale_install_timer_does_not_arm_a_duplicate() {
     // second time, and the duplicate would re-arm every later one.
     const TIMER_INSTALL: TimerToken = TimerToken(2); // private to switch.rs
     let timers_at_switch = |stale_fire: bool| {
-        let mut lab = build(TableMiss::Drop);
+        let mut lab = build();
         let add = |priority| OfMessage::FlowMod {
             command: FlowModCommand::Add,
             priority,
@@ -240,7 +244,7 @@ fn stale_install_timer_does_not_arm_a_duplicate() {
 
 #[test]
 fn packet_in_and_packet_out_roundtrip() {
-    let mut lab = build(TableMiss::Drop);
+    let mut lab = build();
     // Rule: anything from MAC_A goes to the controller (the ARP-resolver
     // punt path). Later, the controller injects a frame toward host B.
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![
@@ -293,7 +297,7 @@ fn packet_in_and_packet_out_roundtrip() {
 
 #[test]
 fn port_status_reported_on_carrier_loss() {
-    let mut lab = build(TableMiss::L2Learn);
+    let mut lab = build();
     // Handshake first so the channel is up.
     lab.world.node_mut::<StubController>(lab.ctrl).script =
         vec![(SimTime::from_millis(1), OfMessage::Hello)];
@@ -341,7 +345,7 @@ fn learned(lab: &Lab, mac: MacAddr) -> Option<PortId> {
 
 #[test]
 fn l2_follows_a_mac_that_moves_away_and_back() {
-    let mut lab = build(TableMiss::L2Learn);
+    let mut lab = build();
     let (a, b) = (lab.host_a, lab.host_b);
     // Twice on A (the second is the memo hit), then B, then A again: the
     // memo A holds from before the move must not swallow the return.
@@ -362,7 +366,7 @@ fn l2_follows_a_mac_that_moves_away_and_back() {
 
 #[test]
 fn port_down_purges_and_port_up_relearns_from_the_next_frame() {
-    let mut lab = build(TableMiss::L2Learn);
+    let mut lab = build();
     let a = lab.host_a;
     say(&mut lab, a, 1, MAC_A);
     say(&mut lab, a, 4, MAC_A);
@@ -409,7 +413,7 @@ proptest! {
     /// them: the table equals a model that inserts on every frame.
     #[test]
     fn l2_table_equals_an_insert_on_every_frame_model(steps in vec(arb_l2_step(), 1..40)) {
-        let mut lab = build(TableMiss::L2Learn);
+        let mut lab = build();
         let hosts = [lab.host_a, lab.host_b];
         let ports = [lab.sw_port_a, lab.sw_port_b];
         let links = [lab.link_a, lab.link_b];

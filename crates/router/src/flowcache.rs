@@ -49,6 +49,7 @@ impl FlowCache {
     }
 
     /// The memoized decision for `dst`, if still valid at `now`.
+    #[inline]
     pub fn lookup(&mut self, dst: Ipv4Addr, now: SimTime) -> Option<FlowCacheEntry> {
         match self.map.get(&dst) {
             Some(e) if e.expires > now => {

@@ -31,4 +31,4 @@ pub use arp::ArpClient;
 pub use calibration::{Calibration, PAPER_STOCK_MAX_S};
 pub use fib::{Fib, FibEntry, FibOp, FibWalker};
 pub use flowcache::{FlowCache, FlowCacheEntry};
-pub use node::{Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};
+pub use node::{Forwarding, Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};

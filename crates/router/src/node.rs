@@ -177,6 +177,27 @@ pub enum RouterEvent {
     FallbackOverrideExit,
 }
 
+/// The router's forwarding decision for a transit IPv4 packet
+/// ([`LegacyRouter::decide`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Forwarding {
+    /// No installed route covers the destination.
+    NoRoute,
+    /// The next hop lies in no interface's subnet.
+    NoInterface,
+    /// Out of interface number `iface` (in `add_interface` order), on
+    /// `port` from `src_mac`, toward `next_hop`.
+    Via {
+        iface: usize,
+        port: PortId,
+        src_mac: MacAddr,
+        next_hop: Ipv4Addr,
+        /// The next hop's MAC and when that ARP binding expires; `None`
+        /// while ARP has not resolved it.
+        arp: Option<(MacAddr, SimTime)>,
+    },
+}
+
 /// Data-plane and control-plane counters.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RouterStats {
@@ -409,13 +430,6 @@ impl LegacyRouter {
         &self.fib
     }
 
-    /// The configured interfaces, in `add_interface` order — read-only
-    /// introspection for observers replaying the forwarding decision
-    /// (interface index positions match [`Self::iface_for_nexthop`]).
-    pub fn interfaces(&self) -> &[Interface] {
-        &self.interfaces
-    }
-
     /// Read-only view of the ARP cache (static entries, learned entries
     /// subject to expiry at `now`) — unlike the forwarding path's
     /// resolve, this never queues a request or parks a frame.
@@ -639,6 +653,43 @@ impl LegacyRouter {
             ctx.trace_instant("program", "fib.burst", 0, ops.len() as u64, String::new);
             self.walker.enqueue_burst(now, ops, false);
             self.arm_walker(ctx);
+        }
+    }
+
+    /// The NIC filter: does the interface on `port` take a frame
+    /// addressed to `dst_mac` (its own MAC, or broadcast)?
+    pub fn accepts(&self, port: PortId, dst_mac: MacAddr) -> bool {
+        self.interfaces
+            .iter()
+            .find(|i| i.port == port)
+            .is_some_and(|i| dst_mac == i.mac || dst_mac.is_broadcast())
+    }
+
+    /// The forwarding decision for a transit packet to `dst` at `now`,
+    /// as the data plane takes it: the longest match in the *installed*
+    /// FIB (what the walker has applied so far), its next hop (`dst`
+    /// itself on a connected route), the first interface whose subnet
+    /// holds that next hop, and the next hop's ARP binding. Read-only:
+    /// it queues no ARP request and fills no cache. The flow cache is a
+    /// memo of it.
+    pub fn decide(&self, dst: Ipv4Addr, now: SimTime) -> Forwarding {
+        let Some((_, entry)) = self.fib.lookup(dst) else {
+            return Forwarding::NoRoute;
+        };
+        let next_hop = match entry.next_hop {
+            Ipv4Addr::UNSPECIFIED => dst,
+            nh => nh,
+        };
+        let Some(iface) = self.iface_for_nexthop(next_hop) else {
+            return Forwarding::NoInterface;
+        };
+        let out = self.interfaces[iface];
+        Forwarding::Via {
+            iface,
+            port: out.port,
+            src_mac: out.mac,
+            next_hop,
+            arp: self.arp.lookup_with_expiry(next_hop, now),
         }
     }
 
@@ -1128,33 +1179,32 @@ impl LegacyRouter {
             ctx.send_frame(iface.port, frame);
             return;
         }
-        // LPM in the *installed* FIB — the data plane sees exactly what
-        // the walker has applied so far.
-        let Some((_, entry)) = self.fib.lookup(ip.dst) else {
-            self.stats.dropped_no_route += 1;
+        let decision = self.decide(ip.dst, now);
+        let Forwarding::Via {
+            iface,
+            port,
+            src_mac,
+            next_hop: nh,
+            arp,
+        } = decision
+        else {
+            match decision {
+                Forwarding::NoRoute => self.stats.dropped_no_route += 1,
+                _ => self.stats.dropped_no_iface += 1,
+            }
             return;
         };
-        let nh = if entry.next_hop == Ipv4Addr::UNSPECIFIED {
-            ip.dst // connected route: deliver directly
-        } else {
-            entry.next_hop
-        };
-        let Some(iface_idx) = self.iface_for_nexthop(nh) else {
-            self.stats.dropped_no_iface += 1;
-            return;
-        };
-        let iface = self.interfaces[iface_idx];
         // Rewrite L2 source and decrement TTL in place.
         {
             let buf = frame.make_mut();
-            let _ = EthernetRepr::rewrite_src(buf, iface.mac);
+            let _ = EthernetRepr::rewrite_src(buf, src_mac);
             if Ipv4Repr::decrement_ttl(&mut buf[ip_off..]).is_err() {
                 self.stats.dropped_ttl += 1;
                 return;
             }
         }
         // Fast path: resolved next-hop (static or cached).
-        if let Some((mac, expires)) = self.arp.lookup_with_expiry(nh, now) {
+        if let Some((mac, expires)) = arp {
             let _ = EthernetRepr::rewrite_dst(frame.make_mut(), mac);
             self.stats.forwarded += 1;
             // Memoize for the flow's next packet; `expires` caps the memo
@@ -1163,19 +1213,19 @@ impl LegacyRouter {
                 ip.dst,
                 FlowCacheEntry {
                     next_hop: nh,
-                    iface: iface_idx,
+                    iface,
                     dst_mac: mac,
                     expires,
                 },
             );
-            ctx.send_frame(iface.port, frame);
+            ctx.send_frame(port, frame);
             return;
         }
         // Slow path: park the frame until ARP resolves.
         match self.arp.resolve(nh, frame, now) {
             Resolution::Ready(_) => unreachable!("lookup above missed"),
             Resolution::QueuedSendRequest(target) => {
-                self.send_arp_request(ctx, iface_idx, target);
+                self.send_arp_request(ctx, iface, target);
                 self.arm_arp_timer(ctx);
             }
             Resolution::Queued => {
@@ -1276,14 +1326,7 @@ impl Node for LegacyRouter {
             self.stats.dropped_malformed += 1;
             return;
         };
-        // NIC filter: our MAC on that interface, or broadcast.
-        let our_mac = self
-            .interfaces
-            .iter()
-            .find(|i| i.port == port)
-            .map(|i| i.mac);
-        let Some(our_mac) = our_mac else { return };
-        if eth.dst != our_mac && !eth.dst.is_broadcast() {
+        if !self.accepts(port, eth.dst) {
             return;
         }
         match eth.ethertype {
@@ -1618,30 +1661,29 @@ mod tests {
             (world, r1, r2, seg)
         }
 
-        /// The first live cache entry that differs from what the slow
-        /// path computes at `now`: FIB LPM, then the interface for the
-        /// next hop, then its ARP entry.
+        /// The first live cache entry that differs from the router's
+        /// decision at `now`.
         fn mismatch(r: &LegacyRouter, now: SimTime) -> Option<String> {
             r.flow_cache
                 .entries()
                 .filter(|(_, cached)| cached.expires > now)
                 .find_map(|(dst, cached)| {
-                    let slow = r.fib.lookup(dst).and_then(|(_, entry)| {
-                        let next_hop = match entry.next_hop {
-                            Ipv4Addr::UNSPECIFIED => dst,
-                            nh => nh,
-                        };
-                        let iface = r.iface_for_nexthop(next_hop)?;
-                        let (dst_mac, expires) = r.arp.lookup_with_expiry(next_hop, now)?;
-                        Some(FlowCacheEntry {
+                    let slow = match r.decide(dst, now) {
+                        Forwarding::Via {
+                            iface,
+                            next_hop,
+                            arp: Some((dst_mac, expires)),
+                            ..
+                        } => Some(FlowCacheEntry {
                             next_hop,
                             iface,
                             dst_mac,
                             expires,
-                        })
-                    });
+                        }),
+                        _ => None,
+                    };
                     (slow != Some(cached))
-                        .then(|| format!("{dst}: cached {cached:?}, slow path {slow:?}"))
+                        .then(|| format!("{dst}: cached {cached:?}, decision {slow:?}"))
                 })
         }
 
@@ -1736,6 +1778,317 @@ mod tests {
                     let now = world.now();
                     let found = mismatch(world.node::<LegacyRouter>(r1), now);
                     prop_assert_eq!(found, None, "after {:?} at {}", step, now);
+                }
+            }
+        }
+    }
+
+    /// [`LegacyRouter::accepts`] and [`LegacyRouter::decide`] against the
+    /// data plane, in a live world: a router with random interfaces and
+    /// static routes on three hosts' links, whose ARP bindings the hosts'
+    /// replies, static entries and expiry move, probed on every link —
+    /// again and again, so most probes ride the flow cache. The frame a
+    /// probe leaves as, if any, is the one the decision names.
+    mod decision_matches_data_plane {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use sc_net::wire::udp_frame;
+        use sc_sim::{LinkParams, NodeId, World};
+        use std::any::Any;
+
+        const HOSTS: usize = 3;
+        const LATENCY: SimDuration = SimDuration::from_micros(10);
+        /// Interface subnets; the /16 holds the first /24.
+        const SUBNETS: [&str; 3] = ["10.0.0.0/24", "10.1.0.0/24", "10.0.0.0/16"];
+        /// On one or two subnets, only on the /16, on none, and "the
+        /// destination itself" (a connected route).
+        const NEXT_HOPS: [Ipv4Addr; 5] = [
+            Ipv4Addr::new(10, 0, 0, 10),
+            Ipv4Addr::new(10, 1, 0, 10),
+            Ipv4Addr::new(10, 0, 5, 10),
+            Ipv4Addr::new(10, 9, 9, 9),
+            Ipv4Addr::UNSPECIFIED,
+        ];
+        const PREFIXES: [&str; 4] = ["20.0.0.0/8", "20.1.0.0/16", "20.1.2.0/24", "10.0.5.0/24"];
+        /// Covered by nested static routes, by none, and neighbours on
+        /// the connected subnets.
+        const DESTS: [Ipv4Addr; 7] = [
+            Ipv4Addr::new(20, 1, 2, 5),
+            Ipv4Addr::new(20, 1, 9, 5),
+            Ipv4Addr::new(20, 7, 0, 1),
+            Ipv4Addr::new(30, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 10),
+            Ipv4Addr::new(10, 1, 0, 10),
+            Ipv4Addr::new(10, 0, 5, 10),
+        ];
+        /// Past the 4 h lifetime of a learned ARP entry.
+        const PAST_ARP_EXPIRY_US: u64 = (4 * 3600 + 1) * 1_000_000;
+
+        /// Interface `i`'s MAC (it sits on port `i`).
+        fn iface_mac(i: usize) -> MacAddr {
+            MacAddr([2, 0x10, 0, 0, 0, i as u8])
+        }
+
+        /// Next hop `n`'s MAC, variant `m`.
+        fn neighbour_mac(n: usize, m: u8) -> MacAddr {
+            MacAddr([2, 0x11, 0, 0, n as u8, m])
+        }
+
+        /// Sends what the test queues when woken; records what arrives.
+        #[derive(Default)]
+        struct Host {
+            outbox: Vec<Vec<u8>>,
+            received: Vec<(SimTime, Vec<u8>)>,
+        }
+
+        impl Node for Host {
+            fn name(&self) -> &str {
+                "host"
+            }
+            fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: Frame) {
+                self.received.push((ctx.now(), frame.to_vec()));
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, _token: TimerToken) {
+                for frame in self.outbox.drain(..) {
+                    ctx.send_frame(PortId(0), frame);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        /// A frame as it leaves: port, source MAC, destination MAC.
+        type Sent = (PortId, MacAddr, MacAddr);
+
+        /// The router, noting for each probe the frame its decision
+        /// names, if any, and when.
+        struct Checked {
+            router: LegacyRouter,
+            named: Vec<(u16, SimTime, Option<Sent>)>,
+        }
+
+        impl Node for Checked {
+            fn name(&self) -> &str {
+                self.router.name()
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                self.router.on_start(ctx);
+            }
+            fn on_frame(&mut self, ctx: &mut Ctx, port: PortId, frame: Frame) {
+                if let Ok(Some(d)) = peek_udp_frame(&frame) {
+                    let r = &self.router;
+                    let named = match r.decide(d.ip.dst, ctx.now()) {
+                        Forwarding::Via {
+                            port: out,
+                            src_mac,
+                            arp: Some((mac, _)),
+                            ..
+                        } if r.accepts(port, d.eth.dst) => Some((out, src_mac, mac)),
+                        _ => None,
+                    };
+                    self.named.push((marker(d.payload), ctx.now(), named));
+                }
+                self.router.on_frame(ctx, port, frame);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+                self.router.on_timer(ctx, token);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        fn marker(payload: &[u8]) -> u16 {
+            u16::from_be_bytes([payload[0], payload[1]])
+        }
+
+        #[derive(Clone, Debug)]
+        enum Step {
+            /// Host `host` probes `DESTS[dest]` `times` times in a row,
+            /// addressed to the MAC of its own link's interface (`to` 0
+            /// or 1), to broadcast (2), or to the next link's (3).
+            Probe {
+                host: usize,
+                dest: usize,
+                to: u8,
+                times: usize,
+            },
+            /// Host `host` answers that `NEXT_HOPS[n]` is at MAC variant
+            /// `m` (an ARP reply).
+            ArpReply { host: usize, n: usize, m: u8 },
+            /// The router gets a static ARP entry for `NEXT_HOPS[n]`.
+            StaticArp { n: usize, m: u8 },
+            /// Time passes (µs).
+            Wait(u64),
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            let probe = || {
+                (0..HOSTS, 0..DESTS.len(), 0u8..4, 1usize..4).prop_map(|(host, dest, to, times)| {
+                    Step::Probe {
+                        host,
+                        dest,
+                        to,
+                        times,
+                    }
+                })
+            };
+            prop_oneof![
+                probe(),
+                probe(),
+                probe(),
+                probe(),
+                (0..HOSTS, 0usize..3, 0u8..2).prop_map(|(host, n, m)| Step::ArpReply {
+                    host,
+                    n,
+                    m
+                }),
+                (0usize..3, 0u8..2).prop_map(|(n, m)| Step::StaticArp { n, m }),
+                // One wait in eight outlives every learned ARP entry.
+                (0u8..8, 1u64..200_000).prop_map(|(k, us)| {
+                    Step::Wait(if k == 0 { PAST_ARP_EXPIRY_US } else { us })
+                }),
+            ]
+        }
+
+        /// The router, on port `i` to host `i`, with an interface on
+        /// `SUBNETS[s]` for each `s` of `subnets` (port `i`'s, in turn;
+        /// hosts past them reach a port without one) and the static
+        /// routes `(PREFIXES[p], NEXT_HOPS[n])`.
+        fn build(subnets: &[usize], routes: &[(usize, usize)]) -> (World, NodeId, Vec<NodeId>) {
+            let mut world = World::new(3);
+            let mut router = LegacyRouter::new(RouterConfig {
+                name: "r1".into(),
+                asn: 65001,
+                router_id: Ipv4Addr::new(10, 0, 0, 1),
+                cal: Calibration::instant(),
+            });
+            for (i, &s) in subnets.iter().enumerate() {
+                let subnet: Ipv4Prefix = SUBNETS[s].parse().unwrap();
+                router.add_interface(Interface {
+                    port: PortId(i),
+                    ip: Ipv4Addr::from(u32::from(subnet.network()) + i as u32 + 1),
+                    mac: iface_mac(i),
+                    subnet,
+                });
+            }
+            for &(p, n) in routes {
+                router.add_static_route(StaticRoute {
+                    prefix: PREFIXES[p].parse().unwrap(),
+                    next_hop: NEXT_HOPS[n],
+                });
+            }
+            let r1 = world.add_node(Checked {
+                router,
+                named: Vec::new(),
+            });
+            let hosts = (0..HOSTS)
+                .map(|_| {
+                    let h = world.add_node(Host::default());
+                    world.connect(r1, h, LinkParams::with_latency(LATENCY));
+                    h
+                })
+                .collect();
+            world.run_until(SimTime::from_millis(1));
+            (world, r1, hosts)
+        }
+
+        /// Host `host` puts `frame` on the wire now.
+        fn send(world: &mut World, host: NodeId, frame: Vec<u8>) {
+            world.node_mut::<Host>(host).outbox.push(frame);
+            world.wake_node(world.now(), host, TimerToken(0));
+        }
+
+        /// Run `step`; probes are numbered on from `probes`.
+        fn apply(world: &mut World, r1: NodeId, hosts: &[NodeId], probes: &mut u16, step: &Step) {
+            match *step {
+                Step::Probe {
+                    host,
+                    dest,
+                    to,
+                    times,
+                } => {
+                    let ep = UdpEndpoints {
+                        src_mac: MacAddr([2, 0xaa, 0, 0, 0, host as u8]),
+                        dst_mac: match to {
+                            0 | 1 => iface_mac(host),
+                            2 => MacAddr::BROADCAST,
+                            _ => iface_mac((host + 1) % HOSTS),
+                        },
+                        src_ip: Ipv4Addr::new(192, 168, 0, 1),
+                        dst_ip: DESTS[dest],
+                        src_port: 49152,
+                        dst_port: 7,
+                    };
+                    for _ in 0..times {
+                        *probes += 1;
+                        send(world, hosts[host], udp_frame(ep, 64, &probes.to_be_bytes()));
+                        world.run_for(SimDuration::from_micros(50));
+                    }
+                }
+                Step::ArpReply { host, n, m } => {
+                    let mac = neighbour_mac(n, m);
+                    let reply = ArpRepr {
+                        op: ArpOp::Reply,
+                        sender_mac: mac,
+                        sender_ip: NEXT_HOPS[n],
+                        target_mac: iface_mac(host),
+                        target_ip: Ipv4Addr::UNSPECIFIED,
+                    };
+                    let frame = EthernetRepr {
+                        dst: iface_mac(host),
+                        src: mac,
+                        ethertype: EtherType::Arp,
+                    }
+                    .to_frame(&reply.to_bytes());
+                    send(world, hosts[host], frame);
+                }
+                Step::StaticArp { n, m } => {
+                    let r = &mut world.node_mut::<Checked>(r1).router;
+                    r.add_static_arp(NEXT_HOPS[n], neighbour_mac(n, m));
+                }
+                Step::Wait(us) => world.run_for(SimDuration::from_micros(us)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn every_probe_leaves_as_decided(
+                subnets in vec(0..SUBNETS.len(), 1..=HOSTS),
+                routes in vec((0..PREFIXES.len(), 0..NEXT_HOPS.len()), 1..6),
+                steps in vec((arb_step(), 20u64..3_000), 1..40),
+            ) {
+                let (mut world, r1, hosts) = build(&subnets, &routes);
+                let mut probes = 0;
+                for (step, settle_us) in &steps {
+                    apply(&mut world, r1, &hosts, &mut probes, step);
+                    world.run_for(SimDuration::from_micros(*settle_us));
+                }
+                for &(probe, at, named) in &world.node::<Checked>(r1).named {
+                    // What left right then: a frame parked for ARP and
+                    // released later is the ARP queue's, not the decision's.
+                    let mut sent = Vec::new();
+                    for (port, &h) in hosts.iter().enumerate() {
+                        for (t, frame) in &world.node::<Host>(h).received {
+                            if let Ok(Some(d)) = peek_udp_frame(frame) {
+                                if marker(d.payload) == probe && *t == at + LATENCY {
+                                    sent.push((PortId(port), d.eth.src, d.eth.dst));
+                                }
+                            }
+                        }
+                    }
+                    let named: Vec<_> = named.into_iter().collect();
+                    prop_assert_eq!(sent, named, "probe {} at {}", probe, at);
                 }
             }
         }

@@ -28,7 +28,7 @@ use sc_lab::topology::{
 };
 use sc_lab::Mode;
 use sc_net::{Ipv4Addr, Ipv4Prefix, MacAddr, SimDuration, SimTime};
-use sc_openflow::{OfSwitch, SwitchConfig, TableMiss};
+use sc_openflow::{OfSwitch, SwitchConfig};
 use sc_routegen::{
     generate_adj_rib_out, generate_feed_for, prefix_universe, sample_flow_ips, FeedConfig,
 };
@@ -295,7 +295,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
 
     // --- nodes ---
     let switch = world.add_node(OfSwitch::new(SwitchConfig {
-        table_miss: TableMiss::L2Learn,
         controller_deadline: cfg.controller_deadline,
         ..SwitchConfig::paper_defaults("scenario-switch")
     }));
@@ -490,8 +489,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
             name: format!("supercharger-{ci}"),
             seed: cfg.seed.wrapping_add(ci as u64),
             echo_interval: cfg.echo_interval,
-            ack_timeout: SimDuration::from_millis(50),
-            max_flowmod_attempts: 5,
             asn: 65000,
             router_id: Ipv4Addr::new(99, 99, 99, ci as u8 + 1),
             ip: controller_ip(ci),
@@ -519,7 +516,6 @@ pub fn build_scenario(topo: &TopologySpec, mode: Mode, cfg: &ScenarioConfig) -> 
                 local_port: (45000 + ci) as u16,
             },
             reaction_delay: cfg.reaction_delay,
-            rule_grace: SimDuration::from_secs(600),
             portstatus_failover: cfg.portstatus_failover,
         };
         controller_cfgs.push(ctrl_cfg.clone());

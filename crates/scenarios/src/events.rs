@@ -574,7 +574,7 @@ impl EventScript {
                         scn.controller_cfgs.get(replica).cloned(),
                     ) {
                         scn.world.schedule(t0 + at, move |w| {
-                            if !w.node_alive(n) {
+                            if !w.is_alive(n) {
                                 w.restart_node(
                                     n,
                                     supercharger::Controller::new(cfg, sc_sim::PortId(0)),

@@ -481,11 +481,6 @@ impl World {
         }
     }
 
-    /// Is the node slot alive (i.e. not crashed)?
-    pub fn node_alive(&self, id: NodeId) -> bool {
-        self.k.slots[id.0].alive
-    }
-
     /// Revive a crashed node slot with a fresh node object (a process
     /// restart: the replacement boots from its own initial state, not
     /// the crashed instance's memory). All the slot's links come back up
