@@ -5,7 +5,8 @@
 //! control cell must report zero violations, and invariant-annotated
 //! stable reports must stay byte-identical across reruns (and, by the
 //! kernel queue's debug-build order check, of any queue popping in key
-//! order). The engine's exact answers on five small cells are pinned.
+//! order). The engine's exact answers on five small cells are pinned, and
+//! so are the run facts the controller's and R1's logs feed on three.
 
 use sc_net::SimDuration;
 use sc_scenarios::{
@@ -243,6 +244,109 @@ fn invariant_answers_are_pinned() {
                 answers(topo, script, mode),
                 *want,
                 "{topo:?} {} {mode:?}: (inv_samples, viol_*_ns, hits_*)",
+                script.name
+            );
+        }
+    }
+}
+
+/// One trial's run facts, fed by the controller's and R1's event logs and
+/// counters: `(detected_at − fail_at in ns, flow_rewrites,
+/// flowmod_retries, events_processed, per cycle (degraded ns,
+/// unrecovered))`.
+type Facts = (
+    Option<u64>,
+    Option<usize>,
+    Option<u64>,
+    u64,
+    Vec<(u64, usize)>,
+);
+
+fn facts(topo: &TopologySpec, script: &EventScript, mode: Mode, cfg: &ScenarioConfig) -> Facts {
+    let out = run_scenario(topo, script, mode, cfg);
+    (
+        out.detected_at.map(|t| (t - out.fail_at).as_nanos()),
+        out.flow_rewrites,
+        out.flowmod_retries,
+        out.events_processed,
+        out.cycles
+            .iter()
+            .map(|c| (c.degraded.as_nanos(), c.unrecovered))
+            .collect(),
+    )
+}
+
+/// The run facts of three cells in both modes at 300 prefixes, 10 flows
+/// and seed 42, pinned: the detection instant and the rewrite count come
+/// from the controller's and R1's event logs, the rest from counters and
+/// R1's degraded log, so a refactor of those logs that changed what they
+/// record changes a value here. The chaos cell runs the `chaos_ixp`
+/// robustness stack (10 ms echo, 50 ms controller deadline, fallback
+/// sessions). Each row is `(stock, supercharged)`.
+#[test]
+fn run_facts_are_pinned() {
+    let plain = ScenarioConfig {
+        prefixes: 300,
+        flows: 10,
+        seed: 42,
+        ..ScenarioConfig::default()
+    };
+    let robust = ScenarioConfig {
+        echo_interval: Some(SimDuration::from_millis(10)),
+        controller_deadline: Some(SimDuration::from_millis(50)),
+        fallback_sessions: true,
+        ..plain.clone()
+    };
+    const DETECT_STOCK: Option<u64> = Some(74_463_168);
+    const DETECT_SC: Option<u64> = Some(83_942_112);
+    let cells: [(TopologySpec, EventScript, &ScenarioConfig, [Facts; 2]); 3] = [
+        (
+            TopologySpec::Fig4Lab,
+            EventScript::primary_cut(),
+            &plain,
+            [
+                (DETECT_STOCK, None, None, 1_360_100, vec![(0, 0)]),
+                (DETECT_SC, Some(1), Some(0), 1_151_308, vec![(0, 0)]),
+            ],
+        ),
+        (
+            TopologySpec::Fig4Lab,
+            EventScript::chaos(42),
+            &robust,
+            [
+                (
+                    DETECT_STOCK,
+                    None,
+                    None,
+                    1_504_540,
+                    vec![(0, 10), (0, 10), (0, 10), (0, 0)],
+                ),
+                (
+                    None,
+                    None,
+                    Some(2),
+                    1_219_715,
+                    vec![(0, 10), (0, 10), (87_054_128, 10), (112_031_440, 0)],
+                ),
+            ],
+        ),
+        (
+            TopologySpec::IxpHub { peers: 3 },
+            EventScript::primary_cut(),
+            &plain,
+            [
+                (DETECT_STOCK, None, None, 1_417_590, vec![(0, 0)]),
+                (DETECT_SC, Some(1), Some(0), 1_152_304, vec![(0, 0)]),
+            ],
+        ),
+    ];
+    for (topo, script, cfg, want) in &cells {
+        for (mode, want) in [Mode::Stock, Mode::Supercharged].into_iter().zip(want) {
+            assert_eq!(
+                facts(topo, script, mode, cfg),
+                *want,
+                "{topo:?} {} {mode:?}: (detect ns, flow_rewrites, flowmod_retries, \
+                 events, [(degraded ns, unrecovered)])",
                 script.name
             );
         }
