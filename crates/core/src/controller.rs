@@ -23,36 +23,64 @@ use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::PeerId;
 #[allow(
     clippy::disallowed_types,
-    reason = "pump_session still takes channel events; see ROADMAP item 14 (`Peering`, sans-io)"
+    reason = "BgpLink still takes channel events; see ROADMAP item 14 (`Peering`, sans-io)"
 )]
 use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{
-    peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
+    peek_udp_frame, udp_frame_with, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpDatagram,
+    UdpEndpoints,
 };
 use sc_net::{splitmix64, MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 const TIMER_SWITCH_CHAN: TimerToken = TimerToken(10);
-const TIMER_ROUTER_CHAN: TimerToken = TimerToken(11);
-const TIMER_ROUTER_SESSION: TimerToken = TimerToken(12);
 const TIMER_REACTION: TimerToken = TimerToken(13);
 const TIMER_RETIRE: TimerToken = TimerToken(14);
 const TIMER_FLOWMOD_ACK: TimerToken = TimerToken(15);
 const TIMER_ECHO: TimerToken = TimerToken(16);
+/// A BGP link's timers are its base token plus a kind: the router's
+/// are 11 and 12, peer `i`'s start at `100 + 10 i`.
+const ROUTER_TIMER_BASE: u64 = 11;
 const PEER_TIMER_BASE: u64 = 100;
 const PEER_TIMER_STRIDE: u64 = 10;
-const PEER_TIMER_CHANNEL: u64 = 0;
-const PEER_TIMER_SESSION: u64 = 1;
+const LINK_TIMER_CHANNEL: u64 = 0;
+const LINK_TIMER_SESSION: u64 = 1;
+/// A peer link's BFD session (the router link has none).
 const PEER_TIMER_BFD: u64 = 2;
 
-fn peer_timer(idx: usize, kind: u64) -> TimerToken {
-    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + kind)
+/// One of the controller's BGP links: the router-facing one or peer
+/// `i`'s.
+#[derive(Clone, Copy, Debug)]
+enum LinkId {
+    Router,
+    Peer(usize),
+}
+
+impl LinkId {
+    fn timer(self, kind: u64) -> TimerToken {
+        match self {
+            LinkId::Router => TimerToken(ROUTER_TIMER_BASE + kind),
+            LinkId::Peer(i) => TimerToken(PEER_TIMER_BASE + i as u64 * PEER_TIMER_STRIDE + kind),
+        }
+    }
+
+    /// The link and kind a timer token belongs to, if any.
+    fn of_timer(TimerToken(t): TimerToken) -> Option<(LinkId, u64)> {
+        if t >= PEER_TIMER_BASE {
+            let t = t - PEER_TIMER_BASE;
+            return Some((
+                LinkId::Peer((t / PEER_TIMER_STRIDE) as usize),
+                t % PEER_TIMER_STRIDE,
+            ));
+        }
+        let kind = t.checked_sub(ROUTER_TIMER_BASE)?;
+        (kind <= LINK_TIMER_SESSION).then_some((LinkId::Router, kind))
+    }
 }
 
 /// Priority of per-group VMAC rules.
@@ -133,18 +161,13 @@ pub struct ControllerConfig {
     pub echo_interval: Option<SimDuration>,
 }
 
-/// Timestamped controller events, for the experiment harness.
+/// Timestamped controller events the experiment harness reads: when a
+/// peer was declared down, and how many rewrites its failover issued.
+/// The trace, the metrics and [`ControllerStats`] record the rest.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ControllerEvent {
-    SwitchReady,
-    RouterSessionUp,
-    PeerSessionUp(PeerId),
     PeerDown(PeerId),
     FailoverIssued { peer: PeerId, rewrites: usize },
-    RepairQueued { peer: PeerId, announcements: usize },
-    ArpAnswered { vnh: Ipv4Addr },
-    FlowBatchRetry { token: u64, attempt: u32 },
-    FlowBatchGiveUp { token: u64 },
 }
 
 /// Robustness counters (acked flow programming).
@@ -165,12 +188,92 @@ struct UnackedBatch {
     deadline: SimTime,
 }
 
-struct PeerSessionState {
-    link: PeerLink,
+/// A BGP session, the reliable channel that carries it and the
+/// session's timer. The router-facing session and every peer session run
+/// through one of these.
+struct BgpLink {
     chan: ChannelPort,
     session: Session,
+    wakeup: Wakeup,
+}
+
+impl BgpLink {
+    fn new(id: LinkId, addr: UdpEndpoints, port: PortId, session: SessionConfig) -> BgpLink {
+        // The router connects to us; we connect to the peers.
+        let chan = match id {
+            LinkId::Router => ChannelPort::listen,
+            LinkId::Peer(_) => ChannelPort::connect,
+        };
+        BgpLink {
+            chan: chan(addr, port, id.timer(LINK_TIMER_CHANNEL)),
+            session: Session::new(session),
+            wakeup: Wakeup::new(id.timer(LINK_TIMER_SESSION)),
+        }
+    }
+
+    /// Encode everything the session has queued into the channel,
+    /// unflushed, each message straight into a recycled channel buffer.
+    fn drain(&mut self) {
+        while let Some(msg) = self.session.poll_transmit() {
+            let mut buf = self.chan.take_buffer();
+            msg.encode_into(&mut buf);
+            self.chan.send(buf);
+        }
+    }
+
+    /// Queue `update` and encode it into the channel at once (the
+    /// streamed table walks): the next flush sends it as it would have
+    /// sent the whole queue.
+    fn send_update(&mut self, update: UpdateMsg) {
+        self.session.queue_update(update);
+        self.drain();
+    }
+
+    /// Send what the session queued and re-arm its timer.
+    fn pump(&mut self, ctx: &mut Ctx) {
+        self.drain();
+        self.chan.flush(ctx);
+        self.wakeup.arm(ctx, self.session.next_wakeup());
+    }
+
+    /// The session went down: flush any final NOTIFICATION, then reset
+    /// the transport so the session can re-establish over a fresh one.
+    fn restart(&mut self, ctx: &mut Ctx) {
+        self.pump(ctx);
+        self.chan.reset();
+    }
+
+    /// Drive the session with one datagram of its channel.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the controller still drives channels directly; see ROADMAP item 14 (`Peering`, sans-io)"
+    )]
+    fn on_datagram(&mut self, d: &UdpDatagram, now: SimTime) -> Vec<SessionEvent> {
+        let mut out = Vec::new();
+        let session = &mut self.session;
+        self.chan.on_datagram(d, now, |ev| match ev {
+            ChannelEvent::Connected => session.start(now),
+            ChannelEvent::Delivered(bytes) => {
+                if let Ok(msg) = BgpMessage::decode(bytes) {
+                    out.extend(session.on_message(msg, now));
+                }
+            }
+            ChannelEvent::PeerClosed => out.extend(session.stop(DownReason::AdminDown)),
+        });
+        out
+    }
+
+    /// The session's timer fired.
+    fn on_session_timer(&mut self, now: SimTime) -> Vec<SessionEvent> {
+        self.wakeup.fired(now);
+        self.session.poll(now)
+    }
+}
+
+struct PeerSessionState {
+    link: PeerLink,
+    bgp: BgpLink,
     bfd: Option<BfdSession>,
-    session_wakeup: Wakeup,
     bfd_wakeup: Wakeup,
     failed_over: bool,
 }
@@ -181,14 +284,13 @@ pub struct Controller {
     engine: Engine,
     switch_chan: ChannelPort,
     switch_ready: bool,
-    router_chan: ChannelPort,
-    router_session: Session,
-    router_session_wakeup: Wakeup,
+    /// The session toward the supercharged router.
+    router: BgpLink,
     peers: Vec<PeerSessionState>,
     xid: u32,
     /// FLOW_MODs waiting out the reaction delay.
     pending_flowmods: VecDeque<OfMessage>,
-    reaction_armed: bool,
+    reaction: Wakeup,
     /// Retired groups awaiting the rule-grace purge: (eligible_at, group).
     retire_queue: VecDeque<(SimTime, crate::groups::GroupId)>,
     retire_wakeup: Wakeup,
@@ -220,7 +322,13 @@ impl Controller {
             port,
             TIMER_SWITCH_CHAN,
         );
-        let router_chan = ChannelPort::listen(
+        let session = |hold_time| SessionConfig {
+            local_as: cfg.asn,
+            router_id: cfg.router_id,
+            hold_time,
+        };
+        let router = BgpLink::new(
+            LinkId::Router,
             UdpEndpoints {
                 src_mac: cfg.mac,
                 dst_mac: cfg.router.router_mac,
@@ -230,20 +338,16 @@ impl Controller {
                 dst_port: cfg.router.remote_port,
             },
             port,
-            TIMER_ROUTER_CHAN,
+            session(cfg.router.hold_time),
         );
-        let router_session = Session::new(SessionConfig {
-            local_as: cfg.asn,
-            router_id: cfg.router_id,
-            hold_time: cfg.router.hold_time,
-        });
         let peers = cfg
             .peers
             .iter()
             .enumerate()
             .map(|(i, link)| PeerSessionState {
                 link: *link,
-                chan: ChannelPort::connect(
+                bgp: BgpLink::new(
+                    LinkId::Peer(i),
                     UdpEndpoints {
                         src_mac: cfg.mac,
                         dst_mac: link.spec.mac,
@@ -253,16 +357,10 @@ impl Controller {
                         dst_port: link.remote_port,
                     },
                     port,
-                    peer_timer(i, PEER_TIMER_CHANNEL),
+                    session(link.hold_time),
                 ),
-                session: Session::new(SessionConfig {
-                    local_as: cfg.asn,
-                    router_id: cfg.router_id,
-                    hold_time: link.hold_time,
-                }),
                 bfd: link.bfd.map(BfdSession::new),
-                session_wakeup: Wakeup::new(peer_timer(i, PEER_TIMER_SESSION)),
-                bfd_wakeup: Wakeup::new(peer_timer(i, PEER_TIMER_BFD)),
+                bfd_wakeup: Wakeup::new(LinkId::Peer(i).timer(PEER_TIMER_BFD)),
                 failed_over: false,
             })
             .collect();
@@ -270,13 +368,11 @@ impl Controller {
             engine,
             switch_chan,
             switch_ready: false,
-            router_chan,
-            router_session,
-            router_session_wakeup: Wakeup::new(TIMER_ROUTER_SESSION),
+            router,
             peers,
             xid: 1,
             pending_flowmods: VecDeque::new(),
-            reaction_armed: false,
+            reaction: Wakeup::new(TIMER_REACTION),
             retire_queue: VecDeque::new(),
             retire_wakeup: Wakeup::new(TIMER_RETIRE),
             unacked: VecDeque::new(),
@@ -289,12 +385,6 @@ impl Controller {
         }
     }
 
-    /// Has the controller given up on programming the switch (unacked
-    /// flow-mods exhausted their retries)? Cleared by the next ack.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Fold this controller's lifetime counters — the engine's RIB
     /// footprint, the router-facing and every peer-facing BGP session,
     /// per-peer BFD, and the flow-mod robustness stats — into a metrics
@@ -302,9 +392,9 @@ impl Controller {
     /// deltas.
     pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
         self.engine.rib().footprint().fold_metrics(reg);
-        self.router_session.fold_metrics(reg);
+        self.router.session.fold_metrics(reg);
         for p in &self.peers {
-            p.session.fold_metrics(reg);
+            p.bgp.session.fold_metrics(reg);
             if let Some(bfd) = &p.bfd {
                 bfd.fold_metrics(reg);
             }
@@ -437,8 +527,6 @@ impl Controller {
                     String::new,
                 );
                 ctx.metrics().inc("ctl.flowmod_giveups");
-                self.events
-                    .push((now, ControllerEvent::FlowBatchGiveUp { token: b.token }));
                 continue;
             }
             self.stats.flowmod_retries += 1;
@@ -450,13 +538,6 @@ impl Controller {
                 String::new,
             );
             ctx.metrics().inc("ctl.flowmod_retries");
-            self.events.push((
-                now,
-                ControllerEvent::FlowBatchRetry {
-                    token: b.token,
-                    attempt: b.attempt,
-                },
-            ));
             b.deadline = now + self.backoff(b.token, b.attempt);
             resend.push((b.token, b.msgs.clone()));
             kept.push_back(b);
@@ -490,9 +571,9 @@ impl Controller {
         &mut self,
         walk: impl FnOnce(&mut Engine, Option<&mut dyn FnMut(UpdateMsg)>) -> Walked,
     ) -> Walked {
-        let (session, chan) = (&mut self.router_session, &mut self.router_chan);
-        let established = session.state() == sc_bgp::SessionState::Established;
-        let mut send = |update| send_update(session, chan, update);
+        let established = self.router.session.state() == sc_bgp::SessionState::Established;
+        let link = &mut self.router;
+        let mut send = |update| link.send_update(update);
         let router: Option<&mut dyn FnMut(UpdateMsg)> =
             if established { Some(&mut send) } else { None };
         walk(&mut self.engine, router)
@@ -539,7 +620,7 @@ impl Controller {
             }
         }
         self.send_flow_batch(ctx, batch);
-        self.pump_router(ctx);
+        self.router.pump(ctx);
     }
 
     fn arm_retire_timer(&mut self, ctx: &mut Ctx) {
@@ -564,18 +645,20 @@ impl Controller {
         self.arm_retire_timer(ctx);
     }
 
-    fn pump_router(&mut self, ctx: &mut Ctx) {
-        drain(&mut self.router_session, &mut self.router_chan);
-        self.router_chan.flush(ctx);
-        self.router_session_wakeup
-            .arm(ctx, self.router_session.next_wakeup());
+    fn bgp(&mut self, id: LinkId) -> &mut BgpLink {
+        match id {
+            LinkId::Router => &mut self.router,
+            LinkId::Peer(i) => &mut self.peers[i].bgp,
+        }
     }
 
-    fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
-        let peer = &mut self.peers[idx];
-        drain(&mut peer.session, &mut peer.chan);
-        peer.chan.flush(ctx);
-        peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
+    /// Act on a batch of one link's session events, then pump the link.
+    fn on_session_events(&mut self, id: LinkId, events: Vec<SessionEvent>, ctx: &mut Ctx) {
+        match id {
+            LinkId::Router => self.handle_router_session_events(events, ctx),
+            LinkId::Peer(idx) => self.handle_peer_session_events(idx, events, ctx),
+        }
+        self.bgp(id).pump(ctx);
     }
 
     fn pump_bfd(&mut self, idx: usize, ctx: &mut Ctx) {
@@ -641,9 +724,10 @@ impl Controller {
                 // and restart the transport so the session can
                 // re-establish — and the peer re-announce — once the
                 // peer returns.
-                self.peers[idx].session.stop(DownReason::BfdDown);
-                self.peers[idx].chan.reset();
-                self.pump_peer(idx, ctx);
+                let bgp = &mut self.peers[idx].bgp;
+                bgp.session.stop(DownReason::BfdDown);
+                bgp.chan.reset();
+                bgp.pump(ctx);
                 self.queue_repair(ctx, peer_id);
             }
         }
@@ -664,13 +748,6 @@ impl Controller {
             walked.actions as u64,
             String::new,
         );
-        self.events.push((
-            ctx.now(),
-            ControllerEvent::RepairQueued {
-                peer,
-                announcements: walked.actions,
-            },
-        ));
         self.run_flow_actions(ctx, walked.flow);
     }
 
@@ -701,17 +778,14 @@ impl Controller {
             );
             self.pending_flowmods.push_back(msg);
         }
-        if !self.reaction_armed {
-            self.reaction_armed = true;
-            ctx.set_timer_after(self.cfg.reaction_delay, TIMER_REACTION);
-        }
+        self.reaction
+            .arm(ctx, Some(ctx.now() + self.cfg.reaction_delay));
     }
 
     fn handle_of_message(&mut self, ctx: &mut Ctx, msg: OfMessage) {
         match msg {
             OfMessage::Hello if !self.switch_ready => {
                 self.switch_ready = true;
-                self.events.push((ctx.now(), ControllerEvent::SwitchReady));
                 self.of_send(ctx, OfMessage::FeaturesRequest);
                 // Punt broadcast ARP (requests) to us; keep flooding
                 // them too so ordinary hosts still resolve each
@@ -773,10 +847,6 @@ impl Controller {
         let Some(vmac) = self.engine.arp_lookup(arp.target_ip) else {
             return; // unallocated VNH: nobody should be asking
         };
-        self.events.push((
-            ctx.now(),
-            ControllerEvent::ArpAnswered { vnh: arp.target_ip },
-        ));
         let reply = ArpRepr::reply_to(&arp, vmac);
         let reply_frame = EthernetRepr {
             dst: arp.sender_mac,
@@ -795,23 +865,19 @@ impl Controller {
         for ev in events {
             match ev {
                 SessionEvent::Established(_) => {
-                    self.events
-                        .push((ctx.now(), ControllerEvent::RouterSessionUp));
                     // Full replay of the announced state (the router
                     // purged our routes when the session dropped): the
                     // controller-side Adj-RIB-Out, RFC 4271 §9.4, each
                     // UPDATE encoded into the channel as it is packed.
-                    let (session, chan) = (&mut self.router_session, &mut self.router_chan);
-                    self.engine
-                        .replay(|update| send_update(session, chan, update));
+                    let router = &mut self.router;
+                    self.engine.replay(|update| router.send_update(update));
                 }
                 SessionEvent::Down(_) => {
                     // Flush any final NOTIFICATION, then reset the
                     // transport so the router (the active side) can
                     // reconnect; the next establishment replays
                     // everything from engine state.
-                    self.pump_router(ctx);
-                    self.router_chan.reset();
+                    self.router.restart(ctx);
                 }
                 SessionEvent::Update(_) => {
                     // The supercharged router does not originate routes
@@ -837,8 +903,6 @@ impl Controller {
         for ev in events {
             match ev {
                 SessionEvent::Established(_) => {
-                    self.events
-                        .push((ctx.now(), ControllerEvent::PeerSessionUp(peer_id)));
                     self.peers[idx].failed_over = false;
                     let actions = self.engine.peer_up(peer_id);
                     self.run_flow_actions(ctx, actions);
@@ -858,8 +922,7 @@ impl Controller {
                     // Either way the transport restarts: flush any final
                     // NOTIFICATION, then reconnect so the peer can
                     // re-establish and re-announce when it returns.
-                    self.pump_peer(idx, ctx);
-                    self.peers[idx].chan.reset();
+                    self.peers[idx].bgp.restart(ctx);
                 }
                 SessionEvent::Update(upd) => {
                     let walked = self.walk_to_router(|engine, router| {
@@ -884,7 +947,7 @@ impl Node for Controller {
             ctx.set_timer_after(iv, TIMER_ECHO);
         }
         for idx in 0..self.peers.len() {
-            self.peers[idx].chan.flush(ctx);
+            self.peers[idx].bgp.chan.flush(ctx);
             if let Some(bfd) = self.peers[idx].bfd.as_mut() {
                 bfd.start(ctx.now());
             }
@@ -944,42 +1007,26 @@ impl Node for Controller {
             }
             return;
         }
-        // 3. Router-facing BGP session.
-        if self.router_chan.matches(&d) {
-            let mut session_events = Vec::new();
-            let session = &mut self.router_session;
-            self.router_chan.on_datagram(&d, now, |ev| {
-                pump_session(session, ev, now, &mut session_events)
-            });
-            self.handle_router_session_events(session_events, ctx);
-            self.pump_router(ctx);
-            return;
-        }
-        // 4. Peer BGP sessions.
-        if let Some(idx) = self.peers.iter().position(|p| p.chan.matches(&d)) {
-            let mut session_events = Vec::new();
-            let peer = &mut self.peers[idx];
-            let session = &mut peer.session;
-            peer.chan.on_datagram(&d, now, |ev| {
-                pump_session(session, ev, now, &mut session_events)
-            });
-            self.handle_peer_session_events(idx, session_events, ctx);
-            self.pump_peer(idx, ctx);
+        // 3. BGP sessions: the router's, then the peers'.
+        let link = if self.router.chan.matches(&d) {
+            Some(LinkId::Router)
+        } else {
+            self.peers
+                .iter()
+                .position(|p| p.bgp.chan.matches(&d))
+                .map(LinkId::Peer)
+        };
+        if let Some(id) = link {
+            let events = self.bgp(id).on_datagram(&d, now);
+            self.on_session_events(id, events, ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         match token {
             TIMER_SWITCH_CHAN => self.switch_chan.on_timer(ctx),
-            TIMER_ROUTER_CHAN => self.router_chan.on_timer(ctx),
-            TIMER_ROUTER_SESSION => {
-                self.router_session_wakeup.fired(ctx.now());
-                let events = self.router_session.poll(ctx.now());
-                self.handle_router_session_events(events, ctx);
-                self.pump_router(ctx);
-            }
             TIMER_REACTION => {
-                self.reaction_armed = false;
+                self.reaction.fired(ctx.now());
                 let batch: Vec<OfMessage> = self.pending_flowmods.drain(..).collect();
                 self.send_flow_batch(ctx, batch);
             }
@@ -991,80 +1038,31 @@ impl Node for Controller {
                     // OpenFlow echo for the switch agent's deadline and
                     // an out-of-schedule BGP KEEPALIVE for the router's.
                     self.of_send(ctx, OfMessage::EchoRequest(Vec::new()));
-                    self.router_session.send_keepalive();
-                    self.pump_router(ctx);
+                    self.router.session.send_keepalive();
+                    self.router.pump(ctx);
                     ctx.set_timer_after(iv, TIMER_ECHO);
                 }
             }
-            TimerToken(t) if t >= PEER_TIMER_BASE => {
-                let idx = ((t - PEER_TIMER_BASE) / PEER_TIMER_STRIDE) as usize;
-                if idx >= self.peers.len() {
+            _ => {
+                let Some((id, kind)) = LinkId::of_timer(token) else {
+                    return;
+                };
+                if matches!(id, LinkId::Peer(idx) if idx >= self.peers.len()) {
                     return;
                 }
-                match (t - PEER_TIMER_BASE) % PEER_TIMER_STRIDE {
-                    PEER_TIMER_CHANNEL => self.peers[idx].chan.on_timer(ctx),
-                    PEER_TIMER_SESSION => {
-                        self.peers[idx].session_wakeup.fired(ctx.now());
-                        let events = self.peers[idx].session.poll(ctx.now());
-                        self.handle_peer_session_events(idx, events, ctx);
-                        self.pump_peer(idx, ctx);
+                match (id, kind) {
+                    (_, LINK_TIMER_CHANNEL) => self.bgp(id).chan.on_timer(ctx),
+                    (_, LINK_TIMER_SESSION) => {
+                        let events = self.bgp(id).on_session_timer(ctx.now());
+                        self.on_session_events(id, events, ctx);
                     }
-                    PEER_TIMER_BFD => {
+                    (LinkId::Peer(idx), PEER_TIMER_BFD) => {
                         self.peers[idx].bfd_wakeup.fired(ctx.now());
                         self.pump_bfd(idx, ctx);
                     }
                     _ => {}
                 }
             }
-            _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Encode everything `session` has queued into `chan`, unflushed, each
-/// message straight into a recycled channel buffer.
-fn drain(session: &mut Session, chan: &mut ChannelPort) {
-    while let Some(msg) = session.poll_transmit() {
-        let mut buf = chan.take_buffer();
-        msg.encode_into(&mut buf);
-        chan.send(buf);
-    }
-}
-
-/// Queue `update` on `session` and encode it into `chan` at once (the
-/// streamed table walks): the channel's next flush sends it as it would
-/// have sent the whole queue.
-fn send_update(session: &mut Session, chan: &mut ChannelPort, update: UpdateMsg) {
-    session.queue_update(update);
-    drain(session, chan);
-}
-
-/// Drive a BGP session with one event of the channel that carries it.
-#[allow(
-    clippy::disallowed_types,
-    reason = "the controller still drives channels directly; see ROADMAP item 14 (`Peering`, sans-io)"
-)]
-fn pump_session(
-    session: &mut Session,
-    ev: ChannelEvent<'_>,
-    now: SimTime,
-    out: &mut Vec<SessionEvent>,
-) {
-    match ev {
-        ChannelEvent::Connected => session.start(now),
-        ChannelEvent::Delivered(bytes) => {
-            if let Ok(msg) = BgpMessage::decode(bytes) {
-                out.extend(session.on_message(msg, now));
-            }
-        }
-        ChannelEvent::PeerClosed => out.extend(session.stop(DownReason::AdminDown)),
     }
 }

@@ -513,7 +513,7 @@ impl Engine {
     /// speakers pack NLRI, the actions in between not ending the run;
     /// the batch's withdrawals follow every announcement. The streamed
     /// UPDATE path and repair pack the same way, through the same
-    /// [`RouterFeed`].
+    /// `RouterFeed`.
     pub fn pack_for_router(actions: &[EngineAction]) -> Vec<UpdateMsg> {
         let mut out = Vec::new();
         let mut push = |msg| out.push(msg);

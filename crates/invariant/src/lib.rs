@@ -16,7 +16,7 @@
 //!
 //! Three layers:
 //!
-//! * [`walk`] — the pure core: a [`walk::ForwardingView`] trait (one
+//! * [`walk`](mod@walk) — the pure core: a [`walk::ForwardingView`] trait (one
 //!   hop in, next hops out) and a tri-color DFS that traces every
 //!   branch, detects cycles, and always terminates — property-testable
 //!   without a simulator.

@@ -22,7 +22,6 @@ use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, EthernetRepr, UdpDatagram};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::mem::take;
 
@@ -797,14 +796,6 @@ impl Node for OfSwitch {
         };
         send_to_controllers(&mut self.controllers, &mut self.xid_counter, ctx, &msg);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -938,7 +929,6 @@ mod tests {
         use super::*;
         use sc_net::wire::UdpEndpoints;
         use sc_sim::{LinkParams, NodeId, World};
-        use std::any::Any;
 
         const HOSTS: usize = 3;
         /// Unicast addresses the probes come from and go to, and rules
@@ -969,12 +959,6 @@ mod tests {
                 for frame in self.outbox.drain(..) {
                     ctx.send_frame(PortId(0), frame);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -1010,12 +994,6 @@ mod tests {
             }
             fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
                 self.sw.on_timer(ctx, token);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

@@ -8,7 +8,6 @@ use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::OfMessage;
 use sc_openflow::{OfSwitch, SwitchConfig};
 use sc_sim::{ChannelPort, Ctx, LinkId, LinkParams, Node, NodeId, PortId, TimerToken, World};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------- stubs
@@ -50,12 +49,6 @@ impl Node for Host {
         let idx = (token.0 - 100) as usize;
         let (_, port, frame) = self.script[idx].clone();
         ctx.send_frame(port, frame);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -126,12 +119,6 @@ impl Node for StubController {
         chan.send(msg.encode(xid));
         chan.flush(ctx);
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 // ------------------------------------------------------------- builders
@@ -156,12 +143,15 @@ pub struct Lab {
 }
 
 pub fn build() -> Lab {
-    build_around(|switch| switch)
+    build_around(|switch| switch, |switch| switch)
 }
 
-/// [`build`] with the switch inside a node of the caller's, which must
-/// hand out the [`OfSwitch`] as its `as_any`/`as_any_mut`.
-pub fn build_around<N: Node>(wrap: impl FnOnce(OfSwitch) -> N) -> Lab {
+/// [`build`] with the switch inside a node of the caller's: `wrap` puts
+/// it there and `inner` reaches it again.
+pub fn build_around<N: Node>(
+    wrap: impl FnOnce(OfSwitch) -> N,
+    inner: impl FnOnce(&mut N) -> &mut OfSwitch,
+) -> Lab {
     let mut world = World::new(42);
     let sw = world.add_node(wrap(OfSwitch::new(SwitchConfig::paper_defaults(
         "hp-e3800",
@@ -186,7 +176,7 @@ pub fn build_around<N: Node>(wrap: impl FnOnce(OfSwitch) -> N) -> Lab {
     world.node_mut::<StubController>(ctrl).chan =
         Some(ChannelPort::connect(ctrl_addr, ctrl_port, TimerToken(1)));
     {
-        let sw_node = world.node_mut::<OfSwitch>(sw);
+        let sw_node = inner(world.node_mut::<N>(sw));
         sw_node.register_data_port(sw_port_a);
         sw_node.register_data_port(sw_port_b);
         sw_node.register_data_port(sw_port_c);

@@ -18,7 +18,6 @@ use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch, OfSwitch};
 use sc_sim::{Ctx, Node, PortId, TimerToken};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::any::Any;
 use std::cell::Cell;
 
 thread_local! {
@@ -94,12 +93,6 @@ impl Node for Metered {
     fn on_link_status(&mut self, ctx: &mut Ctx, port: PortId, up: bool) {
         self.0.on_link_status(ctx, port, up);
     }
-    fn as_any(&self) -> &dyn Any {
-        self.0.as_any()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self.0.as_any_mut()
-    }
 }
 
 /// A supercharged probe's hop: it matches the backup-group's rule, gets
@@ -107,7 +100,7 @@ impl Node for Metered {
 #[test]
 fn matched_packets_allocate_nothing_in_the_switch() {
     const PACKETS: usize = 1_000;
-    let mut lab = build_around(Metered);
+    let mut lab = build_around(Metered, |m| &mut m.0);
     let vmac = MacAddr::virtual_mac(1);
     lab.world.node_mut::<StubController>(lab.ctrl).script = vec![(
         SimTime::from_millis(1),
@@ -151,7 +144,7 @@ fn matched_packets_allocate_nothing_in_the_switch() {
         let d = peek_udp_frame(frame).unwrap().unwrap();
         assert_eq!(d.eth.dst, MAC_B, "rewritten on the way");
     }
-    let switch = lab.world.node::<OfSwitch>(lab.sw);
+    let switch = &lab.world.node::<Metered>(lab.sw).0;
     assert_eq!(switch.stats.dropped, 0);
     assert_eq!(
         in_switch, 0,

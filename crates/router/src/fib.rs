@@ -22,7 +22,7 @@
 //! Churn offers ops some thirty times faster than the modelled hardware
 //! writes them, so the queue runs a million ops deep, but most of those
 //! ops repeat: every churn cycle re-sends the same UPDATEs. So the walker
-//! stores each burst's ops once, packed ([`PackedOp`], 8 bytes: prefix
+//! stores each burst's ops once, packed (`PackedOp`, 8 bytes: prefix
 //! bits, length, and a 2-byte index into the walker's table of next hops,
 //! rather than the 16-byte [`FibOp`] callers hand in and get back), and
 //! queues *runs*, stretches of that store. A burst equal to a stored one

@@ -30,7 +30,6 @@ use sc_net::wire::{
 };
 use sc_net::{Frame, Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TIMER_WALKER: TimerToken = TimerToken(0);
@@ -143,38 +142,17 @@ pub struct RouterConfig {
     pub cal: Calibration,
 }
 
-/// Observable events, for tests and experiment drivers.
+/// Timestamped router events that tests and experiment drivers read.
+/// The trace, the metrics and the degraded log record the rest.
 #[derive(Clone, PartialEq, Debug)]
 pub enum RouterEvent {
-    PeerUp(Ipv4Addr),
     /// A session left Established, with why: BFD-triggered dataplane
     /// failure ([`DownReason::BfdDown`]) is distinguishable from admin
     /// shutdown, hold-timer expiry, and received NOTIFICATIONs.
-    PeerDown {
-        peer: Ipv4Addr,
-        reason: DownReason,
-    },
+    PeerDown { peer: Ipv4Addr, reason: DownReason },
     /// The Adj-RIB-Out was (re-)announced over a freshly Established
     /// session; one event per establishment.
-    FeedAnnounced {
-        peer: Ipv4Addr,
-        messages: usize,
-    },
-    /// Every controller-marked session is down: the router stopped
-    /// waiting on the supercharger and the legacy path owns the FIB.
-    DegradedEnter,
-    /// A controller session re-established; supercharging resumes.
-    DegradedExit,
-    /// A non-controller peer died while controller routes still owned
-    /// the FIB: the router installed fallback next-hops over them
-    /// without tearing the controller sessions down (the controller may
-    /// be healthy and about to repair the data plane itself — or dead,
-    /// in which case waiting for the liveness deadline would concede
-    /// the race legacy BGP wins at BFD speed).
-    FallbackOverrideEnter,
-    /// Fresh controller liveness evidence arrived (or degradation made
-    /// the override moot): controller routes own the FIB again.
-    FallbackOverrideExit,
+    FeedAnnounced { peer: Ipv4Addr, messages: usize },
 }
 
 /// The router's forwarding decision for a transit IPv4 packet
@@ -251,7 +229,8 @@ pub struct LegacyRouter {
     /// after it pushes nothing.
     walker_wakeup: Wakeup,
     arp: ArpClient,
-    arp_timer_armed: bool,
+    /// ARP's retry tick, armed a second out while requests are pending.
+    arp_wakeup: Wakeup,
     /// The dst-IP → (out-port, rewritten MAC) memo consulted before the
     /// LPM trie; see [`crate::flowcache`] for the invalidation rules.
     flow_cache: FlowCache,
@@ -290,7 +269,7 @@ impl LegacyRouter {
             walker: FibWalker::new(cal, jitter_seed),
             walker_wakeup: Wakeup::new(TIMER_WALKER),
             arp: ArpClient::new(),
-            arp_timer_armed: false,
+            arp_wakeup: Wakeup::new(TIMER_ARP),
             flow_cache: FlowCache::new(),
             ops_buf: Vec::new(),
             walker_batch_buf: Vec::new(),
@@ -321,11 +300,6 @@ impl LegacyRouter {
     pub fn add_static_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         self.arp.add_static(ip, mac);
         self.flow_cache.invalidate_next_hop(ip);
-    }
-
-    /// The forwarding flow cache (hit/invalidation counters).
-    pub fn flow_cache(&self) -> &FlowCache {
-        &self.flow_cache
     }
 
     /// Configure a BGP peer. Must be called before the world starts.
@@ -494,12 +468,6 @@ impl LegacyRouter {
             .map(|p| p.adj_out.len())
     }
 
-    /// Is the router degraded right now (all controller-marked sessions
-    /// down after supercharging had been in force)?
-    pub fn degraded(&self) -> bool {
-        self.degraded_since.is_some()
-    }
-
     /// Every degraded interval so far, the currently open one capped at
     /// `now`. The runner intersects these with cycle windows for the
     /// per-cycle `degraded_us` column.
@@ -526,12 +494,6 @@ impl LegacyRouter {
             }
         }
         any
-    }
-
-    /// Is the FIB shadow override in force (fallback next-hops installed
-    /// over still-present controller routes)?
-    pub fn fib_shadow(&self) -> bool {
-        self.fib_shadow
     }
 
     /// Any controller-marked session currently Established.
@@ -606,7 +568,6 @@ impl LegacyRouter {
         }
         self.fib_shadow = true;
         self.shadow_overridden = overridden;
-        self.events.push((now, RouterEvent::FallbackOverrideEnter));
         ctx.metrics().inc("router.shadow_enters");
         ctx.trace_instant(
             "bgp",
@@ -645,7 +606,6 @@ impl LegacyRouter {
                 })
             })
             .collect();
-        self.events.push((now, RouterEvent::FallbackOverrideExit));
         ctx.trace_instant("bgp", "shadow.exit", 0, ops.len() as u64, || {
             format!("fallback override lifted: {} prefixes", ops.len())
         });
@@ -708,10 +668,8 @@ impl LegacyRouter {
     }
 
     fn arm_arp_timer(&mut self, ctx: &mut Ctx) {
-        if !self.arp_timer_armed && self.arp.pending_count() > 0 {
-            self.arp_timer_armed = true;
-            ctx.set_timer_after(SimDuration::from_secs(1), TIMER_ARP);
-        }
+        let retry = (self.arp.pending_count() > 0).then(|| ctx.now() + SimDuration::from_secs(1));
+        self.arp_wakeup.arm(ctx, retry);
     }
 
     fn send_arp_request(&mut self, ctx: &mut Ctx, iface_idx: usize, target: Ipv4Addr) {
@@ -853,11 +811,9 @@ impl LegacyRouter {
                             // session; normal UPDATE processing resyncs
                             // the RIB from there.
                             self.degraded_log.push((since, ctx.now()));
-                            self.events.push((ctx.now(), RouterEvent::DegradedExit));
                             ctx.trace_instant("bgp", "degraded.exit", 0, 0, String::new);
                         }
                     }
-                    self.events.push((ctx.now(), RouterEvent::PeerUp(peer_ip)));
                     self.peers[idx].last_heard = ctx.now();
                     self.arm_peer_deadline(idx, ctx);
                     ctx.trace_instant("bgp", "session.up", idx as u64, 0, || {
@@ -1022,7 +978,6 @@ impl LegacyRouter {
             && self.controller_sessions_all_down()
         {
             self.degraded_since = Some(ctx.now());
-            self.events.push((ctx.now(), RouterEvent::DegradedEnter));
             ctx.metrics().inc("router.degraded_enters");
             ctx.trace_instant("bgp", "degraded.enter", 0, 0, String::new);
             if self.fib_shadow {
@@ -1031,8 +986,6 @@ impl LegacyRouter {
                 // to revert — just retire the shadow bookkeeping.
                 self.fib_shadow = false;
                 self.shadow_overridden.clear();
-                self.events
-                    .push((ctx.now(), RouterEvent::FallbackOverrideExit));
             }
         }
         // A degraded recompute quarantines BFD-quiet next-hops: a
@@ -1399,7 +1352,7 @@ impl Node for LegacyRouter {
                 self.arm_walker(ctx);
             }
             TIMER_ARP => {
-                self.arp_timer_armed = false;
+                self.arp_wakeup.fired(ctx.now());
                 for target in self.arp.retries_due(ctx.now()) {
                     if let Some(iface_idx) = self.iface_for_nexthop(target) {
                         self.send_arp_request(ctx, iface_idx, target);
@@ -1434,14 +1387,6 @@ impl Node for LegacyRouter {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1495,7 +1440,6 @@ mod tests {
         use proptest::prelude::*;
         use sc_net::wire::udp_frame;
         use sc_sim::{LinkParams, NodeId, World};
-        use std::any::Any;
 
         const IP_R1: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
         const IP_R2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -1558,12 +1502,6 @@ mod tests {
                 for frame in self.outbox.drain(..) {
                     ctx.send_frame(PortId(0), frame);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -1795,7 +1733,6 @@ mod tests {
         use proptest::prelude::*;
         use sc_net::wire::udp_frame;
         use sc_sim::{LinkParams, NodeId, World};
-        use std::any::Any;
 
         const HOSTS: usize = 3;
         const LATENCY: SimDuration = SimDuration::from_micros(10);
@@ -1854,12 +1791,6 @@ mod tests {
                     ctx.send_frame(PortId(0), frame);
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         /// A frame as it leaves: port, source MAC, destination MAC.
@@ -1897,12 +1828,6 @@ mod tests {
             }
             fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
                 self.router.on_timer(ctx, token);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

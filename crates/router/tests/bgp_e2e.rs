@@ -13,7 +13,6 @@ use sc_net::{Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_openflow::{OfSwitch, SwitchConfig};
 use sc_router::{Calibration, Interface, LegacyRouter, PeerConfig, RouterConfig, StaticRoute};
 use sc_sim::{Ctx, LinkParams, Node, NodeId, PortId, TimerToken, World};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------- MACs/IPs
@@ -76,12 +75,6 @@ impl Node for Host {
         let (_, frame) = self.script[token.0 as usize].clone();
         let port = self.port;
         ctx.send_frame(port, frame);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -5,7 +5,7 @@
 //! * propagation **latency** (fixed),
 //! * optional **bandwidth**: serialization delay plus FIFO queueing per
 //!   direction (`busy_until` bookkeeping), charged per byte without a
-//!   division (see [`Link::schedule_arrival`]),
+//!   division (see `Link::schedule_arrival`),
 //! * fault injection: probabilistic **loss** and byte **corruption**
 //!   (the corrupted frame is still delivered — receivers must detect it
 //!   via checksums, which is exactly what the wire formats do).

@@ -140,11 +140,6 @@ impl ChannelPort {
         self.rto.fired(ctx.now());
         self.flush(ctx);
     }
-
-    /// Access to the underlying endpoint (state, stats).
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.ep
-    }
 }
 
 /// A new transport endpoint with the default [`ChannelConfig`]: an
@@ -166,7 +161,6 @@ mod tests {
     use crate::world::World;
     use sc_net::wire::peek_udp_frame;
     use sc_net::MacAddr;
-    use std::any::Any;
 
     /// A node that reliably sends `to_send` messages to its peer and
     /// records everything it receives.
@@ -227,12 +221,6 @@ mod tests {
             if token == chan.timer() {
                 chan.on_timer(ctx);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

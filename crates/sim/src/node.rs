@@ -199,8 +199,9 @@ impl<'a> Ctx<'a> {
 
 /// A device attached to the simulated network.
 ///
-/// Implementations must be `'static` so the kernel can own them and tests
-/// can downcast via [`Node::as_any`].
+/// Implementations must be `'static` so the kernel can own them, and
+/// drivers reach a node's concrete type through [`crate::World::node`],
+/// which downcasts by trait upcasting (`&dyn Node` to `&dyn Any`).
 pub trait Node: Any {
     /// Human-readable name for traces and panics.
     fn name(&self) -> &str;
@@ -222,8 +223,19 @@ pub trait Node: Any {
     /// detection path is BFD instead, so most nodes ignore this.
     fn on_link_status(&mut self, _ctx: &mut Ctx, _port: PortId, _up: bool) {}
 
-    /// Downcast support for inspection from tests and experiment drivers.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Unused by the kernel, which upcasts instead; provided so that
+    /// implementations written against the old trait still compile.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+    /// As [`Node::as_any`], mutably.
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }

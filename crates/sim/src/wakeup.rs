@@ -27,6 +27,10 @@
 //! or before `next_wakeup()`, so the owner's pump runs at exactly every
 //! deadline instant; and every timer pushed is either the first after
 //! a live fire or answers a move-earlier or a reset.
+//!
+//! A one-shot delay that later requests must not push out (the
+//! controller's reaction delay, R1's ARP retry tick) is the same
+//! discipline with `arm(now + delay)`: a later deadline arms nothing.
 
 use crate::node::{Ctx, TimerToken};
 use sc_net::SimTime;

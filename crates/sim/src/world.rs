@@ -18,6 +18,7 @@ use crate::sched::TimerWheel;
 use crate::trace::Trace;
 use sc_net::metrics::Registry;
 use sc_net::{Frame, SimDuration, SimTime};
+use std::any::Any;
 
 /// Bits of each origin key holding the per-stream counter; the stream
 /// id lives above them. 2^44 events per stream and 2^20 streams are
@@ -368,17 +369,15 @@ impl World {
     /// Immutable typed access to a node (panics on wrong type — that is
     /// a bug in the experiment driver, not a runtime condition).
     pub fn node<T: Node>(&self, id: NodeId) -> &T {
-        self.objs[id.0]
-            .as_any()
-            .downcast_ref::<T>()
+        let node: &dyn Any = &*self.objs[id.0];
+        node.downcast_ref::<T>()
             .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
     }
 
     /// Mutable typed access to a node.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        self.objs[id.0]
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let node: &mut dyn Any = &mut *self.objs[id.0];
+        node.downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {} is not a {}", id, std::any::type_name::<T>()))
     }
 
@@ -650,7 +649,6 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::any::Any;
 
     /// A node that echoes every frame back out the same port after a
     /// configurable delay and counts what it saw.
@@ -698,12 +696,6 @@ mod tests {
         fn on_link_status(&mut self, _ctx: &mut Ctx, port: PortId, up: bool) {
             self.link_events.push((port, up));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// A node that fires a frame at start and re-arms a periodic timer.
@@ -731,12 +723,6 @@ mod tests {
             if self.ticks < self.max_ticks {
                 ctx.set_timer_after(self.period, TimerToken(1));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -889,6 +875,35 @@ mod tests {
         // The replacement observed the carrier-return edge of its own
         // revival (links come back up as part of the restart).
         assert_eq!(w.node::<Echo>(b).link_events, vec![(PortId(0), true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node n0 is not a")]
+    fn node_of_the_wrong_type_panics() {
+        let mut w = World::new(12);
+        let a = w.add_node(Echo::new("echo", SimDuration::ZERO));
+        w.node::<Ticker>(a);
+    }
+
+    #[test]
+    fn node_mut_reaches_the_replacement_after_a_restart() {
+        let mut w = World::new(13);
+        let a = w.add_node(Echo::new("first", SimDuration::ZERO));
+        w.node_mut::<Echo>(a).link_events.push((PortId(0), false));
+        w.crash_node(a);
+        w.restart_node(
+            a,
+            Ticker {
+                name: "second".into(),
+                period: SimDuration::from_millis(1),
+                ticks: 0,
+                max_ticks: 0,
+                out_port: PortId(0),
+            },
+        );
+        w.node_mut::<Ticker>(a).ticks = 7;
+        let t = w.node::<Ticker>(a);
+        assert_eq!((t.name.as_str(), t.ticks), ("second", 7));
     }
 
     #[test]
@@ -1069,12 +1084,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Ctx, _: TimerToken) {
                 ctx.set_timer_after(SimDuration::from_nanos(1), TimerToken(0));
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut w = World::new(8);
         w.add_node(Forever);
@@ -1219,12 +1228,6 @@ mod tests {
                     ctx.set_timer_after(SimDuration::from_micros(20), TimerToken(0));
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut w = World::new(42);
         let src = w.add_node(Burst { round: 1 });
@@ -1319,12 +1322,6 @@ mod tests {
                     ctx.set_timer_at(SimTime::from_micros(15), TimerToken(99));
                     self.seen.push((ctx.now(), ctx.horizon()));
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut w = World::new(1);

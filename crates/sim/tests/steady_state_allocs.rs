@@ -10,7 +10,6 @@
 use sc_net::{Frame, SimDuration, SimTime};
 use sc_sim::{Ctx, LinkParams, Node, PortId, TimerToken, World};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::any::Any;
 use std::cell::Cell;
 
 thread_local! {
@@ -95,12 +94,6 @@ impl Node for Bounce {
     fn on_timer(&mut self, ctx: &mut Ctx, _token: TimerToken) {
         ctx.send_frame(PortId(0), vec![0u8; 64]);
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The ledger's bare-event world: two nodes bouncing one frame.
@@ -142,12 +135,6 @@ impl Node for Source {
         ctx.send_frame(PortId(0), self.templates[token.0 as usize].clone());
         ctx.set_timer_after(SimDuration::from_micros(FLOWS), token);
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Passes each frame from its port 0 (upstream) to its port 1.
@@ -159,12 +146,6 @@ impl Node for Forward {
     }
     fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: Frame) {
         ctx.send_frame(PortId(1), frame);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -179,12 +160,6 @@ impl Node for Sink {
     }
     fn on_frame(&mut self, _ctx: &mut Ctx, _port: PortId, _frame: Frame) {
         self.received += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -17,7 +17,6 @@ use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{peek_udp_frame, udp_frame, UdpDatagram, UdpEndpoints};
 use sc_net::{Frame, FxHashMap, Ipv4Addr, MacAddr, SimDuration, SimTime};
 use sc_sim::{Ctx, Node, PortId, TimerToken};
-use std::any::Any;
 
 const TIMER_TICK: TimerToken = TimerToken(1);
 
@@ -213,13 +212,6 @@ impl Node for TrafficSource {
             ctx.set_timer_at(next, TIMER_TICK);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Per-flow measurement state.
@@ -383,13 +375,6 @@ impl Node for TrafficSink {
             f.max_gap_end = Some(now);
         }
         f.last_arrival = Some(now);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
