@@ -778,9 +778,9 @@ mod tests {
     const R2: PeerId = Ipv4Addr::new(10, 0, 0, 2);
     const R3: PeerId = Ipv4Addr::new(10, 0, 0, 3);
     const R4: PeerId = Ipv4Addr::new(10, 0, 0, 4);
-    const MAC_R2: MacAddr = MacAddr([2, 0, 0, 0, 0, 2]);
-    const MAC_R3: MacAddr = MacAddr([2, 0, 0, 0, 0, 3]);
-    const MAC_R4: MacAddr = MacAddr([2, 0, 0, 0, 0, 4]);
+    const MAC_R2: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 2]);
+    const MAC_R3: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 3]);
+    const MAC_R4: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 4]);
 
     fn spec(id: PeerId, mac: MacAddr, port: u16, lp: u32) -> PeerSpec {
         PeerSpec {
@@ -1323,7 +1323,7 @@ mod tests {
                 RouteAttrs::ebgp(path, R2).shared(),
                 RouteAttrs::ebgp(AsPath::sequence(vec![65003]), R3).shared(),
             ];
-            let vmac = MacAddr([2, 0xaa, 0, 0, 0, 1]);
+            let vmac = MacAddr::from_octets([2, 0xaa, 0, 0, 0, 1]);
             let mut key = 0usize;
             let actions: Vec<EngineAction> = steps
                 .iter()

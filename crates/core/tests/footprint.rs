@@ -162,7 +162,7 @@ fn two_candidates_and_owner_state_fit_their_budget() {
         let specs = (1..=2u8)
             .map(|n| PeerSpec {
                 id: peer(n),
-                mac: MacAddr([2, 0, 0, 0, 0, n]),
+                mac: MacAddr::from_octets([2, 0, 0, 0, 0, n]),
                 switch_port: n as u16,
                 local_pref: 100 * n as u32,
                 router_id: peer(n),
@@ -217,7 +217,7 @@ fn fig4_engine() -> Engine {
     let specs = (1..=2u8)
         .map(|n| PeerSpec {
             id: peer(n),
-            mac: MacAddr([2, 0, 0, 0, 0, n]),
+            mac: MacAddr::from_octets([2, 0, 0, 0, 0, n]),
             switch_port: n as u16,
             local_pref: 100 * n as u32,
             router_id: peer(n),

@@ -40,7 +40,7 @@ fn config(n_peers: usize) -> EngineConfig {
         (0..n_peers)
             .map(|i| PeerSpec {
                 id: peer(i),
-                mac: MacAddr([2, 7, 0, 0, 0, i as u8 + 1]),
+                mac: MacAddr::from_octets([2, 7, 0, 0, 0, i as u8 + 1]),
                 switch_port: i as u16 + 1,
                 local_pref: 100, // rank by attributes + tiebreaks
                 router_id: peer(i),

@@ -173,8 +173,8 @@ mod tests {
         Hop {
             node: NodeId(node),
             in_port: PortId(0),
-            src_mac: MacAddr([0; 6]),
-            dst_mac: MacAddr([1; 6]),
+            src_mac: MacAddr::from_octets([0; 6]),
+            dst_mac: MacAddr::from_octets([1; 6]),
         }
     }
 

@@ -37,19 +37,19 @@ pub const IP_R3: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 pub const IP_SWITCH: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 20);
 pub const IP_SOURCE: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 
-pub const MAC_R1: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 1]);
-pub const MAC_R2: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 2]);
-pub const MAC_R3: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 3]);
-pub const MAC_SWITCH: MacAddr = MacAddr([0x02, 0xee, 0, 0, 0, 1]);
-pub const MAC_SOURCE: MacAddr = MacAddr([0x02, 0xaa, 0, 0, 0, 1]);
-pub const MAC_SINK: MacAddr = MacAddr([0x02, 0xbb, 0, 0, 0, 1]);
+pub const MAC_R1: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 1]);
+pub const MAC_R2: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 2]);
+pub const MAC_R3: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 3]);
+pub const MAC_SWITCH: MacAddr = MacAddr::from_octets([0x02, 0xee, 0, 0, 0, 1]);
+pub const MAC_SOURCE: MacAddr = MacAddr::from_octets([0x02, 0xaa, 0, 0, 0, 1]);
+pub const MAC_SINK: MacAddr = MacAddr::from_octets([0x02, 0xbb, 0, 0, 0, 1]);
 
 pub fn controller_ip(i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, 10 + i as u8)
 }
 
 pub fn controller_mac(i: usize) -> MacAddr {
-    MacAddr([0x02, 0xcc, 0, 0, 0, i as u8 + 1])
+    MacAddr::from_octets([0x02, 0xcc, 0, 0, 0, i as u8 + 1])
 }
 
 /// Which half of Fig. 5 to build.

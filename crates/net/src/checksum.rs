@@ -2,23 +2,38 @@
 
 use std::net::Ipv4Addr;
 
-/// One's-complement sum of 16-bit words, with odd trailing byte padded
-/// with zero, returned *before* final complement.
-fn sum(data: &[u8], mut acc: u32) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+/// One's-complement sum of `data` read as big-endian 32-bit words, an
+/// odd tail padded with zero, returned *before* the final fold and
+/// complement. A 32-bit word is two 16-bit words whose carries are
+/// deferred into the upper half of the 64-bit accumulator and folded
+/// back once at the end (RFC 1071 §2, "deferred carries"); `data` must
+/// start at an even offset of the checksummed stream.
+#[inline]
+fn sum(data: &[u8], mut acc: u64) -> u64 {
+    let (words, tail) = data.as_chunks::<4>();
+    for w in words {
+        acc += u64::from(u32::from_be_bytes(*w));
     }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    acc
+    // Spelled out, not copied into a zeroed word: a variable-length
+    // copy is a `memcpy` call and a store-forwarding stall.
+    let last = match *tail {
+        [a] => [a, 0, 0, 0],
+        [a, b] => [a, b, 0, 0],
+        [a, b, c] => [a, b, c, 0],
+        _ => [0; 4],
+    };
+    acc + u64::from(u32::from_be_bytes(last))
 }
 
-fn fold(mut acc: u32) -> u16 {
-    while acc > 0xffff {
-        acc = (acc & 0xffff) + (acc >> 16);
-    }
+/// Fold a 64-bit sum to 16 bits with end-around carries. Two folds take
+/// it to 32 bits (the first leaves at most `2^32 - 1 + (acc >> 32)`, the
+/// second at most `2^32 - 1`), two more to 16.
+#[inline]
+fn fold(acc: u64) -> u16 {
+    let acc = (acc & 0xffff_ffff) + (acc >> 32);
+    let acc = (acc & 0xffff_ffff) + (acc >> 32);
+    let acc = (acc & 0xffff) + (acc >> 16);
+    let acc = (acc & 0xffff) + (acc >> 16);
     acc as u16
 }
 
@@ -30,6 +45,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 
 /// Verify data that *includes* its checksum field: valid iff the folded
 /// sum is `0xffff`.
+#[inline]
 pub fn is_valid(data: &[u8]) -> bool {
     fold(sum(data, 0)) == 0xffff
 }
@@ -37,14 +53,12 @@ pub fn is_valid(data: &[u8]) -> bool {
 /// Folded (uncomplemented) one's-complement sum over the IPv4
 /// pseudo-header plus the UDP segment. For a segment that *includes* a
 /// correct checksum field this returns `0xffff` — the validation form.
+#[inline]
 pub fn udp_checksum_raw(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
-    let mut acc = 0u32;
-    acc = sum(&src.octets(), acc);
-    acc = sum(&dst.octets(), acc);
+    let mut acc = u64::from(src.to_bits()) + u64::from(dst.to_bits());
     acc += 17; // protocol = UDP
-    acc += segment.len() as u32;
-    acc = sum(segment, acc);
-    fold(acc)
+    acc += segment.len() as u64;
+    fold(sum(segment, acc))
 }
 
 /// UDP checksum over the IPv4 pseudo-header plus the UDP header+payload
@@ -62,6 +76,67 @@ pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// RFC 1071 §1 taken literally: add the bytes pair by pair as
+    /// 16-bit big-endian words (an odd last byte padded with zero), and
+    /// fold the carry back in after every addition.
+    fn reference_sum(acc: u16, data: &[u8]) -> u16 {
+        let mut acc = u32::from(acc);
+        for pair in data.chunks(2) {
+            acc += (u32::from(pair[0]) << 8) | u32::from(pair.get(1).copied().unwrap_or(0));
+            if acc > 0xffff {
+                acc -= 0xffff;
+            }
+        }
+        acc as u16
+    }
+
+    /// The reference sum over RFC 768's pseudo-header and `segment`.
+    fn reference_udp_sum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
+        let mut pseudo = [0u8; 12];
+        pseudo[..4].copy_from_slice(&src.octets());
+        pseudo[4..8].copy_from_slice(&dst.octets());
+        pseudo[9] = 17;
+        pseudo[10..].copy_from_slice(&(segment.len() as u16).to_be_bytes());
+        reference_sum(reference_sum(0, &pseudo), segment)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-wise sum agrees with the byte-wise reference on
+        /// every entry point, at every length and parity.
+        #[test]
+        fn word_sum_equals_bytewise_reference(
+            data in vec(any::<u8>(), 0..=1600),
+            src in any::<u32>(),
+            dst in any::<u32>(),
+        ) {
+            let (src, dst) = (Ipv4Addr::from_bits(src), Ipv4Addr::from_bits(dst));
+            let sum = reference_sum(0, &data);
+            prop_assert_eq!(checksum(&data), !sum);
+            prop_assert_eq!(is_valid(&data), sum == 0xffff);
+            let raw = reference_udp_sum(src, dst, &data);
+            prop_assert_eq!(udp_checksum_raw(src, dst, &data), raw);
+            let expect = if !raw == 0 { 0xffff } else { !raw };
+            prop_assert_eq!(udp_checksum(src, dst, &data), expect);
+        }
+
+        /// Data that carries its own checksum validates, as `is_valid`
+        /// and as the reference: the valid side of `is_valid`, which
+        /// random data almost never reaches.
+        #[test]
+        fn data_with_its_checksum_is_valid(mut data in vec(any::<u8>(), 2..=1600)) {
+            let at = (data.len() / 2) & !1;
+            data[at..at + 2].fill(0);
+            let c = checksum(&data);
+            data[at..at + 2].copy_from_slice(&c.to_be_bytes());
+            prop_assert!(is_valid(&data));
+            prop_assert_eq!(reference_sum(0, &data), 0xffff);
+        }
+    }
 
     #[test]
     fn rfc1071_example() {

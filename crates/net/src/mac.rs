@@ -10,23 +10,30 @@ use std::fmt;
 use std::str::FromStr;
 
 /// A 48-bit Ethernet MAC address.
+///
+/// The six octets are packed big-endian into the low 48 bits of a word,
+/// so the derived `Ord` is octet order and every per-hop copy, compare
+/// and hash is one register operation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct MacAddr(pub [u8; 6]);
+pub struct MacAddr(u64);
 
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
+    pub const BROADCAST: MacAddr = MacAddr::from_octets([0xff; 6]);
     /// The all-zero address (invalid as a source; used as "unset").
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
+    pub const ZERO: MacAddr = MacAddr(0);
 
-    /// Construct from the six octets.
-    pub const fn new(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8) -> Self {
-        MacAddr([a, b, c, d, e, f])
+    /// Construct from the six octets, first on the wire first.
+    pub const fn from_octets(o: [u8; 6]) -> Self {
+        MacAddr(u64::from_be_bytes([
+            0, 0, o[0], o[1], o[2], o[3], o[4], o[5],
+        ]))
     }
 
     /// The raw octets.
     pub const fn octets(self) -> [u8; 6] {
-        self.0
+        let b = self.0.to_be_bytes();
+        [b[2], b[3], b[4], b[5], b[6], b[7]]
     }
 
     /// True for the broadcast address.
@@ -37,7 +44,7 @@ impl MacAddr {
     /// True if the group bit (I/G, least-significant bit of the first
     /// octet) is set — broadcast or multicast.
     pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
+        (self.0 >> 40) & 0x01 != 0
     }
 
     /// True for unicast (neither broadcast nor multicast).
@@ -48,8 +55,11 @@ impl MacAddr {
     /// True if the locally-administered bit (U/L, second-least-significant
     /// bit of the first octet) is set. All VMACs are locally administered.
     pub fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
+        (self.0 >> 40) & 0x02 != 0
     }
+
+    /// The `02:5c:` ("sc") prefix of every VMAC, in the top two octets.
+    const VMAC_PREFIX: u64 = 0x025c << 32;
 
     /// Build the `index`-th virtual MAC: locally-administered unicast,
     /// `02:5c:` ("sc") prefix, with the index in the low 32 bits.
@@ -58,37 +68,29 @@ impl MacAddr {
     /// it supports 2^32 distinct backup-groups, far more than the
     /// `n(n-1)` any real deployment needs.
     pub const fn virtual_mac(index: u32) -> MacAddr {
-        let i = index.to_be_bytes();
-        MacAddr([0x02, 0x5c, i[0], i[1], i[2], i[3]])
+        MacAddr(Self::VMAC_PREFIX | index as u64)
     }
 
     /// If this address is a VMAC produced by [`MacAddr::virtual_mac`],
     /// return its index.
     pub fn virtual_index(self) -> Option<u32> {
-        if self.0[0] == 0x02 && self.0[1] == 0x5c {
-            Some(u32::from_be_bytes([
-                self.0[2], self.0[3], self.0[4], self.0[5],
-            ]))
-        } else {
-            None
-        }
+        (self.0 >> 32 == Self::VMAC_PREFIX >> 32).then_some(self.0 as u32)
     }
 
     /// Parse from a 6-byte slice.
+    #[inline]
     pub fn from_bytes(b: &[u8]) -> Option<MacAddr> {
-        if b.len() == 6 {
-            let mut o = [0u8; 6];
-            o.copy_from_slice(b);
-            Some(MacAddr(o))
-        } else {
-            None
-        }
+        let (hi, lo) = b.split_first_chunk::<2>()?;
+        let lo: &[u8; 4] = lo.try_into().ok()?;
+        Some(MacAddr(
+            (u64::from(u16::from_be_bytes(*hi)) << 32) | u64::from(u32::from_be_bytes(*lo)),
+        ))
     }
 }
 
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = self.0;
+        let o = self.octets();
         write!(
             f,
             "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
@@ -131,17 +133,52 @@ impl FromStr for MacAddr {
         if parts.next().is_some() {
             return Err(MacParseError);
         }
-        Ok(MacAddr(octets))
+        Ok(MacAddr::from_octets(octets))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed word is the octets: it round-trips, orders as
+        /// they do, parses and prints as they do, and its flag and VMAC
+        /// helpers read the octets the standard names.
+        #[test]
+        fn packed_word_is_the_octets(
+            o in any::<[u8; 6]>(),
+            p in any::<[u8; 6]>(),
+            index in any::<u32>(),
+        ) {
+            let (a, b) = (MacAddr::from_octets(o), MacAddr::from_octets(p));
+            prop_assert_eq!(a.octets(), o);
+            prop_assert_eq!(a.cmp(&b), o.cmp(&p));
+            prop_assert_eq!(a == b, o == p);
+            prop_assert_eq!(MacAddr::from_bytes(&o), Some(a));
+            prop_assert_eq!(MacAddr::from_bytes(&o[..5]), None);
+            prop_assert_eq!(MacAddr::from_bytes(&[o, p].concat()), None);
+            let text = a.to_string();
+            let expect = o.map(|x| format!("{x:02x}")).join(":");
+            prop_assert_eq!(&text, &expect);
+            prop_assert_eq!(text.parse::<MacAddr>(), Ok(a));
+            prop_assert_eq!(a.is_multicast(), o[0] & 0x01 != 0);
+            prop_assert_eq!(a.is_locally_administered(), o[0] & 0x02 != 0);
+            prop_assert_eq!(MacAddr::virtual_mac(index).virtual_index(), Some(index));
+            let vmac = o[..2] == [0x02, 0x5c];
+            let index_of_o = u32::from_be_bytes([o[2], o[3], o[4], o[5]]);
+            prop_assert_eq!(a.virtual_index(), vmac.then_some(index_of_o));
+            let forced = MacAddr::from_octets([0x02, 0x5c, o[2], o[3], o[4], o[5]]);
+            prop_assert_eq!(forced.virtual_index(), Some(index_of_o));
+        }
+    }
 
     #[test]
     fn display_and_parse_roundtrip() {
-        let m = MacAddr::new(0x01, 0xaa, 0x00, 0xff, 0x02, 0xbb);
+        let m = MacAddr::from_octets([0x01, 0xaa, 0x00, 0xff, 0x02, 0xbb]);
         assert_eq!(m.to_string(), "01:aa:00:ff:02:bb");
         assert_eq!("01:aa:00:ff:02:bb".parse::<MacAddr>().unwrap(), m);
     }
@@ -160,10 +197,10 @@ mod tests {
         assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::BROADCAST.is_unicast());
-        let mcast = MacAddr::new(0x01, 0x00, 0x5e, 0x00, 0x00, 0x01);
+        let mcast = MacAddr::from_octets([0x01, 0x00, 0x5e, 0x00, 0x00, 0x01]);
         assert!(mcast.is_multicast());
         assert!(!mcast.is_broadcast());
-        let ucast = MacAddr::new(0x00, 0x11, 0x22, 0x33, 0x44, 0x55);
+        let ucast = MacAddr::from_octets([0x00, 0x11, 0x22, 0x33, 0x44, 0x55]);
         assert!(ucast.is_unicast());
     }
 
@@ -180,7 +217,7 @@ mod tests {
         assert_eq!(vbig.virtual_index(), Some(0xdead_beef));
         // A hardware-looking address is not a VMAC.
         assert_eq!(
-            MacAddr::new(0x00, 0x1b, 0x21, 0x00, 0x00, 0x01).virtual_index(),
+            MacAddr::from_octets([0x00, 0x1b, 0x21, 0x00, 0x00, 0x01]).virtual_index(),
             None
         );
     }

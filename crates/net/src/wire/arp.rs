@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn request_reply_roundtrip() {
         let req = ArpRepr::request(
-            MacAddr::new(0, 1, 2, 3, 4, 5),
+            MacAddr::from_octets([0, 1, 2, 3, 4, 5]),
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 200, 0, 1), // a VNH
         );

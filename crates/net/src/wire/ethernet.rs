@@ -61,6 +61,7 @@ pub struct EthernetRepr {
 
 impl EthernetRepr {
     /// Parse a frame, returning the header and the payload slice.
+    #[inline]
     pub fn parse(frame: &[u8]) -> Result<(EthernetRepr, &[u8]), WireError> {
         need(frame, HEADER_LEN)?;
         let dst = MacAddr::from_bytes(&frame[0..6]).unwrap();
@@ -108,8 +109,8 @@ impl EthernetRepr {
         Ok(())
     }
 
-    /// Peek at the destination MAC without a full parse (hot path of the
-    /// switch pipeline).
+    /// Peek at the destination MAC without a full parse (a NIC's
+    /// address filter, before it parses the rest).
     pub fn peek_dst(frame: &[u8]) -> Result<MacAddr, WireError> {
         need(frame, HEADER_LEN)?;
         Ok(MacAddr::from_bytes(&frame[0..6]).unwrap())
@@ -122,8 +123,8 @@ mod tests {
 
     fn sample() -> EthernetRepr {
         EthernetRepr {
-            dst: MacAddr::new(0x02, 0x5c, 0, 0, 0, 1),
-            src: MacAddr::new(0x00, 0x1b, 0x21, 0xaa, 0xbb, 0xcc),
+            dst: MacAddr::from_octets([0x02, 0x5c, 0, 0, 0, 1]),
+            src: MacAddr::from_octets([0x00, 0x1b, 0x21, 0xaa, 0xbb, 0xcc]),
             ethertype: EtherType::Ipv4,
         }
     }

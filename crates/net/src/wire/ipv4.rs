@@ -6,7 +6,7 @@
 //! injected by the simulator's fault injection must be *detected*, not
 //! silently forwarded).
 
-use super::{be16, need, put16, WireError};
+use super::{be16, be32, need, put16, WireError};
 use crate::checksum;
 use std::net::Ipv4Addr;
 
@@ -39,6 +39,7 @@ pub struct Ipv4Repr {
 impl Ipv4Repr {
     /// Parse a header, validating version, length fields and checksum.
     /// Returns the header and the payload slice (trimmed to total_length).
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<(Ipv4Repr, &[u8]), WireError> {
         need(buf, HEADER_LEN)?;
         let version = buf[0] >> 4;
@@ -61,8 +62,8 @@ impl Ipv4Repr {
             ident: be16(buf, 4),
             ttl: buf[8],
             protocol: buf[9],
-            src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
-            dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
+            src: Ipv4Addr::from_bits(be32(buf, 12)),
+            dst: Ipv4Addr::from_bits(be32(buf, 16)),
         };
         Ok((repr, &buf[HEADER_LEN..total_len]))
     }
@@ -101,6 +102,7 @@ impl Ipv4Repr {
     /// TTL, or an error if the packet is malformed or the TTL was already
     /// zero (caller should drop and, in a full router, emit ICMP time
     /// exceeded).
+    #[inline]
     pub fn decrement_ttl(packet: &mut [u8]) -> Result<u8, WireError> {
         need(packet, HEADER_LEN)?;
         let ttl = packet[8];
@@ -108,31 +110,26 @@ impl Ipv4Repr {
             return Err(WireError::BadField("ttl already zero"));
         }
         packet[8] = ttl - 1;
-        // RFC 1624 incremental update: HC' = ~(~HC + ~m + m').
+        // RFC 1624 incremental update: HC' = ~(~HC + ~m + m') (eq. 3).
+        // The sum is at most 3 * 0xffff, so two end-around carries fold
+        // it to 16 bits: the first leaves at most 0x10001, the second
+        // at most 0xffff.
         let old = be16(packet, 10);
         let m = u16::from_be_bytes([ttl, packet[9]]);
         let m_new = u16::from_be_bytes([ttl - 1, packet[9]]);
-        let mut acc = (!old as u32) + (!m as u32) + m_new as u32;
-        while acc > 0xffff {
-            acc = (acc & 0xffff) + (acc >> 16);
-        }
+        let acc = u32::from(!old) + u32::from(!m) + u32::from(m_new);
+        let acc = (acc & 0xffff) + (acc >> 16);
+        let acc = (acc & 0xffff) + (acc >> 16);
         put16(packet, 10, !(acc as u16));
         Ok(ttl - 1)
-    }
-
-    /// Peek at the destination address without validating the checksum
-    /// (the switch's L3 match fields; hot path).
-    pub fn peek_dst(packet: &[u8]) -> Result<Ipv4Addr, WireError> {
-        need(packet, HEADER_LEN)?;
-        Ok(Ipv4Addr::new(
-            packet[16], packet[17], packet[18], packet[19],
-        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> Ipv4Repr {
         Ipv4Repr {
@@ -204,10 +201,34 @@ mod tests {
         assert!(Ipv4Repr::decrement_ttl(&mut pkt).is_err());
     }
 
-    #[test]
-    fn peek_dst_fast_path() {
-        let pkt = sample().to_packet(b"");
-        assert_eq!(Ipv4Repr::peek_dst(&pkt).unwrap(), Ipv4Addr::new(1, 0, 0, 1));
-        assert!(Ipv4Repr::peek_dst(&pkt[..10]).is_err());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incremental checksum after a TTL decrement is the one a
+        /// recomputation from scratch gives, and the header still parses.
+        #[test]
+        fn decrement_ttl_equals_a_fresh_checksum(
+            src in any::<u32>(), dst in any::<u32>(), protocol in any::<u8>(),
+            ttl in 1u8..=255, tos in any::<u8>(), ident in any::<u16>(),
+            payload in vec(any::<u8>(), 0..64),
+        ) {
+            let repr = Ipv4Repr {
+                src: Ipv4Addr::from_bits(src),
+                dst: Ipv4Addr::from_bits(dst),
+                protocol,
+                ttl,
+                tos,
+                ident,
+            };
+            let mut pkt = repr.to_packet(&payload);
+            prop_assert_eq!(Ipv4Repr::decrement_ttl(&mut pkt), Ok(ttl - 1));
+            let mut fresh = [0u8; HEADER_LEN];
+            fresh.copy_from_slice(&pkt[..HEADER_LEN]);
+            fresh[10..12].fill(0);
+            prop_assert_eq!(be16(&pkt, 10), checksum::checksum(&fresh));
+            let (parsed, rest) = Ipv4Repr::parse(&pkt).expect("checksum must stay valid");
+            prop_assert_eq!(parsed, Ipv4Repr { ttl: ttl - 1, ..repr });
+            prop_assert_eq!(rest, &payload[..]);
+        }
     }
 }

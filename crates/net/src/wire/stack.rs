@@ -98,6 +98,7 @@ pub fn udp_frame_with(ep: UdpEndpoints, ttl: u8, payload: impl FnOnce(&mut Vec<u
 /// them, without copying the payload. Returns `Ok(None)` if the frame is
 /// well-formed but *not* UDP-over-IPv4 (e.g. ARP), so callers can fall
 /// through to other handlers.
+#[inline]
 pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpDatagram<'_>>, WireError> {
     let (eth, eth_payload) = EthernetRepr::parse(frame)?;
     if eth.ethertype != EtherType::Ipv4 {
@@ -122,8 +123,8 @@ mod tests {
 
     fn endpoints() -> UdpEndpoints {
         UdpEndpoints {
-            src_mac: MacAddr::new(0, 0, 0, 0, 0, 1),
-            dst_mac: MacAddr::new(0, 0, 0, 0, 0, 2),
+            src_mac: MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
+            dst_mac: MacAddr::from_octets([0, 0, 0, 0, 0, 2]),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             src_port: 179,
@@ -187,13 +188,13 @@ mod tests {
     fn non_udp_passes_through_as_none() {
         // An ARP frame is not an error, just "not ours".
         let arp = crate::wire::arp::ArpRepr::request(
-            MacAddr::new(0, 0, 0, 0, 0, 1),
+            MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
         );
         let frame = EthernetRepr {
             dst: MacAddr::BROADCAST,
-            src: MacAddr::new(0, 0, 0, 0, 0, 1),
+            src: MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
             ethertype: EtherType::Arp,
         }
         .to_frame(&arp.to_bytes());

@@ -33,6 +33,7 @@ pub struct UdpRepr {
 impl UdpRepr {
     /// Parse a UDP segment, verifying length and (if non-zero) checksum
     /// against the IPv4 pseudo-header. Returns header and payload.
+    #[inline]
     pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, buf: &[u8]) -> Result<(UdpRepr, &[u8]), WireError> {
         need(buf, HEADER_LEN)?;
         let len = be16(buf, 4) as usize;

@@ -47,7 +47,7 @@ fn arb_nested_prefix() -> impl Strategy<Value = Ipv4Prefix> {
 }
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
-    any::<[u8; 6]>().prop_map(MacAddr)
+    any::<[u8; 6]>().prop_map(MacAddr::from_octets)
 }
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
@@ -228,8 +228,8 @@ proptest! {
         corrupt_bit in any::<u16>(),
     ) {
         let ep = UdpEndpoints {
-            src_mac: MacAddr([2, 0, 0, 0, 0, 1]),
-            dst_mac: MacAddr([2, 0, 0, 0, 0, 2]),
+            src_mac: MacAddr::from_octets([2, 0, 0, 0, 0, 1]),
+            dst_mac: MacAddr::from_octets([2, 0, 0, 0, 0, 2]),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             src_port: 40000,
@@ -333,8 +333,8 @@ proptest! {
 #[test]
 fn payload_corruption_is_detected_dropped_and_repaired_by_retransmit() {
     let ep = UdpEndpoints {
-        src_mac: MacAddr([2, 0, 0, 0, 0, 1]),
-        dst_mac: MacAddr([2, 0, 0, 0, 0, 2]),
+        src_mac: MacAddr::from_octets([2, 0, 0, 0, 0, 1]),
+        dst_mac: MacAddr::from_octets([2, 0, 0, 0, 0, 2]),
         src_ip: Ipv4Addr::new(10, 0, 0, 1),
         dst_ip: Ipv4Addr::new(10, 0, 0, 2),
         src_port: 40000,

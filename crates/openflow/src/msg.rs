@@ -519,7 +519,7 @@ mod tests {
             cookie: 0x5c,
             matcher: FlowMatch::dst_mac(MacAddr::virtual_mac(3)),
             actions: vec![
-                Action::SetDstMac(MacAddr::new(0x02, 0xbb, 0, 0, 0, 1)),
+                Action::SetDstMac(MacAddr::from_octets([0x02, 0xbb, 0, 0, 0, 1])),
                 Action::Output(2),
             ],
         });
@@ -533,7 +533,7 @@ mod tests {
             cookie: u64::MAX,
             matcher: FlowMatch {
                 in_port: Some(3),
-                eth_src: Some(MacAddr::new(1, 2, 3, 4, 5, 6)),
+                eth_src: Some(MacAddr::from_octets([1, 2, 3, 4, 5, 6])),
                 eth_dst: Some(MacAddr::BROADCAST),
                 eth_type: Some(0x0800),
                 ip_src: Some("10.0.0.0/8".parse().unwrap()),

@@ -814,8 +814,8 @@ mod tests {
     /// The switch's side of a controller channel.
     fn channel() -> ChannelPort {
         let addr = UdpEndpoints {
-            src_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xee]),
-            dst_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xcc]),
+            src_mac: MacAddr::from_octets([0, 0x5c, 0, 0, 0, 0xee]),
+            dst_mac: MacAddr::from_octets([0, 0x5c, 0, 0, 0, 0xcc]),
             src_ip: SW_IP,
             dst_ip: CTRL_IP,
             src_port: SW_PORT,
@@ -850,8 +850,8 @@ mod tests {
         ];
         let near = (0u8..6, vec(any::<u8>(), 0..24), damage).prop_map(|(off, payload, damage)| {
             let mut ep = UdpEndpoints {
-                src_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xcc]),
-                dst_mac: MacAddr([0, 0x5c, 0, 0, 0, 0xee]),
+                src_mac: MacAddr::from_octets([0, 0x5c, 0, 0, 0, 0xcc]),
+                dst_mac: MacAddr::from_octets([0, 0x5c, 0, 0, 0, 0xee]),
                 src_ip: CTRL_IP,
                 dst_ip: SW_IP,
                 src_port: CTRL_PORT,
@@ -934,10 +934,10 @@ mod tests {
         /// Unicast addresses the probes come from and go to, and rules
         /// match on and rewrite to.
         const MACS: [MacAddr; 4] = [
-            MacAddr([2, 0, 0, 0, 0, 1]),
-            MacAddr([2, 0, 0, 0, 0, 2]),
-            MacAddr([2, 0, 0, 0, 0, 3]),
-            MacAddr([2, 0, 0, 0, 0, 4]),
+            MacAddr::from_octets([2, 0, 0, 0, 0, 1]),
+            MacAddr::from_octets([2, 0, 0, 0, 0, 2]),
+            MacAddr::from_octets([2, 0, 0, 0, 0, 3]),
+            MacAddr::from_octets([2, 0, 0, 0, 0, 4]),
         ];
         const UDP_PORTS: [u16; 2] = [7, 9];
 

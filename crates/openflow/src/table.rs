@@ -145,7 +145,7 @@ mod tests {
     fn key(dst: MacAddr) -> FlowKey {
         FlowKey {
             in_port: 1,
-            eth_src: MacAddr::new(0, 0, 0, 0, 0, 1),
+            eth_src: MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
             eth_dst: dst,
             eth_type: 0x0800,
             ip_src: None,
@@ -161,7 +161,7 @@ mod tests {
             cookie: 0,
             matcher: FlowMatch::dst_mac(dst),
             actions: vec![
-                Action::SetDstMac(MacAddr::new(9, 9, 9, 9, 9, 9)),
+                Action::SetDstMac(MacAddr::from_octets([9, 9, 9, 9, 9, 9])),
                 Action::Output(out),
             ],
             stats: FlowStats::default(),
@@ -225,7 +225,7 @@ mod tests {
             50,
             &FlowMatch::dst_mac(vmac),
             vec![
-                Action::SetDstMac(MacAddr::new(2, 2, 2, 2, 2, 2)),
+                Action::SetDstMac(MacAddr::from_octets([2, 2, 2, 2, 2, 2])),
                 Action::Output(3),
             ],
         );

@@ -24,6 +24,7 @@ impl FlowKey {
     /// Extract a key from an encoded frame arriving on `in_port`.
     /// Unparseable inner layers simply leave the optional fields unset —
     /// a switch must forward frames it cannot fully parse.
+    #[inline]
     pub fn extract(in_port: u16, frame: &[u8]) -> Option<FlowKey> {
         let (eth, payload) = EthernetRepr::parse(frame).ok()?;
         let mut key = FlowKey {
@@ -203,7 +204,7 @@ mod tests {
     fn sample_frame() -> Vec<u8> {
         udp_frame(
             UdpEndpoints {
-                src_mac: MacAddr::new(0, 0, 0, 0, 0, 0xaa),
+                src_mac: MacAddr::from_octets([0, 0, 0, 0, 0, 0xaa]),
                 dst_mac: MacAddr::virtual_mac(3),
                 src_ip: Ipv4Addr::new(192, 0, 2, 1),
                 dst_ip: Ipv4Addr::new(1, 0, 0, 1),
@@ -229,7 +230,7 @@ mod tests {
     fn key_extraction_non_ip() {
         let eth = EthernetRepr {
             dst: MacAddr::BROADCAST,
-            src: MacAddr::new(0, 0, 0, 0, 0, 1),
+            src: MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
             ethertype: EtherType::Arp,
         };
         let key = FlowKey::extract(0, &eth.to_frame(&[0u8; 28])).unwrap();

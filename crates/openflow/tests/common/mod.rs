@@ -123,9 +123,9 @@ impl Node for StubController {
 
 // ------------------------------------------------------------- builders
 
-pub const SW_MAC: MacAddr = MacAddr([0x00, 0x5c, 0, 0, 0, 0xee]);
+pub const SW_MAC: MacAddr = MacAddr::from_octets([0x00, 0x5c, 0, 0, 0, 0xee]);
 pub const SW_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
-pub const CTRL_MAC: MacAddr = MacAddr([0x00, 0x5c, 0, 0, 0, 0xcc]);
+pub const CTRL_MAC: MacAddr = MacAddr::from_octets([0x00, 0x5c, 0, 0, 0, 0xcc]);
 pub const CTRL_IP: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
 
 pub struct Lab {
@@ -199,8 +199,8 @@ pub fn build_around<N: Node>(
     }
 }
 
-pub const MAC_A: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xa]);
-pub const MAC_B: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xb]);
+pub const MAC_A: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 0xa]);
+pub const MAC_B: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 0xb]);
 
 pub fn probe_frame(src: MacAddr, dst: MacAddr, marker: u8) -> Vec<u8> {
     udp_frame(

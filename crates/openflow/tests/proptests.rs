@@ -9,7 +9,7 @@ use sc_openflow::{Action, FlowEntry, FlowKey, FlowMatch, FlowTable};
 use std::net::Ipv4Addr;
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
-    any::<[u8; 6]>().prop_map(MacAddr)
+    any::<[u8; 6]>().prop_map(MacAddr::from_octets)
 }
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {

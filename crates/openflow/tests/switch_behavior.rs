@@ -324,7 +324,7 @@ fn port_status_reported_on_carrier_loss() {
 // last taught. From outside, the table must read as if every frame had
 // been inserted.
 
-const MAC_X: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x77]);
+const MAC_X: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 0x77]);
 
 /// Host `host` sends one frame from `src` at `at_ms`.
 fn say(lab: &mut Lab, host: sc_sim::NodeId, at_ms: u64, src: MacAddr) {
@@ -423,7 +423,7 @@ proptest! {
             let at_ms = k as u64 + 1;
             match *step {
                 L2Step::Frame { host, mac } => {
-                    let mac = MacAddr([2, 0, 0, 0, 1, mac]);
+                    let mac = MacAddr::from_octets([2, 0, 0, 0, 1, mac]);
                     say(&mut lab, hosts[host], at_ms, mac);
                     if carrier[host] {
                         model.insert(mac, ports[host]);

@@ -193,7 +193,7 @@ mod tests {
     use super::*;
 
     const VNH: Ipv4Addr = Ipv4Addr::new(10, 200, 0, 1);
-    const VMAC: MacAddr = MacAddr([0x02, 0x5c, 0, 0, 0, 0]);
+    const VMAC: MacAddr = MacAddr::from_octets([0x02, 0x5c, 0, 0, 0, 0]);
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)

@@ -104,7 +104,7 @@ impl FlowCache {
 mod tests {
     use super::*;
 
-    const MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 9]);
+    const MAC: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 9]);
 
     fn entry(nh: Ipv4Addr) -> FlowCacheEntry {
         FlowCacheEntry {

@@ -1409,7 +1409,7 @@ mod tests {
         router.add_interface(Interface {
             port: PortId(0),
             ip: Ipv4Addr::new(10, 0, 1, 2),
-            mac: MacAddr([2, 0, 0, 0, 0, 2]),
+            mac: MacAddr::from_octets([2, 0, 0, 0, 0, 2]),
             subnet: "10.0.1.0/24".parse().unwrap(),
         });
         let attrs = RouteAttrs::ebgp(AsPath::sequence(vec![65002, 65100]), peer_ip).shared();
@@ -1424,7 +1424,7 @@ mod tests {
         ];
         router.add_peer(PeerConfig {
             originate: AdjRibOut::from_updates(&feed),
-            ..PeerConfig::ebgp(peer_ip, MacAddr([2, 0, 0, 0, 0, 1]), false)
+            ..PeerConfig::ebgp(peer_ip, MacAddr::from_octets([2, 0, 0, 0, 0, 1]), false)
         });
         assert!(router.peers[0].cfg.originate.is_empty());
         assert_eq!(router.adj_rib_out_len(peer_ip), Some(100));
@@ -1445,10 +1445,10 @@ mod tests {
         const IP_R2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
         const IP_R1_SEG: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
         const IP_SEG: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 100);
-        const MAC_R1: MacAddr = MacAddr([2, 0x10, 0, 0, 0, 1]);
-        const MAC_R2: MacAddr = MacAddr([2, 0x10, 0, 0, 0, 2]);
-        const MAC_R1_SEG: MacAddr = MacAddr([2, 0x10, 0, 0, 1, 1]);
-        const MAC_SEG: MacAddr = MacAddr([2, 0xaa, 0, 0, 0, 1]);
+        const MAC_R1: MacAddr = MacAddr::from_octets([2, 0x10, 0, 0, 0, 1]);
+        const MAC_R2: MacAddr = MacAddr::from_octets([2, 0x10, 0, 0, 0, 2]);
+        const MAC_R1_SEG: MacAddr = MacAddr::from_octets([2, 0x10, 0, 0, 1, 1]);
+        const MAC_SEG: MacAddr = MacAddr::from_octets([2, 0xaa, 0, 0, 0, 1]);
         /// R2, two segment neighbours, and one address no interface
         /// reaches.
         const NEXT_HOPS: [Ipv4Addr; 4] = [
@@ -1484,7 +1484,10 @@ mod tests {
 
         /// Segment neighbour `n` (a next hop) and its MAC, variant `m`.
         fn neighbour(n: usize, m: u8) -> (Ipv4Addr, MacAddr) {
-            (NEXT_HOPS[1 + n], MacAddr([2, 0x11, 0, 0, n as u8, m]))
+            (
+                NEXT_HOPS[1 + n],
+                MacAddr::from_octets([2, 0x11, 0, 0, n as u8, m]),
+            )
         }
 
         /// Sends whatever the test queued when woken.
@@ -1764,12 +1767,12 @@ mod tests {
 
         /// Interface `i`'s MAC (it sits on port `i`).
         fn iface_mac(i: usize) -> MacAddr {
-            MacAddr([2, 0x10, 0, 0, 0, i as u8])
+            MacAddr::from_octets([2, 0x10, 0, 0, 0, i as u8])
         }
 
         /// Next hop `n`'s MAC, variant `m`.
         fn neighbour_mac(n: usize, m: u8) -> MacAddr {
-            MacAddr([2, 0x11, 0, 0, n as u8, m])
+            MacAddr::from_octets([2, 0x11, 0, 0, n as u8, m])
         }
 
         /// Sends what the test queues when woken; records what arrives.
@@ -1942,7 +1945,7 @@ mod tests {
                     times,
                 } => {
                     let ep = UdpEndpoints {
-                        src_mac: MacAddr([2, 0xaa, 0, 0, 0, host as u8]),
+                        src_mac: MacAddr::from_octets([2, 0xaa, 0, 0, 0, host as u8]),
                         dst_mac: match to {
                             0 | 1 => iface_mac(host),
                             2 => MacAddr::BROADCAST,

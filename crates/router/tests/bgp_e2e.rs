@@ -17,11 +17,11 @@ use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------- MACs/IPs
 
-const MAC_R1: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 1]);
-const MAC_R2: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 2]);
-const MAC_R3: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 3]);
-const MAC_SRC: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 0xa]);
-const MAC_SINK: MacAddr = MacAddr([0x02, 0x10, 0, 0, 0, 0xb]);
+const MAC_R1: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 1]);
+const MAC_R2: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 2]);
+const MAC_R3: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 3]);
+const MAC_SRC: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 0xa]);
+const MAC_SINK: MacAddr = MacAddr::from_octets([0x02, 0x10, 0, 0, 0, 0xb]);
 
 const IP_R1: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const IP_R2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -182,7 +182,7 @@ fn build(n_prefixes: u32, with_bfd: bool, cal: Calibration) -> Lab {
         r2n.add_interface(Interface {
             port: r2_sink_port,
             ip: Ipv4Addr::new(192, 168, 2, 1),
-            mac: MacAddr([0x02, 0x20, 0, 0, 0, 2]),
+            mac: MacAddr::from_octets([0x02, 0x20, 0, 0, 0, 2]),
             subnet: "192.168.2.0/24".parse().unwrap(),
         });
         r2n.add_static_arp(IP_SINK2, MAC_SINK);
@@ -210,7 +210,7 @@ fn build(n_prefixes: u32, with_bfd: bool, cal: Calibration) -> Lab {
         r3n.add_interface(Interface {
             port: r3_sink_port,
             ip: Ipv4Addr::new(192, 168, 3, 1),
-            mac: MacAddr([0x02, 0x20, 0, 0, 0, 3]),
+            mac: MacAddr::from_octets([0x02, 0x20, 0, 0, 0, 3]),
             subnet: "192.168.3.0/24".parse().unwrap(),
         });
         r3n.add_static_arp(IP_SINK3, MAC_SINK);

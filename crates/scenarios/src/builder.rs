@@ -240,7 +240,7 @@ pub fn provider_ip(i: usize) -> Ipv4Addr {
 }
 
 pub fn provider_mac(i: usize) -> MacAddr {
-    MacAddr([0x02, 0x40, 0, 0, 0, i as u8 + 1])
+    MacAddr::from_octets([0x02, 0x40, 0, 0, 0, i as u8 + 1])
 }
 
 pub(crate) fn provider_asn(i: usize) -> u16 {
@@ -255,7 +255,7 @@ pub(crate) fn edge_subnet(k: usize) -> Ipv4Prefix {
 }
 
 pub(crate) fn edge_mac(k: usize, side: u8) -> MacAddr {
-    MacAddr([0x02, 0x60, 0, 0, k as u8, side])
+    MacAddr::from_octets([0x02, 0x60, 0, 0, k as u8, side])
 }
 
 fn lan() -> Ipv4Prefix {

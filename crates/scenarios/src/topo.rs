@@ -70,7 +70,7 @@ impl TopologySpec {
                     lan_latency: SimDuration::from_micros(10),
                     delivery: Delivery::Sink {
                         subnet: Ipv4Prefix::new(Ipv4Addr::new(192, 168, id, 0), 24),
-                        mac: MacAddr([0x02, 0x20, 0, 0, 0, id]),
+                        mac: MacAddr::from_octets([0x02, 0x20, 0, 0, 0, id]),
                     },
                     edge_latency: SimDuration::from_micros(10),
                 };

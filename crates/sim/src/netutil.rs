@@ -237,8 +237,8 @@ mod tests {
             },
         );
         let addr_a = UdpEndpoints {
-            src_mac: MacAddr::new(0, 0, 0, 0, 0, 1),
-            dst_mac: MacAddr::new(0, 0, 0, 0, 0, 2),
+            src_mac: MacAddr::from_octets([0, 0, 0, 0, 0, 1]),
+            dst_mac: MacAddr::from_octets([0, 0, 0, 0, 0, 2]),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             src_port: 40000,

@@ -383,8 +383,8 @@ mod tests {
     use super::*;
     use sc_sim::{LinkParams, World};
 
-    const SRC_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
-    const GW_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 2]);
+    const SRC_MAC: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 1]);
+    const GW_MAC: MacAddr = MacAddr::from_octets([2, 0, 0, 0, 0, 2]);
 
     fn flows(n: u8) -> Vec<Ipv4Addr> {
         (0..n).map(|i| Ipv4Addr::new(1, 0, i, 1)).collect()
