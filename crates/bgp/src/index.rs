@@ -5,14 +5,26 @@
 //! Every UPDATE that reaches a RIB lists its NLRI in ascending prefix
 //! order — a provider's export, the [`RunPacker`](crate::pack::RunPacker)'s
 //! messages, the churn bursts drawn from a sorted universe — so the prefix
-//! a lookup wants is almost always in the block the previous one landed
-//! in, or the next. [`PrefixIndex`] is a `Vec` of sorted blocks of up to
-//! [`BLOCK`] entries beside a `Vec` of each block's lower bound, and a
-//! *finger*: the block the last mutating lookup landed in. A lookup tries
-//! that block, then the one after it, and only when both miss
-//! binary-searches the bounds; inside a block it binary-searches the
-//! keys. A B-tree paid a root-to-leaf descent of about seven nodes for
-//! every prefix of every such UPDATE.
+//! a lookup wants is almost always a few slots past the one the previous
+//! lookup landed on. [`PrefixIndex`] is a `Vec` of sorted blocks of up to
+//! [`BLOCK`] entries beside a `Vec` of each block's lower bound, and two
+//! fingers: the block the last mutating lookup landed in, and the slot
+//! there it found or filled. A lookup in that block
+//!
+//! * for a key past the block's last entry is an append: one comparison;
+//! * for a key at or past the slot gallops forward from it (+1, +2, +4, …)
+//!   and halves the bracket it lands in, about `2·log2(d)` comparisons
+//!   for a key `d` slots on;
+//! * for any other key tries the finger block and the one after it, then
+//!   binary-searches the bounds, then the block.
+//!
+//! The fingers are only hints: clamped into the index and checked against
+//! the key before use, so a stale pair costs a search, never an answer.
+//! A B-tree paid a root-to-leaf descent of about seven nodes for every
+//! prefix of every such UPDATE, and a search of a full block costs about
+//! ten comparisons with its bounds; the tests count them
+//! (`a_run_costs_comparisons_by_its_stride_not_the_table`: at most 3 a
+//! key for an ascending load, `2·log2(8) + 3` for stride-8 runs).
 //!
 //! * An insert past the last key of a full block opens a new block at
 //!   that key, so an ascending load fills every block it leaves behind;
@@ -24,11 +36,14 @@
 //! * No block's capacity passes [`BLOCK`]: a full table costs its entries
 //!   plus 32 B a block.
 //!
-//! Random-order inserts pay a move of the top-level vectors at every
-//! split, O(blocks); with 128-entry blocks a shuffled 500k-key load stays
-//! within about 10% of a `BTreeMap`'s per-insert cost.
+//! Random order is the weak side: every split moves the top-level
+//! vectors, O(blocks), and a key outside the finger block pays the two
+//! finger comparisons before its search. With 128-entry blocks a
+//! shuffled 500k-key load stays within about 15% of a `BTreeMap`'s
+//! per-insert cost.
 
 use sc_net::Ipv4Prefix;
+use std::cmp::Ordering;
 
 /// Entries a block holds at most.
 const BLOCK: usize = 128;
@@ -44,6 +59,9 @@ pub(crate) struct PrefixIndex<V> {
     lows: Vec<Ipv4Prefix>,
     /// The block the last mutating lookup landed in.
     finger: usize,
+    /// The last slot in `finger`'s block at or below the key that lookup
+    /// (or a later [`PrefixIndex::remove`]) was for, or 0 if none is.
+    pos: usize,
     len: usize,
 }
 
@@ -61,6 +79,7 @@ impl<V> Default for PrefixIndex<V> {
             blocks: Vec::new(),
             lows: Vec::new(),
             finger: 0,
+            pos: 0,
             len: 0,
         }
     }
@@ -71,28 +90,55 @@ impl<V> PrefixIndex<V> {
         self.len
     }
 
-    /// The block whose range holds `key`, trying the finger and the block
-    /// after it before a search of the bounds. The index has a block.
-    fn block_of(&self, key: Ipv4Prefix) -> usize {
-        let holds =
-            |b: usize| self.lows[b] <= key && self.lows.get(b + 1).is_none_or(|next| key < *next);
-        let finger = self.finger;
+    /// The block whose range holds `key`, trying `finger` and the block
+    /// after it before a search of the bounds.
+    fn block_of(&self, key: Ipv4Prefix, finger: usize) -> usize {
+        let holds = |b: usize| cmp(self.lows[b], key).is_le() && self.below_end(b, key);
         if holds(finger) {
             finger
         } else if finger + 1 < self.lows.len() && holds(finger + 1) {
             finger + 1
         } else {
-            self.lows.partition_point(|low| *low <= key) - 1
+            self.lows.partition_point(|low| cmp(*low, key).is_le()) - 1
         }
+    }
+
+    /// Is `key` below the next block's lower bound, if there is one?
+    fn below_end(&self, block: usize, key: Ipv4Prefix) -> bool {
+        self.lows
+            .get(block + 1)
+            .is_none_or(|next| cmp(key, *next).is_lt())
     }
 
     /// `key`'s block and its position there (`Err`: where it would go).
     /// The index has a block.
+    ///
+    /// In the finger block, a key past the last entry is an append, and a
+    /// key at or past the position finger gallops forward from it; any
+    /// other key searches the bounds and then its block. Both fingers are
+    /// clamped and checked against `key` first, so they are only hints.
     fn locate(&self, key: Ipv4Prefix) -> (usize, Result<usize, usize>) {
-        let block = self.block_of(key);
+        let finger = self.finger.min(self.blocks.len() - 1);
+        let entries = &self.blocks[finger];
+        if let Some(last) = entries.len().checked_sub(1) {
+            if cmp(entries[last].0, key).is_lt() {
+                if self.below_end(finger, key) {
+                    return (finger, Err(last + 1));
+                }
+            } else {
+                let pos = self.pos.min(last);
+                match cmp(entries[pos].0, key) {
+                    Ordering::Equal => return (finger, Ok(pos)),
+                    // entries[pos] < key <= entries[last].
+                    Ordering::Less => return (finger, gallop(entries, pos, last, key)),
+                    Ordering::Greater => {}
+                }
+            }
+        }
+        let block = self.block_of(key, finger);
         (
             block,
-            self.blocks[block].binary_search_by(|(k, _)| k.cmp(&key)),
+            self.blocks[block].binary_search_by(|(k, _)| cmp(*k, key)),
         )
     }
 
@@ -110,7 +156,7 @@ impl<V> PrefixIndex<V> {
 
     pub(crate) fn find(&mut self, key: Ipv4Prefix) -> Option<Found> {
         let (block, at) = self.search(key)?;
-        self.finger = block;
+        self.point(block, at.unwrap_or_else(|at| at.saturating_sub(1)));
         Some(Found {
             block,
             at: at.ok()?,
@@ -132,10 +178,12 @@ impl<V> PrefixIndex<V> {
             } else {
                 self.blocks.remove(block);
                 self.lows.remove(block);
-                self.finger = block - 1;
+                self.point(block - 1, usize::MAX);
                 self.shrink_top();
+                return value;
             }
         }
+        self.point(block, at.saturating_sub(1));
         value
     }
 
@@ -152,7 +200,7 @@ impl<V> PrefixIndex<V> {
         let (mut block, at) = self.locate(key);
         let mut at = match at {
             Ok(at) => {
-                self.finger = block;
+                self.point(block, at);
                 return &mut self.blocks[block][at].1;
             }
             Err(at) => at,
@@ -175,7 +223,6 @@ impl<V> PrefixIndex<V> {
                 }
             }
         }
-        self.finger = block;
         self.len += 1;
         let entries = &mut self.blocks[block];
         if entries.len() == entries.capacity() {
@@ -183,7 +230,8 @@ impl<V> PrefixIndex<V> {
             entries.reserve_exact(entries.len().max(4).min(BLOCK - entries.len()));
         }
         entries.insert(at, (key, make()));
-        &mut entries[at].1
+        self.point(block, at);
+        &mut self.blocks[block][at].1
     }
 
     /// Keep the entries `keep` says to, visiting all in key order.
@@ -204,6 +252,7 @@ impl<V> PrefixIndex<V> {
         }
         self.len = self.blocks.iter().map(Vec::len).sum();
         self.finger = 0;
+        self.pos = 0;
         self.shrink_top();
     }
 
@@ -215,6 +264,13 @@ impl<V> PrefixIndex<V> {
             .map(|(key, value)| (*key, value))
     }
 
+    /// Aim the fingers at slot `at` of `block`, or at its last entry if
+    /// `at` is past it.
+    fn point(&mut self, block: usize, at: usize) {
+        self.finger = block;
+        self.pos = at.min(self.blocks[block].len().saturating_sub(1));
+    }
+
     /// Give back top-level capacity the blocks no longer use.
     fn shrink_top(&mut self) {
         if self.blocks.len() * 4 <= self.blocks.capacity() {
@@ -222,6 +278,47 @@ impl<V> PrefixIndex<V> {
             self.lows.shrink_to(self.lows.len() * 2);
         }
     }
+}
+
+/// `a.cmp(&b)`; the tests count the calls.
+#[inline]
+fn cmp(a: Ipv4Prefix, b: Ipv4Prefix) -> Ordering {
+    #[cfg(test)]
+    tests::COMPARISONS.set(tests::COMPARISONS.get() + 1);
+    a.cmp(&b)
+}
+
+/// Where `key` is or would go in `entries`, given `entries[pos] < key <=
+/// entries[last]`: probe `pos + 1`, `pos + 2`, `pos + 4`, … (the last
+/// probe clamped to `last`) until one is not below `key`, then halve the
+/// bracket between it and the probe before.
+fn gallop<V>(
+    entries: &[(Ipv4Prefix, V)],
+    pos: usize,
+    last: usize,
+    key: Ipv4Prefix,
+) -> Result<usize, usize> {
+    let mut below = pos;
+    let mut step = 1;
+    let mut above = loop {
+        let probe = (pos + step).min(last);
+        match cmp(entries[probe].0, key) {
+            Ordering::Less => below = probe,
+            Ordering::Equal => return Ok(probe),
+            Ordering::Greater => break probe,
+        }
+        step *= 2;
+    };
+    // entries[below] < key < entries[above].
+    while above - below > 1 {
+        let mid = below + (above - below) / 2;
+        match cmp(entries[mid].0, key) {
+            Ordering::Less => below = mid,
+            Ordering::Equal => return Ok(mid),
+            Ordering::Greater => above = mid,
+        }
+    }
+    Err(above)
 }
 
 #[cfg(test)]
@@ -238,6 +335,8 @@ mod tests {
         /// Bytes this thread has allocated and not yet freed: each test
         /// runs on its own thread, so the tests do not see each other.
         static LIVE: Cell<isize> = const { Cell::new(0) };
+        /// Key comparisons this thread's indices have made.
+        pub(super) static COMPARISONS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// `System`, keeping [`LIVE`].
@@ -283,7 +382,12 @@ mod tests {
         fn check(&self) {
             assert_eq!(self.blocks.len(), self.lows.len());
             assert_eq!(self.len, self.blocks.iter().map(Vec::len).sum::<usize>());
-            assert!(self.blocks.is_empty() || self.finger < self.blocks.len());
+            match self.blocks.get(self.finger) {
+                Some(entries) => {
+                    assert!(self.pos < entries.len().max(1), "position past its block")
+                }
+                None => assert!(self.blocks.is_empty() && (self.finger, self.pos) == (0, 0)),
+            }
             if let Some(first) = self.lows.first() {
                 assert_eq!(*first, Ipv4Prefix::DEFAULT);
             }
@@ -318,16 +422,52 @@ mod tests {
         /// to every kept value.
         Retain(u32),
         Iter,
+        /// Put `v` at every key of the run.
+        PutRun(Run, u32),
+        /// Look every key of the run up, and add one to those there.
+        FindRun(Run),
+        /// Remove every key of the run that is there.
+        RemoveRun(Run),
+    }
+
+    /// Every `stride`-th key from `from` on, `n` of them at most, in
+    /// ascending order: the shape of an UPDATE's NLRI.
+    #[derive(Clone, Copy, Debug)]
+    struct Run {
+        from: u16,
+        stride: u16,
+        n: u16,
+    }
+
+    impl Run {
+        fn keys(self) -> impl Iterator<Item = Ipv4Prefix> {
+            (self.from % 4096..4096)
+                .step_by(self.stride.into())
+                .take(self.n.into())
+                .map(key)
+        }
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..20, any::<u16>(), any::<u32>()).prop_map(|(kind, k, v)| match kind {
-            0..=7 => Op::Put(k, v),
-            8..=10 => Op::Get(k),
-            11..=15 => Op::Remove(k),
-            16 => Op::Drain(k, v as u16 % 600),
-            17 => Op::Retain(2 + v % 7),
-            _ => Op::Iter,
+        (0u8..26, any::<u16>(), any::<u32>()).prop_map(|(kind, k, v)| {
+            // Strides 1..64 over up to 400 keys: many runs cross a block
+            // boundary, and a put run into full blocks splits them.
+            let run = Run {
+                from: k,
+                stride: 1 + (v >> 16) as u16 % 63,
+                n: v as u16 % 400,
+            };
+            match kind {
+                0..=7 => Op::Put(k, v),
+                8..=10 => Op::Get(k),
+                11..=15 => Op::Remove(k),
+                16 => Op::Drain(k, v as u16 % 600),
+                17 => Op::Retain(2 + v % 7),
+                18 | 19 => Op::Iter,
+                20 | 21 => Op::PutRun(run, v),
+                22 | 23 => Op::FindRun(run),
+                _ => Op::RemoveRun(run),
+            }
         })
     }
 
@@ -427,11 +567,159 @@ mod tests {
                         });
                     }
                     Op::Iter => prop_assert!(index.iter().eq(model.iter().map(|(k, v)| (*k, v)))),
+                    Op::PutRun(run, v) => {
+                        for p in run.keys() {
+                            let fresh = !model.contains_key(&p);
+                            let mut made = false;
+                            let slot = index.get_or_insert_with(p, || {
+                                made = true;
+                                v
+                            });
+                            prop_assert_eq!(made, fresh);
+                            *slot = v;
+                            model.insert(p, v);
+                        }
+                    }
+                    Op::FindRun(run) => {
+                        for p in run.keys() {
+                            prop_assert_eq!(index.get(p), model.get(&p));
+                            let found = index.find(p);
+                            prop_assert_eq!(found.is_some(), model.contains_key(&p));
+                            if let Some(found) = found {
+                                let v = index.get_mut(found);
+                                *v = v.wrapping_add(1);
+                                let m = model.get_mut(&p).expect("found");
+                                *m = m.wrapping_add(1);
+                                prop_assert_eq!(*v, *m);
+                            }
+                        }
+                    }
+                    Op::RemoveRun(run) => {
+                        for p in run.keys() {
+                            match index.find(p) {
+                                Some(found) => {
+                                    prop_assert_eq!(Some(index.remove(found)), model.remove(&p));
+                                }
+                                None => prop_assert!(!model.contains_key(&p)),
+                            }
+                        }
+                    }
                 }
                 index.check();
                 prop_assert_eq!(index.len(), model.len());
             }
             same(&index, &model);
+        }
+
+        /// The fingers are only hints: set to anything before each lookup,
+        /// in range or far past it, they change no answer.
+        #[test]
+        fn a_stale_hint_changes_no_answer(
+            order in 0u32..6,
+            loaded in 0u16..2_000,
+            lookups in vec((any::<u8>(), 0usize..24, 0usize..160, any::<u16>()), 0..400),
+        ) {
+            let mut index = PrefixIndex::default();
+            let mut model = BTreeMap::new();
+            for k in load_order(order, loaded) {
+                *index.get_or_insert_with(key(k), || 0) = u32::from(k);
+                model.insert(key(k), u32::from(k));
+            }
+            for (what, finger, pos, k) in lookups {
+                (index.finger, index.pos) = if what / 3 % 8 == 0 {
+                    (usize::MAX - finger, usize::MAX - pos)
+                } else {
+                    (finger, pos)
+                };
+                let p = key(k);
+                match what % 3 {
+                    0 => prop_assert_eq!(index.get(p), model.get(&p)),
+                    1 => {
+                        let found = index.find(p);
+                        prop_assert_eq!(found.is_some(), model.contains_key(&p));
+                        if let Some(found) = found {
+                            prop_assert_eq!(Some(index.remove(found)), model.remove(&p));
+                        }
+                        index.check();
+                    }
+                    _ => {
+                        let fresh = !model.contains_key(&p);
+                        let mut made = false;
+                        *index.get_or_insert_with(p, || {
+                            made = true;
+                            0
+                        }) = u32::from(k);
+                        prop_assert_eq!(made, fresh);
+                        model.insert(p, u32::from(k));
+                        index.check();
+                    }
+                }
+            }
+            prop_assert_eq!(index.len(), model.len());
+            prop_assert!(index.iter().eq(model.iter().map(|(k, v)| (*k, v))));
+        }
+    }
+
+    /// Key comparisons a key, a work count with no timer in it. An
+    /// ascending load appends at a cost that does not grow with the table
+    /// (50k and 100k keys), and stride-8 runs over a loaded index — look
+    /// up, withdraw, re-announce — gallop from the last hit, about
+    /// 2·log2(8) comparisons, rather than search a 128-entry block.
+    #[test]
+    fn a_run_costs_comparisons_by_its_stride_not_the_table() {
+        let keys =
+            |n: u32| (0..n).map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0100_0000 + (i << 8)), 24));
+        let per_key = |count: usize, work: &mut dyn FnMut()| {
+            let before = COMPARISONS.get();
+            work();
+            (COMPARISONS.get() - before) as f64 / count as f64
+        };
+        let mut loaded = [50_000, 100_000].map(|n| {
+            let mut index = PrefixIndex::default();
+            let cost = per_key(n as usize, &mut || {
+                for (i, p) in keys(n).enumerate() {
+                    *index.get_or_insert_with(p, || 0) = i;
+                }
+            });
+            assert!(
+                cost <= 3.0,
+                "an ascending load of {n} keys: {cost} comparisons a key"
+            );
+            (index, cost)
+        });
+        let ratio = loaded[1].1 / loaded[0].1;
+        assert!(ratio <= 1.1, "100k keys cost {ratio} times 50k's a key");
+
+        let index = &mut loaded[1].0;
+        let run: Vec<Ipv4Prefix> = keys(100_000).skip(3).step_by(8).collect();
+        let bound = 2.0 * 8f64.log2() + 3.0;
+        let find = per_key(run.len(), &mut || {
+            for p in &run {
+                assert!(index.find(*p).is_some());
+            }
+        });
+        let withdraw = per_key(run.len(), &mut || {
+            for p in &run {
+                let found = index.find(*p).expect("loaded");
+                index.remove(found);
+            }
+        });
+        let announce = per_key(run.len(), &mut || {
+            for (i, p) in run.iter().enumerate() {
+                index.get_or_insert_with(*p, || i);
+            }
+        });
+        index.check();
+        assert_eq!(index.len(), 100_000);
+        for (what, cost) in [
+            ("find", find),
+            ("withdraw", withdraw),
+            ("announce", announce),
+        ] {
+            assert!(
+                cost <= bound,
+                "a stride-8 {what} run: {cost} comparisons a key"
+            );
         }
     }
 
@@ -495,8 +783,9 @@ mod tests {
 
     /// The whole table, cross-checked against a `BTreeMap` at every
     /// operation: 500k keys in ascending, shuffled and descending order,
-    /// each load then looked up, overwritten, thinned by `retain` and half
-    /// removed.
+    /// each load then looked up, overwritten, looked up and removed and
+    /// put back in ascending runs of strides 1 to 64, half removed and
+    /// thinned by `retain`.
     #[test]
     #[ignore = "a full table, three times over: run in release"]
     fn a_full_table_matches_a_btreemap() {
@@ -534,6 +823,37 @@ mod tests {
                 *index.get_mut(found) += i;
                 *model.get_mut(p).expect("loaded") += i;
             }
+            // Runs as an UPDATE lists its NLRI: ascending, every
+            // `stride`-th key.
+            let sorted: Vec<Ipv4Prefix> = model.keys().copied().collect();
+            let run = |from: usize, stride: usize| sorted.iter().skip(from).step_by(stride);
+            for (from, stride) in [(0, 1), (1, 3), (2, 8), (5, 61)] {
+                for p in run(from, stride) {
+                    let found = index.find(*p).expect("loaded");
+                    assert_eq!(index.get_mut(found), model.get_mut(p).expect("loaded"));
+                }
+            }
+            for (from, stride) in [(3, 7), (4, 64), (0, 2)] {
+                for p in run(from, stride) {
+                    match index.find(*p) {
+                        Some(found) => assert_eq!(Some(index.remove(found)), model.remove(p)),
+                        None => assert!(!model.contains_key(p)),
+                    }
+                }
+                index.check();
+                assert_eq!(index.len(), model.len());
+            }
+            for (i, p) in run(3, 7).enumerate() {
+                let fresh = !model.contains_key(p);
+                let mut made = false;
+                *index.get_or_insert_with(*p, || {
+                    made = true;
+                    0
+                }) = i;
+                assert_eq!(made, fresh, "{p:?}");
+                model.insert(*p, i);
+            }
+            index.check();
             for p in load.iter().step_by(2) {
                 match index.find(*p) {
                     Some(found) => assert_eq!(Some(index.remove(found)), model.remove(p)),
